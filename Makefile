@@ -15,8 +15,9 @@ bench:
 
 # Quick machine-checkable slice of the bench harness: the throughput/
 # allocation study only, at reduced trace length. Fails if the BENCH
-# JSON is not produced or a steering policy started allocating on the
-# decision path.
+# JSON is not produced, a steering policy started allocating on the
+# decision path, or the full simulation path (engine + trace generator)
+# allocates more than 16 minor words per committed micro-op.
 # The throughput study enforces the scaling floor (>=1.5x at 2
 # domains, >=3x at 4; exits 1 with a one-line diagnostic on a miss)
 # and records the speedup table in the run ledger at
@@ -28,7 +29,7 @@ bench-smoke: build
 	  CLUSTEER_BENCH_REQUIRE_SPEEDUP=1 CLUSTEER_BENCH_LEDGER=_build/bench-runs \
 	  CLUSTEER_BENCH_JSON=_build/bench.json dune exec bench/main.exe
 	@grep -q '"suite_throughput"' _build/bench.json
-	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"vc2":0.0}' \
+	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"vc2":0.0,"one-cluster":0.0,"ob":0.0,"rhop":0.0}' \
 	  _build/bench.json
 	@grep -q '"kind":"bench"' _build/bench-runs/index.jsonl
 	@echo "bench-smoke: OK (_build/bench.json, ledger _build/bench-runs)"

@@ -618,7 +618,7 @@ let alloc_probe_view ~clusters ~annot =
 
 let minor_words_per_decide policy view duop =
   let rounds = 20_000 in
-  (* Warm the lazily-sized scratch arrays out of the measurement. *)
+  (* Warm any lazily sized scratch out of the measurement. *)
   for _ = 1 to 256 do
     ignore (policy.Clusteer_uarch.Policy.decide view duop)
   done;
@@ -638,6 +638,10 @@ let minor_words_per_decide policy view duop =
    has no hatch — a mismatch always fails. *)
 let required_speedup domains =
   if domains >= 4 then 3.0 else if domains >= 2 then 1.5 else 0.0
+
+(* Minor-heap words per committed micro-op the whole simulation path
+   (engine + trace generator, op on gzip-1) may allocate. *)
+let max_engine_words_per_uop = 16.0
 
 let run_throughput_study () =
   heading "Throughput study: parallel harness + zero-allocation steering";
@@ -781,12 +785,22 @@ let run_throughput_study () =
   in
   let view = alloc_probe_view ~clusters:2 ~annot in
   let duop = Clusteer_trace.Tracegen.next (Synth.trace workload ~seed:1) in
+  (* The static schemes read their own compiler placement, so they are
+     built the way a simulation builds them. *)
+  let prepared config =
+    snd
+      (Clusteer.Configuration.prepare config ~program:workload.Synth.program
+         ~likely:workload.Synth.likely ~clusters:2 ())
+  in
   let policies =
     [
       ("op", Clusteer_steer.Op.make ());
       ("op-parallel", Clusteer_steer.Op_parallel.make ());
       ("dep", Clusteer_steer.Dep.make ());
       ("vc2", Clusteer_steer.Vc_map.make ~annot ~clusters:2 ());
+      ("one-cluster", prepared Clusteer.Configuration.One_cluster);
+      ("ob", prepared Clusteer.Configuration.Ob);
+      ("rhop", prepared Clusteer.Configuration.Rhop);
     ]
   in
   Printf.printf "\n%-12s %22s\n" "policy" "minor words/decision";
@@ -826,6 +840,20 @@ let run_throughput_study () =
   in
   Printf.printf "%-12s %22.1f  (engine + tracegen, op policy)\n" "full-path"
     engine_words;
+  (* Allocation budget for the whole per-uop simulation path. Minor
+     words on a fixed workload and seed do not depend on the host, so
+     the budget is always enforced. *)
+  if engine_words > max_engine_words_per_uop then
+    failures :=
+      Printf.sprintf
+        "bench-smoke: FAIL full-path allocation %.1f minor words/uop > \
+         budget %.1f"
+        engine_words max_engine_words_per_uop
+      :: !failures
+  else
+    Printf.printf
+      "bench-smoke: OK full-path allocation %.1f minor words/uop <= %.1f\n"
+      engine_words max_engine_words_per_uop;
   write_bench_json
     [
       ("suite_throughput", Obs.Json.List rows);

@@ -13,7 +13,7 @@ let make ~critical () =
   let decide view duop =
     let id = Dynuop.static_id duop in
     let is_critical = id < Array.length critical && critical.(id) in
-    if not is_critical then Policy.Dispatch_to (least_loaded view)
+    if not is_critical then Policy.dispatch_to (least_loaded view)
     else begin
       (* Critical micro-op: chase the operands. *)
       let clusters = view.Policy.clusters in
@@ -32,7 +32,7 @@ let make ~critical () =
           && (!best = -1 || view.Policy.inflight c < view.Policy.inflight !best)
         then best := c
       done;
-      Policy.Dispatch_to !best
+      Policy.dispatch_to !best
     end
   in
   {

@@ -7,20 +7,14 @@ let make ?registry () =
   let vote_ties = Counters.histogram ?registry "dep.vote_ties" in
   (* Decision-path scratch: see [Op.make] — the per-uop path must not
      allocate. *)
-  let votes = ref [||] in
-  let src_buf = ref [||] in
-  let dispatch_to = ref [||] in
+  let votes = Array.make Policy.max_clusters 0 in
+  let src_buf = ref (Array.make 2 Bitset.empty) in
   let best_votes = ref 0 in
   let ties = ref 0 in
   let best = ref 0 in
   let decide view duop =
     Counters.incr decisions;
     let clusters = view.Policy.clusters in
-    if Array.length !votes < clusters then begin
-      votes := Array.make clusters 0;
-      dispatch_to := Array.init clusters (fun c -> Policy.Dispatch_to c)
-    end;
-    let votes = !votes in
     let nsrcs =
       Array.length duop.Clusteer_trace.Dynuop.suop.Clusteer_isa.Uop.srcs
     in
@@ -50,7 +44,7 @@ let make ?registry () =
         && (!best = -1 || view.Policy.inflight c < view.Policy.inflight !best)
       then best := c
     done;
-    (!dispatch_to).(!best)
+    Policy.dispatch_to !best
   in
   {
     Policy.name = "dep";

@@ -6,7 +6,7 @@ let make ?(n = 3) () =
   let decide view _duop =
     let cluster = !count / n mod view.Policy.clusters in
     incr count;
-    Policy.Dispatch_to cluster
+    Policy.dispatch_to cluster
   in
   {
     Policy.name = Printf.sprintf "mod%d" n;

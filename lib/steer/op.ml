@@ -29,11 +29,10 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
   let stalls = Counters.counter ?registry "op.stall_decisions" in
   let vote_candidates = Counters.histogram ?registry "op.vote_candidates" in
   (* Decision-path scratch, allocated once and reused: the per-uop path
-     must not allocate (no lists, no closures, no fresh refs). The
-     [Dispatch_to] variants are memoized for the same reason. *)
-  let votes = ref [||] in
-  let src_buf = ref [||] in
-  let dispatch_to = ref [||] in
+     must not allocate (no lists, no closures, no fresh refs), and
+     decisions come from {!Policy.dispatch_to} for the same reason. *)
+  let votes = Array.make Policy.max_clusters 0 in
+  let src_buf = ref (Array.make 2 Bitset.empty) in
   let ndecisions = ref 0 in
   let best_votes = ref 0 in
   let ncand = ref 0 in
@@ -65,12 +64,6 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
     let u = duop.Clusteer_trace.Dynuop.suop in
     let queue = Opcode.queue u.Uop.opcode in
     let clusters = view.Policy.clusters in
-    if Array.length !votes < clusters then begin
-      votes := Array.make clusters 0;
-      dispatch_to := Array.init clusters (fun c -> Policy.Dispatch_to c)
-    end;
-    let votes = !votes in
-    let dispatch_to = !dispatch_to in
     let nsrcs = Array.length u.Uop.srcs in
     if Array.length !src_buf < nsrcs then
       src_buf := Array.make nsrcs Bitset.empty;
@@ -132,7 +125,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
         then preferred := c
       done
     end;
-    if view.Policy.queue_free !preferred queue > 0 then dispatch_to.(!preferred)
+    if view.Policy.queue_free !preferred queue > 0 then Policy.dispatch_to !preferred
     else begin
       (* Preferred cluster is out of queue slots: steer away only when
          some other cluster is comfortably idle, otherwise stall
@@ -156,7 +149,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
       end
       else begin
         Counters.incr steer_away;
-        dispatch_to.(!best_alt)
+        Policy.dispatch_to !best_alt
       end
     end
   in

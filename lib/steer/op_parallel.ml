@@ -31,9 +31,8 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   in
   (* Decision-path scratch: see [Op.make] — the per-uop path must not
      allocate. *)
-  let votes = ref [||] in
-  let src_buf = ref [||] in
-  let dispatch_to = ref [||] in
+  let votes = Array.make Policy.max_clusters 0 in
+  let src_buf = ref (Array.make 2 Bitset.empty) in
   let best_votes = ref 0 in
   let preferred = ref 0 in
   let min_load = ref 0 in
@@ -43,12 +42,6 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
     let queue = Opcode.queue u.Uop.opcode in
     let clusters = view.Policy.clusters in
     let cycle = view.Policy.cycle () in
-    if Array.length !votes < clusters then begin
-      votes := Array.make clusters 0;
-      dispatch_to := Array.init clusters (fun c -> Policy.Dispatch_to c)
-    end;
-    let votes = !votes in
-    let dispatch_to = !dispatch_to in
     let srcs = u.Uop.srcs in
     let nsrcs = Array.length srcs in
     if Array.length !src_buf < nsrcs then
@@ -96,7 +89,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
     end;
     let decision =
       if view.Policy.queue_free !preferred queue > 0 then
-        dispatch_to.(!preferred)
+        Policy.dispatch_to !preferred
       else begin
         best_alt := -1;
         for c = 0 to clusters - 1 do
@@ -107,7 +100,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
                || view.Policy.inflight c < view.Policy.inflight !best_alt)
           then best_alt := c
         done;
-        if !best_alt = -1 then Policy.Stall else dispatch_to.(!best_alt)
+        if !best_alt = -1 then Policy.Stall else Policy.dispatch_to !best_alt
       end
     in
     (match decision with

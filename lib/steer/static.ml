@@ -8,7 +8,7 @@ let make ~name ~annot =
     let cluster = annot.Annot.cluster_of.(id) in
     let cluster = if cluster < 0 then 0 else cluster in
     let cluster = if cluster >= view.Policy.clusters then 0 else cluster in
-    Policy.Dispatch_to cluster
+    Policy.dispatch_to cluster
   in
   {
     Policy.name;

@@ -20,7 +20,7 @@ let make ?(decay = 0.999) ?(weight = 0.5) () =
       end
     done;
     h.(!best) <- h.(!best) +. 1.0;
-    Policy.Dispatch_to !best
+    Policy.dispatch_to !best
   in
   {
     Policy.name = "thermal";

@@ -43,17 +43,13 @@ let make ?(remap_threshold = 8) ?registry ?topology ~annot ~clusters () =
   let remaps = Counters.counter ?registry "vc.remaps" in
   let chain_len = Counters.histogram ?registry "vc.chain_uops_at_leader" in
   let since_leader = Array.make annot.Annot.virtual_clusters 0 in
-  (* Memoized decisions: the table lookup itself is allocation-free,
-     so the only per-uop allocation would be the [Dispatch_to] box —
-     preallocate one per cluster. *)
-  let dispatch_to = Array.init clusters (fun c -> Policy.Dispatch_to c) in
   let decide view duop =
     let id = Dynuop.static_id duop in
     let vc = annot.Annot.vc_of.(id) in
     Counters.incr decisions;
     if vc < 0 then begin
       Counters.incr unassigned;
-      dispatch_to.(least_loaded view)
+      Policy.dispatch_to (least_loaded view)
     end
     else begin
       (* At a chain leader the workload counters are consulted; the VC
@@ -97,7 +93,7 @@ let make ?(remap_threshold = 8) ?registry ?topology ~annot ~clusters () =
         end
       end;
       since_leader.(vc) <- since_leader.(vc) + 1;
-      dispatch_to.(table.(vc))
+      Policy.dispatch_to table.(vc)
     end
   in
   {

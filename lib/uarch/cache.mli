@@ -25,6 +25,28 @@ val touch : t -> addr:int -> unit
 
 val invalidate_all : t -> unit
 
+type image
+(** The resident lines of a cache and their LRU order, without
+    statistics. *)
+
+val save : t -> image option
+(** [None] when the cache cannot be imaged: more than 255 ways, or a
+    tag beyond 31 bits. *)
+
+val fits : image -> t -> bool
+(** The cache has the geometry (sets, ways, line size) of the image's
+    source. *)
+
+val save_into : image -> t -> bool
+(** Overwrite the image with [t]'s lines, reusing its storage; [false]
+    (image left stale) when [t] cannot be imaged. Requires {!fits}. *)
+
+val restore : image -> t -> unit
+(** Make [t]'s resident lines and their LRU order the image's:
+    afterwards every access hits, misses and evicts exactly as it would
+    on the image's source (recency values themselves may differ).
+    Statistics are untouched. Requires {!fits}. *)
+
 (* Statistics *)
 val hits : t -> int
 val misses : t -> int

@@ -9,29 +9,92 @@ module Obs_sink = Clusteer_obs.Sink
 module Obs_counters = Clusteer_obs.Counters
 module Obs_profile = Clusteer_obs.Profile
 
-type kind =
-  | Op of Dynuop.t
-  | Copy_op of { tag : int; to_cluster : int }
+(* ---- in-flight state ---------------------------------------------- *)
 
+(* One in-flight micro-op. Slots are preallocated and recycled, so the
+   per-uop path allocates nothing: slot [id < rob_size] belongs to ROB
+   position [id] and holds the program micro-op dispatched there until
+   it commits; slots above are a free-listed pool of inter-cluster
+   copies, each returned when the last of its two events fires.
+
+   Every reference to a slot is an int: its id in a ready queue, its id
+   and event kind in the event queue, and intrusive links for the
+   wakeup and store tables. A slot is linked into those tables only
+   while it is in flight (a waiter until woken, a store until it
+   commits or a younger store to its address replaces it), so no table
+   can name a slot after it has been recycled. *)
 type inst = {
-  iseq : int;  (* global age, used as select priority *)
-  kind : kind;
-  cluster : int;  (* where it is queued / executes *)
-  queue : Opcode.queue;
-  dst_tag : int;  (* -1 = none *)
-  src_tags : int array;
+  id : int;
+  mutable iseq : int;  (* global age, used as select priority *)
+  mutable cluster : int;  (* where it is queued / executes *)
+  mutable qidx : int;  (* issue queue: 0 int, 1 fp, 2 copy *)
+  mutable dst_tag : int;  (* -1 = none *)
   mutable waiting : int;  (* outstanding operands *)
   mutable completed : bool;
   mutable took_mshr : bool;  (* load in flight past the L1 *)
-  mutable store_waiters : inst list;  (* loads blocked on this store *)
-  mispredicted : bool;
+  mutable mispredicted : bool;
+  mutable duop : Dynuop.t;  (* ops: the program micro-op *)
+  mutable copy_to : int;  (* copies: destination cluster *)
+  mutable copy_tag : int;  (* copies: the value tag moved *)
+  mutable events_left : int;  (* copies: events still queued *)
+  mutable store_waiters : int;  (* stores: first blocked load, -1 = none *)
+  mutable next_store_waiter : int;  (* loads: next load on the same store *)
+  mutable store_key : int;  (* stores: 8-byte-aligned address *)
+  mutable next_store : int;  (* stores: next store in the table bucket *)
 }
 
-type event =
-  | Ev_complete of inst
-  | Ev_copy_arrive of inst
+(* Filler for the [duop] of copies and idle slots. *)
+let no_duop =
+  {
+    Dynuop.seq = -1;
+    suop =
+      {
+        Uop.id = 0;
+        opcode = Opcode.Branch;
+        dst = None;
+        srcs = [||];
+        stream = -1;
+        branch_ref = -1;
+      };
+    addr = -1;
+    taken = false;
+  }
 
-type fetch_slot = { duop : Dynuop.t; ready_at : int; misp : bool }
+let fresh_inst id =
+  {
+    id;
+    iseq = 0;
+    cluster = 0;
+    qidx = 0;
+    dst_tag = -1;
+    waiting = 0;
+    completed = false;
+    took_mshr = false;
+    mispredicted = false;
+    duop = no_duop;
+    copy_to = -1;
+    copy_tag = -1;
+    events_left = 0;
+    store_waiters = -1;
+    next_store_waiter = -1;
+    store_key = -1;
+    next_store = -1;
+  }
+
+(* Event-queue payloads: slot id and kind in one int. *)
+let ev_complete id = id lsl 1
+let ev_copy_arrive id = (id lsl 1) lor 1
+
+(* Waiter-table nodes are preassigned: micro-ops have at most two
+   register sources, so node [2 * id + i] is slot [id]'s wait on its
+   [i]-th source (a copy uses node [2 * id]). *)
+let max_srcs = 2
+
+(* Bucket counts of the two intrusive hash tables; powers of two. At
+   most a ROB's worth of waits and an LSQ's worth of stores are live,
+   so chains stay short. *)
+let waiter_buckets = 1024
+let store_buckets = 256
 
 (* Self-profiler spans, interned once at creation so the per-cycle
    instrumented path touches no hashtable. *)
@@ -63,8 +126,11 @@ type t = {
   (* time *)
   mutable cycle : int;
   mutable next_iseq : int;
-  (* front-end *)
-  fetchq : fetch_slot Ring.t;
+  (* front-end: the fetch queue as parallel rings pushed and dropped in
+     lockstep (micro-op, cycle it may dispatch, mispredicted?) *)
+  fetch_duop : Dynuop.t Ring.t;
+  fetch_ready : int Ring.t;
+  fetch_misp : bool Ring.t;
   mutable fetch_resume : int;  (* no fetch before this cycle; [never] while
                                    a mispredicted branch is unresolved *)
   (* rename: architectural register code -> value tag *)
@@ -73,28 +139,41 @@ type t = {
   tag_loc : Vec.t;  (* cluster mask: where the value is or will be *)
   tag_ready : Vec.t;  (* cluster mask: where the value has been produced *)
   tag_origin : Vec.t;  (* producing cluster *)
-  waiters : (int, inst list ref) Hashtbl.t;  (* (tag, cluster) key *)
+  (* in-flight slots: ROB-owned ops, then the copy pool *)
+  mutable slots : inst array;
+  rob_size : int;
+  mutable rob_head : int;
+  mutable rob_len : int;
+  mutable copy_free : int array;  (* stack of free copy slot ids *)
+  mutable copy_free_len : int;
+  (* wakeup table: (tag, cluster) key -> waiting nodes, chained *)
+  waiter_heads : int array;
+  mutable node_key : int array;
+  mutable node_next : int array;
+  (* 8-byte-aligned address -> youngest uncommitted store, chained *)
+  store_heads : int array;
   (* back-end *)
-  rob : inst Ring.t;
   occupancy : int array array;  (* cluster -> queue index -> used slots *)
   inflight : int array;  (* cluster -> dispatched, not yet completed *)
-  ready_q : inst Pqueue.t array array;  (* cluster -> queue index *)
+  ready_q : int Pqueue.t array array;  (* cluster -> queue index -> slot ids *)
   unit_free : int array array;  (* cluster -> fu index -> next free cycle *)
   fabric : Clusteer_topo.Fabric.t;  (* per-link next-free-cycle state *)
   mutable lsq_used : int;
   regs_used : int array array;  (* cluster -> class (0 int, 1 fp) -> live dests *)
   mutable misses_outstanding : int;  (* in-flight L1 misses (MSHR usage) *)
-  pending_store : (int, inst) Hashtbl.t;  (* 8-byte-aligned addr -> store *)
-  events : event Pqueue.t;
+  events : int Pqueue.t;  (* due cycle -> slot id and event kind *)
   (* per-cycle port counters *)
   mutable loads_this_cycle : int;
   mutable stores_this_cycle : int;
   mutable view : Policy.view;
-  (* dispatch-loop scratch, reused every cycle so the per-uop path
-     allocates nothing: tags needing copies (deduped) and per-source-
-     cluster pending-copy counts for the copy-queue capacity check *)
+  (* per-cycle scratch, reused so the per-uop and per-cycle paths
+     allocate nothing: tags needing copies (deduped), per-source-cluster
+     pending-copy counts for the copy-queue capacity check, per-cluster
+     dispatches this cycle, and ready slots a structural hazard blocked *)
   mutable copy_tags : int array;
   copy_extra : int array;
+  per_cluster : int array;
+  mutable blocked : int array;
   (* observability: with [None] every emission site is one pattern
      match and constructs nothing — the simulated behaviour and the
      final statistics are bit-identical to an uninstrumented engine *)
@@ -130,6 +209,9 @@ let fu_index = function
   | Opcode.Fu_imul -> 1
   | Opcode.Fu_fp -> 2
   | Opcode.Fu_copy -> 3
+
+let reg_class (r : Reg.t) =
+  match r.Reg.cls with Reg.Int_class -> 0 | Reg.Fp_class -> 1
 
 let reg_code cfg_nregs (r : Reg.t) = Reg.encode ~nregs_per_class:cfg_nregs r
 
@@ -189,6 +271,14 @@ let frontend_depth_of config (policy : Policy.t) =
   +
   if policy.Policy.uses_vote_unit then config.Config.steer_serial_stages else 0
 
+(* Every copy slot back on the free stack, lowest id on top. *)
+let free_all_copies t =
+  let n = Array.length t.slots - t.rob_size in
+  for i = 0 to n - 1 do
+    t.copy_free.(i) <- t.rob_size + n - 1 - i
+  done;
+  t.copy_free_len <- n
+
 let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   Config.validate config;
   let clusters = config.Config.clusters in
@@ -199,6 +289,14 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   let rename = Array.make (2 * max_nregs_per_class) (-1) in
   let all_mask = (Bitset.full clusters :> int) in
   seed_rename ~rename ~tag_loc ~tag_ready ~tag_origin ~all_mask;
+  let rob_size = config.Config.rob_size in
+  (* Room for every copy queue full, and as many again in transit; the
+     pool grows if a fabric keeps more in flight. *)
+  let copy_slots = 2 * clusters * config.Config.copy_q_size in
+  let nslots = rob_size + copy_slots in
+  let fetch_capacity =
+    config.Config.fetch_width * (config.Config.fetch_to_dispatch + 2)
+  in
   let t =
     {
       cfg = config;
@@ -206,24 +304,31 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       policy;
       frontend_depth = frontend_depth_of config policy;
       stats;
-      memsys = Memsys.create config;
+      memsys = Memsys.create ~prewarm config;
       bpred = Bpred.create ~bits:config.Config.bpred_bits;
       tcache =
         Tracecache.create ~size_uops:config.Config.tc_size_uops
           ~line_uops:config.Config.tc_line_uops ~ways:config.Config.tc_ways;
       cycle = 0;
       next_iseq = 0;
-      fetchq =
-        Ring.create
-          ~capacity:
-            (config.Config.fetch_width * (config.Config.fetch_to_dispatch + 2));
+      fetch_duop = Ring.create ~capacity:fetch_capacity;
+      fetch_ready = Ring.create ~capacity:fetch_capacity;
+      fetch_misp = Ring.create ~capacity:fetch_capacity;
       fetch_resume = 0;
       rename;
       tag_loc;
       tag_ready;
       tag_origin;
-      waiters = Hashtbl.create 1024;
-      rob = Ring.create ~capacity:config.Config.rob_size;
+      slots = Array.init nslots fresh_inst;
+      rob_size;
+      rob_head = 0;
+      rob_len = 0;
+      copy_free = Array.make copy_slots 0;
+      copy_free_len = 0;
+      waiter_heads = Array.make waiter_buckets (-1);
+      node_key = Array.make (max_srcs * nslots) (-1);
+      node_next = Array.make (max_srcs * nslots) (-1);
+      store_heads = Array.make store_buckets (-1);
       occupancy = Array.init clusters (fun _ -> Array.make 3 0);
       inflight = Array.make clusters 0;
       ready_q =
@@ -233,12 +338,13 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       lsq_used = 0;
       regs_used = Array.init clusters (fun _ -> Array.make 2 0);
       misses_outstanding = 0;
-      pending_store = Hashtbl.create 64;
       events = Pqueue.create ();
       loads_this_cycle = 0;
       stores_this_cycle = 0;
       copy_tags = Array.make 8 (-1);
       copy_extra = Array.make clusters 0;
+      per_cluster = Array.make clusters 0;
+      blocked = Array.make 16 0;
       obs;
       copyq_depth_hist = Obs_counters.histogram ?registry "engine.copyq_depth";
       prof =
@@ -268,8 +374,8 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
         };
     }
   in
+  free_all_copies t;
   t.view <- make_view t;
-  List.iter (fun (base, bytes) -> Memsys.prewarm t.memsys ~base ~bytes) prewarm;
   t
 
 let reset ?(prewarm = []) ?obs t ~annot ~policy =
@@ -277,12 +383,14 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.policy <- policy;
   t.frontend_depth <- frontend_depth_of t.cfg policy;
   Stats.reset t.stats;
-  Memsys.reset t.memsys;
+  Memsys.reset ~prewarm t.memsys;
   Bpred.reset t.bpred;
   Tracecache.reset t.tcache;
   t.cycle <- 0;
   t.next_iseq <- 0;
-  Ring.clear t.fetchq;
+  Ring.clear t.fetch_duop;
+  Ring.clear t.fetch_ready;
+  Ring.clear t.fetch_misp;
   t.fetch_resume <- 0;
   Vec.clear t.tag_loc;
   Vec.clear t.tag_ready;
@@ -290,8 +398,11 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   let all_mask = (Bitset.full t.cfg.Config.clusters :> int) in
   seed_rename ~rename:t.rename ~tag_loc:t.tag_loc ~tag_ready:t.tag_ready
     ~tag_origin:t.tag_origin ~all_mask;
-  Hashtbl.reset t.waiters;
-  Ring.clear t.rob;
+  t.rob_head <- 0;
+  t.rob_len <- 0;
+  free_all_copies t;
+  Array.fill t.waiter_heads 0 waiter_buckets (-1);
+  Array.fill t.store_heads 0 store_buckets (-1);
   Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.occupancy;
   Array.fill t.inflight 0 (Array.length t.inflight) 0;
   Array.iter (fun qs -> Array.iter Pqueue.clear qs) t.ready_q;
@@ -300,13 +411,11 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.lsq_used <- 0;
   Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.regs_used;
   t.misses_outstanding <- 0;
-  Hashtbl.reset t.pending_store;
   Pqueue.clear t.events;
   t.loads_this_cycle <- 0;
   t.stores_this_cycle <- 0;
   t.obs <- obs;
-  t.view <- make_view t;
-  List.iter (fun (base, bytes) -> Memsys.prewarm t.memsys ~base ~bytes) prewarm
+  t.view <- make_view t
 
 let stats t = t.stats
 let set_sink t obs = t.obs <- obs
@@ -318,32 +427,86 @@ let set_sink t obs = t.obs <- obs
    statistics. *)
 let now t = t.stats.Stats.cycles + 1
 
+(* ---- slots ------------------------------------------------------- *)
+
+let is_copy t inst = inst.id >= t.rob_size
+
+(* Double the copy pool. Only a run that keeps more copies in flight
+   than any before it on this engine gets here. *)
+let grow_copy_pool t =
+  let old = Array.length t.slots in
+  let extra = old - t.rob_size in
+  let slots =
+    Array.init (old + extra) (fun i ->
+        if i < old then t.slots.(i) else fresh_inst i)
+  in
+  let extend a =
+    let b = Array.make (max_srcs * (old + extra)) (-1) in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.node_key <- extend t.node_key;
+  t.node_next <- extend t.node_next;
+  t.slots <- slots;
+  let free = Array.make (2 * extra) 0 in
+  Array.blit t.copy_free 0 free 0 t.copy_free_len;
+  for i = old + extra - 1 downto old do
+    free.(t.copy_free_len) <- i;
+    t.copy_free_len <- t.copy_free_len + 1
+  done;
+  t.copy_free <- free
+
+let alloc_copy t =
+  if t.copy_free_len = 0 then grow_copy_pool t;
+  t.copy_free_len <- t.copy_free_len - 1;
+  t.slots.(t.copy_free.(t.copy_free_len))
+
+(* A copy's two events (arrival, completion) may fire in either order;
+   the slot returns to the pool after the second. *)
+let release_copy_event t inst =
+  inst.events_left <- inst.events_left - 1;
+  if inst.events_left = 0 then begin
+    t.copy_free.(t.copy_free_len) <- inst.id;
+    t.copy_free_len <- t.copy_free_len + 1
+  end
+
 (* ---- tag / wakeup machinery ------------------------------------- *)
 
 let waiter_key t tag cluster = (tag * t.cfg.Config.clusters) + cluster
 
 let enqueue_ready t inst =
-  Pqueue.add t.ready_q.(inst.cluster).(queue_index inst.queue) inst.iseq inst
+  Pqueue.add t.ready_q.(inst.cluster).(inst.qidx) inst.iseq inst.id
 
-let add_waiter t inst tag cluster =
+let add_waiter t inst ~node tag cluster =
   inst.waiting <- inst.waiting + 1;
   let key = waiter_key t tag cluster in
-  match Hashtbl.find_opt t.waiters key with
-  | Some l -> l := inst :: !l
-  | None -> Hashtbl.add t.waiters key (ref [ inst ])
+  let b = key land (waiter_buckets - 1) in
+  t.node_key.(node) <- key;
+  t.node_next.(node) <- t.waiter_heads.(b);
+  t.waiter_heads.(b) <- node
 
-let wake inst t =
+let wake t inst =
   inst.waiting <- inst.waiting - 1;
   if inst.waiting = 0 then enqueue_ready t inst
 
+(* Mark [tag] produced in [cluster] and wake everything waiting for it
+   there: unlink the key's nodes from its bucket chain. *)
 let broadcast t tag cluster =
   Vec.set t.tag_ready tag (Vec.get t.tag_ready tag lor (1 lsl cluster));
   let key = waiter_key t tag cluster in
-  match Hashtbl.find_opt t.waiters key with
-  | Some l ->
-      Hashtbl.remove t.waiters key;
-      List.iter (fun inst -> wake inst t) !l
-  | None -> ()
+  let b = key land (waiter_buckets - 1) in
+  let prev = ref (-1) and node = ref t.waiter_heads.(b) in
+  while !node >= 0 do
+    let n = !node in
+    let next = t.node_next.(n) in
+    if t.node_key.(n) = key then begin
+      if !prev < 0 then t.waiter_heads.(b) <- next
+      else t.node_next.(!prev) <- next;
+      wake t t.slots.(n / max_srcs)
+    end
+    else prev := n;
+    node := next
+  done
 
 let tag_ready_in t tag cluster = Vec.get t.tag_ready tag land (1 lsl cluster) <> 0
 let tag_located_in t tag cluster = Vec.get t.tag_loc tag land (1 lsl cluster) <> 0
@@ -353,6 +516,44 @@ let new_tag t ~cluster =
   ignore (Vec.push t.tag_ready 0);
   ignore (Vec.push t.tag_origin cluster);
   tag
+
+(* ---- pending-store table ----------------------------------------- *)
+
+let store_bucket key = (key lsr 3) land (store_buckets - 1)
+
+(* Slot id of the youngest uncommitted store to [key], or -1. *)
+let find_store t key =
+  let s = ref t.store_heads.(store_bucket key) in
+  while !s >= 0 && t.slots.(!s).store_key <> key do
+    s := t.slots.(!s).next_store
+  done;
+  !s
+
+(* Unlink the table entry for [key] if it is [only] (any entry when
+   [only] is -1). *)
+let unlink_store t key ~only =
+  let b = store_bucket key in
+  let prev = ref (-1) and s = ref t.store_heads.(b) in
+  while !s >= 0 do
+    let st = t.slots.(!s) in
+    if st.store_key = key then begin
+      if only < 0 || only = !s then
+        if !prev < 0 then t.store_heads.(b) <- st.next_store
+        else t.slots.(!prev).next_store <- st.next_store;
+      s := -1
+    end
+    else begin
+      prev := !s;
+      s := st.next_store
+    end
+  done
+
+let record_store t inst key =
+  unlink_store t key ~only:(-1);
+  let b = store_bucket key in
+  inst.store_key <- key;
+  inst.next_store <- t.store_heads.(b);
+  t.store_heads.(b) <- inst.id
 
 (* ---- events ------------------------------------------------------ *)
 
@@ -364,42 +565,42 @@ let on_complete t inst =
   end;
   t.inflight.(inst.cluster) <- t.inflight.(inst.cluster) - 1;
   if inst.dst_tag >= 0 then broadcast t inst.dst_tag inst.cluster;
-  (match inst.kind with
-  | Op duop ->
-      let u = duop.Dynuop.suop in
-      (match u.Uop.opcode with
-      | Opcode.Store ->
-          List.iter (fun load -> wake load t) inst.store_waiters;
-          inst.store_waiters <- []
-      | Opcode.Branch ->
-          if inst.mispredicted then begin
-            t.fetch_resume <- t.cycle + t.cfg.Config.redirect_penalty;
-            match t.obs with
-            | None -> ()
-            | Some s ->
-                let cycle = now t in
-                s.Obs_sink.emit
-                  (Obs_event.Redirect
-                     { cycle; resume = cycle + t.cfg.Config.redirect_penalty })
-          end
-      | _ -> ())
-  | Copy_op _ -> ())
+  if is_copy t inst then release_copy_event t inst
+  else
+    match inst.duop.Dynuop.suop.Uop.opcode with
+    | Opcode.Store ->
+        let l = ref inst.store_waiters in
+        inst.store_waiters <- -1;
+        while !l >= 0 do
+          let load = t.slots.(!l) in
+          l := load.next_store_waiter;
+          wake t load
+        done
+    | Opcode.Branch ->
+        if inst.mispredicted then begin
+          t.fetch_resume <- t.cycle + t.cfg.Config.redirect_penalty;
+          match t.obs with
+          | None -> ()
+          | Some s ->
+              let cycle = now t in
+              s.Obs_sink.emit
+                (Obs_event.Redirect
+                   { cycle; resume = cycle + t.cfg.Config.redirect_penalty })
+        end
+    | _ -> ()
 
 let on_copy_arrive t inst =
-  match inst.kind with
-  | Copy_op { tag; to_cluster } ->
-      t.stats.Stats.copies_executed <- t.stats.Stats.copies_executed + 1;
-      broadcast t tag to_cluster
-  | Op _ -> assert false
+  t.stats.Stats.copies_executed <- t.stats.Stats.copies_executed + 1;
+  broadcast t inst.copy_tag inst.copy_to;
+  release_copy_event t inst
 
 let process_events t =
-  let due = Pqueue.pop_while t.events (fun cyc -> cyc <= t.cycle) in
-  List.iter
-    (fun (_, ev) ->
-      match ev with
-      | Ev_complete inst -> on_complete t inst
-      | Ev_copy_arrive inst -> on_copy_arrive t inst)
-    due
+  let events = t.events in
+  while (not (Pqueue.is_empty events)) && Pqueue.min_prio events <= t.cycle do
+    let ev = Pqueue.pop_value events in
+    let inst = t.slots.(ev lsr 1) in
+    if ev land 1 = 0 then on_complete t inst else on_copy_arrive t inst
+  done
 
 (* ---- commit ------------------------------------------------------ *)
 
@@ -415,70 +616,47 @@ let commit t =
   let int_budget = ref t.cfg.Config.commit_class_width in
   let fp_budget = ref t.cfg.Config.commit_class_width in
   let continue_ = ref true in
-  while !continue_ && !budget > 0 do
-    match Ring.peek t.rob with
-    | Some inst when inst.completed -> (
-        match inst.kind with
-        | Op duop ->
-            let u = duop.Dynuop.suop in
-            let class_budget = if is_fp_class u then fp_budget else int_budget in
-            let is_store =
-              match u.Uop.opcode with Opcode.Store -> true | _ -> false
-            in
-            if !class_budget <= 0 then continue_ := false
-            else if is_store && t.stores_this_cycle >= t.cfg.Config.l1_write_ports
-            then continue_ := false
-            else begin
-              decr class_budget;
-              ignore (Ring.pop t.rob);
-              if is_store then begin
-                t.stores_this_cycle <- t.stores_this_cycle + 1;
-                Memsys.store t.memsys ~addr:duop.Dynuop.addr;
-                let key = duop.Dynuop.addr land lnot 7 in
-                (match Hashtbl.find_opt t.pending_store key with
-                | Some s when s == inst -> Hashtbl.remove t.pending_store key
-                | Some _ | None -> ())
-              end;
-              if Uop.is_mem u then t.lsq_used <- t.lsq_used - 1;
-              (match u.Uop.dst with
-              | Some dst ->
-                  let k =
-                    match dst.Reg.cls with
-                    | Reg.Int_class -> 0
-                    | Reg.Fp_class -> 1
-                  in
-                  t.regs_used.(inst.cluster).(k) <-
-                    t.regs_used.(inst.cluster).(k) - 1
-              | None -> ());
-              t.stats.Stats.committed <- t.stats.Stats.committed + 1;
-              (match t.obs with
-              | None -> ()
-              | Some s ->
-                  s.Obs_sink.emit
-                    (Obs_event.Commit
-                       {
-                         cycle = now t;
-                         iseq = inst.iseq;
-                         cluster = inst.cluster;
-                       }));
-              decr budget
-            end
-        | Copy_op _ -> assert false)
-    | Some _ | None -> continue_ := false
+  while !continue_ && !budget > 0 && t.rob_len > 0 do
+    let inst = t.slots.(t.rob_head) in
+    if not inst.completed then continue_ := false
+    else begin
+      let duop = inst.duop in
+      let u = duop.Dynuop.suop in
+      let fp = is_fp_class u in
+      let is_store =
+        match u.Uop.opcode with Opcode.Store -> true | _ -> false
+      in
+      if (if fp then !fp_budget else !int_budget) <= 0 then continue_ := false
+      else if is_store && t.stores_this_cycle >= t.cfg.Config.l1_write_ports
+      then continue_ := false
+      else begin
+        if fp then decr fp_budget else decr int_budget;
+        t.rob_head <- (t.rob_head + 1) mod t.rob_size;
+        t.rob_len <- t.rob_len - 1;
+        if is_store then begin
+          t.stores_this_cycle <- t.stores_this_cycle + 1;
+          Memsys.store t.memsys ~addr:duop.Dynuop.addr;
+          unlink_store t (duop.Dynuop.addr land lnot 7) ~only:inst.id
+        end;
+        if Uop.is_mem u then t.lsq_used <- t.lsq_used - 1;
+        (match u.Uop.dst with
+        | Some dst ->
+            let k = reg_class dst in
+            t.regs_used.(inst.cluster).(k) <- t.regs_used.(inst.cluster).(k) - 1
+        | None -> ());
+        t.stats.Stats.committed <- t.stats.Stats.committed + 1;
+        (match t.obs with
+        | None -> ()
+        | Some s ->
+            s.Obs_sink.emit
+              (Obs_event.Commit
+                 { cycle = now t; iseq = inst.iseq; cluster = inst.cluster }));
+        decr budget
+      end
+    end
   done
 
 (* ---- issue ------------------------------------------------------- *)
-
-let exec_latency t inst =
-  match inst.kind with
-  | Copy_op _ -> 1
-  | Op duop -> (
-      let u = duop.Dynuop.suop in
-      match u.Uop.opcode with
-      | Opcode.Load ->
-          let mem = Memsys.load_latency t.memsys ~addr:duop.Dynuop.addr in
-          Opcode.latency Opcode.Load + mem
-      | op -> Opcode.latency op)
 
 (* Interconnect model: the topology's link-occupancy fabric
    ({!Clusteer_topo.Fabric}) decides which links a transfer occupies
@@ -487,87 +665,96 @@ let exec_latency t inst =
    to retry next cycle — link backpressure becomes copy-queue
    pressure upstream. On point-to-point and bus this is bit-identical
    to the historical [link_free] matrix. *)
+let try_start_copy t inst =
+  let from = inst.cluster and to_cluster = inst.copy_to in
+  let latency =
+    Clusteer_topo.Fabric.try_transfer t.fabric ~now:t.cycle ~from
+      ~to_:to_cluster
+  in
+  if latency < 0 then false
+  else begin
+    t.stats.Stats.link_transfers <- t.stats.Stats.link_transfers + 1;
+    (match t.obs with
+    | None -> ()
+    | Some s ->
+        s.Obs_sink.emit
+          (Obs_event.Link_transfer
+             { cycle = now t; from_cluster = from; to_cluster; latency }));
+    inst.events_left <- 2;
+    Pqueue.add t.events (t.cycle + latency) (ev_copy_arrive inst.id);
+    (* The copy has left the copy queue; completion frees the
+       in-flight counter. *)
+    Pqueue.add t.events (t.cycle + 1) (ev_complete inst.id);
+    true
+  end
+
+let try_start_op t inst =
+  let duop = inst.duop in
+  let op = duop.Dynuop.suop.Uop.opcode in
+  let is_load = match op with Opcode.Load -> true | _ -> false in
+  if is_load && t.loads_this_cycle >= t.cfg.Config.l1_read_ports then false
+  else begin
+    (* MSHR check: a load that will miss the L1 needs a free miss
+       register; without one it retries next cycle. *)
+    let needs_mshr =
+      is_load && not (Memsys.l1_resident t.memsys ~addr:duop.Dynuop.addr)
+    in
+    if needs_mshr && t.misses_outstanding >= t.cfg.Config.mshrs then false
+    else
+      let fu = fu_index (Opcode.fu op) in
+      if (not (Opcode.pipelined op)) && t.unit_free.(inst.cluster).(fu) > t.cycle
+      then false
+      else begin
+        if is_load then t.loads_this_cycle <- t.loads_this_cycle + 1;
+        if needs_mshr then begin
+          inst.took_mshr <- true;
+          t.misses_outstanding <- t.misses_outstanding + 1
+        end;
+        let lat =
+          if is_load then
+            Opcode.latency Opcode.Load
+            + Memsys.load_latency t.memsys ~addr:duop.Dynuop.addr
+          else Opcode.latency op
+        in
+        if not (Opcode.pipelined op) then
+          t.unit_free.(inst.cluster).(fu) <- t.cycle + lat;
+        Pqueue.add t.events (t.cycle + lat) (ev_complete inst.id);
+        true
+      end
+  end
 
 (* Try to start one ready instruction; returns [true] on success,
    [false] when a structural hazard blocks it this cycle. *)
 let try_start t inst =
-  match inst.kind with
-  | Copy_op { to_cluster; _ } ->
-      let from = inst.cluster in
-      let latency =
-        Clusteer_topo.Fabric.try_transfer t.fabric ~now:t.cycle ~from
-          ~to_:to_cluster
-      in
-      if latency < 0 then false
-      else begin
-        t.stats.Stats.link_transfers <- t.stats.Stats.link_transfers + 1;
-        (match t.obs with
-        | None -> ()
-        | Some s ->
-            s.Obs_sink.emit
-              (Obs_event.Link_transfer
-                 { cycle = now t; from_cluster = from; to_cluster; latency }));
-        Pqueue.add t.events (t.cycle + latency) (Ev_copy_arrive inst);
-        (* The copy has left the copy queue; completion frees the
-           in-flight counter. *)
-        Pqueue.add t.events (t.cycle + 1) (Ev_complete inst);
-        true
-      end
-  | Op duop ->
-      let u = duop.Dynuop.suop in
-      let op = u.Uop.opcode in
-      let is_load = match op with Opcode.Load -> true | _ -> false in
-      if is_load && t.loads_this_cycle >= t.cfg.Config.l1_read_ports then false
-      else begin
-        (* MSHR check: a load that will miss the L1 needs a free miss
-           register; without one it retries next cycle. *)
-        let needs_mshr =
-          is_load
-          && not
-               (Memsys.l1_resident t.memsys
-                  ~addr:
-                    (match inst.kind with
-                    | Op d -> d.Dynuop.addr
-                    | Copy_op _ -> assert false))
-        in
-        if needs_mshr && t.misses_outstanding >= t.cfg.Config.mshrs then false
-        else
-        let fu = fu_index (Opcode.fu op) in
-        if
-          (not (Opcode.pipelined op))
-          && t.unit_free.(inst.cluster).(fu) > t.cycle
-        then false
-        else begin
-          if is_load then t.loads_this_cycle <- t.loads_this_cycle + 1;
-          if needs_mshr then begin
-            inst.took_mshr <- true;
-            t.misses_outstanding <- t.misses_outstanding + 1
-          end;
-          let lat = exec_latency t inst in
-          if not (Opcode.pipelined op) then
-            t.unit_free.(inst.cluster).(fu) <- t.cycle + lat;
-          Pqueue.add t.events (t.cycle + lat) (Ev_complete inst);
-          true
-        end
-      end
+  if is_copy t inst then try_start_copy t inst else try_start_op t inst
 
+(* Age-ordered select: start up to [width] of the oldest ready
+   entries; the ones a hazard blocked go back for the next cycle. *)
 let issue_queue t cluster qidx queue =
   let width = queue_width t.cfg queue in
   let q = t.ready_q.(cluster).(qidx) in
-  let blocked = ref [] in
+  let nblocked = ref 0 in
   let started = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !started < width do
-    match Pqueue.pop q with
-    | None -> continue_ := false
-    | Some (_, inst) ->
-        if try_start t inst then begin
-          t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - 1;
-          incr started
-        end
-        else blocked := inst :: !blocked
+  while !started < width && not (Pqueue.is_empty q) do
+    let inst = t.slots.(Pqueue.pop_value q) in
+    if try_start t inst then begin
+      t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - 1;
+      incr started
+    end
+    else begin
+      if !nblocked = Array.length t.blocked then begin
+        let b = Array.make (2 * !nblocked) 0 in
+        Array.blit t.blocked 0 b 0 !nblocked;
+        t.blocked <- b
+      end;
+      t.blocked.(!nblocked) <- inst.id;
+      incr nblocked
+    end
   done;
-  List.iter (fun inst -> Pqueue.add q inst.iseq inst) !blocked
+  for i = !nblocked - 1 downto 0 do
+    let inst = t.slots.(t.blocked.(i)) in
+    Pqueue.add q inst.iseq inst.id
+  done
 
 let issue t =
   for c = 0 to t.cfg.Config.clusters - 1 do
@@ -594,6 +781,8 @@ let fresh_iseq t =
   t.next_iseq <- s + 1;
   s
 
+let src_tag t (r : Reg.t) = t.rename.(reg_code max_nregs_per_class r)
+
 (* Copies needed to bring every source of [u] to [cluster]: fills
    [t.copy_tags] with the deduplicated tags whose location mask misses
    the target cluster and returns their count. Scratch-based (no list,
@@ -606,7 +795,7 @@ let copies_needed t (u : Uop.t) cluster =
     t.copy_tags <- Array.make nsrcs (-1);
   let n = ref 0 in
   for i = 0 to nsrcs - 1 do
-    let tag = t.rename.(reg_code max_nregs_per_class srcs.(i)) in
+    let tag = src_tag t srcs.(i) in
     if not (tag_located_in t tag cluster) then begin
       let dup = ref false in
       for j = 0 to !n - 1 do
@@ -622,21 +811,17 @@ let copies_needed t (u : Uop.t) cluster =
 
 let insert_copy t tag ~to_cluster =
   let from = Vec.get t.tag_origin tag in
-  let inst =
-    {
-      iseq = fresh_iseq t;
-      kind = Copy_op { tag; to_cluster };
-      cluster = from;
-      queue = Opcode.Copy_queue;
-      dst_tag = -1;
-      src_tags = [| tag |];
-      waiting = 0;
-      completed = false;
-      took_mshr = false;
-      store_waiters = [];
-      mispredicted = false;
-    }
-  in
+  let inst = alloc_copy t in
+  inst.iseq <- fresh_iseq t;
+  inst.cluster <- from;
+  inst.qidx <- queue_index Opcode.Copy_queue;
+  inst.dst_tag <- -1;
+  inst.waiting <- 0;
+  inst.completed <- false;
+  inst.took_mshr <- false;
+  inst.copy_to <- to_cluster;
+  inst.copy_tag <- tag;
+  inst.events_left <- 0;
   t.occupancy.(from).(2) <- t.occupancy.(from).(2) + 1;
   t.inflight.(from) <- t.inflight.(from) + 1;
   Vec.set t.tag_loc tag (Vec.get t.tag_loc tag lor (1 lsl to_cluster));
@@ -656,13 +841,55 @@ let insert_copy t tag ~to_cluster =
              copyq_depth = depth;
            }));
   if tag_ready_in t tag from then enqueue_ready t inst
-  else add_waiter t inst tag from
+  else add_waiter t inst ~node:(max_srcs * inst.id) tag from
 
-let dispatch_one t (slot : fetch_slot) ~per_cluster =
-  let duop = slot.duop in
+(* Fill the next ROB slot with [duop], dispatched to [cluster]. *)
+let dispatch_into_rob t duop ~cluster ~misp =
   let u = duop.Dynuop.suop in
+  let srcs = u.Uop.srcs in
+  let nsrcs = Array.length srcs in
+  (* Rename sources before the destination: a micro-op may read the
+     register it writes. *)
+  let tag0 = if nsrcs > 0 then src_tag t srcs.(0) else -1 in
+  let tag1 = if nsrcs > 1 then src_tag t srcs.(1) else -1 in
+  let dst_tag =
+    match u.Uop.dst with
+    | Some dst ->
+        let tag = new_tag t ~cluster in
+        t.rename.(reg_code max_nregs_per_class dst) <- tag;
+        let k = reg_class dst in
+        t.regs_used.(cluster).(k) <- t.regs_used.(cluster).(k) + 1;
+        tag
+    | None -> -1
+  in
+  let inst = t.slots.((t.rob_head + t.rob_len) mod t.rob_size) in
+  t.rob_len <- t.rob_len + 1;
+  inst.iseq <- fresh_iseq t;
+  inst.cluster <- cluster;
+  inst.qidx <- queue_index (Opcode.queue u.Uop.opcode);
+  inst.dst_tag <- dst_tag;
+  inst.waiting <- 0;
+  inst.completed <- false;
+  inst.took_mshr <- false;
+  inst.mispredicted <- misp;
+  inst.duop <- duop;
+  inst.store_waiters <- -1;
+  (* Wait for each source's readiness in [cluster]. *)
+  if tag0 >= 0 && not (tag_ready_in t tag0 cluster) then
+    add_waiter t inst ~node:(max_srcs * inst.id) tag0 cluster;
+  if tag1 >= 0 && not (tag_ready_in t tag1 cluster) then
+    add_waiter t inst ~node:((max_srcs * inst.id) + 1) tag1 cluster;
+  inst
+
+let dispatch_one t =
+  let duop = Ring.front t.fetch_duop in
+  let u = duop.Dynuop.suop in
+  if Array.length u.Uop.srcs > max_srcs then
+    invalid_arg
+      (Printf.sprintf "Engine: micro-op %d has more than %d sources"
+         (Dynuop.static_id duop) max_srcs);
   (* Structural preconditions outside the clusters. *)
-  if Ring.is_full t.rob then Blk_rob
+  if t.rob_len = t.rob_size then Blk_rob
   else if Uop.is_mem u && t.lsq_used >= t.cfg.Config.lsq_size then Blk_lsq
   else
     match t.policy.Policy.decide t.view duop with
@@ -687,149 +914,113 @@ let dispatch_one t (slot : fetch_slot) ~per_cluster =
                    cluster;
                    inflight = Array.copy t.inflight;
                  }));
-        if per_cluster.(cluster) >= t.cfg.Config.dispatch_per_cluster then
+        if t.per_cluster.(cluster) >= t.cfg.Config.dispatch_per_cluster then
           Blk_width
         else
-        let qidx = queue_index (Opcode.queue u.Uop.opcode) in
-        let reg_class_of dst =
-          match dst.Reg.cls with Reg.Int_class -> 0 | Reg.Fp_class -> 1
-        in
-        let regfile_full =
-          match u.Uop.dst with
-          | Some dst ->
-              let k = reg_class_of dst in
-              let cap =
-                if k = 0 then t.cfg.Config.int_regfile
-                else t.cfg.Config.fp_regfile
-              in
-              t.regs_used.(cluster).(k) >= cap
-          | None -> false
-        in
-        if
-          t.occupancy.(cluster).(qidx)
-          >= queue_size t.cfg (Opcode.queue u.Uop.opcode)
-        then Blk_iq
-        else if regfile_full then Blk_reg
-        else begin
-          let needed = copies_needed t u cluster in
-          (* Copy queue capacity check in every source cluster, using
-             the per-cluster scratch counters instead of a fresh
-             hashtable per dispatch attempt. *)
-          Array.fill t.copy_extra 0 (Array.length t.copy_extra) 0;
-          let fits = ref true in
-          for i = 0 to needed - 1 do
-            let from = Vec.get t.tag_origin t.copy_tags.(i) in
-            if t.occupancy.(from).(2) + t.copy_extra.(from)
-               >= t.cfg.Config.copy_q_size
-            then fits := false;
-            t.copy_extra.(from) <- t.copy_extra.(from) + 1
-          done;
-          if not !fits then Blk_copyq
+          let queue = Opcode.queue u.Uop.opcode in
+          let qidx = queue_index queue in
+          let regfile_full =
+            match u.Uop.dst with
+            | Some dst ->
+                let k = reg_class dst in
+                let cap =
+                  if k = 0 then t.cfg.Config.int_regfile
+                  else t.cfg.Config.fp_regfile
+                in
+                t.regs_used.(cluster).(k) >= cap
+            | None -> false
+          in
+          if t.occupancy.(cluster).(qidx) >= queue_size t.cfg queue then Blk_iq
+          else if regfile_full then Blk_reg
           else begin
+            let needed = copies_needed t u cluster in
+            (* Copy queue capacity check in every source cluster, using
+               the per-cluster scratch counters instead of a fresh
+               hashtable per dispatch attempt. *)
+            Array.fill t.copy_extra 0 (Array.length t.copy_extra) 0;
+            let fits = ref true in
             for i = 0 to needed - 1 do
-              insert_copy t t.copy_tags.(i) ~to_cluster:cluster
+              let from = Vec.get t.tag_origin t.copy_tags.(i) in
+              if t.occupancy.(from).(2) + t.copy_extra.(from)
+                 >= t.cfg.Config.copy_q_size
+              then fits := false;
+              t.copy_extra.(from) <- t.copy_extra.(from) + 1
             done;
-            (* Rename sources (wait for readiness in [cluster]). *)
-            let src_tags =
-              Array.map
-                (fun src -> t.rename.(reg_code max_nregs_per_class src))
-                u.Uop.srcs
-            in
-            let dst_tag =
-              match u.Uop.dst with
-              | Some dst ->
-                  let tag = new_tag t ~cluster in
-                  t.rename.(reg_code max_nregs_per_class dst) <- tag;
-                  let k = reg_class_of dst in
-                  t.regs_used.(cluster).(k) <- t.regs_used.(cluster).(k) + 1;
-                  tag
-              | None -> -1
-            in
-            let inst =
-              {
-                iseq = fresh_iseq t;
-                kind = Op duop;
-                cluster;
-                queue = Opcode.queue u.Uop.opcode;
-                dst_tag;
-                src_tags;
-                waiting = 0;
-                completed = false;
-                took_mshr = false;
-                store_waiters = [];
-                mispredicted = slot.misp;
-              }
-            in
-            Array.iter
-              (fun tag ->
-                if not (tag_ready_in t tag cluster) then
-                  add_waiter t inst tag cluster)
-              src_tags;
-            (* Memory bookkeeping: LSQ slot, store table, store-to-load
-               dependences through the unified LSQ (exact 8-byte
-               disambiguation; forwarding needs no inter-cluster copy). *)
-            if Uop.is_mem u then begin
-              t.lsq_used <- t.lsq_used + 1;
-              let key = duop.Dynuop.addr land lnot 7 in
-              match u.Uop.opcode with
-              | Opcode.Store ->
-                  Hashtbl.replace t.pending_store key inst;
-                  t.stats.Stats.stores <- t.stats.Stats.stores + 1
-              | Opcode.Load ->
-                  t.stats.Stats.loads <- t.stats.Stats.loads + 1;
-                  (match Hashtbl.find_opt t.pending_store key with
-                  | Some store when not store.completed ->
+            if not !fits then Blk_copyq
+            else begin
+              for i = 0 to needed - 1 do
+                insert_copy t t.copy_tags.(i) ~to_cluster:cluster
+              done;
+              let inst =
+                dispatch_into_rob t duop ~cluster
+                  ~misp:(Ring.front t.fetch_misp)
+              in
+              (* Memory bookkeeping: LSQ slot, store table, store-to-load
+                 dependences through the unified LSQ (exact 8-byte
+                 disambiguation; forwarding needs no inter-cluster copy). *)
+              if Uop.is_mem u then begin
+                t.lsq_used <- t.lsq_used + 1;
+                let key = duop.Dynuop.addr land lnot 7 in
+                match u.Uop.opcode with
+                | Opcode.Store ->
+                    record_store t inst key;
+                    t.stats.Stats.stores <- t.stats.Stats.stores + 1
+                | Opcode.Load ->
+                    t.stats.Stats.loads <- t.stats.Stats.loads + 1;
+                    let s = find_store t key in
+                    if s >= 0 && not t.slots.(s).completed then begin
+                      let store = t.slots.(s) in
                       inst.waiting <- inst.waiting + 1;
-                      store.store_waiters <- inst :: store.store_waiters
-                  | Some _ | None -> ())
-              | _ -> ()
-            end;
-            t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) + 1;
-            t.inflight.(cluster) <- t.inflight.(cluster) + 1;
-            per_cluster.(cluster) <- per_cluster.(cluster) + 1;
-            let pushed = Ring.push t.rob inst in
-            assert pushed;
-            t.stats.Stats.dispatched <- t.stats.Stats.dispatched + 1;
-            t.stats.Stats.per_cluster_dispatched.(cluster) <-
-              t.stats.Stats.per_cluster_dispatched.(cluster) + 1;
-            (match t.obs with
-            | None -> ()
-            | Some s ->
-                s.Obs_sink.emit
-                  (Obs_event.Dispatch
-                     {
-                       cycle = now t;
-                       iseq = inst.iseq;
-                       static_id = Dynuop.static_id duop;
-                       cluster;
-                       queue = queue_name (Opcode.queue u.Uop.opcode);
-                     }));
-            if inst.waiting = 0 then enqueue_ready t inst;
-            Blk_none
+                      inst.next_store_waiter <- store.store_waiters;
+                      store.store_waiters <- inst.id
+                    end
+                | _ -> ()
+              end;
+              t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) + 1;
+              t.inflight.(cluster) <- t.inflight.(cluster) + 1;
+              t.per_cluster.(cluster) <- t.per_cluster.(cluster) + 1;
+              t.stats.Stats.dispatched <- t.stats.Stats.dispatched + 1;
+              t.stats.Stats.per_cluster_dispatched.(cluster) <-
+                t.stats.Stats.per_cluster_dispatched.(cluster) + 1;
+              (match t.obs with
+              | None -> ()
+              | Some s ->
+                  s.Obs_sink.emit
+                    (Obs_event.Dispatch
+                       {
+                         cycle = now t;
+                         iseq = inst.iseq;
+                         static_id = Dynuop.static_id duop;
+                         cluster;
+                         queue = queue_name queue;
+                       }));
+              if inst.waiting = 0 then enqueue_ready t inst;
+              Blk_none
+            end
           end
-        end
 
 let dispatch t =
   let budget = ref t.cfg.Config.dispatch_width in
   (* "3+3": the steer stage can deliver at most [dispatch_per_cluster]
      micro-ops into any one cluster per cycle. *)
-  let per_cluster = Array.make t.cfg.Config.clusters 0 in
+  Array.fill t.per_cluster 0 (Array.length t.per_cluster) 0;
   let block = ref Blk_none in
   let width_exhausted = ref false in
   while (not !width_exhausted) && !block = Blk_none && !budget > 0 do
-    match Ring.peek t.fetchq with
-    | Some slot when slot.ready_at <= t.cycle -> (
-        match dispatch_one t slot ~per_cluster with
-        | Blk_none -> (
-            match Ring.pop t.fetchq with
-            | Some _ -> decr budget
-            | None -> assert false)
-        | Blk_width ->
-            (* width limit of the target cluster's steer port, not an
-               allocation stall *)
-            width_exhausted := true
-        | blk -> block := blk)
-    | Some _ | None -> block := Blk_empty
+    if Ring.is_empty t.fetch_ready || Ring.front t.fetch_ready > t.cycle then
+      block := Blk_empty
+    else
+      match dispatch_one t with
+      | Blk_none ->
+          Ring.drop t.fetch_duop;
+          Ring.drop t.fetch_ready;
+          Ring.drop t.fetch_misp;
+          decr budget
+      | Blk_width ->
+          (* width limit of the target cluster's steer port, not an
+             allocation stall *)
+          width_exhausted := true
+      | blk -> block := blk
   done;
   (* Attribute at most one stall reason per cycle, and only when the
      dispatch stage did not fill its full width. *)
@@ -872,7 +1063,7 @@ let fetch t ~source =
   if t.cycle >= t.fetch_resume then begin
     let budget = ref t.cfg.Config.fetch_width in
     let blocked = ref false in
-    while (not !blocked) && !budget > 0 && not (Ring.is_full t.fetchq) do
+    while (not !blocked) && !budget > 0 && not (Ring.is_full t.fetch_duop) do
       let duop = source () in
       let misp =
         if Uop.is_branch duop.Dynuop.suop then begin
@@ -891,10 +1082,11 @@ let fetch t ~source =
       if tc_hit then t.stats.Stats.tc_hits <- t.stats.Stats.tc_hits + 1
       else t.stats.Stats.tc_misses <- t.stats.Stats.tc_misses + 1;
       let tc_extra = if tc_hit then 0 else t.cfg.Config.tc_miss_penalty in
-      let slot =
-        { duop; ready_at = t.cycle + tc_extra + t.frontend_depth; misp }
+      let pushed =
+        Ring.push t.fetch_duop duop
+        && Ring.push t.fetch_ready (t.cycle + tc_extra + t.frontend_depth)
+        && Ring.push t.fetch_misp misp
       in
-      let pushed = Ring.push t.fetchq slot in
       assert pushed;
       decr budget;
       if misp then begin

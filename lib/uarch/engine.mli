@@ -4,8 +4,10 @@
     (fetch pipeline, gshare predictor, in-order decode/rename/steer)
     feeding [clusters] back-end clusters, each with INT/FP/COPY issue
     queues, age-ordered wakeup-select, and functional units; clusters
-    exchange register values over dedicated 1-cycle point-to-point
-    links via explicit copy micro-ops; a unified LSQ and two-level
+    exchange register values via explicit copy micro-ops over the
+    machine's interconnect fabric ({!Clusteer_topo.Fabric}: the
+    paper's 1-cycle point-to-point links by default, or a bus, ring,
+    mesh or hierarchical topology); a unified LSQ and two-level
     data-cache hierarchy sit behind the clusters.
 
     The engine is trace-driven: it consumes a dynamic micro-op stream
@@ -14,8 +16,13 @@
 
     Modelling notes (documented deviations): copy micro-ops occupy the
     24-entry per-cluster COPY queues and link bandwidth but not ROB
-    slots; physical register file capacity (256/cluster, never binding
-    next to a 512-entry ROB) is not enforced. *)
+    slots; a destination physical register is held from dispatch to
+    commit, and dispatch stalls (a register-file stall) when the
+    target cluster's INT or FP register file is full.
+
+    After warm-up, running allocates nothing per micro-op or per cycle:
+    in-flight micro-ops live in preallocated, recycled slots (see
+    ARCHITECTURE.md, "In-flight state: flat memory"). *)
 
 open Clusteer_isa
 open Clusteer_trace
@@ -35,7 +42,9 @@ val create :
 (** Fresh machine state. [annot] is the compiler side-channel the
     policy may consult. [prewarm] lists [(base, bytes)] data ranges to
     pre-load into the cache hierarchy, restoring the warmed state a
-    checkpointed simulation point starts from. [registry] receives the
+    checkpointed simulation point starts from; a range list the calling
+    domain prewarmed last is restored from its image
+    ({!Memsys.create}) with identical behaviour. [registry] receives the
     engine's introspection instruments (default
     {!Clusteer_obs.Counters.default}); the parallel harness passes a
     per-shard registry so concurrent engines never intern into shared

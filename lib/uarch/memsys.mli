@@ -4,7 +4,12 @@
 
 type t
 
-val create : Config.t -> t
+val create : ?prewarm:(int * int) list -> Config.t -> t
+(** A cold hierarchy, then {!prewarm} of every [(base, bytes)] range of
+    [prewarm] (default none) in order. A repeated range list on the same
+    cache geometry is served from this domain's prewarm image (see
+    {!prewarm_image_ranges}) instead of being touched line by line; the
+    result behaves identically. *)
 
 val load_latency : t -> addr:int -> int
 (** Latency of a read at [addr]: L1 hit time, or L1 + L2 hit time, or
@@ -33,6 +38,17 @@ val l2_hits : t -> int
 val l2_misses : t -> int
 val reset_stats : t -> unit
 
-val reset : t -> unit
-(** Back to the post-{!create} state: every line invalidated in both
-    levels, statistics zeroed. Used by engine reuse across runs. *)
+val reset : ?prewarm:(int * int) list -> t -> unit
+(** Back to the post-{!create} state for [prewarm]: every line
+    invalidated in both levels, statistics zeroed, then the ranges
+    prewarmed as {!create} does. Used by engine reuse across runs. *)
+
+val prewarm_image_ranges : unit -> (int * int) list option
+(** The range list of the calling domain's prewarm image, if any.
+    Each domain keeps at most one image: the L1/L2 state of the last
+    non-empty range list it prewarmed, replaced when a different list
+    or cache geometry is prewarmed. An empty list neither uses nor
+    stores an image. *)
+
+val drop_prewarm_image : unit -> unit
+(** Forget the calling domain's prewarm image. *)

@@ -3,6 +3,10 @@ open Clusteer_trace
 
 type decision = Dispatch_to of int | Stall
 
+let max_clusters = Sys.int_size - 1
+let memo = Array.init max_clusters (fun c -> Dispatch_to c)
+let dispatch_to c = if c >= 0 && c < max_clusters then memo.(c) else Dispatch_to c
+
 type view = {
   clusters : int;
   cycle : unit -> int;

@@ -25,6 +25,16 @@ type decision =
   | Dispatch_to of int  (** steer to this physical cluster *)
   | Stall  (** stall the front-end this cycle (stall-over-steer) *)
 
+val max_clusters : int
+(** Cluster locations are int bitmasks ({!Clusteer_util.Bitset}), so no
+    machine has more clusters than this. Steering scratch sized for it
+    never needs to grow. *)
+
+val dispatch_to : int -> decision
+(** [dispatch_to c] is [Dispatch_to c], shared rather than allocated
+    for every cluster index a machine can have: the steering hot path
+    returns it without allocating. *)
+
 type view = {
   clusters : int;
   cycle : unit -> int;

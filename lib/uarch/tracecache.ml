@@ -32,24 +32,30 @@ let lookup t ~static_id =
   if static_id < 0 then invalid_arg "Tracecache.lookup: negative id";
   let line = static_id / t.line_uops in
   let set = line land (t.sets - 1) in
-  let tag = line lsr 0 in
+  let tag = line in
   let base = set * t.ways in
   t.clock <- t.clock + 1;
-  let rec find w = if w = t.ways then None else if t.tags.(base + w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w ->
-      t.hits <- t.hits + 1;
-      t.recency.(base + w) <- t.clock;
-      true
-  | None ->
-      t.misses <- t.misses + 1;
-      let victim = ref 0 in
-      for w = 1 to t.ways - 1 do
-        if t.recency.(base + w) < t.recency.(base + !victim) then victim := w
-      done;
-      t.tags.(base + !victim) <- tag;
-      t.recency.(base + !victim) <- t.clock;
-      false
+  (* Plain loop, not a local recursive function: that would be a
+     closure allocated on every fetch. *)
+  let w = ref 0 in
+  while !w < t.ways && t.tags.(base + !w) <> tag do
+    incr w
+  done;
+  if !w < t.ways then begin
+    t.hits <- t.hits + 1;
+    t.recency.(base + !w) <- t.clock;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let victim = ref 0 in
+    for w = 1 to t.ways - 1 do
+      if t.recency.(base + w) < t.recency.(base + !victim) then victim := w
+    done;
+    t.tags.(base + !victim) <- tag;
+    t.recency.(base + !victim) <- t.clock;
+    false
+  end
 
 let hits t = t.hits
 let misses t = t.misses

@@ -2,7 +2,12 @@
 
     Used for event ordering and for select logic where the oldest /
     cheapest candidate wins. Ties are broken by insertion order (FIFO),
-    which matters for age-ordered instruction select. *)
+    which matters for age-ordered instruction select.
+
+    Entries are kept in parallel arrays, so once the queue has grown to
+    its working size {!add}, {!min_prio} and {!pop_value} allocate
+    nothing; {!peek}, {!pop} and {!pop_while} build options, tuples and
+    lists and are for callers off the hot path. *)
 
 type 'a t
 
@@ -13,6 +18,14 @@ val is_empty : 'a t -> bool
 val add : 'a t -> int -> 'a -> unit
 (** [add t priority v] inserts [v]. Smaller priorities pop first; equal
     priorities pop in insertion order. *)
+
+val min_prio : 'a t -> int
+(** Priority of the entry {!pop_value} would remove next. Raises
+    [Invalid_argument] on an empty queue. *)
+
+val pop_value : 'a t -> 'a
+(** Remove the minimum entry and return its value. Raises
+    [Invalid_argument] on an empty queue. *)
 
 val peek : 'a t -> (int * 'a) option
 val pop : 'a t -> (int * 'a) option

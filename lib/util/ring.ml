@@ -1,12 +1,16 @@
+(* Values are stored unboxed; free cells hold an immediate filler, so
+   [push] allocates nothing and a popped value is not kept alive. *)
 type 'a t = {
-  buf : 'a option array;
+  buf : 'a array;
   mutable head : int; (* index of oldest element *)
   mutable len : int;
 }
 
+let filler () : 'a = Obj.magic 0
+
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  { buf = Array.make capacity None; head = 0; len = 0 }
+  { buf = Array.make capacity (filler ()); head = 0; len = 0 }
 
 let capacity t = Array.length t.buf
 let length t = t.len
@@ -18,28 +22,34 @@ let push t v =
   if is_full t then false
   else begin
     let tail = (t.head + t.len) mod Array.length t.buf in
-    t.buf.(tail) <- Some v;
+    t.buf.(tail) <- v;
     t.len <- t.len + 1;
     true
   end
 
-let peek t = if t.len = 0 then None else t.buf.(t.head)
+let front t =
+  if t.len = 0 then invalid_arg "Ring.front: empty ring";
+  t.buf.(t.head)
+
+let drop t =
+  if t.len = 0 then invalid_arg "Ring.drop: empty ring";
+  t.buf.(t.head) <- filler ();
+  t.head <- (t.head + 1) mod Array.length t.buf;
+  t.len <- t.len - 1
+
+let peek t = if t.len = 0 then None else Some t.buf.(t.head)
 
 let pop t =
   if t.len = 0 then None
   else begin
     let v = t.buf.(t.head) in
-    t.buf.(t.head) <- None;
-    t.head <- (t.head + 1) mod Array.length t.buf;
-    t.len <- t.len - 1;
-    v
+    drop t;
+    Some v
   end
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ring.get: index out of range";
-  match t.buf.((t.head + i) mod Array.length t.buf) with
-  | Some v -> v
-  | None -> assert false
+  t.buf.((t.head + i) mod Array.length t.buf)
 
 let iter f t =
   for i = 0 to t.len - 1 do
@@ -52,6 +62,6 @@ let to_list t =
   List.rev !acc
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
+  Array.fill t.buf 0 (Array.length t.buf) (filler ());
   t.head <- 0;
   t.len <- 0

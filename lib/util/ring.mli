@@ -2,7 +2,9 @@
 
     Models hardware queues with a hard size (reorder buffers, issue
     queue candidate latches, fetch buffers): pushes fail when full,
-    entries pop in order. *)
+    entries pop in order. Values are stored unboxed: {!push},
+    {!front} and {!drop} allocate nothing, while {!peek} and {!pop}
+    return options for callers off the hot path. *)
 
 type 'a t
 
@@ -17,6 +19,13 @@ val free_slots : 'a t -> int
 
 val push : 'a t -> 'a -> bool
 (** Enqueue at the tail; [false] when the buffer is full. *)
+
+val front : 'a t -> 'a
+(** Oldest entry, without removing it. Raises [Invalid_argument] when
+    empty. *)
+
+val drop : 'a t -> unit
+(** Remove the oldest entry. Raises [Invalid_argument] when empty. *)
 
 val peek : 'a t -> 'a option
 (** Oldest entry, without removing it. *)

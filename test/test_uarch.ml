@@ -145,6 +145,43 @@ let test_memsys_prewarm () =
   check_int "prewarmed l1 hit" 3 (Memsys.load_latency m ~addr:64);
   check_int "stats clean" 0 (Memsys.l1_misses m + Memsys.l1_hits m - 1)
 
+(* A memory system prewarmed from the domain's image (fresh or reset
+   after other traffic) holds exactly the lines, in exactly the LRU
+   order, of one prewarmed line by line. The ranges overflow the L2,
+   so its recency order decides which lines the probe loads find. *)
+let test_memsys_prewarm_image () =
+  let cfg = Config.default_2c in
+  let ranges = [ (0, 64 * 1024); (1 lsl 20, 3 lsl 20) ] in
+  Memsys.drop_prewarm_image ();
+  let touched = Memsys.create ~prewarm:ranges cfg in
+  Alcotest.(check (option (list (pair int int))))
+    "image stored" (Some ranges) (Memsys.prewarm_image_ranges ());
+  let from_image = Memsys.create ~prewarm:ranges cfg in
+  let reset = Memsys.create ~prewarm:[ (0, 4096) ] cfg in
+  for i = 0 to 999 do
+    ignore (Memsys.load_latency reset ~addr:(i * 4160))
+  done;
+  Memsys.reset ~prewarm:ranges reset;
+  let lines = List.init ((4 lsl 20) / 64) (fun i -> i * 64) in
+  let resident m = List.map (fun addr -> Memsys.l1_resident m ~addr) lines in
+  let expected = resident touched in
+  check_bool "l1 holds prewarmed lines" true (List.mem true expected);
+  check_bool "image: same l1 lines" true (resident from_image = expected);
+  check_bool "reset: same l1 lines" true (resident reset = expected);
+  (* Loads over both ranges and past them: the latencies expose the L2
+     contents and its replacement order. *)
+  let probe m =
+    List.map
+      (fun addr -> Memsys.load_latency m ~addr)
+      (List.filteri (fun i _ -> i mod 7 = 0) lines)
+  in
+  let expected = probe touched in
+  check_bool "image: same latencies" true (probe from_image = expected);
+  check_bool "reset: same latencies" true (probe reset = expected);
+  check_int "stats start clean" 0 (Memsys.l1_hits reset + Memsys.l1_misses reset
+    - List.length expected);
+  Memsys.drop_prewarm_image ()
+
 let test_memsys_prefetch_next_line () =
   let cfg = { Config.default_2c with Config.prefetch_next_line = true } in
   let m = Memsys.create cfg in
@@ -428,7 +465,162 @@ let test_engine_reset_equals_fresh () =
   check_bool "reset-in-place bit-identical to fresh" true
     (Stats.equal reused fresh);
   check_bool "the run did real work" true
-    (fresh.Stats.committed >= 1500 && fresh.Stats.branch_mispredicts > 0)
+    (fresh.Stats.committed >= 1500 && fresh.Stats.branch_mispredicts > 0);
+  (* Reset with stores still in flight: a divide chain feeds every
+     store, and the next iteration's load reads the address the store
+     wrote, so the ROB ends the first run full of incomplete stores
+     that loads wait on. None of them may leak into the next run, whose
+     first loads come before any store. *)
+  let b = Program.Builder.create ~name:"stores" ~nregs_per_class:16 () in
+  let st = Program.Builder.stream b in
+  let uops =
+    [
+      Program.Builder.uop b Opcode.Load ~dst:(Reg.int 3) ~srcs:[| Reg.int 4 |]
+        ~stream:st ();
+      Program.Builder.uop b Opcode.Int_alu ~dst:(Reg.int 5)
+        ~srcs:[| Reg.int 3 |] ();
+      Program.Builder.uop b Opcode.Int_div ~dst:(Reg.int 1)
+        ~srcs:[| Reg.int 1 |] ();
+      Program.Builder.uop b Opcode.Store ~srcs:[| Reg.int 1 |] ~stream:st ();
+    ]
+  in
+  let blk = Program.Builder.add_block b uops ~succs:[] in
+  let program = Program.Builder.finish b ~entry:blk in
+  let streams = [| Mem_model.Strided { base = 0; stride = 8; footprint = 8 } |] in
+  let annot = Annot.none ~uop_count:program.Program.uop_count in
+  let prewarm = [ (0, 64) ] in
+  let policy () = Clusteer_steer.One_cluster.make () in
+  let run e = Engine.run e ~source:(source_of program ~streams 1) ~uops:300 in
+  let e = Engine.create ~config:Config.default_2c ~annot ~policy:(policy ()) ~prewarm () in
+  ignore (run e);
+  Engine.reset ~prewarm e ~annot ~policy:(policy ());
+  let reused = Stats.copy (run e) in
+  let fresh =
+    run (Engine.create ~config:Config.default_2c ~annot ~policy:(policy ()) ~prewarm ())
+  in
+  check_bool "reset with stores in flight = fresh" true (Stats.equal reused fresh)
+
+(* ---- prewarm image ---------------------------------------------- *)
+
+module Configuration = Clusteer.Configuration
+module Synth = Clusteer_workloads.Synth
+module Spec2000 = Clusteer_workloads.Spec2000
+
+let prewarm_of (w : Synth.t) =
+  Array.to_list (Array.map Mem_model.extent w.Synth.streams)
+
+(* One measured run of [config] on workload [w]: a fresh policy every
+   time (policies carry state), the machine's fabric handed to the
+   steering layer as the harness does. *)
+let image_run engine_of machine config (w : Synth.t) =
+  let params =
+    {
+      Configuration.default_params with
+      Configuration.topology = Some machine.Config.topology;
+    }
+  in
+  let annot, policy =
+    Configuration.prepare config ~program:w.Synth.program
+      ~likely:w.Synth.likely ~clusters:machine.Config.clusters ~params ()
+  in
+  let engine = engine_of ~annot ~policy ~prewarm:(prewarm_of w) in
+  let gen = Synth.trace w ~seed:3 in
+  Stats.copy
+    (Engine.run ~warmup:0 engine
+       ~source:(fun () -> Tracegen.next gen)
+       ~uops:1200)
+
+(* Every Table 3 configuration, on the 2-cluster point-to-point machine
+   and the 8-cluster hierarchical one: an engine reset onto point B
+   after a run on point A (the domain's prewarm image is A's, so the
+   reset prewarms line by line and replaces it), and the same engine
+   reset onto B once more (served from B's image), must both match a
+   freshly created engine that prewarmed B with no image around. *)
+let test_engine_prewarm_image_equivalence () =
+  let a = Synth.build (Spec2000.find "gzip-1") in
+  let b = Synth.build (Spec2000.find "swim") in
+  check_bool "points prewarm different ranges" true
+    (prewarm_of a <> prewarm_of b);
+  let machines =
+    [
+      Config.default_2c;
+      (let topo =
+         match Clusteer_topo.Topology.of_name "hier2x4" with
+         | Ok t -> t
+         | Error e -> failwith e
+       in
+       {
+         (Config.default ~clusters:topo.Clusteer_topo.Topology.clusters) with
+         Config.topology = topo;
+       });
+    ]
+  in
+  List.iter
+    (fun machine ->
+      let topo = Clusteer_topo.Topology.name machine.Config.topology in
+      List.iter
+        (fun config ->
+          let label what =
+            Printf.sprintf "%s/%s: %s" topo (Configuration.name config) what
+          in
+          let fresh ~annot ~policy ~prewarm =
+            Engine.create ~config:machine ~annot ~policy ~prewarm ()
+          in
+          Memsys.drop_prewarm_image ();
+          let expected = image_run fresh machine config b in
+          Memsys.drop_prewarm_image ();
+          let reused = ref None in
+          let keep ~annot ~policy ~prewarm =
+            match !reused with
+            | Some e ->
+                Engine.reset ~prewarm e ~annot ~policy;
+                e
+            | None ->
+                let e = fresh ~annot ~policy ~prewarm in
+                reused := Some e;
+                e
+          in
+          ignore (image_run keep machine config a);
+          Alcotest.(check (option (list (pair int int))))
+            (label "image after A") (Some (prewarm_of a))
+            (Memsys.prewarm_image_ranges ());
+          let miss = image_run keep machine config b in
+          Alcotest.(check (option (list (pair int int))))
+            (label "image replaced by B") (Some (prewarm_of b))
+            (Memsys.prewarm_image_ranges ());
+          let hit = image_run keep machine config b in
+          check_bool (label "reset after another point = fresh") true
+            (Stats.equal expected miss);
+          check_bool (label "reset from the image = fresh") true
+            (Stats.equal expected hit);
+          check_bool (label "did real work") true
+            (expected.Stats.committed >= 1200 && expected.Stats.l1_hits > 0))
+        (Configuration.table3 ~clusters:machine.Config.clusters))
+    machines
+
+let test_engine_empty_prewarm_keeps_no_image () =
+  Memsys.drop_prewarm_image ();
+  let p = independent_program 16 in
+  let annot = Annot.none ~uop_count:16 in
+  let policy () = Clusteer_steer.One_cluster.make () in
+  let e =
+    Engine.create ~config:Config.default_2c ~annot ~policy:(policy ())
+      ~prewarm:[] ()
+  in
+  ignore (Engine.run e ~source:(source_of p 1) ~uops:200);
+  Alcotest.(check (option (list (pair int int))))
+    "create ~prewarm:[]" None (Memsys.prewarm_image_ranges ());
+  Engine.reset ~prewarm:[] e ~annot ~policy:(policy ());
+  Alcotest.(check (option (list (pair int int))))
+    "reset ~prewarm:[]" None (Memsys.prewarm_image_ranges ());
+  Engine.reset ~prewarm:[ (0, 4096) ] e ~annot ~policy:(policy ());
+  Alcotest.(check (option (list (pair int int))))
+    "reset with ranges" (Some [ (0, 4096) ]) (Memsys.prewarm_image_ranges ());
+  Engine.reset ~prewarm:[] e ~annot ~policy:(policy ());
+  Alcotest.(check (option (list (pair int int))))
+    "an empty list leaves the image alone" (Some [ (0, 4096) ])
+    (Memsys.prewarm_image_ranges ());
+  Memsys.drop_prewarm_image ()
 
 let test_engine_warmup_resets () =
   let p = independent_program 16 in
@@ -629,6 +821,48 @@ let test_engine_copy_queue_backpressure () =
   check_bool "copy-queue stalls observed" true (stats.Stats.stall_copyq_full > 0);
   check_bool "still commits" true (stats.Stats.committed >= 500)
 
+(* Copies in transit outgrow the engine's initial copy-slot pool: every
+   consumer sits in cluster 1 waiting for a value produced in cluster
+   0, a 300-cycle link keeps the copies in flight, and a big INT queue
+   lets hundreds of consumers wait at once. The figures are the
+   simulator's from before slots were pooled; a reused engine (pool
+   already grown) must repeat them. *)
+let test_engine_copy_pool_grows () =
+  let b = Program.Builder.create ~name:"transit" ~nregs_per_class:16 () in
+  let uops =
+    List.concat
+      (List.init 8 (fun k ->
+           [
+             Program.Builder.uop b Opcode.Int_alu ~dst:(Reg.int k) ();
+             Program.Builder.uop b Opcode.Int_alu ~dst:(Reg.int (8 + k))
+               ~srcs:[| Reg.int k |] ();
+           ]))
+  in
+  let blk = Program.Builder.add_block b uops ~succs:[] in
+  let p = Program.Builder.finish b ~entry:blk in
+  let n = p.Program.uop_count in
+  let annot = Annot.create_static ~scheme:"split" ~uop_count:n in
+  Array.iteri (fun i _ -> annot.Annot.cluster_of.(i) <- i mod 2) annot.Annot.cluster_of;
+  let config =
+    {
+      Config.default_2c with
+      Config.int_iq_size = 400;
+      topology = Clusteer_topo.Topology.p2p ~link_latency:300 ~clusters:2 ();
+    }
+  in
+  let policy () = Clusteer_steer.Static.make ~name:"split" ~annot in
+  let e = Engine.create ~config ~annot ~policy:(policy ()) () in
+  let first = Stats.copy (Engine.run e ~source:(source_of p 1) ~uops:3000) in
+  check_int "cycles" 2056 first.Stats.cycles;
+  check_int "committed" 3001 first.Stats.committed;
+  check_int "copies generated" 1756 first.Stats.copies_generated;
+  check_int "copies executed" 1501 first.Stats.copies_executed;
+  check_int "link transfers" 1755 first.Stats.link_transfers;
+  check_int "copy-queue stalls" 216 first.Stats.stall_copyq_full;
+  Engine.reset e ~annot ~policy:(policy ());
+  let again = Engine.run e ~source:(source_of p 1) ~uops:3000 in
+  check_bool "reused engine repeats the run" true (Stats.equal first again)
+
 let test_engine_tracecache_stress () =
   (* A static footprint far beyond the trace cache forces steady-state
      misses; shrinking the cache must cost cycles. *)
@@ -711,6 +945,7 @@ let () =
           Alcotest.test_case "prewarm" `Quick test_memsys_prewarm;
           Alcotest.test_case "stats" `Quick test_memsys_stats;
           Alcotest.test_case "next-line prefetch" `Quick test_memsys_prefetch_next_line;
+          Alcotest.test_case "prewarm image" `Quick test_memsys_prewarm_image;
         ] );
       ( "bpred",
         [
@@ -749,5 +984,10 @@ let () =
           Alcotest.test_case "energy shape" `Quick test_energy_estimate_shape;
           Alcotest.test_case "energy cluster scaling" `Quick test_energy_costs_scale_with_clusters;
           Alcotest.test_case "thermal estimate" `Quick test_thermal_estimate;
+          Alcotest.test_case "prewarm image = fresh (table 3, p2p and hier2x4)"
+            `Quick test_engine_prewarm_image_equivalence;
+          Alcotest.test_case "empty prewarm keeps no image" `Quick
+            test_engine_empty_prewarm_keeps_no_image;
+          Alcotest.test_case "copy pool grows" `Quick test_engine_copy_pool_grows;
         ] );
     ]

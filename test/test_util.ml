@@ -220,6 +220,53 @@ let prop_pqueue_sorted =
       let out = drain [] in
       out = List.sort compare prios)
 
+(* Ops on a priority queue: [Some p] adds priority [p] (a small range,
+   so ties are common), [None] pops. A queue drained with [pop] and one
+   drained with [min_prio]/[pop_value] must agree with a stable-sort
+   model: smallest priority first, insertion order among equals. *)
+let prop_pqueue_pop_value_model =
+  QCheck.Test.make ~name:"pqueue min_prio/pop_value agree with pop and model"
+    ~count:300
+    QCheck.(list (option (int_bound 5)))
+    (fun ops ->
+      let q1 = Pqueue.create () and q2 = Pqueue.create () in
+      let model = ref [] (* (prio, insertion id), insertion order *) in
+      let next = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Some p ->
+              Pqueue.add q1 p !next;
+              Pqueue.add q2 p !next;
+              model := !model @ [ (p, !next) ];
+              incr next;
+              Pqueue.length q1 = Pqueue.length q2
+          | None -> (
+              let expected =
+                match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+                | [] -> None
+                | m :: _ ->
+                    model := List.filter (fun e -> e != m) !model;
+                    Some m
+              in
+              let via_pop = Pqueue.pop q1 in
+              match expected with
+              | None -> via_pop = None && Pqueue.is_empty q2
+              | Some (p, id) ->
+                  let p2 = Pqueue.min_prio q2 in
+                  let id2 = Pqueue.pop_value q2 in
+                  via_pop = Some (p, id) && p2 = p && id2 = id))
+        ops)
+
+let test_pqueue_empty_raises () =
+  let q : int Pqueue.t = Pqueue.create () in
+  Alcotest.check_raises "min_prio"
+    (Invalid_argument "Pqueue.min_prio: empty queue") (fun () ->
+      ignore (Pqueue.min_prio q));
+  Alcotest.check_raises "pop_value"
+    (Invalid_argument "Pqueue.pop_value: empty queue") (fun () ->
+      ignore (Pqueue.pop_value q))
+
 (* ---- Ring ---------------------------------------------------------- *)
 
 let test_ring_fifo () =
@@ -279,6 +326,72 @@ let prop_ring_model =
                   x = y
               | _ -> false))
         ops)
+
+(* Ops on a capacity-3 ring, so the head wraps often: 0..99 pushes the
+   value, 100 reads [front] and [drop]s it, 101 clears. Checked against
+   a list model after every op. *)
+let prop_ring_front_drop_model =
+  QCheck.Test.make ~name:"ring front/drop/clear match a list model" ~count:300
+    QCheck.(list (int_bound 101))
+    (fun ops ->
+      let r = Ring.create ~capacity:3 in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            if op < 100 then begin
+              let should = List.length !model < 3 in
+              if should then model := !model @ [ op ];
+              Ring.push r op = should
+            end
+            else if op = 100 then
+              match !model with
+              | [] -> Ring.is_empty r
+              | x :: rest ->
+                  let front = Ring.front r in
+                  Ring.drop r;
+                  model := rest;
+                  front = x
+            else begin
+              Ring.clear r;
+              model := [];
+              true
+            end
+          in
+          step_ok && Ring.to_list r = !model && Ring.length r = List.length !model)
+        ops)
+
+let test_ring_empty_raises () =
+  let r : int Ring.t = Ring.create ~capacity:2 in
+  Alcotest.check_raises "front" (Invalid_argument "Ring.front: empty ring")
+    (fun () -> ignore (Ring.front r));
+  Alcotest.check_raises "drop" (Invalid_argument "Ring.drop: empty ring")
+    (fun () -> Ring.drop r)
+
+(* Once grown to its working size, the hot-path API of both queues
+   allocates nothing: the engine's per-cycle loop is built on it. *)
+let test_queues_steady_state_allocate_nothing () =
+  let q = Pqueue.create () in
+  for i = 0 to 63 do
+    Pqueue.add q (i * 7 mod 13) i
+  done;
+  (* Grow to the working size (64 entries + 1) before measuring. *)
+  Pqueue.add q 0 0;
+  ignore (Pqueue.pop_value q);
+  let r = Ring.create ~capacity:8 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Pqueue.add q (i mod 17) i;
+    sum := !sum + Pqueue.min_prio q;
+    sum := !sum + Pqueue.pop_value q;
+    ignore (Ring.push r i);
+    sum := !sum + Ring.front r;
+    Ring.drop r
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  check_bool "did work" true (!sum > 0)
 
 (* ---- Bitset -------------------------------------------------------- *)
 
@@ -691,7 +804,9 @@ let () =
           Alcotest.test_case "peek" `Quick test_pqueue_peek_noop;
           Alcotest.test_case "pop_while" `Quick test_pqueue_pop_while;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
+          Alcotest.test_case "empty raises" `Quick test_pqueue_empty_raises;
           qc prop_pqueue_sorted;
+          qc prop_pqueue_pop_value_model;
         ] );
       ( "ring",
         [
@@ -700,6 +815,10 @@ let () =
           Alcotest.test_case "get" `Quick test_ring_get;
           Alcotest.test_case "free slots" `Quick test_ring_free_slots;
           qc prop_ring_model;
+          Alcotest.test_case "empty raises" `Quick test_ring_empty_raises;
+          qc prop_ring_front_drop_model;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_queues_steady_state_allocate_nothing;
         ] );
       ( "bitset",
         [
