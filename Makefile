@@ -141,38 +141,38 @@ topo-smoke: build
 	grep -q '"topology":"hier2x4"' $$d/bench.json; \
 	echo "topo-smoke: OK (_build/topo-smoke)"
 
-# Static-analysis slice: the analyzer must come back clean (--strict)
-# on every builtin workload x policy over every builtin fabric; the
-# drift checker must confirm real runs of vc2 and op stay inside the
-# static copy/remap bounds on p2p and hier2x4; a deliberately
-# corrupted placement must be rejected with the stable CM006 code; an
-# analyze run lands in the ledger; and the cost-model accuracy bench
-# study reports zero drift errors.
+# Static-analysis slice: `csteer check` must come back clean (--strict)
+# on every builtin workload x policy over every builtin fabric; its
+# drift check (--vs-run) must confirm real runs of vc2 and op stay
+# inside the static copy/remap bounds on p2p and hier2x4; a
+# deliberately corrupted placement must be rejected with the stable
+# CM006 code; a drift-checked run lands in the ledger; and the
+# cost-model accuracy bench study reports zero drift errors.
 analyze-smoke: build
 	@rm -rf _build/analyze-smoke && mkdir -p _build/analyze-smoke
 	@set -e; \
 	csteer=_build/default/bin/csteer.exe; d=_build/analyze-smoke; \
 	for topo in p2p bus ring mesh4x2 hier2x4; do \
-	  $$csteer analyze --all --strict --topology $$topo > $$d/$$topo.txt; \
+	  $$csteer check --all --strict --topology $$topo > $$d/$$topo.txt; \
 	  grep -q 'target(s): ok' $$d/$$topo.txt; \
 	done; \
-	$$csteer analyze --all -p vc2,op --vs-run -n 6000 --strict \
+	$$csteer check --all -p vc2,op --vs-run -n 6000 --strict \
 	  > $$d/drift-p2p.txt; \
 	grep -q 'with drift check: ok' $$d/drift-p2p.txt; \
 	grep -q 'CM100' $$d/drift-p2p.txt; \
-	$$csteer analyze --all -p vc2,op --topology hier2x4 --vs-run -n 6000 \
+	$$csteer check --all -p vc2,op --topology hier2x4 --vs-run -n 6000 \
 	  --strict > $$d/drift-hier.txt; \
 	grep -q 'with drift check: ok' $$d/drift-hier.txt; \
 	$$csteer compile -w gzip-1 -p ob --emit $$d/ok.annot > /dev/null; \
 	awk 'NR==8 {$$4=9} {print}' $$d/ok.annot > $$d/bad.annot; \
-	if $$csteer analyze -w gzip-1 -p ob --annot $$d/bad.annot \
+	if $$csteer check -w gzip-1 -p ob --annot $$d/bad.annot \
 	  > $$d/bad.txt 2>&1; then \
 	  echo "analyze-smoke: corrupted placement not rejected"; exit 1; \
 	fi; \
 	grep -q 'CM006' $$d/bad.txt; \
-	$$csteer analyze -w mcf -p vc2 --vs-run -n 4000 --ledger $$d/runs \
+	$$csteer check -w mcf -p vc2 --vs-run -n 4000 --ledger $$d/runs \
 	  > /dev/null 2> $$d/ledger.log; \
-	grep -q '"kind":"analyze"' $$d/runs/index.jsonl; \
+	grep -q '"kind":"check"' $$d/runs/index.jsonl; \
 	CLUSTEER_BENCH_STUDY=predict CLUSTEER_BENCH_UOPS=3000 \
 	  CLUSTEER_BENCH_JSON=$$d/predict.json dune exec bench/main.exe \
 	  > $$d/predict.txt; \

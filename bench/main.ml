@@ -669,11 +669,11 @@ let run_throughput_study () =
       0 suite
   in
   let total_uops = npoints * List.length configs * per_point_uops in
-  let measure ?strategy domains =
+  let measure domains =
     let gc0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let results =
-      Runner.run_suite ~domains ?strategy ~machine:Config.default_2c ~configs
+      Runner.run_suite ~domains ~machine:Config.default_2c ~configs
         ~uops:per_point_uops suite
     in
     let dt = Unix.gettimeofday () -. t0 in
@@ -688,11 +688,7 @@ let run_throughput_study () =
     npoints (List.length configs) per_point_uops total_uops;
   Printf.printf "%-14s %10s %14s %9s %10s %13s %9s\n" "domains" "wall s"
     "uops/sec" "speedup" "identical" "minor words" "minor gcs";
-  let strategy_name = function
-    | Clusteer_util.Parallel.Static -> "static"
-    | Clusteer_util.Parallel.Steal -> "steal"
-  in
-  let row ~strategy ~domains (results, dt, mw, mc) =
+  let row ~domains (results, dt, mw, mc) =
     let identical =
       List.for_all2
         (fun (a : Runner.point_result) (b : Runner.point_result) ->
@@ -702,17 +698,11 @@ let run_throughput_study () =
         baseline results
     in
     let ups = float_of_int total_uops /. dt in
-    let sname = strategy_name strategy in
-    let label =
-      if strategy = Clusteer_util.Parallel.Static then string_of_int domains
-      else Printf.sprintf "%d (%s)" domains sname
-    in
-    Printf.printf "%-14s %10.3f %14.0f %8.2fx %10b %13.2e %9d\n" label dt ups
+    Printf.printf "%-14d %10.3f %14.0f %8.2fx %10b %13.2e %9d\n" domains dt ups
       (t1 /. dt) identical mw mc;
     ( Obs.Json.Obj
         [
           ("domains", Obs.Json.Int domains);
-          ("strategy", Obs.Json.Str sname);
           ("seconds", Obs.Json.Float dt);
           ("uops_per_sec", Obs.Json.Float ups);
           ("speedup", Obs.Json.Float (t1 /. dt));
@@ -720,41 +710,26 @@ let run_throughput_study () =
           ("minor_words", Obs.Json.Float mw);
           ("minor_collections", Obs.Json.Int mc);
         ],
-      (strategy, domains, t1 /. dt, identical) )
+      (domains, t1 /. dt, identical) )
   in
-  let r1 =
-    row ~strategy:Clusteer_util.Parallel.Static ~domains:1
-      (baseline, t1, mw1, mc1)
-  in
-  let r2 = row ~strategy:Clusteer_util.Parallel.Static ~domains:2 (measure 2) in
-  let r4 = row ~strategy:Clusteer_util.Parallel.Static ~domains:4 (measure 4) in
-  (* Comparison row: the opt-in stealing schedule at the widest domain
-     count, so the ledger records what the dynamic cursor costs (or
-     buys) on this host. Never threshold-checked. *)
-  let rsteal =
-    row ~strategy:Clusteer_util.Parallel.Steal ~domains:4
-      (measure ~strategy:Clusteer_util.Parallel.Steal 4)
-  in
-  let measured_rows = [ r1; r2; r4; rsteal ] in
+  let r1 = row ~domains:1 (baseline, t1, mw1, mc1) in
+  let r2 = row ~domains:2 (measure 2) in
+  let r4 = row ~domains:4 (measure 4) in
+  let measured_rows = [ r1; r2; r4 ] in
   let rows = List.map fst measured_rows in
   let host_domains = Domain.recommended_domain_count () in
   let require = Sys.getenv_opt "CLUSTEER_BENCH_REQUIRE_SPEEDUP" = Some "1" in
   let failures = ref [] in
   List.iter
-    (fun (strategy, domains, speedup, identical) ->
+    (fun (domains, speedup, identical) ->
       if not identical then
         failures :=
           Printf.sprintf
-            "bench-smoke: FAIL results at %d domains (%s) not bit-identical \
-             to the sequential run"
+            "bench-smoke: FAIL results at %d domains not bit-identical to \
+             the sequential run"
             domains
-            (strategy_name strategy)
           :: !failures;
-      if
-        require
-        && strategy = Clusteer_util.Parallel.Static
-        && domains > 1
-      then
+      if require && domains > 1 then
         let required = required_speedup domains in
         if host_domains < domains then
           Printf.printf
@@ -1040,7 +1015,7 @@ let run_topo_study () =
    cost model (lib/analysis) against simulated truth? Per workload and
    policy: the predicted copy rate (must-cross), the sound may-cross
    bound and the engine's measured copies/uop, plus the same drift
-   check `csteer analyze --vs-run` runs. A drift error here means the
+   check `csteer check --vs-run` runs. A drift error here means the
    static bound is unsound against the real engine — that is a build
    failure, not a data point. *)
 let run_prediction_study () =

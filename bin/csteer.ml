@@ -4,14 +4,19 @@
      list        enumerate the SPEC CPU2000 workload profiles
      simulate    run one simulation point under one configuration
      compile     run a software pass and print the partition summary
-     check       statically verify programs and steering annotations
-     analyze     static cost prediction + optional prediction-vs-run drift
-     experiment  regenerate a paper table or figure
+     check       statically verify programs and annotations, predict their
+                 communication cost, optionally check both against a run
+     stats       measure a workload's dynamic instruction mix and footprint
+     sweep       one point over 2/4/8 clusters and every steering config
+     vliw        schedule a workload on the clustered VLIW substrate
+     experiment  regenerate a paper table or figure, or a fabric sweep
      serve       run the long-lived simulation service on a Unix socket
      submit      send one request (or a stats/shutdown command) to a server
      batch       send a newline-JSON batch of requests to a server
      metrics     scrape a server (or run one point) as Prometheus text
-     runs        list / show / prune the run ledger *)
+     runs        list / show / prune the run ledger
+     topo        list / show the built-in interconnect topologies
+     tune        closed-loop parameter tuning (run / report / promote) *)
 
 open Cmdliner
 module Config = Clusteer_uarch.Config
@@ -445,6 +450,11 @@ let compile_cmd =
 
 (* ---- check --------------------------------------------------------- *)
 
+(* The one analysis command: static verification and the communication
+   cost model per target, plus (under --vs-run) a replay of the real
+   policy on the real trace that feeds both the DYN remap-contract pass
+   and the prediction-vs-run drift check (CM100..CM103). *)
+
 module Analysis = Clusteer_analysis
 module Diag = Clusteer_isa.Diag
 
@@ -467,17 +477,17 @@ let default_check_policies clusters =
     base @ [ Clusteer.Configuration.Vc { virtual_clusters = clusters } ]
   else base
 
-(* Workload selection shared by check and analyze: --all covers every
-   SPEC profile plus the three adversarial scenarios — the generator's
-   outputs are part of the checked surface. *)
-let resolve_synths ~cmd ~all workloads =
+(* --all covers every SPEC profile plus the three adversarial
+   scenarios — the generator's outputs are part of the checked
+   surface. *)
+let resolve_synths ~all workloads =
   if all then
     List.map Synth.build Spec2000.all
     @ List.map snd Clusteer_workloads.Adversarial.all
   else
     match workloads with
     | None ->
-        Printf.eprintf "csteer: %s needs -w WORKLOADS or --all\n" cmd;
+        Printf.eprintf "csteer: check needs -w WORKLOADS or --all\n";
         exit 2
     | Some names ->
         List.map
@@ -507,30 +517,60 @@ let resolve_configs ~machine policies =
         (split_csv names)
 
 (* --annot swaps in an externally supplied annotation, which only makes
-   sense against exactly one workload × policy. *)
-let restrict_annot ~annot_file ~synths ~configs =
-  match annot_file with
+   sense against exactly one workload × policy. A file that does not
+   parse is a usage error, reported against its path. *)
+let load_annot ~synths ~configs = function
+  | None -> None
   | Some _ when List.length synths > 1 || List.length configs > 1 ->
       Printf.eprintf
         "csteer: --annot applies to exactly one workload and one policy\n";
       exit 2
-  | _ -> ()
+  | Some path -> (
+      match Clusteer_isa.Annot_io.load ~path with
+      | annot -> Some annot
+      | exception Failure msg ->
+          Printf.eprintf "csteer: %s: %s\n" path msg;
+          exit 2)
 
-let check_one ~machine ~passes ~region_uops ~annot_file ~dynamic ~dynamic_uops
-    (w : Synth.t) config =
+type report = {
+  label : string;
+  model : Analysis.Cost_model.t;
+  diags : Diag.t list;
+  dispatched : int;  (** program uops the --vs-run replay dispatched *)
+}
+
+let check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops (w : Synth.t)
+    config =
   let clusters = machine.Config.clusters in
+  let topology = machine.Config.topology in
   let program = w.Synth.program and likely = w.Synth.likely in
+  (* Private counter registry per target: the drift check reads the
+     policy's remap counters, and targets must not share mutable
+     counter state. The annotation and the fabric reach the policy the
+     same way the harness hands them over, so a --vs-run replay steers
+     exactly like [csteer simulate] on the same fabric. *)
+  let registry = Obs.Counters.create () in
+  let params =
+    {
+      Clusteer.Configuration.default_params with
+      Clusteer.Configuration.topology = Some topology;
+    }
+  in
   let annot, policy =
     Clusteer.Configuration.prepare config ~program ~likely ~clusters
-      ~region_uops ()
+      ~region_uops ~params ?annot ~registry ()
   in
-  let annot =
-    match annot_file with
-    | None -> annot
-    | Some path -> Clusteer_isa.Annot_io.load ~path
+  (* The cost model feeds the summary columns and the drift bounds
+     whatever the pass selection (which may exclude "cost"). Its CM006
+     findings mark an --annot file that does not fit the program or the
+     machine: the checker reports it, and the compiler summary and the
+     replay, which index by uop, VC and cluster, skip it. *)
+  let model, corrupt =
+    Analysis.Cost_model.analyze ~program ~annot ~topology ~clusters ()
   in
+  let fits = corrupt = [] in
   let claimed =
-    if annot.Clusteer_isa.Annot.virtual_clusters > 0 then
+    if fits && annot.Clusteer_isa.Annot.virtual_clusters > 0 then
       Some
         (Clusteer_compiler.Diagnostics.of_annot ~program ~likely ~annot
            ~region_uops ())
@@ -542,48 +582,59 @@ let check_one ~machine ~passes ~region_uops ~annot_file ~dynamic ~dynamic_uops
         Some (Clusteer_compiler.Crit_hints.compute ~program ~likely ~region_uops ())
     | _ -> None
   in
-  let events =
-    if dynamic && annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
-      (* Replay the actual policy on the real trace, recording every
-         steering decision for the DYN invariant pass. *)
-      let recording_policy, recorded = Analysis.Dyn_check.recording policy in
+  let replay =
+    if not (vs_run && fits) then None
+    else begin
+      let policy, recorded = Analysis.Dyn_check.recording policy in
       let prewarm =
         Array.to_list
           (Array.map Clusteer_trace.Mem_model.extent w.Synth.streams)
       in
       let engine =
-        Clusteer_uarch.Engine.create ~config:machine ~annot
-          ~policy:recording_policy ~prewarm ()
+        Clusteer_uarch.Engine.create ~config:machine ~annot ~policy ~prewarm ()
       in
       let gen = Synth.trace w ~seed:1 in
-      let (_ : Stats.t) =
+      let stats =
         Clusteer_uarch.Engine.run ~warmup:0 engine
           ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-          ~uops:dynamic_uops
+          ~uops
       in
-      Some (recorded ())
+      Some (recorded (), Analysis.Dyn_check.observe_run ~registry stats)
     end
-    else None
   in
   let label =
     Printf.sprintf "%s/%s" w.Synth.profile.Profile.name
       (Clusteer.Configuration.name config)
   in
   let target =
-    Analysis.Checker.target ~label ~region_uops ?claimed ?critical ?events
-      ~program ~likely ~annot ~config:machine ()
+    Analysis.Checker.target ~label ~region_uops ?claimed ?critical
+      ?events:(Option.map fst replay) ~program ~likely ~annot ~config:machine ()
   in
-  (* The cost model also feeds the text summary's prediction columns;
-     recomputing it here is cheap and keeps the pass selection (which
-     may exclude "cost") independent of the report format. *)
-  let model, _ =
-    Analysis.Cost_model.analyze ~program ~annot
-      ~topology:machine.Config.topology ~clusters ()
+  let diags = Analysis.Checker.run ~passes target in
+  let diags, dispatched =
+    match replay with
+    | None -> (diags, 0)
+    | Some (_, run) ->
+        ( List.sort Diag.compare
+            (diags @ Analysis.Dyn_check.check_drift ~model run),
+          run.Analysis.Dyn_check.dispatched )
   in
-  (label, model, Analysis.Checker.run ~passes target)
+  { label; model; diags; dispatched }
 
-let check all workloads clusters topology policies passes annot_file dynamic
-    dynamic_uops region_uops strict json =
+let report_json { label; model; diags; dispatched } =
+  Json.Obj
+    [
+      ("target", Json.Str label);
+      ("model", Analysis.Cost_model.to_json model);
+      ("dispatched", Json.Int dispatched);
+      ("errors", Json.Int (Diag.count Diag.Error diags));
+      ("warnings", Json.Int (Diag.count Diag.Warning diags));
+      ("infos", Json.Int (Diag.count Diag.Info diags));
+      ("diagnostics", Json.List (List.map Diag.to_json diags));
+    ]
+
+let check all workloads clusters topology policies passes annot_file
+    region_uops vs_run uops strict json ledger_dir =
   protect @@ fun () ->
   let passes =
     match Analysis.Checker.select (split_csv passes) with
@@ -593,23 +644,22 @@ let check all workloads clusters topology policies passes annot_file dynamic
           "csteer: %s (expected ir, liv, vc, place, cost, dyn, topo, meta)\n" e;
         exit 2
   in
-  let synths = resolve_synths ~cmd:"check" ~all workloads in
+  let synths = resolve_synths ~all workloads in
   let machine = machine_of ~clusters topology in
   let configs = resolve_configs ~machine policies in
-  restrict_annot ~annot_file ~synths ~configs;
-  let reports =
-    List.concat_map
-      (fun w ->
-        List.map
-          (check_one ~machine ~passes ~region_uops ~annot_file ~dynamic
-             ~dynamic_uops w)
-          configs)
-      synths
+  let annot = load_annot ~synths ~configs annot_file in
+  let started = Unix.gettimeofday () in
+  let reports, wall_s, gc =
+    Runner.measured (fun () ->
+        List.concat_map
+          (fun w ->
+            List.map
+              (check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops w)
+              configs)
+          synths)
   in
   let failed =
-    List.exists
-      (fun (_, _, diags) -> Analysis.Checker.failed ~strict diags)
-      reports
+    List.exists (fun r -> Analysis.Checker.failed ~strict r.diags) reports
   in
   if json then
     print_endline
@@ -617,24 +667,21 @@ let check all workloads clusters topology policies passes annot_file dynamic
          (Json.Obj
             [
               ("strict", Json.Bool strict);
+              ("vs_run", Json.Bool vs_run);
+              ("topology", Topology.to_json machine.Config.topology);
               ("failed", Json.Bool failed);
-              ( "targets",
-                Json.List
-                  (List.map
-                     (fun (label, _, diags) ->
-                       Analysis.Checker.report_json ~label diags)
-                     reports) );
+              ("targets", Json.List (List.map report_json reports));
             ]))
   else begin
     List.iter
-      (fun (label, model, diags) ->
-        let errors = Diag.count Diag.Error diags in
-        let warnings = Diag.count Diag.Warning diags in
-        let infos = Diag.count Diag.Info diags in
+      (fun { label; model; diags; _ } ->
         Printf.printf
           "%s: %d error(s), %d warning(s), %d info | %s, pred %.3f copies/uop, \
            imbalance %.2f\n"
-          label errors warnings infos
+          label
+          (Diag.count Diag.Error diags)
+          (Diag.count Diag.Warning diags)
+          (Diag.count Diag.Info diags)
           (Analysis.Cost_model.kind_name model.Analysis.Cost_model.kind)
           model.Analysis.Cost_model.pred_copy_rate
           model.Analysis.Cost_model.imbalance;
@@ -644,9 +691,35 @@ let check all workloads clusters topology policies passes annot_file dynamic
               Format.printf "  %a@." Diag.pp d)
           diags)
       reports;
-    Printf.printf "checked %d target(s): %s\n" (List.length reports)
+    Printf.printf "checked %d target(s)%s: %s\n" (List.length reports)
+      (if vs_run then " with drift check" else "")
       (if failed then "FAIL" else "ok")
   end;
+  Option.iter
+    (fun dir ->
+      let ledger = Obs.Ledger.create ~dir in
+      let s =
+        Obs.Ledger.append ledger ~kind:"check"
+          ~label:
+            (Printf.sprintf "check/%d-targets%s" (List.length reports)
+               (if vs_run then "/vs-run" else ""))
+          ~config:
+            (Json.Obj
+               [
+                 ("targets", Json.Int (List.length reports));
+                 ("clusters", Json.Int machine.Config.clusters);
+                 ( "topology",
+                   Json.Str (Topology.name machine.Config.topology) );
+                 ("strict", Json.Bool strict);
+                 ("vs_run", Json.Bool vs_run);
+               ])
+          ~started ~wall_s
+          ~outcome:(if failed then "fail" else "ok")
+          ~uops:(List.fold_left (fun acc r -> acc + r.dispatched) 0 reports)
+          ~gc (Obs.Counters.create ())
+      in
+      Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
+    ledger_dir;
   if failed then exit 1
 
 let check_cmd =
@@ -689,26 +762,10 @@ let check_cmd =
       & opt (some string) None
       & info [ "annot" ]
           ~doc:
-            "Verify this annotation file (from $(b,csteer compile --emit)) \
-             instead of the freshly compiled one. Requires a single \
-             workload and policy."
+            "Verify (and under $(b,--vs-run) replay) this annotation file \
+             (from $(b,csteer compile --emit)) instead of the freshly \
+             compiled one. Requires a single workload and policy."
           ~docv:"FILE")
-  in
-  let dynamic =
-    Arg.(
-      value & flag
-      & info [ "dynamic" ]
-          ~doc:
-            "Also replay the steering policy on the real trace and verify \
-             the VC-table remap contract (leaders may remap, followers \
-             must follow).")
-  in
-  let dynamic_uops =
-    Arg.(
-      value & opt int 5_000
-      & info [ "dynamic-uops" ]
-          ~doc:"Committed micro-ops to replay under $(b,--dynamic)."
-          ~docv:"N")
   in
   let region_uops =
     Arg.(
@@ -717,281 +774,31 @@ let check_cmd =
           ~doc:"Region size used when recomputing chains and slack."
           ~docv:"N")
   in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Treat warnings as failures (info never fails).")
-  in
-  let json_out =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print one JSON document with per-target diagnostics.")
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Statically verify programs and steering annotations: IR \
-          well-formedness, chain/leader invariants, static placement and \
-          (optionally) the dynamic remap contract")
-    Term.(
-      const check $ all $ workloads $ clusters_arg $ topology_arg $ policies
-      $ passes $ annot_file $ dynamic $ dynamic_uops $ region_uops $ strict
-      $ json_out)
-
-(* ---- analyze ------------------------------------------------------- *)
-
-(* Static-analysis report: liveness plus the communication cost model
-   per target, optionally validated against a fresh simulation
-   (--vs-run). Where [check] is a pass/fail gate that hides info
-   findings unless --strict, [analyze] is a report: the LIV/CM infos
-   are the point, so they always print. *)
-
-let analyze_one ~machine ~region_uops ~annot_file ~vs_run ~run_uops
-    ~max_copy_rate ~max_imbalance (w : Synth.t) config =
-  let clusters = machine.Config.clusters in
-  let topology = machine.Config.topology in
-  let program = w.Synth.program and likely = w.Synth.likely in
-  (* Private counter registry per target: the drift check reads the
-     policy's remap counters, and targets must not share mutable
-     counter state. The topology is threaded into the policy the same
-     way the harness does, so a --vs-run replay steers exactly like
-     [csteer simulate] on the same fabric. *)
-  let registry = Obs.Counters.create () in
-  let params =
-    {
-      Clusteer.Configuration.default_params with
-      Clusteer.Configuration.topology = Some topology;
-    }
-  in
-  let annot, policy =
-    Clusteer.Configuration.prepare config ~program ~likely ~clusters
-      ~region_uops ~params ~registry ()
-  in
-  let annot =
-    match annot_file with
-    | None -> annot
-    | Some path -> Clusteer_isa.Annot_io.load ~path
-  in
-  let liveness = Analysis.Liveness.analyze program in
-  let model, corrupt =
-    Analysis.Cost_model.analyze ~program ~annot ~topology ~clusters ~liveness
-      ()
-  in
-  let static_diags =
-    Analysis.Liveness.check ~int_budget:machine.Config.int_regfile
-      ~fp_budget:machine.Config.fp_regfile program
-    @ corrupt
-    @ Analysis.Cost_model.check ?max_copy_rate ?max_imbalance model
-  in
-  let drift, dispatched =
-    if not vs_run then ([], 0)
-    else begin
-      let prewarm =
-        Array.to_list
-          (Array.map Clusteer_trace.Mem_model.extent w.Synth.streams)
-      in
-      let engine =
-        Clusteer_uarch.Engine.create ~config:machine ~annot ~policy ~prewarm
-          ()
-      in
-      let gen = Synth.trace w ~seed:1 in
-      let stats =
-        Clusteer_uarch.Engine.run ~warmup:0 engine
-          ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-          ~uops:run_uops
-      in
-      let run = Analysis.Dyn_check.observe_run ~registry stats in
-      ( Analysis.Dyn_check.check_drift ~model run,
-        run.Analysis.Dyn_check.dispatched )
-    end
-  in
-  let diags = List.sort Diag.compare (static_diags @ drift) in
-  let label =
-    Printf.sprintf "%s/%s" w.Synth.profile.Profile.name
-      (Clusteer.Configuration.name config)
-  in
-  (label, model, diags, dispatched)
-
-let analyze all workloads clusters topology policies annot_file region_uops
-    vs_run run_uops max_copy_rate max_imbalance strict json ledger_dir =
-  protect @@ fun () ->
-  let synths = resolve_synths ~cmd:"analyze" ~all workloads in
-  let machine = machine_of ~clusters topology in
-  let configs = resolve_configs ~machine policies in
-  restrict_annot ~annot_file ~synths ~configs;
-  let started = Unix.gettimeofday () in
-  let reports, wall_s, gc =
-    Runner.measured (fun () ->
-        List.concat_map
-          (fun w ->
-            List.map
-              (analyze_one ~machine ~region_uops ~annot_file ~vs_run
-                 ~run_uops ~max_copy_rate ~max_imbalance w)
-              configs)
-          synths)
-  in
-  let failed =
-    List.exists
-      (fun (_, _, diags, _) -> Analysis.Checker.failed ~strict diags)
-      reports
-  in
-  if json then
-    print_endline
-      (Json.to_string
-         (Json.Obj
-            [
-              ("strict", Json.Bool strict);
-              ("vs_run", Json.Bool vs_run);
-              ("topology", Topology.to_json machine.Config.topology);
-              ("failed", Json.Bool failed);
-              ( "targets",
-                Json.List
-                  (List.map
-                     (fun (label, model, diags, dispatched) ->
-                       Json.Obj
-                         [
-                           ("target", Json.Str label);
-                           ("model", Analysis.Cost_model.to_json model);
-                           ("dispatched", Json.Int dispatched);
-                           ( "errors",
-                             Json.Int (Diag.count Diag.Error diags) );
-                           ( "warnings",
-                             Json.Int (Diag.count Diag.Warning diags) );
-                           ("infos", Json.Int (Diag.count Diag.Info diags));
-                           ( "diagnostics",
-                             Json.List (List.map Diag.to_json diags) );
-                         ])
-                     reports) );
-            ]))
-  else begin
-    List.iter
-      (fun (label, model, diags, _) ->
-        let open Analysis.Cost_model in
-        Printf.printf
-          "%s: %s placement, %d uops, %d/%d uses cross (pred %.3f \
-           copies/uop, bound %.3f), %d hops / %d cycles, imbalance %.2f\n"
-          label (kind_name model.kind) model.uops model.must_cross
-          model.reg_uses model.pred_copy_rate model.bound_copy_rate
-          model.pred_hops model.pred_latency model.imbalance;
-        List.iter (fun d -> Format.printf "  %a@." Diag.pp d) diags)
-      reports;
-    Printf.printf "analyzed %d target(s)%s: %s\n" (List.length reports)
-      (if vs_run then " with drift check" else "")
-      (if failed then " FAIL" else "ok")
-  end;
-  Option.iter
-    (fun dir ->
-      let ledger = Obs.Ledger.create ~dir in
-      let total_dispatched =
-        List.fold_left (fun acc (_, _, _, d) -> acc + d) 0 reports
-      in
-      let s =
-        Obs.Ledger.append ledger ~kind:"analyze"
-          ~label:
-            (Printf.sprintf "analyze/%d-targets%s" (List.length reports)
-               (if vs_run then "/vs-run" else ""))
-          ~config:
-            (Json.Obj
-               [
-                 ("targets", Json.Int (List.length reports));
-                 ("clusters", Json.Int machine.Config.clusters);
-                 ( "topology",
-                   Json.Str (Topology.name machine.Config.topology) );
-                 ("strict", Json.Bool strict);
-                 ("vs_run", Json.Bool vs_run);
-               ])
-          ~started ~wall_s
-          ~outcome:(if failed then "fail" else "ok")
-          ~uops:total_dispatched ~gc
-          (Obs.Counters.create ())
-      in
-      Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
-    ledger_dir;
-  if failed then exit 1
-
-let analyze_cmd =
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Analyze every built-in workload profile.")
-  in
-  let workloads =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "w"; "workloads" ]
-          ~doc:"Comma-separated workload names (e.g. mcf,gzip)."
-          ~docv:"NAMES")
-  in
-  let policies =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "p"; "policies" ]
-          ~doc:
-            "Comma-separated steering configurations to model (default: \
-             ob,rhop,vc2, plus vcN on an N-cluster machine)."
-          ~docv:"NAMES")
-  in
-  let annot_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "annot" ]
-          ~doc:
-            "Model this annotation file (from $(b,csteer compile --emit)) \
-             instead of the freshly compiled one. Requires a single \
-             workload and policy."
-          ~docv:"FILE")
-  in
-  let region_uops =
-    Arg.(
-      value & opt int 512
-      & info [ "region-uops" ]
-          ~doc:"Region size used by the compiler passes." ~docv:"N")
-  in
   let vs_run =
     Arg.(
       value & flag
       & info [ "vs-run" ]
           ~doc:
-            "Also simulate each target and verify the dynamic copy and \
+            "Also simulate each target on its real trace: verify the \
+             VC-table remap contract on the recorded decisions (leaders may \
+             remap, followers must follow) and that the dynamic copy and \
              remap counters land inside the static bounds (drift codes \
              CM100..CM103).")
   in
-  let run_uops =
+  let uops =
     Arg.(
       value & opt int 20_000
       & info [ "n"; "uops" ]
           ~doc:"Committed micro-ops to simulate under $(b,--vs-run)."
           ~docv:"N")
   in
-  let max_copy_rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "cm-max-copy-rate" ]
-          ~doc:
-            "CM004 threshold: predicted copies per micro-op above which \
-             the placement is flagged (default 2.0)."
-          ~docv:"RATE")
-  in
-  let max_imbalance =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "cm-max-imbalance" ]
-          ~doc:
-            "CM005 threshold: static load imbalance (max cluster load over \
-             the best integer split) above which the placement is flagged \
-             (default 4.0)."
-          ~docv:"X")
-  in
   let strict =
     Arg.(
       value & flag
-      & info [ "strict" ] ~doc:"Treat warnings as failures (info never fails).")
+      & info [ "strict" ]
+          ~doc:
+            "Treat warnings as failures and print info findings (info \
+             never fails).")
   in
   let json_out =
     Arg.(
@@ -1007,20 +814,20 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "ledger" ]
           ~doc:
-            "Record the analysis in the ledger at $(docv); inspect with \
+            "Record the check in the ledger at $(docv); inspect with \
              $(b,csteer runs)."
           ~docv:"DIR")
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "check"
        ~doc:
-         "Predict placement cost statically — liveness, criticality and \
-          the communication cost model — and optionally verify a real run \
-          stays inside the predicted bounds")
+         "Statically verify programs and steering annotations, predict \
+          their communication cost, and optionally check a real run \
+          against both (the remap contract and the static bounds)")
     Term.(
-      const analyze $ all $ workloads $ clusters_arg $ topology_arg
-      $ policies $ annot_file $ region_uops $ vs_run $ run_uops
-      $ max_copy_rate $ max_imbalance $ strict $ json_out $ ledger_dir)
+      const check $ all $ workloads $ clusters_arg $ topology_arg $ policies
+      $ passes $ annot_file $ region_uops $ vs_run $ uops $ strict $ json_out
+      $ ledger_dir)
 
 (* ---- stats ---------------------------------------------------------- *)
 
@@ -1195,16 +1002,22 @@ let progress name = Printf.eprintf "  running %s...\n%!" name
 let subset_profiles = function
   | None -> None
   | Some names ->
-      let names = String.split_on_char ',' names in
-      Some (List.map Spec2000.find names)
+      let find name =
+        match Spec2000.find name with
+        | p -> p
+        | exception Not_found ->
+            Printf.eprintf "csteer: unknown benchmark %S (try csteer list)\n"
+              name;
+            exit 2
+      in
+      Some (List.map find (String.split_on_char ',' names))
 
 (* The --topology sweep: every built-in workload (the SPEC stand-ins
    plus the adversarial scenarios) on one machine whose interconnect
    is the named topology, under OP and the VC schemes — a per-fabric
    view of copy traffic, copy-queue stalls and IPC. Deterministic for
    any --domains. *)
-let topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy ~profiled
-    name =
+let topology_sweep ~record_sweep ~uops ~profiles ~domains ~profiled name =
   let topo =
     match Topology.of_name ~clusters:4 name with
     | Ok t -> t
@@ -1230,8 +1043,8 @@ let topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy ~profiled
   let grouped, adv =
     record_sweep (fun () ->
         let grouped =
-          Runner.run_grouped ~machine ~configs ~uops ?domains ~strategy
-            ~profiled ~progress
+          Runner.run_grouped ~machine ~configs ~uops ?domains ~profiled
+            ~progress
             (Option.value profiles ~default:Spec2000.all)
         in
         let adv =
@@ -1290,13 +1103,9 @@ let topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy ~profiled
          [| "workload"; "config"; "ipc"; "copies/kuop"; "copy_stall%"; "links/kuop" |]
        (spec_rows @ adv_rows))
 
-let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
-    =
+let experiment which topology uops benchmarks csv_dir domains ledger_dir =
   protect @@ fun () ->
   let profiles = subset_profiles benchmarks in
-  let strategy =
-    if steal then Clusteer_util.Parallel.Steal else Clusteer_util.Parallel.Static
-  in
   let label =
     match (which, topology) with
     | Some w, _ -> w
@@ -1335,8 +1144,7 @@ let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
   in
   match (which, topology) with
   | None, Some name ->
-      topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy
-        ~profiled name
+      topology_sweep ~record_sweep ~uops ~profiles ~domains ~profiled name
   | Some w, Some _ ->
       Printf.eprintf
         "csteer: --topology is its own sweep; drop the %S argument\n" w;
@@ -1355,7 +1163,7 @@ let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
       let run =
         record_sweep (fun () ->
             Experiments.run_2cluster ~uops ?profiles ~progress ?domains
-              ~strategy ~profiled ())
+              ~profiled ())
       in
       if which <> "fig6" then begin
         let fig5 = Experiments.figure5_of run in
@@ -1381,7 +1189,7 @@ let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
       let run =
         record_sweep (fun () ->
             Experiments.run_4cluster ~uops ?profiles ~progress ?domains
-              ~strategy ~profiled ())
+              ~profiled ())
       in
       let fig7 = Experiments.figure7_of run in
       Experiments.print_slowdown_figure
@@ -1435,15 +1243,6 @@ let experiment_cmd =
     in
     Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
   in
-  let steal =
-    let doc =
-      "Distribute simulation points dynamically (atomic-cursor work \
-       stealing) instead of the default pre-partitioned shared-nothing \
-       shards. Results are bit-identical either way; the static default \
-       is faster on this uniform workload."
-    in
-    Arg.(value & flag & info [ "steal" ] ~doc)
-  in
   let ledger_dir =
     Arg.(
       value
@@ -1461,7 +1260,7 @@ let experiment_cmd =
           workload over an interconnect topology with $(b,--topology)")
     Term.(
       const experiment $ which $ topology $ uops_arg 20_000 $ benchmarks $ csv
-      $ domains $ steal $ ledger_dir)
+      $ domains $ ledger_dir)
 
 (* ---- serve / submit / batch ---------------------------------------- *)
 
@@ -2297,8 +2096,7 @@ let main =
   in
   Cmd.group (Cmd.info "csteer" ~doc)
     [
-      list_cmd; simulate_cmd; compile_cmd; check_cmd; analyze_cmd; stats_cmd;
-      sweep_cmd;
+      list_cmd; simulate_cmd; compile_cmd; check_cmd; stats_cmd; sweep_cmd;
       vliw_cmd; experiment_cmd; serve_cmd; submit_cmd; batch_cmd; metrics_cmd;
       runs_cmd; tune_cmd; topo_cmd;
     ]

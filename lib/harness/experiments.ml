@@ -13,28 +13,28 @@ type suite_run = {
 let default_uops = 20_000
 
 let run_sweep ~machine ~configs ?(uops = default_uops)
-    ?(profiles = Spec2000.all) ?(progress = fun _ -> ()) ?domains ?strategy
-    ?profiled () =
+    ?(profiles = Spec2000.all) ?(progress = fun _ -> ()) ?domains ?profiled ()
+    =
   (* Simulation points are independent; the runner shards them across
      domains at point granularity (finer than per-benchmark, so large
      benchmarks don't serialize the tail) with per-shard counter
      registries. Results keep input order, so parallel sweeps are
      bit-identical to sequential ones. *)
   let results =
-    Runner.run_grouped ~progress ?domains ?strategy ?profiled ~machine
-      ~configs ~uops profiles
+    Runner.run_grouped ~progress ?domains ?profiled ~machine ~configs ~uops
+      profiles
   in
   { machine; uops; results }
 
-let run_2cluster ?uops ?profiles ?progress ?domains ?strategy ?profiled () =
+let run_2cluster ?uops ?profiles ?progress ?domains ?profiled () =
   run_sweep ~machine:Config.default_2c
     ~configs:(Clusteer.Configuration.table3 ~clusters:2)
-    ?uops ?profiles ?progress ?domains ?strategy ?profiled ()
+    ?uops ?profiles ?progress ?domains ?profiled ()
 
-let run_4cluster ?uops ?profiles ?progress ?domains ?strategy ?profiled () =
+let run_4cluster ?uops ?profiles ?progress ?domains ?profiled () =
   run_sweep ~machine:Config.default_4c
     ~configs:(Clusteer.Configuration.table3 ~clusters:4)
-    ?uops ?profiles ?progress ?domains ?strategy ?profiled ()
+    ?uops ?profiles ?progress ?domains ?profiled ()
 
 (* ---- Figures 5 and 7: slowdown vs OP ----------------------------- *)
 

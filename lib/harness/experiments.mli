@@ -20,7 +20,6 @@ val run_2cluster :
   ?profiles:Profile.t list ->
   ?progress:(string -> unit) ->
   ?domains:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   unit ->
   suite_run
@@ -29,16 +28,13 @@ val run_2cluster :
     over the full 40-point suite. [profiled] attaches a per-shard
     pipeline self-profiler so the merged registry carries
     [profile.engine.*.ns] phase timings (see
-    {!Clusteer_obs.Profile}). [strategy] selects the work-distribution
-    mode (default {!Clusteer_util.Parallel.Static}, the shared-nothing
-    sharding; see {!Runner}). *)
+    {!Clusteer_obs.Profile}). *)
 
 val run_4cluster :
   ?uops:int ->
   ?profiles:Profile.t list ->
   ?progress:(string -> unit) ->
   ?domains:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   unit ->
   suite_run

@@ -266,12 +266,12 @@ let map_isolated ?domains ?chunk ?(strategy = Parallel.Static)
    simulation is deterministic per point (a pure function of the trace
    seed and the machine), so [map_isolated]'s guarantee applies.
 
-   Under the default static strategy each domain additionally keeps a
-   {!reuse} context — cached workloads, compiled annotations and reset-
-   in-place engines — plus one self-profiler when [profiled]; all of it
-   private to the shard, merged (registry) or dropped (reuse) at the
-   end. Contiguous partitioning keeps a profile's points on one domain,
-   so the caches actually hit.
+   Each domain additionally keeps a {!reuse} context — cached
+   workloads, compiled annotations and reset-in-place engines — plus
+   one self-profiler when [profiled]; all of it private to the shard,
+   merged (registry) or dropped (reuse) at the end. Contiguous
+   partitioning keeps a profile's points on one domain, so the caches
+   actually hit.
 
    [profiled] attaches a pipeline self-profiler per shard, over the
    shard's private registry — concurrent engines never share a span,
@@ -282,8 +282,8 @@ let map_isolated ?domains ?chunk ?(strategy = Parallel.Static)
    nondeterministic — which is why they are gated behind [profiled]
    and absent from default-mode registries (the determinism contract
    compares those). *)
-let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?chunk ?strategy
-    ?(profiled = false) ?params ?trace_salt ~machine ~configs ~uops profiles =
+let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
+    ?params ?trace_salt ~machine ~configs ~uops profiles =
   let items =
     List.concat_map
       (fun profile ->
@@ -294,14 +294,14 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?chunk ?strategy
     if point.Pinpoints.index = 0 then progress profile.Profile.name;
     match prof with
     | None ->
-        run_point_cached ?warmup ~registry ?reuse ?params ?trace_salt
-          ~machine ~configs ~uops point
+        run_point_cached ?warmup ~registry ~reuse ?params ?trace_salt ~machine
+          ~configs ~uops point
     | Some p ->
         let span = Clusteer_obs.Profile.span p "harness.point" in
         let gc0 = Gc.quick_stat () in
         let result =
           Clusteer_obs.Profile.time span (fun () ->
-              run_point_cached ?warmup ~registry ~profile:p ?reuse ?params
+              run_point_cached ?warmup ~registry ~profile:p ~reuse ?params
                 ?trace_salt ~machine ~configs ~uops point)
         in
         let gc1 = Gc.quick_stat () in
@@ -314,51 +314,33 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?chunk ?strategy
           (gc1.Gc.major_collections - gc0.Gc.major_collections);
         result
   in
-  match Option.value ~default:Parallel.Static strategy with
-  | Parallel.Steal ->
-      (* Dynamic schedule: no stable item->domain mapping, so no state
-         survives an item — every item builds from scratch against its
-         own registry, exactly the PR 2 behaviour. *)
-      map_isolated ?domains ?chunk ~strategy:Parallel.Steal
-        (fun ~registry item ->
-          let prof =
-            if profiled then
-              Some (Clusteer_obs.Profile.create ~registry ())
-            else None
-          in
-          run_item ~registry ~prof ~reuse:None item)
-        items
-  | Parallel.Static ->
-      let results, shards =
-        Parallel.map_sharded ?domains
-          ~minor_heap_words:shard_minor_heap_words
-          ~init:(fun _ ->
-            let registry = Counters.create () in
-            let prof =
-              if profiled then
-                Some (Clusteer_obs.Profile.create ~registry ())
-              else None
-            in
-            (registry, prof, fresh_reuse ()))
-          ~f:(fun (registry, prof, reuse) item ->
-            run_item ~registry ~prof ~reuse:(Some reuse) item)
-          items
-      in
-      List.iter
-        (fun (registry, _, _) ->
-          Counters.merge ~into:Counters.default registry)
-        shards;
-      results
+  let results, shards =
+    Parallel.map_sharded ?domains ~minor_heap_words:shard_minor_heap_words
+      ~init:(fun _ ->
+        let registry = Counters.create () in
+        let prof =
+          if profiled then Some (Clusteer_obs.Profile.create ~registry ())
+          else None
+        in
+        (registry, prof, fresh_reuse ()))
+      ~f:(fun (registry, prof, reuse) item ->
+        run_item ~registry ~prof ~reuse item)
+      items
+  in
+  List.iter
+    (fun (registry, _, _) -> Counters.merge ~into:Counters.default registry)
+    shards;
+  results
 
-let run_benchmark ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profile =
-  run_points ?warmup ?domains ?chunk ?strategy ?profiled ?params ?trace_salt
-    ~machine ~configs ~uops [ profile ]
+let run_benchmark ?warmup ?domains ?profiled ?params ?trace_salt ~machine
+    ~configs ~uops profile =
+  run_points ?warmup ?domains ?profiled ?params ?trace_salt ~machine ~configs
+    ~uops [ profile ]
 
-let run_suite ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profiles =
-  run_points ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profiles
+let run_suite ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine
+    ~configs ~uops profiles =
+  run_points ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine
+    ~configs ~uops profiles
 
 let rec split_at n xs =
   if n = 0 then ([], xs)
@@ -369,11 +351,11 @@ let rec split_at n xs =
         let taken, remaining = split_at (n - 1) rest in
         (x :: taken, remaining)
 
-let run_grouped ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profiles =
+let run_grouped ?progress ?warmup ?domains ?profiled ?params ?trace_salt
+    ~machine ~configs ~uops profiles =
   let flat =
-    run_points ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-      ?trace_salt ~machine ~configs ~uops profiles
+    run_points ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine
+      ~configs ~uops profiles
   in
   let groups, rest =
     List.fold_left

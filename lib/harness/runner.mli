@@ -7,9 +7,8 @@
     {!run_benchmark}, {!run_suite} and {!run_grouped} shard their
     (profile × simulation-point) work items across OCaml domains
     ([domains], default {!Clusteer_util.Parallel.default_domains}).
-    Under the default {!Clusteer_util.Parallel.Static} strategy the
-    items are pre-partitioned into contiguous per-domain shards before
-    spawn; each domain simulates against {b private} state — a counter
+    The items are pre-partitioned into contiguous per-domain shards
+    before spawn; each domain simulates against {b private} state — a counter
     registry passed down to the policies and the engine, an optional
     self-profiler, and a reuse context of cached workloads, compiled
     annotations and reset-in-place engines — so concurrent shards
@@ -18,17 +17,14 @@
     domains; the allocation-heavy per-item rebuild is what made the
     earlier harness anti-scale). Shard registries are merged into
     {!Clusteer_obs.Counters.default} in shard (= input) order once all
-    shards complete. Under {!Clusteer_util.Parallel.Steal} items are
-    claimed dynamically off a shared cursor and each item rebuilds its
-    state against a per-item registry — kept for genuinely uneven work
-    (the service layer's request batches).
+    shards complete.
 
     Since each point's simulation is a pure function of its trace seed
     and the machine, and since the merges are order-preserving (and
     {!Clusteer_obs.Counters.merge} is commutative and associative over
-    disjoint observation streams), both strategies and every domain
-    count produce results and merged counter totals bit-identical to a
-    sequential [domains:1] run. *)
+    disjoint observation streams), every domain count produces results
+    and merged counter totals bit-identical to a sequential
+    [domains:1] run. *)
 
 open Clusteer_uarch
 open Clusteer_workloads
@@ -134,8 +130,6 @@ val map_isolated :
 val run_benchmark :
   ?warmup:int ->
   ?domains:int ->
-  ?chunk:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   ?params:Clusteer.Configuration.params ->
   ?trace_salt:int ->
@@ -150,8 +144,6 @@ val run_suite :
   ?progress:(string -> unit) ->
   ?warmup:int ->
   ?domains:int ->
-  ?chunk:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   ?params:Clusteer.Configuration.params ->
   ?trace_salt:int ->
@@ -170,8 +162,6 @@ val run_grouped :
   ?progress:(string -> unit) ->
   ?warmup:int ->
   ?domains:int ->
-  ?chunk:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   ?params:Clusteer.Configuration.params ->
   ?trace_salt:int ->

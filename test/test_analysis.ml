@@ -2,7 +2,8 @@
    programs for every IR code, mutation self-tests over a real
    workload's annotations (each corruption must be caught with its
    expected code), dynamic-replay invariants, diagnostic JSON round
-   trips, and the [csteer check] driver's exit codes. *)
+   trips, and the [csteer check] driver's exit codes, drift check and
+   annotation-file handling. *)
 
 open Clusteer_isa
 module Analysis = Clusteer_analysis
@@ -383,11 +384,13 @@ let exe =
   | Some p -> p
   | None -> "../bin/csteer.exe"
 
-let run_capture args =
+(* [stderr] folds the diagnostic stream into the captured output. *)
+let run_capture ?(stderr = false) args =
   let tmp = Filename.temp_file "csteer_check" ".txt" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote exe) args
+    Printf.sprintf "%s %s > %s %s" (Filename.quote exe) args
       (Filename.quote tmp)
+      (if stderr then "2>&1" else "2>/dev/null")
   in
   let code = Sys.command cmd in
   let ic = open_in tmp in
@@ -424,6 +427,11 @@ let test_cli_usage_errors () =
   let code, _ = run_capture "check" in
   check_int "missing workloads exits 2" 2 code
 
+let with_temp_file f =
+  let path = Filename.temp_file "csteer_annot" ".txt" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () -> f path
+
 let test_cli_corrupt_annot () =
   let _, annot = Lazy.force ob_target in
   let bad = Annot.copy annot in
@@ -433,10 +441,8 @@ let test_cli_corrupt_annot () =
       (Array.length annot.Annot.cluster_of)
   in
   bad.Annot.cluster_of.(ix) <- 99;
-  let path = Filename.temp_file "csteer_annot" ".txt" in
+  with_temp_file @@ fun path ->
   Annot_io.save ~path bad;
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-  @@ fun () ->
   let code, out =
     run_capture
       (Printf.sprintf "check -w gzip-1 -p ob --annot %s" (Filename.quote path))
@@ -458,11 +464,104 @@ let test_cli_json () =
         | _ -> false)
 
 let test_cli_dynamic () =
-  let code, out =
-    run_capture "check -w gzip-1 -p vc2 --dynamic --dynamic-uops 2000"
-  in
+  let code, out = run_capture "check -w gzip-1 -p vc2 --vs-run -n 2000" in
   check_int "dynamic replay exits 0" 0 code;
   check_bool "reports ok" true (contains out ": ok")
+
+let test_cli_garbage_annot () =
+  with_temp_file @@ fun path ->
+  let oc = open_out path in
+  output_string oc "garbage\n";
+  close_out oc;
+  let code, out =
+    run_capture ~stderr:true
+      (Printf.sprintf "check -w gzip-1 -p ob --annot %s" (Filename.quote path))
+  in
+  check_int "malformed annotation exits 2" 2 code;
+  check_bool "one-line diagnostic names the file" true
+    (contains out (Printf.sprintf "csteer: %s: " path));
+  check_bool "no uncaught exception" false (contains out "uncaught")
+
+(* An out-of-range VC must not reach the compiler summary or the
+   replay, which index by VC; it is a CM006/VC002 finding like any
+   other corruption. *)
+let test_cli_out_of_range_vc () =
+  let _, annot = Lazy.force vc_target in
+  let bad = Annot.copy annot in
+  let ix =
+    find_index "no annotated uop found"
+      (fun i -> annot.Annot.vc_of.(i) >= 0)
+      (Array.length annot.Annot.vc_of)
+  in
+  bad.Annot.vc_of.(ix) <- 7;
+  with_temp_file @@ fun path ->
+  Annot_io.save ~path bad;
+  let code, out =
+    run_capture ~stderr:true
+      (Printf.sprintf "check -w gzip-1 -p vc2 --annot %s --vs-run -n 2000"
+         (Filename.quote path))
+  in
+  check_int "corrupt vc annotation exits 1" 1 code;
+  check_bool "names CM006" true (contains out "CM006");
+  check_bool "no uncaught exception" false (contains out "uncaught")
+
+let test_cli_drift () =
+  let code, out =
+    run_capture "check -w mcf -p vc2,op --vs-run -n 2000 --strict"
+  in
+  check_int "drift check exits 0" 0 code;
+  check_bool "prints CM100" true (contains out "CM100");
+  check_bool "drift summary ok" true (contains out "with drift check: ok");
+  let code, _ =
+    run_capture "check -w mcf -p vc2,op --topology hier2x4 --vs-run -n 2000"
+  in
+  check_int "hier2x4 drift check exits 0" 0 code
+
+let test_cli_drift_json () =
+  let code, out =
+    run_capture "check -w mcf -p vc2,op --vs-run -n 2000 --json"
+  in
+  check_int "exit 0" 0 code;
+  match Json.of_string (String.trim out) with
+  | Error e -> Alcotest.failf "--json output unparseable: %s" e
+  | Ok doc -> (
+      check_bool "vs_run" true
+        (Json.member "vs_run" doc = Some (Json.Bool true));
+      match Json.member "targets" doc with
+      | Some (Json.List targets) ->
+          check_int "two targets" 2 (List.length targets);
+          List.iter
+            (fun t ->
+              match Json.member "dispatched" t with
+              | Some (Json.Int n) -> check_bool "dispatched > 0" true (n > 0)
+              | _ -> Alcotest.fail "target without dispatched count")
+            targets
+      | _ -> Alcotest.fail "no targets list")
+
+(* The replay must run the policy built from the --annot file, not the
+   freshly compiled one: with every placed uop on cluster 0 the OB
+   placement cannot copy, and the static bound says so. *)
+let test_cli_annot_reaches_replay () =
+  with_temp_file @@ fun path ->
+  let code, _ =
+    run_capture
+      (Printf.sprintf "compile -w gzip-1 -p ob --emit %s" (Filename.quote path))
+  in
+  check_int "compile exits 0" 0 code;
+  let annot = Annot_io.load ~path in
+  Array.iteri
+    (fun i c -> if c >= 0 then annot.Annot.cluster_of.(i) <- 0)
+    annot.Annot.cluster_of;
+  Annot_io.save ~path annot;
+  let code, out =
+    run_capture
+      (Printf.sprintf
+         "check -w gzip-1 -p ob --annot %s --vs-run -n 3000 --strict"
+         (Filename.quote path))
+  in
+  check_int "one-cluster placement exits 0" 0 code;
+  check_bool "no false CM101" false (contains out "CM101");
+  check_bool "drift summary ok" true (contains out "with drift check: ok")
 
 let () =
   Alcotest.run "clusteer_analysis"
@@ -509,5 +608,13 @@ let () =
             test_cli_corrupt_annot;
           Alcotest.test_case "json report" `Quick test_cli_json;
           Alcotest.test_case "dynamic replay" `Slow test_cli_dynamic;
+          Alcotest.test_case "malformed annotation file" `Quick
+            test_cli_garbage_annot;
+          Alcotest.test_case "out-of-range vc annotation" `Quick
+            test_cli_out_of_range_vc;
+          Alcotest.test_case "drift check" `Slow test_cli_drift;
+          Alcotest.test_case "drift check json" `Slow test_cli_drift_json;
+          Alcotest.test_case "annotation reaches replay" `Slow
+            test_cli_annot_reaches_replay;
         ] );
     ]

@@ -281,6 +281,13 @@ let test_unknown_experiment () =
   let code, _ = run_capture "experiment not-a-figure" in
   check_bool "nonzero exit" true (code <> 0)
 
+let test_unknown_benchmark () =
+  let code, out = run_capture_all "experiment fig5 --benchmarks bogus" in
+  check_int "unknown benchmark exits 2" 2 code;
+  check_bool "one-line diagnostic" true
+    (contains out "csteer: unknown benchmark \"bogus\" (try csteer list)");
+  check_bool "no uncaught exception" false (contains out "uncaught")
+
 let () =
   Alcotest.run "clusteer_cli"
     [
@@ -298,6 +305,7 @@ let () =
           Alcotest.test_case "experiment tables" `Quick test_experiment_tables;
           Alcotest.test_case "experiment sec21" `Quick test_experiment_sec21;
           Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment;
+          Alcotest.test_case "unknown benchmark" `Quick test_unknown_benchmark;
           Alcotest.test_case "ledger end to end" `Slow test_ledger_end_to_end;
           Alcotest.test_case "metrics local dump" `Slow test_metrics_local_dump;
           Alcotest.test_case "unwritable paths" `Quick

@@ -64,7 +64,7 @@ let test_suite_parallel_equals_sequential () =
 let test_chunked_sharding_equals_sequential () =
   let seq = run_mini ~domains:1 in
   let par =
-    Harness.Runner.run_suite ~domains:3 ~chunk:2 ~machine:Config.default_2c
+    Harness.Runner.run_suite ~domains:3 ~machine:Config.default_2c
       ~configs:mini_configs ~uops:1500 mini_suite
   in
   List.iter2
@@ -75,15 +75,16 @@ let test_chunked_sharding_equals_sequential () =
         a.runs b.runs)
     seq par
 
-(* ---- static vs stealing strategy agreement ------------------------ *)
+(* ---- shard reuse vs fresh points ---------------------------------- *)
 
-(* The two scheduling strategies differ in everything the harness is
-   allowed to vary — item→domain mapping, per-shard state reuse vs
-   per-item rebuild, registry granularity — so agreement here pins the
-   whole shared-nothing refactor: random suites must produce
-   bit-identical per-point statistics AND bit-identical merged counter
-   registries under both strategies, for any domain count. *)
-let prop_strategies_agree =
+(* A sweep shard reuses cached workloads, compiled annotations and
+   reset-in-place engines across the points it owns, and merges one
+   registry per shard. Running every point from scratch with
+   [run_point] (fresh state, straight into the default registry) must
+   agree bit for bit: random suites must produce identical per-point
+   statistics AND identical merged counter registries, for any domain
+   count. *)
+let prop_reuse_matches_fresh =
   let open QCheck in
   let profile_gen =
     Gen.map2
@@ -104,25 +105,20 @@ let prop_strategies_agree =
          (Gen.list_size (Gen.int_range 1 3) profile_gen)
          (Gen.int_range 1 8))
   in
-  Test.make ~name:"static and stealing strategies agree" ~count:8 case
+  Test.make ~name:"reuse matches fresh points" ~count:8 case
     (fun (profiles, domains) ->
-      let run strategy =
-        (* The suite merges shard registries into the default registry;
-           start each run from the same zeroed state so the registry
-           JSONs are directly comparable. *)
+      let run sweep =
+        (* Both forms record into the default registry; start each run
+           from the same zeroed state so the registry JSONs are
+           directly comparable. *)
         Clusteer_obs.Counters.reset Clusteer_obs.Counters.default;
-        let results =
-          Harness.Runner.run_suite ~domains ~strategy
-            ~machine:Config.default_2c ~configs:mini_configs ~uops:500
-            profiles
-        in
         let stats_json =
           List.map
             (fun (r : Harness.Runner.point_result) ->
               List.map
                 (fun (name, s) -> (name, Json.to_string (Stats.to_json s)))
                 r.runs)
-            results
+            (sweep ())
         in
         let registry_json =
           Json.to_string
@@ -130,7 +126,17 @@ let prop_strategies_agree =
         in
         (stats_json, registry_json)
       in
-      run Clusteer_util.Parallel.Static = run Clusteer_util.Parallel.Steal)
+      let machine = Config.default_2c and configs = mini_configs in
+      run (fun () ->
+          Harness.Runner.run_suite ~domains ~machine ~configs ~uops:500
+            profiles)
+      = run (fun () ->
+          List.concat_map
+            (fun p ->
+              List.map
+                (Harness.Runner.run_point ~machine ~configs ~uops:500)
+                (Pinpoints.points p))
+            profiles))
 
 (* ---- shared trace buffer vs fresh generators ----------------------- *)
 
@@ -434,7 +440,7 @@ let () =
             test_suite_parallel_equals_sequential;
           Alcotest.test_case "chunked sharding" `Slow
             test_chunked_sharding_equals_sequential;
-          QCheck_alcotest.to_alcotest prop_strategies_agree;
+          QCheck_alcotest.to_alcotest prop_reuse_matches_fresh;
           Alcotest.test_case "shared trace = fresh generators" `Slow
             test_shared_trace_matches_fresh_generators;
         ] );
