@@ -16,8 +16,10 @@ bench:
 # Quick machine-checkable slice of the bench harness: the throughput/
 # allocation study only, at reduced trace length. Fails if the BENCH
 # JSON is not produced, a steering policy started allocating on the
-# decision path, or the full simulation path (engine + trace generator)
-# allocates more than 16 minor words per committed micro-op.
+# decision path, the full simulation path (engine + trace generator)
+# allocates more than 16 minor words per committed micro-op, or a bad
+# CLUSTEER_BENCH_UOPS / CLUSTEER_BENCH_STUDY is not rejected with exit 2
+# and a one-line diagnostic.
 # The throughput study enforces the scaling floor (>=1.5x at 2
 # domains, >=3x at 4; exits 1 with a one-line diagnostic on a miss)
 # and records the speedup table in the run ledger at
@@ -32,6 +34,15 @@ bench-smoke: build
 	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"vc2":0.0,"one-cluster":0.0,"ob":0.0,"rhop":0.0}' \
 	  _build/bench.json
 	@grep -q '"kind":"bench"' _build/bench-runs/index.jsonl
+	@b=_build/default/bench/main.exe; \
+	for v in CLUSTEER_BENCH_UOPS=0 CLUSTEER_BENCH_STUDY=bogus; do \
+	  env $$v $$b > _build/bench-bad.out 2> _build/bench-bad.err; rc=$$?; \
+	  if [ $$rc -ne 2 ] || [ -s _build/bench-bad.out ] || \
+	     [ "$$(wc -l < _build/bench-bad.err)" -ne 1 ]; then \
+	    echo "bench-smoke: FAIL $$v: exit $$rc, want 2 with one stderr line"; \
+	    exit 1; \
+	  fi; \
+	done
 	@echo "bench-smoke: OK (_build/bench.json, ledger _build/bench-runs)"
 
 # End-to-end slice of the service layer: start a server on a temp

@@ -3,13 +3,18 @@
    times the core algorithms with Bechamel (one Test.make per table /
    figure driver).
 
-   Environment knobs:
-     CLUSTEER_BENCH_UOPS   micro-ops per simulation point (default 20000)
+   Environment knobs (a bad UOPS or STUDY value exits 2 with one
+   stderr line):
+     CLUSTEER_BENCH_UOPS   micro-ops per simulation point, a positive
+                           integer (default 20000)
      CLUSTEER_BENCH_FAST   set to 1 to sweep a 10-benchmark subset
-     CLUSTEER_BENCH_STUDY  "throughput" runs just the throughput study;
-                           "tune" runs one tiny auto-tuner cycle;
-                           "topo" runs the interconnect-topology study
-                           "predict" runs the cost-model accuracy study
+     CLUSTEER_BENCH_STUDY  run just one study (default: all, in this
+                           order): tables, figures, vc-threshold,
+                           seq-par, vc-count, region-scope, steer-depth,
+                           baselines, topo, vliw, energy, link-latency,
+                           scaling, prefetch, kernels, predict, obs,
+                           throughput (the bench-smoke entry point),
+                           tune, micro
      CLUSTEER_BENCH_REQUIRE_SPEEDUP
                            set to 1 to enforce the suite-speedup floor
                            (>=1.5x at 2 domains, >=3x at 4); checks the
@@ -32,12 +37,23 @@ module Pinpoints = Clusteer_workloads.Pinpoints
 module Synth = Clusteer_workloads.Synth
 module Obs = Clusteer_obs
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
+(* Report a bad knob on stderr and exit 2, before any other output. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
 
-let uops = env_int "CLUSTEER_BENCH_UOPS" 20_000
+let uops =
+  match Sys.getenv_opt "CLUSTEER_BENCH_UOPS" with
+  | None -> 20_000
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n > 0 -> n
+      | _ ->
+          usage_error "CLUSTEER_BENCH_UOPS must be a positive integer (got %S)"
+            v)
 
 let profiles =
   if Sys.getenv_opt "CLUSTEER_BENCH_FAST" = Some "1" then
@@ -100,104 +116,109 @@ let run_figures () =
 
 (* ---- ablations --------------------------------------------------------- *)
 
-(* Design-choice ablation 1: the remap hysteresis threshold of the
-   hardware mapping table (0 = the paper's always-remap semantics). *)
-let ablation_profiles () =
+(* The ablation and extension studies simulate the first simulation
+   point of each of these profiles, for at most 10k micro-ops. *)
+let ablation_profiles =
   List.map Spec2000.find [ "gzip-1"; "galgel"; "swim"; "gcc-1" ]
 
+let ablation_uops = min uops 10_000
+let vc2 = Clusteer.Configuration.Vc { virtual_clusters = 2 }
+
+(* Statistics per configuration name on [profile]'s first point. *)
+let run_first ?(machine = Config.default_2c) configs profile =
+  (Runner.run_point ~machine ~configs ~uops:ablation_uops
+     (List.hd (Pinpoints.points profile)))
+    .Runner.runs
+
+let run_one ?machine config profile =
+  snd (List.hd (run_first ?machine [ config ] profile))
+
+(* VC(2) slowdown vs OP on [machine], in percent. *)
+let vc_gap machine profile =
+  let runs = run_first ~machine [ Clusteer.Configuration.Op; vc2 ] profile in
+  Metrics.slowdown_pct ~baseline:(List.assoc "op" runs) (List.assoc "vc2" runs)
+
+(* The per-profile study loop: one row per profile, the profile name
+   followed by the study's already formatted column variants. *)
+let profile_rows ?(profiles = ablation_profiles) ?(label = 12) cells =
+  List.iter
+    (fun profile ->
+      Printf.printf "%-*s %s\n" label profile.Profile.name (cells profile))
+    profiles
+
+let variants fmt f vs =
+  String.concat " " (List.map (fun v -> Printf.sprintf fmt (f v)) vs)
+
+(* [config]'s statistics on every ablation profile's first point, on
+   the canonical seed-1 stream after a 5000-uop warmup. *)
+let seeded_runs ?params config =
+  List.map
+    (fun profile ->
+      let point = List.hd (Pinpoints.points profile) in
+      Runner.run_workload ~seed:1 ~warmup:5000 ?params
+        ~machine:Config.default_2c ~configs:[ config ] ~uops:ablation_uops
+        (Synth.build point.Pinpoints.profile)
+      |> List.hd |> snd)
+    ablation_profiles
+
+let avg f runs =
+  List.fold_left (fun acc s -> acc + f s) 0 runs / List.length runs
+
+(* Design-choice ablation 1: the remap hysteresis threshold of the
+   hardware mapping table (0 = the paper's always-remap semantics). *)
 let run_vc_threshold_ablation () =
   heading "Ablation: VC remap hysteresis threshold (extension; 0 = paper)";
-  let bench_uops = min uops 10_000 in
   Printf.printf "%-10s %12s %14s %16s\n" "threshold" "avg cycles" "avg copies"
     "avg alloc stalls";
   List.iter
-    (fun threshold ->
-      let totals = ref (0, 0, 0) in
-      List.iter
-        (fun profile ->
-          let point = List.hd (Pinpoints.points profile) in
-          let workload = Synth.build point.Pinpoints.profile in
-          let annot =
-            Clusteer.Hybrid.compile ~program:workload.Synth.program
-              ~likely:workload.Synth.likely ~virtual_clusters:2 ()
-          in
-          let policy =
-            Clusteer_steer.Vc_map.make ~remap_threshold:threshold ~annot
-              ~clusters:2 ()
-          in
-          let prewarm =
-            Array.to_list
-              (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
-          in
-          let engine =
-            Clusteer_uarch.Engine.create ~config:Config.default_2c ~annot
-              ~policy ~prewarm ()
-          in
-          let gen = Synth.trace workload ~seed:1 in
-          let stats =
-            Clusteer_uarch.Engine.run ~warmup:5000 engine
-              ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-              ~uops:bench_uops
-          in
-          let c, k, s = !totals in
-          totals :=
-            ( c + stats.Stats.cycles,
-              k + stats.Stats.copies_generated,
-              s + Stats.allocation_stalls stats ))
-        (ablation_profiles ());
-      let n = List.length (ablation_profiles ()) in
-      let c, k, s = !totals in
-      Printf.printf "%-10d %12d %14d %16d\n" threshold (c / n) (k / n) (s / n))
+    (fun remap_threshold ->
+      let runs =
+        seeded_runs
+          ~params:
+            {
+              Clusteer.Configuration.default_params with
+              Clusteer.Configuration.remap_threshold;
+            }
+          vc2
+      in
+      Printf.printf "%-10d %12d %14d %16d\n" remap_threshold
+        (avg (fun s -> s.Stats.cycles) runs)
+        (avg (fun s -> s.Stats.copies_generated) runs)
+        (avg Stats.allocation_stalls runs))
     [ 0; 4; 8; 16; 32 ]
 
 (* Design-choice ablation 2: sequential vs parallel (rename-style)
    steering at full-trace scale (§2.1 beyond the worked example). *)
 let run_seq_par_ablation () =
   heading "Ablation: sequential vs parallel OP steering (2.1 at trace scale)";
-  let bench_uops = min uops 10_000 in
   Printf.printf "%-12s %14s %14s %12s\n" "benchmark" "seq copies" "par copies"
     "par slowdown";
-  List.iter
-    (fun profile ->
-      let point = List.hd (Pinpoints.points profile) in
+  profile_rows (fun profile ->
       let runs =
-        (Runner.run_point ~machine:Config.default_2c
-           ~configs:
-             [ Clusteer.Configuration.Op; Clusteer.Configuration.Op_parallel ]
-           ~uops:bench_uops point)
-          .Runner.runs
+        run_first
+          [ Clusteer.Configuration.Op; Clusteer.Configuration.Op_parallel ]
+          profile
       in
       let op = List.assoc "op" runs and par = List.assoc "op-parallel" runs in
-      Printf.printf "%-12s %14d %14d %11.2f%%\n" profile.Profile.name
-        op.Stats.copies_generated par.Stats.copies_generated
+      Printf.sprintf "%14d %14d %11.2f%%" op.Stats.copies_generated
+        par.Stats.copies_generated
         (Metrics.slowdown_pct ~baseline:op par))
-    (ablation_profiles ())
 
 (* Design-choice ablation 3: number of virtual clusters on the
    2-cluster machine (the paper fixes 2 "because more does not help"). *)
 let run_vc_count_ablation () =
   heading "Ablation: virtual-cluster count on the 2-cluster machine";
-  let bench_uops = min uops 10_000 in
   Printf.printf "%-6s %12s %14s\n" "VCs" "avg cycles" "avg copies";
   List.iter
     (fun nvc ->
-      let totals = ref (0, 0) in
-      List.iter
-        (fun profile ->
-          let point = List.hd (Pinpoints.points profile) in
-          let runs =
-            (Runner.run_point ~machine:Config.default_2c
-               ~configs:[ Clusteer.Configuration.Vc { virtual_clusters = nvc } ]
-               ~uops:bench_uops point)
-              .Runner.runs
-          in
-          let _, stats = List.hd runs in
-          let c, k = !totals in
-          totals := (c + stats.Stats.cycles, k + stats.Stats.copies_generated))
-        (ablation_profiles ());
-      let n = List.length (ablation_profiles ()) in
-      let c, k = !totals in
-      Printf.printf "%-6d %12d %14d\n" nvc (c / n) (k / n))
+      let runs =
+        List.map
+          (run_one (Clusteer.Configuration.Vc { virtual_clusters = nvc }))
+          ablation_profiles
+      in
+      Printf.printf "%-6d %12d %14d\n" nvc
+        (avg (fun s -> s.Stats.cycles) runs)
+        (avg (fun s -> s.Stats.copies_generated) runs))
     [ 1; 2; 3; 4 ]
 
 (* Design-choice ablation 4: the compiler's region scope — §3.2 claims
@@ -206,50 +227,25 @@ let run_vc_count_ablation () =
    budget should cost the software schemes performance. *)
 let run_region_scope_ablation () =
   heading "Ablation: compiler region scope (micro-ops per superblock)";
-  let bench_uops = min uops 10_000 in
-  Printf.printf "%-12s %14s %14s %14s
-" "scheme" "32-uop regions"
+  Printf.printf "%-12s %14s %14s %14s\n" "scheme" "32-uop regions"
     "128-uop regions" "512-uop regions";
   let avg_cycles config region_uops =
-    let total = ref 0 in
-    List.iter
-      (fun profile ->
-        let point = List.hd (Pinpoints.points profile) in
-        let workload = Synth.build point.Pinpoints.profile in
-        let annot, policy =
-          Clusteer.Configuration.prepare config ~program:workload.Synth.program
-            ~likely:workload.Synth.likely ~clusters:2 ~region_uops ()
-        in
-        let prewarm =
-          Array.to_list
-            (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
-        in
-        let engine =
-          Clusteer_uarch.Engine.create ~config:Config.default_2c ~annot
-            ~policy ~prewarm ()
-        in
-        let gen = Synth.trace workload ~seed:1 in
-        let stats =
-          Clusteer_uarch.Engine.run ~warmup:5000 engine
-            ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-            ~uops:bench_uops
-        in
-        total := !total + stats.Stats.cycles)
-      (ablation_profiles ());
-    !total / List.length (ablation_profiles ())
+    avg
+      (fun s -> s.Stats.cycles)
+      (seeded_runs
+         ~params:
+           {
+             Clusteer.Configuration.default_params with
+             Clusteer.Configuration.region_uops;
+           }
+         config)
   in
   List.iter
     (fun config ->
-      Printf.printf "%-12s %14d %14d %14d
-"
+      Printf.printf "%-12s %s\n"
         (Clusteer.Configuration.name config)
-        (avg_cycles config 32) (avg_cycles config 128)
-        (avg_cycles config 512))
-    [
-      Clusteer.Configuration.Ob;
-      Clusteer.Configuration.Rhop;
-      Clusteer.Configuration.Vc { virtual_clusters = 2 };
-    ]
+        (variants "%14d" (avg_cycles config) [ 32; 128; 512 ]))
+    [ Clusteer.Configuration.Ob; Clusteer.Configuration.Rhop; vc2 ]
 
 (* Extension study 0: quantify §2.1 — charge the hardware-only schemes
    the extra decode stages their serialized dependence-check + vote
@@ -259,96 +255,43 @@ let run_steer_depth_study () =
   print_endline
     "(VC slowdown vs OP when OP pays extra pipe stages for its serialized\n\
      dependence-check + vote logic; negative = the hybrid is faster)";
-  let bench_uops = min uops 10_000 in
   Printf.printf "%-14s %14s %14s %14s\n" "benchmark" "+0 stages" "+1 stage"
     "+2 stages";
-  List.iter
-    (fun profile ->
-      let point = List.hd (Pinpoints.points profile) in
-      let gap stages =
-        let machine =
-          { Config.default_2c with Config.steer_serial_stages = stages }
-        in
-        let runs =
-          (Runner.run_point ~machine
-             ~configs:
-               [
-                 Clusteer.Configuration.Op;
-                 Clusteer.Configuration.Vc { virtual_clusters = 2 };
-               ]
-             ~uops:bench_uops point)
-            .Runner.runs
-        in
-        Metrics.slowdown_pct
-          ~baseline:(List.assoc "op" runs)
-          (List.assoc "vc2" runs)
-      in
-      Printf.printf "%-14s %13.2f%% %13.2f%% %13.2f%%\n" profile.Profile.name
-        (gap 0) (gap 1) (gap 2))
-    (ablation_profiles ())
+  profile_rows ~label:14 (fun profile ->
+      variants "%13.2f%%"
+        (fun steer_serial_stages ->
+          vc_gap
+            { Config.default_2c with Config.steer_serial_stages }
+            profile)
+        [ 0; 1; 2 ])
 
 (* Extension study 1: baselines beyond Table 3 — MOD_3 (Baniasadi &
    Moshovos) and plain dependence-based steering (Canal et al.), the
    ancestors the paper's §3.1 positions OP against. *)
 let run_extended_baselines () =
   heading "Extension: hardware baselines beyond Table 3 (slowdown vs OP)";
-  let bench_uops = min uops 10_000 in
   Printf.printf "%-12s %8s %8s %8s %8s %8s\n" "benchmark" "mod3" "dep"
     "crit" "one-cl" "vc2";
-  List.iter
-    (fun profile ->
-      let point = List.hd (Pinpoints.points profile) in
+  profile_rows (fun profile ->
       let runs =
-        (Runner.run_point ~machine:Config.default_2c
-           ~configs:
-             [
-               Clusteer.Configuration.Op;
-               Clusteer.Configuration.Mod_n { n = 3 };
-               Clusteer.Configuration.Dep;
-               Clusteer.Configuration.Crit;
-               Clusteer.Configuration.One_cluster;
-               Clusteer.Configuration.Vc { virtual_clusters = 2 };
-             ]
-           ~uops:bench_uops point)
-          .Runner.runs
+        run_first
+          [
+            Clusteer.Configuration.Op;
+            Clusteer.Configuration.Mod_n { n = 3 };
+            Clusteer.Configuration.Dep;
+            Clusteer.Configuration.Crit;
+            Clusteer.Configuration.One_cluster;
+            vc2;
+          ]
+          profile
       in
-      let op = List.assoc "op" runs in
-      let slow name =
-        Metrics.slowdown_pct ~baseline:op (List.assoc name runs)
-      in
-      Printf.printf "%-12s %7.2f%% %7.2f%% %7.2f%% %7.2f%% %7.2f%%\n"
-        profile.Profile.name (slow "mod3") (slow "dep") (slow "crit")
-        (slow "one-cluster") (slow "vc2"))
-    (ablation_profiles ())
+      variants "%7.2f%%"
+        (fun name ->
+          Metrics.slowdown_pct ~baseline:(List.assoc "op" runs)
+            (List.assoc name runs))
+        [ "mod3"; "dep"; "crit"; "one-cluster"; "vc2" ])
 
-(* Extension study 2: interconnect topology at 4 clusters — the paper
-   assumes dedicated point-to-point links; this quantifies that choice
-   against a shared bus and a ring. *)
-let run_topology_study () =
-  heading "Extension: interconnect topology, 4-cluster machine (cycles)";
-  let bench_uops = min uops 10_000 in
-  Printf.printf "%-12s %16s %12s %12s\n" "benchmark" "point-to-point" "bus"
-    "ring";
-  List.iter
-    (fun profile ->
-      let point = List.hd (Pinpoints.points profile) in
-      let cycles topology =
-        let machine = { Config.default_4c with Config.topology } in
-        let runs =
-          (Runner.run_point ~machine
-             ~configs:[ Clusteer.Configuration.Vc { virtual_clusters = 2 } ]
-             ~uops:bench_uops point)
-            .Runner.runs
-        in
-        (snd (List.hd runs)).Stats.cycles
-      in
-      Printf.printf "%-12s %16d %12d %12d\n" profile.Profile.name
-        (cycles (Topology.p2p ~clusters:4 ()))
-        (cycles (Topology.bus ~clusters:4 ()))
-        (cycles (Topology.ring ~clusters:4 ())))
-    (ablation_profiles ())
-
-(* Extension study 3: the VLIW substrate (§3.3) — software-only
+(* Extension study 2: the VLIW substrate (§3.3) — software-only
    steering on its home ground. On the statically-scheduled machine,
    RHOP and the VC partition are competitive with unified
    assign-and-schedule; the big gaps of Figure 5 only exist on the
@@ -358,41 +301,33 @@ let run_vliw_study () =
   let machine = Clusteer_vliw.Machine.default ~clusters:2 in
   Printf.printf "%-12s %10s %18s %18s\n" "benchmark" "UAS IPC" "RHOP gap"
     "VC-partition gap";
-  List.iter
-    (fun profile ->
+  profile_rows (fun profile ->
       let w = Synth.build profile in
       let program = w.Synth.program and likely = w.Synth.likely in
       let run mode = Clusteer_vliw.Eval.run machine ~program ~likely mode in
       let uas = run Clusteer_vliw.Eval.Unified in
-      let rhop =
-        run
-          (Clusteer_vliw.Eval.Fixed
-             (fun g -> Clusteer_compiler.Rhop.assign_region g ~clusters:2))
-      in
-      let vc =
-        run
-          (Clusteer_vliw.Eval.Fixed
-             (fun g ->
-               Clusteer_compiler.Vc_partition.assign_region g
-                 ~virtual_clusters:2 ()))
-      in
-      let gap (s : Clusteer_vliw.Eval.summary) =
+      let gap assign =
+        let s = run (Clusteer_vliw.Eval.Fixed assign) in
         (float_of_int s.Clusteer_vliw.Eval.cycles
          /. float_of_int uas.Clusteer_vliw.Eval.cycles
         -. 1.0)
         *. 100.0
       in
-      Printf.printf "%-12s %10.2f %17.2f%% %17.2f%%\n" profile.Profile.name
-        uas.Clusteer_vliw.Eval.static_ipc (gap rhop) (gap vc))
-    (ablation_profiles ())
+      Printf.sprintf "%10.2f %s" uas.Clusteer_vliw.Eval.static_ipc
+        (variants "%17.2f%%" gap
+           [
+             (fun g -> Clusteer_compiler.Rhop.assign_region g ~clusters:2);
+             (fun g ->
+               Clusteer_compiler.Vc_partition.assign_region g
+                 ~virtual_clusters:2 ());
+           ]))
 
-(* Extension study 4: the energy argument of §1 — a clustered backend
+(* Extension study 3: the energy argument of §1 — a clustered backend
    with the hybrid steering vs an equally wide monolithic backend.
    Smaller per-cluster structures cost less per access; copies add
    events. *)
 let run_energy_study () =
   heading "Extension: energy per committed micro-op (arbitrary units)";
-  let bench_uops = min uops 10_000 in
   let monolithic =
     {
       Config.default_2c with
@@ -406,27 +341,16 @@ let run_energy_study () =
   in
   Printf.printf "%-12s %12s %12s %14s %16s %12s\n" "benchmark" "mono e/uop"
     "vc2 e/uop" "vc2 copy e%" "vc2 cycle delta" "vc2 dT";
-  List.iter
-    (fun profile ->
-      let point = List.hd (Pinpoints.points profile) in
-      let run machine config =
-        let runs =
-          (Runner.run_point ~machine ~configs:[ config ] ~uops:bench_uops
-             point)
-            .Runner.runs
-        in
-        snd (List.hd runs)
+  profile_rows (fun profile ->
+      let mono =
+        run_one ~machine:monolithic Clusteer.Configuration.One_cluster profile
       in
-      let mono = run monolithic Clusteer.Configuration.One_cluster in
-      let vc =
-        run Config.default_2c
-          (Clusteer.Configuration.Vc { virtual_clusters = 2 })
-      in
+      let vc = run_one vc2 profile in
       let e_mono = Clusteer_uarch.Energy.estimate ~clusters:1 mono in
       let e_vc = Clusteer_uarch.Energy.estimate ~clusters:2 vc in
       let t_vc = Clusteer_uarch.Thermal.estimate ~clusters:2 vc in
-      Printf.printf "%-12s %12.2f %12.2f %13.1f%% %15.1f%% %11.2f\n"
-        profile.Profile.name e_mono.Clusteer_uarch.Energy.per_uop
+      Printf.sprintf "%12.2f %12.2f %13.1f%% %15.1f%% %11.2f"
+        e_mono.Clusteer_uarch.Energy.per_uop
         e_vc.Clusteer_uarch.Energy.per_uop
         (100.
         *. e_vc.Clusteer_uarch.Energy.copies
@@ -434,106 +358,53 @@ let run_energy_study () =
         ((float_of_int vc.Stats.cycles /. float_of_int mono.Stats.cycles -. 1.0)
         *. 100.)
         t_vc.Clusteer_uarch.Thermal.spread)
-    (ablation_profiles ())
 
-(* Extension study 5: link latency sensitivity — Table 2's 1-cycle
+(* Extension study 4: link latency sensitivity — Table 2's 1-cycle
    point-to-point links are optimistic for deeper technologies; the
    hybrid's advantage should be robust as copies get slower. *)
 let run_link_latency_study () =
   heading "Extension: inter-cluster link latency sensitivity (VC vs OP)";
-  let bench_uops = min uops 10_000 in
-  Printf.printf "%-12s %12s %12s %12s
-" "benchmark" "1 cycle" "2 cycles"
+  Printf.printf "%-12s %12s %12s %12s\n" "benchmark" "1 cycle" "2 cycles"
     "4 cycles";
-  List.iter
-    (fun profile ->
-      let point = List.hd (Pinpoints.points profile) in
-      let gap latency =
-        let machine =
-          {
-            Config.default_2c with
-            Config.topology = Topology.p2p ~link_latency:latency ~clusters:2 ();
-          }
-        in
-        let runs =
-          (Runner.run_point ~machine
-             ~configs:
-               [
-                 Clusteer.Configuration.Op;
-                 Clusteer.Configuration.Vc { virtual_clusters = 2 };
-               ]
-             ~uops:bench_uops point)
-            .Runner.runs
-        in
-        Metrics.slowdown_pct
-          ~baseline:(List.assoc "op" runs)
-          (List.assoc "vc2" runs)
-      in
-      Printf.printf "%-12s %11.2f%% %11.2f%% %11.2f%%
-" profile.Profile.name
-        (gap 1) (gap 2) (gap 4))
-    (ablation_profiles ())
+  profile_rows (fun profile ->
+      variants "%11.2f%%"
+        (fun link_latency ->
+          vc_gap
+            {
+              Config.default_2c with
+              Config.topology = Topology.p2p ~link_latency ~clusters:2 ();
+            }
+            profile)
+        [ 1; 2; 4 ])
 
-(* Extension study 6: cluster-count scaling beyond the paper (2 and 4
+(* Extension study 5: cluster-count scaling beyond the paper (2 and 4
    evaluated there; 8 extrapolated) — does VC(2->N) keep tracking OP? *)
 let run_scaling_study () =
   heading "Extension: cluster-count scaling, VC(2->N) slowdown vs OP";
-  let bench_uops = min uops 10_000 in
-  Printf.printf "%-12s %12s %12s %12s
-" "benchmark" "2 clusters"
+  Printf.printf "%-12s %12s %12s %12s\n" "benchmark" "2 clusters"
     "4 clusters" "8 clusters";
-  List.iter
-    (fun profile ->
-      let point = List.hd (Pinpoints.points profile) in
-      let gap clusters =
-        let machine = Config.default ~clusters in
-        let runs =
-          (Runner.run_point ~machine
-             ~configs:
-               [
-                 Clusteer.Configuration.Op;
-                 Clusteer.Configuration.Vc { virtual_clusters = 2 };
-               ]
-             ~uops:bench_uops point)
-            .Runner.runs
-        in
-        Metrics.slowdown_pct
-          ~baseline:(List.assoc "op" runs)
-          (List.assoc "vc2" runs)
-      in
-      Printf.printf "%-12s %11.2f%% %11.2f%% %11.2f%%
-" profile.Profile.name
-        (gap 2) (gap 4) (gap 8))
-    (ablation_profiles ())
+  profile_rows (fun profile ->
+      variants "%11.2f%%"
+        (fun clusters -> vc_gap (Config.default ~clusters) profile)
+        [ 2; 4; 8 ])
 
-(* Extension study 7: an idealised next-line prefetcher — how much of
+(* Extension study 6: an idealised next-line prefetcher — how much of
    the memory-bound benchmarks' stall time is prefetchable, and does
    the steering ranking survive a better memory system? *)
 let run_prefetch_study () =
   heading "Extension: idealised next-line prefetch (cycles, VC on 2 clusters)";
-  let bench_uops = min uops 10_000 in
-  Printf.printf "%-12s %14s %14s %10s
-" "benchmark" "no prefetch"
+  Printf.printf "%-12s %14s %14s %10s\n" "benchmark" "no prefetch"
     "prefetch" "saved";
-  List.iter
-    (fun name ->
-      let profile = Spec2000.find name in
-      let point = List.hd (Pinpoints.points profile) in
+  profile_rows
+    ~profiles:(List.map Spec2000.find [ "mcf"; "swim"; "equake"; "art-1" ])
+    (fun profile ->
       let cycles prefetch_next_line =
         let machine = { Config.default_2c with Config.prefetch_next_line } in
-        let runs =
-          (Runner.run_point ~machine
-             ~configs:[ Clusteer.Configuration.Vc { virtual_clusters = 2 } ]
-             ~uops:bench_uops point)
-            .Runner.runs
-        in
-        (snd (List.hd runs)).Stats.cycles
+        (run_one ~machine vc2 profile).Stats.cycles
       in
       let off = cycles false and on = cycles true in
-      Printf.printf "%-12s %14d %14d %9.1f%%
-" profile.Profile.name off on
+      Printf.sprintf "%14d %14d %9.1f%%" off on
         (100. *. float_of_int (off - on) /. float_of_int off))
-    [ "mcf"; "swim"; "equake"; "art-1" ]
 
 (* Ground truth: the hand-written kernels under the main schemes. *)
 let run_kernel_table () =
@@ -754,34 +625,26 @@ let run_throughput_study () =
      constant-location probe view: the fast-path contract is 0.0 for
      every policy. *)
   let workload = Synth.build (Spec2000.find "gzip-1") in
-  let annot =
-    Clusteer.Hybrid.compile ~program:workload.Synth.program
-      ~likely:workload.Synth.likely ~virtual_clusters:2 ()
+  let prepare config =
+    Clusteer.Configuration.prepare config ~program:workload.Synth.program
+      ~likely:workload.Synth.likely ~clusters:2 ()
   in
-  let view = alloc_probe_view ~clusters:2 ~annot in
-  let duop = Clusteer_trace.Tracegen.next (Synth.trace workload ~seed:1) in
-  (* The static schemes read their own compiler placement, so they are
-     built the way a simulation builds them. *)
-  let prepared config =
-    snd
-      (Clusteer.Configuration.prepare config ~program:workload.Synth.program
-         ~likely:workload.Synth.likely ~clusters:2 ())
-  in
+  (* Every policy is built the way a simulation builds it; the probe
+     view carries the hybrid's annotation. *)
   let policies =
-    [
-      ("op", Clusteer_steer.Op.make ());
-      ("op-parallel", Clusteer_steer.Op_parallel.make ());
-      ("dep", Clusteer_steer.Dep.make ());
-      ("vc2", Clusteer_steer.Vc_map.make ~annot ~clusters:2 ());
-      ("one-cluster", prepared Clusteer.Configuration.One_cluster);
-      ("ob", prepared Clusteer.Configuration.Ob);
-      ("rhop", prepared Clusteer.Configuration.Rhop);
-    ]
+    List.map
+      (fun config -> (Clusteer.Configuration.name config, prepare config))
+      Clusteer.Configuration.
+        [ Op; Op_parallel; Dep; vc2; One_cluster; Ob; Rhop ]
   in
+  let view =
+    alloc_probe_view ~clusters:2 ~annot:(fst (List.assoc "vc2" policies))
+  in
+  let duop = Clusteer_trace.Tracegen.next (Synth.trace workload ~seed:1) in
   Printf.printf "\n%-12s %22s\n" "policy" "minor words/decision";
   let alloc_fields =
     List.map
-      (fun (name, policy) ->
+      (fun (name, (_, policy)) ->
         let words = minor_words_per_decide policy view duop in
         Printf.printf "%-12s %22.4f\n" name words;
         (name, Obs.Json.Float words))
@@ -790,15 +653,13 @@ let run_throughput_study () =
   (* 3. Engine-level allocation per committed micro-op (includes the
      trace generator — the whole per-uop simulation path). *)
   let engine_words =
-    let annot, policy =
-      Clusteer.Configuration.prepare Clusteer.Configuration.Op
-        ~program:workload.Synth.program ~likely:workload.Synth.likely
-        ~clusters:2 ()
-    in
+    let annot, policy = prepare Clusteer.Configuration.Op in
     let prewarm =
       Array.to_list
         (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
     in
+    (* By hand, not through Runner: the delta must count the engine
+       contract alone, without the harness's own allocation. *)
     let engine =
       Clusteer_uarch.Engine.create ~config:Config.default_2c ~annot ~policy
         ~prewarm ()
@@ -1045,23 +906,14 @@ let run_prediction_study () =
         List.map
           (fun config ->
             let registry = Obs.Counters.create () in
-            let annot, policy =
+            let annot, _ =
               Clusteer.Configuration.prepare config ~program ~likely
-                ~clusters:2 ~registry ()
+                ~clusters:2 ()
             in
-            let prewarm =
-              Array.to_list
-                (Array.map Clusteer_trace.Mem_model.extent w.Synth.streams)
-            in
-            let engine =
-              Clusteer_uarch.Engine.create ~config:machine ~annot ~policy
-                ~prewarm ()
-            in
-            let gen = Synth.trace w ~seed:1 in
             let stats =
-              Clusteer_uarch.Engine.run ~warmup:0 engine
-                ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-                ~uops:bench_uops
+              Runner.run_workload ~seed:1 ~warmup:0 ~registry ~machine
+                ~configs:[ config ] ~uops:bench_uops w
+              |> List.hd |> snd
             in
             let model, _ =
               Clusteer_analysis.Cost_model.analyze ~program ~annot
@@ -1180,7 +1032,7 @@ let time_vc_compile =
   Test.make ~name:"core/vc-partition-compile"
     (Staged.stage (fun () ->
          ignore
-           (Clusteer.Hybrid.compile ~program:w.Synth.program
+           (Clusteer_compiler.Vc_partition.compile ~program:w.Synth.program
               ~likely:w.Synth.likely ~virtual_clusters:2 ())))
 
 let time_rhop_compile =
@@ -1287,42 +1139,45 @@ let run_microbenchmarks () =
             Printf.printf "%-40s %12.2f us/run\n" name (est /. 1e3)
           else Printf.printf "%-40s %12.1f ns/run\n" name est
       | Some [] | None -> Printf.printf "%-40s (no estimate)\n" name)
-    (List.sort compare rows)
+    (List.sort compare rows);
+  print_newline ()
+
+(* Every study, in full-run order. *)
+let studies =
+  [
+    ("tables", run_tables);
+    ("figures", run_figures);
+    ("vc-threshold", run_vc_threshold_ablation);
+    ("seq-par", run_seq_par_ablation);
+    ("vc-count", run_vc_count_ablation);
+    ("region-scope", run_region_scope_ablation);
+    ("steer-depth", run_steer_depth_study);
+    ("baselines", run_extended_baselines);
+    ("topo", run_topo_study);
+    ("vliw", run_vliw_study);
+    ("energy", run_energy_study);
+    ("link-latency", run_link_latency_study);
+    ("scaling", run_scaling_study);
+    ("prefetch", run_prefetch_study);
+    ("kernels", run_kernel_table);
+    ("predict", run_prediction_study);
+    ("obs", run_observability_overhead_study);
+    ("throughput", run_throughput_study);
+    ("tune", run_tune_study);
+    ("micro", run_microbenchmarks);
+  ]
 
 let () =
+  let selected =
+    match Sys.getenv_opt "CLUSTEER_BENCH_STUDY" with
+    | None -> studies
+    | Some name -> (
+        match List.assoc_opt name studies with
+        | Some run -> [ (name, run) ]
+        | None ->
+            usage_error "unknown CLUSTEER_BENCH_STUDY %S (studies: %s)" name
+              (String.concat ", " (List.map fst studies)))
+  in
   Printf.printf
     "clusteer bench harness: reproduction of Cai et al., IPPS 2008\n";
-  (* CLUSTEER_BENCH_STUDY=throughput runs just the throughput/allocation
-     study (the `make bench-smoke` entry point). *)
-  match Sys.getenv_opt "CLUSTEER_BENCH_STUDY" with
-  | Some "throughput" -> run_throughput_study ()
-  | Some "tune" -> run_tune_study ()
-  | Some "topo" -> run_topo_study ()
-  | Some "predict" -> run_prediction_study ()
-  | Some other ->
-      Printf.eprintf
-        "unknown CLUSTEER_BENCH_STUDY %S (try: throughput, tune, topo, \
-         predict)\n"
-        other;
-      exit 2
-  | None ->
-  run_tables ();
-  run_figures ();
-  run_vc_threshold_ablation ();
-  run_seq_par_ablation ();
-  run_vc_count_ablation ();
-  run_region_scope_ablation ();
-  run_steer_depth_study ();
-  run_extended_baselines ();
-  run_topology_study ();
-  run_vliw_study ();
-  run_energy_study ();
-  run_link_latency_study ();
-  run_scaling_study ();
-  run_prefetch_study ();
-  run_kernel_table ();
-  run_prediction_study ();
-  run_observability_overhead_study ();
-  run_throughput_study ();
-  run_microbenchmarks ();
-  print_newline ()
+  List.iter (fun (_, run) -> run ()) selected

@@ -92,6 +92,18 @@ let uops_arg default =
   let doc = "Committed micro-ops to simulate per point." in
   Arg.(value & opt int default & info [ "n"; "uops" ] ~doc)
 
+(* Flags several subcommands share; each passes its own [doc]. *)
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let ledger_arg doc =
+  Arg.(value & opt (some string) None & info [ "ledger" ] ~doc ~docv:"DIR")
+
+let domains_arg doc =
+  Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
+
+let phase_arg =
+  Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
+
 let config_conv =
   let print ppf c =
     Format.pp_print_string ppf (Clusteer.Configuration.name c)
@@ -147,16 +159,6 @@ let trace_format_conv =
       (match f with Trace_json -> "json" | Trace_csv -> "csv")
   in
   Arg.conv (parse, print)
-
-let energy_json (e : Clusteer_uarch.Energy.breakdown) =
-  Json.Obj
-    [
-      ("total", Json.Float e.Clusteer_uarch.Energy.total);
-      ("per_uop", Json.Float e.Clusteer_uarch.Energy.per_uop);
-      ("static", Json.Float e.Clusteer_uarch.Energy.static_);
-      ("dynamic", Json.Float e.Clusteer_uarch.Energy.dynamic);
-      ("copies", Json.Float e.Clusteer_uarch.Energy.copies);
-    ]
 
 let simulate workload clusters topology config uops phase trace_out
     trace_format stats_interval json_out ledger_dir profile_flag =
@@ -293,7 +295,8 @@ let simulate workload clusters topology config uops phase trace_out
               ("uops", Json.Int uops);
               ("stats", Stats.to_json stats);
               ( "energy",
-                energy_json (Clusteer_uarch.Energy.estimate ~clusters stats) );
+                Clusteer_uarch.Energy.to_json
+                  (Clusteer_uarch.Energy.estimate ~clusters stats) );
               ("counters", Obs.Counters.to_json Obs.Counters.default);
               ( "intervals",
                 match collector with
@@ -326,9 +329,6 @@ let simulate workload clusters topology config uops phase trace_out
       end
 
 let simulate_cmd =
-  let phase =
-    Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
-  in
   let trace_out =
     Arg.(
       value
@@ -358,22 +358,14 @@ let simulate_cmd =
           ~docv:"CYCLES")
   in
   let json_out =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print final statistics (plus steering counters and any \
-             interval series) as a single JSON document on stdout.")
+    json_arg
+      "Print final statistics (plus steering counters and any interval \
+       series) as a single JSON document on stdout."
   in
   let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record the run in the ledger at $(docv) (implies \
-             $(b,--profile)); inspect with $(b,csteer runs)."
-          ~docv:"DIR")
+    ledger_arg
+      "Record the run in the ledger at $(docv) (implies $(b,--profile)); \
+       inspect with $(b,csteer runs)."
   in
   let profile_flag =
     Arg.(
@@ -388,7 +380,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run one simulation point under one configuration")
     Term.(
       const simulate $ workload_arg $ clusters_arg $ topology_arg $ config_arg
-      $ uops_arg 20_000 $ phase $ trace_out $ trace_format $ stats_interval
+      $ uops_arg 20_000 $ phase_arg $ trace_out $ trace_format $ stats_interval
       $ json_out $ ledger_dir $ profile_flag)
 
 (* ---- compile ------------------------------------------------------- *)
@@ -553,12 +545,13 @@ let check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops (w : Synth.t)
   let params =
     {
       Clusteer.Configuration.default_params with
-      Clusteer.Configuration.topology = Some topology;
+      Clusteer.Configuration.region_uops;
+      topology = Some topology;
     }
   in
   let annot, policy =
-    Clusteer.Configuration.prepare config ~program ~likely ~clusters
-      ~region_uops ~params ?annot ~registry ()
+    Clusteer.Configuration.prepare config ~program ~likely ~clusters ~params
+      ?annot ~registry ()
   in
   (* The cost model feeds the summary columns and the drift bounds
      whatever the pass selection (which may exclude "cost"). Its CM006
@@ -585,6 +578,8 @@ let check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops (w : Synth.t)
   let replay =
     if not (vs_run && fits) then None
     else begin
+      (* By hand, not through Runner: the replay wraps the policy in a
+         recorder and must steer on the user's --annot. *)
       let policy, recorded = Analysis.Dyn_check.recording policy in
       let prewarm =
         Array.to_list
@@ -801,22 +796,13 @@ let check_cmd =
              never fails).")
   in
   let json_out =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print one JSON document with the per-target model and \
-             diagnostics.")
+    json_arg
+      "Print one JSON document with the per-target model and diagnostics."
   in
   let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record the check in the ledger at $(docv); inspect with \
-             $(b,csteer runs)."
-          ~docv:"DIR")
+    ledger_arg
+      "Record the check in the ledger at $(docv); inspect with $(b,csteer \
+       runs)."
   in
   Cmd.v
     (Cmd.info "check"
@@ -1235,23 +1221,16 @@ let experiment_cmd =
     Arg.(value & opt (some string) None & info [ "csv" ] ~doc)
   in
   let domains =
-    let doc =
+    domains_arg
       "Worker domains for the sweep (default: the host's recommended \
        domain count, capped at 8). Results are identical for any value: \
        simulation points are sharded deterministically and merged in \
        input order. Use 1 to force a sequential run."
-    in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
   in
   let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record the sweep in the run ledger at $(docv), with per-shard \
-             pipeline profiling; inspect with $(b,csteer runs)."
-          ~docv:"DIR")
+    ledger_arg
+      "Record the sweep in the run ledger at $(docv), with per-shard \
+       pipeline profiling; inspect with $(b,csteer runs)."
   in
   Cmd.v
     (Cmd.info "experiment"
@@ -1308,12 +1287,8 @@ let serve_cmd =
           ~docv:"N")
   in
   let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ]
-          ~doc:"Worker-pool domains (default: the harness default, capped at 8)."
-          ~docv:"N")
+    domains_arg
+      "Worker-pool domains (default: the harness default, capped at 8)."
   in
   let cache_mb =
     Arg.(
@@ -1332,14 +1307,9 @@ let serve_cmd =
           ~docv:"DIR")
   in
   let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record every batch in the run ledger at $(docv) (implies \
-             $(b,--profile)); inspect with $(b,csteer runs)."
-          ~docv:"DIR")
+    ledger_arg
+      "Record every batch in the run ledger at $(docv) (implies \
+       $(b,--profile)); inspect with $(b,csteer runs)."
   in
   let profile_flag =
     Arg.(
@@ -1438,9 +1408,6 @@ let submit_cmd =
       & opt (some string) None
       & info [ "w"; "workload" ] ~doc:"Workload name (e.g. 181.mcf or mcf).")
   in
-  let phase =
-    Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
-  in
   let warmup =
     Arg.(
       value
@@ -1473,18 +1440,14 @@ let submit_cmd =
   let shutdown =
     Arg.(value & flag & info [ "shutdown" ] ~doc:"Stop the server.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the raw response line (always exit 0).")
-  in
+  let json = json_arg "Print the raw response line (always exit 0)." in
   Cmd.v
     (Cmd.info "submit"
        ~doc:"Submit one simulation request to a running csteer serve")
     Term.(
-      const submit $ socket_arg $ workload $ phase $ clusters_arg $ config_arg
-      $ uops_arg 20_000 $ warmup $ seed $ deadline_ms $ stats $ shutdown
-      $ json)
+      const submit $ socket_arg $ workload $ phase_arg $ clusters_arg
+      $ config_arg $ uops_arg 20_000 $ warmup $ seed $ deadline_ms $ stats
+      $ shutdown $ json)
 
 (* Extract the verbatim result document from an ok response line; the
    encoder places it last, so this preserves byte identity. *)
@@ -1642,9 +1605,6 @@ let metrics_cmd =
             "Run one simulation point locally (with the self-profiler) and \
              dump its registry instead of scraping a server.")
   in
-  let phase =
-    Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
-  in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
@@ -1652,7 +1612,7 @@ let metrics_cmd =
           running csteer serve, or run one point locally with $(b,-w)")
     Term.(
       const metrics $ socket_arg $ workload $ clusters_arg $ config_arg
-      $ uops_arg 20_000 $ phase)
+      $ uops_arg 20_000 $ phase_arg)
 
 (* ---- runs ----------------------------------------------------------- *)
 
@@ -1727,11 +1687,7 @@ let runs_gc dir keep =
 
 let runs_cmd =
   let list_cmd =
-    let json =
-      Arg.(
-        value & flag
-        & info [ "json" ] ~doc:"Print the summaries as one JSON array.")
-    in
+    let json = json_arg "Print the summaries as one JSON array." in
     Cmd.v
       (Cmd.info "list" ~doc:"List recorded runs (id, kind, wall time, GC)")
       Term.(const runs_list $ runs_dir_arg $ json)
@@ -1841,11 +1797,7 @@ let topo_show name clusters json =
   end
 
 let topo_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the description as one JSON document.")
-  in
+  let json = json_arg "Print the description as one JSON document." in
   let list_cmd =
     Cmd.v
       (Cmd.info "list"
@@ -2010,10 +1962,7 @@ let tune_cmd =
         & opt (some string) None
         & info [ "w"; "workloads" ] ~doc ~docv:"NAMES")
     in
-    let domains =
-      let doc = "Worker domains for each evaluation's sweep." in
-      Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
-    in
+    let domains = domains_arg "Worker domains for each evaluation's sweep." in
     let out =
       let doc = "Directory for the study artifact." in
       Arg.(value & opt string "tune" & info [ "out" ] ~doc ~docv:"DIR")
@@ -2030,8 +1979,7 @@ let tune_cmd =
         & info [ "champion" ] ~doc ~docv:"FILE")
     in
     let ledger_dir =
-      let doc = "Record one ledger entry per evaluation under DIR." in
-      Arg.(value & opt (some string) None & info [ "ledger" ] ~doc ~docv:"DIR")
+      ledger_arg "Record one ledger entry per evaluation under DIR."
     in
     let epsilon_pct =
       let doc = "AB tie band: IPC deltas within this percentage tie." in
@@ -2042,10 +1990,7 @@ let tune_cmd =
       let doc = "Extra salted trace streams used to re-measure ties." in
       Arg.(value & opt int 2 & info [ "tie-seeds" ] ~doc ~docv:"N")
     in
-    let json =
-      Arg.(
-        value & flag & info [ "json" ] ~doc:"Print the study as JSON.")
-    in
+    let json = json_arg "Print the study as JSON." in
     Cmd.v
       (Cmd.info "run"
          ~doc:
@@ -2057,10 +2002,7 @@ let tune_cmd =
         $ ledger_dir $ epsilon_pct $ tie_seeds $ json)
   in
   let report_cmd =
-    let json =
-      Arg.(
-        value & flag & info [ "json" ] ~doc:"Print the study as JSON.")
-    in
+    let json = json_arg "Print the study as JSON." in
     Cmd.v
       (Cmd.info "report"
          ~doc:

@@ -51,19 +51,23 @@ let () =
   in
   let likely blk = if blk = body then Some 1 else None in
 
-  (* 3. Software half (paper Fig. 2/3): partition into two virtual
-     clusters and mark chain leaders. *)
-  let annot =
-    Clusteer.Hybrid.compile ~program ~likely ~virtual_clusters:2 ()
+  (* 3. Both halves in one call: the software half (paper Fig. 2/3)
+     partitions the program into two virtual clusters and marks chain
+     leaders; the hardware half (Fig. 4) is the VC->cluster mapping
+     table those leaders drive. *)
+  let config = Uarch.Config.default_2c in
+  let annot, policy =
+    Clusteer.Configuration.prepare
+      (Clusteer.Configuration.Vc { virtual_clusters = 2 })
+      ~program ~likely ~clusters:config.Uarch.Config.clusters ()
   in
   Fmt.pr "Virtual-cluster assignment (uop -> vc, * = chain leader):@.";
   Program.iter_uops program (fun u ->
       Fmt.pr "  %a  -> vc%d%s@." Uop.pp u annot.Annot.vc_of.(u.Uop.id)
         (if annot.Annot.leader.(u.Uop.id) then " *" else ""));
 
-  (* 4. Hardware half (Fig. 4) + the cycle-level machine of Table 2. *)
-  let config = Uarch.Config.default_2c in
-  let policy = Clusteer.Hybrid.policy ~annot ~clusters:config.Uarch.Config.clusters in
+  (* 4. The cycle-level machine of Table 2. Built by hand rather than
+     through [Clusteer_harness.Runner] so each layer stays visible. *)
   let engine = Uarch.Engine.create ~config ~annot ~policy ~prewarm:[ (0, 4096) ] () in
   let gen = Trace.Tracegen.create ~program ~branches ~streams ~seed:7 in
   let stats =

@@ -98,11 +98,9 @@ let table3 ~clusters =
       Vc { virtual_clusters = 2 };
     ]
 
-let prepare t ~program ~likely ~clusters ?region_uops
-    ?(params = default_params) ?annot ?registry () =
-  (* An explicit [region_uops] wins over [params] for backward
-     compatibility; both default to the paper's 512-uop budget. *)
-  let region_uops = Option.value region_uops ~default:params.region_uops in
+let prepare t ~program ~likely ~clusters ?(params = default_params) ?annot
+    ?registry () =
+  let region_uops = params.region_uops in
   let annot =
     match annot with
     | Some annot -> annot

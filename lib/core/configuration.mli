@@ -124,15 +124,12 @@ val prepare :
   program:Program.t ->
   likely:(int -> int option) ->
   clusters:int ->
-  ?region_uops:int ->
   ?params:params ->
   ?annot:Annot.t ->
   ?registry:Clusteer_obs.Counters.registry ->
   unit ->
   Annot.t * Clusteer_uarch.Policy.t
-(** [params] tunes every knob at once (default {!default_params});
-    [region_uops], kept for backward compatibility, overrides
-    [params.region_uops] when given explicitly.
+(** [params] tunes every knob at once (default {!default_params}).
 
     [registry] is where the policy registers its introspection
     counters (default {!Clusteer_obs.Counters.default}). The parallel
@@ -142,8 +139,7 @@ val prepare :
 
     [annot] supplies a previously compiled annotation and skips the
     compiler pass. The pass is deterministic in (configuration,
-    program, likely, clusters, region_uops, params), so the harness
-    caches the
+    program, likely, clusters, params), so the harness caches the
     annotation per (profile, configuration) within a domain and passes
     it back here; the returned policy is always fresh (policies are
     stateful). Must only be given an annotation produced by {!prepare}

@@ -332,11 +332,6 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
     shards;
   results
 
-let run_benchmark ?warmup ?domains ?profiled ?params ?trace_salt ~machine
-    ~configs ~uops profile =
-  run_points ?warmup ?domains ?profiled ?params ?trace_salt ~machine ~configs
-    ~uops [ profile ]
-
 let run_suite ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine
     ~configs ~uops profiles =
   run_points ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine

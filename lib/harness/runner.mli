@@ -4,9 +4,9 @@
 
     {2 Parallel execution}
 
-    {!run_benchmark}, {!run_suite} and {!run_grouped} shard their
-    (profile × simulation-point) work items across OCaml domains
-    ([domains], default {!Clusteer_util.Parallel.default_domains}).
+    {!run_suite} and {!run_grouped} shard their (profile ×
+    simulation-point) work items across OCaml domains ([domains],
+    default {!Clusteer_util.Parallel.default_domains}).
     The items are pre-partitioned into contiguous per-domain shards
     before spawn; each domain simulates against {b private} state — a counter
     registry passed down to the policies and the engine, an optional
@@ -126,19 +126,6 @@ val map_isolated :
     associative); as long as [f] is deterministic per item, a parallel
     run is bit-identical to a sequential one. This is the primitive
     behind {!run_suite} and the service layer's worker pool. *)
-
-val run_benchmark :
-  ?warmup:int ->
-  ?domains:int ->
-  ?profiled:bool ->
-  ?params:Clusteer.Configuration.params ->
-  ?trace_salt:int ->
-  machine:Config.t ->
-  configs:Clusteer.Configuration.t list ->
-  uops:int ->
-  Profile.t ->
-  point_result list
-(** All PinPoints phases of one benchmark, sharded across domains. *)
 
 val run_suite :
   ?progress:(string -> unit) ->

@@ -82,16 +82,6 @@ let resolve (req : Request.t) =
                 (Printf.sprintf "workload %s has only %d phases"
                    req.Request.workload (List.length points))))
 
-let energy_json (e : Energy.breakdown) =
-  Json.Obj
-    [
-      ("total", Json.Float e.Energy.total);
-      ("per_uop", Json.Float e.Energy.per_uop);
-      ("static", Json.Float e.Energy.static_);
-      ("dynamic", Json.Float e.Energy.dynamic);
-      ("copies", Json.Float e.Energy.copies);
-    ]
-
 (* Run one admitted request against a private registry. The result
    document is a pure function of the canonical request (PR 2's
    determinism guarantee), which is what makes the cached bytes
@@ -129,7 +119,7 @@ let execute ~registry ?(profiled = false) (req : Request.t)
       ("seed", Json.Int seed);
       ("stats", Clusteer_uarch.Stats.to_json stats);
       ( "energy",
-        energy_json (Energy.estimate ~clusters:req.Request.clusters stats) );
+        Energy.to_json (Energy.estimate ~clusters:req.Request.clusters stats) );
     ]
 
 (* ---- batch cycle -------------------------------------------------- *)

@@ -109,8 +109,8 @@ let replicated_ipc ~space ~clusters ~uops ?domains ~tie_seeds candidate profile
   let ipcs =
     List.init (tie_seeds + 1) (fun salt ->
         let results =
-          Runner.run_benchmark ?domains ~params ~trace_salt:salt ~machine
-            ~configs:[ config ] ~uops profile
+          Runner.run_suite ?domains ~params ~trace_salt:salt ~machine
+            ~configs:[ config ] ~uops [ profile ]
         in
         Runner.weighted_metric results ~config:config_name ~f:Stats.ipc)
   in

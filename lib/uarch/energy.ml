@@ -58,3 +58,14 @@ let estimate ?costs ~clusters (s : Stats.t) =
     total;
     per_uop = (if s.Stats.committed = 0 then 0.0 else total /. f s.Stats.committed);
   }
+
+let to_json b =
+  let module Json = Clusteer_obs.Json in
+  Json.Obj
+    [
+      ("total", Json.Float b.total);
+      ("per_uop", Json.Float b.per_uop);
+      ("static", Json.Float b.static_);
+      ("dynamic", Json.Float b.dynamic);
+      ("copies", Json.Float b.copies);
+    ]

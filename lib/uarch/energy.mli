@@ -37,3 +37,7 @@ type breakdown = {
 }
 
 val estimate : ?costs:costs -> clusters:int -> Stats.t -> breakdown
+
+val to_json : breakdown -> Clusteer_obs.Json.t
+(** [{total, per_uop, static, dynamic, copies}] — the ["energy"] object
+    of [csteer simulate --json] and of the service's result documents. *)

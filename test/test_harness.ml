@@ -91,6 +91,67 @@ let test_runner_same_trace_all_configs () =
   and hi = List.fold_left max 0 loads in
   check_bool "loads agree within the in-flight window" true (hi - lo <= 64)
 
+let test_runner_params_reach_policy () =
+  (* [Runner.run_workload ~params] must steer exactly like an engine
+     built by hand from the compiler pass and the mapping table with
+     the same knobs — the reference the bench ablations used to
+     hand-roll. *)
+  let w = Synth.build (Spec2000.find "galgel") in
+  let run_hand ~remap_threshold ~region_uops =
+    let annot =
+      Clusteer_compiler.Vc_partition.compile ~program:w.Synth.program
+        ~likely:w.Synth.likely ~virtual_clusters:2 ~region_uops ()
+    in
+    let policy =
+      Clusteer_steer.Vc_map.make ~remap_threshold ~annot ~clusters:2 ()
+    in
+    let prewarm =
+      Array.to_list (Array.map Clusteer_trace.Mem_model.extent w.Synth.streams)
+    in
+    let engine =
+      Engine.create ~config:Config.default_2c ~annot ~policy ~prewarm ()
+    in
+    let gen = Synth.trace w ~seed:1 in
+    Engine.run ~warmup:1000 engine
+      ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
+      ~uops:2000
+  in
+  let run_harness ~remap_threshold ~region_uops =
+    let params =
+      {
+        Clusteer.Configuration.default_params with
+        Clusteer.Configuration.remap_threshold;
+        region_uops;
+      }
+    in
+    Harness.Runner.run_workload ~seed:1 ~warmup:1000 ~params
+      ~machine:Config.default_2c
+      ~configs:[ Clusteer.Configuration.Vc { virtual_clusters = 2 } ]
+      ~uops:2000 w
+    |> List.assoc "vc2"
+  in
+  let results =
+    List.concat_map
+      (fun remap_threshold ->
+        List.map
+          (fun region_uops ->
+            let hand = run_hand ~remap_threshold ~region_uops in
+            check_bool
+              (Printf.sprintf "threshold %d, %d-uop regions" remap_threshold
+                 region_uops)
+              true
+              (Stats.equal hand (run_harness ~remap_threshold ~region_uops));
+            hand)
+          [ 32; 512 ])
+      [ 0; 32 ]
+  in
+  (* Each knob must move the result, or the equalities prove nothing. *)
+  match results with
+  | [ t0_r32; t0_r512; t32_r32; _ ] ->
+      check_bool "threshold matters" false (Stats.equal t0_r32 t32_r32);
+      check_bool "region size matters" false (Stats.equal t0_r32 t0_r512)
+  | _ -> assert false
+
 let test_runner_default_warmup_clamps () =
   (* Half the measured length within [2k, 10k], but always strictly
      below the budget: the old 2,000-uop floor made tiny runs warm up
@@ -190,16 +251,16 @@ let test_trace_seed_deterministic () =
 
 let test_runner_benchmark_covers_phases () =
   let results =
-    Harness.Runner.run_benchmark ~machine:Config.default_2c
-      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 tiny_profile
+    Harness.Runner.run_suite ~machine:Config.default_2c
+      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 [ tiny_profile ]
   in
   check_int "one result per phase" tiny_profile.Profile.phases
     (List.length results)
 
 let test_runner_weighted_metric () =
   let results =
-    Harness.Runner.run_benchmark ~machine:Config.default_2c
-      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 tiny_profile
+    Harness.Runner.run_suite ~machine:Config.default_2c
+      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 [ tiny_profile ]
   in
   let v = Harness.Runner.weighted_metric results ~config:"op" ~f:(fun _ -> 7.0) in
   check_bool "weighted constant" true (abs_float (v -. 7.0) < 1e-9);
@@ -310,6 +371,8 @@ let () =
           Alcotest.test_case "same trace everywhere" `Slow test_runner_same_trace_all_configs;
           Alcotest.test_case "covers phases" `Slow test_runner_benchmark_covers_phases;
           Alcotest.test_case "weighted metric" `Slow test_runner_weighted_metric;
+          Alcotest.test_case "params reach the policy" `Quick
+            test_runner_params_reach_policy;
           Alcotest.test_case "default warmup clamps" `Quick
             test_runner_default_warmup_clamps;
           Alcotest.test_case "tiny run completes" `Quick test_runner_tiny_run_completes;

@@ -157,17 +157,16 @@ let test_static_schemes_fill_both_clusters () =
     [ Clusteer.Configuration.Ob; Clusteer.Configuration.Rhop ]
 
 let test_hybrid_api_end_to_end () =
-  (* The Clusteer.Hybrid one-call API produces the same kind of result
-     as the harness pipeline. *)
-  let profile = bench "mesa" in
-  let w = Synth.build profile in
-  let gen = Synth.trace w ~seed:42 in
-  let stats =
-    Clusteer.Hybrid.simulate ~config:Config.default_2c ~virtual_clusters:2
-      ~program:w.Synth.program ~likely:w.Synth.likely
-      ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-      ~uops:2000 ()
+  (* The paper's hybrid (compiler VC partition + hardware mapping
+     table) end to end through the one simulation path, on an explicit
+     workload and seed. *)
+  let w = Synth.build (bench "mesa") in
+  let runs =
+    Harness.Runner.run_workload ~seed:42 ~warmup:0 ~machine:Config.default_2c
+      ~configs:[ Clusteer.Configuration.Vc { virtual_clusters = 2 } ]
+      ~uops:2000 w
   in
+  let stats = List.assoc "vc2" runs in
   check_bool "commits" true
     (stats.Stats.committed >= 2000 && stats.Stats.committed < 2008);
   check_bool "produces cycles" true (stats.Stats.cycles > 0)
