@@ -13,7 +13,9 @@
                            seq-par, vc-count, region-scope, steer-depth,
                            baselines, topo, vliw, energy, link-latency,
                            scaling, prefetch, kernels, predict, obs,
-                           throughput (the bench-smoke entry point),
+                           throughput (the bench-smoke entry point:
+                           median of 5 samples of >= 1 s per domain
+                           count, about 20 s),
                            tune, micro
      CLUSTEER_BENCH_REQUIRE_SPEEDUP
                            set to 1 to enforce the suite-speedup floor
@@ -510,6 +512,35 @@ let minor_words_per_decide policy view duop =
 let required_speedup domains =
   if domains >= 4 then 3.0 else if domains >= 2 then 1.5 else 0.0
 
+(* The throughput study reports, per domain count, the median of
+   [throughput_samples] samples, each at least [min_sample_s] long. *)
+let throughput_samples = 5
+let min_sample_s = 1.0
+
+type throughput_sample = {
+  ups : float;  (* committed micro-ops per second *)
+  sweeps : int;  (* repetitions of the sweep in the sample *)
+  identical : bool;  (* every repetition matched the sequential run *)
+  minor_words : float;  (* per sweep *)
+  minor_gcs : float;  (* minor collections per sweep *)
+}
+
+let sorted xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a
+
+let median xs =
+  let a = sorted xs in
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* Interquartile range, nearest-rank quartiles. *)
+let iqr xs =
+  let a = sorted xs in
+  let n = Array.length a in
+  a.(3 * (n - 1) / 4) -. a.((n - 1) / 4)
+
 (* Minor-heap words per committed micro-op the whole simulation path
    (engine + trace generator, op on gzip-1) may allocate. *)
 let max_engine_words_per_uop = 16.0
@@ -540,53 +571,94 @@ let run_throughput_study () =
       0 suite
   in
   let total_uops = npoints * List.length configs * per_point_uops in
-  let measure domains =
+  let sweep domains =
+    Runner.run_suite ~domains ~machine:Config.default_2c ~configs
+      ~uops:per_point_uops suite
+  in
+  let baseline = sweep 1 in
+  (* One sample: the sweep repeated until at least [min_sample_s] of
+     wall time has passed, so timer resolution and start-up noise are
+     small against it. Every repetition must be bit-identical to the
+     sequential baseline. *)
+  let sample domains =
     let gc0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
-    let results =
-      Runner.run_suite ~domains ~machine:Config.default_2c ~configs
-        ~uops:per_point_uops suite
+    let rec go sweeps identical =
+      let results = sweep domains in
+      let identical =
+        identical
+        && List.for_all2
+             (fun (a : Runner.point_result) (b : Runner.point_result) ->
+               List.for_all2
+                 (fun (_, x) (_, y) -> Stats.equal x y)
+                 a.Runner.runs b.Runner.runs)
+             baseline results
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt < min_sample_s then go (sweeps + 1) identical
+      else
+        let gc1 = Gc.quick_stat () in
+        let per_sweep x = x /. float_of_int sweeps in
+        {
+          ups = float_of_int (sweeps * total_uops) /. dt;
+          sweeps;
+          identical;
+          minor_words = per_sweep (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+          minor_gcs =
+            per_sweep
+              (float_of_int
+                 (gc1.Gc.minor_collections - gc0.Gc.minor_collections));
+        }
     in
-    let dt = Unix.gettimeofday () -. t0 in
-    let gc1 = Gc.quick_stat () in
-    ( results,
-      dt,
-      gc1.Gc.minor_words -. gc0.Gc.minor_words,
-      gc1.Gc.minor_collections - gc0.Gc.minor_collections )
+    go 1 true
   in
-  let baseline, t1, mw1, mc1 = measure 1 in
-  Printf.printf "%d points x %d configs x %d uops (%d uops per sweep)\n"
-    npoints (List.length configs) per_point_uops total_uops;
-  Printf.printf "%-14s %10s %14s %9s %10s %13s %9s\n" "domains" "wall s"
-    "uops/sec" "speedup" "identical" "minor words" "minor gcs";
-  let row ~domains (results, dt, mw, mc) =
-    let identical =
-      List.for_all2
-        (fun (a : Runner.point_result) (b : Runner.point_result) ->
-          List.for_all2
-            (fun (_, x) (_, y) -> Stats.equal x y)
-            a.Runner.runs b.Runner.runs)
-        baseline results
-    in
-    let ups = float_of_int total_uops /. dt in
-    Printf.printf "%-14d %10.3f %14.0f %8.2fx %10b %13.2e %9d\n" domains dt ups
-      (t1 /. dt) identical mw mc;
+  let domain_counts = [ 1; 2; 4 ] in
+  (* Rounds interleave the domain counts, so slow drift in host load
+     touches every column alike. *)
+  let rounds =
+    List.init throughput_samples (fun _ ->
+        List.map (fun d -> (d, sample d)) domain_counts)
+  in
+  let samples d = List.map (List.assoc d) rounds in
+  let median_ups ss = median (List.map (fun s -> s.ups) ss) in
+  let ups1 = median_ups (samples 1) in
+  Printf.printf
+    "%d points x %d configs x %d uops (%d uops per sweep); median of %d \
+     samples of >= %.0f s per domain count\n"
+    npoints (List.length configs) per_point_uops total_uops throughput_samples
+    min_sample_s;
+  Printf.printf "%-8s %14s %8s %9s %8s %10s %13s %10s\n" "domains"
+    "uops/sec" "spread" "speedup" "sweeps" "identical" "minor words"
+    "minor gcs";
+  Printf.printf "%-8s %14s %8s %9s %8s %10s %13s %10s\n" "" "(median)"
+    "(iqr)" "" "/sample" "" "/sweep" "/sweep";
+  let row domains =
+    let ss = samples domains in
+    let med f = median (List.map f ss) in
+    let ups = median_ups ss in
+    let spread = iqr (List.map (fun s -> s.ups) ss) /. ups in
+    let identical = List.for_all (fun s -> s.identical) ss in
+    let sweeps = med (fun s -> float_of_int s.sweeps) in
+    let mw = med (fun s -> s.minor_words) in
+    let mc = med (fun s -> s.minor_gcs) in
+    let speedup = ups /. ups1 in
+    Printf.printf "%-8d %14.0f %7.1f%% %8.2fx %8.0f %10b %13.2e %10.1f\n"
+      domains ups (100.0 *. spread) speedup sweeps identical mw mc;
     ( Obs.Json.Obj
         [
           ("domains", Obs.Json.Int domains);
-          ("seconds", Obs.Json.Float dt);
+          ("samples", Obs.Json.Int (List.length ss));
           ("uops_per_sec", Obs.Json.Float ups);
-          ("speedup", Obs.Json.Float (t1 /. dt));
+          ("spread", Obs.Json.Float spread);
+          ("speedup", Obs.Json.Float speedup);
+          ("sweeps_per_sample", Obs.Json.Float sweeps);
           ("identical", Obs.Json.Bool identical);
-          ("minor_words", Obs.Json.Float mw);
-          ("minor_collections", Obs.Json.Int mc);
+          ("minor_words_per_sweep", Obs.Json.Float mw);
+          ("minor_collections_per_sweep", Obs.Json.Float mc);
         ],
-      (domains, t1 /. dt, identical) )
+      (domains, speedup, identical) )
   in
-  let r1 = row ~domains:1 (baseline, t1, mw1, mc1) in
-  let r2 = row ~domains:2 (measure 2) in
-  let r4 = row ~domains:4 (measure 4) in
-  let measured_rows = [ r1; r2; r4 ] in
+  let measured_rows = List.map row domain_counts in
   let rows = List.map fst measured_rows in
   let host_domains = Domain.recommended_domain_count () in
   let require = Sys.getenv_opt "CLUSTEER_BENCH_REQUIRE_SPEEDUP" = Some "1" in

@@ -52,9 +52,19 @@ let workload_arg =
   let doc = "Workload name (e.g. 181.mcf or just mcf)." in
   Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc)
 
+(* Out-of-range counts are rejected here, before any command builds a
+   machine from them. *)
 let clusters_arg =
   let doc = "Number of physical clusters." in
-  Arg.(value & opt int 2 & info [ "c"; "clusters" ] ~doc)
+  let in_range clusters =
+    if clusters < 1 || clusters > Topology.max_clusters then begin
+      Printf.eprintf "csteer: --clusters must be between 1 and %d (got %d)\n"
+        Topology.max_clusters clusters;
+      exit 2
+    end;
+    clusters
+  in
+  Term.(const in_range $ Arg.(value & opt int 2 & info [ "c"; "clusters" ] ~doc))
 
 let topology_arg =
   let doc =

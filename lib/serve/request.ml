@@ -212,7 +212,10 @@ let of_json = function
         | Some _ -> Error "policy: expected a string"
       in
       let* overrides = decode_overrides (field "overrides" fields) in
-      if clusters <= 0 then Error "clusters: must be positive"
+      if clusters <= 0 || clusters > Clusteer_topo.Topology.max_clusters then
+        Error
+          (Printf.sprintf "clusters: must be between 1 and %d"
+             Clusteer_topo.Topology.max_clusters)
       else if uops <= 0 then Error "uops: must be positive"
       else if phase < 0 then Error "phase: must be non-negative"
       else if (match warmup with Some w -> w < 0 | None -> false) then

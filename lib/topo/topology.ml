@@ -15,6 +15,8 @@ type t = {
   uplink_bandwidth : int;
 }
 
+let max_clusters = 16
+
 let validate t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if t.clusters <= 0 then err "topology: clusters must be positive"
@@ -88,20 +90,36 @@ let of_name ?(clusters = 4) s =
           | _ -> None)
   in
   let guard t = match validate t with Ok () -> Ok t | Error m -> Error m in
+  (* Sizes are checked before anything is built: machine state is
+     allocated per cluster and per pair of clusters. *)
+  let sized a b k =
+    if a > max_clusters || b > max_clusters || a * b > max_clusters then
+      Error
+        (Printf.sprintf "topology %s: %dx%d clusters (at most %d)" s a b
+           max_clusters)
+    else k ()
+  in
+  let parametric kind =
+    if clusters < 1 || clusters > max_clusters then
+      Error
+        (Printf.sprintf "topology %s: clusters must be between 1 and %d (got %d)"
+           s max_clusters clusters)
+    else guard (make kind ~clusters)
+  in
   match s with
-  | "p2p" -> guard (p2p ~clusters ())
-  | "bus" -> guard (bus ~clusters ())
-  | "ring" -> guard (ring ~clusters ())
+  | "p2p" -> parametric P2p
+  | "bus" -> parametric Bus
+  | "ring" -> parametric Ring
   | _ when String.length s > 4 && String.sub s 0 4 = "mesh" -> (
       match dims "mesh" with
       | Some (cols, rows) when cols > 0 && rows > 0 ->
-          guard (mesh ~cols ~rows ())
+          sized cols rows (fun () -> guard (mesh ~cols ~rows ()))
       | _ -> Error (Printf.sprintf "bad mesh spec %S (want e.g. mesh4x2)" s)
   )
   | _ when String.length s > 4 && String.sub s 0 4 = "hier" -> (
       match dims "hier" with
       | Some (groups, group_size) when groups > 0 && group_size > 0 ->
-          guard (hier ~groups ~group_size ())
+          sized groups group_size (fun () -> guard (hier ~groups ~group_size ()))
       | _ -> Error (Printf.sprintf "bad hier spec %S (want e.g. hier2x4)" s)
   )
   | _ ->

@@ -68,11 +68,17 @@ val name : t -> string
 (** Canonical name: ["p2p"], ["bus"], ["ring"], ["mesh4x2"],
     ["hier2x4"], ... Fixed-size shapes encode their dimensions. *)
 
+val max_clusters : int
+(** Largest cluster count a machine may have (16); {!of_name} and
+    [Clusteer_uarch.Config.validate] enforce it. *)
+
 val of_name : ?clusters:int -> string -> (t, string) result
 (** Parse a canonical name. ["p2p"], ["bus"] and ["ring"] are
     parametric and take their size from [clusters] (default 4);
     ["mesh<C>x<R>"] and ["hier<G>x<S>"] carry their own size and
-    ignore [clusters]. Latencies take their defaults. *)
+    ignore [clusters]. Latencies take their defaults. A size outside
+    [1 .. max_clusters] is an [Error], reported before anything is
+    built. *)
 
 val builtin_names : string list
 (** The names [csteer topo list] advertises:

@@ -134,7 +134,9 @@ let validate t =
   in
   cache "l1d" t.l1d;
   cache "l2" t.l2;
-  if t.clusters > 16 then invalid_arg "Config: at most 16 clusters"
+  if t.clusters > Topology.max_clusters then
+    invalid_arg
+      (Printf.sprintf "Config: at most %d clusters" Topology.max_clusters)
 
 let describe t =
   let kb n = Printf.sprintf "%dKB" (n / 1024) in

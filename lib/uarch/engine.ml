@@ -182,6 +182,12 @@ type t = {
   (* self-profiler: like [obs], [None] means every step is one pattern
      match away from the uninstrumented path *)
   prof : prof_spans option;
+  (* quiescence gate (see [step]): did anything happen this cycle, the
+     first cycle the back-end stages may act again, and the earliest
+     cycle a ready entry the issue stage left blocked may start *)
+  mutable busy : bool;
+  mutable wake : int;
+  mutable retry : int;
 }
 
 let queue_index = function
@@ -359,6 +365,9 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
                 p_writeback = Obs_profile.span p "engine.writeback";
                 p_commit = Obs_profile.span p "engine.commit";
               });
+      busy = false;
+      wake = 0;
+      retry = never;
       (* Placeholder, replaced right below: the real view's closures
          need [t] itself. *)
       view =
@@ -414,6 +423,9 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   Pqueue.clear t.events;
   t.loads_this_cycle <- 0;
   t.stores_this_cycle <- 0;
+  t.busy <- false;
+  t.wake <- 0;
+  t.retry <- never;
   t.obs <- obs;
   t.view <- make_view t
 
@@ -598,6 +610,7 @@ let process_events t =
   let events = t.events in
   while (not (Pqueue.is_empty events)) && Pqueue.min_prio events <= t.cycle do
     let ev = Pqueue.pop_value events in
+    t.busy <- true;
     let inst = t.slots.(ev lsr 1) in
     if ev land 1 = 0 then on_complete t inst else on_copy_arrive t inst
   done
@@ -645,6 +658,7 @@ let commit t =
             t.regs_used.(inst.cluster).(k) <- t.regs_used.(inst.cluster).(k) - 1
         | None -> ());
         t.stats.Stats.committed <- t.stats.Stats.committed + 1;
+        t.busy <- true;
         (match t.obs with
         | None -> ()
         | Some s ->
@@ -657,6 +671,9 @@ let commit t =
   done
 
 (* ---- issue ------------------------------------------------------- *)
+
+(* A ready entry blocked this cycle may start again at [cycle]. *)
+let retry_at t cycle = if cycle < t.retry then t.retry <- cycle
 
 (* Interconnect model: the topology's link-occupancy fabric
    ({!Clusteer_topo.Fabric}) decides which links a transfer occupies
@@ -671,7 +688,10 @@ let try_start_copy t inst =
     Clusteer_topo.Fabric.try_transfer t.fabric ~now:t.cycle ~from
       ~to_:to_cluster
   in
-  if latency < 0 then false
+  if latency < 0 then begin
+    retry_at t (t.cycle + 1);
+    false
+  end
   else begin
     t.stats.Stats.link_transfers <- t.stats.Stats.link_transfers + 1;
     (match t.obs with
@@ -692,10 +712,14 @@ let try_start_op t inst =
   let duop = inst.duop in
   let op = duop.Dynuop.suop.Uop.opcode in
   let is_load = match op with Opcode.Load -> true | _ -> false in
-  if is_load && t.loads_this_cycle >= t.cfg.Config.l1_read_ports then false
+  if is_load && t.loads_this_cycle >= t.cfg.Config.l1_read_ports then begin
+    retry_at t (t.cycle + 1);
+    false
+  end
   else begin
     (* MSHR check: a load that will miss the L1 needs a free miss
-       register; without one it retries next cycle. *)
+       register; without one it retries next cycle. Only a completion
+       event frees one, so it sets no retry cycle. *)
     let needs_mshr =
       is_load && not (Memsys.l1_resident t.memsys ~addr:duop.Dynuop.addr)
     in
@@ -703,7 +727,10 @@ let try_start_op t inst =
     else
       let fu = fu_index (Opcode.fu op) in
       if (not (Opcode.pipelined op)) && t.unit_free.(inst.cluster).(fu) > t.cycle
-      then false
+      then begin
+        retry_at t t.unit_free.(inst.cluster).(fu);
+        false
+      end
       else begin
         if is_load then t.loads_this_cycle <- t.loads_this_cycle + 1;
         if needs_mshr then begin
@@ -739,6 +766,7 @@ let issue_queue t cluster qidx queue =
     let inst = t.slots.(Pqueue.pop_value q) in
     if try_start t inst then begin
       t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - 1;
+      t.busy <- true;
       incr started
     end
     else begin
@@ -1012,6 +1040,7 @@ let dispatch t =
     else
       match dispatch_one t with
       | Blk_none ->
+          t.busy <- true;
           Ring.drop t.fetch_duop;
           Ring.drop t.fetch_ready;
           Ring.drop t.fetch_misp;
@@ -1065,6 +1094,7 @@ let fetch t ~source =
     let blocked = ref false in
     while (not !blocked) && !budget > 0 && not (Ring.is_full t.fetch_duop) do
       let duop = source () in
+      t.busy <- true;
       let misp =
         if Uop.is_branch duop.Dynuop.suop then begin
           let pc = Dynuop.static_id duop in
@@ -1104,20 +1134,19 @@ let fetch t ~source =
 
 (* ---- main loop --------------------------------------------------- *)
 
-let step t ~source =
-  (match t.prof with
+(* Events, commit and issue. Each phase is bracketed by its profiler
+   span when profiling; a span accumulates across the whole run and is
+   flushed once in [run], so the histogram holds per-run phase totals. *)
+let back_end t =
+  t.retry <- never;
+  match t.prof with
   | None ->
       process_events t;
       t.loads_this_cycle <- 0;
       t.stores_this_cycle <- 0;
       commit t;
-      issue t;
-      dispatch t;
-      fetch t ~source
+      issue t
   | Some p ->
-      (* Same phase order; each phase bracketed by its span. The span
-         accumulates across the whole run and is flushed once in
-         [run], so the histogram holds per-run phase totals. *)
       Obs_profile.enter p.p_writeback;
       process_events t;
       Obs_profile.leave p.p_writeback;
@@ -1128,13 +1157,39 @@ let step t ~source =
       Obs_profile.leave p.p_commit;
       Obs_profile.enter p.p_issue;
       issue t;
-      Obs_profile.leave p.p_issue;
+      Obs_profile.leave p.p_issue
+
+let front_end t ~source =
+  match t.prof with
+  | None ->
+      dispatch t;
+      fetch t ~source
+  | Some p ->
       Obs_profile.enter p.p_dispatch;
       dispatch t;
       Obs_profile.leave p.p_dispatch;
       Obs_profile.enter p.p_fetch;
       fetch t ~source;
-      Obs_profile.leave p.p_fetch);
+      Obs_profile.leave p.p_fetch
+
+(* The quiescence gate. A cycle is busy when an event fires, a micro-op
+   commits or starts, dispatch places a micro-op or fetch reads the
+   source. After a quiet cycle nothing the back-end stages read can
+   change until [wake]: the next event, or the earliest retry cycle of
+   a ready entry issue left blocked (see [retry_at]). Until then the
+   back-end is skipped, as it would do nothing. Dispatch and fetch run
+   every cycle, so every policy consult and stall attribution happens
+   exactly as before; any dispatch or fetch reopens the gate. *)
+let step t ~source =
+  let gate_open = t.cycle >= t.wake in
+  t.busy <- false;
+  if gate_open then back_end t;
+  front_end t ~source;
+  if t.busy then t.wake <- t.cycle + 1
+  else if gate_open then
+    t.wake <-
+      (if Pqueue.is_empty t.events then t.retry
+       else min t.retry (Pqueue.min_prio t.events));
   t.cycle <- t.cycle + 1;
   t.stats.Stats.cycles <- t.stats.Stats.cycles + 1;
   (* Interval telemetry: snapshot on measured-time boundaries so the
@@ -1146,7 +1201,9 @@ let step t ~source =
       s.Obs_sink.on_snapshot (Stats.snapshot t.stats)
   | Some _ | None -> ()
 
-let run ?(warmup = 0) t ~source ~uops =
+(* [every_cycle] opens the gate on every cycle: the reference the
+   gated engine must match. *)
+let run_loop ~every_cycle ?(warmup = 0) t ~source ~uops =
   if uops <= 0 then invalid_arg "Engine.run: uops must be positive";
   if warmup < 0 then invalid_arg "Engine.run: negative warmup";
   let max_cycles = ((warmup + uops) * 1000) + 100_000 in
@@ -1158,6 +1215,7 @@ let run ?(warmup = 0) t ~source ~uops =
     while t.stats.Stats.committed < warmup do
       if t.cycle > max_cycles then
         failwith "Engine.run: no forward progress during warmup";
+      if every_cycle then t.wake <- 0;
       step t ~source
     done;
     Stats.reset t.stats;
@@ -1168,6 +1226,7 @@ let run ?(warmup = 0) t ~source ~uops =
   while t.stats.Stats.committed < uops do
     if t.cycle > max_cycles then
       failwith "Engine.run: no forward progress (cycle bound exceeded)";
+    if every_cycle then t.wake <- 0;
     step t ~source
   done;
   (* Fold memory / branch counters into the run statistics. *)
@@ -1189,3 +1248,11 @@ let run ?(warmup = 0) t ~source ~uops =
       Obs_profile.flush p.p_writeback;
       Obs_profile.flush p.p_commit);
   t.stats
+
+let run ?warmup t ~source ~uops =
+  run_loop ~every_cycle:false ?warmup t ~source ~uops
+
+module For_testing = struct
+  let run_every_cycle ?warmup t ~source ~uops =
+    run_loop ~every_cycle:true ?warmup t ~source ~uops
+end

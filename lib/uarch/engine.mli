@@ -22,7 +22,14 @@
 
     After warm-up, running allocates nothing per micro-op or per cycle:
     in-flight micro-ops live in preallocated, recycled slots (see
-    ARCHITECTURE.md, "In-flight state: flat memory"). *)
+    ARCHITECTURE.md, "In-flight state: flat memory").
+
+    Events, commit and issue are skipped on cycles where they cannot
+    act (after a cycle in which nothing happened, until the next event
+    or the next cycle a blocked ready micro-op could start); dispatch
+    and fetch run every cycle. Results are identical to stepping every
+    stage on every cycle ({!For_testing.run_every_cycle}; see
+    ARCHITECTURE.md, "The quiescence gate"). *)
 
 open Clusteer_isa
 open Clusteer_trace
@@ -65,7 +72,8 @@ val create :
     [profile] attaches the pipeline self-profiler: each {!run} then
     contributes one observation of per-phase wall nanoseconds
     (fetch/dispatch/issue/writeback/commit) to the profiler's
-    [profile.engine.*.ns] histograms. Like [obs], [None] leaves every
+    [profile.engine.*.ns] histograms; issue, writeback and commit are
+    timed only on the cycles they run. Like [obs], [None] leaves every
     instrumentation site a single pattern match — disabled profiling
     costs nothing and changes nothing. *)
 
@@ -108,3 +116,12 @@ val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
     stops making progress (an engine bug, surfaced for the tests). *)
 
 val stats : t -> Stats.t
+
+(** Test-only entry points. *)
+module For_testing : sig
+  val run_every_cycle :
+    ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
+  (** {!run} with the quiescence gate held open: every stage runs on
+      every cycle. The reference the gated engine is checked against;
+      results, counters and sink events must be identical. *)
+end

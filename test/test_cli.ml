@@ -117,6 +117,26 @@ let test_simulate_unknown_workload () =
   let code, _ = run_capture "simulate -w not-a-benchmark" in
   check_bool "nonzero exit" true (code <> 0)
 
+(* Machine sizes outside 1..16 clusters, from --clusters or from a
+   fixed-size fabric name, are diagnosed in one line with exit 2
+   before any machine is built. *)
+let test_machine_size_bounds () =
+  List.iter
+    (fun (args, expected) ->
+      let code, out = run_capture_all ("simulate -w gzip-1 -n 500 " ^ args) in
+      check_int (args ^ ": exit 2") 2 code;
+      Alcotest.(check string) (args ^ ": diagnostic") (expected ^ "\n") out)
+    [
+      ("-c 0", "csteer: --clusters must be between 1 and 16 (got 0)");
+      ("-c 100", "csteer: --clusters must be between 1 and 16 (got 100)");
+      ( "--topology mesh99999x99999",
+        "csteer: topology mesh99999x99999: 99999x99999 clusters (at most 16)" );
+      ( "--topology hier4x8",
+        "csteer: topology hier4x8: 4x8 clusters (at most 16)" );
+    ];
+  let code, _ = run_capture "simulate -w gzip-1 -n 500 -c 16" in
+  check_int "16 clusters run" 0 code
+
 let test_compile_emit_annotation () =
   let annot = Filename.temp_file "csteer" ".annot" in
   let code, out =
@@ -298,6 +318,8 @@ let () =
           Alcotest.test_case "simulate --json" `Slow test_simulate_json_roundtrip;
           Alcotest.test_case "simulate --trace-out" `Slow test_simulate_trace_out;
           Alcotest.test_case "unknown workload" `Quick test_simulate_unknown_workload;
+          Alcotest.test_case "machine size bounds" `Quick
+            test_machine_size_bounds;
           Alcotest.test_case "compile --emit" `Quick test_compile_emit_annotation;
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "vliw" `Quick test_vliw;

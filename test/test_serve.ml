@@ -109,6 +109,20 @@ let test_request_rejects_unknown_field () =
             contains m "uopss"
         | Ok _ -> false)
 
+let test_request_rejects_machine_size () =
+  List.iter
+    (fun clusters ->
+      match
+        Json.of_string (Printf.sprintf {|{"workload":"mcf","clusters":%d}|} clusters)
+      with
+      | Error e -> Alcotest.fail e
+      | Ok doc ->
+          Alcotest.(check (result unit string))
+            (Printf.sprintf "clusters %d" clusters)
+            (Error "clusters: must be between 1 and 16")
+            (Result.map (fun _ -> ()) (Request.of_json doc)))
+    [ 0; 17; 100 ]
+
 let test_hash_sensitivity () =
   let base = Request.make ~workload:"mcf" () in
   let variants =
@@ -468,6 +482,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_request_roundtrip;
           Alcotest.test_case "rejects unknown field" `Quick
             test_request_rejects_unknown_field;
+          Alcotest.test_case "rejects machine size" `Quick
+            test_request_rejects_machine_size;
           Alcotest.test_case "hash sensitivity" `Quick test_hash_sensitivity;
         ] );
       ( "protocol",

@@ -912,6 +912,298 @@ let test_engine_rejects_bad_args () =
     (Invalid_argument "Engine.run: uops must be positive") (fun () ->
       ignore (Engine.run engine ~source:(source_of p 1) ~uops:0))
 
+(* ---- quiescence gate ------------------------------------------- *)
+
+module Adversarial = Clusteer_workloads.Adversarial
+module Counters = Clusteer_obs.Counters
+module Topology = Clusteer_topo.Topology
+
+(* The five fabrics; p2p, bus and ring at [clusters]. Links slower
+   than a cycle let a copy the fabric refused become startable before
+   the next event. *)
+let fabric_machine ?(link_latency = 1) ~clusters name =
+  let topo =
+    match name with
+    | "p2p" -> Topology.p2p ~link_latency ~clusters ()
+    | "bus" -> Topology.bus ~link_latency ~clusters ()
+    | "ring" -> Topology.ring ~link_latency ~clusters ()
+    | "mesh4x2" -> Topology.mesh ~link_latency ~cols:4 ~rows:2 ()
+    | _ -> Topology.hier ~link_latency ~groups:2 ~group_size:4 ()
+  in
+  { (Config.default ~clusters:topo.Topology.clusters) with Config.topology = topo }
+
+let fabric_names = [ "p2p"; "bus"; "ring"; "mesh4x2"; "hier2x4" ]
+
+(* What one run leaves behind: final statistics, the counter registry
+   (policy and engine instruments, profiler spans), and every sink
+   event and interval snapshot in order. *)
+type observed = {
+  stats : Stats.t;
+  registry : string;
+  events : Clusteer_obs.Event.t list;
+  snapshots : Clusteer_obs.Interval.snapshot list;
+}
+
+let observe_run ~every_cycle ~machine ~config ~(w : Synth.t) ~warmup ~uops
+    ~interval ~profiled =
+  let registry = Counters.create () in
+  let params =
+    {
+      Configuration.default_params with
+      Configuration.topology = Some machine.Config.topology;
+    }
+  in
+  let annot, policy =
+    Configuration.prepare config ~program:w.Synth.program
+      ~likely:w.Synth.likely ~clusters:machine.Config.clusters ~params
+      ~registry ()
+  in
+  let events = ref [] and snapshots = ref [] in
+  let obs =
+    {
+      Clusteer_obs.Sink.emit = (fun e -> events := e :: !events);
+      interval;
+      on_snapshot = (fun s -> snapshots := s :: !snapshots);
+    }
+  in
+  let profile =
+    if profiled then
+      Some (Clusteer_obs.Profile.create ~registry ~clock:(fun () -> 0.0) ())
+    else None
+  in
+  let engine =
+    Engine.create ~config:machine ~annot ~policy ~prewarm:(prewarm_of w) ~obs
+      ~registry ?profile ()
+  in
+  let gen = Synth.trace w ~seed:5 in
+  let run =
+    if every_cycle then Engine.For_testing.run_every_cycle else Engine.run
+  in
+  let stats =
+    Stats.copy (run ~warmup engine ~source:(fun () -> Tracegen.next gen) ~uops)
+  in
+  {
+    stats;
+    registry = Clusteer_obs.Json.to_string (Counters.to_json registry);
+    events = List.rev !events;
+    snapshots = List.rev !snapshots;
+  }
+
+(* The gated engine against the step-every-cycle reference. *)
+let gate_matches_reference ~machine ~config ~w ~warmup ~uops ~interval
+    ~profiled =
+  let run every_cycle =
+    observe_run ~every_cycle ~machine ~config ~w ~warmup ~uops ~interval
+      ~profiled
+  in
+  let gated = run false and reference = run true in
+  let fail what =
+    QCheck.Test.fail_reportf "%s differs: %s on %s, warmup %d, interval %d"
+      what (Configuration.name config)
+      (Topology.name machine.Config.topology)
+      warmup interval
+  in
+  if not (Stats.equal gated.stats reference.stats) then fail "stats"
+  else if gated.registry <> reference.registry then fail "counter registry"
+  else if gated.events <> reference.events then fail "event stream"
+  else if gated.snapshots <> reference.snapshots then fail "interval snapshots"
+  else gated.stats.Stats.committed >= uops && gated.snapshots <> []
+
+(* A random loop body over every opcode class: unpipelined divides,
+   loads from a small hot stream and a 64 MB one (L2 misses that hold
+   MSHRs), stores that alias loads, and a hard back-edge branch. *)
+let random_program_workload seed =
+  let rng = Clusteer_util.Rng.create seed in
+  let pick n = Clusteer_util.Rng.int rng n in
+  let b = Program.Builder.create ~name:"rand" ~nregs_per_class:16 () in
+  let hot = Program.Builder.stream b and cold = Program.Builder.stream b in
+  let m = Program.Builder.branch_model b in
+  let body = Program.Builder.reserve_block b in
+  let exit_ = Program.Builder.reserve_block b in
+  let ops =
+    Opcode.
+      [| Int_alu; Int_alu; Int_mul; Int_div; Fp_add; Fp_mul; Fp_div; Load;
+         Load; Store |]
+  in
+  let uop () =
+    let op = ops.(pick (Array.length ops)) in
+    let reg () = if Opcode.writes_fp op then Reg.fp (pick 8) else Reg.int (pick 8) in
+    let srcs = Array.init (pick 3) (fun _ -> reg ()) in
+    match op with
+    | Opcode.Load ->
+        Program.Builder.uop b op ~dst:(Reg.int (pick 8))
+          ~srcs:[| Reg.int (pick 8) |]
+          ~stream:(if pick 3 = 0 then cold else hot) ()
+    | Opcode.Store -> Program.Builder.uop b op ~srcs ~stream:hot ()
+    | _ -> Program.Builder.uop b op ~dst:(reg ()) ~srcs ()
+  in
+  let uops = List.init (4 + pick 20) (fun _ -> uop ()) in
+  let branch =
+    Program.Builder.uop b Opcode.Branch ~srcs:[| Reg.int (pick 8) |]
+      ~branch_ref:m ()
+  in
+  Program.Builder.define_block b body (uops @ [ branch ]) ~succs:[ body; exit_ ];
+  Program.Builder.define_block b exit_ [] ~succs:[];
+  let program = Program.Builder.finish b ~entry:body in
+  {
+    Synth.profile = Spec2000.find "gzip-1";
+    program;
+    branches = [| Branch_model.Bernoulli 0.8 |];
+    streams =
+      [|
+        Mem_model.Strided { base = 0; stride = 8; footprint = 256 };
+        Mem_model.Uniform { base = 1 lsl 20; footprint = 64 lsl 20; granule = 64 };
+      |];
+    likely = (fun _ -> None);
+  }
+
+(* One case: a workload, a fabric, a Table 3 configuration, and the
+   run shape. Half the machines are shrunk (one MSHR, small queues) so
+   blocked-entry horizons are common. *)
+let arb_gate_case gen_workload =
+  QCheck.make
+    ~print:(fun ((seed, fabric, cfg, clusters), (link, tight, warmup, interval)) ->
+      Printf.sprintf
+        "seed %d, %s x%d (link %d), config #%d, tight %b, warmup %d, \
+         interval %d"
+        seed (List.nth fabric_names fabric) clusters link cfg tight warmup
+        interval)
+    QCheck.Gen.(
+      pair
+        (quad (int_bound 100_000) (int_bound 4) (int_bound 6) (oneofl [ 2; 4 ]))
+        (quad (int_range 1 3) bool (oneofl [ 0; 300 ]) (int_range 1 64)))
+  |> fun arb ->
+  QCheck.map_keep_input
+    (fun ((seed, fabric, cfg, clusters), (link_latency, tight, warmup, interval)) ->
+      let machine =
+        fabric_machine ~link_latency ~clusters (List.nth fabric_names fabric)
+      in
+      let machine =
+        if tight then
+          {
+            machine with
+            Config.mshrs = 1;
+            int_iq_size = 8;
+            fp_iq_size = 8;
+            copy_q_size = 2;
+          }
+        else machine
+      in
+      let configs = Configuration.table3 ~clusters:machine.Config.clusters in
+      ( machine,
+        List.nth configs (cfg mod List.length configs),
+        gen_workload seed,
+        warmup,
+        interval ))
+    arb
+
+let gate_property ~name ~count gen_workload =
+  QCheck.Test.make ~name ~count (arb_gate_case gen_workload)
+    (fun (_, (machine, config, w, warmup, interval)) ->
+      gate_matches_reference ~machine ~config ~w ~warmup ~uops:800 ~interval
+        ~profiled:(warmup > 0))
+
+let prop_gate_random_programs =
+  gate_property ~name:"gated = every-cycle on random programs" ~count:60
+    random_program_workload
+
+let prop_gate_adversarial =
+  gate_property ~name:"gated = every-cycle on adversarial shapes" ~count:30
+    (fun seed -> Adversarial.synth (Adversarial.of_seed seed))
+
+(* Every fabric sees each of the three adversarial generators. *)
+let test_gate_adversarial_every_fabric () =
+  List.iter
+    (fun fabric ->
+      let machine = fabric_machine ~link_latency:2 ~clusters:4 fabric in
+      List.iter
+        (fun (name, w) ->
+          List.iter
+            (fun config ->
+              check_bool
+                (Printf.sprintf "%s on %s under %s" name fabric
+                   (Configuration.name config))
+                true
+                (gate_matches_reference ~machine ~config ~w ~warmup:200
+                   ~uops:1000 ~interval:25 ~profiled:false))
+            [ Configuration.Op; Configuration.Vc { virtual_clusters = 2 } ])
+        Adversarial.all)
+    fabric_names
+
+(* A divide chain: the only ready entry waits on a busy unpipelined
+   unit, so every quiet cycle's horizon is the unit's free cycle. *)
+let test_gate_unpipelined_horizon () =
+  let p =
+    straightline 4 (fun b i ->
+        if i = 0 then
+          Program.Builder.uop b Opcode.Int_div ~dst:(Reg.int 1)
+            ~srcs:[| Reg.int 1 |] ()
+        else
+          Program.Builder.uop b Opcode.Int_div ~dst:(Reg.int (1 + i))
+            ~srcs:[| Reg.int 0 |] ())
+  in
+  let annot = Annot.none ~uop_count:p.Program.uop_count in
+  let run every_cycle =
+    let e =
+      Engine.create ~config:Config.default_2c ~annot
+        ~policy:(Clusteer_steer.One_cluster.make ())
+        ()
+    in
+    let run =
+      if every_cycle then Engine.For_testing.run_every_cycle else Engine.run
+    in
+    Stats.copy (run ~warmup:40 e ~source:(source_of p 1) ~uops:400)
+  in
+  let gated = run false in
+  check_bool "gated = every-cycle" true (Stats.equal gated (run true));
+  check_bool "divides serialise on the unit" true
+    (gated.Stats.cycles >= 400 * Opcode.latency Opcode.Int_div / 2)
+
+(* A machine that cannot make progress must fail exactly as the
+   reference does, whether the back-end waits on nothing (a policy that
+   always stalls) or retries every cycle (no L1 read port). *)
+let test_gate_deadlock () =
+  let stall =
+    {
+      Policy.name = "stall";
+      decide = (fun _ _ -> Policy.Stall);
+      uses_dependence_check = false;
+      uses_vote_unit = false;
+    }
+  in
+  let load =
+    straightline 2 (fun b i ->
+        if i = 0 then
+          Program.Builder.uop b Opcode.Load ~dst:(Reg.int 1)
+            ~srcs:[| Reg.int 2 |] ~stream:(Program.Builder.stream b) ()
+        else Program.Builder.uop b Opcode.Int_alu ~dst:(Reg.int 3) ())
+  in
+  let streams = [| Mem_model.Strided { base = 0; stride = 8; footprint = 64 } |] in
+  let no_port = { Config.default_2c with Config.l1_read_ports = 0 } in
+  let outcome ~every_cycle ~config ~policy ~warmup =
+    let e =
+      Engine.create ~config ~annot:(Annot.none ~uop_count:2) ~policy ()
+    in
+    let run =
+      if every_cycle then Engine.For_testing.run_every_cycle else Engine.run
+    in
+    match run ~warmup e ~source:(source_of load ~streams 1) ~uops:5 with
+    | _ -> "completed"
+    | exception Failure m -> m
+  in
+  List.iter
+    (fun (label, config, policy, warmup) ->
+      let reference = outcome ~every_cycle:true ~config ~policy ~warmup in
+      Alcotest.(check string) label reference
+        (outcome ~every_cycle:false ~config ~policy ~warmup);
+      check_bool (label ^ " deadlocks") true
+        (String.starts_with ~prefix:"Engine.run: no forward progress" reference))
+    [
+      ("stalling policy", Config.default_2c, stall, 0);
+      ("stalling policy in warmup", Config.default_2c, stall, 3);
+      ("no read port", no_port, Clusteer_steer.One_cluster.make (), 0);
+    ]
+
 let () =
   Alcotest.run "clusteer_uarch"
     [
@@ -989,5 +1281,16 @@ let () =
           Alcotest.test_case "empty prewarm keeps no image" `Quick
             test_engine_empty_prewarm_keeps_no_image;
           Alcotest.test_case "copy pool grows" `Quick test_engine_copy_pool_grows;
+        ] );
+      ( "quiescence",
+        [
+          QCheck_alcotest.to_alcotest prop_gate_random_programs;
+          QCheck_alcotest.to_alcotest prop_gate_adversarial;
+          Alcotest.test_case "adversarial x every fabric" `Quick
+            test_gate_adversarial_every_fabric;
+          Alcotest.test_case "unpipelined-unit horizon" `Quick
+            test_gate_unpipelined_horizon;
+          Alcotest.test_case "deadlock fails as the reference" `Quick
+            test_gate_deadlock;
         ] );
     ]
