@@ -98,9 +98,20 @@ let machine_of ~clusters topology =
 let synth_workloads () =
   Clusteer_workloads.Kernels.all @ Clusteer_workloads.Adversarial.all
 
-let uops_arg default =
-  let doc = "Committed micro-ops to simulate per point." in
-  Arg.(value & opt int default & info [ "n"; "uops" ] ~doc)
+(* Like --clusters, a non-positive count is rejected before any
+   command runs with it. *)
+let uops_arg ?(doc = "Committed micro-ops to simulate per point.") ?docv
+    default =
+  let positive uops =
+    if uops <= 0 then begin
+      Printf.eprintf "csteer: --uops must be positive (got %d)\n" uops;
+      exit 2
+    end;
+    uops
+  in
+  Term.(
+    const positive
+    $ Arg.(value & opt int default & info [ "n"; "uops" ] ~doc ?docv))
 
 (* Flags several subcommands share; each passes its own [doc]. *)
 let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
@@ -113,6 +124,15 @@ let domains_arg doc =
 
 let phase_arg =
   Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
+
+(* A workload with [points] simulation points takes --phase 0 to
+   [points - 1]. *)
+let check_phase ~points phase =
+  if phase < 0 || phase >= points then begin
+    Printf.eprintf "csteer: --phase must be between 0 and %d (got %d)\n"
+      (points - 1) phase;
+    exit 2
+  end
 
 let config_conv =
   let print ppf c =
@@ -192,18 +212,11 @@ let simulate workload clusters topology config uops phase trace_out
         | `Spec p -> p
         | `Synth w -> w.Synth.profile
       in
-      (match source with
-      | `Spec p ->
-          let points = List.length (Pinpoints.points p) in
-          if phase < 0 || phase >= points then begin
-            Printf.eprintf "workload has only %d phases\n" points;
-            exit 1
-          end
-      | `Synth _ ->
-          if phase <> 0 then begin
-            Printf.eprintf "workload has only 1 phase\n";
-            exit 1
-          end);
+      check_phase phase
+        ~points:
+          (match source with
+          | `Spec p -> List.length (Pinpoints.points p)
+          | `Synth _ -> 1);
       if stats_interval < 0 then begin
         Printf.eprintf "--stats-interval must be non-negative\n";
         exit 1
@@ -791,11 +804,8 @@ let check_cmd =
              CM100..CM103).")
   in
   let uops =
-    Arg.(
-      value & opt int 20_000
-      & info [ "n"; "uops" ]
-          ~doc:"Committed micro-ops to simulate under $(b,--vs-run)."
-          ~docv:"N")
+    uops_arg ~doc:"Committed micro-ops to simulate under $(b,--vs-run)."
+      ~docv:"N" 20_000
   in
   let strict =
     Arg.(
@@ -1588,14 +1598,9 @@ let metrics socket workload clusters config uops phase =
           Printf.eprintf "unknown workload %S (try `csteer list`)\n" workload;
           exit 1
       | profile ->
-          let point =
-            match List.nth_opt (Pinpoints.points profile) phase with
-            | Some p -> p
-            | None ->
-                Printf.eprintf "workload has only %d phases\n"
-                  (List.length (Pinpoints.points profile));
-                exit 1
-          in
+          let points = Pinpoints.points profile in
+          check_phase ~points:(List.length points) phase;
+          let point = List.nth points phase in
           let machine = Config.default ~clusters in
           Obs.Counters.reset Obs.Counters.default;
           let prof = Obs.Profile.create () in

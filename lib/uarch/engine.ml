@@ -4,6 +4,7 @@ module Bitset = Clusteer_util.Bitset
 module Pqueue = Clusteer_util.Pqueue
 module Ring = Clusteer_util.Ring
 module Vec = Clusteer_util.Vec
+module Wheel = Clusteer_util.Wheel
 module Obs_event = Clusteer_obs.Event
 module Obs_sink = Clusteer_obs.Sink
 module Obs_counters = Clusteer_obs.Counters
@@ -17,8 +18,8 @@ module Obs_profile = Clusteer_obs.Profile
    it commits; slots above are a free-listed pool of inter-cluster
    copies, each returned when the last of its two events fires.
 
-   Every reference to a slot is an int: its id in a ready queue, its id
-   and event kind in the event queue, and intrusive links for the
+   Every reference to a slot is an int: its age and id in a ready queue,
+   its id and event kind in the event wheel, and intrusive links for the
    wakeup and store tables. A slot is linked into those tables only
    while it is in flight (a waiter until woken, a store until it
    commits or a younger store to its address replaces it), so no table
@@ -81,9 +82,23 @@ let fresh_inst id =
     next_store = -1;
   }
 
-(* Event-queue payloads: slot id and kind in one int. *)
+(* Event-wheel payloads: slot id and kind in one int. *)
 let ev_complete id = id lsl 1
 let ev_copy_arrive id = (id lsl 1) lor 1
+
+(* Ready-queue entries: age above, slot id below, in one int. Live
+   ages are unique, so the smallest entry is the oldest micro-op, as a
+   heap keyed by age alone would pick it. [slot_bits] leaves 42 bits
+   of age on a 64-bit host. *)
+let slot_bits = 20
+let slot_mask = (1 lsl slot_bits) - 1
+let ready_entry inst = (inst.iseq lsl slot_bits) lor inst.id
+
+let check_slot_count n =
+  if n > slot_mask + 1 then
+    invalid_arg
+      (Printf.sprintf "Engine: %d in-flight slots exceed the %d a ready entry \
+                       can name" n (slot_mask + 1))
 
 (* Waiter-table nodes are preassigned: micro-ops have at most two
    register sources, so node [2 * id + i] is slot [id]'s wait on its
@@ -155,13 +170,13 @@ type t = {
   (* back-end *)
   occupancy : int array array;  (* cluster -> queue index -> used slots *)
   inflight : int array;  (* cluster -> dispatched, not yet completed *)
-  ready_q : int Pqueue.t array array;  (* cluster -> queue index -> slot ids *)
+  ready_q : Pqueue.t array array;  (* cluster -> queue index -> ready entries *)
   unit_free : int array array;  (* cluster -> fu index -> next free cycle *)
   fabric : Clusteer_topo.Fabric.t;  (* per-link next-free-cycle state *)
   mutable lsq_used : int;
   regs_used : int array array;  (* cluster -> class (0 int, 1 fp) -> live dests *)
   mutable misses_outstanding : int;  (* in-flight L1 misses (MSHR usage) *)
-  events : int Pqueue.t;  (* due cycle -> slot id and event kind *)
+  events : Wheel.t;  (* due cycle -> slot id and event kind *)
   (* per-cycle port counters *)
   mutable loads_this_cycle : int;
   mutable stores_this_cycle : int;
@@ -300,6 +315,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
      pool grows if a fabric keeps more in flight. *)
   let copy_slots = 2 * clusters * config.Config.copy_q_size in
   let nslots = rob_size + copy_slots in
+  check_slot_count nslots;
   let fetch_capacity =
     config.Config.fetch_width * (config.Config.fetch_to_dispatch + 2)
   in
@@ -344,7 +360,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       lsq_used = 0;
       regs_used = Array.init clusters (fun _ -> Array.make 2 0);
       misses_outstanding = 0;
-      events = Pqueue.create ();
+      events = Wheel.create ();
       loads_this_cycle = 0;
       stores_this_cycle = 0;
       copy_tags = Array.make 8 (-1);
@@ -420,7 +436,7 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.lsq_used <- 0;
   Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.regs_used;
   t.misses_outstanding <- 0;
-  Pqueue.clear t.events;
+  Wheel.clear t.events;
   t.loads_this_cycle <- 0;
   t.stores_this_cycle <- 0;
   t.busy <- false;
@@ -448,6 +464,7 @@ let is_copy t inst = inst.id >= t.rob_size
 let grow_copy_pool t =
   let old = Array.length t.slots in
   let extra = old - t.rob_size in
+  check_slot_count (old + extra);
   let slots =
     Array.init (old + extra) (fun i ->
         if i < old then t.slots.(i) else fresh_inst i)
@@ -487,7 +504,7 @@ let release_copy_event t inst =
 let waiter_key t tag cluster = (tag * t.cfg.Config.clusters) + cluster
 
 let enqueue_ready t inst =
-  Pqueue.add t.ready_q.(inst.cluster).(inst.qidx) inst.iseq inst.id
+  Pqueue.add t.ready_q.(inst.cluster).(inst.qidx) (ready_entry inst)
 
 let add_waiter t inst ~node tag cluster =
   inst.waiting <- inst.waiting + 1;
@@ -607,12 +624,12 @@ let on_copy_arrive t inst =
   release_copy_event t inst
 
 let process_events t =
-  let events = t.events in
-  while (not (Pqueue.is_empty events)) && Pqueue.min_prio events <= t.cycle do
-    let ev = Pqueue.pop_value events in
+  let ev = ref (Wheel.pop_due t.events t.cycle) in
+  while !ev >= 0 do
     t.busy <- true;
-    let inst = t.slots.(ev lsr 1) in
-    if ev land 1 = 0 then on_complete t inst else on_copy_arrive t inst
+    let inst = t.slots.(!ev lsr 1) in
+    if !ev land 1 = 0 then on_complete t inst else on_copy_arrive t inst;
+    ev := Wheel.pop_due t.events t.cycle
   done
 
 (* ---- commit ------------------------------------------------------ *)
@@ -644,7 +661,8 @@ let commit t =
       then continue_ := false
       else begin
         if fp then decr fp_budget else decr int_budget;
-        t.rob_head <- (t.rob_head + 1) mod t.rob_size;
+        t.rob_head <-
+          (if t.rob_head + 1 = t.rob_size then 0 else t.rob_head + 1);
         t.rob_len <- t.rob_len - 1;
         if is_store then begin
           t.stores_this_cycle <- t.stores_this_cycle + 1;
@@ -701,10 +719,10 @@ let try_start_copy t inst =
           (Obs_event.Link_transfer
              { cycle = now t; from_cluster = from; to_cluster; latency }));
     inst.events_left <- 2;
-    Pqueue.add t.events (t.cycle + latency) (ev_copy_arrive inst.id);
+    Wheel.add t.events ~due:(t.cycle + latency) (ev_copy_arrive inst.id);
     (* The copy has left the copy queue; completion frees the
        in-flight counter. *)
-    Pqueue.add t.events (t.cycle + 1) (ev_complete inst.id);
+    Wheel.add t.events ~due:(t.cycle + 1) (ev_complete inst.id);
     true
   end
 
@@ -745,7 +763,7 @@ let try_start_op t inst =
         in
         if not (Opcode.pipelined op) then
           t.unit_free.(inst.cluster).(fu) <- t.cycle + lat;
-        Pqueue.add t.events (t.cycle + lat) (ev_complete inst.id);
+        Wheel.add t.events ~due:(t.cycle + lat) (ev_complete inst.id);
         true
       end
   end
@@ -763,7 +781,8 @@ let issue_queue t cluster qidx queue =
   let nblocked = ref 0 in
   let started = ref 0 in
   while !started < width && not (Pqueue.is_empty q) do
-    let inst = t.slots.(Pqueue.pop_value q) in
+    let entry = Pqueue.pop_min q in
+    let inst = t.slots.(entry land slot_mask) in
     if try_start t inst then begin
       t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - 1;
       t.busy <- true;
@@ -775,13 +794,12 @@ let issue_queue t cluster qidx queue =
         Array.blit t.blocked 0 b 0 !nblocked;
         t.blocked <- b
       end;
-      t.blocked.(!nblocked) <- inst.id;
+      t.blocked.(!nblocked) <- entry;
       incr nblocked
     end
   done;
   for i = !nblocked - 1 downto 0 do
-    let inst = t.slots.(t.blocked.(i)) in
-    Pqueue.add q inst.iseq inst.id
+    Pqueue.add q t.blocked.(i)
   done
 
 let issue t =
@@ -890,7 +908,10 @@ let dispatch_into_rob t duop ~cluster ~misp =
         tag
     | None -> -1
   in
-  let inst = t.slots.((t.rob_head + t.rob_len) mod t.rob_size) in
+  let pos = t.rob_head + t.rob_len in
+  let inst =
+    t.slots.(if pos >= t.rob_size then pos - t.rob_size else pos)
+  in
   t.rob_len <- t.rob_len + 1;
   inst.iseq <- fresh_iseq t;
   inst.cluster <- cluster;
@@ -964,8 +985,11 @@ let dispatch_one t =
             let needed = copies_needed t u cluster in
             (* Copy queue capacity check in every source cluster, using
                the per-cluster scratch counters instead of a fresh
-               hashtable per dispatch attempt. *)
-            Array.fill t.copy_extra 0 (Array.length t.copy_extra) 0;
+               hashtable per dispatch attempt; only the source clusters'
+               counters are read, so only those are zeroed. *)
+            for i = 0 to needed - 1 do
+              t.copy_extra.(Vec.get t.tag_origin t.copy_tags.(i)) <- 0
+            done;
             let fits = ref true in
             for i = 0 to needed - 1 do
               let from = Vec.get t.tag_origin t.copy_tags.(i) in
@@ -1031,7 +1055,9 @@ let dispatch t =
   let budget = ref t.cfg.Config.dispatch_width in
   (* "3+3": the steer stage can deliver at most [dispatch_per_cluster]
      micro-ops into any one cluster per cycle. *)
-  Array.fill t.per_cluster 0 (Array.length t.per_cluster) 0;
+  for c = 0 to Array.length t.per_cluster - 1 do
+    t.per_cluster.(c) <- 0
+  done;
   let block = ref Blk_none in
   let width_exhausted = ref false in
   while (not !width_exhausted) && !block = Blk_none && !budget > 0 do
@@ -1188,8 +1214,8 @@ let step t ~source =
   if t.busy then t.wake <- t.cycle + 1
   else if gate_open then
     t.wake <-
-      (if Pqueue.is_empty t.events then t.retry
-       else min t.retry (Pqueue.min_prio t.events));
+      (let due = Wheel.next_due t.events in
+       if due < t.retry then due else t.retry);
   t.cycle <- t.cycle + 1;
   t.stats.Stats.cycles <- t.stats.Stats.cycles + 1;
   (* Interval telemetry: snapshot on measured-time boundaries so the

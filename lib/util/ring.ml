@@ -18,10 +18,16 @@ let is_empty t = t.len = 0
 let is_full t = t.len = Array.length t.buf
 let free_slots t = Array.length t.buf - t.len
 
+(* [head + i] wrapped into the buffer, for [0 <= i <= capacity]:
+   compare-and-wrap instead of an integer division. *)
+let index t i =
+  let j = t.head + i in
+  if j >= Array.length t.buf then j - Array.length t.buf else j
+
 let push t v =
   if is_full t then false
   else begin
-    let tail = (t.head + t.len) mod Array.length t.buf in
+    let tail = index t t.len in
     t.buf.(tail) <- v;
     t.len <- t.len + 1;
     true
@@ -34,7 +40,7 @@ let front t =
 let drop t =
   if t.len = 0 then invalid_arg "Ring.drop: empty ring";
   t.buf.(t.head) <- filler ();
-  t.head <- (t.head + 1) mod Array.length t.buf;
+  t.head <- index t 1;
   t.len <- t.len - 1
 
 let peek t = if t.len = 0 then None else Some t.buf.(t.head)
@@ -49,7 +55,7 @@ let pop t =
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ring.get: index out of range";
-  t.buf.((t.head + i) mod Array.length t.buf)
+  t.buf.(index t i)
 
 let iter f t =
   for i = 0 to t.len - 1 do

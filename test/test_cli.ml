@@ -137,6 +137,35 @@ let test_machine_size_bounds () =
   let code, _ = run_capture "simulate -w gzip-1 -n 500 -c 16" in
   check_int "16 clusters run" 0 code
 
+(* A non-positive --uops is rejected in one line with exit 2 by every
+   subcommand that takes it, and an out-of-range --phase names the valid
+   range. *)
+let test_uops_and_phase_bounds () =
+  List.iter
+    (fun (args, expected) ->
+      let code, out = run_capture_all args in
+      check_int (args ^ ": exit 2") 2 code;
+      Alcotest.(check string) (args ^ ": diagnostic") (expected ^ "\n") out)
+    [
+      ("simulate -w gzip-1 -n 0", "csteer: --uops must be positive (got 0)");
+      ("simulate -w gzip-1 --uops=-5", "csteer: --uops must be positive (got -5)");
+      ("metrics -w gzip-1 -n 0", "csteer: --uops must be positive (got 0)");
+      ("experiment fig5 -n 0", "csteer: --uops must be positive (got 0)");
+      ( "check -w gzip-1 --vs-run -n 0",
+        "csteer: --uops must be positive (got 0)" );
+      ("stats -w gzip-1 -n 0", "csteer: --uops must be positive (got 0)");
+      ("sweep -w gzip-1 -n 0", "csteer: --uops must be positive (got 0)");
+      ("tune run -n 0", "csteer: --uops must be positive (got 0)");
+      ( "simulate -w gzip-1 -n 500 --phase=-1",
+        "csteer: --phase must be between 0 and 1 (got -1)" );
+      ( "simulate -w gzip-1 -n 500 --phase 2",
+        "csteer: --phase must be between 0 and 1 (got 2)" );
+      ( "simulate -w adv-storm -n 500 --phase 1",
+        "csteer: --phase must be between 0 and 0 (got 1)" );
+      ( "metrics -w gzip-1 -n 500 --phase=-1",
+        "csteer: --phase must be between 0 and 1 (got -1)" );
+    ]
+
 let test_compile_emit_annotation () =
   let annot = Filename.temp_file "csteer" ".annot" in
   let code, out =
@@ -320,6 +349,8 @@ let () =
           Alcotest.test_case "unknown workload" `Quick test_simulate_unknown_workload;
           Alcotest.test_case "machine size bounds" `Quick
             test_machine_size_bounds;
+          Alcotest.test_case "uops and phase bounds" `Quick
+            test_uops_and_phase_bounds;
           Alcotest.test_case "compile --emit" `Quick test_compile_emit_annotation;
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "vliw" `Quick test_vliw;

@@ -934,6 +934,24 @@ let fabric_machine ?(link_latency = 1) ~clusters name =
 
 let fabric_names = [ "p2p"; "bus"; "ring"; "mesh4x2"; "hier2x4" ]
 
+(* Delays past the 1024 buckets the default machine's event wheel
+   grows to: memory and uplink latencies above it put the wheel's
+   growth with events pending, and [next_due] across long quiet
+   stretches, against the reference. *)
+let long_latency_machine ~link_latency =
+  let topo =
+    Topology.hier ~link_latency ~uplink_latency:1050 ~groups:2 ~group_size:4 ()
+  in
+  {
+    (Config.default ~clusters:topo.Topology.clusters) with
+    Config.topology = topo;
+    memory_latency = 1100;
+  }
+
+(* The generator's machines: the five fabrics, then the long-latency
+   one. *)
+let gate_machine_names = fabric_names @ [ "hier2x4-long" ]
+
 (* What one run leaves behind: final statistics, the counter registry
    (policy and engine instruments, profiler spans), and every sink
    event and interval snapshot in order. *)
@@ -1066,17 +1084,22 @@ let arb_gate_case gen_workload =
       Printf.sprintf
         "seed %d, %s x%d (link %d), config #%d, tight %b, warmup %d, \
          interval %d"
-        seed (List.nth fabric_names fabric) clusters link cfg tight warmup
+        seed (List.nth gate_machine_names fabric) clusters link cfg tight warmup
         interval)
     QCheck.Gen.(
       pair
-        (quad (int_bound 100_000) (int_bound 4) (int_bound 6) (oneofl [ 2; 4 ]))
+        (quad (int_bound 100_000)
+           (int_bound (List.length fabric_names))
+           (int_bound 6) (oneofl [ 2; 4 ]))
         (quad (int_range 1 3) bool (oneofl [ 0; 300 ]) (int_range 1 64)))
   |> fun arb ->
   QCheck.map_keep_input
     (fun ((seed, fabric, cfg, clusters), (link_latency, tight, warmup, interval)) ->
       let machine =
-        fabric_machine ~link_latency ~clusters (List.nth fabric_names fabric)
+        if fabric = List.length fabric_names then
+          long_latency_machine ~link_latency
+        else
+          fabric_machine ~link_latency ~clusters (List.nth fabric_names fabric)
       in
       let machine =
         if tight then
@@ -1158,6 +1181,35 @@ let test_gate_unpipelined_horizon () =
   check_bool "gated = every-cycle" true (Stats.equal gated (run true));
   check_bool "divides serialise on the unit" true
     (gated.Stats.cycles >= 400 * Opcode.latency Opcode.Int_div / 2)
+
+(* A chain of loads that all miss to a memory three times slower than
+   the default machine's event wheel is long: each load completes a
+   full memory latency after it starts, never a wheel's length early. *)
+let test_gate_memory_past_wheel () =
+  let p =
+    straightline 1 (fun b _ ->
+        Program.Builder.uop b Opcode.Load ~dst:(Reg.int 1)
+          ~srcs:[| Reg.int 1 |] ~stream:(Program.Builder.stream b) ())
+  in
+  let streams =
+    [| Mem_model.Uniform { base = 0; footprint = 64 lsl 20; granule = 64 } |]
+  in
+  let config = { Config.default_2c with Config.memory_latency = 3000 } in
+  let run every_cycle =
+    let e =
+      Engine.create ~config ~annot:(Annot.none ~uop_count:1)
+        ~policy:(Clusteer_steer.One_cluster.make ())
+        ()
+    in
+    let run =
+      if every_cycle then Engine.For_testing.run_every_cycle else Engine.run
+    in
+    Stats.copy (run e ~source:(source_of p ~streams 1) ~uops:20)
+  in
+  let gated = run false in
+  check_bool "gated = every-cycle" true (Stats.equal gated (run true));
+  check_bool "misses take the memory latency" true
+    (gated.Stats.cycles >= 20 * 3000 * 3 / 4)
 
 (* A machine that cannot make progress must fail exactly as the
    reference does, whether the back-end waits on nothing (a policy that
@@ -1290,6 +1342,8 @@ let () =
             test_gate_adversarial_every_fabric;
           Alcotest.test_case "unpipelined-unit horizon" `Quick
             test_gate_unpipelined_horizon;
+          Alcotest.test_case "memory latency past the wheel" `Quick
+            test_gate_memory_past_wheel;
           Alcotest.test_case "deadlock fails as the reference" `Quick
             test_gate_deadlock;
         ] );

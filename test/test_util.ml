@@ -174,35 +174,15 @@ let test_rng_geometric_certain () =
 
 let test_pqueue_ordering () =
   let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.add q p v) [ (3, "c"); (1, "a"); (2, "b") ];
-  Alcotest.(check (option (pair int string))) "min" (Some (1, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "next" (Some (2, "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "last" (Some (3, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (Pqueue.pop q)
-
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.add q 5 v) [ "first"; "second"; "third" ];
-  Alcotest.(check (option (pair int string))) "fifo 1" (Some (5, "first")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "fifo 2" (Some (5, "second")) (Pqueue.pop q)
-
-let test_pqueue_peek_noop () =
-  let q = Pqueue.create () in
-  Pqueue.add q 1 "x";
-  ignore (Pqueue.peek q);
-  check_int "peek preserves" 1 (Pqueue.length q)
-
-let test_pqueue_pop_while () =
-  let q = Pqueue.create () in
-  List.iter (fun p -> Pqueue.add q p p) [ 5; 1; 3; 8; 2 ];
-  let popped = Pqueue.pop_while q (fun p -> p <= 3) in
-  Alcotest.(check (list (pair int int))) "popped prefix"
-    [ (1, 1); (2, 2); (3, 3) ] popped;
-  check_int "remaining" 2 (Pqueue.length q)
+  List.iter (Pqueue.add q) [ 3; 1; 2 ];
+  check_int "min" 1 (Pqueue.pop_min q);
+  check_int "next" 2 (Pqueue.pop_min q);
+  check_int "last" 3 (Pqueue.pop_min q);
+  check_bool "empty" true (Pqueue.is_empty q)
 
 let test_pqueue_clear () =
   let q = Pqueue.create () in
-  Pqueue.add q 1 ();
+  Pqueue.add q 1;
   Pqueue.clear q;
   check_bool "empty" true (Pqueue.is_empty q)
 
@@ -211,61 +191,144 @@ let prop_pqueue_sorted =
     QCheck.(list (int_bound 1000))
     (fun prios ->
       let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.add q p p) prios;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      let out = drain [] in
-      out = List.sort compare prios)
+      List.iter (Pqueue.add q) prios;
+      let out = List.map (fun _ -> Pqueue.pop_min q) prios in
+      out = List.sort compare prios && Pqueue.is_empty q)
 
-(* Ops on a priority queue: [Some p] adds priority [p] (a small range,
-   so ties are common), [None] pops. A queue drained with [pop] and one
-   drained with [min_prio]/[pop_value] must agree with a stable-sort
-   model: smallest priority first, insertion order among equals. *)
-let prop_pqueue_pop_value_model =
-  QCheck.Test.make ~name:"pqueue min_prio/pop_value agree with pop and model"
+(* Interleaved adds ([Some v], from a small range so duplicates are
+   common) and pops ([None]) against a sorted-list model. *)
+let prop_pqueue_model =
+  QCheck.Test.make ~name:"pqueue pop_min matches a list model"
     ~count:300
     QCheck.(list (option (int_bound 5)))
     (fun ops ->
-      let q1 = Pqueue.create () and q2 = Pqueue.create () in
-      let model = ref [] (* (prio, insertion id), insertion order *) in
-      let next = ref 0 in
+      let q = Pqueue.create () in
+      let model = ref [] (* sorted *) in
       List.for_all
         (fun op ->
           match op with
-          | Some p ->
-              Pqueue.add q1 p !next;
-              Pqueue.add q2 p !next;
-              model := !model @ [ (p, !next) ];
-              incr next;
-              Pqueue.length q1 = Pqueue.length q2
+          | Some v ->
+              Pqueue.add q v;
+              model := List.merge compare [ v ] !model;
+              Pqueue.length q = List.length !model
           | None -> (
-              let expected =
-                match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
-                | [] -> None
-                | m :: _ ->
-                    model := List.filter (fun e -> e != m) !model;
-                    Some m
-              in
-              let via_pop = Pqueue.pop q1 in
-              match expected with
-              | None -> via_pop = None && Pqueue.is_empty q2
-              | Some (p, id) ->
-                  let p2 = Pqueue.min_prio q2 in
-                  let id2 = Pqueue.pop_value q2 in
-                  via_pop = Some (p, id) && p2 = p && id2 = id))
+              match !model with
+              | [] -> Pqueue.is_empty q
+              | m :: rest ->
+                  model := rest;
+                  Pqueue.pop_min q = m))
         ops)
 
 let test_pqueue_empty_raises () =
-  let q : int Pqueue.t = Pqueue.create () in
-  Alcotest.check_raises "min_prio"
-    (Invalid_argument "Pqueue.min_prio: empty queue") (fun () ->
-      ignore (Pqueue.min_prio q));
-  Alcotest.check_raises "pop_value"
-    (Invalid_argument "Pqueue.pop_value: empty queue") (fun () ->
-      ignore (Pqueue.pop_value q))
+  let q = Pqueue.create () in
+  Alcotest.check_raises "pop_min"
+    (Invalid_argument "Pqueue.pop_min: empty queue") (fun () ->
+      ignore (Pqueue.pop_min q))
+
+(* ---- Wheel --------------------------------------------------------- *)
+
+(* Every entry due at or before [now], in the order the wheel fires
+   them. *)
+let drain w now =
+  let rec go acc =
+    match Wheel.pop_due w now with -1 -> List.rev acc | v -> go (v :: acc)
+  in
+  go []
+
+(* Entries due the same cycle fire in insertion order, before any due
+   later: the (due, insertion) order of a heap with a FIFO tiebreak. *)
+let test_wheel_same_cycle_fifo () =
+  let w = Wheel.create () in
+  List.iter (fun (due, v) -> Wheel.add w ~due v)
+    [ (5, 10); (3, 20); (5, 11); (3, 21); (5, 12) ];
+  Alcotest.(check (list int)) "nothing due yet" [] (drain w 2);
+  Alcotest.(check (list int)) "due order, fifo ties" [ 20; 21; 10; 11; 12 ]
+    (drain w 5);
+  check_bool "empty" true (Wheel.is_empty w)
+
+let test_wheel_next_due () =
+  let w = Wheel.create () in
+  check_int "empty" max_int (Wheel.next_due w);
+  Wheel.add w ~due:7 1;
+  Wheel.add w ~due:4 2;
+  check_int "earliest" 4 (Wheel.next_due w);
+  Alcotest.(check (list int)) "fires 4" [ 2 ] (drain w 6);
+  check_int "after firing" 7 (Wheel.next_due w)
+
+(* An entry far beyond the horizon grows the wheel instead of wrapping
+   onto an earlier cycle; pending entries keep their order. *)
+let test_wheel_grows_past_horizon () =
+  let w = Wheel.create () in
+  Wheel.add w ~due:3 1;
+  Wheel.add w ~due:3 2;
+  Wheel.add w ~due:5003 3;
+  Wheel.add w ~due:1003 4;
+  Wheel.add w ~due:3 5;
+  Alcotest.(check (list int)) "not wrapped" [ 1; 2; 5 ] (drain w 1002);
+  check_int "next" 1003 (Wheel.next_due w);
+  Alcotest.(check (list int)) "rest in due order" [ 4; 3 ] (drain w 5003)
+
+let test_wheel_rejects_passed_cycle () =
+  let w = Wheel.create () in
+  Alcotest.(check (list int)) "advance" [] (drain w 10);
+  Alcotest.check_raises "passed"
+    (Invalid_argument "Wheel.add: due cycle 9 is before the wheel's base 10")
+    (fun () -> Wheel.add w ~due:9 0);
+  (* Due now is still accepted, and fires at the next pop. *)
+  Wheel.add w ~due:10 7;
+  Alcotest.(check (list int)) "due now" [ 7 ] (drain w 10)
+
+let test_wheel_clear () =
+  let w = Wheel.create () in
+  Wheel.add w ~due:2 1;
+  ignore (drain w 1);
+  Wheel.clear w;
+  check_bool "empty" true (Wheel.is_empty w);
+  Wheel.add w ~due:0 5;
+  Alcotest.(check (list int)) "base back at 0" [ 5 ] (drain w 0)
+
+(* Random runs against a list model sorted by (due, insertion). Each
+   op is (kind, x): kinds 0-4 add [x mod 21] cycles ahead, kind 5 adds
+   [x] ahead (often past the 64 buckets, so the wheel grows), kinds
+   6-8 advance the clock [x mod 31] cycles and fire everything due, and
+   kind 9 adds a cycle already passed, which must be refused. *)
+let prop_wheel_model =
+  QCheck.Test.make ~name:"wheel fires in (due, insertion) order" ~count:300
+    QCheck.(list (pair (int_bound 9) (int_bound 3000)))
+    (fun ops ->
+      let w = Wheel.create () in
+      let model = ref [] (* (due, value), sorted by due, stable *) in
+      let now = ref 0 and next = ref 0 in
+      let add due =
+        Wheel.add w ~due !next;
+        model :=
+          List.stable_sort
+            (fun (a, _) (b, _) -> compare a b)
+            (!model @ [ (due, !next) ]);
+        incr next
+      in
+      List.for_all
+        (fun (kind, x) ->
+          let ok =
+            if kind <= 4 then (add (!now + (x mod 21)); true)
+            else if kind = 5 then (add (!now + x); true)
+            else if kind <= 8 then begin
+              now := !now + (x mod 31);
+              let due, rest = List.partition (fun (d, _) -> d <= !now) !model in
+              model := rest;
+              drain w !now = List.map snd due
+            end
+            else if !now = 0 then true
+            else
+              match Wheel.add w ~due:(!now - 1 - (x mod 5)) 0 with
+              | () -> false
+              | exception Invalid_argument _ -> true
+          in
+          ok
+          && Wheel.length w = List.length !model
+          && Wheel.next_due w
+             = (match !model with [] -> max_int | (d, _) :: _ -> d))
+        ops)
 
 (* ---- Ring ---------------------------------------------------------- *)
 
@@ -373,18 +436,29 @@ let test_ring_empty_raises () =
 let test_queues_steady_state_allocate_nothing () =
   let q = Pqueue.create () in
   for i = 0 to 63 do
-    Pqueue.add q (i * 7 mod 13) i
+    Pqueue.add q (i * 7 mod 13)
   done;
   (* Grow to the working size (64 entries + 1) before measuring. *)
-  Pqueue.add q 0 0;
-  ignore (Pqueue.pop_value q);
+  Pqueue.add q 0;
+  ignore (Pqueue.pop_min q);
+  let w = Wheel.create () in
+  for i = 0 to 63 do
+    Wheel.add w ~due:(i mod 17) i
+  done;
+  ignore (Wheel.pop_due w 0);
   let r = Ring.create ~capacity:8 in
   let sum = ref 0 in
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
-    Pqueue.add q (i mod 17) i;
-    sum := !sum + Pqueue.min_prio q;
-    sum := !sum + Pqueue.pop_value q;
+    Pqueue.add q (i mod 17);
+    sum := !sum + Pqueue.pop_min q;
+    Wheel.add w ~due:(i + (i mod 16)) i;
+    sum := !sum + Wheel.next_due w;
+    let ev = ref (Wheel.pop_due w i) in
+    while !ev >= 0 do
+      sum := !sum + !ev;
+      ev := Wheel.pop_due w i
+    done;
     ignore (Ring.push r i);
     sum := !sum + Ring.front r;
     Ring.drop r
@@ -800,13 +874,21 @@ let () =
       ( "pqueue",
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
-          Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "peek" `Quick test_pqueue_peek_noop;
-          Alcotest.test_case "pop_while" `Quick test_pqueue_pop_while;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "empty raises" `Quick test_pqueue_empty_raises;
           qc prop_pqueue_sorted;
-          qc prop_pqueue_pop_value_model;
+          qc prop_pqueue_model;
+        ] );
+      ( "wheel",
+        [
+          Alcotest.test_case "same-cycle fifo" `Quick test_wheel_same_cycle_fifo;
+          Alcotest.test_case "next_due" `Quick test_wheel_next_due;
+          Alcotest.test_case "grows past horizon" `Quick
+            test_wheel_grows_past_horizon;
+          Alcotest.test_case "rejects passed cycle" `Quick
+            test_wheel_rejects_passed_cycle;
+          Alcotest.test_case "clear" `Quick test_wheel_clear;
+          qc prop_wheel_model;
         ] );
       ( "ring",
         [
