@@ -1,6 +1,6 @@
 # Convenience targets; everything below is plain dune + the CLI.
 
-.PHONY: all build test bench bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke check fmt smoke clean
+.PHONY: all build build-flags test bench bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke check fmt smoke clean
 
 all: build
 
@@ -9,6 +9,26 @@ build:
 
 test:
 	dune runtest
+
+# The default build is the release profile (dune-workspace) with the
+# flags of the root dune file. Fails if it compiles the engine -opaque
+# (no cross-module inlining) or lost the dev profile's
+# warnings-as-errors, or if the dev profile, the quick path for
+# rebuilding after an edit, no longer builds (into _build-dev, so the
+# default build is left alone).
+ENGINE_CMX = _build/default/lib/uarch/.clusteer_uarch.objs/native/clusteer_uarch__Engine.cmx
+build-flags:
+	@set -e; mkdir -p _build; r=_build/engine-rules.txt; \
+	dune rules $(ENGINE_CMX) > $$r; \
+	if grep -q -- '-opaque' $$r; then \
+	  echo "build-flags: FAIL: the default build compiles Engine -opaque"; exit 1; \
+	fi; \
+	for f in -strict-sequence '@1..3@5..28@30..39@43@46..47@49..57@61..62-40'; do \
+	  grep -qF -- "$$f" $$r || \
+	    { echo "build-flags: FAIL: the default build lacks $$f"; exit 1; }; \
+	done; \
+	dune build @all --profile dev --build-dir _build-dev; \
+	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds)"
 
 bench:
 	dune exec bench/main.exe
@@ -206,14 +226,14 @@ fmt:
 	  echo "fmt: ocamlformat not installed, skipping"; \
 	fi
 
-# Fast end-to-end confidence: full build, the test suite, the static
+# Fast end-to-end confidence: full build, its flags, the test suite, the static
 # verifier over every built-in workload, a parallel deterministic
 # sweep, the bench smoke, the service-layer smoke, the auto-tuner
 # cycle, the interconnect-topology slice, the quickstart example (so
 # examples/ cannot bit-rot silently), and one traced 10k-uop
 # simulation whose Chrome trace must be valid JSON with interval
 # telemetry.
-smoke: build test check fmt bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke
+smoke: build build-flags test check fmt bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke
 	dune exec examples/quickstart.exe
 	dune exec bin/csteer.exe -- simulate -w mcf -n 10000 \
 	  --trace-out _build/smoke_trace.json --trace-format json \
@@ -223,3 +243,4 @@ smoke: build test check fmt bench-smoke serve-smoke obs-smoke tune-smoke topo-sm
 
 clean:
 	dune clean
+	rm -rf _build-dev

@@ -120,7 +120,15 @@ let ledger_arg doc =
   Arg.(value & opt (some string) None & info [ "ledger" ] ~doc ~docv:"DIR")
 
 let domains_arg doc =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
+  let positive = function
+    | Some d when d < 1 ->
+        Printf.eprintf "csteer: --domains must be at least 1 (got %d)\n" d;
+        exit 2
+    | domains -> domains
+  in
+  Term.(
+    const positive
+    $ Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N"))
 
 let phase_arg =
   Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
@@ -1274,12 +1282,14 @@ let serve socket queue_depth domains cache_mb cache_dir ledger_dir
     profile_flag =
   protect @@ fun () ->
   if queue_depth < 1 then begin
-    Printf.eprintf "--queue-depth must be positive\n";
-    exit 1
+    Printf.eprintf "csteer: --queue-depth must be positive (got %d)\n"
+      queue_depth;
+    exit 2
   end;
   if cache_mb < 0 then begin
-    Printf.eprintf "--cache-mb must be non-negative\n";
-    exit 1
+    Printf.eprintf "csteer: --cache-mb must be non-negative (got %d)\n"
+      cache_mb;
+    exit 2
   end;
   let cfg =
     {

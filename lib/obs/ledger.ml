@@ -184,6 +184,13 @@ let write_atomic path json =
       output_char oc '\n');
   Sys.rename tmp path
 
+let build_json =
+  Json.Obj
+    [
+      ("profile", Json.Str Build_info.profile);
+      ("ocaml", Json.Str Sys.ocaml_version);
+    ]
+
 let append t ~kind ~label ?request_hash ?config ~started ~wall_s ~outcome
     ~uops ~gc counters =
   let id = t.next_id in
@@ -215,6 +222,7 @@ let append t ~kind ~label ?request_hash ?config ~started ~wall_s ~outcome
           ("wall_s", Json.Float wall_s);
           ("outcome", Json.Str outcome);
           ("uops", Json.Int uops);
+          ("build", build_json);
           ("gc", gc_json ~uops gc);
           ("counters", Counters.to_json counters);
         ])

@@ -77,7 +77,10 @@ val append :
 (** Durably record one run: write its [run-NNNNNN.json] (atomic
     tmp-then-rename), then append the summary line to [index.jsonl].
     The registry snapshot is embedded via {!Counters.to_json}, so
-    phase-timing percentiles ride along when a profiler fed it. *)
+    phase-timing percentiles ride along when a profiler fed it. The
+    entry's ["build"] object names the dune profile this program was
+    built under and the OCaml version, so that runs of differently
+    built programs can be told apart. *)
 
 val list : t -> summary list
 (** Summaries in id order. *)

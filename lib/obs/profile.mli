@@ -22,10 +22,10 @@ type t
 type span
 
 val create :
-  ?registry:Counters.registry -> ?clock:(unit -> float) -> unit -> t
-(** [clock] returns seconds (default [Unix.gettimeofday]); tests
-    substitute a fake clock. Histograms intern into [registry]
-    (default {!Counters.default}). *)
+  ?registry:Counters.registry -> ?clock:(unit -> int) -> unit -> t
+(** [clock] returns nanoseconds (default: the host's monotonic clock,
+    read without allocating); tests substitute a fake clock. Histograms
+    intern into [registry] (default {!Counters.default}). *)
 
 val span : t -> string -> span
 (** Intern by name: ["engine.commit"] feeds the

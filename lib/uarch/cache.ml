@@ -83,80 +83,41 @@ let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.recency 0 (Array.length t.recency) 0
 
-(* A saved set of resident lines, 5 bytes per line: the tag as an
-   int32, then the line's rank in its set's LRU order (0 = invalid,
-   1 = least recent). Replacement only ever compares the recency of
-   ways within one set, so the rank is all of the recency that needs
-   keeping, and the image is under a third of the cache's own arrays.
-   The size matters: a process that runs one configuration per point
-   saves an image on every run and never restores one, and a raw copy
-   of [tags] and [recency] (0.5 MB for the default L2) left such a
-   process with a peak heap 1.3 MB above this format's. *)
-type image = {
-  img_sets : int;
-  img_ways : int;
-  img_line_shift : int;
-  lines : Bytes.t;
-}
+(* Lines go into a set's ways in the order the newest-first scan finds
+   them, so a set's filled ways are always a prefix. While the scan
+   runs, [clock] counts the lines placed and each line's recency is
+   minus its place (-1 for the newest); a final pass lifts them to
+   1..clock, which ranks them by last touch as touching would. *)
+let rec scan_newest_first t ~stride ranges full =
+  match ranges with
+  | [] -> full
+  | (base, bytes) :: newer ->
+      let full = ref (scan_newest_first t ~stride newer full) in
+      let i = ref (max 1 ((bytes + stride - 1) / stride) - 1) in
+      while !i >= 0 && !full < t.sets do
+        let addr = base + (!i * stride) in
+        let b = set_base t addr and tag = tag_of t addr in
+        let w = ref 0 in
+        while !w < t.ways && t.tags.(b + !w) >= 0 && t.tags.(b + !w) <> tag do
+          incr w
+        done;
+        if !w < t.ways && t.tags.(b + !w) < 0 then begin
+          t.clock <- t.clock + 1;
+          t.tags.(b + !w) <- tag;
+          t.recency.(b + !w) <- - t.clock;
+          if !w = t.ways - 1 then incr full
+        end;
+        decr i
+      done;
+      !full
 
-let line_bytes = 5
-
-let imageable t =
-  t.ways <= 255
-  && Array.for_all (fun tag -> tag >= -1 && tag <= 0x7fff_ffff) t.tags
-
-let write_lines t b =
-  for set = 0 to t.sets - 1 do
-    let base = set * t.ways in
-    for w = 0 to t.ways - 1 do
-      let i = base + w in
-      let tag = t.tags.(i) in
-      let rank = ref 0 in
-      if tag >= 0 then begin
-        incr rank;
-        for v = 0 to t.ways - 1 do
-          if t.tags.(base + v) >= 0 && t.recency.(base + v) < t.recency.(i)
-          then incr rank
-        done
-      end;
-      Bytes.set_int32_le b (line_bytes * i) (Int32.of_int tag);
-      Bytes.set_uint8 b ((line_bytes * i) + 4) !rank
-    done
+let prewarm t ~stride ranges =
+  invalidate_all t;
+  t.clock <- 0;
+  ignore (scan_newest_first t ~stride ranges 0 : int);
+  for i = 0 to Array.length t.recency - 1 do
+    if t.recency.(i) < 0 then t.recency.(i) <- t.recency.(i) + t.clock + 1
   done
-
-let save t =
-  if not (imageable t) then None
-  else begin
-    let lines = Bytes.create (line_bytes * Array.length t.tags) in
-    write_lines t lines;
-    Some
-      {
-        img_sets = t.sets;
-        img_ways = t.ways;
-        img_line_shift = t.line_shift;
-        lines;
-      }
-  end
-
-let fits im t =
-  im.img_sets = t.sets && im.img_ways = t.ways && im.img_line_shift = t.line_shift
-
-let save_into im t =
-  if not (fits im t) then invalid_arg "Cache.save_into: geometries differ";
-  if imageable t then begin
-    write_lines t im.lines;
-    true
-  end
-  else false
-
-let restore im t =
-  if not (fits im t) then invalid_arg "Cache.restore: geometries differ";
-  for i = 0 to Array.length t.tags - 1 do
-    t.tags.(i) <- Int32.to_int (Bytes.get_int32_le im.lines (line_bytes * i));
-    t.recency.(i) <- Bytes.get_uint8 im.lines ((line_bytes * i) + 4)
-  done;
-  (* Later accesses must rank above every restored line. *)
-  t.clock <- t.ways
 
 let hits t = t.hits
 let misses t = t.misses

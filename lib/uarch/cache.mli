@@ -25,27 +25,14 @@ val touch : t -> addr:int -> unit
 
 val invalidate_all : t -> unit
 
-type image
-(** The resident lines of a cache and their LRU order, without
-    statistics. *)
-
-val save : t -> image option
-(** [None] when the cache cannot be imaged: more than 255 ways, or a
-    tag beyond 31 bits. *)
-
-val fits : image -> t -> bool
-(** The cache has the geometry (sets, ways, line size) of the image's
-    source. *)
-
-val save_into : image -> t -> bool
-(** Overwrite the image with [t]'s lines, reusing its storage; [false]
-    (image left stale) when [t] cannot be imaged. Requires {!fits}. *)
-
-val restore : image -> t -> unit
-(** Make [t]'s resident lines and their LRU order the image's:
-    afterwards every access hits, misses and evicts exactly as it would
-    on the image's source (recency values themselves may differ).
-    Statistics are untouched. Requires {!fits}. *)
+val prewarm : t -> stride:int -> (int * int) list -> unit
+(** Invalidate every line, then leave [t] exactly as {!touch} of
+    [base], [base + stride], ... up to the end of each [(base, bytes)]
+    range (at least [base] itself), range after range, would: each set
+    holds its [ways] most recently touched distinct lines, ranked by
+    last touch. One newest-first scan finds them and stops once every
+    set is full, so the cost is bounded by the cache size, not the
+    ranges' footprint. Allocates nothing; statistics are untouched. *)
 
 (* Statistics *)
 val hits : t -> int

@@ -49,10 +49,8 @@ val create :
 (** Fresh machine state. [annot] is the compiler side-channel the
     policy may consult. [prewarm] lists [(base, bytes)] data ranges to
     pre-load into the cache hierarchy, restoring the warmed state a
-    checkpointed simulation point starts from; a range list the calling
-    domain prewarmed last is restored from its image
-    ({!Memsys.create}) with identical behaviour. [registry] receives the
-    engine's introspection instruments (default
+    checkpointed simulation point starts from ({!Memsys.create}).
+    [registry] receives the engine's introspection instruments (default
     {!Clusteer_obs.Counters.default}); the parallel harness passes a
     per-shard registry so concurrent engines never intern into shared
     state.

@@ -43,63 +43,22 @@ let store t ~addr =
 
 let l1_resident t ~addr = Cache.probe t.l1 ~addr
 
+(* Prewarm ranges are touched in 64-byte steps whatever the line size. *)
+let stride = 64
+
 let prewarm t ~base ~bytes =
-  let line = 64 in
-  let n = max 1 ((bytes + line - 1) / line) in
+  let n = max 1 ((bytes + stride - 1) / stride) in
   for i = 0 to n - 1 do
-    let addr = base + (i * line) in
+    let addr = base + (i * stride) in
     Cache.touch t.l2 ~addr;
     Cache.touch t.l1 ~addr
   done
 
-(* The prewarmed state of an all-invalid hierarchy depends only on the
-   cache geometries and the range list, up to the caches' recency
-   clocks: every configuration of a simulation point prewarms the same
-   extents. So each domain keeps the last state it built and restores
-   it into the next memory system that asks for the same ranges instead
-   of touching every line again ({!Cache.restore}: replacement compares
-   recency only within a set, so the restored caches behave exactly
-   like re-touched ones). The image is domain-local: concurrent engines
-   never share it. *)
-type image = {
-  mutable ranges : (int * int) list;
-  img_l1 : Cache.image;
-  img_l2 : Cache.image;
-}
-
-let image_slot : image option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* [t] must be all-invalid (just created or reset). *)
+(* The two levels never touch each other during a prewarm, so each can
+   be computed on its own. *)
 let prewarm_ranges t ranges =
-  if ranges <> [] then begin
-    let slot = Domain.DLS.get image_slot in
-    let fits im = Cache.fits im.img_l1 t.l1 && Cache.fits im.img_l2 t.l2 in
-    match !slot with
-    | Some im when fits im && im.ranges = ranges ->
-        Cache.restore im.img_l1 t.l1;
-        Cache.restore im.img_l2 t.l2
-    | prev -> (
-        List.iter (fun (base, bytes) -> prewarm t ~base ~bytes) ranges;
-        slot :=
-          match prev with
-          | Some im when fits im ->
-              if Cache.save_into im.img_l1 t.l1 && Cache.save_into im.img_l2 t.l2
-              then begin
-                im.ranges <- ranges;
-                Some im
-              end
-              else None
-          | Some _ | None -> (
-              match (Cache.save t.l1, Cache.save t.l2) with
-              | Some img_l1, Some img_l2 -> Some { ranges; img_l1; img_l2 }
-              | _ -> None))
-  end
-
-let prewarm_image_ranges () =
-  Option.map (fun im -> im.ranges) !(Domain.DLS.get image_slot)
-
-let drop_prewarm_image () = Domain.DLS.get image_slot := None
+  Cache.prewarm t.l1 ~stride ranges;
+  Cache.prewarm t.l2 ~stride ranges
 
 let create ?(prewarm = []) cfg =
   let t = make cfg in
@@ -116,7 +75,5 @@ let reset_stats t =
   Cache.reset_stats t.l2
 
 let reset ?(prewarm = []) t =
-  Cache.invalidate_all t.l1;
-  Cache.invalidate_all t.l2;
   reset_stats t;
   prewarm_ranges t prewarm

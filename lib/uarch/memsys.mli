@@ -5,11 +5,10 @@
 type t
 
 val create : ?prewarm:(int * int) list -> Config.t -> t
-(** A cold hierarchy, then {!prewarm} of every [(base, bytes)] range of
-    [prewarm] (default none) in order. A repeated range list on the same
-    cache geometry is served from this domain's prewarm image (see
-    {!prewarm_image_ranges}) instead of being touched line by line; the
-    result behaves identically. *)
+(** A cold hierarchy, then, in effect, {!prewarm} of every
+    [(base, bytes)] range of [prewarm] (default none) in order. Each
+    level's final state is computed directly ({!Cache.prewarm}) at a
+    cost bounded by its size, not touched line by line. *)
 
 val load_latency : t -> addr:int -> int
 (** Latency of a read at [addr]: L1 hit time, or L1 + L2 hit time, or
@@ -30,7 +29,8 @@ val prewarm : t -> base:int -> bytes:int -> unit
 (** Touch every line of the range in both levels without counting
     statistics — restores the warmed cache state a checkpointed
     simulation point would start from. Ranges larger than a cache
-    simply leave its LRU tail resident, as real warmup would. *)
+    simply leave its LRU tail resident, as real warmup would. The
+    line-by-line reference for [create ~prewarm] and [reset ~prewarm]. *)
 
 val l1_hits : t -> int
 val l1_misses : t -> int
@@ -42,13 +42,3 @@ val reset : ?prewarm:(int * int) list -> t -> unit
 (** Back to the post-{!create} state for [prewarm]: every line
     invalidated in both levels, statistics zeroed, then the ranges
     prewarmed as {!create} does. Used by engine reuse across runs. *)
-
-val prewarm_image_ranges : unit -> (int * int) list option
-(** The range list of the calling domain's prewarm image, if any.
-    Each domain keeps at most one image: the L1/L2 state of the last
-    non-empty range list it prewarmed, replaced when a different list
-    or cache geometry is prewarmed. An empty list neither uses nor
-    stores an image. *)
-
-val drop_prewarm_image : unit -> unit
-(** Forget the calling domain's prewarm image. *)

@@ -166,6 +166,28 @@ let test_uops_and_phase_bounds () =
         "csteer: --phase must be between 0 and 1 (got -1)" );
     ]
 
+(* A worker-domain count below 1 is rejected, not clamped to 1, by
+   every subcommand that takes --domains; so are serve's admission and
+   cache bounds. *)
+let test_domains_and_serve_bounds () =
+  List.iter
+    (fun (args, expected) ->
+      let code, out = run_capture_all args in
+      check_int (args ^ ": exit 2") 2 code;
+      Alcotest.(check string) (args ^ ": diagnostic") (expected ^ "\n") out)
+    [
+      ( "experiment fig5 -n 500 --domains 0",
+        "csteer: --domains must be at least 1 (got 0)" );
+      ( "experiment fig5 -n 500 --domains=-3",
+        "csteer: --domains must be at least 1 (got -3)" );
+      ("tune run -n 500 --domains=0", "csteer: --domains must be at least 1 (got 0)");
+      ("serve --domains 0", "csteer: --domains must be at least 1 (got 0)");
+      ( "serve --queue-depth 0",
+        "csteer: --queue-depth must be positive (got 0)" );
+      ( "serve --cache-mb=-1",
+        "csteer: --cache-mb must be non-negative (got -1)" );
+    ]
+
 let test_compile_emit_annotation () =
   let annot = Filename.temp_file "csteer" ".annot" in
   let code, out =
@@ -349,6 +371,8 @@ let () =
           Alcotest.test_case "unknown workload" `Quick test_simulate_unknown_workload;
           Alcotest.test_case "machine size bounds" `Quick
             test_machine_size_bounds;
+          Alcotest.test_case "domains and serve bounds" `Quick
+            test_domains_and_serve_bounds;
           Alcotest.test_case "uops and phase bounds" `Quick
             test_uops_and_phase_bounds;
           Alcotest.test_case "compile --emit" `Quick test_compile_emit_annotation;

@@ -372,17 +372,17 @@ let test_expo_name_mangling () =
 (* ---- Self-profiler --------------------------------------------------- *)
 
 let test_profile_spans () =
-  let now = ref 0.0 in
+  let now = ref 0 in
   let r = Counters.create () in
   let prof = Profile.create ~registry:r ~clock:(fun () -> !now) () in
   let s = Profile.span prof "x" in
   check_bool "span interns by name" true (s == Profile.span prof "x");
   (* Two enter/leave pairs accumulate into ONE observation per flush. *)
   Profile.enter s;
-  now := 0.25;
+  now := 250_000_000;
   Profile.leave s;
   Profile.enter s;
-  now := 0.75;
+  now := 750_000_000;
   Profile.leave s;
   let h = Counters.histogram ~registry:r "profile.x.ns" in
   check_int "nothing observed before flush" 0 (Counters.hist_count h);
@@ -396,7 +396,7 @@ let test_profile_spans () =
   (* [time] wraps one call into one observation and passes the result. *)
   let v =
     Profile.time s (fun () ->
-        now := !now +. 0.125;
+        now := !now + 125_000_000;
         42)
   in
   check_int "time returns the result" 42 v;
@@ -405,7 +405,7 @@ let test_profile_spans () =
   (* flush_all covers every span created from this profiler. *)
   let s2 = Profile.span prof "y" in
   Profile.enter s2;
-  now := !now +. 0.5;
+  now := !now + 500_000_000;
   Profile.leave s2;
   Profile.flush_all prof;
   check_int "flush_all flushes new spans" 1
@@ -561,6 +561,23 @@ let test_ledger_prune () =
       check_int "prune rewrote the index" 1 (List.length (Ledger.list t'));
       check_int "prune below count is a no-op" 0 (Ledger.prune t' ~keep:10))
 
+(* Every entry records how the program that wrote it was built. *)
+let test_ledger_build () =
+  with_temp_dir (fun dir ->
+      let t = Ledger.create ~dir in
+      ignore (append_run t ~label:"a");
+      let field name =
+        match
+          Option.bind (Ledger.load t 1) (fun doc ->
+              Option.bind (Json.member "build" doc) (Json.member name))
+        with
+        | Some (Json.Str v) -> v
+        | _ -> Alcotest.failf "build.%s missing" name
+      in
+      check_string "profile" Clusteer_obs.Build_info.profile (field "profile");
+      check_bool "profile named" true (field "profile" <> "");
+      check_string "compiler" Sys.ocaml_version (field "ocaml"))
+
 let test_ledger_gc_accounting () =
   check_float "words per uop" 2.0
     (Ledger.minor_words_per_uop
@@ -637,5 +654,6 @@ let () =
           Alcotest.test_case "crash recovery" `Quick test_ledger_crash_recovery;
           Alcotest.test_case "prune" `Quick test_ledger_prune;
           Alcotest.test_case "gc accounting" `Quick test_ledger_gc_accounting;
+          Alcotest.test_case "build recorded" `Quick test_ledger_build;
         ] );
     ]

@@ -145,42 +145,96 @@ let test_memsys_prewarm () =
   check_int "prewarmed l1 hit" 3 (Memsys.load_latency m ~addr:64);
   check_int "stats clean" 0 (Memsys.l1_misses m + Memsys.l1_hits m - 1)
 
-(* A memory system prewarmed from the domain's image (fresh or reset
-   after other traffic) holds exactly the lines, in exactly the LRU
-   order, of one prewarmed line by line. The ranges overflow the L2,
-   so its recency order decides which lines the probe loads find. *)
-let test_memsys_prewarm_image () =
-  let cfg = Config.default_2c in
-  let ranges = [ (0, 64 * 1024); (1 lsl 20, 3 lsl 20) ] in
-  Memsys.drop_prewarm_image ();
-  let touched = Memsys.create ~prewarm:ranges cfg in
-  Alcotest.(check (option (list (pair int int))))
-    "image stored" (Some ranges) (Memsys.prewarm_image_ranges ());
-  let from_image = Memsys.create ~prewarm:ranges cfg in
-  let reset = Memsys.create ~prewarm:[ (0, 4096) ] cfg in
-  for i = 0 to 999 do
-    ignore (Memsys.load_latency reset ~addr:(i * 4160))
-  done;
-  Memsys.reset ~prewarm:ranges reset;
-  let lines = List.init ((4 lsl 20) / 64) (fun i -> i * 64) in
-  let resident m = List.map (fun addr -> Memsys.l1_resident m ~addr) lines in
-  let expected = resident touched in
-  check_bool "l1 holds prewarmed lines" true (List.mem true expected);
-  check_bool "image: same l1 lines" true (resident from_image = expected);
-  check_bool "reset: same l1 lines" true (resident reset = expected);
-  (* Loads over both ranges and past them: the latencies expose the L2
-     contents and its replacement order. *)
-  let probe m =
-    List.map
-      (fun addr -> Memsys.load_latency m ~addr)
-      (List.filteri (fun i _ -> i mod 7 = 0) lines)
+(* [create ~prewarm] and [reset ~prewarm] compute each level's final
+   state instead of touching line by line; both must leave exactly the
+   lines, in exactly the LRU order, of {!Memsys.prewarm} applied range
+   after range. The geometries are small so that random range lists
+   overflow them: a 128-byte L1 line against the 64-byte prewarm
+   stride, a direct-mapped L1, a 4-way L2. Ranges overlap, start
+   unaligned, may be zero bytes long or larger than the L2. *)
+let prewarm_geometries =
+  let cache size_bytes ways line_bytes =
+    { Config.size_bytes; ways; line_bytes; hit_latency = 1 }
   in
-  let expected = probe touched in
-  check_bool "image: same latencies" true (probe from_image = expected);
-  check_bool "reset: same latencies" true (probe reset = expected);
-  check_int "stats start clean" 0 (Memsys.l1_hits reset + Memsys.l1_misses reset
-    - List.length expected);
-  Memsys.drop_prewarm_image ()
+  [|
+    (cache 4096 4 64, cache 16384 4 64);
+    (cache 8192 2 128, cache 32768 8 64);
+    (cache 1024 1 64, cache 65536 16 128);
+    (cache 2048 4 128, cache 16384 4 128);
+  |]
+
+let arb_prewarm_case =
+  let open QCheck.Gen in
+  let range =
+    pair
+      (oneof [ int_bound (1 lsl 17); map (fun l -> l * 64) (int_bound 2048) ])
+      (oneof
+         [
+           return 0;
+           int_bound 200;
+           int_bound 8192;
+           int_range 40_000 140_000;
+         ])
+  in
+  QCheck.make
+    ~print:(fun (geo, ranges, other) ->
+      Printf.sprintf "geometry %d, ranges [%s], other (%d, %d)" geo
+        (String.concat "; "
+           (List.map (fun (b, n) -> Printf.sprintf "(%d, %d)" b n) ranges))
+        (fst other) (snd other))
+    (triple
+       (int_bound (Array.length prewarm_geometries - 1))
+       (list_size (int_bound 6) range)
+       range)
+
+let prop_memsys_prewarm_matches_touch =
+  QCheck.Test.make ~name:"~prewarm = line-by-line prewarm"
+    ~count:150 arb_prewarm_case (fun (geo, ranges, other) ->
+      let l1d, l2 = prewarm_geometries.(geo) in
+      let cfg = { Config.default_2c with Config.l1d; l2 } in
+      let touched = Memsys.create cfg in
+      List.iter (fun (base, bytes) -> Memsys.prewarm touched ~base ~bytes) ranges;
+      let created = Memsys.create ~prewarm:ranges cfg in
+      let reset = Memsys.create ~prewarm:[ other ] cfg in
+      for i = 0 to 499 do
+        ignore (Memsys.load_latency reset ~addr:(i * 4160));
+        Memsys.store reset ~addr:(i * 832)
+      done;
+      Memsys.reset ~prewarm:ranges reset;
+      let probes = List.init 3000 (fun i -> (i * 67) + (i mod 5)) in
+      let resident m = List.map (fun addr -> Memsys.l1_resident m ~addr) probes in
+      let stats m =
+        Memsys.l1_hits m + Memsys.l1_misses m + Memsys.l2_hits m
+        + Memsys.l2_misses m
+      in
+      (* Loads in probe order expose the L2 contents and both levels'
+         replacement order. *)
+      let loads m = List.map (fun addr -> Memsys.load_latency m ~addr) probes in
+      let expected = resident touched in
+      if resident created <> expected then
+        QCheck.Test.fail_report "create: L1 lines differ";
+      if resident reset <> expected then
+        QCheck.Test.fail_report "reset: L1 lines differ";
+      if stats created <> 0 || stats reset <> 0 then
+        QCheck.Test.fail_report "prewarm counted statistics";
+      let expected = loads touched in
+      if loads created <> expected then
+        QCheck.Test.fail_report "create: load latencies differ";
+      if loads reset <> expected then
+        QCheck.Test.fail_report "reset: load latencies differ";
+      true)
+
+let test_cache_prewarm_allocates_nothing () =
+  let c = Cache.create Config.default_2c.Config.l2 in
+  let ranges = [ (0, 1 lsl 20); (4096, 100); (1 lsl 22, 3 lsl 20) ] in
+  Cache.prewarm c ~stride:64 ranges;
+  let before = Gc.minor_words () in
+  Cache.prewarm c ~stride:64 ranges;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  check_bool "newest line resident" true
+    (Cache.probe c ~addr:((7 lsl 20) - 64));
+  check_bool "oldest range evicted" false (Cache.probe c ~addr:0)
 
 let test_memsys_prefetch_next_line () =
   let cfg = { Config.default_2c with Config.prefetch_next_line = true } in
@@ -500,7 +554,7 @@ let test_engine_reset_equals_fresh () =
   in
   check_bool "reset with stores in flight = fresh" true (Stats.equal reused fresh)
 
-(* ---- prewarm image ---------------------------------------------- *)
+(* ---- reset onto another point ----------------------------------- *)
 
 module Configuration = Clusteer.Configuration
 module Synth = Clusteer_workloads.Synth
@@ -512,7 +566,7 @@ let prewarm_of (w : Synth.t) =
 (* One measured run of [config] on workload [w]: a fresh policy every
    time (policies carry state), the machine's fabric handed to the
    steering layer as the harness does. *)
-let image_run engine_of machine config (w : Synth.t) =
+let point_run engine_of machine config (w : Synth.t) =
   let params =
     {
       Configuration.default_params with
@@ -532,11 +586,9 @@ let image_run engine_of machine config (w : Synth.t) =
 
 (* Every Table 3 configuration, on the 2-cluster point-to-point machine
    and the 8-cluster hierarchical one: an engine reset onto point B
-   after a run on point A (the domain's prewarm image is A's, so the
-   reset prewarms line by line and replaces it), and the same engine
-   reset onto B once more (served from B's image), must both match a
-   freshly created engine that prewarmed B with no image around. *)
-let test_engine_prewarm_image_equivalence () =
+   after a run on point A, and the same engine reset onto B once more,
+   must both match a freshly created engine on B. *)
+let test_engine_reset_onto_other_point () =
   let a = Synth.build (Spec2000.find "gzip-1") in
   let b = Synth.build (Spec2000.find "swim") in
   check_bool "points prewarm different ranges" true
@@ -566,9 +618,7 @@ let test_engine_prewarm_image_equivalence () =
           let fresh ~annot ~policy ~prewarm =
             Engine.create ~config:machine ~annot ~policy ~prewarm ()
           in
-          Memsys.drop_prewarm_image ();
-          let expected = image_run fresh machine config b in
-          Memsys.drop_prewarm_image ();
+          let expected = point_run fresh machine config b in
           let reused = ref None in
           let keep ~annot ~policy ~prewarm =
             match !reused with
@@ -580,47 +630,17 @@ let test_engine_prewarm_image_equivalence () =
                 reused := Some e;
                 e
           in
-          ignore (image_run keep machine config a);
-          Alcotest.(check (option (list (pair int int))))
-            (label "image after A") (Some (prewarm_of a))
-            (Memsys.prewarm_image_ranges ());
-          let miss = image_run keep machine config b in
-          Alcotest.(check (option (list (pair int int))))
-            (label "image replaced by B") (Some (prewarm_of b))
-            (Memsys.prewarm_image_ranges ());
-          let hit = image_run keep machine config b in
+          ignore (point_run keep machine config a);
+          let after_a = point_run keep machine config b in
+          let after_b = point_run keep machine config b in
           check_bool (label "reset after another point = fresh") true
-            (Stats.equal expected miss);
-          check_bool (label "reset from the image = fresh") true
-            (Stats.equal expected hit);
+            (Stats.equal expected after_a);
+          check_bool (label "reset after the same point = fresh") true
+            (Stats.equal expected after_b);
           check_bool (label "did real work") true
             (expected.Stats.committed >= 1200 && expected.Stats.l1_hits > 0))
         (Configuration.table3 ~clusters:machine.Config.clusters))
     machines
-
-let test_engine_empty_prewarm_keeps_no_image () =
-  Memsys.drop_prewarm_image ();
-  let p = independent_program 16 in
-  let annot = Annot.none ~uop_count:16 in
-  let policy () = Clusteer_steer.One_cluster.make () in
-  let e =
-    Engine.create ~config:Config.default_2c ~annot ~policy:(policy ())
-      ~prewarm:[] ()
-  in
-  ignore (Engine.run e ~source:(source_of p 1) ~uops:200);
-  Alcotest.(check (option (list (pair int int))))
-    "create ~prewarm:[]" None (Memsys.prewarm_image_ranges ());
-  Engine.reset ~prewarm:[] e ~annot ~policy:(policy ());
-  Alcotest.(check (option (list (pair int int))))
-    "reset ~prewarm:[]" None (Memsys.prewarm_image_ranges ());
-  Engine.reset ~prewarm:[ (0, 4096) ] e ~annot ~policy:(policy ());
-  Alcotest.(check (option (list (pair int int))))
-    "reset with ranges" (Some [ (0, 4096) ]) (Memsys.prewarm_image_ranges ());
-  Engine.reset ~prewarm:[] e ~annot ~policy:(policy ());
-  Alcotest.(check (option (list (pair int int))))
-    "an empty list leaves the image alone" (Some [ (0, 4096) ])
-    (Memsys.prewarm_image_ranges ());
-  Memsys.drop_prewarm_image ()
 
 let test_engine_warmup_resets () =
   let p = independent_program 16 in
@@ -986,7 +1006,7 @@ let observe_run ~every_cycle ~machine ~config ~(w : Synth.t) ~warmup ~uops
   in
   let profile =
     if profiled then
-      Some (Clusteer_obs.Profile.create ~registry ~clock:(fun () -> 0.0) ())
+      Some (Clusteer_obs.Profile.create ~registry ~clock:(fun () -> 0) ())
     else None
   in
   let engine =
@@ -1274,6 +1294,8 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           Alcotest.test_case "touch" `Quick test_cache_touch_no_stats;
           Alcotest.test_case "power of two" `Quick test_cache_power_of_two_required;
+          Alcotest.test_case "prewarm allocates nothing" `Quick
+            test_cache_prewarm_allocates_nothing;
         ] );
       ( "tracecache",
         [
@@ -1289,7 +1311,7 @@ let () =
           Alcotest.test_case "prewarm" `Quick test_memsys_prewarm;
           Alcotest.test_case "stats" `Quick test_memsys_stats;
           Alcotest.test_case "next-line prefetch" `Quick test_memsys_prefetch_next_line;
-          Alcotest.test_case "prewarm image" `Quick test_memsys_prewarm_image;
+          QCheck_alcotest.to_alcotest prop_memsys_prewarm_matches_touch;
         ] );
       ( "bpred",
         [
@@ -1328,10 +1350,8 @@ let () =
           Alcotest.test_case "energy shape" `Quick test_energy_estimate_shape;
           Alcotest.test_case "energy cluster scaling" `Quick test_energy_costs_scale_with_clusters;
           Alcotest.test_case "thermal estimate" `Quick test_thermal_estimate;
-          Alcotest.test_case "prewarm image = fresh (table 3, p2p and hier2x4)"
-            `Quick test_engine_prewarm_image_equivalence;
-          Alcotest.test_case "empty prewarm keeps no image" `Quick
-            test_engine_empty_prewarm_keeps_no_image;
+          Alcotest.test_case "reset onto another point = fresh"
+            `Quick test_engine_reset_onto_other_point;
           Alcotest.test_case "copy pool grows" `Quick test_engine_copy_pool_grows;
         ] );
       ( "quiescence",
