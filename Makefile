@@ -51,7 +51,7 @@ bench-smoke: build
 	  CLUSTEER_BENCH_REQUIRE_SPEEDUP=1 CLUSTEER_BENCH_LEDGER=_build/bench-runs \
 	  CLUSTEER_BENCH_JSON=_build/bench.json dune exec bench/main.exe
 	@grep -q '"suite_throughput"' _build/bench.json
-	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"vc2":0.0,"one-cluster":0.0,"ob":0.0,"rhop":0.0}' \
+	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"crit":0.0,"vc2":0.0,"one-cluster":0.0,"ob":0.0,"rhop":0.0}' \
 	  _build/bench.json
 	@grep -q '"kind":"bench"' _build/bench-runs/index.jsonl
 	@b=_build/default/bench/main.exe; \

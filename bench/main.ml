@@ -471,16 +471,9 @@ let alloc_probe_view ~clusters ~annot =
     cycle = (fun () -> 0);
     inflight = (fun c -> inflight.(c));
     queue_free = (fun c _ -> free.(c));
-    src_locations =
-      (fun d ->
-        Array.map
-          (fun _ -> loc)
-          d.Clusteer_trace.Dynuop.suop.Clusteer_isa.Uop.srcs);
     src_locations_into =
-      (fun d buf ->
-        let n =
-          Array.length d.Clusteer_trace.Dynuop.suop.Clusteer_isa.Uop.srcs
-        in
+      (fun u buf ->
+        let n = Array.length u.Clusteer_isa.Uop.srcs in
         for i = 0 to n - 1 do
           buf.(i) <- loc
         done;
@@ -489,15 +482,19 @@ let alloc_probe_view ~clusters ~annot =
     annot;
   }
 
-let minor_words_per_decide policy view duop =
+(* Decisions cycle through [uops] (a power-of-two count), so a policy
+   with more than one path (crit's operand chase for critical micro-ops
+   only) is measured on each. *)
+let minor_words_per_decide policy view uops =
   let rounds = 20_000 in
+  let mask = Array.length uops - 1 in
   (* Warm any lazily sized scratch out of the measurement. *)
-  for _ = 1 to 256 do
-    ignore (policy.Clusteer_uarch.Policy.decide view duop)
+  for i = 1 to 256 do
+    ignore (policy.Clusteer_uarch.Policy.decide view uops.(i land mask))
   done;
   let before = Gc.minor_words () in
-  for _ = 1 to rounds do
-    ignore (policy.Clusteer_uarch.Policy.decide view duop)
+  for i = 1 to rounds do
+    ignore (policy.Clusteer_uarch.Policy.decide view uops.(i land mask))
   done;
   (Gc.minor_words () -. before) /. float_of_int rounds
 
@@ -707,17 +704,21 @@ let run_throughput_study () =
     List.map
       (fun config -> (Clusteer.Configuration.name config, prepare config))
       Clusteer.Configuration.
-        [ Op; Op_parallel; Dep; vc2; One_cluster; Ob; Rhop ]
+        [ Op; Op_parallel; Dep; Crit; vc2; One_cluster; Ob; Rhop ]
   in
   let view =
     alloc_probe_view ~clusters:2 ~annot:(fst (List.assoc "vc2" policies))
   in
-  let duop = Clusteer_trace.Tracegen.next (Synth.trace workload ~seed:1) in
+  let probe =
+    let gen = Synth.trace workload ~seed:1 in
+    Array.init 64 (fun _ ->
+        (Clusteer_trace.Tracegen.next gen).Clusteer_trace.Dynuop.suop)
+  in
   Printf.printf "\n%-12s %22s\n" "policy" "minor words/decision";
   let alloc_fields =
     List.map
       (fun (name, (_, policy)) ->
-        let words = minor_words_per_decide policy view duop in
+        let words = minor_words_per_decide policy view probe in
         Printf.printf "%-12s %22.4f\n" name words;
         (name, Obs.Json.Float words))
       policies

@@ -1,6 +1,5 @@
 open Clusteer_isa
 module Uarch = Clusteer_uarch
-module Trace = Clusteer_trace
 module Counters = Clusteer_obs.Counters
 module Topology = Clusteer_topo.Topology
 
@@ -11,11 +10,11 @@ let drift_codes = [ "CM100"; "CM101"; "CM102"; "CM103" ]
 
 let recording (policy : Uarch.Policy.t) =
   let events = ref [] in
-  let decide view duop =
-    let d = policy.Uarch.Policy.decide view duop in
+  let decide view u =
+    let d = policy.Uarch.Policy.decide view u in
     (match d with
     | Uarch.Policy.Dispatch_to cluster ->
-        events := { uop = Trace.Dynuop.static_id duop; cluster } :: !events
+        events := { uop = u.Uop.id; cluster } :: !events
     | Uarch.Policy.Stall -> ());
     d
   in

@@ -312,7 +312,6 @@ let section21_example () =
     Uop.make ~id:2 ~opcode:Opcode.Load ~dst:(Reg.int 4) ~srcs:[| Reg.int 3 |]
       ~stream:0 ()
   in
-  let duop seq suop = { Clusteer_trace.Dynuop.seq; suop; addr = 0; taken = false } in
   let replay (policy : Policy.t) =
     (* Live location table, updated sequentially as the engine would. *)
     let loc = Hashtbl.create 8 in
@@ -329,11 +328,9 @@ let section21_example () =
         cycle = (fun () -> 0);
         inflight = (fun c -> inflight.(c));
         queue_free = (fun _ _ -> 48);
-        src_locations =
-          (fun d -> Array.map location d.Clusteer_trace.Dynuop.suop.Uop.srcs);
         src_locations_into =
-          (fun d buf ->
-            let srcs = d.Clusteer_trace.Dynuop.suop.Uop.srcs in
+          (fun u buf ->
+            let srcs = u.Uop.srcs in
             Array.iteri (fun i src -> buf.(i) <- location src) srcs;
             Array.length srcs);
         reg_location = location;
@@ -342,9 +339,9 @@ let section21_example () =
     in
     let copies = ref 0 in
     let placement =
-      List.mapi
-        (fun i u ->
-          match policy.Policy.decide view (duop i u) with
+      List.map
+        (fun u ->
+          match policy.Policy.decide view u with
           | Policy.Stall -> invalid_arg "section21: unexpected stall"
           | Policy.Dispatch_to c ->
               (* Engine copy rule: each source not located in [c]

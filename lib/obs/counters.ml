@@ -51,10 +51,10 @@ let histogram ?(registry = default) name =
 let bucket_of v =
   (* floor log2 of v+1, clamped to the bucket range. *)
   let rec go x acc = if x <= 1 then acc else go (x lsr 1) (acc + 1) in
-  min (max_buckets - 1) (go (v + 1) 0)
+  Int.min (max_buckets - 1) (go (v + 1) 0)
 
 let observe h v =
-  let v = max 0 v in
+  let v = Int.max 0 v in
   h.count <- h.count + 1;
   h.sum <- h.sum + v;
   if v > h.max_v then h.max_v <- v;

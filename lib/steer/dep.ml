@@ -12,16 +12,16 @@ let make ?registry () =
   let best_votes = ref 0 in
   let ties = ref 0 in
   let best = ref 0 in
-  let decide view duop =
+  let decide view u =
     Counters.incr decisions;
     let clusters = view.Policy.clusters in
-    let nsrcs =
-      Array.length duop.Clusteer_trace.Dynuop.suop.Clusteer_isa.Uop.srcs
-    in
+    let nsrcs = Array.length u.Clusteer_isa.Uop.srcs in
     if Array.length !src_buf < nsrcs then
       src_buf := Array.make nsrcs Bitset.empty;
-    let n = view.Policy.src_locations_into duop !src_buf in
-    Array.fill votes 0 clusters 0;
+    let n = view.Policy.src_locations_into u !src_buf in
+    for c = 0 to clusters - 1 do
+      votes.(c) <- 0
+    done;
     for i = 0 to n - 1 do
       let loc = (!src_buf).(i) in
       for c = 0 to clusters - 1 do

@@ -3,7 +3,7 @@ open Clusteer_uarch
 let make () =
   {
     Policy.name = "one-cluster";
-    decide = (fun _view _duop -> Policy.dispatch_to 0);
+    decide = (fun _view _uop -> Policy.dispatch_to 0);
     uses_dependence_check = false;
     uses_vote_unit = false;
   }

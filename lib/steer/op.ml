@@ -60,8 +60,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
     done;
     !cost_acc
   in
-  let decide view duop =
-    let u = duop.Clusteer_trace.Dynuop.suop in
+  let decide view u =
     let queue = Opcode.queue u.Uop.opcode in
     let clusters = view.Policy.clusters in
     let nsrcs = Array.length u.Uop.srcs in
@@ -75,8 +74,10 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
     let rot = !ndecisions mod clusters in
     incr ndecisions;
     (* The vote. *)
-    let n = view.Policy.src_locations_into duop !src_buf in
-    Array.fill votes 0 clusters 0;
+    let n = view.Policy.src_locations_into u !src_buf in
+    for c = 0 to clusters - 1 do
+      votes.(c) <- 0
+    done;
     for i = 0 to n - 1 do
       let loc = (!src_buf).(i) in
       for c = 0 to clusters - 1 do

@@ -37,8 +37,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   let preferred = ref 0 in
   let min_load = ref 0 in
   let best_alt = ref 0 in
-  let decide view duop =
-    let u = duop.Clusteer_trace.Dynuop.suop in
+  let decide view u =
     let queue = Opcode.queue u.Uop.opcode in
     let clusters = view.Policy.clusters in
     let cycle = view.Policy.cycle () in
@@ -47,8 +46,10 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
     if Array.length !src_buf < nsrcs then
       src_buf := Array.make nsrcs Bitset.empty;
     (* The vote, reading redefined sources through the stale table. *)
-    let n = view.Policy.src_locations_into duop !src_buf in
-    Array.fill votes 0 clusters 0;
+    let n = view.Policy.src_locations_into u !src_buf in
+    for c = 0 to clusters - 1 do
+      votes.(c) <- 0
+    done;
     for i = 0 to n - 1 do
       let code = reg_code srcs.(i) in
       let loc =

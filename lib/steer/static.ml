@@ -1,10 +1,9 @@
 open Clusteer_isa
 open Clusteer_uarch
-open Clusteer_trace
 
 let make ~name ~annot =
-  let decide view duop =
-    let id = Dynuop.static_id duop in
+  let decide view u =
+    let id = u.Uop.id in
     let cluster = annot.Annot.cluster_of.(id) in
     let cluster = if cluster < 0 then 0 else cluster in
     let cluster = if cluster >= view.Policy.clusters then 0 else cluster in

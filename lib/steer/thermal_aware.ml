@@ -4,7 +4,7 @@ let make ?(decay = 0.999) ?(weight = 0.5) () =
   if decay <= 0.0 || decay >= 1.0 then
     invalid_arg "Thermal_aware.make: decay must be in (0,1)";
   let heat = ref [||] in
-  let decide view _duop =
+  let decide view _uop =
     let clusters = view.Policy.clusters in
     if Array.length !heat <> clusters then heat := Array.make clusters 0.0;
     let h = !heat in

@@ -1,6 +1,5 @@
 open Clusteer_isa
 open Clusteer_uarch
-open Clusteer_trace
 module Counters = Clusteer_obs.Counters
 module Topology = Clusteer_topo.Topology
 
@@ -43,8 +42,8 @@ let make ?(remap_threshold = 8) ?registry ?topology ~annot ~clusters () =
   let remaps = Counters.counter ?registry "vc.remaps" in
   let chain_len = Counters.histogram ?registry "vc.chain_uops_at_leader" in
   let since_leader = Array.make annot.Annot.virtual_clusters 0 in
-  let decide view duop =
-    let id = Dynuop.static_id duop in
+  let decide view u =
+    let id = u.Uop.id in
     let vc = annot.Annot.vc_of.(id) in
     Counters.incr decisions;
     if vc < 0 then begin

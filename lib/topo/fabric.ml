@@ -60,7 +60,7 @@ let try_transfer t ~now ~from ~to_ =
   | Topology.Ring ->
       let fwd = (to_ - from + n) mod n in
       let bwd = (from - to_ + n) mod n in
-      let hops = max 1 (min fwd bwd) in
+      let hops = Int.max 1 (Int.min fwd bwd) in
       let step = if fwd <= bwd then 1 else n - 1 (* -1 mod n *) in
       let base = if fwd <= bwd then 0 else n in
       (* pass 1: every hop link free at its slot? *)

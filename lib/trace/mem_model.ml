@@ -47,14 +47,14 @@ let next_address st id =
          sixteenth of the footprint, at least 4KB), the rest roam the
          whole working set — real programs reuse data heavily even in
          their "random" access phases. *)
-      let hot = min footprint (max 4096 (footprint / 16)) in
+      let hot = Int.min footprint (Int.max 4096 (footprint / 16)) in
       let window =
         if Clusteer_util.Rng.bernoulli st.rng 0.8 then hot else footprint
       in
-      let slots = max 1 (window / granule) in
+      let slots = Int.max 1 (window / granule) in
       base + (Clusteer_util.Rng.int st.rng slots * granule)
   | Chase { base; footprint } ->
-      let slots = max 1 (footprint / 8) in
+      let slots = Int.max 1 (footprint / 8) in
       let cur = st.cursor.(id) in
       let nxt = scramble (cur + 1) mod slots in
       st.cursor.(id) <- nxt;

@@ -26,7 +26,7 @@ let update t ~pc ~taken =
   let predicted = t.counters.(i) >= 2 in
   if predicted <> taken then t.mispredicts <- t.mispredicts + 1;
   let c = t.counters.(i) in
-  t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  t.counters.(i) <- (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land ((1 lsl t.bits) - 1)
 
 let lookups t = t.lookups

@@ -2,7 +2,6 @@ open Clusteer_isa
 open Clusteer_trace
 module Bitset = Clusteer_util.Bitset
 module Pqueue = Clusteer_util.Pqueue
-module Ring = Clusteer_util.Ring
 module Vec = Clusteer_util.Vec
 module Wheel = Clusteer_util.Wheel
 module Obs_event = Clusteer_obs.Event
@@ -23,7 +22,9 @@ module Obs_profile = Clusteer_obs.Profile
    wakeup and store tables. A slot is linked into those tables only
    while it is in flight (a waiter until woken, a store until it
    commits or a younger store to its address replaces it), so no table
-   can name a slot after it has been recycled. *)
+   can name a slot after it has been recycled. A slot names its
+   micro-op by static id too (resolved through the engine's [uops]
+   table), so filling one stores no pointer. *)
 type inst = {
   id : int;
   mutable iseq : int;  (* global age, used as select priority *)
@@ -34,7 +35,8 @@ type inst = {
   mutable completed : bool;
   mutable took_mshr : bool;  (* load in flight past the L1 *)
   mutable mispredicted : bool;
-  mutable duop : Dynuop.t;  (* ops: the program micro-op *)
+  mutable sid : int;  (* ops: static id of the program micro-op *)
+  mutable addr : int;  (* ops: its byte address, -1 if not memory *)
   mutable copy_to : int;  (* copies: destination cluster *)
   mutable copy_tag : int;  (* copies: the value tag moved *)
   mutable events_left : int;  (* copies: events still queued *)
@@ -43,23 +45,6 @@ type inst = {
   mutable store_key : int;  (* stores: 8-byte-aligned address *)
   mutable next_store : int;  (* stores: next store in the table bucket *)
 }
-
-(* Filler for the [duop] of copies and idle slots. *)
-let no_duop =
-  {
-    Dynuop.seq = -1;
-    suop =
-      {
-        Uop.id = 0;
-        opcode = Opcode.Branch;
-        dst = None;
-        srcs = [||];
-        stream = -1;
-        branch_ref = -1;
-      };
-    addr = -1;
-    taken = false;
-  }
 
 let fresh_inst id =
   {
@@ -72,7 +57,8 @@ let fresh_inst id =
     completed = false;
     took_mshr = false;
     mispredicted = false;
-    duop = no_duop;
+    sid = -1;
+    addr = -1;
     copy_to = -1;
     copy_tag = -1;
     events_left = 0;
@@ -141,11 +127,17 @@ type t = {
   (* time *)
   mutable cycle : int;
   mutable next_iseq : int;
-  (* front-end: the fetch queue as parallel rings pushed and dropped in
-     lockstep (micro-op, cycle it may dispatch, mispredicted?) *)
-  fetch_duop : Dynuop.t Ring.t;
-  fetch_ready : int Ring.t;
-  fetch_misp : bool Ring.t;
+  (* static id -> static micro-op, filled by fetch ([no_uop] = not seen
+     since create/reset) *)
+  mutable uops : Uop.t array;
+  (* front-end: the fetch queue, one head/length index over three int
+     columns (static id, address, dispatch-ready cycle lsl 1 lor
+     mispredicted) *)
+  fq_sid : int array;
+  fq_addr : int array;
+  fq_meta : int array;
+  mutable fq_head : int;
+  mutable fq_len : int;
   mutable fetch_resume : int;  (* no fetch before this cycle; [never] while
                                    a mispredicted branch is unresolved *)
   (* rename: architectural register code -> value tag *)
@@ -262,16 +254,9 @@ let make_view t =
     inflight = (fun c -> t.inflight.(c));
     queue_free =
       (fun c q -> queue_size t.cfg q - t.occupancy.(c).(queue_index q));
-    src_locations =
-      (fun duop ->
-        Array.map
-          (fun src ->
-            let tag = t.rename.(reg_code max_nregs_per_class src) in
-            Bitset.of_mask (Vec.get t.tag_loc tag))
-          duop.Dynuop.suop.Uop.srcs);
     src_locations_into =
-      (fun duop buf ->
-        let srcs = duop.Dynuop.suop.Uop.srcs in
+      (fun u buf ->
+        let srcs = u.Uop.srcs in
         let n = Array.length srcs in
         for i = 0 to n - 1 do
           let tag = t.rename.(reg_code max_nregs_per_class srcs.(i)) in
@@ -299,6 +284,21 @@ let free_all_copies t =
     t.copy_free.(i) <- t.rob_size + n - 1 - i
   done;
   t.copy_free_len <- n
+
+(* Filler for static ids not seen since create/reset. *)
+let no_uop =
+  {
+    Uop.id = -1;
+    opcode = Opcode.Int_alu;
+    dst = None;
+    srcs = [||];
+    stream = -1;
+    branch_ref = -1;
+  }
+
+(* The static-id table starts at the annotation's uop count; fetch
+   grows it for an id beyond that. *)
+let uop_table annot = Array.make (Array.length annot.Annot.vc_of) no_uop
 
 let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   Config.validate config;
@@ -333,9 +333,12 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
           ~line_uops:config.Config.tc_line_uops ~ways:config.Config.tc_ways;
       cycle = 0;
       next_iseq = 0;
-      fetch_duop = Ring.create ~capacity:fetch_capacity;
-      fetch_ready = Ring.create ~capacity:fetch_capacity;
-      fetch_misp = Ring.create ~capacity:fetch_capacity;
+      uops = uop_table annot;
+      fq_sid = Array.make fetch_capacity 0;
+      fq_addr = Array.make fetch_capacity 0;
+      fq_meta = Array.make fetch_capacity 0;
+      fq_head = 0;
+      fq_len = 0;
       fetch_resume = 0;
       rename;
       tag_loc;
@@ -392,7 +395,6 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
           cycle = (fun () -> 0);
           inflight = (fun _ -> 0);
           queue_free = (fun _ _ -> 0);
-          src_locations = (fun _ -> [||]);
           src_locations_into = (fun _ _ -> 0);
           reg_location = (fun _ -> Bitset.of_mask 0);
           annot;
@@ -413,9 +415,11 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   Tracecache.reset t.tcache;
   t.cycle <- 0;
   t.next_iseq <- 0;
-  Ring.clear t.fetch_duop;
-  Ring.clear t.fetch_ready;
-  Ring.clear t.fetch_misp;
+  if Array.length t.uops = Array.length annot.Annot.vc_of then
+    Array.fill t.uops 0 (Array.length t.uops) no_uop
+  else t.uops <- uop_table annot;
+  t.fq_head <- 0;
+  t.fq_len <- 0;
   t.fetch_resume <- 0;
   Vec.clear t.tag_loc;
   Vec.clear t.tag_ready;
@@ -596,7 +600,7 @@ let on_complete t inst =
   if inst.dst_tag >= 0 then broadcast t inst.dst_tag inst.cluster;
   if is_copy t inst then release_copy_event t inst
   else
-    match inst.duop.Dynuop.suop.Uop.opcode with
+    match t.uops.(inst.sid).Uop.opcode with
     | Opcode.Store ->
         let l = ref inst.store_waiters in
         inst.store_waiters <- -1;
@@ -650,8 +654,7 @@ let commit t =
     let inst = t.slots.(t.rob_head) in
     if not inst.completed then continue_ := false
     else begin
-      let duop = inst.duop in
-      let u = duop.Dynuop.suop in
+      let u = t.uops.(inst.sid) in
       let fp = is_fp_class u in
       let is_store =
         match u.Uop.opcode with Opcode.Store -> true | _ -> false
@@ -666,8 +669,8 @@ let commit t =
         t.rob_len <- t.rob_len - 1;
         if is_store then begin
           t.stores_this_cycle <- t.stores_this_cycle + 1;
-          Memsys.store t.memsys ~addr:duop.Dynuop.addr;
-          unlink_store t (duop.Dynuop.addr land lnot 7) ~only:inst.id
+          Memsys.store t.memsys ~addr:inst.addr;
+          unlink_store t (inst.addr land lnot 7) ~only:inst.id
         end;
         if Uop.is_mem u then t.lsq_used <- t.lsq_used - 1;
         (match u.Uop.dst with
@@ -727,8 +730,7 @@ let try_start_copy t inst =
   end
 
 let try_start_op t inst =
-  let duop = inst.duop in
-  let op = duop.Dynuop.suop.Uop.opcode in
+  let op = t.uops.(inst.sid).Uop.opcode in
   let is_load = match op with Opcode.Load -> true | _ -> false in
   if is_load && t.loads_this_cycle >= t.cfg.Config.l1_read_ports then begin
     retry_at t (t.cycle + 1);
@@ -739,7 +741,7 @@ let try_start_op t inst =
        register; without one it retries next cycle. Only a completion
        event frees one, so it sets no retry cycle. *)
     let needs_mshr =
-      is_load && not (Memsys.l1_resident t.memsys ~addr:duop.Dynuop.addr)
+      is_load && not (Memsys.l1_resident t.memsys ~addr:inst.addr)
     in
     if needs_mshr && t.misses_outstanding >= t.cfg.Config.mshrs then false
     else
@@ -758,7 +760,7 @@ let try_start_op t inst =
         let lat =
           if is_load then
             Opcode.latency Opcode.Load
-            + Memsys.load_latency t.memsys ~addr:duop.Dynuop.addr
+            + Memsys.load_latency t.memsys ~addr:inst.addr
           else Opcode.latency op
         in
         if not (Opcode.pipelined op) then
@@ -889,9 +891,8 @@ let insert_copy t tag ~to_cluster =
   if tag_ready_in t tag from then enqueue_ready t inst
   else add_waiter t inst ~node:(max_srcs * inst.id) tag from
 
-(* Fill the next ROB slot with [duop], dispatched to [cluster]. *)
-let dispatch_into_rob t duop ~cluster ~misp =
-  let u = duop.Dynuop.suop in
+(* Fill the next ROB slot with [u] at [addr], dispatched to [cluster]. *)
+let dispatch_into_rob t u ~addr ~cluster ~misp =
   let srcs = u.Uop.srcs in
   let nsrcs = Array.length srcs in
   (* Rename sources before the destination: a micro-op may read the
@@ -921,7 +922,8 @@ let dispatch_into_rob t duop ~cluster ~misp =
   inst.completed <- false;
   inst.took_mshr <- false;
   inst.mispredicted <- misp;
-  inst.duop <- duop;
+  inst.sid <- u.Uop.id;
+  inst.addr <- addr;
   inst.store_waiters <- -1;
   (* Wait for each source's readiness in [cluster]. *)
   if tag0 >= 0 && not (tag_ready_in t tag0 cluster) then
@@ -931,24 +933,20 @@ let dispatch_into_rob t duop ~cluster ~misp =
   inst
 
 let dispatch_one t =
-  let duop = Ring.front t.fetch_duop in
-  let u = duop.Dynuop.suop in
-  if Array.length u.Uop.srcs > max_srcs then
-    invalid_arg
-      (Printf.sprintf "Engine: micro-op %d has more than %d sources"
-         (Dynuop.static_id duop) max_srcs);
+  let head = t.fq_head in
+  let u = t.uops.(t.fq_sid.(head)) in
   (* Structural preconditions outside the clusters. *)
   if t.rob_len = t.rob_size then Blk_rob
   else if Uop.is_mem u && t.lsq_used >= t.cfg.Config.lsq_size then Blk_lsq
   else
-    match t.policy.Policy.decide t.view duop with
+    match t.policy.Policy.decide t.view u with
     | Policy.Stall -> Blk_policy
     | Policy.Dispatch_to cluster ->
         if cluster < 0 || cluster >= t.cfg.Config.clusters then
           invalid_arg
             (Printf.sprintf
                "Engine: policy %s steered micro-op %d to invalid cluster %d"
-               t.policy.Policy.name (Dynuop.static_id duop) cluster);
+               t.policy.Policy.name u.Uop.id cluster);
         (* The steering decision is observable even when a structural
            hazard then blocks the dispatch: the hardware consults the
            policy again next cycle, and each consult is an event. *)
@@ -959,7 +957,7 @@ let dispatch_one t =
               (Obs_event.Steer
                  {
                    cycle = now t;
-                   static_id = Dynuop.static_id duop;
+                   static_id = u.Uop.id;
                    cluster;
                    inflight = Array.copy t.inflight;
                  }));
@@ -1004,15 +1002,15 @@ let dispatch_one t =
                 insert_copy t t.copy_tags.(i) ~to_cluster:cluster
               done;
               let inst =
-                dispatch_into_rob t duop ~cluster
-                  ~misp:(Ring.front t.fetch_misp)
+                dispatch_into_rob t u ~addr:t.fq_addr.(head) ~cluster
+                  ~misp:(t.fq_meta.(head) land 1 = 1)
               in
               (* Memory bookkeeping: LSQ slot, store table, store-to-load
                  dependences through the unified LSQ (exact 8-byte
                  disambiguation; forwarding needs no inter-cluster copy). *)
               if Uop.is_mem u then begin
                 t.lsq_used <- t.lsq_used + 1;
-                let key = duop.Dynuop.addr land lnot 7 in
+                let key = t.fq_addr.(head) land lnot 7 in
                 match u.Uop.opcode with
                 | Opcode.Store ->
                     record_store t inst key;
@@ -1042,7 +1040,7 @@ let dispatch_one t =
                        {
                          cycle = now t;
                          iseq = inst.iseq;
-                         static_id = Dynuop.static_id duop;
+                         static_id = u.Uop.id;
                          cluster;
                          queue = queue_name queue;
                        }));
@@ -1061,15 +1059,16 @@ let dispatch t =
   let block = ref Blk_none in
   let width_exhausted = ref false in
   while (not !width_exhausted) && !block = Blk_none && !budget > 0 do
-    if Ring.is_empty t.fetch_ready || Ring.front t.fetch_ready > t.cycle then
+    if t.fq_len = 0 || t.fq_meta.(t.fq_head) lsr 1 > t.cycle then
       block := Blk_empty
     else
       match dispatch_one t with
       | Blk_none ->
           t.busy <- true;
-          Ring.drop t.fetch_duop;
-          Ring.drop t.fetch_ready;
-          Ring.drop t.fetch_misp;
+          t.fq_head <-
+            (if t.fq_head + 1 = Array.length t.fq_sid then 0
+             else t.fq_head + 1);
+          t.fq_len <- t.fq_len - 1;
           decr budget
       | Blk_width ->
           (* width limit of the target cluster's steer port, not an
@@ -1114,36 +1113,68 @@ let dispatch t =
 
 (* ---- fetch ------------------------------------------------------- *)
 
+(* The static id of [u], after recording [u] in the static-id table.
+   Each id is resolved once per create/reset: a later micro-op under a
+   known id must be that same micro-op, or the table would hand stale
+   opcodes and operands to every stage that reads it. *)
+let resolve t (u : Uop.t) =
+  let id = u.Uop.id in
+  if id >= Array.length t.uops then begin
+    if id < 0 then
+      invalid_arg (Printf.sprintf "Engine: negative static id %d" id);
+    let uops = Array.make (2 * (id + 1)) no_uop in
+    Array.blit t.uops 0 uops 0 (Array.length t.uops);
+    t.uops <- uops
+  end;
+  let known = t.uops.(id) in
+  if known != u then
+    if known == no_uop then begin
+      if Array.length u.Uop.srcs > max_srcs then
+        invalid_arg
+          (Printf.sprintf "Engine: micro-op %d has more than %d sources" id
+             max_srcs);
+      t.uops.(id) <- u
+    end
+    else if known <> u then
+      invalid_arg
+        (Printf.sprintf "Engine: static id %d names two different micro-ops"
+           id);
+  id
+
 let fetch t ~source =
   if t.cycle >= t.fetch_resume then begin
     let budget = ref t.cfg.Config.fetch_width in
     let blocked = ref false in
-    while (not !blocked) && !budget > 0 && not (Ring.is_full t.fetch_duop) do
+    let capacity = Array.length t.fq_sid in
+    while (not !blocked) && !budget > 0 && t.fq_len < capacity do
       let duop = source () in
       t.busy <- true;
+      let sid = resolve t duop.Dynuop.suop in
       let misp =
         if Uop.is_branch duop.Dynuop.suop then begin
-          let pc = Dynuop.static_id duop in
-          let predicted = Bpred.predict t.bpred ~pc in
-          Bpred.update t.bpred ~pc ~taken:duop.Dynuop.taken;
-          predicted <> duop.Dynuop.taken
+          let taken = duop.Dynuop.taken in
+          let predicted = Bpred.predict t.bpred ~pc:sid in
+          Bpred.update t.bpred ~pc:sid ~taken;
+          predicted <> taken
         end
         else false
       in
       (* Trace cache: a miss charges the line-rebuild penalty and stops
          fetch for the rest of the miss window. *)
-      let tc_hit =
-        Tracecache.lookup t.tcache ~static_id:(Dynuop.static_id duop)
-      in
+      let tc_hit = Tracecache.lookup t.tcache ~static_id:sid in
       if tc_hit then t.stats.Stats.tc_hits <- t.stats.Stats.tc_hits + 1
       else t.stats.Stats.tc_misses <- t.stats.Stats.tc_misses + 1;
       let tc_extra = if tc_hit then 0 else t.cfg.Config.tc_miss_penalty in
-      let pushed =
-        Ring.push t.fetch_duop duop
-        && Ring.push t.fetch_ready (t.cycle + tc_extra + t.frontend_depth)
-        && Ring.push t.fetch_misp misp
+      let tail =
+        let i = t.fq_head + t.fq_len in
+        if i >= capacity then i - capacity else i
       in
-      assert pushed;
+      t.fq_sid.(tail) <- sid;
+      t.fq_addr.(tail) <- duop.Dynuop.addr;
+      t.fq_meta.(tail) <-
+        ((t.cycle + tc_extra + t.frontend_depth) lsl 1)
+        lor if misp then 1 else 0;
+      t.fq_len <- t.fq_len + 1;
       decr budget;
       if misp then begin
         (* Trace-driven wrong-path model: stop fetching until the

@@ -21,8 +21,10 @@
     target cluster's INT or FP register file is full.
 
     After warm-up, running allocates nothing per micro-op or per cycle:
-    in-flight micro-ops live in preallocated, recycled slots (see
-    ARCHITECTURE.md, "In-flight state: flat memory").
+    in-flight micro-ops live in preallocated, recycled slots that name
+    their micro-op by static id, so the per-micro-op path stores no
+    pointer either (see ARCHITECTURE.md, "In-flight state: flat
+    memory").
 
     Events, commit and issue are skipped on cycles where they cannot
     act (after a cycle in which nothing happened, until the next event
@@ -110,8 +112,13 @@ val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
     observability sink is suspended during warmup: the trace covers
     exactly the measured phase.
     [source] supplies the dynamic stream (see
-    {!Clusteer_trace.Tracegen.next}). Raises [Failure] if the machine
-    stops making progress (an engine bug, surfaced for the tests). *)
+    {!Clusteer_trace.Tracegen.next}). Fetch reads each micro-op once and
+    keeps only its static id, address and outcome; the static micro-op
+    is recorded per id in a table that {!reset} clears. So one static
+    id must name one micro-op between resets: [Invalid_argument] naming
+    the id if [source] returns a different one under an id already
+    seen. Raises [Failure] if the machine stops making progress (an
+    engine bug, surfaced for the tests). *)
 
 val stats : t -> Stats.t
 

@@ -1,5 +1,4 @@
 open Clusteer_isa
-open Clusteer_trace
 
 type decision = Dispatch_to of int | Stall
 
@@ -12,15 +11,14 @@ type view = {
   cycle : unit -> int;
   inflight : int -> int;
   queue_free : int -> Opcode.queue -> int;
-  src_locations : Dynuop.t -> Clusteer_util.Bitset.t array;
-  src_locations_into : Dynuop.t -> Clusteer_util.Bitset.t array -> int;
+  src_locations_into : Uop.t -> Clusteer_util.Bitset.t array -> int;
   reg_location : Reg.t -> Clusteer_util.Bitset.t;
   annot : Annot.t;
 }
 
 type t = {
   name : string;
-  decide : view -> Dynuop.t -> decision;
+  decide : view -> Uop.t -> decision;
   uses_dependence_check : bool;
   uses_vote_unit : bool;
 }

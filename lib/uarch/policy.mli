@@ -19,7 +19,6 @@
     knows this record type. *)
 
 open Clusteer_isa
-open Clusteer_trace
 
 type decision =
   | Dispatch_to of int  (** steer to this physical cluster *)
@@ -42,16 +41,12 @@ type view = {
       (** per-cluster in-flight count (dispatched, not yet completed) *)
   queue_free : int -> Opcode.queue -> int;
       (** free slots of a queue in a cluster *)
-  src_locations : Dynuop.t -> Clusteer_util.Bitset.t array;
+  src_locations_into : Uop.t -> Clusteer_util.Bitset.t array -> int;
       (** per source operand, the clusters where its value is (or will
-          be) present — the rename-table location logic *)
-  src_locations_into : Dynuop.t -> Clusteer_util.Bitset.t array -> int;
-      (** allocation-free variant of [src_locations]: fill the
+          be) present — the rename-table location logic. Fills the
           caller's scratch buffer (which must hold at least as many
-          slots as the micro-op has sources) and return the source
-          count. This is what the per-uop hot path uses; the
-          allocating [src_locations] remains for tests and one-off
-          inspection. *)
+          slots as the micro-op has sources) and returns the source
+          count, so the per-uop hot path allocates nothing. *)
   reg_location : Reg.t -> Clusteer_util.Bitset.t;
       (** same lookup for an arbitrary architectural register *)
   annot : Annot.t;
@@ -59,7 +54,10 @@ type view = {
 
 type t = {
   name : string;
-  decide : view -> Dynuop.t -> decision;
+  decide : view -> Uop.t -> decision;
+      (** called with the static micro-op being steered; everything a
+          policy reads about it (opcode, operands, its id into the
+          annotation) is static *)
   uses_dependence_check : bool;
       (** complexity accounting for Table 1: does the scheme read
           source locations at steer time? *)

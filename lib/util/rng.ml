@@ -1,25 +1,33 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than in a [mutable int64]
+   field: storing an int64 into a record field boxes it on every draw,
+   while [Bytes.set_int64_le] stores it unboxed, and a draw inlined
+   into its caller allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 finalizer (Steele et al., "Fast splittable pseudorandom
    number generators"). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let split t = of_state (int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -28,7 +36,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled into [0, 1). *)
   let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   let unit = float_of_int bits *. (1.0 /. 9007199254740992.0) in

@@ -10,7 +10,11 @@
       we record every [Policy.decide] outcome over a full engine run
       and compare the sequences decision by decision. Identical
       decisions imply identical machine evolution, so the first
-      divergence (if any) is caught at its earliest point. *)
+      divergence (if any) is caught at its earliest point.
+
+   3. The engine allocates nothing per micro-op once its pools are
+      warm, under every Table 3 configuration and the dep,
+      op-parallel and crit extensions. *)
 
 open Clusteer_isa
 open Clusteer_uarch
@@ -214,6 +218,13 @@ let least_loaded view candidates =
           if view.Policy.inflight c < view.Policy.inflight best then c else best)
         first rest
 
+(* Per-source locations in a fresh array, read through the view's
+   allocation-free lookup. *)
+let src_locations view (u : Uop.t) =
+  let locs = Array.make (Array.length u.Uop.srcs) Bitset.empty in
+  ignore (view.Policy.src_locations_into u locs);
+  locs
+
 let vote_candidates view locations ~order =
   let clusters = view.Policy.clusters in
   let votes = Array.make clusters 0 in
@@ -228,15 +239,14 @@ let vote_candidates view locations ~order =
 
 let ref_op ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   let ndecisions = ref 0 in
-  let decide view duop =
-    let u = duop.Clusteer_trace.Dynuop.suop in
+  let decide view u =
     let queue = Opcode.queue u.Uop.opcode in
     let clusters = view.Policy.clusters in
     let rot = !ndecisions mod clusters in
     incr ndecisions;
     let order = List.init clusters (fun k -> (rot + k) mod clusters) in
     let candidates =
-      vote_candidates view (view.Policy.src_locations duop) ~order
+      vote_candidates view (src_locations view u) ~order
     in
     let preferred = least_loaded view candidates in
     let min_load =
@@ -268,7 +278,7 @@ let ref_op ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   }
 
 let ref_dep () =
-  let decide view duop =
+  let decide view u =
     let clusters = view.Policy.clusters in
     let votes = Array.make clusters 0 in
     Array.iter
@@ -276,7 +286,7 @@ let ref_dep () =
         for c = 0 to clusters - 1 do
           if Bitset.mem loc c then votes.(c) <- votes.(c) + 1
         done)
-      (view.Policy.src_locations duop);
+      (src_locations view u);
     let best_votes = Array.fold_left max 0 votes in
     let best = ref (-1) in
     for c = clusters - 1 downto 0 do
@@ -297,12 +307,11 @@ let ref_dep () =
 let ref_op_parallel ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   let cycle = ref (-1) in
   let stale : (Reg.t, Bitset.t) Hashtbl.t = Hashtbl.create 16 in
-  let decide view duop =
+  let decide view u =
     if view.Policy.cycle () <> !cycle then begin
       cycle := view.Policy.cycle ();
       Hashtbl.reset stale
     end;
-    let u = duop.Clusteer_trace.Dynuop.suop in
     let queue = Opcode.queue u.Uop.opcode in
     let clusters = view.Policy.clusters in
     let all = List.init clusters Fun.id in
@@ -312,7 +321,7 @@ let ref_op_parallel ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
           match Hashtbl.find_opt stale u.Uop.srcs.(i) with
           | Some old -> old
           | None -> loc)
-        (view.Policy.src_locations duop)
+        (src_locations view u)
     in
     let preferred = least_loaded view (vote_candidates view locations ~order:all) in
     let min_load =
@@ -353,6 +362,26 @@ let ref_op_parallel ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
     uses_vote_unit = true;
   }
 
+(* Critical micro-ops chase their operands (highest vote, then least
+   loaded, highest index on equal load, as [ref_dep]); the rest go to
+   the least-loaded cluster, lowest index on equal load. *)
+let ref_crit ~critical () =
+  let decide view (u : Uop.t) =
+    let all = List.init view.Policy.clusters Fun.id in
+    let id = u.Uop.id in
+    if id < Array.length critical && critical.(id) then
+      Policy.Dispatch_to
+        (least_loaded view
+           (vote_candidates view (src_locations view u) ~order:(List.rev all)))
+    else Policy.Dispatch_to (least_loaded view all)
+  in
+  {
+    Policy.name = "crit-ref";
+    decide;
+    uses_dependence_check = true;
+    uses_vote_unit = true;
+  }
+
 (* Record the full decision stream of [policy] over an engine run. *)
 let record_decisions ~machine ~annot ~policy ~workload ~seed ~uops =
   let log = ref [] in
@@ -360,8 +389,8 @@ let record_decisions ~machine ~annot ~policy ~workload ~seed ~uops =
     {
       policy with
       Policy.decide =
-        (fun view duop ->
-          let d = policy.Policy.decide view duop in
+        (fun view u ->
+          let d = policy.Policy.decide view u in
           log := d :: !log;
           d);
     }
@@ -410,6 +439,13 @@ let test_op_parallel_fast_path_matches_reference () =
     (Steer.Op_parallel.make ())
     (ref_op_parallel ())
 
+let test_crit_fast_path_matches_reference () =
+  (* Every third static micro-op critical, so both paths run. *)
+  let critical = Array.init 4096 (fun id -> id mod 3 = 0) in
+  check_same_decisions "crit"
+    (Steer.Crit.make ~critical ())
+    (ref_crit ~critical ())
+
 let test_vc_decisions_stable () =
   (* Vc_map only memoizes its [Dispatch_to] values; two independent
      instances replaying the same trace must match decision for
@@ -430,6 +466,64 @@ let test_vc_decisions_stable () =
   in
   Alcotest.(check (list int)) "vc replays identically" (as_ints (run ()))
     (as_ints (run ()))
+
+(* ---- engine allocation contract ---------------------------------- *)
+
+(* The trace is generated up front, so the minor-heap delta counts the
+   engine and the policy alone. One engine is warmed once, then reset
+   onto each configuration: a reset engine reuses every pool, so a
+   measured run must not allocate per micro-op. *)
+let max_engine_words_per_uop = 0.02
+
+let test_engine_allocation_contract () =
+  let workload =
+    Synth.build { (Spec2000.find "gzip-1") with Profile.phases = 1 }
+  in
+  let prewarm =
+    Array.to_list
+      (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
+  in
+  let uops = 20_000 in
+  (* Committed micro-ops plus what fetch can hold in flight. *)
+  let trace =
+    let gen = Synth.trace workload ~seed:1 in
+    Array.init (uops + 4096) (fun _ -> Clusteer_trace.Tracegen.next gen)
+  in
+  let prepare config =
+    Clusteer.Configuration.prepare config ~program:workload.Synth.program
+      ~likely:workload.Synth.likely ~clusters:2 ()
+  in
+  let run engine =
+    let next = ref 0 in
+    Engine.run ~warmup:0 engine ~uops ~source:(fun () ->
+        let d = trace.(!next) in
+        incr next;
+        d)
+  in
+  let configs =
+    Clusteer.Configuration.table3 ~clusters:2
+    @ Clusteer.Configuration.[ Dep; Op_parallel; Crit ]
+  in
+  let engine =
+    let annot, policy = prepare Clusteer.Configuration.Op in
+    let e = Engine.create ~config:Config.default_2c ~annot ~policy ~prewarm () in
+    ignore (run e);
+    e
+  in
+  List.iter
+    (fun config ->
+      let annot, policy = prepare config in
+      Engine.reset ~prewarm engine ~annot ~policy;
+      let before = Gc.minor_words () in
+      let stats = run engine in
+      let words =
+        (Gc.minor_words () -. before) /. float_of_int stats.Stats.committed
+      in
+      let name = Clusteer.Configuration.name config in
+      if words > max_engine_words_per_uop then
+        Alcotest.failf "%s: %.4f minor words per committed micro-op > %.2f"
+          name words max_engine_words_per_uop)
+    configs
 
 let () =
   Alcotest.run "clusteer_determinism"
@@ -452,7 +546,11 @@ let () =
             test_dep_fast_path_matches_reference;
           Alcotest.test_case "op-parallel matches reference" `Slow
             test_op_parallel_fast_path_matches_reference;
+          Alcotest.test_case "crit matches reference" `Slow
+            test_crit_fast_path_matches_reference;
           Alcotest.test_case "vc replays identically" `Slow
             test_vc_decisions_stable;
+          Alcotest.test_case "engine allocation contract" `Slow
+            test_engine_allocation_contract;
         ] );
     ]

@@ -1,7 +1,6 @@
 (* Tests for the runtime steering policies, using hand-built views. *)
 
 open Clusteer_isa
-open Clusteer_trace
 open Clusteer_uarch
 module Steer = Clusteer_steer
 module Bitset = Clusteer_util.Bitset
@@ -27,10 +26,9 @@ let fake_view ?(annot = Annot.none ~uop_count:64) f =
     cycle = (fun () -> f.now);
     inflight = (fun c -> f.inflight.(c));
     queue_free = (fun c _ -> f.free.(c));
-    src_locations = (fun d -> Array.map location d.Dynuop.suop.Uop.srcs);
     src_locations_into =
-      (fun d buf ->
-        let srcs = d.Dynuop.suop.Uop.srcs in
+      (fun u buf ->
+        let srcs = u.Uop.srcs in
         Array.iteri (fun i src -> buf.(i) <- location src) srcs;
         Array.length srcs);
     reg_location = location;
@@ -44,8 +42,6 @@ let mk_fake ?(clusters = 2) () =
     locs = Hashtbl.create 8;
     now = 0;
   }
-
-let duop ?(seq = 0) suop = { Dynuop.seq; suop; addr = -1; taken = false }
 
 let alu ~id ~dst ~srcs =
   Uop.make ~id ~opcode:Opcode.Int_alu ~dst:(Reg.int dst)
@@ -63,7 +59,7 @@ let test_one_cluster_always_zero () =
   let f = mk_fake () in
   let p = Steer.One_cluster.make () in
   f.inflight.(0) <- 1000;
-  check_int "always 0" 0 (decide p (fake_view f) (duop (alu ~id:0 ~dst:0 ~srcs:[])))
+  check_int "always 0" 0 (decide p (fake_view f) (alu ~id:0 ~dst:0 ~srcs:[]))
 
 (* ---- OP ------------------------------------------------------------------- *)
 
@@ -73,7 +69,7 @@ let test_op_follows_operands () =
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
   (* Even though cluster 0 is idle, the operand lives in cluster 1. *)
   check_int "follows operand" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[ 1 ])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[ 1 ]))
 
 let test_op_tie_breaks_least_loaded () =
   let f = mk_fake () in
@@ -84,7 +80,7 @@ let test_op_tie_breaks_least_loaded () =
   (* One operand in each cluster: the vote ties, the emptier cluster 1
      wins. *)
   check_int "tie to least loaded" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:3 ~srcs:[ 1; 2 ])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:3 ~srcs:[ 1; 2 ]))
 
 let test_op_stall_over_steer () =
   let f = mk_fake () in
@@ -95,10 +91,10 @@ let test_op_stall_over_steer () =
   (* Preferred cluster full; the other one is busy too (below the
      threshold): stall rather than steer away. *)
   check_int "stalls" (-1)
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[ 1 ])));
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[ 1 ]));
   f.free.(1) <- 40;
   check_int "steers away when idle" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[ 1 ])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[ 1 ]))
 
 let test_op_rotates_exact_ties () =
   (* Source-free micro-ops on a perfectly symmetric machine: every
@@ -109,7 +105,7 @@ let test_op_rotates_exact_ties () =
   let p = Steer.Op.make () in
   let view = fake_view f in
   let picks =
-    List.init 8 (fun i -> decide p view (duop ~seq:i (alu ~id:i ~dst:0 ~srcs:[])))
+    List.init 8 (fun i -> decide p view (alu ~id:i ~dst:0 ~srcs:[]))
   in
   Alcotest.(check (list int)) "alternates" [ 0; 1; 0; 1; 0; 1; 0; 1 ] picks;
   (* Balance entropy of the resulting placement must be (near) perfect;
@@ -132,7 +128,7 @@ let test_op_rotation_never_overrides_untied_picks () =
   let view = fake_view f in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
   let picks =
-    List.init 6 (fun i -> decide p view (duop ~seq:i (alu ~id:i ~dst:2 ~srcs:[ 1 ])))
+    List.init 6 (fun i -> decide p view (alu ~id:i ~dst:2 ~srcs:[ 1 ]))
   in
   Alcotest.(check (list int)) "always the operand cluster" [ 1; 1; 1; 1; 1; 1 ]
     picks
@@ -145,7 +141,7 @@ let test_op_imbalance_override () =
   f.inflight.(1) <- 0;
   (* Gross imbalance: balance beats the dependence preference. *)
   check_int "balance override" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[ 1 ])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[ 1 ]))
 
 (* ---- OP parallel (the §2.1 strawman) --------------------------------------- *)
 
@@ -157,12 +153,12 @@ let test_op_parallel_uses_stale_locations () =
   f.inflight.(0) <- 5 (* cluster 1 emptier *);
   (* First decision of the bundle writes r1 and goes to cluster 1; we
      mimic the engine updating the location table. *)
-  let d1 = duop ~seq:0 (alu ~id:0 ~dst:1 ~srcs:[ 1 ]) in
+  let d1 = alu ~id:0 ~dst:1 ~srcs:[ 1 ] in
   let c1 = decide p view d1 in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton c1);
   (* Second decision reads r1 in the same cycle: the parallel scheme
      still sees the OLD location (cluster 0). *)
-  let d2 = duop ~seq:1 (alu ~id:1 ~dst:2 ~srcs:[ 1 ]) in
+  let d2 = alu ~id:1 ~dst:2 ~srcs:[ 1 ] in
   f.inflight.(0) <- 5;
   f.inflight.(c1) <- 0;
   let c2 = decide p view d2 in
@@ -176,12 +172,12 @@ let test_op_parallel_resets_each_cycle () =
   let p = Steer.Op_parallel.make () in
   let view = fake_view f in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 0);
-  let d1 = duop (alu ~id:0 ~dst:1 ~srcs:[ 1 ]) in
+  let d1 = alu ~id:0 ~dst:1 ~srcs:[ 1 ] in
   let c1 = decide p view d1 in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton c1);
   (* New cycle: the stale table clears, fresh locations apply. *)
   f.now <- 1;
-  let d2 = duop (alu ~id:1 ~dst:2 ~srcs:[ 1 ]) in
+  let d2 = alu ~id:1 ~dst:2 ~srcs:[ 1 ] in
   check_int "fresh after cycle" c1 (decide p view d2)
 
 (* ---- static ------------------------------------------------------------------ *)
@@ -193,15 +189,15 @@ let test_static_obeys_annotation () =
   let p = Steer.Static.make ~name:"ob" ~annot in
   let f = mk_fake () in
   let view = fake_view ~annot f in
-  check_int "uop 0 -> 1" 1 (decide p view (duop (alu ~id:0 ~dst:0 ~srcs:[])));
-  check_int "uop 1 -> 0" 0 (decide p view (duop (alu ~id:1 ~dst:0 ~srcs:[])))
+  check_int "uop 0 -> 1" 1 (decide p view (alu ~id:0 ~dst:0 ~srcs:[]));
+  check_int "uop 1 -> 0" 0 (decide p view (alu ~id:1 ~dst:0 ~srcs:[]))
 
 let test_static_unassigned_defaults_zero () =
   let annot = Annot.create_static ~scheme:"ob" ~uop_count:4 in
   let p = Steer.Static.make ~name:"ob" ~annot in
   let f = mk_fake () in
   check_int "fallback 0" 0
-    (decide p (fake_view ~annot f) (duop (alu ~id:2 ~dst:0 ~srcs:[])))
+    (decide p (fake_view ~annot f) (alu ~id:2 ~dst:0 ~srcs:[]))
 
 let test_static_clamps_foreign_cluster () =
   (* A 4-cluster annotation replayed on a 2-cluster machine falls back
@@ -210,7 +206,7 @@ let test_static_clamps_foreign_cluster () =
   annot.Annot.cluster_of.(0) <- 3;
   let p = Steer.Static.make ~name:"ob" ~annot in
   let f = mk_fake ~clusters:2 () in
-  check_int "clamped" 0 (decide p (fake_view ~annot f) (duop (alu ~id:0 ~dst:0 ~srcs:[])))
+  check_int "clamped" 0 (decide p (fake_view ~annot f) (alu ~id:0 ~dst:0 ~srcs:[]))
 
 (* ---- VC mapper (Figure 4) ------------------------------------------------------- *)
 
@@ -230,7 +226,7 @@ let test_vc_non_leader_follows_table () =
   (* Non-leader uop 1 follows vc 0's initial mapping (cluster 0) even
      if cluster 0 looks loaded. *)
   f.inflight.(0) <- 99;
-  check_int "follows table" 0 (decide p view (duop (alu ~id:1 ~dst:0 ~srcs:[])))
+  check_int "follows table" 0 (decide p view (alu ~id:1 ~dst:0 ~srcs:[]))
 
 let test_vc_leader_remaps_to_least_loaded () =
   let annot = vc_annot () in
@@ -239,9 +235,9 @@ let test_vc_leader_remaps_to_least_loaded () =
   let view = fake_view ~annot f in
   f.inflight.(0) <- 99;
   (* Leader of vc 0 consults the counters and remaps to cluster 1. *)
-  check_int "leader remaps" 1 (decide p view (duop (alu ~id:0 ~dst:0 ~srcs:[])));
+  check_int "leader remaps" 1 (decide p view (alu ~id:0 ~dst:0 ~srcs:[]));
   (* Subsequent non-leaders of vc 0 follow the new mapping. *)
-  check_int "chain follows" 1 (decide p view (duop (alu ~id:2 ~dst:0 ~srcs:[])))
+  check_int "chain follows" 1 (decide p view (alu ~id:2 ~dst:0 ~srcs:[]))
 
 let test_vc_hysteresis_threshold () =
   let annot = vc_annot () in
@@ -250,10 +246,10 @@ let test_vc_hysteresis_threshold () =
   let view = fake_view ~annot f in
   f.inflight.(0) <- 5 (* imbalance 5 < threshold 10: stay *);
   check_int "no remap under threshold" 0
-    (decide p view (duop (alu ~id:0 ~dst:0 ~srcs:[])));
+    (decide p view (alu ~id:0 ~dst:0 ~srcs:[]));
   f.inflight.(0) <- 50;
   check_int "remap over threshold" 1
-    (decide p view (duop (alu ~id:0 ~dst:0 ~srcs:[])))
+    (decide p view (alu ~id:0 ~dst:0 ~srcs:[]))
 
 let test_vc_unassigned_goes_least_loaded () =
   let annot = Annot.create_virtual ~scheme:"vc" ~virtual_clusters:2 ~uop_count:8 in
@@ -261,7 +257,7 @@ let test_vc_unassigned_goes_least_loaded () =
   let f = mk_fake () in
   f.inflight.(0) <- 3;
   check_int "least loaded" 1
-    (decide p (fake_view ~annot f) (duop (alu ~id:0 ~dst:0 ~srcs:[])))
+    (decide p (fake_view ~annot f) (alu ~id:0 ~dst:0 ~srcs:[]))
 
 let test_vc_requires_virtual_annotation () =
   Alcotest.check_raises "no vcs"
@@ -275,7 +271,7 @@ let test_mod_n_rotation () =
   let p = Steer.Mod_n.make ~n:2 () in
   let f = mk_fake () in
   let view = fake_view f in
-  let d i = duop ~seq:i (alu ~id:i ~dst:0 ~srcs:[]) in
+  let d i = alu ~id:i ~dst:0 ~srcs:[] in
   let picks = List.init 8 (fun i -> decide p view (d i)) in
   Alcotest.(check (list int)) "rotates every 2" [ 0; 0; 1; 1; 0; 0; 1; 1 ] picks
 
@@ -283,7 +279,7 @@ let test_mod_n_default_three () =
   let p = Steer.Mod_n.make () in
   let f = mk_fake () in
   let view = fake_view f in
-  let d i = duop ~seq:i (alu ~id:i ~dst:0 ~srcs:[]) in
+  let d i = alu ~id:i ~dst:0 ~srcs:[] in
   let picks = List.init 6 (fun i -> decide p view (d i)) in
   Alcotest.(check (list int)) "mod3" [ 0; 0; 0; 1; 1; 1 ] picks
 
@@ -298,7 +294,7 @@ let test_dep_follows_operands () =
   let p = Steer.Dep.make () in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
   check_int "follows operand" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[ 1 ])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[ 1 ]))
 
 let test_dep_never_stalls () =
   let f = mk_fake () in
@@ -309,14 +305,14 @@ let test_dep_never_stalls () =
   (* Queues full everywhere: dep still picks a cluster (the engine
      will charge the allocation stall). *)
   check_int "no voluntary stall" 0
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[ 1 ])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[ 1 ]))
 
 let test_dep_tie_least_loaded () =
   let f = mk_fake () in
   let p = Steer.Dep.make () in
   f.inflight.(0) <- 7;
   check_int "no operands -> least loaded" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[]))
 
 (* ---- crit (extension baseline) ----------------------------------------------------- *)
 
@@ -327,18 +323,18 @@ let test_crit_critical_follows_operands () =
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
   (* uop 0 is critical: chases its operand into cluster 1 *)
   check_int "critical chases" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:2 ~srcs:[ 1 ])));
+    (decide p (fake_view f) (alu ~id:0 ~dst:2 ~srcs:[ 1 ]));
   (* uop 1 is not: goes to the least-loaded cluster (0) *)
   f.inflight.(1) <- 5;
   check_int "non-critical balances" 0
-    (decide p (fake_view f) (duop (alu ~id:1 ~dst:2 ~srcs:[ 1 ])))
+    (decide p (fake_view f) (alu ~id:1 ~dst:2 ~srcs:[ 1 ]))
 
 let test_crit_out_of_table_is_noncritical () =
   let p = Steer.Crit.make ~critical:[| true |] () in
   let f = mk_fake () in
   f.inflight.(0) <- 5;
   check_int "beyond table balances" 1
-    (decide p (fake_view f) (duop (alu ~id:7 ~dst:2 ~srcs:[])))
+    (decide p (fake_view f) (alu ~id:7 ~dst:2 ~srcs:[]))
 
 (* ---- thermal (extension baseline) -------------------------------------------------- *)
 
@@ -347,7 +343,7 @@ let test_thermal_balances_when_cold () =
   let f = mk_fake () in
   f.inflight.(0) <- 9;
   check_int "prefers lighter cluster" 1
-    (decide p (fake_view f) (duop (alu ~id:0 ~dst:0 ~srcs:[])))
+    (decide p (fake_view f) (alu ~id:0 ~dst:0 ~srcs:[]))
 
 let test_thermal_migrates_under_heat () =
   (* With equal in-flight load, accumulated heat pushes decisions to
@@ -356,7 +352,7 @@ let test_thermal_migrates_under_heat () =
   let f = mk_fake () in
   let view = fake_view f in
   let picks =
-    List.init 10 (fun i -> decide p view (duop ~seq:i (alu ~id:i ~dst:0 ~srcs:[])))
+    List.init 10 (fun i -> decide p view (alu ~id:i ~dst:0 ~srcs:[]))
   in
   check_bool "uses both clusters" true
     (List.exists (fun c -> c = 0) picks && List.exists (fun c -> c = 1) picks)

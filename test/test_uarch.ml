@@ -721,6 +721,27 @@ let test_engine_rejects_rogue_policy () =
        "Engine: policy rogue steered micro-op 0 to invalid cluster 7")
     (fun () -> ignore (Engine.run engine ~source:(source_of p 1) ~uops:10))
 
+let test_engine_static_id_table () =
+  (* Slots and the fetch queue hold static ids, resolved through a
+     table filled at fetch: one id names one micro-op until the next
+     reset, ids past the annotation's count still resolve, and a reset
+     forgets the previous program. *)
+  let a = independent_program 4 and b = serial_chain_program 4 in
+  let policy = Clusteer_steer.One_cluster.make () in
+  let annot = Annot.none ~uop_count:1 in
+  let engine = Engine.create ~config:Config.default_2c ~annot ~policy () in
+  let first = Stats.copy (Engine.run engine ~source:(source_of a 1) ~uops:200) in
+  check_bool "ids past the annotation resolve" true
+    (Stats.equal first (run_with ~policy a ~uops:200));
+  Alcotest.check_raises "a second micro-op under a seen id"
+    (Invalid_argument "Engine: static id 0 names two different micro-ops")
+    (fun () -> ignore (Engine.run engine ~source:(source_of b 1) ~uops:400));
+  Engine.reset engine ~annot ~policy;
+  check_bool "reset forgets the previous program" true
+    (Stats.equal
+       (Engine.run engine ~source:(source_of b 1) ~uops:200)
+       (run_with ~policy b ~uops:200))
+
 let test_energy_estimate_shape () =
   let p = independent_program 16 in
   let one = run_with ~policy:(Clusteer_steer.One_cluster.make ()) p ~uops:2000 in
@@ -1342,6 +1363,7 @@ let () =
           Alcotest.test_case "rob stall on miss" `Quick test_engine_rob_stall_on_long_miss;
           Alcotest.test_case "rejects bad args" `Quick test_engine_rejects_bad_args;
           Alcotest.test_case "rogue policy fault" `Quick test_engine_rejects_rogue_policy;
+          Alcotest.test_case "static-id table" `Quick test_engine_static_id_table;
           Alcotest.test_case "regfile pressure" `Quick test_engine_regfile_pressure;
           Alcotest.test_case "store-load forwarding" `Quick test_engine_store_load_forwarding;
           Alcotest.test_case "lsq backpressure" `Quick test_engine_lsq_backpressure;
