@@ -15,7 +15,9 @@ test:
 # (no cross-module inlining) or lost the dev profile's
 # warnings-as-errors, or if the dev profile, the quick path for
 # rebuilding after an edit, no longer builds (into _build-dev, so the
-# default build is left alone).
+# default build is left alone). Also fails if any file under lib/, bin/
+# or bench/ other than lib/util/parallel.ml spawns a domain: that
+# module's one schedule is the only place parallel work is started.
 ENGINE_CMX = _build/default/lib/uarch/.clusteer_uarch.objs/native/clusteer_uarch__Engine.cmx
 build-flags:
 	@set -e; mkdir -p _build; r=_build/engine-rules.txt; \
@@ -27,8 +29,14 @@ build-flags:
 	  grep -qF -- "$$f" $$r || \
 	    { echo "build-flags: FAIL: the default build lacks $$f"; exit 1; }; \
 	done; \
+	spawns=$$(grep -rlF 'Domain.spawn' lib bin bench | \
+	  grep -vx 'lib/util/parallel.ml' || true); \
+	if [ -n "$$spawns" ]; then \
+	  echo "build-flags: FAIL: Domain.spawn outside lib/util/parallel.ml:" $$spawns; \
+	  exit 1; \
+	fi; \
 	dune build @all --profile dev --build-dir _build-dev; \
-	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds)"
+	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds, one spawn site)"
 
 bench:
 	dune exec bench/main.exe

@@ -94,10 +94,10 @@ let trace_consumer tb =
     done;
     tb.tb_buf.(i)
 
-(* ---- per-domain reuse context ------------------------------------ *)
+(* ---- per-worker reuse context ------------------------------------ *)
 
-(* Shared-nothing shard state: everything a domain can profitably keep
-   alive across the points it owns. Workloads and compiled annotations
+(* Shared-nothing worker state: everything a worker can profitably keep
+   alive across the points it runs. Workloads and compiled annotations
    are deterministic per (profile, configuration), so caching them
    changes nothing; engines are returned to their post-create state
    with {!Engine.reset} instead of being re-allocated. Together these
@@ -117,11 +117,11 @@ let fresh_reuse () =
     r_engines = Hashtbl.create 16;
   }
 
-(* Per-shard minor heap: 1M words (8 MB on 64-bit). Minor collections
-   are global stop-the-world rendezvous in OCaml 5; giving each shard
+(* Per-worker minor heap: 1M words (8 MB on 64-bit). Minor collections
+   are global stop-the-world rendezvous in OCaml 5; giving each worker
    a big nursery makes them rare enough that domains actually run in
    parallel. *)
-let shard_minor_heap_words = 1 lsl 20
+let worker_minor_heap_words = 1 lsl 20
 
 let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
     ?profile ?reuse ?params ~machine ~configs ~uops workload =
@@ -185,7 +185,7 @@ let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
          hand the caller an independent copy. *)
       let stats = if Option.is_some reuse then Stats.copy stats else stats in
       (* The ledger attributes committed work to the run through this
-         counter — it rides the registry, so parallel shards merge it
+         counter — it rides the registry, so parallel workers merge it
          like any other instrument. *)
       Counters.add committed stats.Stats.committed;
       (name, stats))
@@ -223,75 +223,52 @@ let run_point ?warmup ?obs ?registry ?profile ?params ?trace_salt ~machine
   run_point_cached ?warmup ?obs ?registry ?profile ?params ?trace_salt
     ~machine ~configs ~uops point
 
-(* Registry-isolated parallel map. Under {!Parallel.Static} (the
-   default) the items are pre-partitioned into contiguous per-domain
-   shards, each shard runs against one private counter registry, and
-   the shard registries are merged into [into] in shard (= input)
-   order once every shard completes. Under {!Parallel.Steal} each
-   *item* gets a private registry and the per-item registries merge in
-   input order — the dynamic schedule balances uneven items at the
-   price of cross-domain cursor traffic. {!Counters.merge} is
-   commutative and associative over disjoint observation streams, so
-   both groupings produce bit-identical merged totals; as long as [f]
-   is deterministic per item, both produce results bit-identical to a
-   sequential run. The suite sweeps below and the service layer's
-   worker pool (lib/serve) both build on this. *)
-let map_isolated ?domains ?chunk ?(strategy = Parallel.Static)
-    ?(into = Counters.default) f items =
-  match strategy with
-  | Parallel.Steal ->
-      let shard item =
-        let registry = Counters.create () in
-        let result = f ~registry item in
-        (result, registry)
-      in
-      let sharded =
-        Parallel.map ?domains ?chunk ~strategy:Parallel.Steal
-          ~minor_heap_words:shard_minor_heap_words shard items
-      in
-      List.iter (fun (_, registry) -> Counters.merge ~into registry) sharded;
-      List.map fst sharded
-  | Parallel.Static ->
-      let results, registries =
-        Parallel.map_sharded ?domains
-          ~minor_heap_words:shard_minor_heap_words
-          ~init:(fun _ -> Counters.create ())
-          ~f:(fun registry item -> f ~registry item)
-          items
-      in
-      List.iter (fun registry -> Counters.merge ~into registry) registries;
-      results
+(* Registry-isolated parallel map: every item is its own group, so
+   workers claim items one at a time off the shared cursor, and each
+   worker runs its items against one private counter registry. The
+   worker registries merge into [into] once every worker is done.
+   Which worker ran which item depends on timing, but the merged
+   totals do not: registries hold only ints, {!Counters.merge} adds
+   (or maxes) them, and every rendering sorts by name. As long as [f]
+   is deterministic per item, a parallel run is bit-identical to a
+   sequential one. The service layer's dispatch (lib/serve) builds on
+   this; the suite sweeps below use the same schedule with a richer
+   worker state. *)
+let map_isolated ?domains ?(into = Counters.default) f items =
+  let results, registries =
+    Parallel.map ?domains ~minor_heap_words:worker_minor_heap_words
+      ~init:(fun _ -> Counters.create ())
+      ~f:(fun registry item -> f ~registry item)
+      (List.map (fun item -> [ item ]) items)
+  in
+  List.iter (fun registry -> Counters.merge ~into registry) registries;
+  List.concat results
 
-(* Parallel core: shard (profile x point) pairs over domains. The
-   simulation is deterministic per point (a pure function of the trace
-   seed and the machine), so [map_isolated]'s guarantee applies.
+(* Parallel core: one group per benchmark, claimed whole by whichever
+   worker is free. The simulation is deterministic per point (a pure
+   function of the trace seed and the machine), so [map_isolated]'s
+   guarantee applies.
 
-   Each domain additionally keeps a {!reuse} context — cached
+   Each worker additionally keeps a {!reuse} context — cached
    workloads, compiled annotations and reset-in-place engines — plus
-   one self-profiler when [profiled]; all of it private to the shard,
-   merged (registry) or dropped (reuse) at the end. Contiguous
-   partitioning keeps a profile's points on one domain, so the caches
-   actually hit.
+   one self-profiler when [profiled]; all of it private to the worker,
+   merged (registry) or dropped (reuse) at the end. A benchmark's
+   points all run on the worker that claimed it, so the caches hit.
 
-   [profiled] attaches a pipeline self-profiler per shard, over the
-   shard's private registry — concurrent engines never share a span,
+   [profiled] attaches a pipeline self-profiler per worker, over the
+   worker's private registry — concurrent engines never share a span,
    and the phase-timing histograms merge back with the rest of the
-   shard registry in input order. When profiled, each item also
-   records a [harness.point] wall-time span and per-point GC deltas
+   worker registry. When profiled, each point also records a
+   [harness.point] wall-time span and per-point GC deltas
    ([harness.gc.*] counters). These are wall-clock quantities, hence
    nondeterministic — which is why they are gated behind [profiled]
    and absent from default-mode registries (the determinism contract
    compares those). *)
-let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
+let run_grouped ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
     ?params ?trace_salt ~machine ~configs ~uops profiles =
-  let items =
-    List.concat_map
-      (fun profile ->
-        List.map (fun point -> (profile, point)) (Pinpoints.points profile))
-      profiles
-  in
-  let run_item ~registry ~prof ~reuse ((profile : Profile.t), point) =
-    if point.Pinpoints.index = 0 then progress profile.Profile.name;
+  let run_one (registry, prof, reuse) point =
+    if point.Pinpoints.index = 0 then
+      progress point.Pinpoints.profile.Profile.name;
     match prof with
     | None ->
         run_point_cached ?warmup ~registry ~reuse ?params ?trace_salt ~machine
@@ -314,8 +291,8 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
           (gc1.Gc.major_collections - gc0.Gc.major_collections);
         result
   in
-  let results, shards =
-    Parallel.map_sharded ?domains ~minor_heap_words:shard_minor_heap_words
+  let results, workers =
+    Parallel.map ?domains ~minor_heap_words:worker_minor_heap_words
       ~init:(fun _ ->
         let registry = Counters.create () in
         let prof =
@@ -323,45 +300,19 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
           else None
         in
         (registry, prof, fresh_reuse ()))
-      ~f:(fun (registry, prof, reuse) item ->
-        run_item ~registry ~prof ~reuse item)
-      items
+      ~f:run_one
+      (List.map Pinpoints.points profiles)
   in
   List.iter
     (fun (registry, _, _) -> Counters.merge ~into:Counters.default registry)
-    shards;
-  results
+    workers;
+  List.combine profiles results
 
 let run_suite ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine
     ~configs ~uops profiles =
-  run_points ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine
-    ~configs ~uops profiles
-
-let rec split_at n xs =
-  if n = 0 then ([], xs)
-  else
-    match xs with
-    | [] -> invalid_arg "Runner.run_grouped: result count mismatch"
-    | x :: rest ->
-        let taken, remaining = split_at (n - 1) rest in
-        (x :: taken, remaining)
-
-let run_grouped ?progress ?warmup ?domains ?profiled ?params ?trace_salt
-    ~machine ~configs ~uops profiles =
-  let flat =
-    run_points ?progress ?warmup ?domains ?profiled ?params ?trace_salt ~machine
-      ~configs ~uops profiles
-  in
-  let groups, rest =
-    List.fold_left
-      (fun (acc, remaining) profile ->
-        let n = List.length (Pinpoints.points profile) in
-        let points, remaining = split_at n remaining in
-        ((profile, points) :: acc, remaining))
-      ([], flat) profiles
-  in
-  assert (rest = []);
-  List.rev groups
+  List.concat_map snd
+    (run_grouped ?progress ?warmup ?domains ?profiled ?params ?trace_salt
+       ~machine ~configs ~uops profiles)
 
 let stats_of result config =
   match List.assoc_opt config result.runs with

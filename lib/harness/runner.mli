@@ -4,27 +4,28 @@
 
     {2 Parallel execution}
 
-    {!run_suite} and {!run_grouped} shard their (profile ×
-    simulation-point) work items across OCaml domains ([domains],
-    default {!Clusteer_util.Parallel.default_domains}).
-    The items are pre-partitioned into contiguous per-domain shards
-    before spawn; each domain simulates against {b private} state — a counter
-    registry passed down to the policies and the engine, an optional
-    self-profiler, and a reuse context of cached workloads, compiled
-    annotations and reset-in-place engines — so concurrent shards
-    never share mutable state and the per-point allocation rate stays
-    low (OCaml 5 minor collections are stop-the-world across all
-    domains; the allocation-heavy per-item rebuild is what made the
-    earlier harness anti-scale). Shard registries are merged into
-    {!Clusteer_obs.Counters.default} in shard (= input) order once all
-    shards complete.
+    {!run_grouped} and {!run_suite} spread their benchmarks over OCaml
+    domains ([domains], default
+    {!Clusteer_util.Parallel.default_domains}). Each benchmark is one
+    group on {!Clusteer_util.Parallel.map}: whichever worker is free
+    claims the next benchmark off one shared cursor and runs all of
+    its simulation points. Each worker simulates against {b private}
+    state — a counter registry passed down to the policies and the
+    engine, an optional self-profiler, and a reuse context of cached
+    workloads, compiled annotations and reset-in-place engines — so
+    concurrent workers never share mutable state, and a benchmark's
+    points hit its worker's caches (OCaml 5 minor collections are
+    stop-the-world across all domains; the allocation-heavy per-item
+    rebuild is what made the earlier harness anti-scale). Worker
+    registries are merged into {!Clusteer_obs.Counters.default} once
+    all workers complete.
 
     Since each point's simulation is a pure function of its trace seed
-    and the machine, and since the merges are order-preserving (and
-    {!Clusteer_obs.Counters.merge} is commutative and associative over
-    disjoint observation streams), every domain count produces results
-    and merged counter totals bit-identical to a sequential
-    [domains:1] run. *)
+    and the machine, and since {!Clusteer_obs.Counters.merge} only adds
+    (or maxes) integers and every rendering sorts by name, the merged
+    totals do not depend on which worker ran which benchmark: every
+    domain count produces results and merged counter totals
+    bit-identical to a sequential [domains:1] run. *)
 
 open Clusteer_uarch
 open Clusteer_workloads
@@ -108,42 +109,21 @@ val run_workload :
 
 val map_isolated :
   ?domains:int ->
-  ?chunk:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?into:Clusteer_obs.Counters.registry ->
   (registry:Clusteer_obs.Counters.registry -> 'a -> 'b) ->
   'a list ->
   'b list
 (** Registry-isolated parallel map: run [f] over the items on up to
-    [domains] domains, handing [f] a {b private} counter registry —
-    one per contiguous shard under {!Clusteer_util.Parallel.Static}
-    (the default), one per item under
-    {!Clusteer_util.Parallel.Steal} — then merge the private
-    registries into [into] (default {!Clusteer_obs.Counters.default})
-    in input order. Results keep input order. [chunk] only applies to
-    the stealing strategy. Both groupings merge to bit-identical
-    totals ({!Clusteer_obs.Counters.merge} is commutative and
-    associative); as long as [f] is deterministic per item, a parallel
+    [domains] domains, each item a group of its own on
+    {!Clusteer_util.Parallel.map}, so a free worker claims the next
+    item. [f] gets its worker's {b private} counter registry; the
+    worker registries merge into [into] (default
+    {!Clusteer_obs.Counters.default}) once every worker is done.
+    Results keep input order. The merged totals do not depend on
+    which worker ran which item ({!Clusteer_obs.Counters.merge} adds
+    integers), so as long as [f] is deterministic per item, a parallel
     run is bit-identical to a sequential one. This is the primitive
-    behind {!run_suite} and the service layer's worker pool. *)
-
-val run_suite :
-  ?progress:(string -> unit) ->
-  ?warmup:int ->
-  ?domains:int ->
-  ?profiled:bool ->
-  ?params:Clusteer.Configuration.params ->
-  ?trace_salt:int ->
-  machine:Config.t ->
-  configs:Clusteer.Configuration.t list ->
-  uops:int ->
-  Profile.t list ->
-  point_result list
-(** Whole-suite sweep, sharded across domains at simulation-point
-    granularity; results keep (profile, point) input order. [progress]
-    is called once per benchmark, from whichever domain picks up the
-    benchmark's first point — ordering across benchmarks is therefore
-    not guaranteed under [domains > 1]. *)
+    behind the service layer's dispatch. *)
 
 val run_grouped :
   ?progress:(string -> unit) ->
@@ -157,8 +137,28 @@ val run_grouped :
   uops:int ->
   Profile.t list ->
   (Profile.t * point_result list) list
-(** {!run_suite}, with the flat results regrouped per profile (in
-    input order) — the shape the experiment sweeps consume. *)
+(** Whole-suite sweep, one benchmark per claim: each profile's points
+    run in order on the worker that claimed the profile. Returns each
+    profile with its point results, in input order — the shape the
+    experiment sweeps consume. [progress] is called once per
+    benchmark, from the worker that runs the benchmark's first point;
+    ordering across benchmarks is therefore not guaranteed under
+    [domains > 1]. *)
+
+val run_suite :
+  ?progress:(string -> unit) ->
+  ?warmup:int ->
+  ?domains:int ->
+  ?profiled:bool ->
+  ?params:Clusteer.Configuration.params ->
+  ?trace_salt:int ->
+  machine:Config.t ->
+  configs:Clusteer.Configuration.t list ->
+  uops:int ->
+  Profile.t list ->
+  point_result list
+(** {!run_grouped} with the per-profile results concatenated: every
+    (profile, point) result in input order. *)
 
 val weighted_metric :
   point_result list -> config:string -> f:(Stats.t -> float) -> float

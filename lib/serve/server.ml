@@ -254,12 +254,12 @@ let handle_batch t lines =
   in
   (match t.prof with Some p -> Prof.enter p.p_dispatch | None -> ());
   let outcomes =
-    (* Request batches are heterogeneous (arbitrary uops/config mixes)
-       and the deadline check is time-of-dispatch, so the dynamic
-       stealing schedule is the right fit here; it also preserves the
-       per-item registry isolation the serve tests pin. *)
-    Runner.map_isolated ?domains:t.cfg.domains
-      ~strategy:Clusteer_util.Parallel.Steal ~into:t.registry
+    (* Each job is claimed on its own by whichever worker is free, in
+       queue order, so the deadline check happens when a worker
+       actually reaches the job. Jobs run against their worker's
+       private registry, merged into the server's once the batch is
+       done. *)
+    Runner.map_isolated ?domains:t.cfg.domains ~into:t.registry
       (fun ~registry job ->
         let now = Unix.gettimeofday () in
         match job.deadline with

@@ -15,11 +15,12 @@
       simulating.
     + {b Dispatch}, oldest deadline first (no deadline sorts last;
       ties in arrival order). The worker pool runs the queue on
-      {!Clusteer_harness.Runner.map_isolated}: each job gets a private
-      counter registry (merged back in input order), so concurrent
-      jobs keep PR 2's bit-determinism. A job whose deadline expires
-      while it waits behind earlier work is dropped with [Timeout]
-      before any simulation happens.
+      {!Clusteer_harness.Runner.map_isolated}: a free worker claims
+      the next job, and each worker counts into a private registry
+      that is merged back once the batch is done, so concurrent jobs
+      keep the bit-determinism of a sequential run. A job whose
+      deadline expires while it waits behind earlier work is dropped
+      with [Timeout] before any simulation happens.
     + {b Reply}: one response line per command line, in command order.
       Fresh results are admitted to the cache (and spill to disk as
       the byte budget forces evictions).

@@ -1,5 +1,6 @@
 (** Criticality-aware steering (after the paper's [24], Salverda &
-    Zilles): micro-ops marked critical follow their operands (zero
+    Zilles): micro-ops marked critical follow their operands by
+    {!Dep.vote}, the same vote as [dep] (zero
     communication on the critical path); everything else goes to the
     least-loaded cluster (balance from the slack pool).
 

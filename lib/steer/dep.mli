@@ -14,3 +14,16 @@ val make :
     (clusters tying the source-operand vote) into [registry] (default
     {!Clusteer_obs.Counters.default}). Counters never influence
     steering. *)
+
+type scratch
+(** The vote's working arrays, reused across decisions. *)
+
+val scratch : unit -> scratch
+
+val vote : scratch -> Clusteer_uarch.Policy.view -> Clusteer_isa.Uop.t -> int
+(** The dependence vote shared by [dep] and [crit]'s critical
+    micro-ops: every cluster gets one vote per source operand it
+    holds, and the least-loaded cluster among the highest votes wins,
+    scanning from the top index (so the highest index wins a load
+    tie). Allocates nothing once [scratch] has room for the micro-op's
+    sources. *)

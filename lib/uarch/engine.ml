@@ -195,6 +195,10 @@ type t = {
   mutable busy : bool;
   mutable wake : int;
   mutable retry : int;
+  (* a run started since create/reset: the stopping rule and the cycle
+     bound of [run] count from a fresh machine, so a second run must
+     come after a reset *)
+  mutable ran : bool;
 }
 
 let queue_index = function
@@ -387,6 +391,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       busy = false;
       wake = 0;
       retry = never;
+      ran = false;
       (* Placeholder, replaced right below: the real view's closures
          need [t] itself. *)
       view =
@@ -446,6 +451,7 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.busy <- false;
   t.wake <- 0;
   t.retry <- never;
+  t.ran <- false;
   t.obs <- obs;
   t.view <- make_view t
 
@@ -1261,8 +1267,11 @@ let step t ~source =
 (* [every_cycle] opens the gate on every cycle: the reference the
    gated engine must match. *)
 let run_loop ~every_cycle ?(warmup = 0) t ~source ~uops =
+  if t.ran then
+    invalid_arg "Engine.run: engine already ran; call Engine.reset first";
   if uops <= 0 then invalid_arg "Engine.run: uops must be positive";
   if warmup < 0 then invalid_arg "Engine.run: negative warmup";
+  t.ran <- true;
   let max_cycles = ((warmup + uops) * 1000) + 100_000 in
   if warmup > 0 then begin
     (* The sink observes the measured phase only: warmup events would

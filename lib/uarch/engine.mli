@@ -118,7 +118,13 @@ val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
     id must name one micro-op between resets: [Invalid_argument] naming
     the id if [source] returns a different one under an id already
     seen. Raises [Failure] if the machine stops making progress (an
-    engine bug, surfaced for the tests). *)
+    engine bug, surfaced for the tests).
+
+    One run per {!create} or {!reset}: the stopping rule and the cycle
+    bound count from a fresh machine, so a second [run] without a
+    {!reset} in between raises
+    [Invalid_argument "Engine.run: engine already ran; call Engine.reset first"],
+    as does a run after one that raised. *)
 
 val stats : t -> Stats.t
 

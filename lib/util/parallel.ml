@@ -7,8 +7,6 @@ let default_domain_cap = 8
 
 let default_domains () = min default_domain_cap (Domain.recommended_domain_count ())
 
-type strategy = Static | Steal
-
 (* OCaml 5 minor collections are stop-the-world across *all* domains:
    every domain must reach a safepoint before any of them can collect.
    Allocation-heavy shards with the default (small) minor heap
@@ -38,155 +36,69 @@ let with_minor_heap words f =
           f
       end
 
-let reraise failure =
-  match Atomic.get failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
+exception Poisoned
 
-let collect results =
-  Array.to_list
-    (Array.map (function Some v -> v | None -> assert false) results)
-
-(* Opt-in stealing mode: a shared atomic cursor hands out [chunk]
-   consecutive indexes at a time. Kept for genuinely uneven work (the
-   service layer's request batches); the cursor line bounces between
-   domains, so the pre-partitioned mode below is the default. *)
-let steal_map ~domains ~chunk ~minor_heap_words f input n results =
-  let cursor = Atomic.make 0 in
-  let failure = Atomic.make None in
-  let worker () =
-    Option.iter grow_minor_heap minor_heap_words;
-    let rec loop () =
-      let start = Atomic.fetch_and_add cursor chunk in
-      if start < n && Atomic.get failure = None then begin
-        let stop = min n (start + chunk) in
-        (try
-           (* The failure flag is consulted before every *element*, not
-              just every chunk: under a large [chunk] a poisoned run
-              stops after the in-flight element instead of draining the
-              rest of the chunk. *)
-           let i = ref start in
-           while !i < stop && Atomic.get failure = None do
-             results.(!i) <- Some (f input.(!i));
-             incr i
-           done
-         with e ->
-           (* First failure wins; keep its backtrace so the caller
-              sees where the worker actually died. *)
-           let bt = Printexc.get_raw_backtrace () in
-           ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  (* There are only ceil(n/chunk) chunks to hand out: spawning more
-     helpers than chunks-beyond-the-parent's just pays spawn/join for
-     domains that never claim work. *)
-  let nchunks = (n + chunk - 1) / chunk in
-  let helpers =
-    List.init (min (domains - 1) (nchunks - 1)) (fun _ -> Domain.spawn worker)
-  in
-  worker ();
-  List.iter Domain.join helpers;
-  reraise failure
-
-(* Default mode: contiguous slices computed before spawn. No shared
-   cursor on the hot path; worker [w] owns [w*n/d, (w+1)*n/d). *)
-let static_map ~workers ~minor_heap_words f input n results =
-  let failure = Atomic.make None in
-  let run w =
-    let lo = w * n / workers and hi = (w + 1) * n / workers in
-    try
-      let i = ref lo in
-      while !i < hi && Atomic.get failure = None do
-        results.(!i) <- Some (f input.(!i));
-        incr i
-      done
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-  in
-  let helpers =
-    List.init (workers - 1) (fun k ->
-        Domain.spawn (fun () ->
-            Option.iter grow_minor_heap minor_heap_words;
-            run (k + 1)))
-  in
-  run 0;
-  List.iter Domain.join helpers;
-  reraise failure
-
-let map ?domains ?(chunk = 1) ?(strategy = Static) ?minor_heap_words f xs =
-  if chunk < 1 then invalid_arg "Parallel.map: chunk must be positive";
+(* One cursor over the groups: a worker claims the next unclaimed
+   group whenever it is free, so slow groups spread over the workers
+   instead of queueing behind each other on one. A group runs whole on
+   its worker, which is what lets per-worker caches hit. The failure
+   flag is read before every element, not every group: a poisoned run
+   stops after the in-flight element even inside a large group. *)
+let map ?domains ?minor_heap_words ~init ~f groups =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
-  let input = Array.of_list xs in
+  let input = Array.of_list groups in
   let n = Array.length input in
-  (* A short list never spawns: with n <= chunk the cursor could only
-     ever hand out one chunk, so the helpers would join without doing
-     anything — run sequentially instead. The minor-heap sizing still
-     applies, so sequential and parallel runs see the same GC tuning
-     (and speedup comparisons against [domains:1] stay honest). *)
-  if domains <= 1 || n <= 1 || n <= chunk then
-    with_minor_heap minor_heap_words (fun () -> List.map f xs)
-  else begin
-    let results = Array.make n None in
-    with_minor_heap minor_heap_words (fun () ->
-        match strategy with
-        | Steal -> steal_map ~domains ~chunk ~minor_heap_words f input n results
-        | Static ->
-            static_map ~workers:(min domains n) ~minor_heap_words f input n
-              results);
-    collect results
-  end
-
-let map_sharded ?domains ?minor_heap_words ~init ~f xs =
-  let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  let input = Array.of_list xs in
-  let n = Array.length input in
+  let workers = min domains n in
   if n = 0 then ([], [])
+  else if workers = 1 then
+    with_minor_heap minor_heap_words (fun () ->
+        let state = init 0 in
+        (List.map (List.map (f state)) groups, [ state ]))
   else begin
-    let workers = max 1 (min domains n) in
-    if workers = 1 then
-      with_minor_heap minor_heap_words (fun () ->
-          let state = init 0 in
-          (List.map (f state) xs, [ state ]))
-    else begin
-      let results = Array.make n None in
-      let states = Array.make workers None in
-      let failure = Atomic.make None in
-      let run w =
-        try
-          (* Shard state is allocated *inside* the owning domain, so
-             its minor allocations are domain-local from birth. *)
-          let state = init w in
-          states.(w) <- Some state;
-          let lo = w * n / workers and hi = (w + 1) * n / workers in
-          let i = ref lo in
-          while !i < hi && Atomic.get failure = None do
-            results.(!i) <- Some (f state input.(!i));
-            incr i
-          done
-        with e ->
+    let results = Array.make n [] in
+    let states = Array.make workers None in
+    let cursor = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let run w =
+      try
+        let state = init w in
+        states.(w) <- Some state;
+        let element x =
+          if Option.is_some (Atomic.get failure) then raise_notrace Poisoned;
+          f state x
+        in
+        let rec claim () =
+          let g = Atomic.fetch_and_add cursor 1 in
+          if g < n then begin
+            results.(g) <- List.map element input.(g);
+            claim ()
+          end
+        in
+        claim ()
+      with
+      | Poisoned -> ()
+      | e ->
+          (* First failure wins; keep its backtrace so the caller
+             sees where the worker actually died. *)
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-      in
-      with_minor_heap minor_heap_words (fun () ->
-          let helpers =
-            List.init (workers - 1) (fun k ->
-                Domain.spawn (fun () ->
-                    Option.iter grow_minor_heap minor_heap_words;
-                    run (k + 1)))
-          in
-          run 0;
-          List.iter Domain.join helpers);
-      reraise failure;
-      ( collect results,
-        Array.to_list
-          (Array.map (function Some s -> s | None -> assert false) states) )
-    end
+    in
+    with_minor_heap minor_heap_words (fun () ->
+        let helpers =
+          List.init (workers - 1) (fun k ->
+              Domain.spawn (fun () ->
+                  Option.iter grow_minor_heap minor_heap_words;
+                  run (k + 1)))
+        in
+        run 0;
+        List.iter Domain.join helpers);
+    match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None ->
+        ( Array.to_list results,
+          Array.to_list
+            (Array.map (function Some s -> s | None -> assert false) states)
+        )
   end

@@ -4,11 +4,12 @@
     fans them out across domains while keeping results in input order,
     so a parallel sweep is bit-identical to a sequential one.
 
-    By default work is {b pre-partitioned}: each worker owns one
-    contiguous slice of the input computed before spawn, so the hot
-    loop touches no shared state (shared-nothing sharding). A dynamic
-    atomic-cursor mode ({!Steal}) remains available for genuinely
-    uneven work such as the service layer's request batches.
+    There is one schedule. The input is a list of {e groups}; workers
+    claim whole groups off one shared atomic cursor, so whichever
+    worker is free takes the next group, and a group never splits
+    across workers. Callers put work that shares a cache in one group
+    (the harness: one group per benchmark, whose points reuse one
+    workload) and independent work in singleton groups.
 
     Because OCaml 5 minor collections are stop-the-world across all
     domains, allocation-heavy parallel regions should also pass
@@ -16,62 +17,37 @@
     duration of the region — fewer global rendezvous, the measured
     root cause of the harness's former anti-scaling. *)
 
-type strategy =
-  | Static  (** Contiguous pre-partitioned slices; no shared cursor. *)
-  | Steal
-      (** Dynamic chunked scheduling off a shared atomic cursor;
-          balances very uneven per-element cost at the price of
-          cross-domain traffic on the cursor line. *)
-
 val map :
-  ?domains:int ->
-  ?chunk:int ->
-  ?strategy:strategy ->
-  ?minor_heap_words:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** [map ~domains ~chunk ~strategy f xs] applies [f] to every element,
-    using up to [domains] domains (default {!default_domains}; 1, a
-    short list, or [n <= chunk] degrades to [List.map] without
-    spawning). Under {!Steal}, workers claim [chunk] consecutive
-    elements at a time (default 1) and at most [ceil(n/chunk) - 1]
-    helper domains are spawned — never more than there are chunks
-    beyond the parent's first. [chunk] is ignored by {!Static} (the
-    default), which assigns worker [w] the slice
-    [\[w*n/workers, (w+1)*n/workers)].
-
-    [minor_heap_words], when given, enlarges every participating
-    domain's minor heap to at least that many words for the duration
-    of the call (the parent's setting is restored afterwards; it is
-    never shrunk).
-
-    [f] must be safe to run concurrently with itself on distinct
-    elements; an exception raised by [f] poisons the run — every
-    worker checks the failure flag before each {e element} and stops
-    promptly — and the first failure is re-raised in the caller with
-    the worker's backtrace ({!Printexc.raise_with_backtrace}). Raises
-    [Invalid_argument] if [chunk < 1]. *)
-
-val map_sharded :
   ?domains:int ->
   ?minor_heap_words:int ->
   init:(int -> 's) ->
   f:('s -> 'a -> 'b) ->
-  'a list ->
-  'b list * 's list
-(** [map_sharded ~init ~f xs] is the shared-nothing primitive behind
-    the harness: the input is split into at most [domains] contiguous
-    shards, each worker allocates its private state with [init shard]
-    {e inside} its own domain (so the state's minor allocations are
-    domain-local from birth), maps its slice with [f state], and the
-    call returns [(results, states)] — results in input order, shard
-    states in shard order (shard 0, the parent's, first). Shard 0 owns
-    the lowest slice, so concatenating the slices in shard order
-    reproduces the input order; merging the states in shard order is
-    therefore an input-order merge. With one worker (or [domains <= 1])
-    no domain is spawned and a single state serves the whole list.
-    Failure semantics as in {!map}. *)
+  'a list list ->
+  'b list list * 's list
+(** [map ~init ~f groups] runs up to [domains] workers (default
+    {!default_domains}, never more than there are groups). Worker [w]
+    builds its private state with [init w] {e inside} its own domain,
+    so the state's allocations are domain-local from birth, then
+    claims whole groups off one atomic cursor and maps each element
+    of a claimed group, in order, with [f state]. It returns
+    [(results, states)]: results keep group and element order, states
+    come back in worker order (worker 0, the caller's domain, first).
+    Which worker ran which group depends on timing, so anything
+    merged from the states must not depend on that split. With one
+    worker no domain is spawned and one state serves every group; an
+    empty input returns [([], [])] without calling [init].
+
+    [minor_heap_words], when given, enlarges every participating
+    domain's minor heap to at least that many words for the duration
+    of the call (the caller's setting is restored afterwards; it is
+    never shrunk).
+
+    [f] must be safe to run concurrently with itself on distinct
+    elements. The first exception raised by [init] or [f] poisons the
+    run: every worker checks the failure flag before each element,
+    also in the middle of a group, and stops. The exception is
+    re-raised in the caller with the worker's backtrace
+    ({!Printexc.raise_with_backtrace}). *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], capped at

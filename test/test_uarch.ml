@@ -730,17 +730,51 @@ let test_engine_static_id_table () =
   let policy = Clusteer_steer.One_cluster.make () in
   let annot = Annot.none ~uop_count:1 in
   let engine = Engine.create ~config:Config.default_2c ~annot ~policy () in
-  let first = Stats.copy (Engine.run engine ~source:(source_of a 1) ~uops:200) in
   check_bool "ids past the annotation resolve" true
-    (Stats.equal first (run_with ~policy a ~uops:200));
+    (Stats.equal
+       (Engine.run engine ~source:(source_of a 1) ~uops:200)
+       (run_with ~policy a ~uops:200));
+  (* One source that switches from [a] to [b] in the middle of the
+     run: [b]'s first micro-op reuses id 0. *)
+  Engine.reset engine ~annot ~policy;
+  let from_a = source_of a 1 and from_b = source_of b 1 in
+  let fetched = ref 0 in
+  let switching () =
+    incr fetched;
+    if !fetched <= 100 then from_a () else from_b ()
+  in
   Alcotest.check_raises "a second micro-op under a seen id"
     (Invalid_argument "Engine: static id 0 names two different micro-ops")
-    (fun () -> ignore (Engine.run engine ~source:(source_of b 1) ~uops:400));
+    (fun () -> ignore (Engine.run engine ~source:switching ~uops:400));
   Engine.reset engine ~annot ~policy;
   check_bool "reset forgets the previous program" true
     (Stats.equal
        (Engine.run engine ~source:(source_of b 1) ~uops:200)
        (run_with ~policy b ~uops:200))
+
+let test_engine_second_run_needs_reset () =
+  (* [run] stops on the committed count and bounds cycles from a fresh
+     machine; a second run on the same state is rejected instead of
+     returning the first run's statistics. *)
+  let p = independent_program 4 in
+  let policy = Clusteer_steer.One_cluster.make () in
+  let annot = Annot.none ~uop_count:4 in
+  let engine = Engine.create ~config:Config.default_2c ~annot ~policy () in
+  ignore (Engine.run engine ~source:(source_of p 1) ~uops:200);
+  let already_ran =
+    Invalid_argument "Engine.run: engine already ran; call Engine.reset first"
+  in
+  Alcotest.check_raises "second run without reset" already_ran (fun () ->
+      ignore (Engine.run engine ~source:(source_of p 1) ~uops:200));
+  Alcotest.check_raises "the reference loop too" already_ran (fun () ->
+      ignore
+        (Engine.For_testing.run_every_cycle engine ~source:(source_of p 1)
+           ~uops:200));
+  Engine.reset engine ~annot ~policy;
+  check_bool "a reset allows the next run" true
+    (Stats.equal
+       (Engine.run engine ~source:(source_of p 1) ~uops:200)
+       (run_with ~policy p ~uops:200))
 
 let test_energy_estimate_shape () =
   let p = independent_program 16 in
@@ -1364,6 +1398,8 @@ let () =
           Alcotest.test_case "rejects bad args" `Quick test_engine_rejects_bad_args;
           Alcotest.test_case "rogue policy fault" `Quick test_engine_rejects_rogue_policy;
           Alcotest.test_case "static-id table" `Quick test_engine_static_id_table;
+          Alcotest.test_case "second run needs a reset" `Quick
+            test_engine_second_run_needs_reset;
           Alcotest.test_case "regfile pressure" `Quick test_engine_regfile_pressure;
           Alcotest.test_case "store-load forwarding" `Quick test_engine_store_load_forwarding;
           Alcotest.test_case "lsq backpressure" `Quick test_engine_lsq_backpressure;

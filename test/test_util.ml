@@ -648,59 +648,164 @@ let test_plot_labels () =
 
 (* ---- Parallel ---------------------------------------------------------- *)
 
+(* [Parallel.map] with a stateless [f]; results only. *)
+let pmap ?domains f groups =
+  fst (Parallel.map ?domains ~init:ignore ~f:(fun () x -> f x) groups)
+
 let test_parallel_matches_sequential () =
-  let xs = List.init 100 Fun.id in
+  let groups = List.init 25 (fun g -> List.init 4 (fun i -> (4 * g) + i)) in
   let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "order-deterministic" (List.map f xs)
-    (Parallel.map ~domains:4 f xs)
+  Alcotest.(check (list (list int))) "order-deterministic"
+    (List.map (List.map f) groups)
+    (pmap ~domains:4 f groups)
+
+let test_parallel_groups_of_any_size () =
+  (* Uneven group sizes, empty groups included: results keep group and
+     element order whatever the split. *)
+  let f x = (x * 3) - 1 in
+  List.iter
+    (fun sizes ->
+      let groups =
+        List.mapi (fun g k -> List.init k (fun i -> (g * 100) + i)) sizes
+      in
+      Alcotest.(check (list (list int)))
+        (String.concat "," (List.map string_of_int sizes))
+        (List.map (List.map f) groups)
+        (pmap ~domains:4 f groups))
+    [ [ 1; 2; 5; 37 ]; [ 0; 3; 0; 0; 1 ]; [ 100 ]; List.init 53 (fun _ -> 1) ]
 
 let test_parallel_single_domain () =
-  Alcotest.(check (list int)) "degrades to List.map" [ 2; 4 ]
-    (Parallel.map ~domains:1 (fun x -> 2 * x) [ 1; 2 ])
+  (* One worker: no domain is spawned and one state serves every
+     group. *)
+  let caller = Domain.self () in
+  let results, states =
+    Parallel.map ~domains:1
+      ~init:(fun w -> w)
+      ~f:(fun w x ->
+        check_bool "runs in the caller's domain" true (Domain.self () = caller);
+        x + w)
+      [ [ 1; 2 ]; [ 3 ] ]
+  in
+  Alcotest.(check (list (list int))) "sequential path" [ [ 1; 2 ]; [ 3 ] ]
+    results;
+  Alcotest.(check (list int)) "single state 0" [ 0 ] states
 
 let test_parallel_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~domains:4 Fun.id []);
-  Alcotest.(check (list int)) "singleton" [ 7 ]
-    (Parallel.map ~domains:4 Fun.id [ 7 ])
+  let results, states =
+    Parallel.map ~domains:4 ~init:(fun _ -> Alcotest.fail "init on empty input")
+      ~f:(fun () x -> x) []
+  in
+  Alcotest.(check (list (list int))) "empty" [] results;
+  check_int "no states" 0 (List.length states);
+  Alcotest.(check (list (list int))) "singleton" [ [ 7 ] ]
+    (pmap ~domains:4 Fun.id [ [ 7 ] ]);
+  Alcotest.(check (list (list int))) "one empty group" [ [] ]
+    (pmap ~domains:4 Fun.id [ [] ])
+
+let test_parallel_worker_states () =
+  (* One state per worker, never more workers than groups, and every
+     element visited exactly once. *)
+  let groups = List.init 10 (fun g -> List.init 4 (fun i -> (4 * g) + i)) in
+  let f state x =
+    incr state;
+    x * 2
+  in
+  let results, states =
+    Parallel.map ~domains:4 ~init:(fun _ -> ref 0) ~f groups
+  in
+  Alcotest.(check (list (list int))) "results in input order"
+    (List.map (List.map (fun x -> x * 2)) groups)
+    results;
+  check_int "one state per worker" 4 (List.length states);
+  check_int "every element visited exactly once" 40
+    (List.fold_left (fun acc r -> acc + !r) 0 states);
+  let _, states =
+    Parallel.map ~domains:4 ~init:ignore ~f:(fun () x -> x) [ [ 1 ]; [ 2 ] ]
+  in
+  check_int "no more workers than groups" 2 (List.length states)
+
+let test_parallel_groups_run_whole () =
+  (* Each worker's state records what it ran: every group must appear
+     in exactly one state, whole and in element order. *)
+  let groups =
+    List.init 12 (fun g -> List.init ((g mod 4) + 1) (fun i -> (g, i)))
+  in
+  let _, states =
+    Parallel.map ~domains:4
+      ~init:(fun _ -> ref [])
+      ~f:(fun ran (g, i) ->
+        ran := (g, i) :: !ran;
+        Unix.sleepf 0.0005)
+      groups
+  in
+  let runs = List.map (fun ran -> List.rev !ran) states in
+  let rec from g = function
+    | (g', _) :: _ as run when g' = g -> run
+    | _ :: rest -> from g rest
+    | [] -> []
+  in
+  List.iteri
+    (fun g group ->
+      let owners = List.filter (List.exists (fun (g', _) -> g' = g)) runs in
+      check_int (Printf.sprintf "group %d on one worker" g) 1
+        (List.length owners);
+      let n = List.length group in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "group %d whole and in order" g)
+        group
+        (List.filteri (fun i _ -> i < n) (from g (List.hd owners))))
+    groups
+
+let test_parallel_claiming_balances () =
+  (* Two workers, groups [slow; a; b; c]: [slow] waits until a, b and c
+     are done, so the other worker must claim all three. A contiguous
+     split ([slow; a] | [b; c]) would leave [a] queued behind [slow]
+     on one worker; the wait is bounded so that fails instead of
+     hanging. *)
+  let finished = Atomic.make 0 in
+  let f = function
+    | `Slow ->
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while Atomic.get finished < 3 && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        Atomic.get finished
+    | `Fast ->
+        Atomic.incr finished;
+        0
+  in
+  let results, _ =
+    Parallel.map ~domains:2 ~init:ignore ~f:(fun () x -> f x)
+      [ [ `Slow ]; [ `Fast ]; [ `Fast ]; [ `Fast ] ]
+  in
+  Alcotest.(check (list (list int))) "slow group saw a, b and c finish"
+    [ [ 3 ]; [ 0 ]; [ 0 ]; [ 0 ] ]
+    results
 
 let test_parallel_propagates_exception () =
   Alcotest.check_raises "worker failure" (Failure "boom") (fun () ->
       ignore
-        (Parallel.map ~domains:3
+        (pmap ~domains:3
            (fun x -> if x = 5 then failwith "boom" else x)
-           (List.init 10 Fun.id)))
-
-let test_parallel_default_domains () =
-  check_bool "at least one" true (Parallel.default_domains () >= 1);
-  check_bool "capped" true
-    (Parallel.default_domains () <= Parallel.default_domain_cap);
-  check_int "documented cap" 8 Parallel.default_domain_cap
-
-let test_parallel_chunked_matches_sequential () =
-  let xs = List.init 37 Fun.id in
-  let f x = (x * 3) - 1 in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunk %d" chunk)
-        (List.map f xs)
-        (Parallel.map ~domains:4 ~chunk f xs))
-    [ 1; 2; 5; 37; 100 ]
-
-let test_parallel_rejects_bad_chunk () =
-  Alcotest.check_raises "chunk 0"
-    (Invalid_argument "Parallel.map: chunk must be positive") (fun () ->
-      ignore (Parallel.map ~domains:2 ~chunk:0 Fun.id [ 1 ]))
-
-let test_parallel_exception_keeps_backtrace () =
-  (* The re-raise must preserve the worker's exception payload; raising
-     from a chunked multi-domain run exercises the backtrace-carrying
-     failure slot. *)
-  Alcotest.check_raises "worker failure" (Failure "chunked boom") (fun () ->
+           (List.init 10 (fun x -> [ x ]))));
+  Alcotest.check_raises "failure inside a group" (Failure "group boom")
+    (fun () ->
       ignore
-        (Parallel.map ~domains:4 ~chunk:3
-           (fun x -> if x = 17 then failwith "chunked boom" else x)
-           (List.init 32 Fun.id)))
+        (pmap ~domains:3
+           (fun x -> if x = 11 then failwith "group boom" else x)
+           (List.init 5 (fun g -> List.init 4 (fun i -> (4 * g) + i)))));
+  Alcotest.check_raises "failure in init" (Failure "init boom") (fun () ->
+      ignore
+        (Parallel.map ~domains:2
+           ~init:(fun w -> if w = 1 then failwith "init boom")
+           ~f:(fun () x -> x)
+           [ [ 1 ]; [ 2 ] ]))
+
+(* The claiming cursor with claim units of a fixed size: [chunks k xs]
+   cuts [xs] into groups of [k] elements (the last one shorter). *)
+let chunks k xs =
+  List.init ((List.length xs + k - 1) / k) (fun g ->
+      List.filteri (fun i _ -> i / k = g) xs)
 
 let test_parallel_steal_matches_sequential () =
   let xs = List.init 53 Fun.id in
@@ -710,94 +815,86 @@ let test_parallel_steal_matches_sequential () =
       Alcotest.(check (list int))
         (Printf.sprintf "steal chunk %d" chunk)
         (List.map f xs)
-        (Parallel.map ~domains:4 ~chunk ~strategy:Parallel.Steal f xs))
+        (List.concat (pmap ~domains:4 f (chunks chunk xs))))
     [ 1; 2; 5; 53; 100 ]
 
 let test_parallel_steal_propagates_exception () =
   Alcotest.check_raises "steal worker failure" (Failure "steal boom")
     (fun () ->
       ignore
-        (Parallel.map ~domains:3 ~chunk:2 ~strategy:Parallel.Steal
+        (pmap ~domains:3
            (fun x -> if x = 9 then failwith "steal boom" else x)
-           (List.init 20 Fun.id)))
+           (chunks 2 (List.init 20 Fun.id))))
 
-let test_parallel_failure_stops_per_element () =
-  (* One big chunk per worker: after element 0 poisons the run, the
-     owning worker must notice before each subsequent element rather
-     than draining its whole chunk. Surviving elements sleep, so a
-     chunk-granular check would evaluate ~100 elements; the
-     per-element check stops almost immediately. *)
-  let n = 200 in
-  let evaluated = Atomic.make 0 in
-  (try
-     ignore
-       (Parallel.map ~domains:2 ~chunk:100 ~strategy:Parallel.Steal
-          (fun x ->
-            Atomic.incr evaluated;
-            if x = 0 then failwith "poison" else Unix.sleepf 0.002)
-          (List.init n Fun.id));
-     Alcotest.fail "expected the poisoned run to raise"
-   with Failure msg when msg = "poison" -> ());
-  check_bool
-    (Printf.sprintf "stopped early (evaluated %d of %d)" (Atomic.get evaluated) n)
-    true
-    (Atomic.get evaluated < 50)
-
-let test_parallel_map_sharded_basics () =
-  let xs = List.init 40 Fun.id in
-  let f state x =
-    incr state;
-    x * 2
-  in
-  let results, states =
-    Parallel.map_sharded ~domains:4 ~init:(fun _ -> ref 0) ~f xs
-  in
-  Alcotest.(check (list int)) "results in input order"
-    (List.map (fun x -> x * 2) xs)
-    results;
-  check_int "one state per worker" 4 (List.length states);
-  check_int "every element visited exactly once" 40
-    (List.fold_left (fun acc r -> acc + !r) 0 states)
-
-let test_parallel_map_sharded_shard_order () =
-  (* Worker [w] owns the contiguous slice [w*n/d, (w+1)*n/d); the
-     returned states must come back in shard order so callers can merge
-     them deterministically. *)
-  let xs = List.init 8 Fun.id in
-  let f seen x =
-    seen := x :: !seen;
-    x
-  in
-  let _, states =
-    Parallel.map_sharded ~domains:4 ~init:(fun _ -> ref []) ~f xs
-  in
-  Alcotest.(check (list int)) "states in shard (= input) order"
-    xs
-    (List.concat_map (fun seen -> List.rev !seen) states)
-
+(* Per-worker state, checked on the edge cases of the state-returning
+   path. *)
 let test_parallel_map_sharded_single_worker () =
   let results, states =
-    Parallel.map_sharded ~domains:1 ~init:(fun w -> w) ~f:(fun w x -> x + w)
-      [ 1; 2; 3 ]
+    Parallel.map ~domains:1 ~init:(fun w -> w) ~f:(fun w x -> x + w)
+      [ [ 1; 2; 3 ] ]
   in
-  Alcotest.(check (list int)) "sequential path" [ 1; 2; 3 ] results;
-  Alcotest.(check (list int)) "single shard 0" [ 0 ] states
+  Alcotest.(check (list (list int))) "sequential path" [ [ 1; 2; 3 ] ] results;
+  Alcotest.(check (list int)) "single state 0" [ 0 ] states
 
 let test_parallel_map_sharded_empty () =
   let results, states =
-    Parallel.map_sharded ~domains:4 ~init:(fun _ -> ()) ~f:(fun () x -> x) []
+    Parallel.map ~domains:4 ~init:(fun _ -> ()) ~f:(fun () x -> x) []
   in
-  Alcotest.(check (list int)) "no results" [] results;
+  Alcotest.(check (list (list int))) "no results" [] results;
   check_int "no states" 0 (List.length states)
 
 let test_parallel_map_sharded_propagates_exception () =
-  Alcotest.check_raises "sharded worker failure" (Failure "shard boom")
+  Alcotest.check_raises "stateful worker failure" (Failure "shard boom")
     (fun () ->
       ignore
-        (Parallel.map_sharded ~domains:3
-           ~init:(fun _ -> ())
-           ~f:(fun () x -> if x = 11 then failwith "shard boom" else x)
-           (List.init 20 Fun.id)))
+        (Parallel.map ~domains:3
+           ~init:(fun _ -> ref 0)
+           ~f:(fun n x ->
+             incr n;
+             if x = 11 then failwith "shard boom" else x)
+           (chunks 4 (List.init 20 Fun.id))))
+
+let test_parallel_default_domains () =
+  check_bool "at least one" true (Parallel.default_domains () >= 1);
+  check_bool "capped" true
+    (Parallel.default_domains () <= Parallel.default_domain_cap);
+  check_int "documented cap" 8 Parallel.default_domain_cap
+
+let test_parallel_exception_keeps_backtrace () =
+  (* The re-raise must preserve the worker's exception payload; raising
+     from a multi-domain run exercises the backtrace-carrying failure
+     slot. *)
+  Alcotest.check_raises "worker failure" (Failure "grouped boom") (fun () ->
+      ignore
+        (pmap ~domains:4
+           (fun x -> if x = 17 then failwith "grouped boom" else x)
+           (List.init 8 (fun g -> List.init 4 (fun i -> (4 * g) + i)))))
+
+let test_parallel_failure_stops_per_element () =
+  (* Two large groups, one per worker. The first group poisons the run
+     once the other worker is well into the second group; that worker
+     must notice before its next element rather than draining the
+     group. Its elements sleep, so a group-granular check would
+     evaluate ~100 of them; the per-element check stops almost
+     immediately. *)
+  let evaluated = Atomic.make 0 in
+  (try
+     ignore
+       (pmap ~domains:2
+          (fun x ->
+            Atomic.incr evaluated;
+            if x = 0 then begin
+              Unix.sleepf 0.02;
+              failwith "poison"
+            end
+            else Unix.sleepf 0.002)
+          [ List.init 100 Fun.id; List.init 100 (fun i -> 100 + i) ]);
+     Alcotest.fail "expected the poisoned run to raise"
+   with Failure msg when msg = "poison" -> ());
+  check_bool
+    (Printf.sprintf "stopped early (evaluated %d of 200)" (Atomic.get evaluated))
+    true
+    (Atomic.get evaluated < 50)
 
 (* ---- Table / Csv ---------------------------------------------------- *)
 
@@ -920,31 +1017,31 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "matches sequential" `Quick test_parallel_matches_sequential;
+          Alcotest.test_case "groups of any size match sequential" `Quick
+            test_parallel_groups_of_any_size;
           Alcotest.test_case "single domain" `Quick test_parallel_single_domain;
           Alcotest.test_case "empty and singleton" `Quick test_parallel_empty_and_singleton;
+          Alcotest.test_case "worker states" `Quick test_parallel_worker_states;
+          Alcotest.test_case "groups run whole on one worker" `Quick
+            test_parallel_groups_run_whole;
+          Alcotest.test_case "claiming balances the work" `Quick
+            test_parallel_claiming_balances;
           Alcotest.test_case "propagates exception" `Quick test_parallel_propagates_exception;
-          Alcotest.test_case "default domains" `Quick test_parallel_default_domains;
-          Alcotest.test_case "chunked matches sequential" `Quick
-            test_parallel_chunked_matches_sequential;
-          Alcotest.test_case "rejects bad chunk" `Quick test_parallel_rejects_bad_chunk;
-          Alcotest.test_case "exception keeps backtrace" `Quick
-            test_parallel_exception_keeps_backtrace;
           Alcotest.test_case "steal matches sequential" `Quick
             test_parallel_steal_matches_sequential;
           Alcotest.test_case "steal propagates exception" `Quick
             test_parallel_steal_propagates_exception;
-          Alcotest.test_case "failure stops per element" `Quick
-            test_parallel_failure_stops_per_element;
-          Alcotest.test_case "map_sharded basics" `Quick
-            test_parallel_map_sharded_basics;
-          Alcotest.test_case "map_sharded shard order" `Quick
-            test_parallel_map_sharded_shard_order;
           Alcotest.test_case "map_sharded single worker" `Quick
             test_parallel_map_sharded_single_worker;
           Alcotest.test_case "map_sharded empty" `Quick
             test_parallel_map_sharded_empty;
           Alcotest.test_case "map_sharded propagates exception" `Quick
             test_parallel_map_sharded_propagates_exception;
+          Alcotest.test_case "default domains" `Quick test_parallel_default_domains;
+          Alcotest.test_case "exception keeps backtrace" `Quick
+            test_parallel_exception_keeps_backtrace;
+          Alcotest.test_case "failure stops per element" `Quick
+            test_parallel_failure_stops_per_element;
         ] );
       ( "lru",
         [
