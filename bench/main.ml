@@ -267,19 +267,18 @@ let run_steer_depth_study () =
             profile)
         [ 0; 1; 2 ])
 
-(* Extension study 1: baselines beyond Table 3 — MOD_3 (Baniasadi &
-   Moshovos) and plain dependence-based steering (Canal et al.), the
-   ancestors the paper's §3.1 positions OP against. *)
+(* Extension study 1: baselines beyond Table 3 — plain dependence-based
+   steering (Canal et al.), the ancestor the paper's §3.1 positions OP
+   against, and criticality-aware steering. *)
 let run_extended_baselines () =
   heading "Extension: hardware baselines beyond Table 3 (slowdown vs OP)";
-  Printf.printf "%-12s %8s %8s %8s %8s %8s\n" "benchmark" "mod3" "dep"
-    "crit" "one-cl" "vc2";
+  Printf.printf "%-12s %8s %8s %8s %8s\n" "benchmark" "dep" "crit"
+    "one-cl" "vc2";
   profile_rows (fun profile ->
       let runs =
         run_first
           [
             Clusteer.Configuration.Op;
-            Clusteer.Configuration.Mod_n { n = 3 };
             Clusteer.Configuration.Dep;
             Clusteer.Configuration.Crit;
             Clusteer.Configuration.One_cluster;
@@ -291,7 +290,7 @@ let run_extended_baselines () =
         (fun name ->
           Metrics.slowdown_pct ~baseline:(List.assoc "op" runs)
             (List.assoc name runs))
-        [ "mod3"; "dep"; "crit"; "one-cluster"; "vc2" ])
+        [ "dep"; "crit"; "one-cluster"; "vc2" ])
 
 (* Extension study 2: the VLIW substrate (§3.3) — software-only
    steering on its home ground. On the statically-scheduled machine,
@@ -341,8 +340,8 @@ let run_energy_study () =
       fp_iq_size = 96;
     }
   in
-  Printf.printf "%-12s %12s %12s %14s %16s %12s\n" "benchmark" "mono e/uop"
-    "vc2 e/uop" "vc2 copy e%" "vc2 cycle delta" "vc2 dT";
+  Printf.printf "%-12s %12s %12s %14s %16s\n" "benchmark" "mono e/uop"
+    "vc2 e/uop" "vc2 copy e%" "vc2 cycle delta";
   profile_rows (fun profile ->
       let mono =
         run_one ~machine:monolithic Clusteer.Configuration.One_cluster profile
@@ -350,16 +349,14 @@ let run_energy_study () =
       let vc = run_one vc2 profile in
       let e_mono = Clusteer_uarch.Energy.estimate ~clusters:1 mono in
       let e_vc = Clusteer_uarch.Energy.estimate ~clusters:2 vc in
-      let t_vc = Clusteer_uarch.Thermal.estimate ~clusters:2 vc in
-      Printf.sprintf "%12.2f %12.2f %13.1f%% %15.1f%% %11.2f"
+      Printf.sprintf "%12.2f %12.2f %13.1f%% %15.1f%%"
         e_mono.Clusteer_uarch.Energy.per_uop
         e_vc.Clusteer_uarch.Energy.per_uop
         (100.
         *. e_vc.Clusteer_uarch.Energy.copies
         /. Float.max 1e-9 e_vc.Clusteer_uarch.Energy.dynamic)
         ((float_of_int vc.Stats.cycles /. float_of_int mono.Stats.cycles -. 1.0)
-        *. 100.)
-        t_vc.Clusteer_uarch.Thermal.spread)
+        *. 100.))
 
 (* Extension study 4: link latency sensitivity — Table 2's 1-cycle
    point-to-point links are optimistic for deeper technologies; the

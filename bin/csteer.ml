@@ -92,11 +92,29 @@ let machine_of ~clusters topology =
           Printf.eprintf "csteer: %s\n" e;
           exit 2)
 
-(* Named workloads outside the SPEC profile table: the hand-written
-   kernels and the adversarial steering scenarios, both explicit
-   single-phase Builder programs. *)
-let synth_workloads () =
-  Clusteer_workloads.Kernels.all @ Clusteer_workloads.Adversarial.all
+(* Every workload name on the command line resolves here. An unknown
+   name is a usage error, diagnosed in one line with exit 2 like the
+   other bad arguments. [spec_workload] is the SPEC half, for commands
+   that need a multi-phase SPEC point; [workload_of_name] also takes
+   the hand-written kernels and the adversarial steering scenarios,
+   both explicit single-phase Builder programs. *)
+let spec_workload name =
+  match Spec2000.find name with
+  | p -> p
+  | exception Not_found ->
+      Printf.eprintf "csteer: unknown workload %S (try csteer list)\n" name;
+      exit 2
+
+let workload_of_name name =
+  match
+    List.assoc_opt name
+      (Clusteer_workloads.Kernels.all @ Clusteer_workloads.Adversarial.all)
+  with
+  | Some w -> `Synth w
+  | None -> `Spec (spec_workload name)
+
+let synth_of_name name =
+  match workload_of_name name with `Synth w -> w | `Spec p -> Synth.build p
 
 (* Like --clusters, a non-positive count is rejected before any
    command runs with it. *)
@@ -151,7 +169,7 @@ let config_conv =
 let config_arg =
   let doc =
     "Steering configuration: op, one-cluster, ob, rhop, vcN, op-parallel, \
-     modN, dep, crit, thermal."
+     dep, crit."
   in
   Arg.(
     value
@@ -201,163 +219,150 @@ let trace_format_conv =
 let simulate workload clusters topology config uops phase trace_out
     trace_format stats_interval json_out ledger_dir profile_flag =
   protect @@ fun () ->
-  let source =
-    match List.assoc_opt workload (synth_workloads ()) with
-    | Some w -> `Synth w
-    | None -> (
-        match Spec2000.find workload with
-        | p -> `Spec p
-        | exception Not_found ->
-            Printf.eprintf
-              "unknown workload %S (try `csteer list`; kernels/adversarial: \
-               %s)\n"
-              workload
-              (String.concat ", " (List.map fst (synth_workloads ())));
-            exit 1)
+  let source = workload_of_name workload in
+  let profile =
+    match source with
+    | `Spec p -> p
+    | `Synth w -> w.Synth.profile
   in
-      let profile =
+  check_phase phase
+    ~points:
+      (match source with
+      | `Spec p -> List.length (Pinpoints.points p)
+      | `Synth _ -> 1);
+  if stats_interval < 0 then begin
+    Printf.eprintf "--stats-interval must be non-negative\n";
+    exit 1
+  end;
+  let machine = machine_of ~clusters topology in
+  let clusters = machine.Config.clusters in
+  (* Collect events/intervals only when some output wants them:
+     an unobserved run keeps the zero-overhead engine path. *)
+  let interval =
+    if stats_interval > 0 then stats_interval
+    else if trace_out <> None && trace_format = Trace_csv then 1000
+    else 0
+  in
+  let collector =
+    if trace_out <> None || interval > 0 then
+      Some (Obs.Collector.create ~interval ())
+    else None
+  in
+  Obs.Counters.reset Obs.Counters.default;
+  (* A ledger entry wants phase timings in its snapshot, so asking
+     for a ledger turns the profiler on. *)
+  let profiled = profile_flag || ledger_dir <> None in
+  let prof = if profiled then Some (Obs.Profile.create ()) else None in
+  let started = Unix.gettimeofday () in
+  let obs _ = Option.map Obs.Collector.sink collector in
+  let runs, wall_s, gc =
+    Runner.measured (fun () ->
         match source with
-        | `Spec p -> p
-        | `Synth w -> w.Synth.profile
+        | `Spec p ->
+            let point = List.nth (Pinpoints.points p) phase in
+            (Runner.run_point ~machine ~configs:[ config ] ~uops ~obs
+               ?profile:prof point)
+              .Runner.runs
+        | `Synth w ->
+            Runner.run_workload ~machine ~configs:[ config ] ~uops ~obs
+              ?profile:prof w)
+  in
+  let name, stats = List.hd runs in
+  Option.iter
+    (fun dir ->
+      let ledger = Obs.Ledger.create ~dir in
+      let committed =
+        Obs.Counters.value (Obs.Counters.counter "harness.uops_committed")
       in
-      check_phase phase
-        ~points:
-          (match source with
-          | `Spec p -> List.length (Pinpoints.points p)
-          | `Synth _ -> 1);
-      if stats_interval < 0 then begin
-        Printf.eprintf "--stats-interval must be non-negative\n";
-        exit 1
-      end;
-      let machine = machine_of ~clusters topology in
-      let clusters = machine.Config.clusters in
-      (* Collect events/intervals only when some output wants them:
-         an unobserved run keeps the zero-overhead engine path. *)
-      let interval =
-        if stats_interval > 0 then stats_interval
-        else if trace_out <> None && trace_format = Trace_csv then 1000
-        else 0
+      let s =
+        Obs.Ledger.append ledger ~kind:"simulate"
+          ~label:
+            (Printf.sprintf "%s/%d/%s" profile.Profile.name phase name)
+          ~config:
+            (Json.Obj
+               [
+                 ("workload", Json.Str profile.Profile.name);
+                 ("phase", Json.Int phase);
+                 ("config", Json.Str name);
+                 ("clusters", Json.Int clusters);
+                 ("uops", Json.Int uops);
+               ])
+          ~started ~wall_s ~outcome:"ok" ~uops:committed ~gc
+          Obs.Counters.default
       in
-      let collector =
-        if trace_out <> None || interval > 0 then
-          Some (Obs.Collector.create ~interval ())
-        else None
-      in
-      Obs.Counters.reset Obs.Counters.default;
-      (* A ledger entry wants phase timings in its snapshot, so asking
-         for a ledger turns the profiler on. *)
-      let profiled = profile_flag || ledger_dir <> None in
-      let prof = if profiled then Some (Obs.Profile.create ()) else None in
-      let started = Unix.gettimeofday () in
-      let obs _ = Option.map Obs.Collector.sink collector in
-      let runs, wall_s, gc =
-        Runner.measured (fun () ->
-            match source with
-            | `Spec p ->
-                let point = List.nth (Pinpoints.points p) phase in
-                (Runner.run_point ~machine ~configs:[ config ] ~uops ~obs
-                   ?profile:prof point)
-                  .Runner.runs
-            | `Synth w ->
-                Runner.run_workload ~machine ~configs:[ config ] ~uops ~obs
-                  ?profile:prof w)
-      in
-      let name, stats = List.hd runs in
-      Option.iter
-        (fun dir ->
-          let ledger = Obs.Ledger.create ~dir in
-          let committed =
-            Obs.Counters.value (Obs.Counters.counter "harness.uops_committed")
-          in
-          let s =
-            Obs.Ledger.append ledger ~kind:"simulate"
-              ~label:
-                (Printf.sprintf "%s/%d/%s" profile.Profile.name phase name)
-              ~config:
-                (Json.Obj
-                   [
-                     ("workload", Json.Str profile.Profile.name);
-                     ("phase", Json.Int phase);
-                     ("config", Json.Str name);
-                     ("clusters", Json.Int clusters);
-                     ("uops", Json.Int uops);
-                   ])
-              ~started ~wall_s ~outcome:"ok" ~uops:committed ~gc
-              Obs.Counters.default
-          in
-          Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
-        ledger_dir;
-      Option.iter
-        (fun path ->
-          let c = Option.get collector in
-          (match trace_format with
-          | Trace_json ->
-              Obs.Chrome_trace.write ~path ~clusters
-                ~events:(Obs.Collector.events c)
-                ~samples:(Obs.Collector.samples c)
-          | Trace_csv ->
-              Clusteer_util.Csv.write ~path
-                ~header:(Obs.Interval.csv_header ~clusters)
-                (List.map Obs.Interval.csv_row (Obs.Collector.samples c)));
-          Printf.eprintf "trace written to %s (%d events kept, %d dropped)\n"
-            path
-            (List.length (Obs.Collector.events c))
-            (Obs.Collector.dropped c))
-        trace_out;
-      if json_out then
-        (* Machine-readable mode: exactly one JSON document on stdout. *)
-        (* The "topology" key appears only when --topology was given:
-           default runs keep the exact document the pinned goldens
-           (test/goldens/seed_*.json) were captured from. *)
-        let topo_field =
-          if topology = None then []
-          else [ ("topology", Topology.to_json machine.Config.topology) ]
-        in
-        let doc =
-          Json.Obj
-            ([
-               ("workload", Json.Str profile.Profile.name);
-               ("phase", Json.Int phase);
-               ("config", Json.Str name);
-               ("clusters", Json.Int clusters);
-             ]
-            @ topo_field
-            @ [
-              ("uops", Json.Int uops);
-              ("stats", Stats.to_json stats);
-              ( "energy",
-                Clusteer_uarch.Energy.to_json
-                  (Clusteer_uarch.Energy.estimate ~clusters stats) );
-              ("counters", Obs.Counters.to_json Obs.Counters.default);
-              ( "intervals",
-                match collector with
-                | None -> Json.Null
-                | Some c ->
-                    Json.List
-                      (List.map Obs.Interval.to_json (Obs.Collector.samples c))
-              );
-            ])
-        in
-        print_endline (Json.to_string doc)
-      else begin
-        Printf.printf "%s phase %d under %s on %d clusters (%d uops):\n"
-          profile.Profile.name phase name clusters uops;
-        if topology <> None then
-          Printf.printf "interconnect: %s\n"
-            (Topology.describe machine.Config.topology);
-        Format.printf "%a@." Stats.pp stats;
-        let e = Clusteer_uarch.Energy.estimate ~clusters stats in
-        Printf.printf
-          "energy: %.0f units (%.2f/uop), %.0f%% static, %.1f%% of dynamic in copies\n"
-          e.Clusteer_uarch.Energy.total e.Clusteer_uarch.Energy.per_uop
-          (100. *. e.Clusteer_uarch.Energy.static_
-          /. Float.max 1e-9 e.Clusteer_uarch.Energy.total)
-          (100. *. e.Clusteer_uarch.Energy.copies
-          /. Float.max 1e-9 e.Clusteer_uarch.Energy.dynamic);
-        if collector <> None || profiled then
-          Format.printf "steering counters:@,%a@." Obs.Counters.pp
-            Obs.Counters.default
-      end
+      Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
+    ledger_dir;
+  Option.iter
+    (fun path ->
+      let c = Option.get collector in
+      (match trace_format with
+      | Trace_json ->
+          Obs.Chrome_trace.write ~path ~clusters
+            ~events:(Obs.Collector.events c)
+            ~samples:(Obs.Collector.samples c)
+      | Trace_csv ->
+          Clusteer_util.Csv.write ~path
+            ~header:(Obs.Interval.csv_header ~clusters)
+            (List.map Obs.Interval.csv_row (Obs.Collector.samples c)));
+      Printf.eprintf "trace written to %s (%d events kept, %d dropped)\n"
+        path
+        (List.length (Obs.Collector.events c))
+        (Obs.Collector.dropped c))
+    trace_out;
+  if json_out then
+    (* Machine-readable mode: exactly one JSON document on stdout. *)
+    (* The "topology" key appears only when --topology was given:
+       default runs keep the exact document the pinned goldens
+       (test/goldens/seed_*.json) were captured from. *)
+    let topo_field =
+      if topology = None then []
+      else [ ("topology", Topology.to_json machine.Config.topology) ]
+    in
+    let doc =
+      Json.Obj
+        ([
+           ("workload", Json.Str profile.Profile.name);
+           ("phase", Json.Int phase);
+           ("config", Json.Str name);
+           ("clusters", Json.Int clusters);
+         ]
+        @ topo_field
+        @ [
+          ("uops", Json.Int uops);
+          ("stats", Stats.to_json stats);
+          ( "energy",
+            Clusteer_uarch.Energy.to_json
+              (Clusteer_uarch.Energy.estimate ~clusters stats) );
+          ("counters", Obs.Counters.to_json Obs.Counters.default);
+          ( "intervals",
+            match collector with
+            | None -> Json.Null
+            | Some c ->
+                Json.List
+                  (List.map Obs.Interval.to_json (Obs.Collector.samples c))
+          );
+        ])
+    in
+    print_endline (Json.to_string doc)
+  else begin
+    Printf.printf "%s phase %d under %s on %d clusters (%d uops):\n"
+      profile.Profile.name phase name clusters uops;
+    if topology <> None then
+      Printf.printf "interconnect: %s\n"
+        (Topology.describe machine.Config.topology);
+    Format.printf "%a@." Stats.pp stats;
+    let e = Clusteer_uarch.Energy.estimate ~clusters stats in
+    Printf.printf
+      "energy: %.0f units (%.2f/uop), %.0f%% static, %.1f%% of dynamic in copies\n"
+      e.Clusteer_uarch.Energy.total e.Clusteer_uarch.Energy.per_uop
+      (100. *. e.Clusteer_uarch.Energy.static_
+      /. Float.max 1e-9 e.Clusteer_uarch.Energy.total)
+      (100. *. e.Clusteer_uarch.Energy.copies
+      /. Float.max 1e-9 e.Clusteer_uarch.Energy.dynamic);
+    if collector <> None || profiled then
+      Format.printf "steering counters:@,%a@." Obs.Counters.pp
+        Obs.Counters.default
+  end
 
 let simulate_cmd =
   let trace_out =
@@ -418,46 +423,41 @@ let simulate_cmd =
 
 let compile workload clusters config emit =
   protect @@ fun () ->
-  match Spec2000.find workload with
-  | exception Not_found ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 1
-  | profile ->
-      let w = Synth.build profile in
-      let annot, _policy =
-        Clusteer.Configuration.prepare config ~program:w.Synth.program
-          ~likely:w.Synth.likely ~clusters ()
-      in
-      let n = w.Synth.program.Clusteer_isa.Program.uop_count in
-      Printf.printf "%s: %d static micro-ops, scheme %s\n" profile.Profile.name
-        n annot.Clusteer_isa.Annot.scheme;
-      if annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
-        let diag =
-          Clusteer_compiler.Diagnostics.of_annot ~program:w.Synth.program
-            ~likely:w.Synth.likely ~annot ()
-        in
-        Format.printf "%a@." Clusteer_compiler.Diagnostics.pp diag;
-        (* Partition-quality findings share the analyzer's diagnostic
-           vocabulary, so compile and check output read identically. *)
-        List.iter
-          (fun d -> Format.printf "%a@." Clusteer_isa.Diag.pp d)
-          (Clusteer_compiler.Diagnostics.findings diag)
-      end
-      else begin
-        let assigned =
-          Array.to_list annot.Clusteer_isa.Annot.cluster_of
-          |> List.filter (fun c -> c >= 0)
-        in
-        let counts = Array.make (max 1 clusters) 0 in
-        List.iter (fun c -> counts.(c) <- counts.(c) + 1) assigned;
-        Printf.printf "static clusters: %s\n"
-          (String.concat " " (Array.to_list (Array.map string_of_int counts)))
-      end;
-      Option.iter
-        (fun path ->
-          Clusteer_isa.Annot_io.save ~path annot;
-          Printf.printf "annotation written to %s\n" path)
-        emit
+  let w = synth_of_name workload in
+  let annot, _policy =
+    Clusteer.Configuration.prepare config ~program:w.Synth.program
+      ~likely:w.Synth.likely ~clusters ()
+  in
+  let n = w.Synth.program.Clusteer_isa.Program.uop_count in
+  Printf.printf "%s: %d static micro-ops, scheme %s\n"
+    w.Synth.profile.Profile.name n annot.Clusteer_isa.Annot.scheme;
+  if annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
+    let diag =
+      Clusteer_compiler.Diagnostics.of_annot ~program:w.Synth.program
+        ~likely:w.Synth.likely ~annot ()
+    in
+    Format.printf "%a@." Clusteer_compiler.Diagnostics.pp diag;
+    (* Partition-quality findings share the analyzer's diagnostic
+       vocabulary, so compile and check output read identically. *)
+    List.iter
+      (fun d -> Format.printf "%a@." Clusteer_isa.Diag.pp d)
+      (Clusteer_compiler.Diagnostics.findings diag)
+  end
+  else begin
+    let assigned =
+      Array.to_list annot.Clusteer_isa.Annot.cluster_of
+      |> List.filter (fun c -> c >= 0)
+    in
+    let counts = Array.make (max 1 clusters) 0 in
+    List.iter (fun c -> counts.(c) <- counts.(c) + 1) assigned;
+    Printf.printf "static clusters: %s\n"
+      (String.concat " " (Array.to_list (Array.map string_of_int counts)))
+  end;
+  Option.iter
+    (fun path ->
+      Clusteer_isa.Annot_io.save ~path annot;
+      Printf.printf "annotation written to %s\n" path)
+    emit
 
 let compile_cmd =
   let emit =
@@ -513,18 +513,7 @@ let resolve_synths ~all workloads =
         Printf.eprintf "csteer: check needs -w WORKLOADS or --all\n";
         exit 2
     | Some names ->
-        List.map
-          (fun name ->
-            match List.assoc_opt name (synth_workloads ()) with
-            | Some w -> w
-            | None -> (
-                match Spec2000.find name with
-                | p -> Synth.build p
-                | exception Not_found ->
-                    Printf.eprintf "unknown workload %S (try `csteer list`)\n"
-                      name;
-                    exit 2))
-          (split_csv names)
+        List.map synth_of_name (split_csv names)
 
 let resolve_configs ~machine policies =
   match policies with
@@ -846,19 +835,7 @@ let check_cmd =
 (* ---- stats ---------------------------------------------------------- *)
 
 let workload_stats workload uops =
-  let w =
-    match List.assoc_opt workload (synth_workloads ()) with
-    | Some k -> k
-    | None -> (
-        match Spec2000.find workload with
-        | profile -> Synth.build profile
-        | exception Not_found ->
-            Printf.eprintf
-              "unknown workload %S (SPEC names, kernels or adversarial: %s)\n"
-              workload
-              (String.concat ", " (List.map fst (synth_workloads ())));
-            exit 1)
-  in
+  let w = synth_of_name workload in
   let mix = Clusteer_workloads.Analysis.measure w ~uops ~seed:1 in
   Printf.printf "%s (%d static micro-ops):\n"
     w.Synth.profile.Profile.name w.Synth.program.Clusteer_isa.Program.uop_count;
@@ -874,57 +851,50 @@ let stats_cmd =
 
 let sweep workload uops out =
   protect @@ fun () ->
-  match Spec2000.find workload with
-  | exception Not_found ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 1
-  | profile ->
-      let point = List.hd (Pinpoints.points profile) in
-      let configs =
-        [
-          Clusteer.Configuration.Op;
-          Clusteer.Configuration.One_cluster;
-          Clusteer.Configuration.Ob;
-          Clusteer.Configuration.Rhop;
-          Clusteer.Configuration.Vc { virtual_clusters = 2 };
-          Clusteer.Configuration.Mod_n { n = 3 };
-          Clusteer.Configuration.Dep;
-          Clusteer.Configuration.Crit;
-          Clusteer.Configuration.Thermal;
-        ]
-      in
-      let rows = ref [] in
+  let point = List.hd (Pinpoints.points (spec_workload workload)) in
+  let configs =
+    [
+      Clusteer.Configuration.Op;
+      Clusteer.Configuration.One_cluster;
+      Clusteer.Configuration.Ob;
+      Clusteer.Configuration.Rhop;
+      Clusteer.Configuration.Vc { virtual_clusters = 2 };
+      Clusteer.Configuration.Dep;
+      Clusteer.Configuration.Crit;
+    ]
+  in
+  let rows = ref [] in
+  List.iter
+    (fun clusters ->
+      let machine = Config.default ~clusters in
+      let result = Runner.run_point ~machine ~configs ~uops point in
       List.iter
-        (fun clusters ->
-          let machine = Config.default ~clusters in
-          let result = Runner.run_point ~machine ~configs ~uops point in
-          List.iter
-            (fun (name, (stats : Stats.t)) ->
-              rows :=
-                [
-                  string_of_int clusters;
-                  name;
-                  string_of_int stats.Stats.cycles;
-                  Printf.sprintf "%.4f" (Stats.ipc stats);
-                  string_of_int stats.Stats.copies_generated;
-                  string_of_int (Stats.allocation_stalls stats);
-                ]
-                :: !rows)
-            result.Runner.runs)
-        [ 2; 4; 8 ];
-      let header =
-        [ "clusters"; "config"; "cycles"; "ipc"; "copies"; "alloc_stalls" ]
-      in
-      let rows = List.rev !rows in
-      (match out with
-      | Some path ->
-          Clusteer_util.Csv.write ~path ~header rows;
-          Printf.printf "wrote %s (%d rows)\n" path (List.length rows)
-      | None ->
-          print_string
-            (Clusteer_util.Table.render
-               ~header:(Array.of_list header)
-               (List.map Array.of_list rows)))
+        (fun (name, (stats : Stats.t)) ->
+          rows :=
+            [
+              string_of_int clusters;
+              name;
+              string_of_int stats.Stats.cycles;
+              Printf.sprintf "%.4f" (Stats.ipc stats);
+              string_of_int stats.Stats.copies_generated;
+              string_of_int (Stats.allocation_stalls stats);
+            ]
+            :: !rows)
+        result.Runner.runs)
+    [ 2; 4; 8 ];
+  let header =
+    [ "clusters"; "config"; "cycles"; "ipc"; "copies"; "alloc_stalls" ]
+  in
+  let rows = List.rev !rows in
+  (match out with
+  | Some path ->
+      Clusteer_util.Csv.write ~path ~header rows;
+      Printf.printf "wrote %s (%d rows)\n" path (List.length rows)
+  | None ->
+      print_string
+        (Clusteer_util.Table.render
+           ~header:(Array.of_list header)
+           (List.map Array.of_list rows)))
 
 let sweep_cmd =
   let out =
@@ -949,8 +919,8 @@ let vliw_compare workload clusters =
        programs (e.g. adv-flip) take the acyclic per-region path. *)
     Array.length k.Synth.program.Clusteer_isa.Program.blocks = 2
   in
-  match List.assoc_opt workload (synth_workloads ()) with
-  | Some k when single_block_loop k ->
+  match workload_of_name workload with
+  | `Synth k when single_block_loop k ->
       (* Kernels are single-block loops: software-pipeline the body. *)
       let body =
         k.Clusteer_workloads.Synth.program.Clusteer_isa.Program.blocks.(0)
@@ -973,14 +943,7 @@ let vliw_compare workload clusters =
       report "round-robin" spread
   | other ->
       let w =
-        match other with
-        | Some k -> k
-        | None -> (
-            match Spec2000.find workload with
-            | exception Not_found ->
-                Printf.eprintf "unknown workload %S\n" workload;
-                exit 1
-            | profile -> Synth.build profile)
+        match other with `Synth k -> k | `Spec p -> Synth.build p
       in
       let program = w.Synth.program and likely = w.Synth.likely in
       let run name mode =
@@ -1013,18 +976,9 @@ let vliw_cmd =
 
 let progress name = Printf.eprintf "  running %s...\n%!" name
 
-let subset_profiles = function
-  | None -> None
-  | Some names ->
-      let find name =
-        match Spec2000.find name with
-        | p -> p
-        | exception Not_found ->
-            Printf.eprintf "csteer: unknown benchmark %S (try csteer list)\n"
-              name;
-            exit 2
-      in
-      Some (List.map find (String.split_on_char ',' names))
+let subset_profiles =
+  Option.map (fun names ->
+      List.map spec_workload (String.split_on_char ',' names))
 
 (* The --topology sweep: every built-in workload (the SPEC stand-ins
    plus the adversarial scenarios) on one machine whose interconnect
@@ -1603,22 +1557,17 @@ let metrics socket workload clusters config uops phase =
   | Some workload -> (
       (* One-shot local dump: run the point under the profiler and
          expose the process registry. *)
-      match Spec2000.find workload with
-      | exception Not_found ->
-          Printf.eprintf "unknown workload %S (try `csteer list`)\n" workload;
-          exit 1
-      | profile ->
-          let points = Pinpoints.points profile in
-          check_phase ~points:(List.length points) phase;
-          let point = List.nth points phase in
-          let machine = Config.default ~clusters in
-          Obs.Counters.reset Obs.Counters.default;
-          let prof = Obs.Profile.create () in
-          let (_ : Runner.point_result) =
-            Runner.run_point ~machine ~configs:[ config ] ~uops ~profile:prof
-              point
-          in
-          print_string (Obs.Expo.render Obs.Counters.default))
+      let points = Pinpoints.points (spec_workload workload) in
+      check_phase ~points:(List.length points) phase;
+      let point = List.nth points phase in
+      let machine = Config.default ~clusters in
+      Obs.Counters.reset Obs.Counters.default;
+      let prof = Obs.Profile.create () in
+      let (_ : Runner.point_result) =
+        Runner.run_point ~machine ~configs:[ config ] ~uops ~profile:prof
+          point
+      in
+      print_string (Obs.Expo.render Obs.Counters.default))
 
 let metrics_cmd =
   let workload =
@@ -1890,15 +1839,7 @@ let tune_run space algo seed max_evals benchmarks clusters uops domains out
     exit 1
   end;
   let workloads =
-    match
-      try subset_profiles benchmarks
-      with Not_found ->
-        Printf.eprintf "csteer: unknown workload in %s\n"
-          (Option.value ~default:"" benchmarks);
-        exit 1
-    with
-    | Some ps -> ps
-    | None -> Spec2000.all
+    Option.value (subset_profiles benchmarks) ~default:Spec2000.all
   in
   let champion_file =
     Option.value champion_file

@@ -108,14 +108,6 @@ let analyze (p : Program.t) =
     iterations = r.Fixpoint.iterations;
   }
 
-let live_at_entry t ~block =
-  let regs = ref [] in
-  for i = (2 * t.nregs) - 1 downto 0 do
-    if vec_get t.live_in.(block) i then
-      regs := Reg.decode ~nregs_per_class:t.nregs i :: !regs
-  done;
-  List.sort Reg.compare !regs
-
 let max_located_dead = 8
 
 let check ?int_budget ?fp_budget (p : Program.t) =

@@ -37,9 +37,6 @@ val codes : string list
 
 val analyze : Program.t -> t
 
-val live_at_entry : t -> block:int -> Reg.t list
-(** Decoded [live_in] of a block, ascending {!Reg.compare} order. *)
-
 val check : ?int_budget:int -> ?fp_budget:int -> Program.t -> Diag.t list
 (** Run {!analyze} and render findings. The budgets are the physical
     register-file sizes used for LIV003 (defaults: no bound). At most

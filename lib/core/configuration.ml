@@ -8,10 +8,8 @@ type t =
   | Rhop
   | Vc of { virtual_clusters : int }
   | Op_parallel
-  | Mod_n of { n : int }
   | Dep
   | Crit
-  | Thermal
 
 let name = function
   | Op -> "op"
@@ -20,10 +18,8 @@ let name = function
   | Rhop -> "rhop"
   | Vc { virtual_clusters } -> Printf.sprintf "vc%d" virtual_clusters
   | Op_parallel -> "op-parallel"
-  | Mod_n { n } -> Printf.sprintf "mod%d" n
   | Dep -> "dep"
   | Crit -> "crit"
-  | Thermal -> "thermal"
 
 let of_name s =
   match String.lowercase_ascii s with
@@ -34,11 +30,6 @@ let of_name s =
   | "op-parallel" -> Ok Op_parallel
   | "dep" -> Ok Dep
   | "crit" -> Ok Crit
-  | "thermal" -> Ok Thermal
-  | s when String.length s > 3 && String.sub s 0 3 = "mod" -> (
-      match int_of_string_opt (String.sub s 3 (String.length s - 3)) with
-      | Some n when n > 0 -> Ok (Mod_n { n })
-      | _ -> Error (`Msg "modN needs a positive N"))
   | s when String.length s > 2 && String.sub s 0 2 = "vc" -> (
       match int_of_string_opt (String.sub s 2 (String.length s - 2)) with
       | Some v when v > 0 -> Ok (Vc { virtual_clusters = v })
@@ -54,11 +45,8 @@ let description = function
       Printf.sprintf "Hybrid steering based on virtual clustering (%d VCs)"
         virtual_clusters
   | Op_parallel -> "OP with parallel (rename-style) steering decisions (2.1)"
-  | Mod_n { n } ->
-      Printf.sprintf "Rotate clusters every %d micro-ops (Baniasadi-Moshovos)" n
   | Dep -> "Dependence-based steering without stalling (Canal et al.)"
   | Crit -> "Criticality-aware steering (after Salverda-Zilles)"
-  | Thermal -> "Thermal activity-migration steering (after Chaparro et al.)"
 
 type params = {
   remap_threshold : int;
@@ -107,8 +95,7 @@ let prepare t ~program ~likely ~clusters ?(params = default_params) ?annot
     | None ->
         let scheme =
           match t with
-          | Op | One_cluster | Op_parallel | Mod_n _ | Dep | Crit | Thermal ->
-              Compiler.Passes.Sw_none
+          | Op | One_cluster | Op_parallel | Dep | Crit -> Compiler.Passes.Sw_none
           | Ob -> Compiler.Passes.Sw_ob
           | Rhop -> Compiler.Passes.Sw_rhop { seed = 1 }
           | Vc { virtual_clusters } -> Compiler.Passes.Sw_vc { virtual_clusters }
@@ -132,7 +119,6 @@ let prepare t ~program ~likely ~clusters ?(params = default_params) ?annot
     | Vc _ ->
         Steer.Vc_map.make ~remap_threshold:params.remap_threshold ?registry
           ?topology:params.topology ~annot ~clusters ()
-    | Mod_n { n } -> Steer.Mod_n.make ~n ()
     | Dep -> Steer.Dep.make ?registry ()
     | Crit ->
         let critical =
@@ -140,6 +126,5 @@ let prepare t ~program ~likely ~clusters ?(params = default_params) ?annot
             ~slack_threshold:params.slack_threshold ()
         in
         Steer.Crit.make ~critical ()
-    | Thermal -> Steer.Thermal_aware.make ()
   in
   (annot, policy)

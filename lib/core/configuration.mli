@@ -20,17 +20,11 @@ type t =
           mapping. [Vc {virtual_clusters = 2}] on a 4-cluster machine
           is the paper's VC(2→4). *)
   | Op_parallel  (** §2.1 ablation: OP with stale intra-bundle locations *)
-  | Mod_n of { n : int }
-      (** extension beyond Table 3: the MOD_N baseline of [3] *)
   | Dep  (** extension beyond Table 3: dependence-based steering [5],
              i.e. OP without stall-over-steer *)
   | Crit
       (** extension beyond Table 3: criticality-aware steering after
           [24] — critical micro-ops chase operands, the rest balance *)
-  | Thermal
-      (** extension beyond Table 3: activity-migration steering after
-          [7] — balance in-flight load against a decaying per-cluster
-          heat proxy *)
 
 val name : t -> string
 (** Short identifier, e.g. ["vc2"]. *)

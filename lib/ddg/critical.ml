@@ -31,13 +31,6 @@ let analyze (g : Ddg.t) =
   let slack = Array.map (fun c -> length - c) criticality in
   { depth; height; criticality; slack; length }
 
-let critical_nodes t =
-  let acc = ref [] in
-  for i = Array.length t.slack - 1 downto 0 do
-    if t.slack.(i) = 0 then acc := i :: !acc
-  done;
-  !acc
-
 let critical_path (g : Ddg.t) t =
   match List.find_opt (fun i -> t.slack.(i) = 0) (Ddg.roots g) with
   | None -> []

@@ -17,9 +17,6 @@ type t = {
 
 val analyze : Ddg.t -> t
 
-val critical_nodes : t -> int list
-(** Nodes with zero slack, ascending. *)
-
 val critical_path : Ddg.t -> t -> int list
 (** One maximal zero-slack path, ascending program order: starting from
     a zero-slack root, repeatedly follow a zero-slack successor. *)

@@ -78,9 +78,6 @@ let of_region (r : Region.t) = build r.Region.uops
 let iter_edges t f =
   Array.iter (fun es -> List.iter f es) t.succs
 
-let edge_count t =
-  Array.fold_left (fun acc es -> acc + List.length es) 0 t.succs
-
 let roots t =
   let acc = ref [] in
   for i = node_count t - 1 downto 0 do

@@ -32,8 +32,6 @@ val of_region : Region.t -> t
 val iter_edges : t -> (edge -> unit) -> unit
 (** Every edge exactly once, in successor-list order. *)
 
-val edge_count : t -> int
-
 val roots : t -> int list
 (** Nodes with no predecessors. *)
 

@@ -399,23 +399,3 @@ let export_slowdowns ~path fig =
       fig.rows
   in
   Csv.write ~path ~header rows
-
-let export_scatter ~path_prefix fig =
-  let dump name points =
-    let header = [ "trace"; "speedup_pct"; "copy_reduction_pct"; "balance_improvement_pct" ] in
-    let rows =
-      List.map
-        (fun p ->
-          [
-            p.trace;
-            Printf.sprintf "%.4f" p.speedup;
-            Printf.sprintf "%.4f" p.copy_reduction;
-            Printf.sprintf "%.4f" p.balance_improvement;
-          ])
-        points
-    in
-    Csv.write ~path:(path_prefix ^ "_" ^ name ^ ".csv") ~header rows
-  in
-  dump "vs_ob" fig.vs_ob;
-  dump "vs_rhop" fig.vs_rhop;
-  dump "vs_op" fig.vs_op

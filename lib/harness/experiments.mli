@@ -125,4 +125,3 @@ val print_section21 : sec21 -> unit
 (** {1 CSV export} *)
 
 val export_slowdowns : path:string -> slowdown_figure -> unit
-val export_scatter : path_prefix:string -> scatter_figure -> unit

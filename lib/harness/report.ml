@@ -1,21 +1,7 @@
 module Csv = Clusteer_util.Csv
-module Interval = Clusteer_obs.Interval
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  if not (Sys.is_directory dir) then
-    invalid_arg (Printf.sprintf "Report: %s is not a directory" dir)
-
-let write_interval_series ~dir ~name ~clusters samples =
-  ensure_dir dir;
-  let path = Filename.concat dir (name ^ "_intervals.csv") in
-  Csv.write ~path
-    ~header:(Interval.csv_header ~clusters)
-    (List.map Interval.csv_row samples);
-  path
 
 let write_slowdown_figure ~dir ~name (fig : Experiments.slowdown_figure) =
-  ensure_dir dir;
+  Clusteer_util.Fs.mkdir_p dir;
   let csv_path = Filename.concat dir (name ^ ".csv") in
   Experiments.export_slowdowns ~path:csv_path fig;
   let configs =
@@ -52,7 +38,7 @@ let write_slowdown_figure ~dir ~name (fig : Experiments.slowdown_figure) =
   [ csv_path; gp_path ]
 
 let write_scatter_figure ~dir (fig : Experiments.scatter_figure) =
-  ensure_dir dir;
+  Clusteer_util.Fs.mkdir_p dir;
   let dump suffix points =
     let path = Filename.concat dir ("fig6_vs_" ^ suffix ^ ".csv") in
     Csv.write ~path

@@ -11,8 +11,6 @@ type t = {
   loc : location;
 }
 
-let no_location = { uop = -1; block = -1; region = -1 }
-
 let make ?(uop = -1) ?(block = -1) ?(region = -1) severity ~code message =
   { code; severity; message; loc = { uop; block; region } }
 

@@ -28,8 +28,6 @@ type t = {
   loc : location;
 }
 
-val no_location : location
-
 val make :
   ?uop:int -> ?block:int -> ?region:int -> severity -> code:string ->
   string -> t

@@ -19,8 +19,6 @@ let index_in_block t id = snd t.uop_index.(id)
 let iter_uops t f =
   Array.iter (fun blk -> Array.iter f blk.Block.uops) t.blocks
 
-let static_size t = t.uop_count
-
 let pp ppf t =
   Format.fprintf ppf "@[<v2>program %s (entry %d, %d uops):@,%a@]" t.name
     t.entry t.uop_count

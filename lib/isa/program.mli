@@ -28,9 +28,6 @@ val index_in_block : t -> int -> int
 val iter_uops : t -> (Uop.t -> unit) -> unit
 (** All static micro-ops in (block id, position) order. *)
 
-val static_size : t -> int
-(** Total static micro-op count (same as [uop_count]). *)
-
 val pp : Format.formatter -> t -> unit
 
 val of_blocks_unchecked :

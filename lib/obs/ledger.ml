@@ -71,17 +71,6 @@ let index_path dir = Filename.concat dir "index.jsonl"
 let run_file id = Printf.sprintf "run-%06d.json" id
 let run_path dir id = Filename.concat dir (run_file id)
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ when Sys.is_directory d -> ()
-    end
-  in
-  go dir;
-  if not (Sys.is_directory dir) then
-    raise (Sys_error (dir ^ ": not a directory"))
-
 let summary_of_json j =
   match
     ( Option.bind (Json.member "id" j) Json.to_int,
@@ -164,7 +153,7 @@ let file_ids dir =
     (try Sys.readdir dir with Sys_error _ -> [||])
 
 let create ~dir =
-  mkdir_p dir;
+  Clusteer_util.Fs.mkdir_p dir;
   let summaries = load_index dir in
   let max_id =
     List.fold_left max 0
@@ -174,15 +163,9 @@ let create ~dir =
 
 let dir t = t.dir
 
-let write_atomic path json =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Json.output oc json;
-      output_char oc '\n');
-  Sys.rename tmp path
+let output_line oc json =
+  Json.output oc json;
+  output_char oc '\n'
 
 let build_json =
   Json.Obj
@@ -227,15 +210,14 @@ let append t ~kind ~label ?request_hash ?config ~started ~wall_s ~outcome
           ("counters", Counters.to_json counters);
         ])
   in
-  write_atomic (run_path t.dir id) entry;
+  Clusteer_util.Fs.write_atomic ~path:(run_path t.dir id) (fun oc ->
+      output_line oc entry);
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 (index_path t.dir)
   in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Json.output oc (summary_json s);
-      output_char oc '\n');
+    (fun () -> output_line oc (summary_json s));
   t.summaries <- t.summaries @ [ s ];
   s
 
@@ -277,17 +259,8 @@ let prune t ~keep =
       old;
     (* Rewrite the index atomically so a crash mid-prune leaves either
        the old or the new index, never a truncated one. *)
-    let tmp = index_path t.dir ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        List.iter
-          (fun s ->
-            Json.output oc (summary_json s);
-            output_char oc '\n')
-          kept);
-    Sys.rename tmp (index_path t.dir);
+    Clusteer_util.Fs.write_atomic ~path:(index_path t.dir) (fun oc ->
+        List.iter (fun s -> output_line oc (summary_json s)) kept);
     t.summaries <- kept;
     drop
   end

@@ -13,19 +13,10 @@ type t = {
 (* Hashes are [0-9a-f]{16}, so the path needs no sanitizing. *)
 let spill_path dir hash = Filename.concat dir (hash ^ ".json")
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
 let write_spill dir hash value =
-  ensure_dir dir;
-  (* Write-then-rename so a concurrent reader never sees a torn file. *)
-  let tmp = spill_path dir hash ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc value;
-  close_out oc;
-  Sys.rename tmp (spill_path dir hash)
+  Clusteer_util.Fs.mkdir_p dir;
+  Clusteer_util.Fs.write_atomic ~path:(spill_path dir hash) (fun oc ->
+      output_string oc value)
 
 let read_spill dir hash =
   let path = spill_path dir hash in

@@ -21,6 +21,5 @@ let make ~critical () =
   {
     Policy.name = "crit";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }

@@ -64,6 +64,5 @@ let make ?registry () =
   {
     Policy.name = "dep";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }

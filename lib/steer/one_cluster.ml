@@ -4,6 +4,5 @@ let make () =
   {
     Policy.name = "one-cluster";
     decide = (fun _view _uop -> Policy.dispatch_to 0);
-    uses_dependence_check = false;
     uses_vote_unit = false;
   }

@@ -157,6 +157,5 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
   {
     Policy.name = "op";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }

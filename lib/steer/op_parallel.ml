@@ -122,6 +122,5 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   {
     Policy.name = "op-parallel";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }

@@ -12,6 +12,5 @@ let make ~name ~annot =
   {
     Policy.name;
     decide;
-    uses_dependence_check = false;
     uses_vote_unit = false;
   }

@@ -98,6 +98,5 @@ let make ?(remap_threshold = 8) ?registry ?topology ~annot ~clusters () =
   {
     Policy.name = "vc";
     decide;
-    uses_dependence_check = false;
     uses_vote_unit = false;
   }

@@ -165,15 +165,6 @@ let latency_matrix t =
   Array.init t.clusters (fun a ->
       Array.init t.clusters (fun b -> latency t a b))
 
-let max_latency t =
-  let m = ref 0 in
-  for a = 0 to t.clusters - 1 do
-    for b = 0 to t.clusters - 1 do
-      if latency t a b > !m then m := latency t a b
-    done
-  done;
-  !m
-
 let diameter t =
   let d = ref 0 in
   for a = 0 to t.clusters - 1 do

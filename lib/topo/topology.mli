@@ -111,9 +111,6 @@ val latency_matrix : t -> int array array
 val diameter : t -> int
 (** Largest pairwise {!distance}. *)
 
-val max_latency : t -> int
-(** Largest pairwise {!latency}. *)
-
 val mean_distance : t -> float
 (** Mean {!distance} over ordered cross-cluster pairs; [0.] for a
     single cluster. *)

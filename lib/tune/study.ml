@@ -454,19 +454,11 @@ let of_json json =
 
 (* ---- artifacts --------------------------------------------------- *)
 
-let mkdir_for file =
-  let dir = Filename.dirname file in
-  if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then
-    Unix.mkdir dir 0o755
-
 let write_atomic ~file json =
-  mkdir_for file;
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp file
+  Clusteer_util.Fs.mkdir_p (Filename.dirname file);
+  Clusteer_util.Fs.write_atomic ~path:file (fun oc ->
+      output_string oc (Json.to_string json);
+      output_char oc '\n')
 
 let save ~file t = write_atomic ~file (to_json t)
 

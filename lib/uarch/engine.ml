@@ -456,7 +456,6 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.view <- make_view t
 
 let stats t = t.stats
-let set_sink t obs = t.obs <- obs
 
 (* Events are stamped in measured time (1-based cycle index of the
    statistics), not the engine's internal clock: the internal clock

@@ -100,10 +100,6 @@ val reset :
     results across a reset must {!Stats.copy} them first (the harness
     does). *)
 
-val set_sink : t -> Clusteer_obs.Sink.t option -> unit
-(** Install or remove the observability sink mid-run (e.g. to skip the
-    warmup phase). *)
-
 val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
 (** Execute until [uops] program micro-ops have committed after a
     [warmup] phase (default 0) whose purpose is to warm the caches and

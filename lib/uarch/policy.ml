@@ -19,6 +19,5 @@ type view = {
 type t = {
   name : string;
   decide : view -> Uop.t -> decision;
-  uses_dependence_check : bool;
   uses_vote_unit : bool;
 }

@@ -58,9 +58,6 @@ type t = {
       (** called with the static micro-op being steered; everything a
           policy reads about it (opcode, operands, its id into the
           annotation) is static *)
-  uses_dependence_check : bool;
-      (** complexity accounting for Table 1: does the scheme read
-          source locations at steer time? *)
   uses_vote_unit : bool;
       (** does it combine per-source locations with occupancy in a
           voting step? *)

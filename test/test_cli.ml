@@ -52,6 +52,49 @@ let contains haystack needle =
   in
   go 0
 
+let index_of haystack needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length haystack then raise Not_found
+    else if String.sub haystack i n = needle then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The -p documentation lists exactly names [Configuration.of_name]
+   accepts, and each prints back to itself (vcN read as vc2). The
+   deleted extension baselines are refused by [of_name] and by -p. *)
+let test_policy_names () =
+  let code, help = run_capture "simulate --help=plain" in
+  check_int "help exit 0" 0 code;
+  let lead = "Steering configuration:" in
+  let start = index_of help lead + String.length lead in
+  let names =
+    String.sub help start (String.index_from help start '.' - start)
+    |> String.split_on_char ',' |> List.map String.trim
+  in
+  check_int "documented names" 8 (List.length names);
+  List.iter
+    (fun doc_name ->
+      let name = if doc_name = "vcN" then "vc2" else doc_name in
+      match Clusteer.Configuration.of_name name with
+      | Ok c ->
+          Alcotest.(check string) (name ^ " round trip") name
+            (Clusteer.Configuration.name c)
+      | Error (`Msg m) -> Alcotest.failf "%s: %s" name m)
+    names;
+  List.iter
+    (fun name ->
+      check_bool (name ^ ": of_name refuses") true
+        (Result.is_error (Clusteer.Configuration.of_name name));
+      let code, out =
+        run_capture_all ("simulate -w gzip-1 -n 500 -p " ^ name)
+      in
+      check_int (name ^ ": -p refuses") 124 code;
+      check_bool (name ^ ": names the configuration") true
+        (contains out (Printf.sprintf "unknown configuration %S" name)))
+    [ "thermal"; "mod3"; "modN" ]
+
 let test_list () =
   let code, out = run_capture "list" in
   check_int "exit 0" 0 code;
@@ -113,9 +156,30 @@ let test_simulate_trace_out () =
         | Some (Clusteer_obs.Json.List (_ :: _)) -> true
         | _ -> false)
 
-let test_simulate_unknown_workload () =
-  let code, _ = run_capture "simulate -w not-a-benchmark" in
-  check_bool "nonzero exit" true (code <> 0)
+(* Every subcommand that resolves a workload name locally diagnoses an
+   unknown one in the same single line, with exit 2. sweep and metrics
+   need a SPEC point, so a kernel name is unknown to them. *)
+let test_unknown_workload () =
+  let unknown name =
+    Printf.sprintf "csteer: unknown workload %S (try csteer list)" name
+  in
+  List.iter
+    (fun (args, expected) ->
+      let code, out = run_capture_all args in
+      check_int (args ^ ": exit 2") 2 code;
+      Alcotest.(check string) (args ^ ": diagnostic") (expected ^ "\n") out)
+    [
+      ("simulate -w not-a-benchmark", unknown "not-a-benchmark");
+      ("compile -w bogus", unknown "bogus");
+      ("check -w gzip-1,bogus", unknown "bogus");
+      ("stats -w bogus", unknown "bogus");
+      ("sweep -w bogus", unknown "bogus");
+      ("sweep -w daxpy", unknown "daxpy");
+      ("vliw -w bogus", unknown "bogus");
+      ("metrics -w bogus", unknown "bogus");
+      ("metrics -w adv-storm", unknown "adv-storm");
+      ("tune run -w gzip", unknown "gzip");
+    ]
 
 (* Machine sizes outside 1..16 clusters, from --clusters or from a
    fixed-size fabric name, are diagnosed in one line with exit 2
@@ -198,7 +262,11 @@ let test_compile_emit_annotation () =
   (* The emitted file parses back through the library. *)
   let a = Clusteer_isa.Annot_io.load ~path:annot in
   Sys.remove annot;
-  check_int "two vcs" 2 a.Clusteer_isa.Annot.virtual_clusters
+  check_int "two vcs" 2 a.Clusteer_isa.Annot.virtual_clusters;
+  (* compile needs only a program, so kernels resolve too. *)
+  let code, out = run_capture "compile -w daxpy -p vc2" in
+  check_int "kernel compiles" 0 code;
+  check_bool "names the kernel" true (contains out "daxpy")
 
 let test_stats () =
   let code, out = run_capture "stats -w daxpy -n 5000" in
@@ -227,8 +295,8 @@ let test_sweep_csv () =
   Sys.remove csv;
   Alcotest.(check string) "header"
     "clusters,config,cycles,ipc,copies,alloc_stalls" header;
-  (* 3 cluster counts x 9 configurations *)
-  check_int "rows" 27 !rows
+  (* 3 cluster counts x 7 configurations *)
+  check_int "rows" 21 !rows
 
 let test_experiment_tables () =
   let code, out = run_capture "experiment tables" in
@@ -346,18 +414,28 @@ let test_unwritable_paths_diagnose () =
   let code, _ =
     run_capture_all (Printf.sprintf "runs list --dir %s" (Filename.quote bad))
   in
-  check_int "runs dir rejected" 1 code
+  check_int "runs dir rejected" 1 code;
+  (* The file itself where the figure directory should be. *)
+  let code, out =
+    run_capture_all
+      (Printf.sprintf "experiment fig5 -n 300 --benchmarks mcf --csv %s"
+         (Filename.quote file))
+  in
+  check_int "figure dir rejected" 1 code;
+  check_bool "one-line diagnostic, not a backtrace" true
+    (contains out (Printf.sprintf "csteer: %s: not a directory" file)
+    && not (contains out "Raised at"))
 
 let test_unknown_experiment () =
   let code, _ = run_capture "experiment not-a-figure" in
   check_bool "nonzero exit" true (code <> 0)
 
+(* --benchmarks names go through the same resolver as -w. *)
 let test_unknown_benchmark () =
-  let code, out = run_capture_all "experiment fig5 --benchmarks bogus" in
+  let code, out = run_capture_all "experiment fig5 --benchmarks mcf,bogus" in
   check_int "unknown benchmark exits 2" 2 code;
-  check_bool "one-line diagnostic" true
-    (contains out "csteer: unknown benchmark \"bogus\" (try csteer list)");
-  check_bool "no uncaught exception" false (contains out "uncaught")
+  Alcotest.(check string) "one-line diagnostic"
+    "csteer: unknown workload \"bogus\" (try csteer list)\n" out
 
 let () =
   Alcotest.run "clusteer_cli"
@@ -365,10 +443,11 @@ let () =
       ( "csteer",
         [
           Alcotest.test_case "list" `Quick test_list;
+          Alcotest.test_case "policy names" `Quick test_policy_names;
           Alcotest.test_case "simulate" `Slow test_simulate;
           Alcotest.test_case "simulate --json" `Slow test_simulate_json_roundtrip;
           Alcotest.test_case "simulate --trace-out" `Slow test_simulate_trace_out;
-          Alcotest.test_case "unknown workload" `Quick test_simulate_unknown_workload;
+          Alcotest.test_case "unknown workload" `Quick test_unknown_workload;
           Alcotest.test_case "machine size bounds" `Quick
             test_machine_size_bounds;
           Alcotest.test_case "domains and serve bounds" `Quick

@@ -273,7 +273,6 @@ let ref_op ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   {
     Policy.name = "op-ref";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }
 
@@ -300,7 +299,6 @@ let ref_dep () =
   {
     Policy.name = "dep-ref";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }
 
@@ -358,7 +356,6 @@ let ref_op_parallel ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   {
     Policy.name = "op-parallel-ref";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }
 
@@ -378,7 +375,6 @@ let ref_crit ~critical () =
   {
     Policy.name = "crit-ref";
     decide;
-    uses_dependence_check = true;
     uses_vote_unit = true;
   }
 

@@ -73,7 +73,7 @@ let test_float_encoding_integer_exact () =
 let test_request_roundtrip () =
   let r =
     Request.make ~workload:"gzip-1" ~phase:2 ~clusters:4
-      ~policy:(Clusteer.Configuration.Mod_n { n = 3 })
+      ~policy:Clusteer.Configuration.Crit
       ~uops:7000 ~warmup:1000 ~seed:42
       ~overrides:
         {
@@ -89,6 +89,20 @@ let test_request_roundtrip () =
   | Ok r' ->
       check_bool "round trip equal" true (Request.equal r r');
       check_string "round trip hash" (Request.hash r) (Request.hash r')
+
+(* The deleted extension baselines are not wire names either. *)
+let test_request_rejects_removed_policies () =
+  List.iter
+    (fun policy ->
+      match
+        Json.of_string
+          (Printf.sprintf {|{"workload":"mcf","policy":%S}|} policy)
+      with
+      | Error e -> Alcotest.fail e
+      | Ok doc ->
+          check_bool (policy ^ " rejected") true
+            (Result.is_error (Request.of_json doc)))
+    [ "thermal"; "mod3"; "modN" ]
 
 let test_request_rejects_unknown_field () =
   match Json.of_string {|{"workload":"mcf","uopss":100}|} with
@@ -480,6 +494,8 @@ let () =
           Alcotest.test_case "integer-exact floats" `Quick
             test_float_encoding_integer_exact;
           Alcotest.test_case "round trip" `Quick test_request_roundtrip;
+          Alcotest.test_case "rejects removed policies" `Quick
+            test_request_rejects_removed_policies;
           Alcotest.test_case "rejects unknown field" `Quick
             test_request_rejects_unknown_field;
           Alcotest.test_case "rejects machine size" `Quick

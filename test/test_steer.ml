@@ -265,28 +265,6 @@ let test_vc_requires_virtual_annotation () =
     (fun () ->
       ignore (Steer.Vc_map.make ~annot:(Annot.none ~uop_count:1) ~clusters:2 ()))
 
-(* ---- mod-n (extension baseline) --------------------------------------------------- *)
-
-let test_mod_n_rotation () =
-  let p = Steer.Mod_n.make ~n:2 () in
-  let f = mk_fake () in
-  let view = fake_view f in
-  let d i = alu ~id:i ~dst:0 ~srcs:[] in
-  let picks = List.init 8 (fun i -> decide p view (d i)) in
-  Alcotest.(check (list int)) "rotates every 2" [ 0; 0; 1; 1; 0; 0; 1; 1 ] picks
-
-let test_mod_n_default_three () =
-  let p = Steer.Mod_n.make () in
-  let f = mk_fake () in
-  let view = fake_view f in
-  let d i = alu ~id:i ~dst:0 ~srcs:[] in
-  let picks = List.init 6 (fun i -> decide p view (d i)) in
-  Alcotest.(check (list int)) "mod3" [ 0; 0; 0; 1; 1; 1 ] picks
-
-let test_mod_n_rejects_bad_n () =
-  Alcotest.check_raises "n = 0" (Invalid_argument "Mod_n.make: n must be positive")
-    (fun () -> ignore (Steer.Mod_n.make ~n:0 ()))
-
 (* ---- dep (extension baseline) ------------------------------------------------------ *)
 
 let test_dep_follows_operands () =
@@ -336,32 +314,6 @@ let test_crit_out_of_table_is_noncritical () =
   check_int "beyond table balances" 1
     (decide p (fake_view f) (alu ~id:7 ~dst:2 ~srcs:[]))
 
-(* ---- thermal (extension baseline) -------------------------------------------------- *)
-
-let test_thermal_balances_when_cold () =
-  let p = Steer.Thermal_aware.make () in
-  let f = mk_fake () in
-  f.inflight.(0) <- 9;
-  check_int "prefers lighter cluster" 1
-    (decide p (fake_view f) (alu ~id:0 ~dst:0 ~srcs:[]))
-
-let test_thermal_migrates_under_heat () =
-  (* With equal in-flight load, accumulated heat pushes decisions to
-     alternate clusters instead of sticking to cluster 0. *)
-  let p = Steer.Thermal_aware.make ~weight:2.0 () in
-  let f = mk_fake () in
-  let view = fake_view f in
-  let picks =
-    List.init 10 (fun i -> decide p view (alu ~id:i ~dst:0 ~srcs:[]))
-  in
-  check_bool "uses both clusters" true
-    (List.exists (fun c -> c = 0) picks && List.exists (fun c -> c = 1) picks)
-
-let test_thermal_validates_decay () =
-  Alcotest.check_raises "decay range"
-    (Invalid_argument "Thermal_aware.make: decay must be in (0,1)") (fun () ->
-      ignore (Steer.Thermal_aware.make ~decay:1.5 ()))
-
 (* ---- complexity table ------------------------------------------------------------ *)
 
 let test_complexity_table1 () =
@@ -380,9 +332,9 @@ let test_complexity_table1 () =
 (* ---- policy flags ------------------------------------------------------------------ *)
 
 let test_policy_flags () =
-  check_bool "op dep check" true (Steer.Op.make ()).Policy.uses_dependence_check;
-  check_bool "vc no dep check" false
-    (Steer.Vc_map.make ~annot:(vc_annot ()) ~clusters:2 ()).Policy.uses_dependence_check;
+  check_bool "op votes" true (Steer.Op.make ()).Policy.uses_vote_unit;
+  check_bool "vc no vote" false
+    (Steer.Vc_map.make ~annot:(vc_annot ()) ~clusters:2 ()).Policy.uses_vote_unit;
   check_bool "static no vote" false
     (Steer.Static.make ~name:"x" ~annot:(Annot.none ~uop_count:1)).Policy.uses_vote_unit
 
@@ -419,12 +371,6 @@ let () =
           Alcotest.test_case "unassigned least loaded" `Quick test_vc_unassigned_goes_least_loaded;
           Alcotest.test_case "requires vcs" `Quick test_vc_requires_virtual_annotation;
         ] );
-      ( "mod-n",
-        [
-          Alcotest.test_case "rotation" `Quick test_mod_n_rotation;
-          Alcotest.test_case "default n" `Quick test_mod_n_default_three;
-          Alcotest.test_case "rejects bad n" `Quick test_mod_n_rejects_bad_n;
-        ] );
       ( "dep",
         [
           Alcotest.test_case "follows operands" `Quick test_dep_follows_operands;
@@ -435,12 +381,6 @@ let () =
         [
           Alcotest.test_case "critical chases" `Quick test_crit_critical_follows_operands;
           Alcotest.test_case "table bounds" `Quick test_crit_out_of_table_is_noncritical;
-        ] );
-      ( "thermal",
-        [
-          Alcotest.test_case "balances when cold" `Quick test_thermal_balances_when_cold;
-          Alcotest.test_case "migrates under heat" `Quick test_thermal_migrates_under_heat;
-          Alcotest.test_case "validates decay" `Quick test_thermal_validates_decay;
         ] );
       ( "complexity",
         [

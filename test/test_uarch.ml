@@ -706,7 +706,6 @@ let test_engine_rejects_rogue_policy () =
     {
       Policy.name = "rogue";
       decide = (fun _ _ -> Policy.Dispatch_to 7);
-      uses_dependence_check = false;
       uses_vote_unit = false;
     }
   in
@@ -960,20 +959,6 @@ let test_engine_tracecache_stress () =
   check_bool "tiny cache misses constantly" true
     (tiny.Stats.tc_misses > big.Stats.tc_misses);
   check_bool "misses cost cycles" true (tiny.Stats.cycles > big.Stats.cycles)
-
-let test_thermal_estimate () =
-  let p = independent_program 16 in
-  (* one-cluster concentrates all activity: cluster 0 must be the hot
-     spot with a visible spread *)
-  let mono = run_with ~policy:(Clusteer_steer.One_cluster.make ()) p ~uops:2000 in
-  let t_mono = Thermal.estimate ~clusters:2 mono in
-  check_int "hotspot is cluster 0" 0 t_mono.Thermal.hottest;
-  check_bool "visible spread" true (t_mono.Thermal.spread > 0.0);
-  check_bool "above ambient" true (t_mono.Thermal.per_cluster.(0) > 45.0);
-  (* balanced steering shrinks the spread *)
-  let op = run_with ~policy:(Clusteer_steer.Op.make ()) p ~uops:2000 in
-  let t_op = Thermal.estimate ~clusters:2 op in
-  check_bool "balance cools" true (t_op.Thermal.spread < t_mono.Thermal.spread)
 
 let test_engine_rejects_bad_args () =
   let p = independent_program 4 in
@@ -1294,7 +1279,6 @@ let test_gate_deadlock () =
     {
       Policy.name = "stall";
       decide = (fun _ _ -> Policy.Stall);
-      uses_dependence_check = false;
       uses_vote_unit = false;
     }
   in
@@ -1407,7 +1391,6 @@ let () =
           Alcotest.test_case "trace cache stress" `Quick test_engine_tracecache_stress;
           Alcotest.test_case "energy shape" `Quick test_energy_estimate_shape;
           Alcotest.test_case "energy cluster scaling" `Quick test_energy_costs_scale_with_clusters;
-          Alcotest.test_case "thermal estimate" `Quick test_thermal_estimate;
           Alcotest.test_case "reset onto another point = fresh"
             `Quick test_engine_reset_onto_other_point;
           Alcotest.test_case "copy pool grows" `Quick test_engine_copy_pool_grows;

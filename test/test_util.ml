@@ -936,6 +936,48 @@ let test_csv_write_read () =
     [ "x,y"; "1,\"a,b\""; "2,c" ]
     (List.rev !lines)
 
+(* ---- Fs -------------------------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_fs_mkdir_p () =
+  let root = Filename.temp_file "clusteer_fs" "" in
+  Sys.remove root;
+  let nested = Filename.concat (Filename.concat root "a") "b" in
+  Fs.mkdir_p nested;
+  check_bool "nested dirs made" true (Sys.is_directory nested);
+  Fs.mkdir_p nested;
+  check_bool "existing dir is fine" true (Sys.is_directory nested);
+  (* A regular file where a directory is needed, as the leaf or as a
+     parent: Sys_error, which the CLI reports in one line. *)
+  let file = Filename.concat root "file" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  let raises_sys_error dir =
+    match Fs.mkdir_p dir with
+    | () -> false
+    | exception Sys_error _ -> true
+  in
+  check_bool "file as the leaf" true (raises_sys_error file);
+  check_bool "file as a parent" true
+    (raises_sys_error (Filename.concat file "sub"));
+  Sys.remove file;
+  Sys.rmdir nested;
+  Sys.rmdir (Filename.dirname nested);
+  Sys.rmdir root
+
+let test_fs_write_atomic () =
+  let path = Filename.temp_file "clusteer_fs" ".txt" in
+  Fs.write_atomic ~path (fun oc -> output_string oc "first");
+  Alcotest.(check string) "written" "first" (read_file path);
+  (* A writer that fails leaves the old file whole and no temporary. *)
+  Alcotest.check_raises "writer failure re-raised" (Failure "boom") (fun () ->
+      Fs.write_atomic ~path (fun oc ->
+          output_string oc "partial";
+          failwith "boom"));
+  Alcotest.(check string) "old content kept" "first" (read_file path);
+  check_bool "temporary removed" false (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "clusteer_util"
@@ -1067,5 +1109,10 @@ let () =
           Alcotest.test_case "formatting" `Quick test_table_fmt;
           Alcotest.test_case "csv escape" `Quick test_csv_escape;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_write_read;
+        ] );
+      ( "fs",
+        [
+          Alcotest.test_case "mkdir_p" `Quick test_fs_mkdir_p;
+          Alcotest.test_case "write_atomic" `Quick test_fs_write_atomic;
         ] );
     ]
