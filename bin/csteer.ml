@@ -116,20 +116,24 @@ let workload_of_name name =
 let synth_of_name name =
   match workload_of_name name with `Synth w -> w | `Spec p -> Synth.build p
 
+(* An int option checked before any command runs with it: a value
+   [ok] refuses is a usage error, diagnosed in one line with exit 2. *)
+let checked_int ~flag ~must ok arg =
+  let check v =
+    if not (ok v) then begin
+      Printf.eprintf "csteer: --%s must be %s (got %d)\n" flag must v;
+      exit 2
+    end;
+    v
+  in
+  Term.(const check $ arg)
+
 (* Like --clusters, a non-positive count is rejected before any
    command runs with it. *)
 let uops_arg ?(doc = "Committed micro-ops to simulate per point.") ?docv
     default =
-  let positive uops =
-    if uops <= 0 then begin
-      Printf.eprintf "csteer: --uops must be positive (got %d)\n" uops;
-      exit 2
-    end;
-    uops
-  in
-  Term.(
-    const positive
-    $ Arg.(value & opt int default & info [ "n"; "uops" ] ~doc ?docv))
+  checked_int ~flag:"uops" ~must:"positive" (fun n -> n > 0)
+    Arg.(value & opt int default & info [ "n"; "uops" ] ~doc ?docv)
 
 (* Flags several subcommands share; each passes its own [doc]. *)
 let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
@@ -230,10 +234,6 @@ let simulate workload clusters topology config uops phase trace_out
       (match source with
       | `Spec p -> List.length (Pinpoints.points p)
       | `Synth _ -> 1);
-  if stats_interval < 0 then begin
-    Printf.eprintf "--stats-interval must be non-negative\n";
-    exit 1
-  end;
   let machine = machine_of ~clusters topology in
   let clusters = machine.Config.clusters in
   (* Collect events/intervals only when some output wants them:
@@ -384,14 +384,16 @@ let simulate_cmd =
              the per-interval telemetry series.")
   in
   let stats_interval =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "stats-interval" ]
-          ~doc:
-            "Emit interval telemetry (IPC, copy rate, stall breakdown, \
-             per-cluster dispatch share) every $(docv) cycles; 0 disables."
-          ~docv:"CYCLES")
+    checked_int ~flag:"stats-interval" ~must:"non-negative" (fun n -> n >= 0)
+      Arg.(
+        value
+        & opt int 0
+        & info [ "stats-interval" ]
+            ~doc:
+              "Emit interval telemetry (IPC, copy rate, stall breakdown, \
+               per-cluster dispatch share) every $(docv) cycles; 0 \
+               disables."
+            ~docv:"CYCLES")
   in
   let json_out =
     json_arg
@@ -1834,10 +1836,6 @@ let study_file_arg =
 let tune_run space algo seed max_evals benchmarks clusters uops domains out
     champion_file ledger_dir epsilon_pct tie_seeds json =
   protect @@ fun () ->
-  if max_evals <= 0 then begin
-    Printf.eprintf "csteer: --max-evals must be positive\n";
-    exit 1
-  end;
   let workloads =
     Option.value (subset_profiles benchmarks) ~default:Spec2000.all
   in
@@ -1917,7 +1915,8 @@ let tune_cmd =
     in
     let max_evals =
       let doc = "Evaluation budget: distinct candidates to score." in
-      Arg.(value & opt int 12 & info [ "max-evals" ] ~doc ~docv:"N")
+      checked_int ~flag:"max-evals" ~must:"positive" (fun n -> n > 0)
+        Arg.(value & opt int 12 & info [ "max-evals" ] ~doc ~docv:"N")
     in
     let benchmarks =
       let doc =

@@ -18,7 +18,9 @@ let recording (policy : Uarch.Policy.t) =
     | Uarch.Policy.Stall -> ());
     d
   in
-  ({ policy with Uarch.Policy.decide }, fun () -> List.rev !events)
+  (* Every consult is an event: no repeat may charge one unseen. *)
+  ({ policy with Uarch.Policy.decide; repeat = None }, fun () ->
+    List.rev !events)
 
 let check ~annot ~clusters events =
   let n = Array.length annot.Annot.vc_of in

@@ -61,6 +61,16 @@ let observe h v =
   let b = bucket_of v in
   h.bucket.(b) <- h.bucket.(b) + 1
 
+let observe_n h v k =
+  if k > 0 then begin
+    let v = Int.max 0 v in
+    h.count <- h.count + k;
+    h.sum <- h.sum + (v * k);
+    if v > h.max_v then h.max_v <- v;
+    let b = bucket_of v in
+    h.bucket.(b) <- h.bucket.(b) + k
+  end
+
 let hist_count h = h.count
 let hist_sum h = h.sum
 let hist_max h = h.max_v

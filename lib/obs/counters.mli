@@ -36,6 +36,11 @@ val histogram : ?registry:registry -> string -> histogram
 val observe : histogram -> int -> unit
 (** Negative observations clamp to 0. *)
 
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v k] records [v] [k] times in O(1): the same buckets,
+    count, sum and maximum as [k] calls of [observe h v]. Nothing
+    changes when [k <= 0]. *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> int
 val hist_max : histogram -> int

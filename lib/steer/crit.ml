@@ -21,5 +21,6 @@ let make ~critical () =
   {
     Policy.name = "crit";
     decide;
+    repeat = Some (fun _view _uop _k -> true);
     uses_vote_unit = true;
   }

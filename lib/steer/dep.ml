@@ -61,8 +61,17 @@ let make ?registry () =
     Counters.observe vote_ties s.ties;
     Policy.dispatch_to best
   in
+  (* The vote is a function of the view: each repeated consult ties the
+     same clusters. *)
+  let repeat view u k =
+    ignore (vote s view u);
+    Counters.add decisions k;
+    Counters.observe_n vote_ties s.ties k;
+    true
+  in
   {
     Policy.name = "dep";
     decide;
+    repeat = Some repeat;
     uses_vote_unit = true;
   }

@@ -60,19 +60,19 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
     done;
     !cost_acc
   in
-  let decide view u =
+  (* What the last [core] call found besides its decision: flag 1 when
+     the balance override fired, 2 when the pick steered away, 4 when
+     the policy stalled. *)
+  let flags = ref 0 in
+  (* The decision for rotation [rot], a pure function of the view, the
+     micro-op and [rot]; it charges nothing. *)
+  let core ~rot view u =
     let queue = Opcode.queue u.Uop.opcode in
     let clusters = view.Policy.clusters in
     let nsrcs = Array.length u.Uop.srcs in
     if Array.length !src_buf < nsrcs then
       src_buf := Array.make nsrcs Bitset.empty;
-    Counters.incr decisions;
-    (* Tie rotation: scanning always from cluster 0 funnels every tie
-       (notably the all-zero vote of source-free micro-ops on an idle
-       machine) into cluster 0; rotating the scan start by decision
-       count spreads ties evenly without changing any untied pick. *)
-    let rot = !ndecisions mod clusters in
-    incr ndecisions;
+    flags := 0;
     (* The vote. *)
     let n = view.Policy.src_locations_into u !src_buf in
     for c = 0 to clusters - 1 do
@@ -104,7 +104,6 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
         then preferred := c
       end
     done;
-    Counters.observe vote_candidates !ncand;
     min_load := max_int;
     for c = 0 to clusters - 1 do
       let l = view.Policy.inflight c in
@@ -113,7 +112,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
     (* Balance override: a severely overloaded preferred cluster loses
        its dependence advantage. *)
     if view.Policy.inflight !preferred - !min_load > imbalance_limit then begin
-      Counters.incr balance_overrides;
+      flags := 1;
       preferred := -1;
       for k = 0 to clusters - 1 do
         let c = (rot + k) mod clusters in
@@ -145,17 +144,69 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
         then best_alt := c
       done;
       if !best_alt = -1 then begin
-        Counters.incr stalls;
+        flags := !flags lor 4;
         Policy.Stall
       end
       else begin
-        Counters.incr steer_away;
+        flags := !flags lor 2;
         Policy.dispatch_to !best_alt
       end
     end
   in
+  (* A consult's outcome: its tied candidates above its flags. *)
+  let outcome () = (!ncand lsl 3) lor !flags in
+  (* Charge [times] consults with outcome [outcome]. *)
+  let charge outcome times =
+    Counters.add decisions times;
+    Counters.observe_n vote_candidates (outcome lsr 3) times;
+    if outcome land 1 <> 0 then Counters.add balance_overrides times;
+    if outcome land 2 <> 0 then Counters.add steer_away times;
+    if outcome land 4 <> 0 then Counters.add stalls times
+  in
+  (* The last decision returned, as its cluster or -1 for [Stall];
+     [min_int] before the first. *)
+  let code = function Policy.Dispatch_to c -> c | Policy.Stall -> -1 in
+  let last = ref min_int in
+  let decide view u =
+    (* Tie rotation: scanning always from cluster 0 funnels every tie
+       (notably the all-zero vote of source-free micro-ops on an idle
+       machine) into cluster 0; rotating the scan start by decision
+       count spreads ties evenly without changing any untied pick. *)
+    let rot = !ndecisions mod view.Policy.clusters in
+    incr ndecisions;
+    let d = core ~rot view u in
+    charge (outcome ()) 1;
+    last := code d;
+    d
+  in
+  (* The next [k] consults run at rotations [ndecisions ..
+     ndecisions + k - 1], which repeat every [clusters]: residue [j]
+     recurs [(k - j + clusters - 1) / clusters] times. They repeat the
+     last decision only if every residue's does. *)
+  let outcomes = Array.make Policy.max_clusters 0 in
+  let repeat view u k =
+    let clusters = view.Policy.clusters in
+    let n = Int.min k clusters in
+    let same = ref true and j = ref 0 in
+    while !same && !j < n do
+      if code (core ~rot:((!ndecisions + !j) mod clusters) view u) = !last
+      then begin
+        outcomes.(!j) <- outcome ();
+        incr j
+      end
+      else same := false
+    done;
+    if !same then begin
+      for j = 0 to n - 1 do
+        charge outcomes.(j) ((k - j + clusters - 1) / clusters)
+      done;
+      ndecisions := !ndecisions + k
+    end;
+    !same
+  in
   {
     Policy.name = "op";
     decide;
+    repeat = Some repeat;
     uses_vote_unit = true;
   }

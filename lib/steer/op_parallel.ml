@@ -119,8 +119,13 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
     | Policy.Stall -> ());
     decision
   in
+  (* A repeated consult lands on a later cycle than the one it repeats,
+     and a stale entry is read only on the cycle that wrote it: the
+     consults a jump skips would read no entry and change none that a
+     later cycle reads, so they need no charge. *)
   {
     Policy.name = "op-parallel";
     decide;
+    repeat = Some (fun _view _uop _k -> true);
     uses_vote_unit = true;
   }

@@ -12,5 +12,6 @@ let make ~name ~annot =
   {
     Policy.name;
     decide;
+    repeat = Some (fun _view _uop _k -> true);
     uses_vote_unit = false;
   }

@@ -95,8 +95,38 @@ let make ?(remap_threshold = 8) ?registry ?topology ~annot ~clusters () =
       Policy.dispatch_to table.(vc)
     end
   in
+  (* A follower or an unassigned micro-op reads no state but its
+     counters. A leader consulted again right after its own consult
+     finds its chain one micro-op long, and its VC where that consult
+     left it: on the same view it remaps again only under a negative
+     threshold, which is not a repeat. *)
+  let repeat view u k =
+    let id = u.Uop.id in
+    let vc = annot.Annot.vc_of.(id) in
+    if vc < 0 then begin
+      Counters.add decisions k;
+      Counters.add unassigned k;
+      true
+    end
+    else if not annot.Annot.leader.(id) then begin
+      Counters.add decisions k;
+      since_leader.(vc) <- since_leader.(vc) + k;
+      true
+    end
+    else if
+      view.Policy.inflight table.(vc) - view.Policy.inflight (least_loaded view)
+      <= remap_threshold
+    then begin
+      Counters.add decisions k;
+      Counters.add leaders k;
+      Counters.observe_n chain_len 1 k;
+      true
+    end
+    else false
+  in
   {
     Policy.name = "vc";
     decide;
+    repeat = Some repeat;
     uses_vote_unit = false;
   }

@@ -109,6 +109,18 @@ type prof_spans = {
 
 let never = max_int
 
+(* Why dispatch stopped short of its width on a cycle. *)
+type dispatch_block =
+  | Blk_none
+  | Blk_width  (* per-cluster steer bandwidth exhausted this cycle *)
+  | Blk_empty
+  | Blk_rob
+  | Blk_lsq
+  | Blk_reg  (* destination register file exhausted in the target cluster *)
+  | Blk_policy
+  | Blk_iq
+  | Blk_copyq
+
 (* [annot], [policy], [frontend_depth] and [view] are mutable so the
    harness can {!reset} an engine to run a different configuration on
    the same preallocated machine state — per-domain engine reuse is
@@ -195,6 +207,11 @@ type t = {
   mutable busy : bool;
   mutable wake : int;
   mutable retry : int;
+  (* what stopped dispatch on the last cycle, and the cycles stepped
+     one by one since create/reset (the rest were skipped, see
+     [skip_quiet]) *)
+  mutable blk : dispatch_block;
+  mutable steps : int;
   (* a run started since create/reset: the stopping rule and the cycle
      bound of [run] count from a fresh machine, so a second run must
      come after a reset *)
@@ -391,6 +408,8 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       busy = false;
       wake = 0;
       retry = never;
+      blk = Blk_none;
+      steps = 0;
       ran = false;
       (* Placeholder, replaced right below: the real view's closures
          need [t] itself. *)
@@ -451,6 +470,8 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.busy <- false;
   t.wake <- 0;
   t.retry <- never;
+  t.blk <- Blk_none;
+  t.steps <- 0;
   t.ran <- false;
   t.obs <- obs;
   t.view <- make_view t
@@ -818,17 +839,6 @@ let issue t =
 
 (* ---- dispatch ---------------------------------------------------- *)
 
-type dispatch_block =
-  | Blk_none
-  | Blk_width  (* per-cluster steer bandwidth exhausted this cycle *)
-  | Blk_empty
-  | Blk_rob
-  | Blk_lsq
-  | Blk_reg  (* destination register file exhausted in the target cluster *)
-  | Blk_policy
-  | Blk_iq
-  | Blk_copyq
-
 let fresh_iseq t =
   let s = t.next_iseq in
   t.next_iseq <- s + 1;
@@ -1054,6 +1064,28 @@ let dispatch_one t =
             end
           end
 
+(* Charge [n] cycles of the stall [blk] attributes. *)
+let charge_stall s blk n =
+  match blk with
+  | Blk_none | Blk_width -> ()
+  | Blk_empty -> s.Stats.stall_empty <- s.Stats.stall_empty + n
+  | Blk_rob -> s.Stats.stall_rob_full <- s.Stats.stall_rob_full + n
+  | Blk_lsq -> s.Stats.stall_lsq_full <- s.Stats.stall_lsq_full + n
+  | Blk_reg -> s.Stats.stall_regfile <- s.Stats.stall_regfile + n
+  | Blk_policy -> s.Stats.stall_policy <- s.Stats.stall_policy + n
+  | Blk_iq -> s.Stats.stall_iq_full <- s.Stats.stall_iq_full + n
+  | Blk_copyq -> s.Stats.stall_copyq_full <- s.Stats.stall_copyq_full + n
+
+let stall_reason = function
+  | Blk_none | Blk_width -> None
+  | Blk_empty -> Some Obs_event.Empty
+  | Blk_rob -> Some Obs_event.Rob_full
+  | Blk_lsq -> Some Obs_event.Lsq_full
+  | Blk_reg -> Some Obs_event.Regfile
+  | Blk_policy -> Some Obs_event.Policy
+  | Blk_iq -> Some Obs_event.Iq_full
+  | Blk_copyq -> Some Obs_event.Copyq_full
+
 let dispatch t =
   let budget = ref t.cfg.Config.dispatch_width in
   (* "3+3": the steer stage can deliver at most [dispatch_per_cluster]
@@ -1081,39 +1113,18 @@ let dispatch t =
           width_exhausted := true
       | blk -> block := blk
   done;
+  t.blk <- !block;
   (* Attribute at most one stall reason per cycle, and only when the
      dispatch stage did not fill its full width. *)
   if !budget > 0 then begin
-    let s = t.stats in
-    let reason =
-      match !block with
-      | Blk_none | Blk_width -> None
-      | Blk_empty ->
-          s.Stats.stall_empty <- s.Stats.stall_empty + 1;
-          Some Obs_event.Empty
-      | Blk_rob ->
-          s.Stats.stall_rob_full <- s.Stats.stall_rob_full + 1;
-          Some Obs_event.Rob_full
-      | Blk_lsq ->
-          s.Stats.stall_lsq_full <- s.Stats.stall_lsq_full + 1;
-          Some Obs_event.Lsq_full
-      | Blk_reg ->
-          s.Stats.stall_regfile <- s.Stats.stall_regfile + 1;
-          Some Obs_event.Regfile
-      | Blk_policy ->
-          s.Stats.stall_policy <- s.Stats.stall_policy + 1;
-          Some Obs_event.Policy
-      | Blk_iq ->
-          s.Stats.stall_iq_full <- s.Stats.stall_iq_full + 1;
-          Some Obs_event.Iq_full
-      | Blk_copyq ->
-          s.Stats.stall_copyq_full <- s.Stats.stall_copyq_full + 1;
-          Some Obs_event.Copyq_full
-    in
-    match (t.obs, reason) with
-    | Some sink, Some reason ->
-        sink.Obs_sink.emit (Obs_event.Stall { cycle = now t; reason })
-    | (Some _ | None), _ -> ()
+    charge_stall t.stats !block 1;
+    match t.obs with
+    | None -> ()
+    | Some sink -> (
+        match stall_reason !block with
+        | Some reason ->
+            sink.Obs_sink.emit (Obs_event.Stall { cycle = now t; reason })
+        | None -> ())
   end
 
 (* ---- fetch ------------------------------------------------------- *)
@@ -1240,8 +1251,10 @@ let front_end t ~source =
    change until [wake]: the next event, or the earliest retry cycle of
    a ready entry issue left blocked (see [retry_at]). Until then the
    back-end is skipped, as it would do nothing. Dispatch and fetch run
-   every cycle, so every policy consult and stall attribution happens
-   exactly as before; any dispatch or fetch reopens the gate. *)
+   on every cycle that is stepped, so every policy consult and stall
+   attribution happens exactly as before; any dispatch or fetch reopens
+   the gate. [skip_quiet] then skips the stepped cycles that would only
+   repeat a quiet one. *)
 let step t ~source =
   let gate_open = t.cycle >= t.wake in
   t.busy <- false;
@@ -1263,9 +1276,141 @@ let step t ~source =
       s.Obs_sink.on_snapshot (Stats.snapshot t.stats)
   | Some _ | None -> ()
 
-(* [every_cycle] opens the gate on every cycle: the reference the
-   gated engine must match. *)
-let run_loop ~every_cycle ?(warmup = 0) t ~source ~uops =
+(* Skipping quiet cycles. After a quiet cycle whose gate stays closed
+   for the next one, each cycle up to the horizon repeats it: the
+   back-end is skipped, dispatch blocks on the same head for the same
+   reason and fetch stays idle. The horizon is the first cycle on which
+   something can change: [wake], the cycle fetch may resume (when the
+   fetch queue has room), the cycle the head becomes dispatch-ready
+   (when dispatch found it not ready), or the one after [bound], so a
+   machine that cannot progress still fails at the bound. The engine
+   jumps there and charges the skipped cycles in bulk, to the cycle
+   count and to the stall each would attribute. A block that consulted
+   the policy is skipped only if the policy's [repeat] charges the
+   skipped consults. Interval snapshots and events are per cycle, so
+   nothing is skipped while a sink is installed. *)
+let skip_quiet t ~bound =
+  let next = t.cycle in
+  if (not t.busy) && next < t.wake && t.obs == None then begin
+    let h = t.wake in
+    let h =
+      if t.fq_len < Array.length t.fq_sid && t.fetch_resume < h then
+        t.fetch_resume
+      else h
+    in
+    let h =
+      match t.blk with
+      | Blk_empty when t.fq_len > 0 ->
+          let ready = t.fq_meta.(t.fq_head) lsr 1 in
+          if ready < h then ready else h
+      | _ -> h
+    in
+    let h = if h > bound + 1 then bound + 1 else h in
+    let k = h - next in
+    if
+      k > 0
+      &&
+      match t.blk with
+      | Blk_empty | Blk_rob | Blk_lsq -> true
+      | Blk_reg | Blk_policy | Blk_iq | Blk_copyq -> (
+          match t.policy.Policy.repeat with
+          | None -> false
+          | Some repeat -> repeat t.view t.uops.(t.fq_sid.(t.fq_head)) k)
+      | Blk_none | Blk_width -> false
+    then begin
+      t.cycle <- h;
+      t.stats.Stats.cycles <- t.stats.Stats.cycles + k;
+      charge_stall t.stats t.blk k
+    end
+  end
+
+(* ---- invariants (test-only) -------------------------------------- *)
+
+(* The ROB head's age, -1 when the ROB is empty. *)
+let head_iseq t = if t.rob_len = 0 then -1 else t.slots.(t.rob_head).iseq
+
+(* Occupancy within bounds, [inflight] equal to the live slots, and
+   commit in program order, after a step that began with the ROB head
+   at [head0] (age [iseq0]) and [committed0] micro-ops committed. *)
+let check_invariants t ~head0 ~iseq0 ~committed0 =
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        failwith (Printf.sprintf "Engine invariant, cycle %d: %s" t.cycle m))
+      fmt
+  in
+  let within what c v hi =
+    if v < 0 || v > hi then fail "cluster %d %s = %d outside 0..%d" c what v hi
+  in
+  let cfg = t.cfg in
+  if t.rob_len < 0 || t.rob_len > t.rob_size then
+    fail "rob_len = %d outside 0..%d" t.rob_len t.rob_size;
+  if t.lsq_used < 0 || t.lsq_used > cfg.Config.lsq_size then
+    fail "lsq_used = %d outside 0..%d" t.lsq_used cfg.Config.lsq_size;
+  (* Live slots per cluster: uncompleted ROB entries, then uncompleted
+     copies, less those on the free stack. *)
+  let live = Array.make cfg.Config.clusters 0 in
+  let count inst d =
+    if not inst.completed then live.(inst.cluster) <- live.(inst.cluster) + d
+  in
+  for i = 0 to t.rob_len - 1 do
+    let inst = t.slots.((t.rob_head + i) mod t.rob_size) in
+    if i > 0 && inst.iseq <= t.slots.((t.rob_head + i - 1) mod t.rob_size).iseq
+    then fail "ROB entry %d is not younger than the one before it" i;
+    count inst 1
+  done;
+  for id = t.rob_size to Array.length t.slots - 1 do
+    count t.slots.(id) 1
+  done;
+  for i = 0 to t.copy_free_len - 1 do
+    count t.slots.(t.copy_free.(i)) (-1)
+  done;
+  for c = 0 to cfg.Config.clusters - 1 do
+    let occ = t.occupancy.(c) in
+    within "int queue" c occ.(0) cfg.Config.int_iq_size;
+    within "fp queue" c occ.(1) cfg.Config.fp_iq_size;
+    within "copy queue" c occ.(2) cfg.Config.copy_q_size;
+    within "int registers" c t.regs_used.(c).(0) cfg.Config.int_regfile;
+    within "fp registers" c t.regs_used.(c).(1) cfg.Config.fp_regfile;
+    if t.inflight.(c) <> live.(c) then
+      fail "cluster %d inflight %d, live slots %d" c t.inflight.(c) live.(c)
+  done;
+  let committed = t.stats.Stats.committed - committed0 in
+  if committed < 0 || committed > cfg.Config.commit_width then
+    fail "%d micro-ops committed in one step" committed;
+  if t.rob_head <> (head0 + committed) mod t.rob_size then
+    fail "commit of %d moved the ROB head from %d to %d" committed head0
+      t.rob_head;
+  let iseq = head_iseq t in
+  if iseq >= 0 && iseq0 >= 0 then
+    if (committed > 0 && iseq <= iseq0) || (committed = 0 && iseq <> iseq0)
+    then fail "ROB head age went from %d to %d" iseq0 iseq
+
+(* ---- runs -------------------------------------------------------- *)
+
+(* [Every_cycle] opens the gate on every cycle and never skips: the
+   reference the production loop must match. [Checked] is the
+   production loop with {!check_invariants} after every step. *)
+type mode = Production | Every_cycle | Checked
+
+let advance t ~source ~mode ~bound =
+  t.steps <- t.steps + 1;
+  match mode with
+  | Production ->
+      step t ~source;
+      skip_quiet t ~bound
+  | Every_cycle ->
+      t.wake <- 0;
+      step t ~source
+  | Checked ->
+      let head0 = t.rob_head
+      and iseq0 = head_iseq t
+      and committed0 = t.stats.Stats.committed in
+      step t ~source;
+      skip_quiet t ~bound;
+      check_invariants t ~head0 ~iseq0 ~committed0
+
+let run_loop ~mode ?(warmup = 0) t ~source ~uops =
   if t.ran then
     invalid_arg "Engine.run: engine already ran; call Engine.reset first";
   if uops <= 0 then invalid_arg "Engine.run: uops must be positive";
@@ -1280,8 +1425,7 @@ let run_loop ~every_cycle ?(warmup = 0) t ~source ~uops =
     while t.stats.Stats.committed < warmup do
       if t.cycle > max_cycles then
         failwith "Engine.run: no forward progress during warmup";
-      if every_cycle then t.wake <- 0;
-      step t ~source
+      advance t ~source ~mode ~bound:max_cycles
     done;
     Stats.reset t.stats;
     Memsys.reset_stats t.memsys;
@@ -1291,8 +1435,7 @@ let run_loop ~every_cycle ?(warmup = 0) t ~source ~uops =
   while t.stats.Stats.committed < uops do
     if t.cycle > max_cycles then
       failwith "Engine.run: no forward progress (cycle bound exceeded)";
-    if every_cycle then t.wake <- 0;
-    step t ~source
+    advance t ~source ~mode ~bound:max_cycles
   done;
   (* Fold memory / branch counters into the run statistics. *)
   t.stats.Stats.l1_hits <- Memsys.l1_hits t.memsys;
@@ -1315,9 +1458,15 @@ let run_loop ~every_cycle ?(warmup = 0) t ~source ~uops =
   t.stats
 
 let run ?warmup t ~source ~uops =
-  run_loop ~every_cycle:false ?warmup t ~source ~uops
+  run_loop ~mode:Production ?warmup t ~source ~uops
 
 module For_testing = struct
   let run_every_cycle ?warmup t ~source ~uops =
-    run_loop ~every_cycle:true ?warmup t ~source ~uops
+    run_loop ~mode:Every_cycle ?warmup t ~source ~uops
+
+  let run_checked ?warmup t ~source ~uops =
+    run_loop ~mode:Checked ?warmup t ~source ~uops
+
+  let steps t = t.steps
+  let clock t = t.cycle
 end

@@ -28,10 +28,20 @@
 
     Events, commit and issue are skipped on cycles where they cannot
     act (after a cycle in which nothing happened, until the next event
-    or the next cycle a blocked ready micro-op could start); dispatch
-    and fetch run every cycle. Results are identical to stepping every
-    stage on every cycle ({!For_testing.run_every_cycle}; see
-    ARCHITECTURE.md, "The quiescence gate"). *)
+    or the next cycle a blocked ready micro-op could start). When such
+    a quiet cycle is followed by more, the engine jumps to the first
+    cycle on which anything can change: the earliest of that back-end
+    horizon, the cycle fetch may resume (if the fetch queue has room),
+    the cycle the fetch-queue head becomes dispatch-ready (if dispatch
+    waited on it) and the cycle after the run's cycle bound. The
+    skipped cycles are charged in bulk, to the cycle count and to the
+    stall they repeat. A dispatch blocked after consulting the policy
+    is skipped only if the policy's {!Policy.t.repeat} charges the
+    skipped consults; nothing is skipped while a sink ([obs]) is
+    installed, as events and interval snapshots are per cycle. Results
+    are identical to stepping every stage on every cycle
+    ({!For_testing.run_every_cycle}; see ARCHITECTURE.md, "The
+    quiescence gate"). *)
 
 open Clusteer_isa
 open Clusteer_trace
@@ -129,6 +139,24 @@ module For_testing : sig
   val run_every_cycle :
     ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
   (** {!run} with the quiescence gate held open: every stage runs on
-      every cycle. The reference the gated engine is checked against;
-      results, counters and sink events must be identical. *)
+      every cycle, and no cycle is skipped. The reference the gated
+      engine is checked against; results, counters and sink events
+      must be identical. *)
+
+  val run_checked :
+    ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
+  (** {!run}, checking the machine after every step: each issue
+      queue's occupancy, the register files, the LSQ and the ROB stay
+      within their sizes; each cluster's in-flight count is never
+      negative and equals its live slots; the ROB holds micro-ops in
+      program order and commit takes them from its head. Raises
+      [Failure "Engine invariant, cycle N: ..."] on the first
+      violation. *)
+
+  val steps : t -> int
+  (** Cycles stepped one by one since {!create} or {!reset}; the rest
+      of {!clock} was skipped. *)
+
+  val clock : t -> int
+  (** The engine's internal cycle, warm-up included. *)
 end

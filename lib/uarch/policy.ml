@@ -19,5 +19,6 @@ type view = {
 type t = {
   name : string;
   decide : view -> Uop.t -> decision;
+  repeat : (view -> Uop.t -> int -> bool) option;
   uses_vote_unit : bool;
 }

@@ -15,6 +15,13 @@
     - {b compiler annotations} — the {!Clusteer_isa.Annot.t} side
       channel (used by static and hybrid schemes).
 
+    A micro-op whose dispatch blocks is consulted again on each cycle
+    until it goes through, as the hardware would. While the machine
+    stays quiet (nothing fires, commits, issues or is fetched), every
+    such consult sees the same view, so the engine consults a policy
+    once per blocked micro-op per quiet stretch and charges the rest in
+    bulk through [repeat] (see {!t}).
+
     Policy implementations live in [clusteer_steer]; the engine only
     knows this record type. *)
 
@@ -58,6 +65,16 @@ type t = {
       (** called with the static micro-op being steered; everything a
           policy reads about it (opcode, operands, its id into the
           annotation) is static *)
+  repeat : (view -> Uop.t -> int -> bool) option;
+      (** [repeat view u k] stands for [k] more calls of [decide view u]
+          on the same, unchanged view, right after a call that returned
+          some decision [d]. If all [k] would return [d], it charges
+          them to the policy's state and counters exactly as the [k]
+          calls would and returns [true]. If any of them could answer
+          differently, it changes nothing and returns [false]; the
+          engine then consults on every cycle. [None] means the engine
+          always consults on every cycle. A wrapper that must see every
+          consult (a recorder, say) sets [None]. *)
   uses_vote_unit : bool;
       (** does it combine per-source locations with occupancy in a
           voting step? *)

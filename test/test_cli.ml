@@ -203,7 +203,8 @@ let test_machine_size_bounds () =
 
 (* A non-positive --uops is rejected in one line with exit 2 by every
    subcommand that takes it, and an out-of-range --phase names the valid
-   range. *)
+   range; so are a negative --stats-interval and a non-positive
+   --max-evals. *)
 let test_uops_and_phase_bounds () =
   List.iter
     (fun (args, expected) ->
@@ -228,6 +229,11 @@ let test_uops_and_phase_bounds () =
         "csteer: --phase must be between 0 and 0 (got 1)" );
       ( "metrics -w gzip-1 -n 500 --phase=-1",
         "csteer: --phase must be between 0 and 1 (got -1)" );
+      ( "simulate -w gzip-1 -n 500 --stats-interval=-5",
+        "csteer: --stats-interval must be non-negative (got -5)" );
+      ("tune run --max-evals 0", "csteer: --max-evals must be positive (got 0)");
+      ( "tune run --max-evals=-3",
+        "csteer: --max-evals must be positive (got -3)" );
     ]
 
 (* A worker-domain count below 1 is rejected, not clamped to 1, by

@@ -273,6 +273,7 @@ let ref_op ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   {
     Policy.name = "op-ref";
     decide;
+    repeat = None;
     uses_vote_unit = true;
   }
 
@@ -299,6 +300,7 @@ let ref_dep () =
   {
     Policy.name = "dep-ref";
     decide;
+    repeat = None;
     uses_vote_unit = true;
   }
 
@@ -356,6 +358,7 @@ let ref_op_parallel ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
   {
     Policy.name = "op-parallel-ref";
     decide;
+    repeat = None;
     uses_vote_unit = true;
   }
 
@@ -375,6 +378,7 @@ let ref_crit ~critical () =
   {
     Policy.name = "crit-ref";
     decide;
+    repeat = None;
     uses_vote_unit = true;
   }
 
@@ -389,6 +393,7 @@ let record_decisions ~machine ~annot ~policy ~workload ~seed ~uops =
           let d = policy.Policy.decide view u in
           log := d :: !log;
           d);
+      repeat = None;
     }
   in
   let prewarm =

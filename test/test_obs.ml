@@ -90,6 +90,47 @@ let test_histogram_buckets () =
   check_bool "buckets" true (Counters.buckets h = [| 2; 2; 2 |]);
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Counters.hist_mean h)
 
+(* [observe_n h v k] leaves a histogram exactly as [k] single observes
+   of [v] would, after any history and for k = 0 too. *)
+let prop_observe_n =
+  QCheck.Test.make ~name:"observe_n = k observes" ~count:300
+    QCheck.(
+      triple
+        (small_list (int_range (-5) 5000))
+        (int_range (-10) 100_000)
+        (int_range 0 40))
+    (fun (history, v, k) ->
+      let fill bulk =
+        let r = Counters.create () in
+        let h = Counters.histogram ~registry:r "h" in
+        List.iter (Counters.observe h) history;
+        if bulk then Counters.observe_n h v k
+        else
+          for _ = 1 to k do
+            Counters.observe h v
+          done;
+        (h, Json.to_string (Counters.to_json r))
+      in
+      let hb, jb = fill true and hs, js = fill false in
+      Counters.buckets hb = Counters.buckets hs
+      && Counters.hist_count hb = Counters.hist_count hs
+      && Counters.hist_sum hb = Counters.hist_sum hs
+      && Counters.hist_max hb = Counters.hist_max hs
+      && List.for_all
+           (fun p -> Counters.percentile hb p = Counters.percentile hs p)
+           [ 0.5; 0.9; 0.99 ]
+      && jb = js)
+
+let test_observe_n_zero () =
+  let r = Counters.create () in
+  let h = Counters.histogram ~registry:r "h" in
+  Counters.observe h 3;
+  Counters.observe_n h 1000 0;
+  check_int "count" 1 (Counters.hist_count h);
+  check_int "max untouched" 3 (Counters.hist_max h);
+  Counters.observe_n h 1000 (-2);
+  check_int "negative k records nothing" 1 (Counters.hist_count h)
+
 let test_counters_json () =
   let r = Counters.create () in
   Counters.add (Counters.counter ~registry:r "c") 3;
@@ -621,6 +662,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_counters_basic;
           Alcotest.test_case "histogram" `Quick test_histogram_buckets;
           Alcotest.test_case "json" `Quick test_counters_json;
+          QCheck_alcotest.to_alcotest prop_observe_n;
+          Alcotest.test_case "observe_n with k = 0" `Quick test_observe_n_zero;
         ] );
       ( "collector",
         [

@@ -329,6 +329,218 @@ let test_complexity_table1 () =
   check_bool "vc not serialized" false vc.Steer.Complexity.serialized;
   check_int "five rows" 5 (List.length (Steer.Complexity.table_rows ()))
 
+(* ---- repeat ------------------------------------------------------------------------ *)
+
+module Counters = Clusteer_obs.Counters
+module Topology = Clusteer_topo.Topology
+
+(* One law case: a machine shape, a frozen view, an annotation, a
+   history of consults, the repeated micro-op with its count [k], and
+   the consults that follow. *)
+type law_case = {
+  clusters : int;
+  hier : bool;  (* hier2x4 rather than point-to-point *)
+  f : fake;
+  annot : Annot.t;
+  critical : bool array;
+  knobs : int * int * int;  (* stall threshold, imbalance limit, remap threshold *)
+  history : Uop.t list;
+  u : Uop.t;
+  k : int;
+  after : Uop.t list;
+}
+
+let law_uops = 16
+
+let gen_law_case =
+  let open QCheck.Gen in
+  let* hier = bool in
+  let* clusters = if hier then return 8 else oneofl [ 2; 4; 8 ] in
+  let full = Bitset.full clusters in
+  (* Few distinct loads and many full masks: vote and load ties. *)
+  let* inflight = array_size (return clusters) (int_bound 3) in
+  let* free =
+    array_size (return clusters) (frequency [ (2, return 48); (1, return 0); (1, int_bound 40) ])
+  in
+  let* locs =
+    list_size (return 6)
+      (frequency
+         [
+           (2, return full);
+           (2, map Bitset.singleton (int_bound (clusters - 1)));
+           (1, map (fun m -> Bitset.of_mask (m land (Bitset.full clusters :> int))) (int_bound 255));
+         ])
+  in
+  let locs = List.map (fun l -> if Bitset.is_empty l then full else l) locs in
+  let* vcs = int_range 1 3 in
+  let* vc_of = array_size (return law_uops) (int_range (-1) (vcs - 1)) in
+  let* leader = array_size (return law_uops) bool in
+  let* cluster_of = array_size (return law_uops) (int_range (-1) (clusters + 1)) in
+  let* critical = array_size (return law_uops) bool in
+  let* knobs =
+    triple (oneofl [ 16; 36 ]) (oneofl [ 1; 200 ]) (oneofl [ -1; 0; 1; 8 ])
+  in
+  let uop =
+    let* id = int_bound (law_uops - 1) in
+    let* nsrcs = int_bound 2 in
+    let* srcs = list_size (return nsrcs) (int_bound 5) in
+    let* dst = int_bound 5 in
+    let* fp = frequency [ (3, return false); (1, return true) ] in
+    let reg = if fp then Reg.fp else Reg.int in
+    return
+      (Uop.make ~id
+         ~opcode:(if fp then Opcode.Fp_add else Opcode.Int_alu)
+         ~dst:(reg dst)
+         ~srcs:(Array.of_list (List.map reg srcs))
+         ())
+  in
+  let* history = list_size (int_bound 12) uop in
+  let* u = uop in
+  let* k = int_range 1 ((2 * clusters) + 1) in
+  let* after = list_size (int_bound 6) uop in
+  let f =
+    { inflight; free; locs = Hashtbl.create 12; now = 7 }
+  in
+  List.iteri
+    (fun i l ->
+      Hashtbl.replace f.locs (Reg.int i) l;
+      Hashtbl.replace f.locs (Reg.fp i) l)
+    locs;
+  let annot =
+    Annot.create_virtual ~scheme:"law" ~virtual_clusters:vcs ~uop_count:law_uops
+  in
+  Array.blit vc_of 0 annot.Annot.vc_of 0 law_uops;
+  Array.iteri
+    (fun i l -> annot.Annot.leader.(i) <- l && vc_of.(i) >= 0)
+    leader;
+  Array.blit cluster_of 0 annot.Annot.cluster_of 0 law_uops;
+  return
+    { clusters; hier; f; annot; critical; knobs; history; u; k; after }
+
+let law_print c =
+  Printf.sprintf "%d clusters (%s), k = %d, u = #%d, %d consults before, %d after"
+    c.clusters (if c.hier then "hier2x4" else "p2p") c.k c.u.Uop.id
+    (List.length c.history) (List.length c.after)
+
+(* Every in-tree policy, built for one case into [registry]. *)
+let law_policies c =
+  let stall_threshold, imbalance_limit, remap_threshold = c.knobs in
+  let topology =
+    if c.hier then Topology.hier ~groups:2 ~group_size:4 ()
+    else Topology.p2p ~clusters:c.clusters ()
+  in
+  [
+    ("one-cluster", fun _ -> Steer.One_cluster.make ());
+    ("static", fun _ -> Steer.Static.make ~name:"ob" ~annot:c.annot);
+    ( "op",
+      fun registry ->
+        Steer.Op.make ~stall_threshold ~imbalance_limit ~registry ~topology () );
+    ( "op-parallel",
+      fun _ -> Steer.Op_parallel.make ~stall_threshold ~imbalance_limit () );
+    ("dep", fun registry -> Steer.Dep.make ~registry ());
+    ("crit", fun _ -> Steer.Crit.make ~critical:c.critical ());
+    ( "vc",
+      fun registry ->
+        Steer.Vc_map.make ~remap_threshold ~registry ~topology ~annot:c.annot
+          ~clusters:c.clusters () );
+  ]
+
+let registry_json r = Clusteer_obs.Json.to_string (Counters.to_json r)
+
+(* [repeat view u k] after a consult of [u] either returns [false] and
+   changes nothing, or stands for [k] consults that all repeat the
+   last decision: the policy's later decisions and its counters equal
+   those of a twin that consulted [k] more times. *)
+let repeat_law_holds c (name, make) =
+  let view = fake_view ~annot:c.annot c.f in
+  let ra = Counters.create () and rb = Counters.create () in
+  let a = make ra and b = make rb in
+  let fail fmt =
+    Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "%s: %s" name m) fmt
+  in
+  List.iter
+    (fun u ->
+      ignore (a.Policy.decide view u);
+      ignore (b.Policy.decide view u))
+    c.history;
+  let d = a.Policy.decide view c.u in
+  if b.Policy.decide view c.u <> d then fail "twins diverged";
+  let before = registry_json ra in
+  let repeated =
+    match a.Policy.repeat with
+    | None -> fail "no repeat"
+    | Some repeat -> repeat view c.u c.k
+  in
+  if repeated then
+    for i = 1 to c.k do
+      if b.Policy.decide view c.u <> d then
+        fail "repeat returned true, but consult %d of %d answers differently" i
+          c.k
+    done
+  else if registry_json ra <> before then fail "a refused repeat charged counters";
+  if registry_json ra <> registry_json rb then
+    fail "counters differ after the repeat (%b)" repeated;
+  List.iteri
+    (fun i u ->
+      if a.Policy.decide view u <> b.Policy.decide view u then
+        fail "decision %d after the repeat differs" i)
+    (c.u :: c.after);
+  if registry_json ra <> registry_json rb then fail "counters differ at the end";
+  true
+
+let prop_repeat_law =
+  QCheck.Test.make ~name:"repeat = k consults, every policy" ~count:400
+    (QCheck.make ~print:law_print gen_law_case)
+    (fun c -> List.for_all (repeat_law_holds c) (law_policies c))
+
+let repeat_of p = Option.get p.Policy.repeat
+
+(* Source-free micro-ops on a symmetric machine alternate clusters under
+   Op's tie rotation, so no consult repeats the one before. *)
+let test_op_repeat_refuses_rotation () =
+  let f = mk_fake () in
+  let view = fake_view f in
+  let r = Counters.create () in
+  let p = Steer.Op.make ~registry:r () in
+  let u = alu ~id:0 ~dst:0 ~srcs:[] in
+  check_int "first pick" 0 (decide p view u);
+  let before = registry_json r in
+  List.iter
+    (fun k -> check_bool (Printf.sprintf "k = %d refused" k) false (repeat_of p view u k))
+    [ 1; 2; 5 ];
+  Alcotest.(check string) "nothing charged" before (registry_json r);
+  check_int "rotation continues" 1 (decide p view u);
+  (* An operand in cluster 1 is an untied vote: every rotation agrees. *)
+  Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
+  let v = alu ~id:1 ~dst:2 ~srcs:[ 1 ] in
+  check_int "untied pick" 1 (decide p view v);
+  check_bool "untied repeat" true (repeat_of p view v 5);
+  check_int "op.decisions" 8
+    (Counters.value (Counters.counter ~registry:r "op.decisions"))
+
+(* Each policy repeats a consult on an unchanged view: a Vc leader
+   right after its own consult, an Op pick no rotation changes. *)
+let test_repeat_fires () =
+  let annot = vc_annot () in
+  let f = mk_fake () in
+  let view = fake_view ~annot f in
+  Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
+  f.inflight.(0) <- 20;
+  let u = alu ~id:0 ~dst:2 ~srcs:[ 1 ] in
+  List.iter
+    (fun (name, p) ->
+      ignore (decide p view u);
+      check_bool name true (repeat_of p view u 3))
+    [
+      ("one-cluster", Steer.One_cluster.make ());
+      ("static", Steer.Static.make ~name:"ob" ~annot);
+      ("op", Steer.Op.make ());
+      ("op-parallel", Steer.Op_parallel.make ());
+      ("dep", Steer.Dep.make ());
+      ("crit", Steer.Crit.make ~critical:[| true |] ());
+      ("vc leader after a remap", Steer.Vc_map.make ~annot ~clusters:2 ());
+    ]
+
 (* ---- policy flags ------------------------------------------------------------------ *)
 
 let test_policy_flags () =
@@ -381,6 +593,13 @@ let () =
         [
           Alcotest.test_case "critical chases" `Quick test_crit_critical_follows_operands;
           Alcotest.test_case "table bounds" `Quick test_crit_out_of_table_is_noncritical;
+        ] );
+      ( "repeat",
+        [
+          QCheck_alcotest.to_alcotest prop_repeat_law;
+          Alcotest.test_case "op refuses a rotation" `Quick
+            test_op_repeat_refuses_rotation;
+          Alcotest.test_case "every policy repeats" `Quick test_repeat_fires;
         ] );
       ( "complexity",
         [

@@ -706,6 +706,7 @@ let test_engine_rejects_rogue_policy () =
     {
       Policy.name = "rogue";
       decide = (fun _ _ -> Policy.Dispatch_to 7);
+      repeat = None;
       uses_vote_unit = false;
     }
   in
@@ -1022,8 +1023,19 @@ type observed = {
   snapshots : Clusteer_obs.Interval.snapshot list;
 }
 
-let observe_run ~every_cycle ~machine ~config ~(w : Synth.t) ~warmup ~uops
-    ~interval ~profiled =
+(* How a run steps: the production loop, the every-cycle reference, or
+   the production loop with the invariant check after each step. *)
+type runner = Gated | Reference | Checked
+
+let run_of = function
+  | Gated -> Engine.run
+  | Reference -> Engine.For_testing.run_every_cycle
+  | Checked -> Engine.For_testing.run_checked
+
+(* With [sink] false nothing observes the run, so the engine may skip
+   quiet cycles. *)
+let observe_run ?(sink = true) ~runner ~machine ~config ~(w : Synth.t) ~warmup
+    ~uops ~interval ~profiled () =
   let registry = Counters.create () in
   let params =
     {
@@ -1049,16 +1061,17 @@ let observe_run ~every_cycle ~machine ~config ~(w : Synth.t) ~warmup ~uops
       Some (Clusteer_obs.Profile.create ~registry ~clock:(fun () -> 0) ())
     else None
   in
+  let obs = if sink then Some obs else None in
   let engine =
-    Engine.create ~config:machine ~annot ~policy ~prewarm:(prewarm_of w) ~obs
+    Engine.create ~config:machine ~annot ~policy ~prewarm:(prewarm_of w) ?obs
       ~registry ?profile ()
   in
   let gen = Synth.trace w ~seed:5 in
-  let run =
-    if every_cycle then Engine.For_testing.run_every_cycle else Engine.run
-  in
   let stats =
-    Stats.copy (run ~warmup engine ~source:(fun () -> Tracegen.next gen) ~uops)
+    Stats.copy
+      ((run_of runner) ~warmup engine
+         ~source:(fun () -> Tracegen.next gen)
+         ~uops)
   in
   {
     stats;
@@ -1070,11 +1083,10 @@ let observe_run ~every_cycle ~machine ~config ~(w : Synth.t) ~warmup ~uops
 (* The gated engine against the step-every-cycle reference. *)
 let gate_matches_reference ~machine ~config ~w ~warmup ~uops ~interval
     ~profiled =
-  let run every_cycle =
-    observe_run ~every_cycle ~machine ~config ~w ~warmup ~uops ~interval
-      ~profiled
+  let run runner =
+    observe_run ~runner ~machine ~config ~w ~warmup ~uops ~interval ~profiled ()
   in
-  let gated = run false and reference = run true in
+  let gated = run Gated and reference = run Reference in
   let fail what =
     QCheck.Test.fail_reportf "%s differs: %s on %s, warmup %d, interval %d"
       what (Configuration.name config)
@@ -1086,6 +1098,33 @@ let gate_matches_reference ~machine ~config ~w ~warmup ~uops ~interval
   else if gated.events <> reference.events then fail "event stream"
   else if gated.snapshots <> reference.snapshots then fail "interval snapshots"
   else gated.stats.Stats.committed >= uops && gated.snapshots <> []
+
+(* Without a sink the engine also skips quiet cycles: the jumping
+   engine, and the same engine with its invariants checked after every
+   step, against the every-cycle reference. *)
+let jump_matches_reference ~machine ~config ~w ~warmup ~uops ~profiled =
+  let run runner =
+    observe_run ~sink:false ~runner ~machine ~config ~w ~warmup ~uops
+      ~interval:0 ~profiled ()
+  in
+  let reference = run Reference in
+  let fail what =
+    QCheck.Test.fail_reportf "%s differs without a sink: %s on %s, warmup %d"
+      what (Configuration.name config)
+      (Topology.name machine.Config.topology)
+      warmup
+  in
+  List.for_all
+    (fun (label, runner) ->
+      let o =
+        try run runner
+        with Failure m -> fail (Printf.sprintf "%s run (%s)" label m)
+      in
+      if not (Stats.equal o.stats reference.stats) then fail (label ^ " stats")
+      else if o.registry <> reference.registry then
+        fail (label ^ " counter registry")
+      else o.stats.Stats.committed >= uops)
+    [ ("jumping", Gated); ("checked", Checked) ]
 
 (* A random loop body over every opcode class: unpipelined divides,
    loads from a small hot stream and a 64 MB one (L2 misses that hold
@@ -1186,13 +1225,30 @@ let gate_property ~name ~count gen_workload =
       gate_matches_reference ~machine ~config ~w ~warmup ~uops:800 ~interval
         ~profiled:(warmup > 0))
 
+let jump_property ~name ~count gen_workload =
+  QCheck.Test.make ~name ~count (arb_gate_case gen_workload)
+    (fun (_, (machine, config, w, warmup, _)) ->
+      jump_matches_reference ~machine ~config ~w ~warmup ~uops:800
+        ~profiled:(warmup > 0))
+
+let random_programs = random_program_workload
+let adversarial_shapes seed = Adversarial.synth (Adversarial.of_seed seed)
+
 let prop_gate_random_programs =
   gate_property ~name:"gated = every-cycle on random programs" ~count:60
-    random_program_workload
+    random_programs
 
 let prop_gate_adversarial =
   gate_property ~name:"gated = every-cycle on adversarial shapes" ~count:30
-    (fun seed -> Adversarial.synth (Adversarial.of_seed seed))
+    adversarial_shapes
+
+let prop_jump_random_programs =
+  jump_property ~name:"jumping = checked = every-cycle on random programs"
+    ~count:60 random_programs
+
+let prop_jump_adversarial =
+  jump_property ~name:"jumping = checked = every-cycle on adversarial shapes"
+    ~count:30 adversarial_shapes
 
 (* Every fabric sees each of the three adversarial generators. *)
 let test_gate_adversarial_every_fabric () =
@@ -1203,12 +1259,16 @@ let test_gate_adversarial_every_fabric () =
         (fun (name, w) ->
           List.iter
             (fun config ->
-              check_bool
-                (Printf.sprintf "%s on %s under %s" name fabric
-                   (Configuration.name config))
-                true
+              let label =
+                Printf.sprintf "%s on %s under %s" name fabric
+                  (Configuration.name config)
+              in
+              check_bool label true
                 (gate_matches_reference ~machine ~config ~w ~warmup:200
-                   ~uops:1000 ~interval:25 ~profiled:false))
+                   ~uops:1000 ~interval:25 ~profiled:false);
+              check_bool (label ^ " without a sink") true
+                (jump_matches_reference ~machine ~config ~w ~warmup:200
+                   ~uops:1000 ~profiled:false))
             [ Configuration.Op; Configuration.Vc { virtual_clusters = 2 } ])
         Adversarial.all)
     fabric_names
@@ -1273,12 +1333,16 @@ let test_gate_memory_past_wheel () =
 
 (* A machine that cannot make progress must fail exactly as the
    reference does, whether the back-end waits on nothing (a policy that
-   always stalls) or retries every cycle (no L1 read port). *)
+   always stalls, consulted every cycle or repeated in bulk) or retries
+   every cycle (no L1 read port), and must have charged the same
+   cycles and stalls when it fails: a quiet stretch is skipped only up
+   to the cycle bound. *)
 let test_gate_deadlock () =
-  let stall =
+  let stall repeat =
     {
       Policy.name = "stall";
       decide = (fun _ _ -> Policy.Stall);
+      repeat;
       uses_vote_unit = false;
     }
   in
@@ -1291,29 +1355,66 @@ let test_gate_deadlock () =
   in
   let streams = [| Mem_model.Strided { base = 0; stride = 8; footprint = 64 } |] in
   let no_port = { Config.default_2c with Config.l1_read_ports = 0 } in
-  let outcome ~every_cycle ~config ~policy ~warmup =
+  let outcome ~runner ~config ~policy ~warmup =
     let e =
       Engine.create ~config ~annot:(Annot.none ~uop_count:2) ~policy ()
     in
-    let run =
-      if every_cycle then Engine.For_testing.run_every_cycle else Engine.run
-    in
-    match run ~warmup e ~source:(source_of load ~streams 1) ~uops:5 with
-    | _ -> "completed"
-    | exception Failure m -> m
+    match (run_of runner) ~warmup e ~source:(source_of load ~streams 1) ~uops:5 with
+    | _ -> ("completed", Stats.copy (Engine.stats e))
+    | exception Failure m -> (m, Stats.copy (Engine.stats e))
   in
   List.iter
     (fun (label, config, policy, warmup) ->
-      let reference = outcome ~every_cycle:true ~config ~policy ~warmup in
-      Alcotest.(check string) label reference
-        (outcome ~every_cycle:false ~config ~policy ~warmup);
+      let reference, ref_stats = outcome ~runner:Reference ~config ~policy ~warmup in
+      List.iter
+        (fun runner ->
+          let m, stats = outcome ~runner ~config ~policy ~warmup in
+          Alcotest.(check string) label reference m;
+          check_bool (label ^ ": same stats at the failure") true
+            (Stats.equal ref_stats stats))
+        [ Gated; Checked ];
       check_bool (label ^ " deadlocks") true
         (String.starts_with ~prefix:"Engine.run: no forward progress" reference))
     [
-      ("stalling policy", Config.default_2c, stall, 0);
-      ("stalling policy in warmup", Config.default_2c, stall, 3);
+      ("stalling policy", Config.default_2c, stall None, 0);
+      ("stalling policy in warmup", Config.default_2c, stall None, 3);
+      ( "repeated stalls",
+        Config.default_2c,
+        stall (Some (fun _ _ _ -> true)),
+        0 );
+      ( "repeated stalls in warmup",
+        Config.default_2c,
+        stall (Some (fun _ _ _ -> true)),
+        3 );
       ("no read port", no_port, Clusteer_steer.One_cluster.make (), 0);
     ]
+
+(* The jump is what makes blocked stretches cheap: on mcf, the slowest
+   benchmark, most cycles are skipped, warm-up included. *)
+let test_jump_fires () =
+  let w = Synth.build (Spec2000.find "mcf") in
+  List.iter
+    (fun config ->
+      let annot, policy =
+        Configuration.prepare config ~program:w.Synth.program
+          ~likely:w.Synth.likely ~clusters:2 ~registry:(Counters.create ()) ()
+      in
+      let e =
+        Engine.create ~config:Config.default_2c ~annot ~policy
+          ~prewarm:(prewarm_of w) ~registry:(Counters.create ()) ()
+      in
+      let gen = Synth.trace w ~seed:1 in
+      ignore
+        (Engine.run ~warmup:3000 e ~source:(fun () -> Tracegen.next gen)
+           ~uops:6000);
+      let steps = Engine.For_testing.steps e
+      and clock = Engine.For_testing.clock e in
+      check_bool
+        (Printf.sprintf "%s steps %d of %d cycles" (Configuration.name config)
+           steps clock)
+        true
+        (4 * steps < clock))
+    [ Configuration.Op; Configuration.Vc { virtual_clusters = 2 } ]
 
 let () =
   Alcotest.run "clusteer_uarch"
@@ -1407,5 +1508,8 @@ let () =
             test_gate_memory_past_wheel;
           Alcotest.test_case "deadlock fails as the reference" `Quick
             test_gate_deadlock;
+          QCheck_alcotest.to_alcotest prop_jump_random_programs;
+          QCheck_alcotest.to_alcotest prop_jump_adversarial;
+          Alcotest.test_case "jump fires" `Quick test_jump_fires;
         ] );
     ]
