@@ -15,9 +15,9 @@ test:
 # (no cross-module inlining) or lost the dev profile's
 # warnings-as-errors, or if the dev profile, the quick path for
 # rebuilding after an edit, no longer builds (into _build-dev, so the
-# default build is left alone). Also fails if any file under lib/, bin/
-# or bench/ other than lib/util/parallel.ml spawns a domain: that
-# module's one schedule is the only place parallel work is started.
+# default build is left alone). Also fails if any file under lib/ or
+# bin/ other than lib/util/parallel.ml spawns a domain: that module's
+# one schedule is the only place parallel work is started.
 ENGINE_CMX = _build/default/lib/uarch/.clusteer_uarch.objs/native/clusteer_uarch__Engine.cmx
 build-flags:
 	@set -e; mkdir -p _build; r=_build/engine-rules.txt; \
@@ -29,7 +29,7 @@ build-flags:
 	  grep -qF -- "$$f" $$r || \
 	    { echo "build-flags: FAIL: the default build lacks $$f"; exit 1; }; \
 	done; \
-	spawns=$$(grep -rlF 'Domain.spawn' lib bin bench | \
+	spawns=$$(grep -rlF 'Domain.spawn' lib bin | \
 	  grep -vx 'lib/util/parallel.ml' || true); \
 	if [ -n "$$spawns" ]; then \
 	  echo "build-flags: FAIL: Domain.spawn outside lib/util/parallel.ml:" $$spawns; \
@@ -38,36 +38,37 @@ build-flags:
 	dune build @all --profile dev --build-dir _build-dev; \
 	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds, one spawn site)"
 
+# Every study, in order: the paper's tables and figures, the
+# ablations, the extension studies and the harness's own studies.
 bench:
-	dune exec bench/main.exe
+	dune exec bin/csteer.exe -- experiment all
 
-# Quick machine-checkable slice of the bench harness: the throughput/
-# allocation study only, at reduced trace length. Fails if the BENCH
-# JSON is not produced, a steering policy started allocating on the
+# Quick machine-checkable slice of the study table: the throughput/
+# allocation study only, at reduced trace length. Fails if its JSON
+# document is not produced, a steering policy started allocating on the
 # decision path, the full simulation path (engine + trace generator)
 # allocates more than 16 minor words per committed micro-op, or a bad
-# CLUSTEER_BENCH_UOPS / CLUSTEER_BENCH_STUDY is not rejected with exit 2
-# and a one-line diagnostic.
+# -n or study name is not rejected with exit 2 and a one-line
+# diagnostic.
 # The throughput study enforces the scaling floor (>=1.5x at 2
-# domains, >=3x at 4; exits 1 with a one-line diagnostic on a miss)
+# domains, >=3x at 4; exits 1 with a one-line diagnostic per miss)
 # and records the speedup table in the run ledger at
 # _build/bench-runs. Hosts that cannot run the checked domain count in
-# parallel print an explicit SKIP instead — see bench/main.ml.
+# parallel print an explicit SKIP instead — see bin/experiment.ml.
 bench-smoke: build
 	@rm -rf _build/bench-runs
-	CLUSTEER_BENCH_STUDY=throughput CLUSTEER_BENCH_UOPS=2000 \
-	  CLUSTEER_BENCH_REQUIRE_SPEEDUP=1 CLUSTEER_BENCH_LEDGER=_build/bench-runs \
-	  CLUSTEER_BENCH_JSON=_build/bench.json dune exec bench/main.exe
+	_build/default/bin/csteer.exe experiment throughput -n 2000 \
+	  --ledger _build/bench-runs --json > _build/bench.json
 	@grep -q '"suite_throughput"' _build/bench.json
 	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"crit":0.0,"vc2":0.0,"one-cluster":0.0,"ob":0.0,"rhop":0.0}' \
 	  _build/bench.json
 	@grep -q '"kind":"bench"' _build/bench-runs/index.jsonl
-	@b=_build/default/bench/main.exe; \
-	for v in CLUSTEER_BENCH_UOPS=0 CLUSTEER_BENCH_STUDY=bogus; do \
-	  env $$v $$b > _build/bench-bad.out 2> _build/bench-bad.err; rc=$$?; \
+	@c=_build/default/bin/csteer.exe; \
+	for a in 'throughput -n 0' bogus; do \
+	  $$c experiment $$a > _build/bench-bad.out 2> _build/bench-bad.err; rc=$$?; \
 	  if [ $$rc -ne 2 ] || [ -s _build/bench-bad.out ] || \
 	     [ "$$(wc -l < _build/bench-bad.err)" -ne 1 ]; then \
-	    echo "bench-smoke: FAIL $$v: exit $$rc, want 2 with one stderr line"; \
+	    echo "bench-smoke: FAIL experiment $$a: exit $$rc, want 2 with one stderr line"; \
 	    exit 1; \
 	  fi; \
 	done
@@ -156,7 +157,7 @@ tune-smoke: build
 # must surface the topology-aware steering counters
 # (steer.remap.hops appears only on non-uniform fabrics) and stay
 # bit-identical across runs; the topology inspector round-trips; and
-# the topology bench study emits one BENCH JSON line per fabric.
+# the topology study's JSON document has entries for every fabric.
 topo-smoke: build
 	@rm -rf _build/topo-smoke && mkdir -p _build/topo-smoke
 	@set -e; \
@@ -173,11 +174,9 @@ topo-smoke: build
 	! grep -q '"steer.remap.hops"' $$d/p2p.json; \
 	$$csteer topo show hier2x4 --json > $$d/hier.json; \
 	grep -q '"uplink_latency":4' $$d/hier.json; \
-	CLUSTEER_BENCH_STUDY=topo CLUSTEER_BENCH_UOPS=2000 \
-	  CLUSTEER_BENCH_JSON=$$d/bench.json dune exec bench/main.exe \
-	  > $$d/bench.txt; \
-	grep -q '"topology_study"' $$d/bench.json; \
-	grep -q '"topology":"hier2x4"' $$d/bench.json; \
+	$$csteer experiment topo -n 2000 --json > $$d/topo.json 2> $$d/topo.txt; \
+	grep -q '"topology_study"' $$d/topo.json; \
+	grep -q '"topology":"hier2x4"' $$d/topo.json; \
 	echo "topo-smoke: OK (_build/topo-smoke)"
 
 # Static-analysis slice: `csteer check` must come back clean (--strict)
@@ -186,7 +185,7 @@ topo-smoke: build
 # inside the static copy/remap bounds on p2p and hier2x4; a
 # deliberately corrupted placement must be rejected with the stable
 # CM006 code; a drift-checked run lands in the ledger; and the
-# cost-model accuracy bench study reports zero drift errors.
+# cost-model accuracy study reports zero drift errors.
 analyze-smoke: build
 	@rm -rf _build/analyze-smoke && mkdir -p _build/analyze-smoke
 	@set -e; \
@@ -212,9 +211,8 @@ analyze-smoke: build
 	$$csteer check -w mcf -p vc2 --vs-run -n 4000 --ledger $$d/runs \
 	  > /dev/null 2> $$d/ledger.log; \
 	grep -q '"kind":"check"' $$d/runs/index.jsonl; \
-	CLUSTEER_BENCH_STUDY=predict CLUSTEER_BENCH_UOPS=3000 \
-	  CLUSTEER_BENCH_JSON=$$d/predict.json dune exec bench/main.exe \
-	  > $$d/predict.txt; \
+	$$csteer experiment predict -n 3000 --json > $$d/predict.json \
+	  2> $$d/predict.txt; \
 	grep -q '"prediction_study"' $$d/predict.json; \
 	! grep -q '"drift_errors":[1-9]' $$d/predict.json; \
 	echo "analyze-smoke: OK (_build/analyze-smoke)"
@@ -236,7 +234,7 @@ fmt:
 
 # Fast end-to-end confidence: full build, its flags, the test suite, the static
 # verifier over every built-in workload, a parallel deterministic
-# sweep, the bench smoke, the service-layer smoke, the auto-tuner
+# sweep, the throughput-study smoke, the service-layer smoke, the auto-tuner
 # cycle, the interconnect-topology slice, the quickstart example (so
 # examples/ cannot bit-rot silently), and one traced 10k-uop
 # simulation whose Chrome trace must be valid JSON with interval

@@ -9,7 +9,8 @@
      stats       measure a workload's dynamic instruction mix and footprint
      sweep       one point over 2/4/8 clusters and every steering config
      vliw        schedule a workload on the clustered VLIW substrate
-     experiment  regenerate a paper table or figure, or a fabric sweep
+     experiment  run a study: a paper table or figure, an ablation, an
+                 extension or harness study, or a fabric sweep
      serve       run the long-lived simulation service on a Unix socket
      submit      send one request (or a stats/shutdown command) to a server
      batch       send a newline-JSON batch of requests to a server
@@ -19,138 +20,12 @@
      tune        closed-loop parameter tuning (run / report / promote) *)
 
 open Cmdliner
-module Config = Clusteer_uarch.Config
+open Cli
 module Stats = Clusteer_uarch.Stats
-module Obs = Clusteer_obs
 module Json = Clusteer_obs.Json
 module Profile = Clusteer_workloads.Profile
-module Spec2000 = Clusteer_workloads.Spec2000
 module Pinpoints = Clusteer_workloads.Pinpoints
-module Synth = Clusteer_workloads.Synth
-module Runner = Clusteer_harness.Runner
-module Experiments = Clusteer_harness.Experiments
 module Serve = Clusteer_serve
-module Topology = Clusteer_topo.Topology
-
-(* Every subcommand body runs under this guard: an unwritable output
-   path (--trace-out, CSV/report destinations, a dead server socket)
-   surfaces as a one-line diagnostic and a non-zero exit, not a raw
-   backtrace. *)
-let protect f =
-  try f () with
-  | Sys_error msg ->
-      Printf.eprintf "csteer: %s\n" msg;
-      exit 1
-  | Unix.Unix_error (err, fn, arg) ->
-      Printf.eprintf "csteer: %s: %s%s\n" fn (Unix.error_message err)
-        (if arg = "" then "" else Printf.sprintf " (%s)" arg);
-      exit 1
-
-(* ---- shared arguments -------------------------------------------- *)
-
-let workload_arg =
-  let doc = "Workload name (e.g. 181.mcf or just mcf)." in
-  Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc)
-
-(* Out-of-range counts are rejected here, before any command builds a
-   machine from them. *)
-let clusters_arg =
-  let doc = "Number of physical clusters." in
-  let in_range clusters =
-    if clusters < 1 || clusters > Topology.max_clusters then begin
-      Printf.eprintf "csteer: --clusters must be between 1 and %d (got %d)\n"
-        Topology.max_clusters clusters;
-      exit 2
-    end;
-    clusters
-  in
-  Term.(const in_range $ Arg.(value & opt int 2 & info [ "c"; "clusters" ] ~doc))
-
-let topology_arg =
-  let doc =
-    "Inter-cluster interconnect: $(b,p2p) (the paper's baseline, and the \
-     default), $(b,bus), $(b,ring), $(b,mesh)CxR or $(b,hier)GxS (e.g. \
-     mesh4x2, hier2x4). p2p/bus/ring take their size from \
-     $(b,--clusters); mesh and hier carry their own cluster count."
-  in
-  Arg.(value & opt (some string) None & info [ "topology" ] ~doc ~docv:"NAME")
-
-(* Machine for a cluster count plus an optional --topology override.
-   Fixed-size shapes (meshCxR, hierGxS) set the cluster count
-   themselves; the parametric shapes take it from --clusters. *)
-let machine_of ~clusters topology =
-  match topology with
-  | None -> Config.default ~clusters
-  | Some name -> (
-      match Topology.of_name ~clusters name with
-      | Ok topo ->
-          {
-            (Config.default ~clusters:topo.Topology.clusters) with
-            Config.topology = topo;
-          }
-      | Error e ->
-          Printf.eprintf "csteer: %s\n" e;
-          exit 2)
-
-(* Every workload name on the command line resolves here. An unknown
-   name is a usage error, diagnosed in one line with exit 2 like the
-   other bad arguments. [spec_workload] is the SPEC half, for commands
-   that need a multi-phase SPEC point; [workload_of_name] also takes
-   the hand-written kernels and the adversarial steering scenarios,
-   both explicit single-phase Builder programs. *)
-let spec_workload name =
-  match Spec2000.find name with
-  | p -> p
-  | exception Not_found ->
-      Printf.eprintf "csteer: unknown workload %S (try csteer list)\n" name;
-      exit 2
-
-let workload_of_name name =
-  match
-    List.assoc_opt name
-      (Clusteer_workloads.Kernels.all @ Clusteer_workloads.Adversarial.all)
-  with
-  | Some w -> `Synth w
-  | None -> `Spec (spec_workload name)
-
-let synth_of_name name =
-  match workload_of_name name with `Synth w -> w | `Spec p -> Synth.build p
-
-(* An int option checked before any command runs with it: a value
-   [ok] refuses is a usage error, diagnosed in one line with exit 2. *)
-let checked_int ~flag ~must ok arg =
-  let check v =
-    if not (ok v) then begin
-      Printf.eprintf "csteer: --%s must be %s (got %d)\n" flag must v;
-      exit 2
-    end;
-    v
-  in
-  Term.(const check $ arg)
-
-(* Like --clusters, a non-positive count is rejected before any
-   command runs with it. *)
-let uops_arg ?(doc = "Committed micro-ops to simulate per point.") ?docv
-    default =
-  checked_int ~flag:"uops" ~must:"positive" (fun n -> n > 0)
-    Arg.(value & opt int default & info [ "n"; "uops" ] ~doc ?docv)
-
-(* Flags several subcommands share; each passes its own [doc]. *)
-let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
-
-let ledger_arg doc =
-  Arg.(value & opt (some string) None & info [ "ledger" ] ~doc ~docv:"DIR")
-
-let domains_arg doc =
-  let positive = function
-    | Some d when d < 1 ->
-        Printf.eprintf "csteer: --domains must be at least 1 (got %d)\n" d;
-        exit 2
-    | domains -> domains
-  in
-  Term.(
-    const positive
-    $ Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N"))
 
 let phase_arg =
   Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
@@ -158,11 +33,8 @@ let phase_arg =
 (* A workload with [points] simulation points takes --phase 0 to
    [points - 1]. *)
 let check_phase ~points phase =
-  if phase < 0 || phase >= points then begin
-    Printf.eprintf "csteer: --phase must be between 0 and %d (got %d)\n"
-      (points - 1) phase;
-    exit 2
-  end
+  if phase < 0 || phase >= points then
+    usage_error "--phase must be between 0 and %d (got %d)" (points - 1) phase
 
 let config_conv =
   let print ppf c =
@@ -253,10 +125,9 @@ let simulate workload clusters topology config uops phase trace_out
      for a ledger turns the profiler on. *)
   let profiled = profile_flag || ledger_dir <> None in
   let prof = if profiled then Some (Obs.Profile.create ()) else None in
-  let started = Unix.gettimeofday () in
   let obs _ = Option.map Obs.Collector.sink collector in
-  let runs, wall_s, gc =
-    Runner.measured (fun () ->
+  let runs, m =
+    measure (fun () ->
         match source with
         | `Spec p ->
             let point = List.nth (Pinpoints.points p) phase in
@@ -268,30 +139,18 @@ let simulate workload clusters topology config uops phase trace_out
               ?profile:prof w)
   in
   let name, stats = List.hd runs in
-  Option.iter
-    (fun dir ->
-      let ledger = Obs.Ledger.create ~dir in
-      let committed =
-        Obs.Counters.value (Obs.Counters.counter "harness.uops_committed")
-      in
-      let s =
-        Obs.Ledger.append ledger ~kind:"simulate"
-          ~label:
-            (Printf.sprintf "%s/%d/%s" profile.Profile.name phase name)
-          ~config:
-            (Json.Obj
-               [
-                 ("workload", Json.Str profile.Profile.name);
-                 ("phase", Json.Int phase);
-                 ("config", Json.Str name);
-                 ("clusters", Json.Int clusters);
-                 ("uops", Json.Int uops);
-               ])
-          ~started ~wall_s ~outcome:"ok" ~uops:committed ~gc
-          Obs.Counters.default
-      in
-      Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
-    ledger_dir;
+  record ledger_dir ~kind:"simulate"
+    ~label:(Printf.sprintf "%s/%d/%s" profile.Profile.name phase name)
+    ~config:
+      (Json.Obj
+         [
+           ("workload", Json.Str profile.Profile.name);
+           ("phase", Json.Int phase);
+           ("config", Json.Str name);
+           ("clusters", Json.Int clusters);
+           ("uops", Json.Int uops);
+         ])
+    m;
   Option.iter
     (fun path ->
       let c = Option.get collector in
@@ -511,9 +370,7 @@ let resolve_synths ~all workloads =
     @ List.map snd Clusteer_workloads.Adversarial.all
   else
     match workloads with
-    | None ->
-        Printf.eprintf "csteer: check needs -w WORKLOADS or --all\n";
-        exit 2
+    | None -> usage_error "check needs -w WORKLOADS or --all"
     | Some names ->
         List.map synth_of_name (split_csv names)
 
@@ -525,9 +382,7 @@ let resolve_configs ~machine policies =
         (fun name ->
           match Clusteer.Configuration.of_name name with
           | Ok c -> c
-          | Error (`Msg e) ->
-              Printf.eprintf "csteer: %s\n" e;
-              exit 2)
+          | Error (`Msg e) -> usage_error "%s" e)
         (split_csv names)
 
 (* --annot swaps in an externally supplied annotation, which only makes
@@ -536,15 +391,11 @@ let resolve_configs ~machine policies =
 let load_annot ~synths ~configs = function
   | None -> None
   | Some _ when List.length synths > 1 || List.length configs > 1 ->
-      Printf.eprintf
-        "csteer: --annot applies to exactly one workload and one policy\n";
-      exit 2
+      usage_error "--annot applies to exactly one workload and one policy"
   | Some path -> (
       match Clusteer_isa.Annot_io.load ~path with
       | annot -> Some annot
-      | exception Failure msg ->
-          Printf.eprintf "csteer: %s: %s\n" path msg;
-          exit 2)
+      | exception Failure msg -> usage_error "%s: %s" path msg)
 
 type report = {
   label : string;
@@ -657,17 +508,14 @@ let check all workloads clusters topology policies passes annot_file
     match Analysis.Checker.select (split_csv passes) with
     | Ok ps -> ps
     | Error e ->
-        Printf.eprintf
-          "csteer: %s (expected ir, liv, vc, place, cost, dyn, topo, meta)\n" e;
-        exit 2
+        usage_error "%s (expected ir, liv, vc, place, cost, dyn, topo, meta)" e
   in
   let synths = resolve_synths ~all workloads in
   let machine = machine_of ~clusters topology in
   let configs = resolve_configs ~machine policies in
   let annot = load_annot ~synths ~configs annot_file in
-  let started = Unix.gettimeofday () in
-  let reports, wall_s, gc =
-    Runner.measured (fun () ->
+  let reports, m =
+    measure (fun () ->
         List.concat_map
           (fun w ->
             List.map
@@ -712,31 +560,22 @@ let check all workloads clusters topology policies passes annot_file
       (if vs_run then " with drift check" else "")
       (if failed then "FAIL" else "ok")
   end;
-  Option.iter
-    (fun dir ->
-      let ledger = Obs.Ledger.create ~dir in
-      let s =
-        Obs.Ledger.append ledger ~kind:"check"
-          ~label:
-            (Printf.sprintf "check/%d-targets%s" (List.length reports)
-               (if vs_run then "/vs-run" else ""))
-          ~config:
-            (Json.Obj
-               [
-                 ("targets", Json.Int (List.length reports));
-                 ("clusters", Json.Int machine.Config.clusters);
-                 ( "topology",
-                   Json.Str (Topology.name machine.Config.topology) );
-                 ("strict", Json.Bool strict);
-                 ("vs_run", Json.Bool vs_run);
-               ])
-          ~started ~wall_s
-          ~outcome:(if failed then "fail" else "ok")
-          ~uops:(List.fold_left (fun acc r -> acc + r.dispatched) 0 reports)
-          ~gc (Obs.Counters.create ())
-      in
-      Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
-    ledger_dir;
+  record ledger_dir ~kind:"check"
+    ~label:
+      (Printf.sprintf "check/%d-targets%s" (List.length reports)
+         (if vs_run then "/vs-run" else ""))
+    ~config:
+      (Json.Obj
+         [
+           ("targets", Json.Int (List.length reports));
+           ("clusters", Json.Int machine.Config.clusters);
+           ("topology", Json.Str (Topology.name machine.Config.topology));
+           ("strict", Json.Bool strict);
+           ("vs_run", Json.Bool vs_run);
+         ])
+    ~outcome:(if failed then "fail" else "ok")
+    ~uops:(List.fold_left (fun acc r -> acc + r.dispatched) 0 reports)
+    ~registry:(Obs.Counters.create ()) m;
   if failed then exit 1
 
 let check_cmd =
@@ -974,257 +813,6 @@ let vliw_cmd =
           software-pipelined; SPEC points are list-scheduled per region)")
     Term.(const vliw_compare $ workload_arg $ clusters_arg)
 
-(* ---- experiment ---------------------------------------------------- *)
-
-let progress name = Printf.eprintf "  running %s...\n%!" name
-
-let subset_profiles =
-  Option.map (fun names ->
-      List.map spec_workload (String.split_on_char ',' names))
-
-(* The --topology sweep: every built-in workload (the SPEC stand-ins
-   plus the adversarial scenarios) on one machine whose interconnect
-   is the named topology, under OP and the VC schemes — a per-fabric
-   view of copy traffic, copy-queue stalls and IPC. Deterministic for
-   any --domains. *)
-let topology_sweep ~record_sweep ~uops ~profiles ~domains ~profiled name =
-  let topo =
-    match Topology.of_name ~clusters:4 name with
-    | Ok t -> t
-    | Error e ->
-        Printf.eprintf "csteer: %s\n" e;
-        exit 2
-  in
-  let machine =
-    {
-      (Config.default ~clusters:topo.Topology.clusters) with
-      Config.topology = topo;
-    }
-  in
-  let clusters = machine.Config.clusters in
-  let configs =
-    Clusteer.Configuration.Op
-    :: Clusteer.Configuration.Vc { virtual_clusters = 2 }
-    ::
-    (if clusters <> 2 then
-       [ Clusteer.Configuration.Vc { virtual_clusters = clusters } ]
-     else [])
-  in
-  let grouped, adv =
-    record_sweep (fun () ->
-        let grouped =
-          Runner.run_grouped ~machine ~configs ~uops ?domains ~profiled
-            ~progress
-            (Option.value profiles ~default:Spec2000.all)
-        in
-        let adv =
-          List.map
-            (fun (name, w) ->
-              progress name;
-              (name, Runner.run_workload ~machine ~configs ~uops w))
-            Clusteer_workloads.Adversarial.all
-        in
-        (grouped, adv))
-  in
-  let fmt_row ~label ~config ~ipc ~copies ~stall ~links =
-    [|
-      label;
-      config;
-      Printf.sprintf "%.4f" ipc;
-      Printf.sprintf "%.1f" copies;
-      Printf.sprintf "%.1f" stall;
-      Printf.sprintf "%.1f" links;
-    |]
-  in
-  let per_kuop n (s : Stats.t) = 1000. *. float_of_int n /. float_of_int (max 1 s.Stats.committed) in
-  let stall_pct (s : Stats.t) =
-    100. *. float_of_int s.Stats.stall_copyq_full /. float_of_int (max 1 s.Stats.cycles)
-  in
-  let spec_rows =
-    List.concat_map
-      (fun ((p : Profile.t), results) ->
-        List.map
-          (fun cfg ->
-            let config = Clusteer.Configuration.name cfg in
-            let m f = Runner.weighted_metric results ~config ~f in
-            fmt_row ~label:p.Profile.name ~config ~ipc:(m Stats.ipc)
-              ~copies:(m (fun s -> per_kuop s.Stats.copies_generated s))
-              ~stall:(m stall_pct)
-              ~links:(m (fun s -> per_kuop s.Stats.link_transfers s)))
-          configs)
-      grouped
-  in
-  let adv_rows =
-    List.concat_map
-      (fun (label, runs) ->
-        List.map
-          (fun (config, (s : Stats.t)) ->
-            fmt_row ~label ~config ~ipc:(Stats.ipc s)
-              ~copies:(per_kuop s.Stats.copies_generated s)
-              ~stall:(stall_pct s)
-              ~links:(per_kuop s.Stats.link_transfers s))
-          runs)
-      adv
-  in
-  Printf.printf "topology sweep: %s\n" (Topology.describe machine.Config.topology);
-  print_string
-    (Clusteer_util.Table.render
-       ~header:
-         [| "workload"; "config"; "ipc"; "copies/kuop"; "copy_stall%"; "links/kuop" |]
-       (spec_rows @ adv_rows))
-
-let experiment which topology uops benchmarks csv_dir domains ledger_dir =
-  protect @@ fun () ->
-  let profiles = subset_profiles benchmarks in
-  let label =
-    match (which, topology) with
-    | Some w, _ -> w
-    | None, Some t -> "topo:" ^ t
-    | None, None ->
-        Printf.eprintf
-          "csteer: experiment needs an EXPERIMENT name or --topology \
-           (expected tables, sec21, fig5, fig6, fig56, fig7)\n";
-        exit 2
-  in
-  (* A ledger entry wants phase timings, so it turns the per-shard
-     profiler on; the sweep's merged registry then carries the
-     profile.engine.*.ns histograms the entry snapshots. *)
-  let profiled = ledger_dir <> None in
-  let record_sweep f =
-    Obs.Counters.reset Obs.Counters.default;
-    let started = Unix.gettimeofday () in
-    let run, wall_s, gc = Runner.measured f in
-    Option.iter
-      (fun dir ->
-        let ledger = Obs.Ledger.create ~dir in
-        let committed =
-          Obs.Counters.value (Obs.Counters.counter "harness.uops_committed")
-        in
-        let s =
-          Obs.Ledger.append ledger ~kind:"experiment" ~label
-            ~config:
-              (Json.Obj
-                 [ ("experiment", Json.Str label); ("uops", Json.Int uops) ])
-            ~started ~wall_s ~outcome:"ok" ~uops:committed ~gc
-            Obs.Counters.default
-        in
-        Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
-      ledger_dir;
-    run
-  in
-  match (which, topology) with
-  | None, Some name ->
-      topology_sweep ~record_sweep ~uops ~profiles ~domains ~profiled name
-  | Some w, Some _ ->
-      Printf.eprintf
-        "csteer: --topology is its own sweep; drop the %S argument\n" w;
-      exit 2
-  | None, None -> assert false (* caught above *)
-  | Some which, None -> (
-  match which with
-  | "tables" ->
-      Experiments.print_table1 ();
-      print_newline ();
-      Experiments.print_table2 ~clusters:2;
-      print_newline ();
-      Experiments.print_table3 ()
-  | "sec21" -> Experiments.print_section21 (Experiments.section21_example ())
-  | "fig5" | "fig6" | "fig56" ->
-      let run =
-        record_sweep (fun () ->
-            Experiments.run_2cluster ~uops ?profiles ~progress ?domains
-              ~profiled ())
-      in
-      if which <> "fig6" then begin
-        let fig5 = Experiments.figure5_of run in
-        Experiments.print_slowdown_figure
-          ~title:"Figure 5: slowdown vs OP, 2-cluster machine" fig5;
-        Option.iter
-          (fun dir ->
-            List.iter (Printf.eprintf "wrote %s\n")
-              (Clusteer_harness.Report.write_slowdown_figure ~dir ~name:"fig5"
-                 fig5))
-          csv_dir
-      end;
-      if which <> "fig5" then begin
-        let fig6 = Experiments.figure6_of run in
-        Experiments.print_scatter_summary fig6;
-        Option.iter
-          (fun dir ->
-            List.iter (Printf.eprintf "wrote %s\n")
-              (Clusteer_harness.Report.write_scatter_figure ~dir fig6))
-          csv_dir
-      end
-  | "fig7" ->
-      let run =
-        record_sweep (fun () ->
-            Experiments.run_4cluster ~uops ?profiles ~progress ?domains
-              ~profiled ())
-      in
-      let fig7 = Experiments.figure7_of run in
-      Experiments.print_slowdown_figure
-        ~title:"Figure 7: slowdown vs OP, 4-cluster machine" fig7;
-      Printf.printf "VC(4->4) copy inflation over VC(2->4): %.1f%% (paper: 28%%)\n"
-        (Experiments.copy_inflation run);
-      Option.iter
-        (fun dir ->
-          List.iter (Printf.eprintf "wrote %s\n")
-            (Clusteer_harness.Report.write_slowdown_figure ~dir ~name:"fig7"
-               fig7))
-        csv_dir
-  | other ->
-      Printf.eprintf
-        "unknown experiment %S (expected tables, sec21, fig5, fig6, fig56, fig7)\n"
-        other;
-      exit 1)
-
-let experiment_cmd =
-  let which =
-    let doc =
-      "Experiment: tables, sec21, fig5, fig6, fig56, fig7. Omit it with \
-       $(b,--topology) to run the interconnect sweep instead."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
-  in
-  let topology =
-    let doc =
-      "Run every built-in workload (SPEC stand-ins plus the adversarial \
-       scenarios) on a machine with this interconnect: p2p, bus, ring, \
-       mesh4x2, hier2x4, ... Parametric shapes use 4 clusters; mesh/hier \
-       set their own cluster count."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "topology" ] ~doc ~docv:"NAME")
-  in
-  let benchmarks =
-    let doc = "Comma-separated benchmark subset (default: full suite)." in
-    Arg.(value & opt (some string) None & info [ "benchmarks" ] ~doc)
-  in
-  let csv =
-    let doc = "Directory for CSV export of the figure data." in
-    Arg.(value & opt (some string) None & info [ "csv" ] ~doc)
-  in
-  let domains =
-    domains_arg
-      "Worker domains for the sweep (default: the host's recommended \
-       domain count, capped at 8). Results are identical for any value: \
-       simulation points are sharded deterministically and merged in \
-       input order. Use 1 to force a sequential run."
-  in
-  let ledger_dir =
-    ledger_arg
-      "Record the sweep in the run ledger at $(docv), with per-shard \
-       pipeline profiling; inspect with $(b,csteer runs)."
-  in
-  Cmd.v
-    (Cmd.info "experiment"
-       ~doc:
-         "Regenerate a table or figure from the paper, or sweep every \
-          workload over an interconnect topology with $(b,--topology)")
-    Term.(
-      const experiment $ which $ topology $ uops_arg 20_000 $ benchmarks $ csv
-      $ domains $ ledger_dir)
-
 (* ---- serve / submit / batch ---------------------------------------- *)
 
 let socket_arg =
@@ -1237,16 +825,6 @@ let socket_arg =
 let serve socket queue_depth domains cache_mb cache_dir ledger_dir
     profile_flag =
   protect @@ fun () ->
-  if queue_depth < 1 then begin
-    Printf.eprintf "csteer: --queue-depth must be positive (got %d)\n"
-      queue_depth;
-    exit 2
-  end;
-  if cache_mb < 0 then begin
-    Printf.eprintf "csteer: --cache-mb must be non-negative (got %d)\n"
-      cache_mb;
-    exit 2
-  end;
   let cfg =
     {
       (Serve.Server.default_config ~socket_path:socket) with
@@ -1263,24 +841,26 @@ let serve socket queue_depth domains cache_mb cache_dir ledger_dir
 
 let serve_cmd =
   let queue_depth =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-depth" ]
-          ~doc:
-            "Admission bound: simulate requests beyond this many \
-             in-flight misses per batch are rejected with \
-             $(b,queue_full) instead of queued without bound."
-          ~docv:"N")
+    checked_int ~flag:"queue-depth" ~must:"positive" (fun n -> n > 0)
+      Arg.(
+        value & opt int 64
+        & info [ "queue-depth" ]
+            ~doc:
+              "Admission bound: simulate requests beyond this many \
+               in-flight misses per batch are rejected with \
+               $(b,queue_full) instead of queued without bound."
+            ~docv:"N")
   in
   let domains =
     domains_arg
       "Worker-pool domains (default: the harness default, capped at 8)."
   in
   let cache_mb =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-mb" ]
-          ~doc:"In-memory result-cache budget, in megabytes." ~docv:"MB")
+    checked_int ~flag:"cache-mb" ~must:"non-negative" (fun n -> n >= 0)
+      Arg.(
+        value & opt int 64
+        & info [ "cache-mb" ]
+            ~doc:"In-memory result-cache budget, in megabytes." ~docv:"MB")
   in
   let cache_dir =
     Arg.(
@@ -1368,10 +948,7 @@ let submit socket workload phase clusters config uops warmup seed deadline_ms
   end
   else
     match workload with
-    | None ->
-        Printf.eprintf
-          "csteer: submit needs -w WORKLOAD (or --stats / --shutdown)\n";
-        exit 1
+    | None -> usage_error "submit needs -w WORKLOAD (or --stats / --shutdown)"
     | Some workload ->
         let request =
           Serve.Request.make ~workload ~phase ~clusters ~policy:config ~uops
@@ -1596,27 +1173,13 @@ let runs_dir_arg =
   let doc = "Run-ledger directory." in
   Arg.(value & opt string "runs" & info [ "dir" ] ~doc ~docv:"DIR")
 
-let summary_json (s : Obs.Ledger.summary) =
-  Json.Obj
-    [
-      ("id", Json.Int s.Obs.Ledger.id);
-      ("kind", Json.Str s.Obs.Ledger.kind);
-      ("label", Json.Str s.Obs.Ledger.label);
-      ("started", Json.Float s.Obs.Ledger.started);
-      ("wall_s", Json.Float s.Obs.Ledger.wall_s);
-      ("outcome", Json.Str s.Obs.Ledger.outcome);
-      ("uops", Json.Int s.Obs.Ledger.uops);
-      ("minor_words_per_uop", Json.Float s.Obs.Ledger.minor_words_per_uop);
-      ("file", Json.Str s.Obs.Ledger.file);
-    ]
-
 let runs_list dir json =
   protect @@ fun () ->
   let ledger = Obs.Ledger.create ~dir in
   let summaries = Obs.Ledger.list ledger in
   if json then
     print_endline
-      (Json.to_string (Json.List (List.map summary_json summaries)))
+      (Json.to_string (Json.List (List.map Obs.Ledger.summary_json summaries)))
   else if summaries = [] then
     Printf.printf "no runs recorded in %s\n" dir
   else begin
@@ -1651,10 +1214,6 @@ let runs_show dir id =
 
 let runs_gc dir keep =
   protect @@ fun () ->
-  if keep < 0 then begin
-    Printf.eprintf "--keep must be non-negative\n";
-    exit 1
-  end;
   let ledger = Obs.Ledger.create ~dir in
   let removed = Obs.Ledger.prune ledger ~keep in
   Printf.printf "removed %d run(s), kept %d in %s\n" removed
@@ -1681,9 +1240,10 @@ let runs_cmd =
   in
   let gc_cmd =
     let keep =
-      Arg.(
-        value & opt int 32
-        & info [ "keep" ] ~doc:"How many newest runs to keep." ~docv:"N")
+      checked_int ~flag:"keep" ~must:"non-negative" (fun n -> n >= 0)
+        Arg.(
+          value & opt int 32
+          & info [ "keep" ] ~doc:"How many newest runs to keep." ~docv:"N")
     in
     Cmd.v
       (Cmd.info "gc" ~doc:"Delete all but the newest --keep runs")
@@ -1695,17 +1255,10 @@ let runs_cmd =
 
 (* ---- topo ----------------------------------------------------------- *)
 
-let topo_of_name ~clusters name =
-  match Topology.of_name ~clusters name with
-  | Ok t -> t
-  | Error e ->
-      Printf.eprintf "csteer: %s\n" e;
-      exit 1
-
 let topo_list clusters json =
   protect @@ fun () ->
   let topos =
-    List.map (topo_of_name ~clusters) Topology.builtin_names
+    List.map (topology_of ~clusters) Topology.builtin_names
   in
   if json then
     print_endline
@@ -1731,7 +1284,7 @@ let topo_list clusters json =
 
 let topo_show name clusters json =
   protect @@ fun () ->
-  let t = topo_of_name ~clusters name in
+  let t = topology_of ~clusters name in
   let matrix = Topology.distance_matrix t in
   if json then
     (* The "topology" value is the round-trippable description
@@ -2004,7 +1557,7 @@ let main =
   Cmd.group (Cmd.info "csteer" ~doc)
     [
       list_cmd; simulate_cmd; compile_cmd; check_cmd; stats_cmd; sweep_cmd;
-      vliw_cmd; experiment_cmd; serve_cmd; submit_cmd; batch_cmd; metrics_cmd;
+      vliw_cmd; Experiment.cmd; serve_cmd; submit_cmd; batch_cmd; metrics_cmd;
       runs_cmd; tune_cmd; topo_cmd;
     ]
 

@@ -10,10 +10,7 @@ let write_slowdown_figure ~dir ~name (fig : Experiments.slowdown_figure) =
     | [] -> []
   in
   let gp_path = Filename.concat dir (name ^ ".gp") in
-  let oc = open_out gp_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Clusteer_util.Fs.write_atomic ~path:gp_path (fun oc ->
       Printf.fprintf oc
         "# Regenerates the %s bar chart from %s.csv\n\
          set terminal pngcairo size 1400,500\n\
@@ -59,10 +56,7 @@ let write_scatter_figure ~dir (fig : Experiments.scatter_figure) =
   let p2 = dump "rhop" fig.Experiments.vs_rhop in
   let p3 = dump "op" fig.Experiments.vs_op in
   let gp_path = Filename.concat dir "fig6.gp" in
-  let oc = open_out gp_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Clusteer_util.Fs.write_atomic ~path:gp_path (fun oc ->
       Printf.fprintf oc
         "# Regenerates the six Figure 6 scatter panels\n\
          set terminal pngcairo size 1500,900\n\

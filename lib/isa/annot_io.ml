@@ -78,10 +78,7 @@ let of_string s =
   | _ -> failwith "Annot_io: truncated header"
 
 let save ~path a =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string a))
+  Clusteer_util.Fs.write_atomic ~path (fun oc -> output_string oc (to_string a))
 
 let load ~path =
   let ic = open_in path in

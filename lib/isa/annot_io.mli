@@ -17,6 +17,8 @@
     v} *)
 
 val save : path:string -> Annot.t -> unit
+(** Write the annotation to [path], replacing it atomically
+    ({!Clusteer_util.Fs.write_atomic}). *)
 
 val load : path:string -> Annot.t
 (** Raises [Failure] with a line-precise message on malformed input. *)

@@ -127,9 +127,6 @@ let to_json ~clusters ~events ~samples =
     ]
 
 let write ~path ~clusters ~events ~samples =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Clusteer_util.Fs.write_atomic ~path (fun oc ->
       Json.output oc (to_json ~clusters ~events ~samples);
       output_char oc '\n')

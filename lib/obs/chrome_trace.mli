@@ -25,4 +25,5 @@ val write :
   events:Event.t list ->
   samples:Interval.sample list ->
   unit
-(** Write the trace to [path], overwriting. *)
+(** Write the trace to [path], replacing it atomically
+    ({!Clusteer_util.Fs.write_atomic}). *)

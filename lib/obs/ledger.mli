@@ -85,6 +85,9 @@ val append :
 val list : t -> summary list
 (** Summaries in id order. *)
 
+val summary_json : summary -> Json.t
+(** One summary as its [index.jsonl] line. *)
+
 val load : t -> int -> Json.t option
 (** Full entry for a run id; [None] when absent or unreadable. *)
 

@@ -17,14 +17,9 @@ let escape s =
 let line fields = String.concat "," (List.map escape fields)
 
 let write ~path ~header rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (line header);
-      output_char oc '\n';
+  Fs.write_atomic ~path (fun oc ->
       List.iter
         (fun row ->
           output_string oc (line row);
           output_char oc '\n')
-        rows)
+        (header :: rows))

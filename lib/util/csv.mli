@@ -7,4 +7,5 @@ val line : string list -> string
 (** One CSV record (no trailing newline). *)
 
 val write : path:string -> header:string list -> string list list -> unit
-(** Write a header plus rows to [path], overwriting. *)
+(** Write a header plus rows to [path], replacing it atomically
+    ({!Fs.write_atomic}). *)

@@ -1,7 +1,8 @@
 (** The two file-system helpers every writer of artifacts shares: the
-    run ledger, tuner studies, the service's disk spill and figure
-    exports. Both report failure as [Sys_error], which [csteer] turns
-    into a one-line diagnostic. *)
+    run ledger, tuner studies, the service's disk spill, figure exports
+    (CSV and gnuplot scripts), annotation files and Chrome traces. Both
+    report failure as [Sys_error], which [csteer] turns into a one-line
+    diagnostic. *)
 
 val mkdir_p : string -> unit
 (** [mkdir_p dir] creates [dir] and any missing parents (mode 0o755).

@@ -203,8 +203,9 @@ let test_machine_size_bounds () =
 
 (* A non-positive --uops is rejected in one line with exit 2 by every
    subcommand that takes it, and an out-of-range --phase names the valid
-   range; so are a negative --stats-interval and a non-positive
-   --max-evals. *)
+   range; so are a negative --stats-interval or --keep, a non-positive
+   --max-evals, an unknown fabric name, a study name the experiment
+   table lacks and a submit with nothing to send. *)
 let test_uops_and_phase_bounds () =
   List.iter
     (fun (args, expected) ->
@@ -234,6 +235,20 @@ let test_uops_and_phase_bounds () =
       ("tune run --max-evals 0", "csteer: --max-evals must be positive (got 0)");
       ( "tune run --max-evals=-3",
         "csteer: --max-evals must be positive (got -3)" );
+      ("experiment throughput -n 0", "csteer: --uops must be positive (got 0)");
+      ("runs gc --keep=-1", "csteer: --keep must be non-negative (got -1)");
+      ( "topo show bogus",
+        "csteer: unknown topology \"bogus\" (expected p2p, bus, ring, \
+         meshCxR or hierGxS)" );
+      ( "simulate -w gzip-1 -n 500 --topology bogus",
+        "csteer: unknown topology \"bogus\" (expected p2p, bus, ring, \
+         meshCxR or hierGxS)" );
+      ( "experiment fig5 --topology ring",
+        "csteer: --topology is its own sweep; drop the \"fig5\" argument" );
+      ( "experiment vc-count --json",
+        "csteer: vc-count has no JSON document (--json takes one of topo, \
+         predict, throughput, tune)" );
+      ("submit", "csteer: submit needs -w WORKLOAD (or --stats / --shutdown)");
     ]
 
 (* A worker-domain count below 1 is rejected, not clamped to 1, by
@@ -432,9 +447,55 @@ let test_unwritable_paths_diagnose () =
     (contains out (Printf.sprintf "csteer: %s: not a directory" file)
     && not (contains out "Raised at"))
 
+(* An unknown study name is a usage error whose one line lists the
+   whole table, `all` included. *)
 let test_unknown_experiment () =
-  let code, _ = run_capture "experiment not-a-figure" in
-  check_bool "nonzero exit" true (code <> 0)
+  let code, out = run_capture_all "experiment not-a-figure" in
+  check_int "exit 2" 2 code;
+  Alcotest.(check string) "one-line diagnostic"
+    "csteer: unknown experiment \"not-a-figure\" (studies: tables, sec21, \
+     fig5, fig6, fig56, fig7, vc-threshold, seq-par, vc-count, \
+     region-scope, steer-depth, baselines, topo, vliw, energy, \
+     link-latency, scaling, prefetch, kernels, predict, obs, throughput, \
+     tune, all)\n"
+    out
+
+(* An ablation study runs from the study table: its heading, then one
+   row per virtual-cluster count. *)
+let test_experiment_vc_count () =
+  let code, out = run_capture "experiment vc-count -n 300" in
+  check_int "exit 0" 0 code;
+  match String.split_on_char '\n' (String.trim out) with
+  | title :: _rule :: header :: rows ->
+      Alcotest.(check string) "heading"
+        "Ablation: virtual-cluster count on the 2-cluster machine" title;
+      check_bool "header" true (contains header "avg copies");
+      Alcotest.(check (list string)) "one row per VC count"
+        [ "1"; "2"; "3"; "4" ]
+        (List.map (fun r -> List.hd (String.split_on_char ' ' r)) rows)
+  | _ -> Alcotest.failf "unexpected output:\n%s" out
+
+(* --json prints the study's document alone on stdout: the topology
+   study covers each of its four fabrics. *)
+let test_experiment_topo_json () =
+  let code, out = run_capture "experiment topo -n 300 --json" in
+  check_int "exit 0" 0 code;
+  let module J = Clusteer_obs.Json in
+  match J.of_string (String.trim out) with
+  | Error e -> Alcotest.failf "--json output unparseable: %s" e
+  | Ok doc ->
+      let entries =
+        match J.member "topology_study" doc with
+        | Some (J.List l) -> l
+        | _ -> Alcotest.fail "no topology_study list"
+      in
+      List.iter
+        (fun fabric ->
+          check_bool (fabric ^ " entry") true
+            (List.exists
+               (fun e -> J.member "topology" e = Some (J.Str fabric))
+               entries))
+        [ "p2p"; "ring"; "mesh4x2"; "hier2x4" ]
 
 (* --benchmarks names go through the same resolver as -w. *)
 let test_unknown_benchmark () =
@@ -467,6 +528,10 @@ let () =
           Alcotest.test_case "experiment tables" `Quick test_experiment_tables;
           Alcotest.test_case "experiment sec21" `Quick test_experiment_sec21;
           Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment;
+          Alcotest.test_case "experiment vc-count" `Quick
+            test_experiment_vc_count;
+          Alcotest.test_case "experiment topo --json" `Quick
+            test_experiment_topo_json;
           Alcotest.test_case "unknown benchmark" `Quick test_unknown_benchmark;
           Alcotest.test_case "ledger end to end" `Slow test_ledger_end_to_end;
           Alcotest.test_case "metrics local dump" `Slow test_metrics_local_dump;
