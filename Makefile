@@ -17,7 +17,12 @@ test:
 # rebuilding after an edit, no longer builds (into _build-dev, so the
 # default build is left alone). Also fails if any file under lib/ or
 # bin/ other than lib/util/parallel.ml spawns a domain: that module's
-# one schedule is the only place parallel work is started.
+# one schedule is the only place parallel work is started. And fails
+# if any file under lib/ or bin/ other than lib/core/configuration.ml
+# gives a steering or compiler knob an optional-argument default
+# (`?(region_uops = ...`): Configuration.default_params is the one
+# place the paper's knob values are written.
+KNOBS = region_uops|max_chain|slack_threshold|crit_min_scale|min_scale|remap_threshold|stall_threshold|imbalance_limit
 ENGINE_CMX = _build/default/lib/uarch/.clusteer_uarch.objs/native/clusteer_uarch__Engine.cmx
 build-flags:
 	@set -e; mkdir -p _build; r=_build/engine-rules.txt; \
@@ -35,8 +40,14 @@ build-flags:
 	  echo "build-flags: FAIL: Domain.spawn outside lib/util/parallel.ml:" $$spawns; \
 	  exit 1; \
 	fi; \
+	defaults=$$(grep -rnE '\?\( *($(KNOBS)) *=' lib bin | \
+	  grep -v '^lib/core/configuration\.ml:' || true); \
+	if [ -n "$$defaults" ]; then \
+	  echo "build-flags: FAIL: knob defaults outside lib/core/configuration.ml:"; \
+	  echo "$$defaults"; exit 1; \
+	fi; \
 	dune build @all --profile dev --build-dir _build-dev; \
-	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds, one spawn site)"
+	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds, one spawn site, knob defaults in one place)"
 
 # Every study, in order: the paper's tables and figures, the
 # ablations, the extension studies and the harness's own studies.

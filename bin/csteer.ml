@@ -285,9 +285,10 @@ let simulate_cmd =
 let compile workload clusters config emit =
   protect @@ fun () ->
   let w = synth_of_name workload in
+  let params = Clusteer.Configuration.default_params in
   let annot, _policy =
     Clusteer.Configuration.prepare config ~program:w.Synth.program
-      ~likely:w.Synth.likely ~clusters ()
+      ~likely:w.Synth.likely ~clusters ~params ()
   in
   let n = w.Synth.program.Clusteer_isa.Program.uop_count in
   Printf.printf "%s: %d static micro-ops, scheme %s\n"
@@ -295,7 +296,8 @@ let compile workload clusters config emit =
   if annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
     let diag =
       Clusteer_compiler.Diagnostics.of_annot ~program:w.Synth.program
-        ~likely:w.Synth.likely ~annot ()
+        ~likely:w.Synth.likely ~annot ~region_uops:params.region_uops
+        ~max_chain:params.max_chain
     in
     Format.printf "%a@." Clusteer_compiler.Diagnostics.pp diag;
     (* Partition-quality findings share the analyzer's diagnostic
@@ -404,7 +406,7 @@ type report = {
   dispatched : int;  (** program uops the --vs-run replay dispatched *)
 }
 
-let check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops (w : Synth.t)
+let check_one ~machine ~passes ~params ~annot ~vs_run ~uops (w : Synth.t)
     config =
   let clusters = machine.Config.clusters in
   let topology = machine.Config.topology in
@@ -415,12 +417,8 @@ let check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops (w : Synth.t)
      same way the harness hands them over, so a --vs-run replay steers
      exactly like [csteer simulate] on the same fabric. *)
   let registry = Obs.Counters.create () in
-  let params =
-    {
-      Clusteer.Configuration.default_params with
-      Clusteer.Configuration.region_uops;
-      topology = Some topology;
-    }
+  let { Clusteer.Configuration.region_uops; max_chain; slack_threshold; _ } =
+    params
   in
   let annot, policy =
     Clusteer.Configuration.prepare config ~program ~likely ~clusters ~params
@@ -439,13 +437,15 @@ let check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops (w : Synth.t)
     if fits && annot.Clusteer_isa.Annot.virtual_clusters > 0 then
       Some
         (Clusteer_compiler.Diagnostics.of_annot ~program ~likely ~annot
-           ~region_uops ())
+           ~region_uops ~max_chain)
     else None
   in
   let critical =
     match config with
     | Clusteer.Configuration.Crit ->
-        Some (Clusteer_compiler.Crit_hints.compute ~program ~likely ~region_uops ())
+        Some
+          (Clusteer_compiler.Crit_hints.compute ~program ~likely ~region_uops
+             ~slack_threshold)
     | _ -> None
   in
   let replay =
@@ -475,8 +475,9 @@ let check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops (w : Synth.t)
       (Clusteer.Configuration.name config)
   in
   let target =
-    Analysis.Checker.target ~label ~region_uops ?claimed ?critical
-      ?events:(Option.map fst replay) ~program ~likely ~annot ~config:machine ()
+    Analysis.Checker.target ~label ~region_uops ~max_chain ?claimed ?critical
+      ~slack_threshold ?events:(Option.map fst replay) ~program ~likely ~annot
+      ~config:machine ()
   in
   let diags = Analysis.Checker.run ~passes target in
   let diags, dispatched =
@@ -514,12 +515,19 @@ let check all workloads clusters topology policies passes annot_file
   let machine = machine_of ~clusters topology in
   let configs = resolve_configs ~machine policies in
   let annot = load_annot ~synths ~configs annot_file in
+  let params =
+    {
+      Clusteer.Configuration.default_params with
+      region_uops;
+      topology = Some machine.Config.topology;
+    }
+  in
   let reports, m =
     measure (fun () ->
         List.concat_map
           (fun w ->
             List.map
-              (check_one ~machine ~passes ~region_uops ~annot ~vs_run ~uops w)
+              (check_one ~machine ~passes ~params ~annot ~vs_run ~uops w)
               configs)
           synths)
   in
@@ -625,7 +633,8 @@ let check_cmd =
   in
   let region_uops =
     Arg.(
-      value & opt int 512
+      value
+      & opt int Clusteer.Configuration.default_params.region_uops
       & info [ "region-uops" ]
           ~doc:"Region size used when recomputing chains and slack."
           ~docv:"N")
@@ -787,8 +796,13 @@ let vliw_compare workload clusters =
         match other with `Synth k -> k | `Spec p -> Synth.build p
       in
       let program = w.Synth.program and likely = w.Synth.likely in
+      let { Clusteer.Configuration.region_uops; crit_min_scale; _ } =
+        Clusteer.Configuration.default_params
+      in
       let run name mode =
-        let s = Clusteer_vliw.Eval.run machine ~program ~likely mode in
+        let s =
+          Clusteer_vliw.Eval.run machine ~program ~likely ~region_uops mode
+        in
         Printf.printf "  %-14s static IPC %.2f  cycles %d  moves %d\n" name
           s.Clusteer_vliw.Eval.static_ipc s.Clusteer_vliw.Eval.cycles
           s.Clusteer_vliw.Eval.moves
@@ -803,7 +817,7 @@ let vliw_compare workload clusters =
         (Clusteer_vliw.Eval.Fixed
            (fun g ->
              Clusteer_compiler.Vc_partition.assign_region g
-               ~virtual_clusters:clusters ()))
+               ~virtual_clusters:clusters ~crit_min_scale))
 
 let vliw_cmd =
   Cmd.v

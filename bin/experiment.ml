@@ -284,12 +284,17 @@ let baselines ctx =
 let vliw ctx =
   heading ctx "Extension: VLIW substrate (3.3) — static-schedule gap vs UAS";
   let machine = Clusteer_vliw.Machine.default ~clusters:2 in
+  let { Configuration.region_uops; crit_min_scale; _ } =
+    Configuration.default_params
+  in
   Printf.printf "%-12s %10s %18s %18s\n" "benchmark" "UAS IPC" "RHOP gap"
     "VC-partition gap";
   profile_rows (fun profile ->
       let w = Synth.build profile in
       let program = w.Synth.program and likely = w.Synth.likely in
-      let run mode = Clusteer_vliw.Eval.run machine ~program ~likely mode in
+      let run mode =
+        Clusteer_vliw.Eval.run machine ~program ~likely ~region_uops mode
+      in
       let uas = run Clusteer_vliw.Eval.Unified in
       let gap assign =
         let s = run (Clusteer_vliw.Eval.Fixed assign) in
@@ -304,7 +309,7 @@ let vliw ctx =
              (fun g -> Clusteer_compiler.Rhop.assign_region g ~clusters:2);
              (fun g ->
                Clusteer_compiler.Vc_partition.assign_region g
-                 ~virtual_clusters:2 ());
+                 ~virtual_clusters:2 ~crit_min_scale);
            ]))
 
 (* The energy argument of 1: a clustered backend with the hybrid
@@ -744,7 +749,8 @@ let required_speedup domains =
   if domains >= 4 then 3.0 else if domains >= 2 then 1.5 else 0.0
 
 (* The throughput study reports, per domain count, the median of
-   [throughput_samples] samples, each at least [min_sample_s] long. *)
+   [throughput_samples] samples, each at least [min_sample_s] long,
+   and the median of the per-round speedups. *)
 let throughput_samples = 5
 let min_sample_s = 1.0
 
@@ -832,8 +838,15 @@ let suite_throughput ctx ~host_domains =
         List.map (fun d -> (d, sample d)) domain_counts)
   in
   let samples d = List.map (List.assoc d) rounds in
-  let median_ups ss = median (List.map (fun s -> s.ups) ss) in
-  let ups1 = median_ups (samples 1) in
+  (* Speedup is the median of each round's own ratio to its 1-domain
+     sample: a round's samples run back to back, so host load that
+     drifts between rounds cancels out of the ratio. *)
+  let speedup_at d =
+    median
+      (List.map
+         (fun round -> (List.assoc d round).ups /. (List.assoc 1 round).ups)
+         rounds)
+  in
   let pr fmt = Printf.fprintf ctx.out fmt in
   pr
     "%d points x %d configs x %d uops (%d uops per sweep); median of %d \
@@ -847,13 +860,13 @@ let suite_throughput ctx ~host_domains =
   let row domains =
     let ss = samples domains in
     let med f = median (List.map f ss) in
-    let ups = median_ups ss in
+    let ups = median (List.map (fun s -> s.ups) ss) in
     let spread = iqr (List.map (fun s -> s.ups) ss) /. ups in
     let identical = List.for_all (fun s -> s.identical) ss in
     let sweeps = med (fun s -> float_of_int s.sweeps) in
     let mw = med (fun s -> s.minor_words) in
     let mc = med (fun s -> s.minor_gcs) in
-    let speedup = ups /. ups1 in
+    let speedup = speedup_at domains in
     pr "%-8d %14.0f %7.1f%% %8.2fx %8.0f %10b %13.2e %10.1f\n" domains ups
       (100.0 *. spread) speedup sweeps identical mw mc;
     ( Json.Obj
@@ -1062,45 +1075,60 @@ let tune ctx =
 
 (* ---- the study table ---------------------------------------------------- *)
 
-(* Every study, in `all` order. *)
+(* The sweep flags a study may read. One given to a study that does not
+   read it is refused, not silently ignored. *)
+let figure_flags = [ "--benchmarks"; "--csv"; "--domains" ]
+let topology_flags = [ "--benchmarks"; "--domains" ]
+
+(* Every study, in `all` order, with the sweep flags it reads. *)
 let studies =
   [
-    ("tables", Text tables);
-    ("sec21", Text sec21);
-    ("fig5", Text (figures_2c ~fig5:true ~fig6:false));
-    ("fig6", Text (figures_2c ~fig5:false ~fig6:true));
-    ("fig56", Text (figures_2c ~fig5:true ~fig6:true));
-    ("fig7", Text fig7);
-    ("vc-threshold", Text vc_threshold);
-    ("seq-par", Text seq_par);
-    ("vc-count", Text vc_count);
-    ("region-scope", Text region_scope);
-    ("steer-depth", Text steer_depth);
-    ("baselines", Text baselines);
-    ("topo", Doc topo);
-    ("vliw", Text vliw);
-    ("energy", Text energy);
-    ("link-latency", Text link_latency);
-    ("scaling", Text scaling);
-    ("prefetch", Text prefetch);
-    ("kernels", Text kernels);
-    ("predict", Doc predict);
-    ("obs", Text obs_overhead);
-    ("throughput", Doc throughput);
-    ("tune", Doc tune);
+    ("tables", [], Text tables);
+    ("sec21", [], Text sec21);
+    ("fig5", figure_flags, Text (figures_2c ~fig5:true ~fig6:false));
+    ("fig6", figure_flags, Text (figures_2c ~fig5:false ~fig6:true));
+    ("fig56", figure_flags, Text (figures_2c ~fig5:true ~fig6:true));
+    ("fig7", figure_flags, Text fig7);
+    ("vc-threshold", [], Text vc_threshold);
+    ("seq-par", [], Text seq_par);
+    ("vc-count", [], Text vc_count);
+    ("region-scope", [], Text region_scope);
+    ("steer-depth", [], Text steer_depth);
+    ("baselines", [], Text baselines);
+    ("topo", [], Doc topo);
+    ("vliw", [], Text vliw);
+    ("energy", [], Text energy);
+    ("link-latency", [], Text link_latency);
+    ("scaling", [], Text scaling);
+    ("prefetch", [], Text prefetch);
+    ("kernels", [], Text kernels);
+    ("predict", [], Doc predict);
+    ("obs", [], Text obs_overhead);
+    ("throughput", [], Doc throughput);
+    ("tune", [], Doc tune);
   ]
 
 (* fig56 prints fig5 and fig6 from one sweep, so `all` skips those two. *)
 let all_studies =
-  List.filter (fun (name, _) -> name <> "fig5" && name <> "fig6") studies
+  List.filter (fun (name, _, _) -> name <> "fig5" && name <> "fig6") studies
 
-let names = String.concat ", " (List.map fst studies @ [ "all" ])
+let study_names = List.map (fun (name, _, _) -> name) studies
+let names = String.concat ", " (study_names @ [ "all" ])
 
 let documented =
   String.concat ", "
     (List.filter_map
-       (function name, Doc _ -> Some name | _, Text _ -> None)
+       (function name, _, Doc _ -> Some name | _, _, Text _ -> None)
        studies)
+
+(* Who reads [flag]: the studies that do, `all` (which hands it to
+   them) and the --topology sweep when it does. *)
+let readers flag =
+  List.filter_map
+    (fun (name, reads, _) -> if List.mem flag reads then Some name else None)
+    studies
+  @ [ "all" ]
+  @ if List.mem flag topology_flags then [ "--topology" ] else []
 
 let run_study ~json ctx = function
   | Text run -> run ctx
@@ -1114,39 +1142,57 @@ let run_study ~json ctx = function
 
 let experiment which topology uops benchmarks csv domains ledger json =
   protect @@ fun () ->
-  let profiles = subset_profiles benchmarks in
-  let ctx label =
+  let no_document what =
+    usage_error "%s has no JSON document (--json takes one of %s)" what
+      documented
+  in
+  (* What runs, the ledger label it records under, and the flags it
+     reads. *)
+  let label, reads, run =
+    match (which, topology) with
+    | Some w, Some _ ->
+        usage_error "--topology is its own sweep; drop the %S argument" w
+    | None, None ->
+        usage_error "experiment needs a study name or --topology (studies: %s)"
+          names
+    | None, Some name ->
+        if json then no_document "--topology";
+        ("topo:" ^ name, topology_flags, fun ctx -> topology_sweep ctx name)
+    | Some "all", None ->
+        if json then no_document "all";
+        ( "all",
+          figure_flags,
+          fun ctx ->
+            List.iter
+              (fun (name, _, s) -> run_study ~json { ctx with label = name } s)
+              all_studies )
+    | Some name, None -> (
+        match List.find_opt (fun (n, _, _) -> n = name) studies with
+        | None -> usage_error "unknown experiment %S (studies: %s)" name names
+        | Some (_, _, Text _) when json -> no_document name
+        | Some (_, reads, s) -> (name, reads, fun ctx -> run_study ~json ctx s))
+  in
+  let what = Option.value which ~default:"--topology" in
+  List.iter
+    (fun (flag, given) ->
+      if given && not (List.mem flag reads) then
+        usage_error "%s does not read %s (read by %s)" what flag
+          (String.concat ", " (readers flag)))
+    [
+      ("--benchmarks", benchmarks <> None);
+      ("--csv", csv <> None);
+      ("--domains", domains <> None);
+    ];
+  run
     {
       label;
       uops;
-      profiles;
+      profiles = subset_profiles benchmarks;
       domains;
       csv;
       ledger;
       out = (if json then stderr else stdout);
     }
-  in
-  let no_document what =
-    usage_error "%s has no JSON document (--json takes one of %s)" what
-      documented
-  in
-  match (which, topology) with
-  | Some w, Some _ ->
-      usage_error "--topology is its own sweep; drop the %S argument" w
-  | None, None ->
-      usage_error "experiment needs a study name or --topology (studies: %s)"
-        names
-  | None, Some name ->
-      if json then no_document "--topology";
-      topology_sweep (ctx ("topo:" ^ name)) name
-  | Some "all", None ->
-      if json then no_document "all";
-      List.iter (fun (name, s) -> run_study ~json (ctx name) s) all_studies
-  | Some name, None -> (
-      match List.assoc_opt name studies with
-      | None -> usage_error "unknown experiment %S (studies: %s)" name names
-      | Some (Text _) when json -> no_document name
-      | Some s -> run_study ~json (ctx name) s)
 
 let cmd =
   let which =
@@ -1155,7 +1201,7 @@ let cmd =
         "Study to run: %s. $(b,all) runs every study in this order (fig56 \
          stands for fig5 and fig6). Omit it with $(b,--topology) to run the \
          interconnect sweep instead."
-        (String.concat ", " (List.map fst studies))
+        (String.concat ", " study_names)
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"STUDY" ~doc)
   in
@@ -1171,12 +1217,15 @@ let cmd =
   let benchmarks =
     let doc =
       "Comma-separated benchmark subset for the figure sweeps and \
-       $(b,--topology) (default: full suite)."
+       $(b,--topology) (default: full suite). Other studies refuse it."
     in
     Arg.(value & opt (some string) None & info [ "benchmarks" ] ~doc)
   in
   let csv =
-    let doc = "Directory for CSV export of the figure data." in
+    let doc =
+      "Directory for CSV export of the figure data. Studies other than the \
+       figures refuse it."
+    in
     Arg.(value & opt (some string) None & info [ "csv" ] ~doc)
   in
   let domains =
@@ -1184,7 +1233,8 @@ let cmd =
       "Worker domains for the sweep (default: the host's recommended \
        domain count, capped at 8). Results are identical for any value: \
        simulation points are sharded deterministically and merged in \
-       input order. Use 1 to force a sequential run."
+       input order. Use 1 to force a sequential run. Read by the figure \
+       sweeps and $(b,--topology); other studies refuse it."
   in
   let ledger =
     ledger_arg

@@ -17,8 +17,8 @@ type target = {
   events : Dyn_check.event list option;
 }
 
-let target ?label ?(region_uops = 512) ?(max_chain = 0) ?claimed ?critical
-    ?(slack_threshold = 0) ?events ~program ~likely ~annot ~config () =
+let target ?label ~region_uops ~max_chain ?claimed ?critical ~slack_threshold
+    ?events ~program ~likely ~annot ~config () =
   {
     label = Option.value label ~default:program.Program.name;
     program;
@@ -56,14 +56,15 @@ let vc_pass =
       (fun t ->
         let structural =
           Vc_check.check ~program:t.program ~likely:t.likely ~annot:t.annot
-            ~region_uops:t.region_uops ~max_chain:t.max_chain ()
+            ~region_uops:t.region_uops ~max_chain:t.max_chain
         in
         let summary =
           match t.claimed with
           | None -> []
           | Some claimed ->
               Vc_check.check_summary ~program:t.program ~likely:t.likely
-                ~annot:t.annot ~claimed ~region_uops:t.region_uops ()
+                ~annot:t.annot ~claimed ~region_uops:t.region_uops
+                ~max_chain:t.max_chain
         in
         structural @ summary);
   }
@@ -77,7 +78,7 @@ let place_pass =
         let placement =
           if is_static t then
             Place_check.check ~program:t.program ~likely:t.likely
-              ~annot:t.annot ~config:t.config ~region_uops:t.region_uops ()
+              ~annot:t.annot ~config:t.config ~region_uops:t.region_uops
           else []
         in
         let crit =
@@ -86,7 +87,7 @@ let place_pass =
           | Some critical ->
               Place_check.check_crit ~program:t.program ~likely:t.likely
                 ~critical ~region_uops:t.region_uops
-                ~slack_threshold:t.slack_threshold ()
+                ~slack_threshold:t.slack_threshold
         in
         placement @ crit);
   }

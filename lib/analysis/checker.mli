@@ -15,25 +15,25 @@ type target = {
   likely : int -> int option;
   annot : Annot.t;
   config : Uarch.Config.t;
-  region_uops : int;
+  region_uops : int;  (** region budget the annotation was compiled with *)
   max_chain : int;
       (** chain-length cap the annotation was compiled with (0 =
           unlimited); see {!Vc_check.check} *)
   claimed : Compiler.Diagnostics.t option;
       (** compiler-reported partition summary to cross-check (VC008) *)
   critical : bool array option;  (** criticality hints to verify (PL005) *)
-  slack_threshold : int;
+  slack_threshold : int;  (** the hints' criticality cut-off *)
   events : Dyn_check.event list option;
       (** recorded steering decisions to replay (DYN0xx) *)
 }
 
 val target :
   ?label:string ->
-  ?region_uops:int ->
-  ?max_chain:int ->
+  region_uops:int ->
+  max_chain:int ->
   ?claimed:Compiler.Diagnostics.t ->
   ?critical:bool array ->
-  ?slack_threshold:int ->
+  slack_threshold:int ->
   ?events:Dyn_check.event list ->
   program:Program.t ->
   likely:(int -> int option) ->
@@ -41,8 +41,9 @@ val target :
   config:Uarch.Config.t ->
   unit ->
   target
-(** Build a target; [label] defaults to the program name, [region_uops]
-    to 512, [max_chain] to 0 (unlimited), [slack_threshold] to 0. *)
+(** Build a target; [label] defaults to the program name. The three
+    knobs are the [Clusteer.Configuration.params] the annotation and
+    the hints were compiled with. *)
 
 type pass = { name : string; applies : target -> bool; run : target -> Diag.t list }
 

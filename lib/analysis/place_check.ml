@@ -4,7 +4,7 @@ module Uarch = Clusteer_uarch
 
 let codes = [ "PL001"; "PL002"; "PL003"; "PL004"; "PL005" ]
 
-let check ~program ~likely ~annot ~config ?(region_uops = 512) () =
+let check ~program ~likely ~annot ~config ~region_uops =
   let n = program.Program.uop_count in
   if Array.length annot.Annot.cluster_of <> n then
     [
@@ -64,8 +64,7 @@ let check ~program ~likely ~annot ~config ?(region_uops = 512) () =
     List.rev !diags
   end
 
-let check_crit ~program ~likely ~critical ?(region_uops = 512)
-    ?(slack_threshold = 0) () =
+let check_crit ~program ~likely ~critical ~region_uops ~slack_threshold =
   let n = program.Program.uop_count in
   if Array.length critical <> n then
     [
@@ -99,6 +98,6 @@ let check_crit ~program ~likely ~critical ?(region_uops = 512)
                   "uop marked critical but has slack %d (threshold %d)" slack
                   slack_threshold
                 :: !diags))
-      (Slack.analyze ~program ~likely ~region_uops ());
+      (Slack.analyze ~program ~likely ~region_uops);
     List.rev !diags
   end

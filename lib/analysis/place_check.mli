@@ -21,8 +21,7 @@ val check :
   likely:(int -> int option) ->
   annot:Annot.t ->
   config:Uarch.Config.t ->
-  ?region_uops:int ->
-  unit ->
+  region_uops:int ->
   Diag.t list
 (** PL001–PL004 for a static-placement annotation. *)
 
@@ -30,9 +29,8 @@ val check_crit :
   program:Program.t ->
   likely:(int -> int option) ->
   critical:bool array ->
-  ?region_uops:int ->
-  ?slack_threshold:int ->
-  unit ->
+  region_uops:int ->
+  slack_threshold:int ->
   Diag.t list
 (** [PL005]: re-run the criticality analysis and flag hints that
     disagree with the recomputed slack (a hint is expected exactly when

@@ -24,7 +24,7 @@ let codes =
     "VC008"; "VC009"; "VC010";
   ]
 
-let check ~program ~likely ~annot ?(region_uops = 512) ?max_chain () =
+let check ~program ~likely ~annot ~region_uops ~max_chain =
   match ragged program annot with
   | _ :: _ as diags -> diags
   | [] ->
@@ -62,7 +62,7 @@ let check ~program ~likely ~annot ?(region_uops = 512) ?max_chain () =
       let regions = Region.build ~program ~likely ~max_uops:region_uops in
       List.iter
         (fun (region : Region.t) ->
-          Compiler.Chains.iter_chain_starts ?max_chain
+          Compiler.Chains.iter_chain_starts ~max_chain
             ~vc_of:(fun id -> annot.Annot.vc_of.(id))
             region
             (fun id ~vc ~start:expected ->
@@ -136,12 +136,13 @@ let check ~program ~likely ~annot ?(region_uops = 512) ?max_chain () =
         regions;
       List.rev !diags
 
-let check_summary ~program ~likely ~annot ~claimed ?(region_uops = 512) () =
+let check_summary ~program ~likely ~annot ~claimed ~region_uops ~max_chain =
   match ragged program annot with
   | _ :: _ as diags -> diags
   | [] ->
       let fresh =
-        Compiler.Diagnostics.of_annot ~program ~likely ~annot ~region_uops ()
+        Compiler.Diagnostics.of_annot ~program ~likely ~annot ~region_uops
+          ~max_chain
       in
       let diags = ref [] in
       let mismatch field got want =

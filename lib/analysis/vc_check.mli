@@ -35,16 +35,16 @@ val check :
   program:Program.t ->
   likely:(int -> int option) ->
   annot:Annot.t ->
-  ?region_uops:int ->
-  ?max_chain:int ->
-  unit ->
+  region_uops:int ->
+  max_chain:int ->
   Diag.t list
 (** Structural checks VC001–VC007, VC009 and VC010. The annotation
     must be a virtual-cluster one ([virtual_clusters > 0]).
 
-    [max_chain] (micro-ops, default 0 = unlimited) must match the
-    chain-length cap the annotation was compiled with: the VC005/VC006
-    leader recomputation goes through the same
+    [region_uops] and [max_chain] (micro-ops, 0 = unlimited) must
+    match the region budget and chain-length cap the annotation was
+    compiled with: the VC005/VC006 leader recomputation goes through
+    the same
     {!Clusteer_compiler.Chains.iter_chain_starts} iterator as the
     compiler, so a capped annotation checked with the wrong cap is
     reported as VC005/VC006 drift. *)
@@ -54,8 +54,8 @@ val check_summary :
   likely:(int -> int option) ->
   annot:Annot.t ->
   claimed:Compiler.Diagnostics.t ->
-  ?region_uops:int ->
-  unit ->
+  region_uops:int ->
+  max_chain:int ->
   Diag.t list
 (** [VC008]: recompute the partition summary from scratch and flag any
     field where [claimed] disagrees. *)

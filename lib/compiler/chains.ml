@@ -5,7 +5,7 @@ open Clusteer_ddg
    VC id changes (paper Figure 3) or, under a positive [max_chain],
    when the current chain has already reached the cap. Unassigned
    micro-ops (vc = -1) break runs and never start chains. *)
-let iter_chain_starts ?(max_chain = 0) ~vc_of (region : Region.t) f =
+let iter_chain_starts ~max_chain ~vc_of (region : Region.t) f =
   let prev_vc = ref (-2) and len = ref 0 in
   Array.iter
     (fun (u : Uop.t) ->
@@ -19,15 +19,15 @@ let iter_chain_starts ?(max_chain = 0) ~vc_of (region : Region.t) f =
       prev_vc := vc)
     region.Region.uops
 
-let mark_region ?max_chain annot (region : Region.t) =
-  iter_chain_starts ?max_chain
+let mark_region ~max_chain annot (region : Region.t) =
+  iter_chain_starts ~max_chain
     ~vc_of:(fun id -> annot.Annot.vc_of.(id))
     region
     (fun id ~vc:_ ~start -> annot.Annot.leader.(id) <- start)
 
-let chains_of_region ?max_chain annot (region : Region.t) =
+let chains_of_region ~max_chain annot (region : Region.t) =
   let chains = ref [] and current = ref [] in
-  iter_chain_starts ?max_chain
+  iter_chain_starts ~max_chain
     ~vc_of:(fun id -> annot.Annot.vc_of.(id))
     region
     (fun id ~vc ~start ->

@@ -9,8 +9,8 @@
     Chain selection therefore controls how often the hardware may
     rebalance — the knob the whole hybrid scheme turns on.
 
-    {b Chain-length cap} ([max_chain], unit: micro-ops; default 0 =
-    unlimited, the paper's Figure 3 semantics): when positive, a run of
+    {b Chain-length cap} ([max_chain], unit: micro-ops; 0 = unlimited,
+    the paper's Figure 3 semantics): when positive, a run of
     same-VC micro-ops is split into chains of at most [max_chain]
     micro-ops, each starting with its own leader mark. A shorter cap
     gives the hardware mapper more remap opportunities (better load
@@ -21,7 +21,7 @@
 open Clusteer_isa
 
 val iter_chain_starts :
-  ?max_chain:int ->
+  max_chain:int ->
   vc_of:(int -> int) ->
   Clusteer_ddg.Region.t ->
   (int -> vc:int -> start:bool -> unit) ->
@@ -33,11 +33,11 @@ val iter_chain_starts :
     static analyzer's VC005/VC006 checks recompute expectations through
     it, so the two can never drift. *)
 
-val mark_region : ?max_chain:int -> Annot.t -> Clusteer_ddg.Region.t -> unit
+val mark_region : max_chain:int -> Annot.t -> Clusteer_ddg.Region.t -> unit
 (** Set leader marks for one region whose [vc_of] entries are already
     filled. The region's first micro-op always starts a chain. *)
 
 val chains_of_region :
-  ?max_chain:int -> Annot.t -> Clusteer_ddg.Region.t -> int list list
+  max_chain:int -> Annot.t -> Clusteer_ddg.Region.t -> int list list
 (** The chains, each as the list of uop ids, in program order.
     Useful for inspection and tests. *)

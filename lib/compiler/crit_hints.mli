@@ -12,15 +12,13 @@ open Clusteer_isa
 val compute :
   program:Program.t ->
   likely:(int -> int option) ->
-  ?region_uops:int ->
-  ?slack_threshold:int ->
-  unit ->
+  region_uops:int ->
+  slack_threshold:int ->
   bool array
-(** [compute ~program ~likely ()] marks every static micro-op whose
-    slack within its region DDG is at most [slack_threshold] (unit:
-    cycles of estimated schedule slack, {!Clusteer_ddg.Critical};
-    default 0, i.e. exactly the critical paths — larger values widen
-    the "critical" set). [region_uops] (unit: static micro-ops,
-    default 512) is the same region budget the partitioning passes
-    use. Both are swept by the auto-tuner through
-    [Clusteer.Configuration.params]. *)
+(** [compute ~program ~likely ~region_uops ~slack_threshold] marks
+    every static micro-op whose slack within its region DDG is at most
+    [slack_threshold] (unit: cycles of estimated schedule slack,
+    {!Clusteer_ddg.Critical}; 0 marks exactly the critical paths —
+    larger values widen the "critical" set). [region_uops] (unit:
+    static micro-ops) is the same region budget the partitioning
+    passes use. Both come from [Clusteer.Configuration.params]. *)

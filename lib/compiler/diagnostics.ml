@@ -12,7 +12,7 @@ type t = {
   intra_vc_edges : int;
 }
 
-let of_annot ~program ~likely ~annot ?(region_uops = 512) () =
+let of_annot ~program ~likely ~annot ~region_uops ~max_chain =
   if annot.Annot.virtual_clusters <= 0 then
     invalid_arg "Diagnostics.of_annot: annotation has no virtual clusters";
   let regions = Region.build ~program ~likely ~max_uops:region_uops in
@@ -23,7 +23,7 @@ let of_annot ~program ~likely ~annot ?(region_uops = 512) () =
   let chain_lengths =
     List.concat_map
       (fun region ->
-        List.map List.length (Chains.chains_of_region annot region))
+        List.map List.length (Chains.chains_of_region ~max_chain annot region))
       regions
   in
   let chains = List.length chain_lengths in

@@ -30,11 +30,13 @@ val of_annot :
   program:Program.t ->
   likely:(int -> int option) ->
   annot:Annot.t ->
-  ?region_uops:int ->
-  unit ->
+  region_uops:int ->
+  max_chain:int ->
   t
-(** Analyse a VC annotation. Raises [Invalid_argument] when the
-    annotation has no virtual clusters. *)
+(** Analyse a VC annotation compiled over regions of at most
+    [region_uops] static micro-ops with chain-length cap [max_chain]
+    (see {!Chains}). Raises [Invalid_argument] when the annotation has
+    no virtual clusters. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -4,7 +4,6 @@ type t = {
   g : Ddg.t;
   parts : int;
   issue_width : float;
-  comm_latency : float;
   contention_scale : int -> float;
   part_of : int array;
   completion : float array;
@@ -12,8 +11,10 @@ type t = {
   work : float array;  (* per part: accumulated latency (balance metric) *)
 }
 
-let create ~parts ~issue_width ~comm_latency ?(contention_scale = fun _ -> 1.0)
-    g =
+let issue_width = 2.0
+let comm_latency = 1.0
+
+let create ~parts ~issue_width ?(contention_scale = fun _ -> 1.0) g =
   if parts <= 0 then invalid_arg "Estimate.create: parts must be positive";
   if issue_width <= 0.0 then
     invalid_arg "Estimate.create: issue width must be positive";
@@ -21,7 +22,6 @@ let create ~parts ~issue_width ~comm_latency ?(contention_scale = fun _ -> 1.0)
     g;
     parts;
     issue_width;
-    comm_latency;
     contention_scale;
     part_of = Array.make (Ddg.node_count g) (-1);
     completion = Array.make (Ddg.node_count g) 0.0;
@@ -35,7 +35,7 @@ let ready_time t ~node ~part =
       let p = e.Ddg.src in
       if t.part_of.(p) = -1 then
         invalid_arg "Estimate: predecessor not yet placed";
-      let comm = if t.part_of.(p) = part then 0.0 else t.comm_latency in
+      let comm = if t.part_of.(p) = part then 0.0 else comm_latency in
       Float.max acc (t.completion.(p) +. comm))
     0.0
     t.g.Ddg.preds.(node)

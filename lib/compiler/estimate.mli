@@ -16,16 +16,23 @@
 
 type t
 
+val issue_width : float
+(** Per-part issue bandwidth the placement passes assume (micro-ops
+    per cycle): 2.0, Table 2's per-cluster INT issue width. *)
+
+val comm_latency : float
+(** Cost of a cross-part operand the placement passes assume (cycles):
+    1.0, Table 2's 1-cycle point-to-point link. *)
+
 val create :
   parts:int ->
   issue_width:float ->
-  comm_latency:float ->
   ?contention_scale:(int -> float) ->
   Clusteer_ddg.Ddg.t ->
   t
 (** [issue_width] is the per-part issue bandwidth used to convert
-    accumulated work into contention delay; [comm_latency] the cost of
-    a cross-part operand; [contention_scale node] (default [fun _ ->
+    accumulated work into contention delay; a cross-part operand costs
+    {!comm_latency}. [contention_scale node] (default [fun _ ->
     1.0]) scales the contention term per node — the VC pass uses it to
     let critical instructions ignore imbalance and chase their
     producers. *)

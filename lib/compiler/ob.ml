@@ -1,10 +1,8 @@
 open Clusteer_isa
 open Clusteer_ddg
 
-let comm_latency = 1.0
-
 let assign_region g ~clusters ~issue_width =
-  let est = Estimate.create ~parts:clusters ~issue_width ~comm_latency g in
+  let est = Estimate.create ~parts:clusters ~issue_width g in
   let n = Ddg.node_count g in
   let assignment = Array.make n 0 in
   Array.iter
@@ -27,8 +25,7 @@ let assign_region g ~clusters ~issue_width =
     (Ddg.topological_order g);
   assignment
 
-let compile ~program ~likely ~clusters ?(region_uops = 512)
-    ?(issue_width = 2.0) () =
+let compile ~program ~likely ~clusters ~region_uops =
   let annot =
     Annot.create_static ~scheme:"ob" ~uop_count:program.Program.uop_count
   in
@@ -36,7 +33,9 @@ let compile ~program ~likely ~clusters ?(region_uops = 512)
   List.iter
     (fun region ->
       let g = Ddg.of_region region in
-      let assignment = assign_region g ~clusters ~issue_width in
+      let assignment =
+        assign_region g ~clusters ~issue_width:Estimate.issue_width
+      in
       Array.iteri
         (fun node (u : Uop.t) ->
           annot.Annot.cluster_of.(u.Uop.id) <- assignment.(node))

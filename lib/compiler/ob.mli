@@ -13,15 +13,15 @@ open Clusteer_isa
 
 val assign_region :
   Clusteer_ddg.Ddg.t -> clusters:int -> issue_width:float -> int array
-(** Placement (node -> cluster) for one region DDG. *)
+(** Placement (node -> cluster) for one region DDG, pricing each
+    cluster at [issue_width] micro-ops per cycle. *)
 
 val compile :
   program:Program.t ->
   likely:(int -> int option) ->
   clusters:int ->
-  ?region_uops:int ->
-  ?issue_width:float ->
-  unit ->
+  region_uops:int ->
   Annot.t
-(** Run region formation and placement over a whole program, producing
-    a static-cluster annotation (scheme ["ob"]). *)
+(** Run region formation (regions of at most [region_uops] static
+    micro-ops) and placement at {!Estimate.issue_width} over a whole
+    program, producing a static-cluster annotation (scheme ["ob"]). *)

@@ -25,7 +25,7 @@ let assign_region ?(seed = 1) g ~clusters =
   let wg = weights_of_ddg g in
   Multilevel.partition ~seed ~max_imbalance:1.05 ~refine_passes:8 wg ~k:clusters
 
-let compile ~program ~likely ~clusters ?(region_uops = 512) ?(seed = 1) () =
+let compile ~program ~likely ~clusters ~region_uops =
   let annot =
     Annot.create_static ~scheme:"rhop" ~uop_count:program.Program.uop_count
   in
@@ -33,7 +33,7 @@ let compile ~program ~likely ~clusters ?(region_uops = 512) ?(seed = 1) () =
   List.iter
     (fun region ->
       let g = Ddg.of_region region in
-      let assignment = assign_region ~seed:(seed + region.Region.id) g ~clusters in
+      let assignment = assign_region ~seed:(1 + region.Region.id) g ~clusters in
       Array.iteri
         (fun node (u : Uop.t) ->
           annot.Annot.cluster_of.(u.Uop.id) <- assignment.(node))

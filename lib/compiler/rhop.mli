@@ -19,13 +19,15 @@ val weights_of_ddg :
 
 val assign_region :
   ?seed:int -> Clusteer_ddg.Ddg.t -> clusters:int -> int array
+(** Partition (node -> cluster) of one region DDG; [seed] (default 1)
+    seeds the multilevel partitioner's coarsening. *)
 
 val compile :
   program:Program.t ->
   likely:(int -> int option) ->
   clusters:int ->
-  ?region_uops:int ->
-  ?seed:int ->
-  unit ->
+  region_uops:int ->
   Annot.t
-(** Whole-program RHOP annotation (scheme ["rhop"]). *)
+(** Whole-program RHOP annotation (scheme ["rhop"]) over regions of at
+    most [region_uops] static micro-ops; region [r] is partitioned
+    with seed [1 + r]. *)

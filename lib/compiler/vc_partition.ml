@@ -8,7 +8,7 @@ open Clusteer_ddg
    instruction ignores contention entirely and always follows its
    producers; at 1 criticality is ignored and every instruction is
    priced purely on completion time (§4.2's behaviour disabled). *)
-let contention_scale_of_slack ?(min_scale = 0.15) crit =
+let contention_scale_of_slack ~min_scale crit =
   let max_slack =
     Array.fold_left max 1 crit.Critical.slack |> float_of_int
   in
@@ -84,13 +84,12 @@ let seed_critical_paths g crit ~virtual_clusters =
   done;
   forced
 
-let assign_region g ~virtual_clusters ?(issue_width = 2.0)
-    ?(comm_latency = 1.0) ?crit_min_scale () =
+let assign_region g ~virtual_clusters ~crit_min_scale =
   let crit = Critical.analyze g in
   let est =
-    Estimate.create ~parts:virtual_clusters ~issue_width ~comm_latency
-      ~contention_scale:(contention_scale_of_slack ?min_scale:crit_min_scale
-                           crit)
+    Estimate.create ~parts:virtual_clusters ~issue_width:Estimate.issue_width
+      ~contention_scale:
+        (contention_scale_of_slack ~min_scale:crit_min_scale crit)
       g
   in
   let forced = seed_critical_paths g crit ~virtual_clusters in
@@ -121,8 +120,8 @@ let assign_region g ~virtual_clusters ?(issue_width = 2.0)
     (Ddg.topological_order g);
   assignment
 
-let compile ~program ~likely ~virtual_clusters ?(region_uops = 512)
-    ?(issue_width = 2.0) ?(comm_latency = 1.0) ?crit_min_scale ?max_chain () =
+let compile ~program ~likely ~virtual_clusters ~region_uops ~crit_min_scale
+    ~max_chain =
   let annot =
     Annot.create_virtual ~scheme:"vc" ~virtual_clusters
       ~uop_count:program.Program.uop_count
@@ -131,15 +130,12 @@ let compile ~program ~likely ~virtual_clusters ?(region_uops = 512)
   List.iter
     (fun region ->
       let g = Ddg.of_region region in
-      let assignment =
-        assign_region g ~virtual_clusters ~issue_width ~comm_latency
-          ?crit_min_scale ()
-      in
+      let assignment = assign_region g ~virtual_clusters ~crit_min_scale in
       Array.iteri
         (fun node (u : Uop.t) ->
           annot.Annot.vc_of.(u.Uop.id) <- assignment.(node))
         region.Region.uops;
-      Chains.mark_region ?max_chain annot region)
+      Chains.mark_region ~max_chain annot region)
     regions;
   Annot.validate annot ~clusters:1;
   annot

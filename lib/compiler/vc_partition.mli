@@ -16,46 +16,36 @@
     {- {b Chains and chain leaders} are identified afterwards by
        {!Chains}.}}
 
-    {2 Tunable knobs}
+    {2 Knobs}
 
-    The paper fixes the estimator's constants by hand; this module
-    exposes them so the auto-tuner ({!Clusteer_tune.Param_space}) can
-    sweep them. Every knob's default reproduces the paper:
-    - [issue_width] (micro-ops/cycle, default 2.0): per-VC issue
-      bandwidth assumed by the §4.2 completion-time estimator — the
-      Table 2 per-cluster INT issue width.
-    - [comm_latency] (cycles, default 1.0): estimated cost of a
-      cross-VC operand, the Table 2 1-cycle point-to-point link.
-    - [crit_min_scale] (dimensionless in \[0, 1\], default 0.15): the
-      placement criticality weight — the contention-scale floor applied
-      to zero-slack instructions. 0 makes critical chains follow their
-      producers unconditionally; 1 disables criticality-aware placement
-      altogether (every instruction priced purely on completion time).
-    - [max_chain] (micro-ops, default 0 = unlimited): chain-length cap
-      applied when marking leaders; see {!Chains}. *)
+    The estimator prices a VC at {!Estimate.issue_width} and a
+    cross-VC operand at {!Estimate.comm_latency}, the paper's fixed
+    constants. Two knobs are arguments, so the auto-tuner
+    ({!Clusteer_tune.Param_space}) can sweep them; their paper values
+    are [Clusteer.Configuration.default_params]:
+    - [crit_min_scale] (dimensionless in \[0, 1\]): the placement
+      criticality weight — the contention-scale floor applied to
+      zero-slack instructions. 0 makes critical chains follow their
+      producers unconditionally; 1 disables criticality-aware
+      placement altogether (every instruction priced purely on
+      completion time).
+    - [max_chain] (micro-ops, 0 = unlimited): chain-length cap applied
+      when marking leaders; see {!Chains}. *)
 
 open Clusteer_isa
 
 val assign_region :
-  Clusteer_ddg.Ddg.t ->
-  virtual_clusters:int ->
-  ?issue_width:float ->
-  ?comm_latency:float ->
-  ?crit_min_scale:float ->
-  unit ->
-  int array
+  Clusteer_ddg.Ddg.t -> virtual_clusters:int -> crit_min_scale:float -> int array
 (** VC assignment (node -> vc id) for one region DDG. *)
 
 val compile :
   program:Program.t ->
   likely:(int -> int option) ->
   virtual_clusters:int ->
-  ?region_uops:int ->
-  ?issue_width:float ->
-  ?comm_latency:float ->
-  ?crit_min_scale:float ->
-  ?max_chain:int ->
-  unit ->
+  region_uops:int ->
+  crit_min_scale:float ->
+  max_chain:int ->
   Annot.t
-(** Whole-program hybrid annotation (scheme ["vc"]): VC ids plus chain
-    leader marks, ready for the runtime mapper. *)
+(** Whole-program hybrid annotation (scheme ["vc"]) over regions of at
+    most [region_uops] static micro-ops: VC ids plus chain leader
+    marks, ready for the runtime mapper. *)

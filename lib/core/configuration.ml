@@ -53,8 +53,6 @@ type params = {
   stall_threshold : int;
   imbalance_limit : int;
   region_uops : int;
-  issue_width : float;
-  comm_latency : float;
   crit_min_scale : float;
   max_chain : int;
   slack_threshold : int;
@@ -67,8 +65,6 @@ let default_params =
     stall_threshold = 36;
     imbalance_limit = 200;
     region_uops = 512;
-    issue_width = 2.0;
-    comm_latency = 1.0;
     crit_min_scale = 0.15;
     max_chain = 0;
     slack_threshold = 0;
@@ -90,19 +86,16 @@ let prepare t ~program ~likely ~clusters ?(params = default_params) ?annot
     ?registry () =
   let region_uops = params.region_uops in
   let annot =
-    match annot with
-    | Some annot -> annot
-    | None ->
-        let scheme =
-          match t with
-          | Op | One_cluster | Op_parallel | Dep | Crit -> Compiler.Passes.Sw_none
-          | Ob -> Compiler.Passes.Sw_ob
-          | Rhop -> Compiler.Passes.Sw_rhop { seed = 1 }
-          | Vc { virtual_clusters } -> Compiler.Passes.Sw_vc { virtual_clusters }
-        in
-        Compiler.Passes.run scheme ~program ~likely ~clusters ~region_uops
-          ~issue_width:params.issue_width ~comm_latency:params.comm_latency
-          ~crit_min_scale:params.crit_min_scale ~max_chain:params.max_chain ()
+    match (annot, t) with
+    | Some annot, _ -> annot
+    | None, (Op | One_cluster | Op_parallel | Dep | Crit) ->
+        Clusteer_isa.(Annot.none ~uop_count:program.Program.uop_count)
+    | None, Ob -> Compiler.Ob.compile ~program ~likely ~clusters ~region_uops
+    | None, Rhop -> Compiler.Rhop.compile ~program ~likely ~clusters ~region_uops
+    | None, Vc { virtual_clusters } ->
+        Compiler.Vc_partition.compile ~program ~likely ~virtual_clusters
+          ~region_uops ~crit_min_scale:params.crit_min_scale
+          ~max_chain:params.max_chain
   in
   let policy =
     match t with
@@ -112,7 +105,7 @@ let prepare t ~program ~likely ~clusters ?(params = default_params) ?annot
           ?topology:params.topology ()
     | Op_parallel ->
         Steer.Op_parallel.make ~stall_threshold:params.stall_threshold
-          ~imbalance_limit:params.imbalance_limit ()
+          ~imbalance_limit:params.imbalance_limit
     | One_cluster -> Steer.One_cluster.make ()
     | Ob -> Steer.Static.make ~name:"ob" ~annot
     | Rhop -> Steer.Static.make ~name:"rhop" ~annot
@@ -123,7 +116,7 @@ let prepare t ~program ~likely ~clusters ?(params = default_params) ?annot
     | Crit ->
         let critical =
           Compiler.Crit_hints.compute ~program ~likely ~region_uops
-            ~slack_threshold:params.slack_threshold ()
+            ~slack_threshold:params.slack_threshold
         in
         Steer.Crit.make ~critical ()
   in

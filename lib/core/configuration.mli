@@ -4,9 +4,17 @@
 
     {!prepare} is the one-call entry point: given a program (and the
     profile feedback its workload provides), it runs whatever compiler
-    pass the configuration needs and returns the annotation together
-    with a fresh runtime {!Clusteer_uarch.Policy.t} for a machine with
-    [clusters] physical clusters. *)
+    pass the configuration needs ({!Clusteer_compiler.Ob},
+    {!Clusteer_compiler.Rhop} or {!Clusteer_compiler.Vc_partition}; the
+    hardware-only configurations get an empty annotation) and returns
+    the annotation together with a fresh runtime
+    {!Clusteer_uarch.Policy.t} for a machine with [clusters] physical
+    clusters.
+
+    {!default_params} is the one place the paper's knob values are
+    written: the compiler, analysis, steering and VLIW modules take
+    every knob as a required argument, and their callers pass it from
+    a {!params} record. *)
 
 open Clusteer_isa
 
@@ -63,16 +71,11 @@ type params = {
   region_uops : int;
       (** Superblock region budget (static micro-ops, default 512):
           the compiler's region builder stops growing a region at this
-          many micro-ops (§4.1's scheduling-region size). *)
-  issue_width : float;
-      (** {!Clusteer_compiler.Vc_partition} estimator issue bandwidth
-          (micro-ops/cycle, default 2.0): per-VC issue width assumed by
-          the §4.2 static completion-time estimator — Table 2's
-          per-cluster INT issue width. *)
-  comm_latency : float;
-      (** {!Clusteer_compiler.Vc_partition} estimator communication
-          cost (cycles, default 1.0): estimated penalty for a cross-VC
-          operand — Table 2's 1-cycle point-to-point link. *)
+          many micro-ops (§4.1's scheduling-region size). The static
+          checker and the VLIW substrate rebuild the same regions. The
+          §4.2 estimator's issue width and link cost are not knobs:
+          they are the constants {!Clusteer_compiler.Estimate.issue_width}
+          and {!Clusteer_compiler.Estimate.comm_latency}. *)
   crit_min_scale : float;
       (** Placement criticality weight (dimensionless in \[0, 1\],
           default 0.15): contention-scale floor applied to zero-slack
@@ -105,10 +108,11 @@ type params = {
 }
 (** Every tunable steering/compiler knob in one record — the single
     source of truth the auto-tuner's parameter space
-    ({!Clusteer_tune.Param_space}) encodes into. Field defaults
-    ({!default_params}) reproduce the paper's Table 2/§4 constants
-    exactly, so [prepare ~params:default_params] is identical to
-    [prepare] without [?params]. *)
+    ({!Clusteer_tune.Param_space}) encodes into and reads its menu
+    defaults from. Field defaults ({!default_params}) reproduce the
+    paper's Table 2/§4 constants exactly, so
+    [prepare ~params:default_params] is identical to [prepare] without
+    [?params]. No module below this one defaults a knob. *)
 
 val default_params : params
 (** The paper's constants; see each field of {!params}. *)

@@ -18,12 +18,11 @@ type region_slack = {
 val analyze :
   program:Program.t ->
   likely:(int -> int option) ->
-  ?region_uops:int ->
-  unit ->
+  region_uops:int ->
   region_slack list
-(** Build the superblock regions (default [region_uops] 512, the
-    compiler's default window) and run {!Critical.analyze} over each
-    region's DDG. Regions cover the program, so every static micro-op
+(** Build the superblock regions (at most [region_uops] static
+    micro-ops each, the compiler's window) and run {!Critical.analyze}
+    over each region's DDG. Regions cover the program, so every static micro-op
     appears in exactly one result. *)
 
 val iter :
@@ -34,10 +33,9 @@ val iter :
 val hints :
   program:Program.t ->
   likely:(int -> int option) ->
-  ?region_uops:int ->
-  ?slack_threshold:int ->
-  unit ->
+  region_uops:int ->
+  slack_threshold:int ->
   bool array
 (** Per-static-uop criticality marks: [true] iff the uop's slack is at
-    most [slack_threshold] (default 0, i.e. critical-path nodes only).
+    most [slack_threshold] (0 marks critical-path nodes only).
     This is the function whose output PL005 pins. *)

@@ -363,11 +363,14 @@ let section21_example () =
     in
     (!copies, placement)
   in
+  let { Clusteer.Configuration.stall_threshold; imbalance_limit; _ } =
+    Clusteer.Configuration.default_params
+  in
   let sequential_copies, sequential_placement =
-    replay (Clusteer_steer.Op.make ())
+    replay (Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ())
   in
   let parallel_copies, parallel_placement =
-    replay (Clusteer_steer.Op_parallel.make ())
+    replay (Clusteer_steer.Op_parallel.make ~stall_threshold ~imbalance_limit)
   in
   { sequential_copies; parallel_copies; sequential_placement; parallel_placement }
 

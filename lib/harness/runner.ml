@@ -15,19 +15,13 @@ type point_result = {
    different simulation points. Multiplying by an odd 64-bit constant
    and running the result through a bijective finalizer spreads every
    (seed, index) pair over the full 62-bit output range. *)
-let trace_seed (point : Pinpoints.point) =
+let mix_seed ~seed n =
   let open Int64 in
-  let z =
-    add
-      (mul
-         (of_int point.Pinpoints.profile.Profile.seed)
-         0x9E3779B97F4A7C15L)
-      (of_int point.Pinpoints.index)
-  in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = logxor z (shift_right_logical z 31) in
-  to_int (shift_right_logical z 2)
+  let z = add (mul (of_int seed) 0x9E3779B97F4A7C15L) (of_int n) in
+  to_int (shift_right_logical (Clusteer_util.Rng.mix z) 2)
+
+let trace_seed (point : Pinpoints.point) =
+  mix_seed ~seed:point.Pinpoints.profile.Profile.seed point.Pinpoints.index
 
 (* Salted variant for replicated measurements (the tuner's AB
    tie-breaks): salt 0 is the identity — exactly [trace_seed] — so
@@ -37,14 +31,7 @@ let trace_seed (point : Pinpoints.point) =
    splitmix64 finalizer. *)
 let salted_trace_seed ~salt (point : Pinpoints.point) =
   let base = trace_seed point in
-  if salt = 0 then base
-  else
-    let open Int64 in
-    let z = add (mul (of_int salt) 0x9E3779B97F4A7C15L) (of_int base) in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-    let z = logxor z (shift_right_logical z 31) in
-    to_int (shift_right_logical z 2)
+  if salt = 0 then base else mix_seed ~seed:salt base
 
 (* Default warmup: half the measured length, capped — enough to fill
    the L1 and train the predictor at the scaled-down trace sizes — and
@@ -123,8 +110,13 @@ let fresh_reuse () =
    parallel. *)
 let worker_minor_heap_words = 1 lsl 20
 
-let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
-    ?profile ?reuse ?params ~machine ~configs ~uops workload =
+(* The one run path. Simulate [configs] on [workload] against [reuse]
+   (a sweep worker's context, or a fresh one for a single call): a
+   cached annotation is handed back to [prepare], and an engine built
+   for the configuration on an earlier point is reset in place rather
+   than re-created. *)
+let run_with reuse ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
+    ?profile ?params ~machine ~configs ~uops workload =
   let warmup = Option.value ~default:(default_warmup uops) warmup in
   let committed = Counters.counter ?registry "harness.uops_committed" in
   (* The machine's fabric is the single source of truth for topology:
@@ -143,47 +135,35 @@ let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
   List.map
     (fun config ->
       let name = Clusteer.Configuration.name config in
-      let cached_annot =
-        match reuse with
-        | Some r ->
-            Hashtbl.find_opt r.r_annots (workload.Synth.profile, name)
-        | None -> None
-      in
+      let key = (workload.Synth.profile, name) in
+      let cached = Hashtbl.find_opt reuse.r_annots key in
       let annot, policy =
         Clusteer.Configuration.prepare config ~program:workload.Synth.program
           ~likely:workload.Synth.likely ~clusters:machine.Config.clusters
-          ~params ?annot:cached_annot ?registry ()
+          ~params ?annot:cached ?registry ()
       in
-      (match (reuse, cached_annot) with
-      | Some r, None ->
-          Hashtbl.replace r.r_annots (workload.Synth.profile, name) annot
-      | _ -> ());
+      if Option.is_none cached then Hashtbl.replace reuse.r_annots key annot;
       let prewarm =
         Array.to_list
           (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
       in
       let engine =
-        match reuse with
-        | Some r -> (
-            match Hashtbl.find_opt r.r_engines name with
-            | Some e ->
-                Engine.reset ~prewarm ?obs:(obs name) e ~annot ~policy;
-                e
-            | None ->
-                let e =
-                  Engine.create ~config:machine ~annot ~policy ~prewarm
-                    ?obs:(obs name) ?registry ?profile ()
-                in
-                Hashtbl.replace r.r_engines name e;
-                e)
+        match Hashtbl.find_opt reuse.r_engines name with
+        | Some e ->
+            Engine.reset ~prewarm ?obs:(obs name) e ~annot ~policy;
+            e
         | None ->
-            Engine.create ~config:machine ~annot ~policy ~prewarm
-              ?obs:(obs name) ?registry ?profile ()
+            let e =
+              Engine.create ~config:machine ~annot ~policy ~prewarm
+                ?obs:(obs name) ?registry ?profile ()
+            in
+            Hashtbl.replace reuse.r_engines name e;
+            e
       in
       let stats = Engine.run ~warmup engine ~source:(trace_consumer tb) ~uops in
-      (* A reused engine resets its stats in place on the next point:
-         hand the caller an independent copy. *)
-      let stats = if Option.is_some reuse then Stats.copy stats else stats in
+      (* The engine resets its stats in place on its next point: hand
+         the caller an independent copy. *)
+      let stats = Stats.copy stats in
       (* The ledger attributes committed work to the run through this
          counter — it rides the registry, so parallel workers merge it
          like any other instrument. *)
@@ -193,35 +173,33 @@ let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
 
 let run_workload ?warmup ?seed ?obs ?registry ?profile ?params ~machine
     ~configs ~uops workload =
-  run_workload_cached ?warmup ?seed ?obs ?registry ?profile ?params ~machine
-    ~configs ~uops workload
+  run_with (fresh_reuse ()) ?warmup ?seed ?obs ?registry ?profile ?params
+    ~machine ~configs ~uops workload
 
-let run_point_cached ?warmup ?obs ?registry ?profile ?reuse ?params
+let run_point_with reuse ?warmup ?obs ?registry ?profile ?params
     ?(trace_salt = 0) ~machine ~configs ~uops point =
   let workload =
-    match reuse with
-    | Some r -> (
-        match Hashtbl.find_opt r.r_workloads point.Pinpoints.profile with
-        | Some w -> w
-        | None ->
-            let w = Synth.build point.Pinpoints.profile in
-            Hashtbl.replace r.r_workloads point.Pinpoints.profile w;
-            w)
-    | None -> Synth.build point.Pinpoints.profile
+    let key = point.Pinpoints.profile in
+    match Hashtbl.find_opt reuse.r_workloads key with
+    | Some w -> w
+    | None ->
+        let w = Synth.build key in
+        Hashtbl.replace reuse.r_workloads key w;
+        w
   in
   (* Every configuration replays the identical dynamic stream: the
      generator is reseeded per point with the same seed. *)
   let runs =
-    run_workload_cached ?warmup
+    run_with reuse ?warmup
       ~seed:(salted_trace_seed ~salt:trace_salt point)
-      ?obs ?registry ?profile ?reuse ?params ~machine ~configs ~uops workload
+      ?obs ?registry ?profile ?params ~machine ~configs ~uops workload
   in
   { point; runs }
 
 let run_point ?warmup ?obs ?registry ?profile ?params ?trace_salt ~machine
     ~configs ~uops point =
-  run_point_cached ?warmup ?obs ?registry ?profile ?params ?trace_salt
-    ~machine ~configs ~uops point
+  run_point_with (fresh_reuse ()) ?warmup ?obs ?registry ?profile ?params
+    ?trace_salt ~machine ~configs ~uops point
 
 (* Registry-isolated parallel map: every item is its own group, so
    workers claim items one at a time off the shared cursor, and each
@@ -271,14 +249,14 @@ let run_grouped ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
       progress point.Pinpoints.profile.Profile.name;
     match prof with
     | None ->
-        run_point_cached ?warmup ~registry ~reuse ?params ?trace_salt ~machine
+        run_point_with reuse ?warmup ~registry ?params ?trace_salt ~machine
           ~configs ~uops point
     | Some p ->
         let span = Clusteer_obs.Profile.span p "harness.point" in
         let gc0 = Gc.quick_stat () in
         let result =
           Clusteer_obs.Profile.time span (fun () ->
-              run_point_cached ?warmup ~registry ~profile:p ~reuse ?params
+              run_point_with reuse ?warmup ~registry ~profile:p ?params
                 ?trace_salt ~machine ~configs ~uops point)
         in
         let gc1 = Gc.quick_stat () in

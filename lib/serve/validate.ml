@@ -49,9 +49,10 @@ let validate (req : Request.t) =
           match
             let w = Synth.build profile in
             let program = w.Synth.program and likely = w.Synth.likely in
+            let params = Clusteer.Configuration.default_params in
             let annot, _policy =
               Clusteer.Configuration.prepare req.Request.policy ~program
-                ~likely ~clusters:req.Request.clusters ()
+                ~likely ~clusters:req.Request.clusters ~params ()
             in
             let config =
               Clusteer_uarch.Config.default ~clusters:req.Request.clusters
@@ -60,7 +61,9 @@ let validate (req : Request.t) =
               Checker.target
                 ~label:(req.Request.workload ^ "/"
                        ^ Clusteer.Configuration.name req.Request.policy)
-                ~program ~likely ~annot ~config ()
+                ~region_uops:params.region_uops ~max_chain:params.max_chain
+                ~slack_threshold:params.slack_threshold ~program ~likely
+                ~annot ~config ()
             in
             Checker.run target
           with

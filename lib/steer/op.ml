@@ -2,8 +2,7 @@ open Clusteer_isa
 open Clusteer_uarch
 module Bitset = Clusteer_util.Bitset
 
-let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
-    () =
+let make ~stall_threshold ~imbalance_limit ?registry ?topology () =
   let module Counters = Clusteer_obs.Counters in
   (* Topology awareness: on a non-uniform fabric, load ties are broken
      by the hop cost of the copies the pick would cause (each source

@@ -16,19 +16,19 @@
     (every scheme is reported as slowdown against OP). *)
 
 val make :
-  ?stall_threshold:int ->
-  ?imbalance_limit:int ->
+  stall_threshold:int ->
+  imbalance_limit:int ->
   ?registry:Clusteer_obs.Counters.registry ->
   ?topology:Clusteer_topo.Topology.t ->
   unit ->
   Clusteer_uarch.Policy.t
-(** [stall_threshold] (unit: free issue-queue slots, default 36, the
-    constant [15] tunes): minimum free issue-queue slots another
-    cluster must have before OP steers away from the preferred cluster
-    instead of stalling. [imbalance_limit] (unit: in-flight micro-op
-    difference, default 200): occupancy gap beyond which balance
-    overrides dependences. Both knobs are swept by the auto-tuner
-    through [Clusteer.Configuration.params].
+(** [stall_threshold] (unit: free issue-queue slots; [15] tunes it
+    to 36): minimum free issue-queue slots another cluster must have
+    before OP steers away from the preferred cluster instead of
+    stalling. [imbalance_limit] (unit: in-flight micro-op difference):
+    occupancy gap beyond which balance overrides dependences. Both
+    come from [Clusteer.Configuration.params], which holds their paper
+    values and through which the auto-tuner sweeps them.
 
     Tie-breaking in the least-loaded selection rotates its scan start
     by the policy's decision count, so exact ties (equal votes, equal

@@ -22,7 +22,7 @@ type bundle_state = {
 
 let reg_code r = Reg.encode ~nregs_per_class:max_nregs_per_class r
 
-let make ?(stall_threshold = 36) ?(imbalance_limit = 200) () =
+let make ~stall_threshold ~imbalance_limit =
   let state =
     {
       stale_mask = Array.make (2 * max_nregs_per_class) Bitset.empty;

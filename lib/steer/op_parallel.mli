@@ -9,5 +9,5 @@
     bench quantifies the same gap on full traces. *)
 
 val make :
-  ?stall_threshold:int -> ?imbalance_limit:int -> unit ->
-  Clusteer_uarch.Policy.t
+  stall_threshold:int -> imbalance_limit:int -> Clusteer_uarch.Policy.t
+(** The knobs are {!Op.make}'s. *)

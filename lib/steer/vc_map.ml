@@ -10,7 +10,7 @@ let least_loaded view =
   done;
   !best
 
-let make ?(remap_threshold = 8) ?registry ?topology ~annot ~clusters () =
+let make ~remap_threshold ?registry ?topology ~annot ~clusters () =
   if annot.Annot.virtual_clusters <= 0 then
     invalid_arg "Vc_map.make: annotation has no virtual clusters";
   let table =

@@ -12,7 +12,7 @@
 open Clusteer_isa
 
 val make :
-  ?remap_threshold:int ->
+  remap_threshold:int ->
   ?registry:Clusteer_obs.Counters.registry ->
   ?topology:Clusteer_topo.Topology.t ->
   annot:Annot.t ->
@@ -25,12 +25,12 @@ val make :
     cluster leads the least-loaded one by more than [remap_threshold]
     in-flight micro-ops (§3's "certain threshold"; unit: in-flight
     micro-ops). Threshold 0 is the paper's literal semantics (always
-    move to the least-loaded cluster); the default of 8 adds the
-    hysteresis the ablation bench found to pay for itself — it trades
-    a little balance for far fewer remap-induced copies. Micro-ops
-    without a VC assignment go to the least-loaded cluster. The knob
-    is swept by the auto-tuner through
-    [Clusteer.Configuration.params.remap_threshold].
+    move to the least-loaded cluster); the harness's 8
+    ([Clusteer.Configuration.default_params], through which the
+    auto-tuner sweeps it) adds the hysteresis the ablation bench found
+    to pay for itself — it trades a little balance for far fewer
+    remap-induced copies. Micro-ops without a VC assignment go to the
+    least-loaded cluster.
 
     [topology] (normally injected by the harness from the machine
     configuration) makes the mapper distance-aware on non-uniform

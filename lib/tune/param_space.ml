@@ -50,7 +50,11 @@ let as_float = function Float f -> f | Int n -> float_of_int n
 (* The menus bracket each paper default with the values the paper's
    own sensitivity discussion (or plain engineering judgement) makes
    interesting, kept small enough that the full "vc" grid stays
-   enumerable in a test. *)
+   enumerable in a test. A knob's menu default is its
+   [default_params] value, so a space's default candidate is the
+   untuned configuration. *)
+let paper = Configuration.default_params
+
 let vc_space =
   {
     s_name = "vc";
@@ -60,23 +64,23 @@ let vc_space =
           "number of virtual clusters the compiler partitions into"
           ~default:2 [ 2; 4 ];
         int_param "remap_threshold"
-          "Vc_map remap hysteresis (in-flight uops)" ~default:8
-          [ 0; 2; 4; 8; 16; 32 ];
+          "Vc_map remap hysteresis (in-flight uops)"
+          ~default:paper.remap_threshold [ 0; 2; 4; 8; 16; 32 ];
         float_param "crit_min_scale"
           "placement criticality weight (contention-scale floor, 0..1)"
-          ~default:0.15
+          ~default:paper.crit_min_scale
           [ 0.0; 0.15; 0.3; 0.5; 1.0 ];
         int_param "max_chain" "chain-length cap (uops, 0 = unlimited)"
-          ~default:0 [ 0; 4; 8; 16; 32 ];
+          ~default:paper.max_chain [ 0; 4; 8; 16; 32 ];
         int_param "region_uops" "superblock region budget (static uops)"
-          ~default:512 [ 128; 256; 512; 1024 ];
+          ~default:paper.region_uops [ 128; 256; 512; 1024 ];
       |];
     s_materialize =
       (fun values ->
         let vcs = as_int values.(0) in
         ( Configuration.Vc { virtual_clusters = vcs },
           {
-            Configuration.default_params with
+            paper with
             remap_threshold = as_int values.(1);
             crit_min_scale = as_float values.(2);
             max_chain = as_int values.(3);
@@ -91,17 +95,17 @@ let op_space =
     s_params =
       [|
         int_param "stall_threshold"
-          "OP stall-over-steer bound (free IQ slots)" ~default:36
-          [ 8; 16; 24; 36; 48; 64 ];
+          "OP stall-over-steer bound (free IQ slots)"
+          ~default:paper.stall_threshold [ 8; 16; 24; 36; 48; 64 ];
         int_param "imbalance_limit"
-          "OP imbalance override (in-flight uop difference)" ~default:200
-          [ 50; 100; 200; 400; 800 ];
+          "OP imbalance override (in-flight uop difference)"
+          ~default:paper.imbalance_limit [ 50; 100; 200; 400; 800 ];
       |];
     s_materialize =
       (fun values ->
         ( Configuration.Op,
           {
-            Configuration.default_params with
+            paper with
             stall_threshold = as_int values.(0);
             imbalance_limit = as_int values.(1);
           } ));
@@ -134,13 +138,14 @@ let topo_space =
            3=hier 2x(clusters/2)"
           ~default:0 [ 0; 1; 2; 3 ];
         int_param "remap_threshold"
-          "Vc_map remap hysteresis (in-flight uops)" ~default:8 [ 2; 8; 32 ];
+          "Vc_map remap hysteresis (in-flight uops)"
+          ~default:paper.remap_threshold [ 2; 8; 32 ];
       |];
     s_materialize =
       (fun values ->
         ( Configuration.Vc { virtual_clusters = as_int values.(1) },
           {
-            Configuration.default_params with
+            paper with
             remap_threshold = as_int values.(3);
           } ));
     s_machine =

@@ -16,31 +16,13 @@ let algo_of_string s =
            (Printf.sprintf
               "unknown search algorithm %S (available: grid, random, hill)" s))
 
-(* splitmix64, same generator family the harness derives trace seeds
-   from: trivially seedable, full-period, and identical on every
-   platform — which is what makes "same seed => same champion" a
+(* SplitMix64 ([Clusteer_util.Rng], the generator the harness derives
+   trace seeds from): trivially seedable, full-period, and identical on
+   every platform — which is what makes "same seed => same champion" a
    testable contract. *)
-type rng = { mutable state : int64 }
+module Rng = Clusteer_util.Rng
 
-let rng seed = { state = Int64.of_int seed }
-
-let next r =
-  let open Int64 in
-  r.state <- add r.state 0x9E3779B97F4A7C15L;
-  let z = r.state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let next_below r n =
-  if n <= 0 then invalid_arg "Search.next_below";
-  (* 62 uniform bits then modulo: the bias is < 2^-50 for our menu
-     sizes and the draw stays deterministic and platform-independent. *)
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (next r) 2) (Int64.of_int n))
-  |> abs
-
-let random_candidate r dims =
-  Array.map (fun d -> next_below r d) dims
+let random_candidate r dims = Array.map (fun d -> Rng.int r d) dims
 
 let run space ~algo ~seed ~max_evals ~eval =
   if max_evals <= 0 then invalid_arg "Search.run: max_evals must be positive";
@@ -63,7 +45,7 @@ let run space ~algo ~seed ~max_evals ~eval =
         ignore (try_eval (Param_space.nth space i))
       done
   | Random ->
-      let r = rng seed in
+      let r = Rng.create seed in
       let dims = Param_space.dims space in
       let budget = min max_evals (Param_space.cardinality space) in
       ignore (try_eval (Param_space.default_candidate space));
@@ -82,7 +64,7 @@ let run space ~algo ~seed ~max_evals ~eval =
         incr i
       done
   | Hill ->
-      let r = rng seed in
+      let r = Rng.create seed in
       let dims = Param_space.dims space in
       let budget = min max_evals (Param_space.cardinality space) in
       let score_of c = Hashtbl.find_opt seen c in

@@ -21,6 +21,11 @@ val split : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
+val mix : int64 -> int64
+(** The SplitMix64 finalizer: a bijective bit mix of one 64-bit word,
+    the step {!int64} applies to each state. The harness derives trace
+    seeds through it. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 

@@ -10,7 +10,7 @@ type summary = {
   static_ipc : float;
 }
 
-let run machine ~program ~likely ?(region_uops = 512) mode =
+let run machine ~program ~likely ~region_uops mode =
   let regions = Region.build ~program ~likely ~max_uops:region_uops in
   let totals =
     List.fold_left

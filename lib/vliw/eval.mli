@@ -27,6 +27,8 @@ val run :
   Machine.t ->
   program:Program.t ->
   likely:(int -> int option) ->
-  ?region_uops:int ->
+  region_uops:int ->
   mode ->
   summary
+(** Schedule every region of at most [region_uops] static micro-ops
+    under [mode] and sum the results. *)

@@ -15,6 +15,9 @@ module Cdiag = Clusteer_compiler.Diagnostics
 module Uarch = Clusteer_uarch
 module Json = Clusteer_obs.Json
 
+(* The knobs every annotation below is compiled with. *)
+let params = Clusteer.Configuration.default_params
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let codes diags = List.map (fun d -> d.Diag.code) diags
@@ -177,7 +180,9 @@ let ob_target = lazy (build "ob")
 let run ?claimed ?critical ?events (w, annot) =
   let config = Uarch.Config.default ~clusters:2 in
   Checker.run
-    (Checker.target ?claimed ?critical ?events ~program:w.Synth.program
+    (Checker.target ~region_uops:params.region_uops
+       ~max_chain:params.max_chain ?claimed ?critical
+       ~slack_threshold:params.slack_threshold ?events ~program:w.Synth.program
        ~likely:w.Synth.likely ~annot ~config ())
 
 let find_index what pred =
@@ -232,7 +237,8 @@ let test_vc_mutations () =
   check_bool "VC010 passes lax" false (Checker.failed ~strict:false d);
   (* 7: a truthful partition summary is accepted, a stale one is not *)
   let claimed =
-    Cdiag.of_annot ~program:w.Synth.program ~likely:w.Synth.likely ~annot ()
+    Cdiag.of_annot ~program:w.Synth.program ~likely:w.Synth.likely ~annot
+      ~region_uops:params.region_uops ~max_chain:params.max_chain
   in
   assert_clean "truthful summary" (run ~claimed (w, annot));
   let tampered =
@@ -263,7 +269,8 @@ let test_crit_mutations () =
   let w, _ = Lazy.force vc_target in
   let program = w.Synth.program and likely = w.Synth.likely in
   let critical =
-    Clusteer_compiler.Crit_hints.compute ~program ~likely ()
+    Clusteer_compiler.Crit_hints.compute ~program ~likely
+      ~region_uops:params.region_uops ~slack_threshold:params.slack_threshold
   in
   let annot = Annot.none ~uop_count:program.Program.uop_count in
   assert_clean "truthful criticality hints" (run ~critical (w, annot));
@@ -364,7 +371,8 @@ let test_all_workloads_clean () =
             if annot.Annot.virtual_clusters > 0 then
               Some
                 (Cdiag.of_annot ~program:w.Synth.program ~likely:w.Synth.likely
-                   ~annot ())
+                   ~annot ~region_uops:params.region_uops
+                   ~max_chain:params.max_chain)
             else None
           in
           let diags = run ?claimed (w, annot) in

@@ -205,7 +205,8 @@ let test_machine_size_bounds () =
    subcommand that takes it, and an out-of-range --phase names the valid
    range; so are a negative --stats-interval or --keep, a non-positive
    --max-evals, an unknown fabric name, a study name the experiment
-   table lacks and a submit with nothing to send. *)
+   table lacks, a sweep flag given to a study that does not read it and
+   a submit with nothing to send. *)
 let test_uops_and_phase_bounds () =
   List.iter
     (fun (args, expected) ->
@@ -248,6 +249,18 @@ let test_uops_and_phase_bounds () =
       ( "experiment vc-count --json",
         "csteer: vc-count has no JSON document (--json takes one of topo, \
          predict, throughput, tune)" );
+      ( "experiment vc-count --benchmarks mcf --csv out",
+        "csteer: vc-count does not read --benchmarks (read by fig5, fig6, \
+         fig56, fig7, all, --topology)" );
+      ( "experiment tables --csv out",
+        "csteer: tables does not read --csv (read by fig5, fig6, fig56, fig7, \
+         all)" );
+      ( "experiment throughput -n 500 --domains 2",
+        "csteer: throughput does not read --domains (read by fig5, fig6, \
+         fig56, fig7, all, --topology)" );
+      ( "experiment --topology ring --csv out",
+        "csteer: --topology does not read --csv (read by fig5, fig6, fig56, \
+         fig7, all)" );
       ("submit", "csteer: submit needs -w WORKLOAD (or --stats / --shutdown)");
     ]
 

@@ -4,6 +4,10 @@
 open Clusteer_isa
 open Clusteer_ddg
 open Clusteer_compiler
+module Configuration = Clusteer.Configuration
+
+(* The paper's knob values, which every pass below is run with. *)
+let params = Configuration.default_params
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -29,7 +33,7 @@ let two_chain_uops () =
 
 let test_estimate_dependence_prefers_producer_part () =
   let g = Ddg.build (two_chain_uops ()) in
-  let est = Estimate.create ~parts:2 ~issue_width:2.0 ~comm_latency:1.0 g in
+  let est = Estimate.create ~parts:2 ~issue_width:2.0 g in
   Estimate.place est ~node:0 ~part:0;
   (* Node 1 depends on node 0: part 0 avoids the communication cycle. *)
   check_bool "same part cheaper" true
@@ -38,7 +42,7 @@ let test_estimate_dependence_prefers_producer_part () =
 
 let test_estimate_contention_spreads_roots () =
   let g = Ddg.build (two_chain_uops ()) in
-  let est = Estimate.create ~parts:2 ~issue_width:1.0 ~comm_latency:1.0 g in
+  let est = Estimate.create ~parts:2 ~issue_width:1.0 g in
   Estimate.place est ~node:0 ~part:0;
   (* An independent root prefers the idle part once part 0 is busy. *)
   check_bool "idle part preferred" true
@@ -47,7 +51,7 @@ let test_estimate_contention_spreads_roots () =
 
 let test_estimate_place_commits () =
   let g = Ddg.build (two_chain_uops ()) in
-  let est = Estimate.create ~parts:2 ~issue_width:2.0 ~comm_latency:1.0 g in
+  let est = Estimate.create ~parts:2 ~issue_width:2.0 g in
   Estimate.place est ~node:0 ~part:1;
   check_int "part recorded" 1 (Estimate.part_of est 0);
   check_bool "completion positive" true (Estimate.completion est 0 > 0.0);
@@ -56,14 +60,14 @@ let test_estimate_place_commits () =
 
 let test_estimate_requires_placed_preds () =
   let g = Ddg.build (two_chain_uops ()) in
-  let est = Estimate.create ~parts:2 ~issue_width:2.0 ~comm_latency:1.0 g in
+  let est = Estimate.create ~parts:2 ~issue_width:2.0 g in
   Alcotest.check_raises "unplaced predecessor"
     (Invalid_argument "Estimate: predecessor not yet placed") (fun () ->
       ignore (Estimate.estimate est ~node:1 ~part:0))
 
 let test_estimate_double_place_rejected () =
   let g = Ddg.build (two_chain_uops ()) in
-  let est = Estimate.create ~parts:2 ~issue_width:2.0 ~comm_latency:1.0 g in
+  let est = Estimate.create ~parts:2 ~issue_width:2.0 g in
   Estimate.place est ~node:0 ~part:0;
   Alcotest.check_raises "double place"
     (Invalid_argument "Estimate.place: already placed") (fun () ->
@@ -101,9 +105,22 @@ let small_program () =
 
 let no_profile _ = None
 
+let ob_compile program =
+  Ob.compile ~program ~likely:no_profile ~clusters:2
+    ~region_uops:params.region_uops
+
+let rhop_compile program =
+  Rhop.compile ~program ~likely:no_profile ~clusters:2
+    ~region_uops:params.region_uops
+
+let vc_compile program =
+  Vc_partition.compile ~program ~likely:no_profile ~virtual_clusters:2
+    ~region_uops:params.region_uops ~crit_min_scale:params.crit_min_scale
+    ~max_chain:params.max_chain
+
 let test_ob_compile_covers_program () =
   let program = small_program () in
-  let annot = Ob.compile ~program ~likely:no_profile ~clusters:2 () in
+  let annot = ob_compile program in
   Alcotest.(check string) "scheme" "ob" annot.Annot.scheme;
   Array.iter
     (fun c -> check_bool "assigned" true (c >= 0 && c < 2))
@@ -128,7 +145,7 @@ let test_rhop_assign_balances () =
 
 let test_rhop_compile_covers_program () =
   let program = small_program () in
-  let annot = Rhop.compile ~program ~likely:no_profile ~clusters:2 () in
+  let annot = rhop_compile program in
   Alcotest.(check string) "scheme" "rhop" annot.Annot.scheme;
   Array.iter
     (fun c -> check_bool "assigned" true (c >= 0 && c < 2))
@@ -138,16 +155,17 @@ let test_rhop_compile_covers_program () =
 
 let test_vc_assign_respects_dependences () =
   let g = Ddg.build (two_chain_uops ()) in
-  let a = Vc_partition.assign_region g ~virtual_clusters:2 () in
+  let a =
+    Vc_partition.assign_region g ~virtual_clusters:2
+      ~crit_min_scale:params.crit_min_scale
+  in
   check_int "chain 1 in one vc" a.(0) a.(1);
   check_int "chain 1 in one vc" a.(1) a.(2);
   check_int "chain 2 in one vc" a.(3) a.(4)
 
 let test_vc_compile_produces_leaders () =
   let program = small_program () in
-  let annot =
-    Vc_partition.compile ~program ~likely:no_profile ~virtual_clusters:2 ()
-  in
+  let annot = vc_compile program in
   Alcotest.(check string) "scheme" "vc" annot.Annot.scheme;
   check_int "vcs" 2 annot.Annot.virtual_clusters;
   Array.iter (fun vc -> check_bool "vc assigned" true (vc >= 0 && vc < 2)) annot.Annot.vc_of;
@@ -157,7 +175,10 @@ let test_vc_compile_produces_leaders () =
 
 let test_vc_assign_within_range () =
   let g = Ddg.build (two_chain_uops ()) in
-  let a = Vc_partition.assign_region g ~virtual_clusters:4 () in
+  let a =
+    Vc_partition.assign_region g ~virtual_clusters:4
+      ~crit_min_scale:params.crit_min_scale
+  in
   Array.iter (fun vc -> check_bool "in range" true (vc >= 0 && vc < 4)) a
 
 (* ---- Chains ----------------------------------------------------------------------- *)
@@ -172,7 +193,7 @@ let test_chains_marking () =
   (* vc pattern: 0 0 1 1 0 -> leaders at positions 0, 2, 4 *)
   let pattern = [| 0; 0; 1; 1; 0 |] in
   Array.iteri (fun i vc -> annot.Annot.vc_of.(i) <- vc) pattern;
-  Chains.mark_region annot region;
+  Chains.mark_region ~max_chain:0 annot region;
   Alcotest.(check (array bool)) "leaders"
     [| true; false; true; false; true |]
     annot.Annot.leader;
@@ -183,8 +204,8 @@ let test_chains_of_region () =
   let region = region_of_program program in
   let annot = Annot.create_virtual ~scheme:"vc" ~virtual_clusters:2 ~uop_count:5 in
   Array.iteri (fun i _ -> annot.Annot.vc_of.(i) <- (if i < 2 then 0 else 1)) annot.Annot.vc_of;
-  Chains.mark_region annot region;
-  let chains = Chains.chains_of_region annot region in
+  Chains.mark_region ~max_chain:0 annot region;
+  let chains = Chains.chains_of_region ~max_chain:0 annot region in
   Alcotest.(check (list (list int))) "chains" [ [ 0; 1 ]; [ 2; 3; 4 ] ] chains
 
 let test_chains_single_vc_single_chain () =
@@ -192,7 +213,7 @@ let test_chains_single_vc_single_chain () =
   let region = region_of_program program in
   let annot = Annot.create_virtual ~scheme:"vc" ~virtual_clusters:1 ~uop_count:5 in
   Array.iteri (fun i _ -> annot.Annot.vc_of.(i) <- 0) annot.Annot.vc_of;
-  Chains.mark_region annot region;
+  Chains.mark_region ~max_chain:0 annot region;
   check_int "one chain" 1 (Annot.chain_count annot)
 
 (* ---- Criticality hints ------------------------------------------------------------- *)
@@ -207,7 +228,10 @@ let test_crit_hints_marks_critical_chain () =
   let lone = alu b ~dst:1 ~srcs:[] in
   let blk = Program.Builder.add_block b [ u0; u1; u2; lone ] ~succs:[] in
   let program = Program.Builder.finish b ~entry:blk in
-  let critical = Crit_hints.compute ~program ~likely:no_profile () in
+  let critical =
+    Crit_hints.compute ~program ~likely:no_profile
+      ~region_uops:params.region_uops ~slack_threshold:0
+  in
   Alcotest.(check (array bool)) "chain critical, lone not"
     [| true; true; true; false |]
     critical
@@ -219,10 +243,11 @@ let test_crit_hints_threshold_widens () =
   let lone = alu b ~dst:1 ~srcs:[] in
   let blk = Program.Builder.add_block b [ u0; u1; lone ] ~succs:[] in
   let program = Program.Builder.finish b ~entry:blk in
-  let tight = Crit_hints.compute ~program ~likely:no_profile () in
-  let loose =
-    Crit_hints.compute ~program ~likely:no_profile ~slack_threshold:10 ()
+  let hints slack_threshold =
+    Crit_hints.compute ~program ~likely:no_profile
+      ~region_uops:params.region_uops ~slack_threshold
   in
+  let tight = hints 0 and loose = hints 10 in
   check_bool "lone op not critical at 0" false tight.(2);
   check_bool "lone op critical at 10" true loose.(2)
 
@@ -230,10 +255,11 @@ let test_crit_hints_threshold_widens () =
 
 let test_diagnostics_counts () =
   let program = small_program () in
-  let annot =
-    Vc_partition.compile ~program ~likely:no_profile ~virtual_clusters:2 ()
+  let annot = vc_compile program in
+  let d =
+    Diagnostics.of_annot ~program ~likely:no_profile ~annot
+      ~region_uops:params.region_uops ~max_chain:params.max_chain
   in
-  let d = Diagnostics.of_annot ~program ~likely:no_profile ~annot () in
   check_int "uops" program.Program.uop_count d.Diagnostics.static_uops;
   check_int "vc population sums" program.Program.uop_count
     (Array.fold_left ( + ) 0 d.Diagnostics.vc_population);
@@ -252,7 +278,7 @@ let test_diagnostics_requires_vcs () =
       ignore
         (Diagnostics.of_annot ~program ~likely:no_profile
            ~annot:(Annot.none ~uop_count:program.Program.uop_count)
-           ()))
+           ~region_uops:params.region_uops ~max_chain:params.max_chain))
 
 (* ---- Paper Figure 3 worked example ---------------------------------------------------- *)
 
@@ -278,43 +304,53 @@ let test_figure3_chain_semantics () =
   let region =
     List.hd (Region.build ~program ~likely:no_profile ~max_uops:100)
   in
-  Chains.mark_region annot region;
+  Chains.mark_region ~max_chain:0 annot region;
   Alcotest.(check (array bool)) "leaders are A, B, E"
     [| true; true; false; false; true; false |]
     annot.Annot.leader;
   Alcotest.(check (list (list int))) "three chains"
     [ [ 0 ]; [ 1; 2; 3 ]; [ 4; 5 ] ]
-    (Chains.chains_of_region annot region);
+    (Chains.chains_of_region ~max_chain:0 annot region);
   Annot.validate annot ~clusters:2
 
-(* ---- Passes dispatch ----------------------------------------------------------------- *)
+(* ---- Every configuration through prepare ------------------------------------------- *)
 
-let test_passes_names () =
-  Alcotest.(check string) "none" "none" (Passes.scheme_name Passes.Sw_none);
-  Alcotest.(check string) "ob" "ob" (Passes.scheme_name Passes.Sw_ob);
-  Alcotest.(check string) "rhop" "rhop" (Passes.scheme_name (Passes.Sw_rhop { seed = 1 }));
-  Alcotest.(check string) "vc" "vc2"
-    (Passes.scheme_name (Passes.Sw_vc { virtual_clusters = 2 }))
+(* [Configuration.prepare] is the one driver of the passes: every
+   configuration's annotation validates, and the hardware-only ones
+   get an empty annotation. The match has no wildcard, so a new
+   configuration must be classified here. *)
+let hardware_only : Configuration.t -> bool = function
+  | Op | One_cluster | Op_parallel | Dep | Crit -> true
+  | Ob | Rhop | Vc _ -> false
 
-let test_passes_none_empty () =
-  let program = small_program () in
-  let annot = Passes.run Passes.Sw_none ~program ~likely:no_profile ~clusters:2 () in
-  check_bool "no assignments" true
-    (Array.for_all (fun c -> c = -1) annot.Annot.cluster_of);
-  check_bool "no vcs" true (Array.for_all (fun v -> v = -1) annot.Annot.vc_of)
-
-let test_passes_run_all_validate () =
+let test_prepare_all_validate () =
   let program = small_program () in
   List.iter
-    (fun scheme ->
-      let annot = Passes.run scheme ~program ~likely:no_profile ~clusters:2 () in
-      Annot.validate annot ~clusters:2)
-    [
-      Passes.Sw_none;
-      Passes.Sw_ob;
-      Passes.Sw_rhop { seed = 1 };
-      Passes.Sw_vc { virtual_clusters = 2 };
-    ]
+    (fun config ->
+      let name = Configuration.name config in
+      let annot, _policy =
+        Configuration.prepare config ~program ~likely:no_profile ~clusters:2
+          ~params ()
+      in
+      Annot.validate annot ~clusters:2;
+      if hardware_only config then begin
+        check_bool (name ^ ": no assignments") true
+          (Array.for_all (fun c -> c = -1) annot.Annot.cluster_of);
+        check_bool (name ^ ": no vcs") true
+          (Array.for_all (fun v -> v = -1) annot.Annot.vc_of)
+      end)
+    Configuration.
+      [
+        Op;
+        One_cluster;
+        Ob;
+        Rhop;
+        Vc { virtual_clusters = 2 };
+        Vc { virtual_clusters = 4 };
+        Op_parallel;
+        Dep;
+        Crit;
+      ]
 
 (* ---- Properties over random programs --------------------------------------------------- *)
 
@@ -338,9 +374,7 @@ let arb_profile_seedling =
 let prop_vc_chain_leaders_iff_vc_change =
   QCheck.Test.make ~name:"leaders mark exactly vc changes" ~count:150
     arb_profile_seedling (fun program ->
-      let annot =
-        Vc_partition.compile ~program ~likely:no_profile ~virtual_clusters:2 ()
-      in
+      let annot = vc_compile program in
       let ok = ref true in
       let prev = ref (-2) in
       Program.iter_uops program (fun u ->
@@ -354,11 +388,9 @@ let prop_vc_chain_leaders_iff_vc_change =
 let prop_all_passes_total =
   QCheck.Test.make ~name:"every pass assigns every micro-op" ~count:100
     arb_profile_seedling (fun program ->
-      let ob = Ob.compile ~program ~likely:no_profile ~clusters:2 () in
-      let rhop = Rhop.compile ~program ~likely:no_profile ~clusters:2 () in
-      let vc =
-        Vc_partition.compile ~program ~likely:no_profile ~virtual_clusters:2 ()
-      in
+      let ob = ob_compile program in
+      let rhop = rhop_compile program in
+      let vc = vc_compile program in
       Array.for_all (fun c -> c >= 0) ob.Annot.cluster_of
       && Array.for_all (fun c -> c >= 0) rhop.Annot.cluster_of
       && Array.for_all (fun v -> v >= 0) vc.Annot.vc_of)
@@ -366,7 +398,7 @@ let prop_all_passes_total =
 let prop_rhop_balance_bounded =
   QCheck.Test.make ~name:"rhop partitions are roughly balanced" ~count:100
     arb_profile_seedling (fun program ->
-      let annot = Rhop.compile ~program ~likely:no_profile ~clusters:2 () in
+      let annot = rhop_compile program in
       let n = Array.length annot.Annot.cluster_of in
       let c0 =
         Array.fold_left (fun acc c -> if c = 0 then acc + 1 else acc) 0
@@ -424,9 +456,7 @@ let () =
         ] );
       ( "passes",
         [
-          Alcotest.test_case "names" `Quick test_passes_names;
-          Alcotest.test_case "none is empty" `Quick test_passes_none_empty;
-          Alcotest.test_case "all validate" `Quick test_passes_run_all_validate;
+          Alcotest.test_case "all validate" `Quick test_prepare_all_validate;
           qc prop_vc_chain_leaders_iff_vc_change;
           qc prop_all_passes_total;
           qc prop_rhop_balance_bounded;

@@ -24,6 +24,15 @@ module Steer = Clusteer_steer
 module Bitset = Clusteer_util.Bitset
 module Json = Clusteer_obs.Json
 
+(* The paper's knob values, for the policies built below. *)
+let {
+  Clusteer.Configuration.stall_threshold;
+  imbalance_limit;
+  remap_threshold;
+  _;
+} =
+  Clusteer.Configuration.default_params
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -430,14 +439,16 @@ let check_same_decisions name fast reference =
     (as_ints ref_d) (as_ints fast_d)
 
 let test_op_fast_path_matches_reference () =
-  check_same_decisions "op" (Steer.Op.make ()) (ref_op ())
+  check_same_decisions "op"
+    (Steer.Op.make ~stall_threshold ~imbalance_limit ())
+    (ref_op ())
 
 let test_dep_fast_path_matches_reference () =
   check_same_decisions "dep" (Steer.Dep.make ()) (ref_dep ())
 
 let test_op_parallel_fast_path_matches_reference () =
   check_same_decisions "op-parallel"
-    (Steer.Op_parallel.make ())
+    (Steer.Op_parallel.make ~stall_threshold ~imbalance_limit)
     (ref_op_parallel ())
 
 let test_crit_fast_path_matches_reference () =
@@ -462,7 +473,7 @@ let test_vc_decisions_stable () =
   in
   let run () =
     record_decisions ~machine ~annot
-      ~policy:(Steer.Vc_map.make ~annot ~clusters:2 ())
+      ~policy:(Steer.Vc_map.make ~remap_threshold ~annot ~clusters:2 ())
       ~workload ~seed:7 ~uops:2000
   in
   Alcotest.(check (list int)) "vc replays identically" (as_ints (run ()))

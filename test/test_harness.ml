@@ -99,8 +99,10 @@ let test_runner_params_reach_policy () =
   let w = Synth.build (Spec2000.find "galgel") in
   let run_hand ~remap_threshold ~region_uops =
     let annot =
+      let p = Clusteer.Configuration.default_params in
       Clusteer_compiler.Vc_partition.compile ~program:w.Synth.program
-        ~likely:w.Synth.likely ~virtual_clusters:2 ~region_uops ()
+        ~likely:w.Synth.likely ~virtual_clusters:2 ~region_uops
+        ~crit_min_scale:p.crit_min_scale ~max_chain:p.max_chain
     in
     let policy =
       Clusteer_steer.Vc_map.make ~remap_threshold ~annot ~clusters:2 ()

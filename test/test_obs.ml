@@ -7,6 +7,10 @@ open Clusteer_trace
 open Clusteer_uarch
 open Clusteer_obs
 
+(* The paper's OP knobs, for the policies built below. *)
+let { Clusteer.Configuration.stall_threshold; imbalance_limit; _ } =
+  Clusteer.Configuration.default_params
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
@@ -186,7 +190,7 @@ let run_traced ?(warmup = 0) ?(interval = 0) ~uops program =
   let engine =
     Engine.create ~config:Config.default_2c
       ~annot:(Annot.none ~uop_count:program.Program.uop_count)
-      ~policy:(Clusteer_steer.Op.make ())
+      ~policy:(Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ())
       ~obs:(Collector.sink col) ()
   in
   let stats = Engine.run ~warmup engine ~source:(source_of program 1) ~uops in
@@ -251,7 +255,7 @@ let test_zero_overhead_guard () =
     let engine =
       Engine.create ~config:Config.default_2c
         ~annot:(Annot.none ~uop_count:p.Program.uop_count)
-        ~policy:(Clusteer_steer.Op.make ())
+        ~policy:(Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ())
         ?obs ()
     in
     Engine.run ~warmup:200 engine ~source:(source_of p 1) ~uops:2000
@@ -460,7 +464,7 @@ let test_profile_zero_overhead () =
     let engine =
       Engine.create ~config:Config.default_2c
         ~annot:(Annot.none ~uop_count:p.Program.uop_count)
-        ~policy:(Clusteer_steer.Op.make ())
+        ~policy:(Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ())
         ?profile ()
     in
     Engine.run ~warmup:200 engine ~source:(source_of p 1) ~uops:2000

@@ -5,6 +5,15 @@ open Clusteer_uarch
 module Steer = Clusteer_steer
 module Bitset = Clusteer_util.Bitset
 
+(* The paper's knob values, for the policies built below. *)
+let {
+  Clusteer.Configuration.stall_threshold;
+  imbalance_limit;
+  remap_threshold;
+  _;
+} =
+  Clusteer.Configuration.default_params
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -65,7 +74,7 @@ let test_one_cluster_always_zero () =
 
 let test_op_follows_operands () =
   let f = mk_fake () in
-  let p = Steer.Op.make () in
+  let p = Steer.Op.make ~stall_threshold ~imbalance_limit () in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
   (* Even though cluster 0 is idle, the operand lives in cluster 1. *)
   check_int "follows operand" 1
@@ -73,7 +82,7 @@ let test_op_follows_operands () =
 
 let test_op_tie_breaks_least_loaded () =
   let f = mk_fake () in
-  let p = Steer.Op.make () in
+  let p = Steer.Op.make ~stall_threshold ~imbalance_limit () in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 0);
   Hashtbl.replace f.locs (Reg.int 2) (Bitset.singleton 1);
   f.inflight.(0) <- 10;
@@ -84,7 +93,7 @@ let test_op_tie_breaks_least_loaded () =
 
 let test_op_stall_over_steer () =
   let f = mk_fake () in
-  let p = Steer.Op.make ~stall_threshold:16 () in
+  let p = Steer.Op.make ~stall_threshold:16 ~imbalance_limit () in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 0);
   f.free.(0) <- 0;
   f.free.(1) <- 5;
@@ -102,7 +111,7 @@ let test_op_rotates_exact_ties () =
      tie-break must spread them over the clusters instead of funnelling
      everything into cluster 0. *)
   let f = mk_fake () in
-  let p = Steer.Op.make () in
+  let p = Steer.Op.make ~stall_threshold ~imbalance_limit () in
   let view = fake_view f in
   let picks =
     List.init 8 (fun i -> decide p view (alu ~id:i ~dst:0 ~srcs:[]))
@@ -124,7 +133,7 @@ let test_op_rotation_never_overrides_untied_picks () =
   (* A real vote winner (or a load difference) must win regardless of
      where the rotation currently points. *)
   let f = mk_fake () in
-  let p = Steer.Op.make () in
+  let p = Steer.Op.make ~stall_threshold ~imbalance_limit () in
   let view = fake_view f in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 1);
   let picks =
@@ -135,7 +144,7 @@ let test_op_rotation_never_overrides_untied_picks () =
 
 let test_op_imbalance_override () =
   let f = mk_fake () in
-  let p = Steer.Op.make ~imbalance_limit:20 () in
+  let p = Steer.Op.make ~stall_threshold ~imbalance_limit:20 () in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 0);
   f.inflight.(0) <- 50;
   f.inflight.(1) <- 0;
@@ -147,7 +156,7 @@ let test_op_imbalance_override () =
 
 let test_op_parallel_uses_stale_locations () =
   let f = mk_fake () in
-  let p = Steer.Op_parallel.make () in
+  let p = Steer.Op_parallel.make ~stall_threshold ~imbalance_limit in
   let view = fake_view f in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 0);
   f.inflight.(0) <- 5 (* cluster 1 emptier *);
@@ -164,12 +173,12 @@ let test_op_parallel_uses_stale_locations () =
   let c2 = decide p view d2 in
   check_int "stale vote goes to old location" 0 c2;
   (* The sequential implementation follows the fresh location. *)
-  let seq_policy = Steer.Op.make () in
+  let seq_policy = Steer.Op.make ~stall_threshold ~imbalance_limit () in
   check_int "sequential follows fresh" c1 (decide seq_policy view d2)
 
 let test_op_parallel_resets_each_cycle () =
   let f = mk_fake () in
-  let p = Steer.Op_parallel.make () in
+  let p = Steer.Op_parallel.make ~stall_threshold ~imbalance_limit in
   let view = fake_view f in
   Hashtbl.replace f.locs (Reg.int 1) (Bitset.singleton 0);
   let d1 = alu ~id:0 ~dst:1 ~srcs:[ 1 ] in
@@ -220,7 +229,7 @@ let vc_annot () =
 
 let test_vc_non_leader_follows_table () =
   let annot = vc_annot () in
-  let p = Steer.Vc_map.make ~annot ~clusters:2 () in
+  let p = Steer.Vc_map.make ~remap_threshold ~annot ~clusters:2 () in
   let f = mk_fake () in
   let view = fake_view ~annot f in
   (* Non-leader uop 1 follows vc 0's initial mapping (cluster 0) even
@@ -230,7 +239,7 @@ let test_vc_non_leader_follows_table () =
 
 let test_vc_leader_remaps_to_least_loaded () =
   let annot = vc_annot () in
-  let p = Steer.Vc_map.make ~annot ~clusters:2 () in
+  let p = Steer.Vc_map.make ~remap_threshold ~annot ~clusters:2 () in
   let f = mk_fake () in
   let view = fake_view ~annot f in
   f.inflight.(0) <- 99;
@@ -253,7 +262,7 @@ let test_vc_hysteresis_threshold () =
 
 let test_vc_unassigned_goes_least_loaded () =
   let annot = Annot.create_virtual ~scheme:"vc" ~virtual_clusters:2 ~uop_count:8 in
-  let p = Steer.Vc_map.make ~annot ~clusters:2 () in
+  let p = Steer.Vc_map.make ~remap_threshold ~annot ~clusters:2 () in
   let f = mk_fake () in
   f.inflight.(0) <- 3;
   check_int "least loaded" 1
@@ -263,7 +272,7 @@ let test_vc_requires_virtual_annotation () =
   Alcotest.check_raises "no vcs"
     (Invalid_argument "Vc_map.make: annotation has no virtual clusters")
     (fun () ->
-      ignore (Steer.Vc_map.make ~annot:(Annot.none ~uop_count:1) ~clusters:2 ()))
+      ignore (Steer.Vc_map.make ~remap_threshold ~annot:(Annot.none ~uop_count:1) ~clusters:2 ()))
 
 (* ---- dep (extension baseline) ------------------------------------------------------ *)
 
@@ -436,7 +445,7 @@ let law_policies c =
       fun registry ->
         Steer.Op.make ~stall_threshold ~imbalance_limit ~registry ~topology () );
     ( "op-parallel",
-      fun _ -> Steer.Op_parallel.make ~stall_threshold ~imbalance_limit () );
+      fun _ -> Steer.Op_parallel.make ~stall_threshold ~imbalance_limit );
     ("dep", fun registry -> Steer.Dep.make ~registry ());
     ("crit", fun _ -> Steer.Crit.make ~critical:c.critical ());
     ( "vc",
@@ -501,7 +510,7 @@ let test_op_repeat_refuses_rotation () =
   let f = mk_fake () in
   let view = fake_view f in
   let r = Counters.create () in
-  let p = Steer.Op.make ~registry:r () in
+  let p = Steer.Op.make ~stall_threshold ~imbalance_limit ~registry:r () in
   let u = alu ~id:0 ~dst:0 ~srcs:[] in
   check_int "first pick" 0 (decide p view u);
   let before = registry_json r in
@@ -534,19 +543,19 @@ let test_repeat_fires () =
     [
       ("one-cluster", Steer.One_cluster.make ());
       ("static", Steer.Static.make ~name:"ob" ~annot);
-      ("op", Steer.Op.make ());
-      ("op-parallel", Steer.Op_parallel.make ());
+      ("op", Steer.Op.make ~stall_threshold ~imbalance_limit ());
+      ("op-parallel", Steer.Op_parallel.make ~stall_threshold ~imbalance_limit);
       ("dep", Steer.Dep.make ());
       ("crit", Steer.Crit.make ~critical:[| true |] ());
-      ("vc leader after a remap", Steer.Vc_map.make ~annot ~clusters:2 ());
+      ("vc leader after a remap", Steer.Vc_map.make ~remap_threshold ~annot ~clusters:2 ());
     ]
 
 (* ---- policy flags ------------------------------------------------------------------ *)
 
 let test_policy_flags () =
-  check_bool "op votes" true (Steer.Op.make ()).Policy.uses_vote_unit;
+  check_bool "op votes" true (Steer.Op.make ~stall_threshold ~imbalance_limit ()).Policy.uses_vote_unit;
   check_bool "vc no vote" false
-    (Steer.Vc_map.make ~annot:(vc_annot ()) ~clusters:2 ()).Policy.uses_vote_unit;
+    (Steer.Vc_map.make ~remap_threshold ~annot:(vc_annot ()) ~clusters:2 ()).Policy.uses_vote_unit;
   check_bool "static no vote" false
     (Steer.Static.make ~name:"x" ~annot:(Annot.none ~uop_count:1)).Policy.uses_vote_unit
 

@@ -192,8 +192,10 @@ let prop_adversarial_pass_checker =
               ~likely:w.Synth.likely ~clusters:4 ()
           in
           let target =
-            Checker.target ~program:w.Synth.program ~likely:w.Synth.likely
-              ~annot ~config:machine ()
+            let p = Clusteer.Configuration.default_params in
+            Checker.target ~region_uops:p.region_uops ~max_chain:p.max_chain
+              ~slack_threshold:p.slack_threshold ~program:w.Synth.program
+              ~likely:w.Synth.likely ~annot ~config:machine ()
           in
           let diags = Checker.run target in
           Diag.count Diag.Error diags = 0 && Diag.count Diag.Warning diags = 0)

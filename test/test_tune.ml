@@ -35,19 +35,20 @@ let test_space_shape () =
 let test_default_is_paper () =
   (* The default candidate must materialize to exactly the paper's
      constants — the whole study format relies on the incumbent-free
-     champion being the reproduction baseline. *)
-  let config, params =
-    Param_space.materialize vc_space (Param_space.default_candidate vc_space)
+     champion being the reproduction baseline. Every space, topo
+     included, reads its menu defaults from [default_params]. *)
+  let default space =
+    Param_space.materialize space (Param_space.default_candidate space)
   in
-  check_string "default config" "vc2" (Clusteer.Configuration.name config);
-  check_bool "default params" true
-    (params = Clusteer.Configuration.default_params);
-  let config, params =
-    Param_space.materialize op_space (Param_space.default_candidate op_space)
-  in
-  check_string "op default config" "op" (Clusteer.Configuration.name config);
-  check_bool "op default params" true
-    (params = Clusteer.Configuration.default_params)
+  check_string "default config" "vc2"
+    (Clusteer.Configuration.name (fst (default vc_space)));
+  check_string "op default config" "op"
+    (Clusteer.Configuration.name (fst (default op_space)));
+  List.iter
+    (fun space ->
+      check_bool (Param_space.name space ^ " default params") true
+        (snd (default space) = Clusteer.Configuration.default_params))
+    Param_space.spaces
 
 let test_candidate_roundtrip () =
   (* encode -> decode is the identity for every candidate of the op

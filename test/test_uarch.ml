@@ -5,6 +5,10 @@ open Clusteer_isa
 open Clusteer_trace
 open Clusteer_uarch
 
+(* The paper's OP knobs, for the policies built below. *)
+let { Clusteer.Configuration.stall_threshold; imbalance_limit; _ } =
+  Clusteer.Configuration.default_params
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -372,7 +376,7 @@ let test_engine_independent_throughput () =
   check_bool "about 2 ipc" true
     (Stats.ipc one > 1.6 && Stats.ipc one <= 2.05);
   (* OP over two clusters doubles the issue bandwidth. *)
-  let op = run_with ~policy:(Clusteer_steer.Op.make ()) p ~uops:2000 in
+  let op = run_with ~policy:(Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ()) p ~uops:2000 in
   check_bool "faster with 2 clusters" true (op.Stats.cycles < one.Stats.cycles)
 
 let test_engine_one_cluster_no_copies () =
@@ -400,8 +404,8 @@ let test_engine_forced_copies () =
 
 let test_engine_determinism () =
   let p = independent_program 32 in
-  let s1 = run_with ~policy:(Clusteer_steer.Op.make ()) p ~uops:1000 in
-  let s2 = run_with ~policy:(Clusteer_steer.Op.make ()) p ~uops:1000 in
+  let s1 = run_with ~policy:(Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ()) p ~uops:1000 in
+  let s2 = run_with ~policy:(Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ()) p ~uops:1000 in
   check_int "same cycles" s1.Stats.cycles s2.Stats.cycles;
   check_int "same copies" s1.Stats.copies_generated s2.Stats.copies_generated
 
@@ -498,7 +502,7 @@ let test_engine_reset_equals_fresh () =
   let prewarm = [ (0, 4096) ] in
   let dirty =
     Engine.create ~config:Config.default_2c ~annot
-      ~policy:(Clusteer_steer.Op.make ()) ~prewarm ()
+      ~policy:(Clusteer_steer.Op.make ~stall_threshold ~imbalance_limit ()) ~prewarm ()
   in
   ignore
     (Engine.run dirty ~source:(source_of program ~branches ~streams 1)

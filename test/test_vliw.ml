@@ -237,6 +237,7 @@ let test_four_cluster_machine_schedules () =
 (* ---- whole-program eval ----------------------------------------------------- *)
 
 let no_profile _ = None
+let region_uops = Clusteer.Configuration.default_params.region_uops
 
 let small_program () =
   let b = Program.Builder.create ~name:"p" ~nregs_per_class:16 () in
@@ -253,14 +254,16 @@ let small_program () =
 
 let test_eval_unified_runs () =
   let program = small_program () in
-  let s = Eval.run machine2 ~program ~likely:no_profile Eval.Unified in
+  let s =
+    Eval.run machine2 ~program ~likely:no_profile ~region_uops Eval.Unified
+  in
   check_int "covers all ops" program.Program.uop_count s.Eval.ops;
   check_bool "positive ipc" true (s.Eval.static_ipc > 0.0)
 
 let test_eval_fixed_matches_assignment () =
   let program = small_program () in
   let s =
-    Eval.run machine2 ~program ~likely:no_profile
+    Eval.run machine2 ~program ~likely:no_profile ~region_uops
       (Eval.Fixed (fun g -> Array.make (Ddg.node_count g) 0))
   in
   check_int "no moves when monocluster" 0 s.Eval.moves
@@ -271,9 +274,9 @@ let test_eval_rhop_competitive_with_unified () =
   let workload = Clusteer_workloads.Synth.build (Clusteer_workloads.Spec2000.find "galgel") in
   let program = workload.Clusteer_workloads.Synth.program in
   let likely = workload.Clusteer_workloads.Synth.likely in
-  let uas = Eval.run machine2 ~program ~likely Eval.Unified in
+  let uas = Eval.run machine2 ~program ~likely ~region_uops Eval.Unified in
   let rhop =
-    Eval.run machine2 ~program ~likely
+    Eval.run machine2 ~program ~likely ~region_uops
       (Eval.Fixed (fun g -> Clusteer_compiler.Rhop.assign_region g ~clusters:2))
   in
   check_bool "rhop within 30% of UAS on VLIW" true
