@@ -323,34 +323,42 @@ let hardware_only : Configuration.t -> bool = function
   | Op | One_cluster | Op_parallel | Dep | Crit -> true
   | Ob | Rhop | Vc _ -> false
 
-let test_prepare_all_validate () =
-  let program = small_program () in
+let all_configurations =
+  Configuration.
+    [
+      Op;
+      One_cluster;
+      Ob;
+      Rhop;
+      Vc { virtual_clusters = 2 };
+      Vc { virtual_clusters = 4 };
+      Op_parallel;
+      Dep;
+      Crit;
+    ]
+
+let prepare config =
+  let annot, _policy =
+    Configuration.prepare config ~program:(small_program ())
+      ~likely:no_profile ~clusters:2 ~params ()
+  in
+  annot
+
+let test_prepare_none_empty () =
   List.iter
     (fun config ->
       let name = Configuration.name config in
-      let annot, _policy =
-        Configuration.prepare config ~program ~likely:no_profile ~clusters:2
-          ~params ()
-      in
-      Annot.validate annot ~clusters:2;
-      if hardware_only config then begin
-        check_bool (name ^ ": no assignments") true
-          (Array.for_all (fun c -> c = -1) annot.Annot.cluster_of);
-        check_bool (name ^ ": no vcs") true
-          (Array.for_all (fun v -> v = -1) annot.Annot.vc_of)
-      end)
-    Configuration.
-      [
-        Op;
-        One_cluster;
-        Ob;
-        Rhop;
-        Vc { virtual_clusters = 2 };
-        Vc { virtual_clusters = 4 };
-        Op_parallel;
-        Dep;
-        Crit;
-      ]
+      let annot = prepare config in
+      check_bool (name ^ ": no assignments") true
+        (Array.for_all (fun c -> c = -1) annot.Annot.cluster_of);
+      check_bool (name ^ ": no vcs") true
+        (Array.for_all (fun v -> v = -1) annot.Annot.vc_of))
+    (List.filter hardware_only all_configurations)
+
+let test_prepare_all_validate () =
+  List.iter
+    (fun config -> Annot.validate (prepare config) ~clusters:2)
+    all_configurations
 
 (* ---- Properties over random programs --------------------------------------------------- *)
 
@@ -456,6 +464,7 @@ let () =
         ] );
       ( "passes",
         [
+          Alcotest.test_case "none is empty" `Quick test_prepare_none_empty;
           Alcotest.test_case "all validate" `Quick test_prepare_all_validate;
           qc prop_vc_chain_leaders_iff_vc_change;
           qc prop_all_passes_total;
