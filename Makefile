@@ -21,7 +21,10 @@ test:
 # if any file under lib/ or bin/ other than lib/core/configuration.ml
 # gives a steering or compiler knob an optional-argument default
 # (`?(region_uops = ...`): Configuration.default_params is the one
-# place the paper's knob values are written.
+# place the paper's knob values are written. And fails if any file
+# under lib/harness/ or bin/ names `Tracegen.next` or `Dynuop`: the
+# simulation paths read the trace as columns (Tracegen.fill into a
+# Columns buffer), not as one boxed record per micro-op.
 KNOBS = region_uops|max_chain|slack_threshold|crit_min_scale|min_scale|remap_threshold|stall_threshold|imbalance_limit
 ENGINE_CMX = _build/default/lib/uarch/.clusteer_uarch.objs/native/clusteer_uarch__Engine.cmx
 build-flags:
@@ -46,8 +49,13 @@ build-flags:
 	  echo "build-flags: FAIL: knob defaults outside lib/core/configuration.ml:"; \
 	  echo "$$defaults"; exit 1; \
 	fi; \
+	records=$$(grep -rnE 'Tracegen\.next|Dynuop' lib/harness bin || true); \
+	if [ -n "$$records" ]; then \
+	  echo "build-flags: FAIL: record trace path under lib/harness/ or bin/ (read columns):"; \
+	  echo "$$records"; exit 1; \
+	fi; \
 	dune build @all --profile dev --build-dir _build-dev; \
-	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds, one spawn site, knob defaults in one place)"
+	echo "build-flags: OK (no -opaque, dev warnings are errors, dev profile builds, one spawn site, knob defaults in one place, trace read as columns)"
 
 # Every study, in order: the paper's tables and figures, the
 # ablations, the extension studies and the harness's own studies.

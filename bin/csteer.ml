@@ -461,11 +461,9 @@ let check_one ~machine ~passes ~params ~annot ~vs_run ~uops (w : Synth.t)
       let engine =
         Clusteer_uarch.Engine.create ~config:machine ~annot ~policy ~prewarm ()
       in
-      let gen = Synth.trace w ~seed:1 in
+      let trace = Clusteer_trace.Columns.of_generator (Synth.trace w ~seed:1) in
       let stats =
-        Clusteer_uarch.Engine.run ~warmup:0 engine
-          ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-          ~uops
+        Clusteer_uarch.Engine.run_columns ~warmup:0 engine ~trace ~uops
       in
       Some (recorded (), Analysis.Dyn_check.observe_run ~registry stats)
     end

@@ -767,10 +767,10 @@ let median xs = percentile xs 50.0
 let iqr xs = percentile xs 75.0 -. percentile xs 25.0
 
 (* Minor-heap words per committed micro-op the whole simulation path
-   (engine + trace generator, op on gzip-1) may allocate. Minor words
-   on a fixed workload and seed do not depend on the host, so the
-   budget is always enforced. *)
-let max_engine_words_per_uop = 16.0
+   (engine + trace generator filling columns, op on gzip-1) may
+   allocate. Minor words on a fixed workload and seed do not depend on
+   the host, so the budget is always enforced. *)
+let max_engine_words_per_uop = 1.0
 
 (* 1. Suite throughput vs domain count. Each measurement replays the
    identical work (the harness is deterministic), so uops/sec is
@@ -939,10 +939,13 @@ let allocation ctx =
   let view =
     alloc_probe_view ~clusters:2 ~annot:(fst (List.assoc "vc2" policies))
   in
+  let trace =
+    Clusteer_trace.Columns.of_generator (Synth.trace workload ~seed:1)
+  in
   let probe =
-    let gen = Synth.trace workload ~seed:1 in
-    Array.init 64 (fun _ ->
-        (Clusteer_trace.Tracegen.next gen).Clusteer_trace.Dynuop.suop)
+    Clusteer_trace.Columns.ensure trace 63;
+    Array.init 64 (fun i ->
+        trace.Clusteer_trace.Columns.uops.(trace.Clusteer_trace.Columns.sid.(i)))
   in
   Printf.fprintf ctx.out "\n%-12s %22s\n" "policy" "minor words/decision";
   let per_decide =
@@ -965,11 +968,10 @@ let allocation ctx =
       Clusteer_uarch.Engine.create ~config:Config.default_2c ~annot ~policy
         ~prewarm ()
     in
-    let gen = Synth.trace workload ~seed:1 in
+    Clusteer_trace.Columns.rewind trace (Synth.trace workload ~seed:1);
     let before = Gc.minor_words () in
     let stats =
-      Clusteer_uarch.Engine.run ~warmup:0 engine
-        ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
+      Clusteer_uarch.Engine.run_columns ~warmup:0 engine ~trace
         ~uops:(min ctx.uops 20_000)
     in
     (Gc.minor_words () -. before) /. float_of_int stats.Stats.committed

@@ -69,11 +69,13 @@ let () =
   (* 4. The cycle-level machine of Table 2. Built by hand rather than
      through [Clusteer_harness.Runner] so each layer stays visible. *)
   let engine = Uarch.Engine.create ~config ~annot ~policy ~prewarm:[ (0, 4096) ] () in
-  let gen = Trace.Tracegen.create ~program ~branches ~streams ~seed:7 in
+  (* The dynamic stream, generated into int columns as fetch reads it. *)
+  let trace =
+    Trace.Columns.of_generator
+      (Trace.Tracegen.create ~program ~branches ~streams ~seed:7)
+  in
   let stats =
-    Uarch.Engine.run engine
-      ~source:(fun () -> Trace.Tracegen.next gen)
-      ~warmup:1000 ~uops:10_000
+    Uarch.Engine.run_columns engine ~trace ~warmup:1000 ~uops:10_000
   in
   Fmt.pr "@.Hybrid (VC) steering on the 2-cluster machine:@.%a@."
     Uarch.Stats.pp stats;

@@ -41,46 +41,6 @@ let salted_trace_seed ~salt (point : Pinpoints.point) =
 let default_warmup uops =
   min (min 10_000 (max 2_000 (uops / 2))) (max 0 (uops - 1))
 
-(* ---- shared trace buffer ----------------------------------------- *)
-
-(* Every configuration of a point replays the identical dynamic stream
-   (same seed), so the stream — warmup micro-ops included — only needs
-   to be *generated* once per point. The buffer is fed lazily from one
-   generator and each configuration reads through its own cursor;
-   since {!Clusteer_trace.Dynuop.t} is immutable, sharing the elements
-   is safe and the replay is bit-identical to a fresh generator. This
-   hoists the warmup's generation cost from once per (point × config)
-   to once per point without touching the engines' own warmup phase
-   (which must stay per run for results to be independent of sharding). *)
-type trace_buffer = {
-  tb_gen : Clusteer_trace.Tracegen.t;
-  mutable tb_buf : Clusteer_trace.Dynuop.t array;
-  mutable tb_len : int;
-}
-
-let shared_trace workload ~seed =
-  { tb_gen = Synth.trace workload ~seed; tb_buf = [||]; tb_len = 0 }
-
-(* A fresh cursor over the buffer: configuration k replays what the
-   generator already produced and extends the buffer past the furthest
-   point reached so far. *)
-let trace_consumer tb =
-  let pos = ref 0 in
-  fun () ->
-    let i = !pos in
-    incr pos;
-    while tb.tb_len <= i do
-      let d = Clusteer_trace.Tracegen.next tb.tb_gen in
-      if tb.tb_len = Array.length tb.tb_buf then begin
-        let bigger = Array.make (max 4096 (2 * tb.tb_len)) d in
-        Array.blit tb.tb_buf 0 bigger 0 tb.tb_len;
-        tb.tb_buf <- bigger
-      end;
-      tb.tb_buf.(tb.tb_len) <- d;
-      tb.tb_len <- tb.tb_len + 1
-    done;
-    tb.tb_buf.(i)
-
 (* ---- per-worker reuse context ------------------------------------ *)
 
 (* Shared-nothing worker state: everything a worker can profitably keep
@@ -90,11 +50,22 @@ let trace_consumer tb =
    with {!Engine.reset} instead of being re-allocated. Together these
    remove the bulk of the per-point allocation — and with it the
    stop-the-world minor collections that made the parallel sweep
-   anti-scale. *)
+   anti-scale.
+
+   [r_trace] is the shared trace buffer. Every configuration of a point
+   replays the identical dynamic stream (same seed), so the stream,
+   warmup micro-ops included, is generated once per point into int
+   columns, and each configuration's engine reads it through a cursor
+   of its own. The buffer is rewound at each point and keeps its
+   columns, so once it holds the longest point it allocates nothing.
+   This hoists generation from once per (point x config) to once per
+   point without touching the engines' own warmup phase (which must
+   stay per run for results to be independent of sharding). *)
 type reuse = {
   r_workloads : (Profile.t, Synth.t) Hashtbl.t;
   r_annots : (Profile.t * string, Clusteer_isa.Annot.t) Hashtbl.t;
   r_engines : (string, Engine.t) Hashtbl.t;  (* config name -> engine *)
+  r_trace : Clusteer_trace.Columns.t;
 }
 
 let fresh_reuse () =
@@ -102,6 +73,7 @@ let fresh_reuse () =
     r_workloads = Hashtbl.create 16;
     r_annots = Hashtbl.create 64;
     r_engines = Hashtbl.create 16;
+    r_trace = Clusteer_trace.Columns.create ();
   }
 
 (* Per-worker minor heap: 1M words (8 MB on 64-bit). Minor collections
@@ -114,7 +86,9 @@ let worker_minor_heap_words = 1 lsl 20
    (a sweep worker's context, or a fresh one for a single call): a
    cached annotation is handed back to [prepare], and an engine built
    for the configuration on an earlier point is reset in place rather
-   than re-created. *)
+   than re-created. Every engine is reset before any runs, so the
+   cache prewarm is computed once, by the first engine, and copied
+   into the others. *)
 let run_with reuse ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
     ?profile ?params ~machine ~configs ~uops workload =
   let warmup = Option.value ~default:(default_warmup uops) warmup in
@@ -131,36 +105,55 @@ let run_with reuse ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
     in
     { p with Clusteer.Configuration.topology = Some machine.Config.topology }
   in
-  let tb = shared_trace workload ~seed in
+  let prewarm =
+    Array.to_list
+      (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
+  in
+  let warm = ref None and prepared = Hashtbl.create 8 in
+  let engines =
+    List.map
+      (fun config ->
+        let name = Clusteer.Configuration.name config in
+        let key = (workload.Synth.profile, name) in
+        let cached = Hashtbl.find_opt reuse.r_annots key in
+        let annot, policy =
+          Clusteer.Configuration.prepare config ~program:workload.Synth.program
+            ~likely:workload.Synth.likely ~clusters:machine.Config.clusters
+            ~params ?annot:cached ?registry ()
+        in
+        if Option.is_none cached then Hashtbl.replace reuse.r_annots key annot;
+        (* A configuration listed twice gets an engine of its own. *)
+        let reusable =
+          if Hashtbl.mem prepared name then None
+          else Hashtbl.find_opt reuse.r_engines name
+        in
+        Hashtbl.replace prepared name ();
+        let engine =
+          match (reusable, !warm) with
+          | Some e, None ->
+              Engine.reset ~prewarm ?obs:(obs name) e ~annot ~policy;
+              e
+          | Some e, Some src ->
+              Engine.reset ~warm_from:src ?obs:(obs name) e ~annot ~policy;
+              e
+          | None, _ ->
+              let e =
+                Engine.create ~config:machine ~annot ~policy ~prewarm
+                  ?obs:(obs name) ?registry ?profile ()
+              in
+              Hashtbl.replace reuse.r_engines name e;
+              e
+        in
+        if Option.is_none !warm then warm := Some engine;
+        (name, engine))
+      configs
+  in
+  Clusteer_trace.Columns.rewind reuse.r_trace (Synth.trace workload ~seed);
   List.map
-    (fun config ->
-      let name = Clusteer.Configuration.name config in
-      let key = (workload.Synth.profile, name) in
-      let cached = Hashtbl.find_opt reuse.r_annots key in
-      let annot, policy =
-        Clusteer.Configuration.prepare config ~program:workload.Synth.program
-          ~likely:workload.Synth.likely ~clusters:machine.Config.clusters
-          ~params ?annot:cached ?registry ()
+    (fun (name, engine) ->
+      let stats =
+        Engine.run_columns ~warmup engine ~trace:reuse.r_trace ~uops
       in
-      if Option.is_none cached then Hashtbl.replace reuse.r_annots key annot;
-      let prewarm =
-        Array.to_list
-          (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
-      in
-      let engine =
-        match Hashtbl.find_opt reuse.r_engines name with
-        | Some e ->
-            Engine.reset ~prewarm ?obs:(obs name) e ~annot ~policy;
-            e
-        | None ->
-            let e =
-              Engine.create ~config:machine ~annot ~policy ~prewarm
-                ?obs:(obs name) ?registry ?profile ()
-            in
-            Hashtbl.replace reuse.r_engines name e;
-            e
-      in
-      let stats = Engine.run ~warmup engine ~source:(trace_consumer tb) ~uops in
       (* The engine resets its stats in place on its next point: hand
          the caller an independent copy. *)
       let stats = Stats.copy stats in
@@ -169,7 +162,7 @@ let run_with reuse ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
          like any other instrument. *)
       Counters.add committed stats.Stats.committed;
       (name, stats))
-    configs
+    engines
 
 let run_workload ?warmup ?seed ?obs ?registry ?profile ?params ~machine
     ~configs ~uops workload =

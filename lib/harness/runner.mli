@@ -12,7 +12,8 @@
     its simulation points. Each worker simulates against {b private}
     state — a counter registry passed down to the policies and the
     engine, an optional self-profiler, and a reuse context of cached
-    workloads, compiled annotations and reset-in-place engines — so
+    workloads, compiled annotations, reset-in-place engines and one
+    trace buffer ({!Clusteer_trace.Columns}) — so
     concurrent workers never share mutable state, and a benchmark's
     points hit its worker's caches (OCaml 5 minor collections are
     stop-the-world across all domains; the allocation-heavy per-item
@@ -25,7 +26,19 @@
     (or maxes) integers and every rendering sorts by name, the merged
     totals do not depend on which worker ran which benchmark: every
     domain count produces results and merged counter totals
-    bit-identical to a sequential [domains:1] run. *)
+    bit-identical to a sequential [domains:1] run.
+
+    {2 One stream per point}
+
+    The configurations of a point share its dynamic stream: it is
+    generated once, into the worker's int-column buffer, which is
+    rewound at every point, and each configuration's engine replays it
+    through its own cursor ({!Clusteer_uarch.Engine.run_columns}).
+    Every engine is reset before any of them runs, so the cache prewarm
+    is computed by the first and copied into the others
+    ({!Clusteer_uarch.Engine.reset}[ ~warm_from]). Both are invisible
+    in the results: they equal a fresh engine and a fresh generator
+    per configuration. *)
 
 open Clusteer_uarch
 open Clusteer_workloads
@@ -69,8 +82,8 @@ val run_point :
   point_result
 (** Build the point's workload, compile each configuration's
     annotation, and simulate [uops] committed micro-ops per
-    configuration, after a cache/predictor warmup phase (default:
-    {!default_warmup}).
+    configuration on the point's one stream, after a cache/predictor
+    warmup phase (default: {!default_warmup}).
 
     [obs] maps a configuration name to the observability sink to
     install in that configuration's engine ([None] = uninstrumented,

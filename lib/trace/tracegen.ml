@@ -8,6 +8,9 @@ type t = {
   mutable pos : int;
   mutable seq : int;
   mutable stalled_restarts : int;
+  (* address and outcome of the micro-op [step] returned last *)
+  mutable addr : int;
+  mutable taken : bool;
 }
 
 let create ~program ~branches ~streams ~seed =
@@ -23,6 +26,8 @@ let create ~program ~branches ~streams ~seed =
     pos = 0;
     seq = 0;
     stalled_restarts = 0;
+    addr = -1;
+    taken = false;
   }
 
 let program t = t.prog
@@ -54,30 +59,44 @@ let advance_block t ~taken =
       t.block <- (if taken then succs.(1) else succs.(0));
       t.pos <- 0
 
-let rec next t =
+(* The one CFG walk behind both outputs: the next static micro-op, with
+   its address and outcome left in [t.addr] and [t.taken]. Allocates
+   nothing. *)
+let rec step t =
   let blk = t.prog.Program.blocks.(t.block) in
   if t.pos >= Array.length blk.Block.uops then begin
     (* Empty block or exhausted without a branch terminator. *)
     advance_block t ~taken:false;
-    next t
+    step t
   end
   else begin
     let suop = blk.Block.uops.(t.pos) in
     t.pos <- t.pos + 1;
-    let addr =
-      if Uop.is_mem suop then Mem_model.next_address t.mstate suop.Uop.stream
-      else -1
-    in
+    t.addr <-
+      (if Uop.is_mem suop then Mem_model.next_address t.mstate suop.Uop.stream
+       else -1);
     let taken =
       if Uop.is_branch suop then Branch_model.outcome t.bstate suop.Uop.branch_ref
       else false
     in
-    let d = { Dynuop.seq = t.seq; suop; addr; taken } in
+    t.taken <- taken;
     t.seq <- t.seq + 1;
     t.stalled_restarts <- 0;
     if t.pos >= Array.length blk.Block.uops then advance_block t ~taken;
-    d
+    suop
   end
+
+let next t =
+  let suop = step t in
+  { Dynuop.seq = t.seq - 1; suop; addr = t.addr; taken = t.taken }
+
+let fill t ~sid ~addr ~taken ~pos ~len =
+  for i = pos to pos + len - 1 do
+    let suop = step t in
+    sid.(i) <- suop.Uop.id;
+    addr.(i) <- t.addr;
+    taken.(i) <- (if t.taken then 1 else 0)
+  done
 
 let take t n = Array.init n (fun _ -> next t)
 

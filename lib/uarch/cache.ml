@@ -119,6 +119,17 @@ let prewarm t ~stride ranges =
     if t.recency.(i) < 0 then t.recency.(i) <- t.recency.(i) + t.clock + 1
   done
 
+let copy_lines ~src t =
+  if src.sets <> t.sets || src.ways <> t.ways || src.line_shift <> t.line_shift
+  then invalid_arg "Cache.copy_lines: caches of different shapes";
+  (* Loops, not [Array.blit]: on int arrays in the major heap, blit
+     goes through the write barrier element by element. *)
+  for i = 0 to Array.length t.tags - 1 do
+    t.tags.(i) <- src.tags.(i);
+    t.recency.(i) <- src.recency.(i)
+  done;
+  t.clock <- src.clock
+
 let hits t = t.hits
 let misses t = t.misses
 

@@ -34,6 +34,11 @@ val prewarm : t -> stride:int -> (int * int) list -> unit
     set is full, so the cost is bounded by the cache size, not the
     ranges' footprint. Allocates nothing; statistics are untouched. *)
 
+val copy_lines : src:t -> t -> unit
+(** Give [t] the lines, recency and clock of [src], a cache of the same
+    shape ([Invalid_argument] otherwise): every later access behaves as
+    it would on [src]. Statistics are untouched. Allocates nothing. *)
+
 (* Statistics *)
 val hits : t -> int
 val misses : t -> int

@@ -23,7 +23,7 @@ module Obs_profile = Clusteer_obs.Profile
    while it is in flight (a waiter until woken, a store until it
    commits or a younger store to its address replaces it), so no table
    can name a slot after it has been recycled. A slot names its
-   micro-op by static id too (resolved through the engine's [uops]
+   micro-op by static id too (resolved through the trace's [uops]
    table), so filling one stores no pointer. *)
 type inst = {
   id : int;
@@ -139,9 +139,12 @@ type t = {
   (* time *)
   mutable cycle : int;
   mutable next_iseq : int;
-  (* static id -> static micro-op, filled by fetch ([no_uop] = not seen
-     since create/reset) *)
-  mutable uops : Uop.t array;
+  (* the stream this run fetches from, the cursor (the next stream
+     position fetch reads) and the one-entry window {!run} adapts a
+     [source] onto; static ids resolve through [trace.uops] *)
+  mutable trace : Columns.t;
+  mutable tpos : int;
+  window : Columns.t;
   (* front-end: the fetch queue, one head/length index over three int
      columns (static id, address, dispatch-ready cycle lsl 1 lor
      mispredicted) *)
@@ -306,20 +309,11 @@ let free_all_copies t =
   done;
   t.copy_free_len <- n
 
-(* Filler for static ids not seen since create/reset. *)
-let no_uop =
-  {
-    Uop.id = -1;
-    opcode = Opcode.Int_alu;
-    dst = None;
-    srcs = [||];
-    stream = -1;
-    branch_ref = -1;
-  }
+(* The static micro-op behind [sid]. *)
+let[@inline] uop t sid = t.trace.Columns.uops.(sid)
 
-(* The static-id table starts at the annotation's uop count; fetch
-   grows it for an id beyond that. *)
-let uop_table annot = Array.make (Array.length annot.Annot.vc_of) no_uop
+(* An empty stream: the buffer a fresh or reset engine points at. *)
+let no_trace = Columns.create ()
 
 let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   Config.validate config;
@@ -354,7 +348,10 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
           ~line_uops:config.Config.tc_line_uops ~ways:config.Config.tc_ways;
       cycle = 0;
       next_iseq = 0;
-      uops = uop_table annot;
+      trace = no_trace;
+      tpos = 0;
+      window =
+        { (Columns.create ()) with sid = [| 0 |]; addr = [| 0 |]; taken = [| 0 |] };
       fq_sid = Array.make fetch_capacity 0;
       fq_addr = Array.make fetch_capacity 0;
       fq_meta = Array.make fetch_capacity 0;
@@ -429,19 +426,27 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   t.view <- make_view t;
   t
 
-let reset ?(prewarm = []) ?obs t ~annot ~policy =
+let reset ?(prewarm = []) ?warm_from ?obs t ~annot ~policy =
+  (match warm_from with
+  | None -> Memsys.reset ~prewarm t.memsys
+  | Some src ->
+      if prewarm <> [] then
+        invalid_arg "Engine.reset: ~prewarm and ~warm_from are exclusive";
+      if src == t || src.ran then
+        invalid_arg
+          "Engine.reset: ~warm_from needs another engine that has not run \
+           since its reset";
+      Memsys.reset_from ~src:src.memsys t.memsys);
   t.annot <- annot;
   t.policy <- policy;
   t.frontend_depth <- frontend_depth_of t.cfg policy;
   Stats.reset t.stats;
-  Memsys.reset ~prewarm t.memsys;
   Bpred.reset t.bpred;
   Tracecache.reset t.tcache;
   t.cycle <- 0;
   t.next_iseq <- 0;
-  if Array.length t.uops = Array.length annot.Annot.vc_of then
-    Array.fill t.uops 0 (Array.length t.uops) no_uop
-  else t.uops <- uop_table annot;
+  t.trace <- no_trace;
+  t.tpos <- 0;
   t.fq_head <- 0;
   t.fq_len <- 0;
   t.fetch_resume <- 0;
@@ -626,7 +631,7 @@ let on_complete t inst =
   if inst.dst_tag >= 0 then broadcast t inst.dst_tag inst.cluster;
   if is_copy t inst then release_copy_event t inst
   else
-    match t.uops.(inst.sid).Uop.opcode with
+    match (uop t inst.sid).Uop.opcode with
     | Opcode.Store ->
         let l = ref inst.store_waiters in
         inst.store_waiters <- -1;
@@ -680,7 +685,7 @@ let commit t =
     let inst = t.slots.(t.rob_head) in
     if not inst.completed then continue_ := false
     else begin
-      let u = t.uops.(inst.sid) in
+      let u = uop t inst.sid in
       let fp = is_fp_class u in
       let is_store =
         match u.Uop.opcode with Opcode.Store -> true | _ -> false
@@ -756,7 +761,7 @@ let try_start_copy t inst =
   end
 
 let try_start_op t inst =
-  let op = t.uops.(inst.sid).Uop.opcode in
+  let op = (uop t inst.sid).Uop.opcode in
   let is_load = match op with Opcode.Load -> true | _ -> false in
   if is_load && t.loads_this_cycle >= t.cfg.Config.l1_read_ports then begin
     retry_at t (t.cycle + 1);
@@ -949,7 +954,7 @@ let dispatch_into_rob t u ~addr ~cluster ~misp =
 
 let dispatch_one t =
   let head = t.fq_head in
-  let u = t.uops.(t.fq_sid.(head)) in
+  let u = uop t t.fq_sid.(head) in
   (* Structural preconditions outside the clusters. *)
   if t.rob_len = t.rob_size then Blk_rob
   else if Uop.is_mem u && t.lsq_used >= t.cfg.Config.lsq_size then Blk_lsq
@@ -1129,46 +1134,29 @@ let dispatch t =
 
 (* ---- fetch ------------------------------------------------------- *)
 
-(* The static id of [u], after recording [u] in the static-id table.
-   Each id is resolved once per create/reset: a later micro-op under a
-   known id must be that same micro-op, or the table would hand stale
-   opcodes and operands to every stage that reads it. *)
-let resolve t (u : Uop.t) =
-  let id = u.Uop.id in
-  if id >= Array.length t.uops then begin
-    if id < 0 then
-      invalid_arg (Printf.sprintf "Engine: negative static id %d" id);
-    let uops = Array.make (2 * (id + 1)) no_uop in
-    Array.blit t.uops 0 uops 0 (Array.length t.uops);
-    t.uops <- uops
-  end;
-  let known = t.uops.(id) in
-  if known != u then
-    if known == no_uop then begin
-      if Array.length u.Uop.srcs > max_srcs then
-        invalid_arg
-          (Printf.sprintf "Engine: micro-op %d has more than %d sources" id
-             max_srcs);
-      t.uops.(id) <- u
-    end
-    else if known <> u then
-      invalid_arg
-        (Printf.sprintf "Engine: static id %d names two different micro-ops"
-           id);
-  id
+let check_sources (u : Uop.t) =
+  if Array.length u.Uop.srcs > max_srcs then
+    invalid_arg
+      (Printf.sprintf "Engine: micro-op %d has more than %d sources" u.Uop.id
+         max_srcs)
 
-let fetch t ~source =
+(* Fetch reads the stream at the cursor, one column entry per micro-op,
+   extending the buffer when the cursor reaches its end. *)
+let fetch t =
   if t.cycle >= t.fetch_resume then begin
     let budget = ref t.cfg.Config.fetch_width in
     let blocked = ref false in
     let capacity = Array.length t.fq_sid in
     while (not !blocked) && !budget > 0 && t.fq_len < capacity do
-      let duop = source () in
+      let tr = t.trace and p = t.tpos in
+      Columns.ensure tr p;
+      let i = p - tr.Columns.base in
+      let sid = tr.Columns.sid.(i) in
+      t.tpos <- p + 1;
       t.busy <- true;
-      let sid = resolve t duop.Dynuop.suop in
       let misp =
-        if Uop.is_branch duop.Dynuop.suop then begin
-          let taken = duop.Dynuop.taken in
+        if Uop.is_branch tr.Columns.uops.(sid) then begin
+          let taken = tr.Columns.taken.(i) = 1 in
           let predicted = Bpred.predict t.bpred ~pc:sid in
           Bpred.update t.bpred ~pc:sid ~taken;
           predicted <> taken
@@ -1186,7 +1174,7 @@ let fetch t ~source =
         if i >= capacity then i - capacity else i
       in
       t.fq_sid.(tail) <- sid;
-      t.fq_addr.(tail) <- duop.Dynuop.addr;
+      t.fq_addr.(tail) <- tr.Columns.addr.(i);
       t.fq_meta.(tail) <-
         ((t.cycle + tc_extra + t.frontend_depth) lsl 1)
         lor if misp then 1 else 0;
@@ -1232,17 +1220,17 @@ let back_end t =
       issue t;
       Obs_profile.leave p.p_issue
 
-let front_end t ~source =
+let front_end t =
   match t.prof with
   | None ->
       dispatch t;
-      fetch t ~source
+      fetch t
   | Some p ->
       Obs_profile.enter p.p_dispatch;
       dispatch t;
       Obs_profile.leave p.p_dispatch;
       Obs_profile.enter p.p_fetch;
-      fetch t ~source;
+      fetch t;
       Obs_profile.leave p.p_fetch
 
 (* The quiescence gate. A cycle is busy when an event fires, a micro-op
@@ -1255,11 +1243,11 @@ let front_end t ~source =
    attribution happens exactly as before; any dispatch or fetch reopens
    the gate. [skip_quiet] then skips the stepped cycles that would only
    repeat a quiet one. *)
-let step t ~source =
+let step t =
   let gate_open = t.cycle >= t.wake in
   t.busy <- false;
   if gate_open then back_end t;
-  front_end t ~source;
+  front_end t;
   if t.busy then t.wake <- t.cycle + 1
   else if gate_open then
     t.wake <-
@@ -1315,7 +1303,7 @@ let skip_quiet t ~bound =
       | Blk_reg | Blk_policy | Blk_iq | Blk_copyq -> (
           match t.policy.Policy.repeat with
           | None -> false
-          | Some repeat -> repeat t.view t.uops.(t.fq_sid.(t.fq_head)) k)
+          | Some repeat -> repeat t.view (uop t t.fq_sid.(t.fq_head)) k)
       | Blk_none | Blk_width -> false
     then begin
       t.cycle <- h;
@@ -1393,29 +1381,34 @@ let check_invariants t ~head0 ~iseq0 ~committed0 =
    production loop with {!check_invariants} after every step. *)
 type mode = Production | Every_cycle | Checked
 
-let advance t ~source ~mode ~bound =
+let advance t ~mode ~bound =
   t.steps <- t.steps + 1;
   match mode with
   | Production ->
-      step t ~source;
+      step t;
       skip_quiet t ~bound
   | Every_cycle ->
       t.wake <- 0;
-      step t ~source
+      step t
   | Checked ->
       let head0 = t.rob_head
       and iseq0 = head_iseq t
       and committed0 = t.stats.Stats.committed in
-      step t ~source;
+      step t;
       skip_quiet t ~bound;
       check_invariants t ~head0 ~iseq0 ~committed0
 
-let run_loop ~mode ?(warmup = 0) t ~source ~uops =
+let run_loop ~mode ?(warmup = 0) t trace ~uops =
   if t.ran then
     invalid_arg "Engine.run: engine already ran; call Engine.reset first";
   if uops <= 0 then invalid_arg "Engine.run: uops must be positive";
   if warmup < 0 then invalid_arg "Engine.run: negative warmup";
+  Array.iter
+    (fun u -> if u != Columns.no_uop then check_sources u)
+    trace.Columns.uops;
   t.ran <- true;
+  t.trace <- trace;
+  t.tpos <- 0;
   let max_cycles = ((warmup + uops) * 1000) + 100_000 in
   if warmup > 0 then begin
     (* The sink observes the measured phase only: warmup events would
@@ -1425,7 +1418,7 @@ let run_loop ~mode ?(warmup = 0) t ~source ~uops =
     while t.stats.Stats.committed < warmup do
       if t.cycle > max_cycles then
         failwith "Engine.run: no forward progress during warmup";
-      advance t ~source ~mode ~bound:max_cycles
+      advance t ~mode ~bound:max_cycles
     done;
     Stats.reset t.stats;
     Memsys.reset_stats t.memsys;
@@ -1435,7 +1428,7 @@ let run_loop ~mode ?(warmup = 0) t ~source ~uops =
   while t.stats.Stats.committed < uops do
     if t.cycle > max_cycles then
       failwith "Engine.run: no forward progress (cycle bound exceeded)";
-    advance t ~source ~mode ~bound:max_cycles
+    advance t ~mode ~bound:max_cycles
   done;
   (* Fold memory / branch counters into the run statistics. *)
   t.stats.Stats.l1_hits <- Memsys.l1_hits t.memsys;
@@ -1457,16 +1450,67 @@ let run_loop ~mode ?(warmup = 0) t ~source ~uops =
       Obs_profile.flush p.p_commit);
   t.stats
 
+let run_columns ?warmup t ~trace ~uops =
+  run_loop ~mode:Production ?warmup t trace ~uops
+
+(* ---- the [source] adapter ---------------------------------------- *)
+
+(* [source] is read through the engine's one-entry window: each pull
+   puts the next micro-op at the cursor's position, after recording it
+   in the window's static-id table. Each id is resolved once per run: a
+   later micro-op under a known id must be that same micro-op, or the
+   table would hand stale opcodes and operands to every stage that
+   reads it. *)
+let pull source (w : Columns.t) p =
+  let d : Dynuop.t = source () in
+  let u = d.Dynuop.suop in
+  let id = u.Uop.id in
+  if id < 0 then invalid_arg (Printf.sprintf "Engine: negative static id %d" id);
+  if id >= Array.length w.uops then begin
+    let uops = Array.make (2 * (id + 1)) Columns.no_uop in
+    Array.blit w.uops 0 uops 0 (Array.length w.uops);
+    w.uops <- uops
+  end;
+  let known = w.uops.(id) in
+  if known != u then
+    if known == Columns.no_uop then begin
+      check_sources u;
+      w.uops.(id) <- u
+    end
+    else if known <> u then
+      invalid_arg
+        (Printf.sprintf "Engine: static id %d names two different micro-ops"
+           id);
+  w.base <- p;
+  w.len <- 1;
+  w.sid.(0) <- id;
+  w.addr.(0) <- d.Dynuop.addr;
+  w.taken.(0) <- (if d.Dynuop.taken then 1 else 0)
+
+(* The window, emptied for a run over [source]; its table starts at the
+   annotation's uop count and grows for an id beyond that. *)
+let adapt t source =
+  let w = t.window in
+  let n = Array.length t.annot.Annot.vc_of in
+  if Array.length w.uops >= n then
+    Array.fill w.uops 0 (Array.length w.uops) Columns.no_uop
+  else w.uops <- Array.make n Columns.no_uop;
+  w.base <- 0;
+  w.len <- 0;
+  w.refill <- pull source;
+  w
+
 let run ?warmup t ~source ~uops =
-  run_loop ~mode:Production ?warmup t ~source ~uops
+  run_loop ~mode:Production ?warmup t (adapt t source) ~uops
 
 module For_testing = struct
   let run_every_cycle ?warmup t ~source ~uops =
-    run_loop ~mode:Every_cycle ?warmup t ~source ~uops
+    run_loop ~mode:Every_cycle ?warmup t (adapt t source) ~uops
 
   let run_checked ?warmup t ~source ~uops =
-    run_loop ~mode:Checked ?warmup t ~source ~uops
+    run_loop ~mode:Checked ?warmup t (adapt t source) ~uops
 
   let steps t = t.steps
   let clock t = t.cycle
+  let memsys t = t.memsys
 end

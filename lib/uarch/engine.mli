@@ -12,7 +12,10 @@
 
     The engine is trace-driven: it consumes a dynamic micro-op stream
     (all steering schemes see the identical stream) and charges
-    mispredicted branches as front-end redirect stalls.
+    mispredicted branches as front-end redirect stalls. Fetch reads the
+    stream as int columns ({!Clusteer_trace.Columns}) through a cursor
+    of its own, so several engines can replay one buffer ({!run_columns});
+    {!run} adapts a [unit -> Dynuop.t] source onto the same fetch.
 
     Modelling notes (documented deviations): copy micro-ops occupy the
     24-entry per-cluster COPY queues and link bandwidth but not ROB
@@ -89,6 +92,7 @@ val create :
 
 val reset :
   ?prewarm:(int * int) list ->
+  ?warm_from:t ->
   ?obs:Clusteer_obs.Sink.t ->
   t ->
   annot:Annot.t ->
@@ -106,31 +110,51 @@ val reset :
     counter registry and self-profiler bindings made at {!create} time
     are retained.
 
+    [warm_from] copies the cache hierarchy's lines from [src] instead
+    of computing [prewarm] ({!Memsys.reset_from}): [src] must be another
+    engine on the same machine configuration that has not run since
+    its own {!create} or [reset], whose prewarm then stands for this
+    one. The harness prewarms one engine per point and copies it into
+    the others. Raises [Invalid_argument] if [src] is [t] or has run,
+    or if [prewarm] is given as well.
+
     Note the engine's {!Stats.t} is reset in place: callers that keep
     results across a reset must {!Stats.copy} them first (the harness
     does). *)
 
-val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
+val run_columns :
+  ?warmup:int -> t -> trace:Columns.t -> uops:int -> Stats.t
 (** Execute until [uops] program micro-ops have committed after a
     [warmup] phase (default 0) whose purpose is to warm the caches and
     the branch predictor; all statistics are reset when the warmup
     ends, mirroring the standard simulation-point methodology. The
     observability sink is suspended during warmup: the trace covers
     exactly the measured phase.
-    [source] supplies the dynamic stream (see
-    {!Clusteer_trace.Tracegen.next}). Fetch reads each micro-op once and
-    keeps only its static id, address and outcome; the static micro-op
-    is recorded per id in a table that {!reset} clears. So one static
-    id must name one micro-op between resets: [Invalid_argument] naming
-    the id if [source] returns a different one under an id already
-    seen. Raises [Failure] if the machine stops making progress (an
-    engine bug, surfaced for the tests).
+
+    Fetch reads [trace] from stream position 0 through the engine's own
+    cursor, extending the buffer as it goes ({!Columns.ensure}); the
+    static micro-op behind each id is [trace.uops]. Another engine may
+    replay the same buffer afterwards and reads the identical stream:
+    the harness runs every configuration of a point this way. Raises
+    [Invalid_argument] if a micro-op of [trace.uops] has more than two
+    register sources, and [Failure] if the machine stops making
+    progress (an engine bug, surfaced for the tests).
 
     One run per {!create} or {!reset}: the stopping rule and the cycle
-    bound count from a fresh machine, so a second [run] without a
+    bound count from a fresh machine, so a second run without a
     {!reset} in between raises
     [Invalid_argument "Engine.run: engine already ran; call Engine.reset first"],
     as does a run after one that raised. *)
+
+val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
+(** {!run_columns} over a [unit -> Dynuop.t] source, read through a
+    one-entry window of the engine's: the same fetch, one [source] call
+    per micro-op fetched. The window records the static micro-op per
+    id as it is fetched, so one static id must name one micro-op for
+    the run: [Invalid_argument] naming the id if [source] returns a
+    different one under an id already seen. Kept for callers that
+    build their stream as records; the simulator's own paths fill
+    columns ({!Clusteer_trace.Tracegen.fill}). *)
 
 val stats : t -> Stats.t
 
@@ -159,4 +183,7 @@ module For_testing : sig
 
   val clock : t -> int
   (** The engine's internal cycle, warm-up included. *)
+
+  val memsys : t -> Memsys.t
+  (** The engine's cache hierarchy. *)
 end

@@ -77,3 +77,8 @@ let reset_stats t =
 let reset ?(prewarm = []) t =
   reset_stats t;
   prewarm_ranges t prewarm
+
+let reset_from ~src t =
+  reset_stats t;
+  Cache.copy_lines ~src:src.l1 t.l1;
+  Cache.copy_lines ~src:src.l2 t.l2

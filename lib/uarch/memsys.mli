@@ -42,3 +42,11 @@ val reset : ?prewarm:(int * int) list -> t -> unit
 (** Back to the post-{!create} state for [prewarm]: every line
     invalidated in both levels, statistics zeroed, then the ranges
     prewarmed as {!create} does. Used by engine reuse across runs. *)
+
+val reset_from : src:t -> t -> unit
+(** Statistics zeroed, then both levels' lines copied from [src], a
+    hierarchy of the same configuration ({!Cache.copy_lines}). When
+    [src] was last created or reset with [prewarm] and has not been
+    accessed since, this equals [reset ~prewarm t] at the cost of a
+    copy: the harness computes a point's prewarm once and copies it
+    into the other configurations' engines. *)

@@ -537,6 +537,54 @@ let test_engine_allocation_contract () =
           name words max_engine_words_per_uop)
     configs
 
+(* The whole per-micro-op path: the generator filling a column buffer
+   and the engine fetching from it. The buffer and the engine are
+   warmed by a first run, as a sweep worker's are after its first
+   point; each measured run starts after the point's rewind, so the
+   delta counts only what is paid per micro-op. *)
+let max_full_path_words_per_uop = 0.05
+
+let test_full_path_allocation_contract () =
+  let workload =
+    Synth.build { (Spec2000.find "gzip-1") with Profile.phases = 1 }
+  in
+  let prewarm =
+    Array.to_list
+      (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
+  in
+  let uops = 20_000 in
+  let trace = Clusteer_trace.Columns.create () in
+  let prepare config =
+    Clusteer.Configuration.prepare config ~program:workload.Synth.program
+      ~likely:workload.Synth.likely ~clusters:2 ()
+  in
+  let rewind () =
+    Clusteer_trace.Columns.rewind trace (Synth.trace workload ~seed:1)
+  in
+  let engine =
+    let annot, policy = prepare Clusteer.Configuration.Op in
+    let e = Engine.create ~config:Config.default_2c ~annot ~policy ~prewarm () in
+    rewind ();
+    ignore (Engine.run_columns ~warmup:0 e ~trace ~uops);
+    e
+  in
+  List.iter
+    (fun config ->
+      let annot, policy = prepare config in
+      Engine.reset ~prewarm engine ~annot ~policy;
+      rewind ();
+      let before = Gc.minor_words () in
+      let stats = Engine.run_columns ~warmup:0 engine ~trace ~uops in
+      let words =
+        (Gc.minor_words () -. before) /. float_of_int stats.Stats.committed
+      in
+      if words > max_full_path_words_per_uop then
+        Alcotest.failf "%s: %.4f minor words per committed micro-op > %.2f"
+          (Clusteer.Configuration.name config)
+          words max_full_path_words_per_uop)
+    (Clusteer.Configuration.table3 ~clusters:2
+    @ Clusteer.Configuration.[ Dep; Op_parallel; Crit ])
+
 let () =
   Alcotest.run "clusteer_determinism"
     [
@@ -564,5 +612,7 @@ let () =
             test_vc_decisions_stable;
           Alcotest.test_case "engine allocation contract" `Slow
             test_engine_allocation_contract;
+          Alcotest.test_case "full-path allocation contract" `Slow
+            test_full_path_allocation_contract;
         ] );
     ]

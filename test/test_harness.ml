@@ -113,10 +113,8 @@ let test_runner_params_reach_policy () =
     let engine =
       Engine.create ~config:Config.default_2c ~annot ~policy ~prewarm ()
     in
-    let gen = Synth.trace w ~seed:1 in
-    Engine.run ~warmup:1000 engine
-      ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-      ~uops:2000
+    let trace = Clusteer_trace.Columns.of_generator (Synth.trace w ~seed:1) in
+    Engine.run_columns ~warmup:1000 engine ~trace ~uops:2000
   in
   let run_harness ~remap_threshold ~region_uops =
     let params =
@@ -153,6 +151,154 @@ let test_runner_params_reach_policy () =
       check_bool "threshold matters" false (Stats.equal t0_r32 t32_r32);
       check_bool "region size matters" false (Stats.equal t0_r32 t0_r512)
   | _ -> assert false
+
+(* ---- Column path = record adapter ------------------------------------ *)
+
+module Counters = Clusteer_obs.Counters
+
+let hier2x4 =
+  match Clusteer_topo.Topology.of_name "hier2x4" with
+  | Ok topo ->
+      {
+        (Config.default ~clusters:topo.Clusteer_topo.Topology.clusters) with
+        Config.topology = topo;
+      }
+  | Error e -> failwith e
+
+(* The reference for the harness's column path: each configuration on
+   a fresh engine, fed one [Dynuop.t] at a time through [Engine.run
+   ~source] from a generator of its own, counting into [registry]
+   exactly what the harness counts. *)
+let adapter_runs ~registry ~machine ~configs ~warmup ~uops ~seed workload =
+  let params =
+    {
+      Clusteer.Configuration.default_params with
+      Clusteer.Configuration.topology = Some machine.Config.topology;
+    }
+  in
+  let prewarm =
+    Array.to_list
+      (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
+  in
+  let committed = Counters.counter ~registry "harness.uops_committed" in
+  List.map
+    (fun config ->
+      let annot, policy =
+        Clusteer.Configuration.prepare config ~program:workload.Synth.program
+          ~likely:workload.Synth.likely ~clusters:machine.Config.clusters
+          ~params ~registry ()
+      in
+      let engine =
+        Engine.create ~config:machine ~annot ~policy ~prewarm ~registry ()
+      in
+      let gen = Synth.trace workload ~seed in
+      let stats =
+        Stats.copy
+          (Engine.run ~warmup engine
+             ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
+             ~uops)
+      in
+      Counters.add committed stats.Stats.committed;
+      (Clusteer.Configuration.name config, stats))
+    configs
+
+let same_runs label reference runs =
+  Alcotest.(check (list string))
+    (label ^ ": configurations")
+    (List.map fst reference) (List.map fst runs);
+  List.iter2
+    (fun (name, a) (_, b) ->
+      check_bool (Printf.sprintf "%s, %s: same statistics" label name) true
+        (Stats.equal a b))
+    reference runs
+
+let registry_json r = Clusteer_obs.Json.to_string (Counters.to_json r)
+
+let test_columns_equal_adapter () =
+  (* Every Table 3 configuration, on both fabrics, with and without a
+     warmup: the harness's shared column buffer gives the statistics
+     and counters of a record-by-record run per configuration. *)
+  let workload =
+    Synth.build { (Spec2000.find "gzip-1") with Profile.phases = 1 }
+  in
+  List.iter
+    (fun (fabric, machine) ->
+      let configs =
+        Clusteer.Configuration.table3 ~clusters:machine.Config.clusters
+      in
+      List.iter
+        (fun warmup ->
+          let label = Printf.sprintf "%s, warmup %d" fabric warmup in
+          let by_record = Counters.create () and by_column = Counters.create () in
+          let reference =
+            adapter_runs ~registry:by_record ~machine ~configs ~warmup
+              ~uops:1500 ~seed:5 workload
+          in
+          let runs =
+            Harness.Runner.run_workload ~registry:by_column ~seed:5 ~warmup
+              ~machine ~configs ~uops:1500 workload
+          in
+          same_runs label reference runs;
+          Alcotest.(check string)
+            (label ^ ": same counters")
+            (registry_json by_record) (registry_json by_column))
+        [ 0; 300 ])
+    [ ("p2p", Config.default_2c); ("hier2x4", hier2x4) ]
+
+let test_suite_columns_equal_adapter () =
+  (* A worker's buffer serves point after point: each point must
+     replay its own stream, at any domain count. *)
+  let profiles =
+    [
+      { (Spec2000.find "gzip-1") with Profile.phases = 2 };
+      { (Spec2000.find "mcf") with Profile.phases = 2 };
+    ]
+  in
+  let machine = Config.default_2c and uops = 1000 in
+  let reference =
+    List.concat_map
+      (fun profile ->
+        List.map
+          (fun point ->
+            adapter_runs ~registry:(Counters.create ()) ~machine
+              ~configs:configs2
+              ~warmup:(Harness.Runner.default_warmup uops)
+              ~uops
+              ~seed:(Harness.Runner.trace_seed point)
+              (Synth.build point.Pinpoints.profile))
+          (Pinpoints.points profile))
+      profiles
+  in
+  List.iter
+    (fun domains ->
+      let results =
+        Harness.Runner.run_suite ~domains ~machine ~configs:configs2 ~uops
+          profiles
+      in
+      check_int "every point" (List.length reference) (List.length results);
+      List.iter2
+        (fun runs r ->
+          same_runs
+            (Printf.sprintf "%d domain(s), %s phase %d" domains
+               r.Harness.Runner.point.Pinpoints.profile.Profile.name
+               r.Harness.Runner.point.Pinpoints.index)
+            runs r.Harness.Runner.runs)
+        reference results)
+    [ 1; 3 ]
+
+let test_runner_config_listed_twice () =
+  (* Every engine of a point is reset before any runs; a configuration
+     listed twice still gets two full runs on the point's stream. *)
+  let w = Synth.build { (Spec2000.find "gzip-1") with Profile.phases = 1 } in
+  let vc2 = Clusteer.Configuration.Vc { virtual_clusters = 2 } in
+  match
+    Harness.Runner.run_workload ~machine:Config.default_2c
+      ~configs:[ vc2; Clusteer.Configuration.Op; vc2 ] ~uops:1000 w
+  with
+  | [ (_, a); _; (_, b) ] ->
+      check_bool "same statistics" true (Stats.equal a b);
+      check_bool "a full run" true (a.Stats.committed >= 1000)
+  | _ -> Alcotest.fail "three runs expected"
 
 let test_runner_default_warmup_clamps () =
   (* Half the measured length within [2k, 10k], but always strictly
@@ -373,6 +519,12 @@ let () =
           Alcotest.test_case "same trace everywhere" `Slow test_runner_same_trace_all_configs;
           Alcotest.test_case "covers phases" `Slow test_runner_benchmark_covers_phases;
           Alcotest.test_case "weighted metric" `Slow test_runner_weighted_metric;
+          Alcotest.test_case "columns = record adapter" `Slow
+            test_columns_equal_adapter;
+          Alcotest.test_case "suite columns = record adapter" `Slow
+            test_suite_columns_equal_adapter;
+          Alcotest.test_case "configuration listed twice" `Quick
+            test_runner_config_listed_twice;
           Alcotest.test_case "params reach the policy" `Quick
             test_runner_params_reach_policy;
           Alcotest.test_case "default warmup clamps" `Quick

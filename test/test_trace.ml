@@ -243,6 +243,140 @@ let test_tracegen_no_wrap_periodicity () =
   let second_half = Array.sub outcomes 32 32 in
   check_bool "not periodic" true (first_half <> second_half)
 
+(* ---- Columns ---------------------------------------------------------- *)
+
+(* A random program: a chain of up to five blocks, the first never
+   empty, the others possibly so; loads on fresh streams, and blocks
+   that end in a branch to a random block. Short enough that long
+   streams wrap many times. *)
+let random_program st =
+  let rint n = Random.State.int st n in
+  let b = Program.Builder.create ~name:"rand" ~nregs_per_class:8 () in
+  let nblocks = 1 + rint 5 in
+  let blocks = Array.init nblocks (fun _ -> Program.Builder.reserve_block b) in
+  let exit_ = Program.Builder.reserve_block b in
+  let streams = ref [] and branches = ref [] in
+  Array.iteri
+    (fun i blk ->
+      let body =
+        List.init
+          ((if i = 0 then 1 else 0) + rint 4)
+          (fun _ ->
+            if Random.State.bool st then begin
+              let s = Program.Builder.stream b in
+              let base = 64 * rint 1000 and footprint = 8 + rint 20_000 in
+              streams :=
+                (match rint 3 with
+                | 0 -> Mem_model.Strided { base; stride = 8 * (1 + rint 9); footprint }
+                | 1 -> Mem_model.Uniform { base; footprint; granule = 8 }
+                | _ -> Mem_model.Chase { base; footprint })
+                :: !streams;
+              Program.Builder.uop b Opcode.Load ~dst:(Reg.int 0)
+                ~srcs:[| Reg.int 1 |] ~stream:s ()
+            end
+            else
+              Program.Builder.uop b Opcode.Int_alu ~dst:(Reg.int 2)
+                ~srcs:[| Reg.int 0 |] ())
+      in
+      let next = if i + 1 < nblocks then blocks.(i + 1) else exit_ in
+      if Random.State.bool st then begin
+        let m = Program.Builder.branch_model b in
+        branches :=
+          (match rint 3 with
+          | 0 -> Branch_model.Bernoulli (Random.State.float st 1.0)
+          | 1 -> Branch_model.Loop (1 + rint 6)
+          | _ -> Branch_model.Pattern (Array.init (1 + rint 5) (fun _ -> Random.State.bool st)))
+          :: !branches;
+        let br =
+          Program.Builder.uop b Opcode.Branch ~srcs:[| Reg.int 2 |]
+            ~branch_ref:m ()
+        in
+        Program.Builder.define_block b blk (body @ [ br ])
+          ~succs:[ next; blocks.(rint nblocks) ]
+      end
+      else Program.Builder.define_block b blk body ~succs:[ next ])
+    blocks;
+  Program.Builder.define_block b exit_ [] ~succs:[];
+  ( Program.Builder.finish b ~entry:blocks.(0),
+    Array.of_list (List.rev !branches),
+    Array.of_list (List.rev !streams) )
+
+(* The stream as (static id, address, taken) triples, three ways: from
+   [next], from [fill] in chunks of [chunk], and read back one position
+   at a time through a {!Columns} buffer, which grows past its first
+   4096 entries on the longer streams. *)
+let triples_agree make ~n ~chunk =
+  let expected =
+    Array.map
+      (fun d -> (Dynuop.static_id d, d.Dynuop.addr, Bool.to_int d.Dynuop.taken))
+      (Tracegen.take (make ()) n)
+  in
+  let filled =
+    let gen = make () in
+    let sid = Array.make n 0 and addr = Array.make n 0 and taken = Array.make n 0 in
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min chunk (n - !pos) in
+      Tracegen.fill gen ~sid ~addr ~taken ~pos:!pos ~len;
+      pos := !pos + len
+    done;
+    Array.init n (fun i -> (sid.(i), addr.(i), taken.(i)))
+  in
+  let read =
+    let c = Columns.of_generator (make ()) in
+    Array.init n (fun p ->
+        Columns.ensure c p;
+        let i = p - c.Columns.base in
+        (c.Columns.sid.(i), c.Columns.addr.(i), c.Columns.taken.(i)))
+  in
+  expected = filled && expected = read
+
+(* Without a shrinker: a counterexample is reported as found, not
+   after minutes of regenerating long streams. *)
+let prop_fill_matches_next_random =
+  QCheck.Test.make ~name:"fill = next (random programs)" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int int)
+       QCheck.Gen.(triple small_nat (int_range 1 9000) (int_range 1 700)))
+    (fun (seed, n, chunk) ->
+      let st = Random.State.make [| seed |] in
+      let program, branches, streams = random_program st in
+      triples_agree ~n ~chunk (fun () ->
+          Tracegen.create ~program ~branches ~streams ~seed))
+
+let prop_fill_matches_next_spec =
+  let workloads =
+    List.map Clusteer_workloads.Synth.build
+      (List.map Clusteer_workloads.Spec2000.find [ "gzip-1"; "mcf"; "swim"; "crafty" ])
+  in
+  QCheck.Test.make ~name:"fill = next (SPEC workloads)" ~count:20
+    (QCheck.make
+       ~print:QCheck.Print.(quad int int int int)
+       QCheck.Gen.(quad (int_range 0 3) int (int_range 1 9000) (int_range 1 700)))
+    (fun (w, seed, n, chunk) ->
+      let w = List.nth workloads w in
+      triples_agree ~n ~chunk (fun () -> Clusteer_workloads.Synth.trace w ~seed))
+
+let test_columns_rewind () =
+  (* A rewound buffer restarts on the new generator's stream, from
+     position 0, and takes its program's micro-ops. *)
+  let program, branches = loop_workload () in
+  let gen seed = Tracegen.create ~program ~branches ~streams:[||] ~seed in
+  let c = Columns.create () in
+  Alcotest.check_raises "no stream before a rewind"
+    (Invalid_argument "Columns: no stream; rewind the buffer first") (fun () ->
+      Columns.ensure c 0);
+  Columns.rewind c (gen 1);
+  Columns.ensure c 5000;
+  Columns.rewind c (gen 1);
+  check_int "rewound to position 0" 0 c.Columns.len;
+  Columns.ensure c 11;
+  Alcotest.(check (array int)) "the stream again"
+    [| 0; 1; 2; 0; 1; 2; 0; 1; 2; 0; 1; 2 |]
+    (Array.sub c.Columns.sid 0 12);
+  check_int "its program's micro-ops" 3 (Array.length c.Columns.uops);
+  check_bool "by id" true (c.Columns.uops.(2) == Program.uop program 2)
+
 let () =
   Alcotest.run "clusteer_trace"
     [
@@ -275,5 +409,11 @@ let () =
           Alcotest.test_case "memory addresses" `Quick test_tracegen_memory_addresses;
           Alcotest.test_case "arity check" `Quick test_tracegen_model_arity_check;
           Alcotest.test_case "no wrap periodicity" `Quick test_tracegen_no_wrap_periodicity;
+        ] );
+      ( "columns",
+        [
+          QCheck_alcotest.to_alcotest prop_fill_matches_next_random;
+          QCheck_alcotest.to_alcotest prop_fill_matches_next_spec;
+          Alcotest.test_case "rewind" `Quick test_columns_rewind;
         ] );
     ]

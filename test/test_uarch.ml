@@ -588,6 +588,15 @@ let point_run engine_of machine config (w : Synth.t) =
        ~source:(fun () -> Tracegen.next gen)
        ~uops:1200)
 
+let hier2x4 =
+  match Clusteer_topo.Topology.of_name "hier2x4" with
+  | Ok topo ->
+      {
+        (Config.default ~clusters:topo.Clusteer_topo.Topology.clusters) with
+        Config.topology = topo;
+      }
+  | Error e -> failwith e
+
 (* Every Table 3 configuration, on the 2-cluster point-to-point machine
    and the 8-cluster hierarchical one: an engine reset onto point B
    after a run on point A, and the same engine reset onto B once more,
@@ -597,20 +606,7 @@ let test_engine_reset_onto_other_point () =
   let b = Synth.build (Spec2000.find "swim") in
   check_bool "points prewarm different ranges" true
     (prewarm_of a <> prewarm_of b);
-  let machines =
-    [
-      Config.default_2c;
-      (let topo =
-         match Clusteer_topo.Topology.of_name "hier2x4" with
-         | Ok t -> t
-         | Error e -> failwith e
-       in
-       {
-         (Config.default ~clusters:topo.Clusteer_topo.Topology.clusters) with
-         Config.topology = topo;
-       });
-    ]
-  in
+  let machines = [ Config.default_2c; hier2x4 ] in
   List.iter
     (fun machine ->
       let topo = Clusteer_topo.Topology.name machine.Config.topology in
@@ -645,6 +641,101 @@ let test_engine_reset_onto_other_point () =
             (expected.Stats.committed >= 1200 && expected.Stats.l1_hits > 0))
         (Configuration.table3 ~clusters:machine.Config.clusters))
     machines
+
+(* A reset that copies the caches from a prewarmed twin, as the harness
+   does for every configuration of a point after the first, must leave
+   the engine as [reset ~prewarm] does: the same L1 lines, the same
+   latencies for 3000 loads, zeroed statistics and the same run. Every
+   Table 3 configuration, on both fabrics; each engine has run on
+   another point first, so nothing is left over by chance. *)
+let test_engine_reset_from_twin () =
+  let w = Synth.build (Spec2000.find "mcf") in
+  let other = Synth.build (Spec2000.find "gzip-1") in
+  let prewarm = prewarm_of w in
+  let st = Random.State.make [| 17 |] in
+  let probes =
+    List.init 3000 (fun i ->
+        if i mod 10 = 0 then Random.State.full_int st (1 lsl 40)
+        else
+          let base, bytes = List.nth prewarm (Random.State.int st (List.length prewarm)) in
+          base + Random.State.full_int st (max 1 bytes))
+  in
+  List.iter
+    (fun machine ->
+      let topo = Clusteer_topo.Topology.name machine.Config.topology in
+      let configs = Configuration.table3 ~clusters:machine.Config.clusters in
+      let prepare config (w : Synth.t) =
+        let params =
+          {
+            Configuration.default_params with
+            Configuration.topology = Some machine.Config.topology;
+          }
+        in
+        Configuration.prepare config ~program:w.Synth.program
+          ~likely:w.Synth.likely ~clusters:machine.Config.clusters ~params ()
+      in
+      let run e (w : Synth.t) =
+        Stats.copy
+          (Engine.run_columns ~warmup:0 e
+             ~trace:(Columns.of_generator (Synth.trace w ~seed:3))
+             ~uops:1200)
+      in
+      (* An engine that has run [config] on the other point. *)
+      let dirty config =
+        let annot, policy = prepare config other in
+        let e =
+          Engine.create ~config:machine ~annot ~policy
+            ~prewarm:(prewarm_of other) ()
+        in
+        ignore (run e other);
+        e
+      in
+      let twin = dirty (List.hd configs) in
+      (let annot, policy = prepare (List.hd configs) w in
+       Engine.reset ~prewarm twin ~annot ~policy);
+      List.iter
+        (fun config ->
+          let label what =
+            Printf.sprintf "%s/%s: %s" topo (Configuration.name config) what
+          in
+          let copied = dirty config and computed = dirty config in
+          let reset_both () =
+            (let annot, policy = prepare config w in
+             Engine.reset ~warm_from:twin copied ~annot ~policy);
+            let annot, policy = prepare config w in
+            Engine.reset ~prewarm computed ~annot ~policy
+          in
+          reset_both ();
+          let mc = Engine.For_testing.memsys copied
+          and mp = Engine.For_testing.memsys computed in
+          let counts m =
+            [ Memsys.l1_hits m; Memsys.l1_misses m; Memsys.l2_hits m; Memsys.l2_misses m ]
+          in
+          Alcotest.(check (list int)) (label "statistics zeroed") [ 0; 0; 0; 0 ] (counts mc);
+          let resident m = List.map (fun addr -> Memsys.l1_resident m ~addr) probes in
+          Alcotest.(check (list bool)) (label "same L1 lines") (resident mp) (resident mc);
+          check_bool (label "some lines resident") true (List.mem true (resident mc));
+          let latencies m = List.map (fun addr -> Memsys.load_latency m ~addr) probes in
+          Alcotest.(check (list int)) (label "same load latencies") (latencies mp) (latencies mc);
+          reset_both ();
+          check_bool (label "same run") true (Stats.equal (run computed w) (run copied w)))
+        configs;
+      let annot, policy = prepare (List.hd configs) w in
+      let e = dirty (List.hd configs) in
+      Alcotest.check_raises (topo ^ ": not from itself")
+        (Invalid_argument
+           "Engine.reset: ~warm_from needs another engine that has not run \
+            since its reset") (fun () ->
+          Engine.reset ~warm_from:e e ~annot ~policy);
+      Alcotest.check_raises (topo ^ ": not from an engine that ran")
+        (Invalid_argument
+           "Engine.reset: ~warm_from needs another engine that has not run \
+            since its reset") (fun () ->
+          Engine.reset ~warm_from:(dirty (List.hd configs)) e ~annot ~policy);
+      Alcotest.check_raises (topo ^ ": not with ~prewarm")
+        (Invalid_argument "Engine.reset: ~prewarm and ~warm_from are exclusive")
+        (fun () -> Engine.reset ~prewarm ~warm_from:twin e ~annot ~policy))
+    [ Config.default_2c; hier2x4 ]
 
 let test_engine_warmup_resets () =
   let p = independent_program 16 in
@@ -1498,6 +1589,8 @@ let () =
           Alcotest.test_case "energy cluster scaling" `Quick test_energy_costs_scale_with_clusters;
           Alcotest.test_case "reset onto another point = fresh"
             `Quick test_engine_reset_onto_other_point;
+          Alcotest.test_case "reset from a prewarmed twin" `Quick
+            test_engine_reset_from_twin;
           Alcotest.test_case "copy pool grows" `Quick test_engine_copy_pool_grows;
         ] );
       ( "quiescence",
