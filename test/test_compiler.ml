@@ -360,6 +360,117 @@ let test_prepare_all_validate () =
     (fun config -> Annot.validate (prepare config) ~clusters:2)
     all_configurations
 
+(* ---- Pinned annotation digests --------------------------------------------------------- *)
+
+(* The compiler's output is part of every simulation result, so a
+   change to the DDG or the partitioner's data structures must leave
+   it byte-identical: goldens/annot_digests.json holds, for every
+   PinPoints point of every SPEC workload and every kernel and
+   adversarial scenario, the MD5 of Annot_io.to_string under ob, rhop
+   and vc2 (2 clusters) and vc4 (4 clusters), and of the crit hints'
+   bit vector, all at the default knobs. Setting ANNOT_DIGESTS_OUT to
+   a path writes the recomputed document there instead of comparing
+   (to regenerate it after an intended change of the compiler). *)
+
+module W = Clusteer_workloads
+module Json = Clusteer_obs.Json
+
+let digest_points () =
+  List.concat_map
+    (fun profile ->
+      List.map
+        (fun (p : W.Pinpoints.point) ->
+          ( Printf.sprintf "%s/%d" p.W.Pinpoints.benchmark p.W.Pinpoints.index,
+            W.Synth.build p.W.Pinpoints.profile ))
+        (W.Pinpoints.points profile))
+    W.Spec2000.all
+  @ W.Kernels.all @ W.Adversarial.all
+
+let annot_digest_configs =
+  Configuration.
+    [
+      ("ob", Ob, 2);
+      ("rhop", Rhop, 2);
+      ("vc2", Vc { virtual_clusters = 2 }, 2);
+      ("vc4", Vc { virtual_clusters = 4 }, 4);
+    ]
+
+let annot_string (w : W.Synth.t) config ~clusters =
+  let annot, _ =
+    Configuration.prepare config ~program:w.W.Synth.program
+      ~likely:w.W.Synth.likely ~clusters ~params ()
+  in
+  Annot_io.to_string annot
+
+let crit_bits (w : W.Synth.t) =
+  Crit_hints.compute ~program:w.W.Synth.program ~likely:w.W.Synth.likely
+    ~region_uops:params.Configuration.region_uops
+    ~slack_threshold:params.Configuration.slack_threshold
+  |> Array.map (fun b -> if b then '1' else '0')
+  |> Array.to_seq |> String.of_seq
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* One point per line, so a regression names its points in the diff. *)
+let annot_digest_document () =
+  let point (name, w) =
+    Json.to_string
+      (Json.Obj
+         ((("point", Json.Str name)
+          :: List.map
+               (fun (key, config, clusters) ->
+                 (key, Json.Str (md5 (annot_string w config ~clusters))))
+               annot_digest_configs)
+         @ [ ("crit_hints", Json.Str (md5 (crit_bits w))) ]))
+  in
+  "{\"points\":[\n"
+  ^ String.concat ",\n" (List.map point (digest_points ()))
+  ^ "\n]}\n"
+
+let golden_path name =
+  let candidates = [ "goldens"; "test/goldens"; "../test/goldens" ] in
+  let dir =
+    Option.value ~default:"goldens" (List.find_opt Sys.file_exists candidates)
+  in
+  Filename.concat dir name
+
+let test_annot_digests_pinned () =
+  let doc = annot_digest_document () in
+  match Sys.getenv_opt "ANNOT_DIGESTS_OUT" with
+  | Some out ->
+      let oc = open_out_bin out in
+      output_string oc doc;
+      close_out oc
+  | None ->
+      let ic = open_in_bin (golden_path "annot_digests.json") in
+      let golden = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) "annot_digests.json" golden doc
+
+(* Independent of the golden file: every SPEC point's annotation,
+   concatenated in Spec2000.all and phase order, at 2 clusters. *)
+let test_annot_digests_spec_concat () =
+  let spec =
+    List.concat_map
+      (fun profile ->
+        List.map
+          (fun (p : W.Pinpoints.point) -> W.Synth.build p.W.Pinpoints.profile)
+          (W.Pinpoints.points profile))
+      W.Spec2000.all
+  in
+  List.iter
+    (fun (key, config, want) ->
+      let all =
+        String.concat "" (List.map (fun w -> annot_string w config ~clusters:2) spec)
+      in
+      Alcotest.(check string) key want (md5 all))
+    Configuration.
+      [
+        ("ob", Ob, "4a5e1ff6a7dde5f4794961d451a9b4ef");
+        ("rhop", Rhop, "21581b5ac742b988e4d0766ca9e1ccba");
+        ("vc2", Vc { virtual_clusters = 2 }, "5be399fca0c42927c4214e4592162a6b");
+      ]
+
 (* ---- Properties over random programs --------------------------------------------------- *)
 
 let arb_profile_seedling =
@@ -469,5 +580,11 @@ let () =
           qc prop_vc_chain_leaders_iff_vc_change;
           qc prop_all_passes_total;
           qc prop_rhop_balance_bounded;
+        ] );
+      ( "annot-digests",
+        [
+          Alcotest.test_case "pinned per point" `Quick test_annot_digests_pinned;
+          Alcotest.test_case "spec2000 concatenation" `Quick
+            test_annot_digests_spec_concat;
         ] );
     ]
