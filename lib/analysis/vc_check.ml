@@ -113,9 +113,9 @@ let check ~program ~likely ~annot ~region_uops ~max_chain =
             let id = region.Region.uops.(node).Uop.id in
             annot.Annot.vc_of.(id)
           in
-          Ddg.iter_edges g (fun e ->
-              let v = vc_of e.Ddg.src in
-              if v <> -1 && v = vc_of e.Ddg.dst then union e.Ddg.src e.Ddg.dst);
+          Ddg.iter_edges g (fun src dst ->
+              let v = vc_of src in
+              if v <> -1 && v = vc_of dst then union src dst);
           (* Unions only join same-VC nodes, so each component's
              representative shares its members' vc: counting roots per
              vc counts components per vc. *)

@@ -28,22 +28,13 @@ let of_annot ~program ~likely ~annot ~region_uops ~max_chain =
   in
   let chains = List.length chain_lengths in
   let total_len = List.fold_left ( + ) 0 chain_lengths in
-  let cross, intra =
-    List.fold_left
-      (fun (cross, intra) region ->
-        let g = Ddg.of_region region in
-        Array.to_list g.Ddg.succs
-        |> List.concat_map Fun.id
-        |> List.fold_left
-             (fun (cross, intra) (e : Ddg.edge) ->
-               let vc_of node =
-                 annot.Annot.vc_of.(region.Region.uops.(node).Uop.id)
-               in
-               if vc_of e.Ddg.src = vc_of e.Ddg.dst then (cross, intra + 1)
-               else (cross + 1, intra))
-             (cross, intra))
-      (0, 0) regions
-  in
+  let cross = ref 0 and intra = ref 0 in
+  List.iter
+    (fun region ->
+      let vc_of node = annot.Annot.vc_of.(region.Region.uops.(node).Uop.id) in
+      Ddg.iter_edges (Ddg.of_region region) (fun src dst ->
+          if vc_of src = vc_of dst then incr intra else incr cross))
+    regions;
   {
     static_uops = program.Program.uop_count;
     regions = List.length regions;
@@ -52,8 +43,8 @@ let of_annot ~program ~likely ~annot ~region_uops ~max_chain =
       (if chains = 0 then 0.0 else float_of_int total_len /. float_of_int chains);
     max_chain_length = List.fold_left max 0 chain_lengths;
     vc_population;
-    cross_vc_edges = cross;
-    intra_vc_edges = intra;
+    cross_vc_edges = !cross;
+    intra_vc_edges = !intra;
   }
 
 let to_json t =

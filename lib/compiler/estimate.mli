@@ -27,19 +27,25 @@ val comm_latency : float
 val create :
   parts:int ->
   issue_width:float ->
-  ?contention_scale:(int -> float) ->
+  ?contention:float array ->
   Clusteer_ddg.Ddg.t ->
   t
 (** [issue_width] is the per-part issue bandwidth used to convert
     accumulated work into contention delay; a cross-part operand costs
-    {!comm_latency}. [contention_scale node] (default [fun _ ->
-    1.0]) scales the contention term per node — the VC pass uses it to
-    let critical instructions ignore imbalance and chase their
-    producers. *)
+    {!comm_latency}. [contention.(node)] (default [1.0] for every node)
+    scales the contention term per node — the VC pass uses it to let
+    critical instructions ignore imbalance and chase their producers.
+    It must have one entry per DDG node. *)
 
 val estimate : t -> node:int -> part:int -> float
 (** Estimated completion time of [node] if placed in [part]. All its
     DDG predecessors must already be placed. *)
+
+val cheapest : t -> node:int -> int
+(** The part with the least {!estimate} for [node]; an exact tie goes
+    to the part with less accumulated work, then to the lower index.
+    The placement rule of OB and of the VC partitioner's unforced
+    nodes. Allocates nothing. *)
 
 val place : t -> node:int -> part:int -> unit
 (** Commit the node, updating its completion time and the part's
@@ -47,6 +53,10 @@ val place : t -> node:int -> part:int -> unit
 
 val part_of : t -> int -> int
 (** Committed part of a node, [-1] when unplaced. *)
+
+val parts : t -> int array
+(** Every node's {!part_of}: the estimator's own array, not a copy, so
+    once every node is placed it is the assignment. *)
 
 val completion : t -> int -> float
 (** Committed completion time; 0 when unplaced. *)

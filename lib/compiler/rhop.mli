@@ -11,11 +11,11 @@
 
 open Clusteer_isa
 
-val weights_of_ddg :
-  Clusteer_ddg.Ddg.t -> Clusteer_graphpart.Wgraph.t
+val weights_of_ddg : Clusteer_ddg.Ddg.t -> Clusteer_graphpart.Wgraph.t
 (** Node weight = 1 (issue-slot occupancy); edge weight =
     [1 + 4/(1 + slack)] where the edge's slack is the smaller of its
-    endpoints' slacks. *)
+    endpoints' slacks. One input edge per DDG edge, in
+    {!Clusteer_ddg.Ddg.iter_edges} order. *)
 
 val assign_region :
   ?seed:int -> Clusteer_ddg.Ddg.t -> clusters:int -> int array
@@ -30,4 +30,4 @@ val compile :
   Annot.t
 (** Whole-program RHOP annotation (scheme ["rhop"]) over regions of at
     most [region_uops] static micro-ops; region [r] is partitioned
-    with seed [1 + r]. *)
+    with seed [1 + r]. The regions share one set of working tables. *)

@@ -8,13 +8,17 @@ open Clusteer_ddg
    instruction ignores contention entirely and always follows its
    producers; at 1 criticality is ignored and every instruction is
    priced purely on completion time (§4.2's behaviour disabled). *)
-let contention_scale_of_slack ~min_scale crit =
+let contention_of_slack ~min_scale crit =
   let max_slack =
     Array.fold_left max 1 crit.Critical.slack |> float_of_int
   in
-  fun node ->
-    let ratio = float_of_int crit.Critical.slack.(node) /. max_slack in
-    min_scale +. ((1.0 -. min_scale) *. ratio)
+  let slack = crit.Critical.slack in
+  let scale = Array.make (Array.length slack) 0.0 in
+  for node = 0 to Array.length slack - 1 do
+    let ratio = float_of_int slack.(node) /. max_slack in
+    scale.(node) <- min_scale +. ((1.0 -. min_scale) *. ratio)
+  done;
+  scale
 
 (* Step 1 of Fig. 2 applied literally: nodes are partitioned "according
    to different critical paths" — one seed path per virtual cluster.
@@ -24,62 +28,47 @@ let contention_scale_of_slack ~min_scale crit =
    paths this is harmless; with more VCs than the DDG has independent
    critical paths, overlapping paths are torn apart — the very
    behaviour §5.4 blames for VC(4→4)'s extra copies. *)
+(* The first most critical unclaimed node among [row]'s entries
+   [lo .. hi - 1], or -1. *)
+let most_critical (criticality : int array) (forced : int array)
+    (row : int array) lo hi =
+  let best = ref (-1) in
+  for k = lo to hi - 1 do
+    let p = row.(k) in
+    if forced.(p) = -1 && (!best = -1 || criticality.(p) > criticality.(!best))
+    then best := p
+  done;
+  !best
+
+(* Claim for [vc], from [node] on, the most critical unclaimed
+   neighbour along [row] (the DDG's predecessor or successor rows)
+   until there is none. *)
+let rec extend_path criticality forced (row : int array) (off : int array) vc
+    node =
+  let next = most_critical criticality forced row off.(node) off.(node + 1) in
+  if next >= 0 then begin
+    forced.(next) <- vc;
+    extend_path criticality forced row off vc next
+  end
+
 let seed_critical_paths g crit ~virtual_clusters =
   let n = Ddg.node_count g in
+  let criticality = crit.Critical.criticality in
   let forced = Array.make n (-1) in
-  let most_critical_unclaimed () =
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      if
-        forced.(i) = -1
-        && (!best = -1
-           || crit.Critical.criticality.(i) > crit.Critical.criticality.(!best))
-      then best := i
-    done;
-    !best
-  in
   for vc = 0 to virtual_clusters - 1 do
-    let seed = most_critical_unclaimed () in
+    (* The first most critical unclaimed node. *)
+    let seed = ref (-1) in
+    for i = 0 to n - 1 do
+      if forced.(i) = -1 && (!seed = -1 || criticality.(i) > criticality.(!seed))
+      then seed := i
+    done;
+    let seed = !seed in
     if seed >= 0 then begin
       forced.(seed) <- vc;
       (* grow the path backward along the most critical unclaimed
          predecessors, then forward along successors *)
-      let rec backward node =
-        let best = ref (-1) in
-        List.iter
-          (fun (e : Ddg.edge) ->
-            let p = e.Ddg.src in
-            if
-              forced.(p) = -1
-              && (!best = -1
-                 || crit.Critical.criticality.(p)
-                    > crit.Critical.criticality.(!best))
-            then best := p)
-          g.Ddg.preds.(node);
-        if !best >= 0 then begin
-          forced.(!best) <- vc;
-          backward !best
-        end
-      in
-      let rec forward node =
-        let best = ref (-1) in
-        List.iter
-          (fun (e : Ddg.edge) ->
-            let s = e.Ddg.dst in
-            if
-              forced.(s) = -1
-              && (!best = -1
-                 || crit.Critical.criticality.(s)
-                    > crit.Critical.criticality.(!best))
-            then best := s)
-          g.Ddg.succs.(node);
-        if !best >= 0 then begin
-          forced.(!best) <- vc;
-          forward !best
-        end
-      in
-      backward seed;
-      forward seed
+      extend_path criticality forced g.Ddg.pred g.Ddg.pred_off vc seed;
+      extend_path criticality forced g.Ddg.succ g.Ddg.succ_off vc seed
     end
   done;
   forced
@@ -88,36 +77,18 @@ let assign_region g ~virtual_clusters ~crit_min_scale =
   let crit = Critical.analyze g in
   let est =
     Estimate.create ~parts:virtual_clusters ~issue_width:Estimate.issue_width
-      ~contention_scale:
-        (contention_scale_of_slack ~min_scale:crit_min_scale crit)
+      ~contention:(contention_of_slack ~min_scale:crit_min_scale crit)
       g
   in
-  let forced = seed_critical_paths g crit ~virtual_clusters in
-  let n = Ddg.node_count g in
-  let assignment = Array.make n 0 in
-  Array.iter
-    (fun node ->
-      let target =
-        if forced.(node) >= 0 then forced.(node)
-        else begin
-          let best = ref 0 and best_cost = ref infinity in
-          for vc = 0 to virtual_clusters - 1 do
-            let cost = Estimate.estimate est ~node ~part:vc in
-            if
-              cost < !best_cost
-              || cost = !best_cost
-                 && Estimate.load est vc < Estimate.load est !best
-            then begin
-              best := vc;
-              best_cost := cost
-            end
-          done;
-          !best
-        end
-      in
-      Estimate.place est ~node ~part:target;
-      assignment.(node) <- target)
-    (Ddg.topological_order g);
+  (* Seeded nodes keep their path's VC; the rest, visited in program
+     order (a topological order of the DDG), go where they complete
+     earliest. *)
+  let assignment = seed_critical_paths g crit ~virtual_clusters in
+  for node = 0 to Ddg.node_count g - 1 do
+    if assignment.(node) < 0 then
+      assignment.(node) <- Estimate.cheapest est ~node;
+    Estimate.place est ~node ~part:assignment.(node)
+  done;
   assignment
 
 let compile ~program ~likely ~virtual_clusters ~region_uops ~crit_min_scale
@@ -127,9 +98,10 @@ let compile ~program ~likely ~virtual_clusters ~region_uops ~crit_min_scale
       ~uop_count:program.Program.uop_count
   in
   let regions = Region.build ~program ~likely ~max_uops:region_uops in
+  let scratch = Ddg.scratch () in
   List.iter
     (fun region ->
-      let g = Ddg.of_region region in
+      let g = Ddg.of_region ~scratch region in
       let assignment = assign_region g ~virtual_clusters ~crit_min_scale in
       Array.iteri
         (fun node (u : Uop.t) ->

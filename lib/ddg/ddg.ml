@@ -1,14 +1,17 @@
 open Clusteer_isa
-
-type edge = { src : int; dst : int; latency : int }
+module Scratch = Clusteer_util.Scratch
 
 type t = {
   uops : Uop.t array;
-  succs : edge list array;
-  preds : edge list array;
+  latency : int array;
+  succ_off : int array;
+  succ : int array;
+  pred_off : int array;
+  pred : int array;
 }
 
 let node_count t = Array.length t.uops
+let edge_count t = Array.length t.pred
 
 (* Compiler-visible latency: assume L1 hits for loads (3-cycle data
    cache, Table 2) on top of the 1-cycle address generation. *)
@@ -20,80 +23,135 @@ let static_latency (u : Uop.t) =
   | Opcode.Load -> base + l1_hit_latency
   | _ -> base
 
-let build uops =
+type scratch = {
+  mutable writer : int array;
+  mutable last_store : int array;
+  mutable linked : int array;
+  mutable buf : int array;
+}
+
+let scratch () = { writer = [||]; last_store = [||]; linked = [||]; buf = [||] }
+
+(* Record the edge [src -> i] (none when [src < 0]) as the [m]-th
+   predecessor entry unless it is already there; the new entry count. *)
+let link linked buf m src i =
+  if src >= 0 && linked.(src) <> i then begin
+    linked.(src) <- i;
+    buf.(m) <- src;
+    m + 1
+  end
+  else m
+
+let build ?scratch:s uops =
+  let s = match s with Some s -> s | None -> scratch () in
   let n = Array.length uops in
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
-  let add_edge src dst =
-    if src <> dst then begin
-      let latency = static_latency uops.(src) in
-      let e = { src; dst; latency } in
-      (* Avoid duplicate edges between the same pair. *)
-      if not (List.exists (fun e' -> e'.dst = dst) succs.(src)) then begin
-        succs.(src) <- e :: succs.(src);
-        preds.(dst) <- e :: preds.(dst)
-      end
-    end
-  in
-  (* Register true dependences: last writer of each register feeds
-     subsequent readers until the next write. *)
-  let last_writer : (Reg.t * int) list ref = ref [] in
-  let writer_of r =
-    Option.map snd (List.find_opt (fun (reg, _) -> Reg.equal reg r) !last_writer)
-  in
-  let set_writer r i =
-    last_writer :=
-      (r, i) :: List.filter (fun (reg, _) -> not (Reg.equal reg r)) !last_writer
-  in
-  (* Memory dependences: per stream, remember the last store and all
-     loads since it. *)
-  let last_store = Hashtbl.create 7 in
+  (* Size the dense tables from the region itself: registers by
+     [Reg.encode] over the largest index used, streams over the range
+     of stream ids used. [bound] caps the edge count: one per source
+     operand plus one memory edge per micro-op. *)
+  let max_idx = ref 0 and lo_stream = ref max_int and hi_stream = ref min_int in
+  let bound = ref 0 in
   for i = 0 to n - 1 do
     let u = uops.(i) in
-    Array.iter
-      (fun src -> match writer_of src with Some w -> add_edge w i | None -> ())
-      u.Uop.srcs;
+    let srcs = u.Uop.srcs in
+    for s = 0 to Array.length srcs - 1 do
+      max_idx := max !max_idx srcs.(s).Reg.idx
+    done;
+    (match u.Uop.dst with Some d -> max_idx := max !max_idx d.Reg.idx | None -> ());
     if Uop.is_mem u then begin
-      let stream = u.Uop.stream in
-      (match u.Uop.opcode with
-      | Opcode.Load -> (
-          match Hashtbl.find_opt last_store stream with
-          | Some s -> add_edge s i
-          | None -> ())
-      | Opcode.Store ->
-          (match Hashtbl.find_opt last_store stream with
-          | Some s -> add_edge s i
-          | None -> ());
-          Hashtbl.replace last_store stream i
-      | _ -> ())
+      lo_stream := min !lo_stream u.Uop.stream;
+      hi_stream := max !hi_stream u.Uop.stream
     end;
-    Option.iter (fun d -> set_writer d i) u.Uop.dst
+    bound := !bound + Array.length srcs + 1
   done;
-  Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
-  Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
-  { uops; succs; preds }
+  let nregs_per_class = !max_idx + 1 in
+  let lo_stream = !lo_stream in
+  (* Register true dependences: the last writer of each register feeds
+     subsequent readers until the next write. Memory dependences: per
+     stream, the last store feeds later loads and the next store. *)
+  s.writer <- Scratch.reset s.writer (2 * nregs_per_class) (-1);
+  s.last_store <-
+    Scratch.reset s.last_store
+      (if !hi_stream < lo_stream then 0 else !hi_stream - lo_stream + 1)
+      (-1);
+  (* [linked.(src) = i] once the edge src -> i is recorded; edges into
+     [i] are only added while node [i] is visited, so this dedupes
+     (see [link]). *)
+  s.linked <- Scratch.reset s.linked n (-1);
+  s.buf <- Scratch.reset s.buf !bound 0;
+  let writer = s.writer and last_store = s.last_store in
+  let linked = s.linked and buf = s.buf in
+  let pred_off = Array.make (n + 1) 0 in
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let u = uops.(i) in
+    pred_off.(i) <- !m;
+    let srcs = u.Uop.srcs in
+    for s = 0 to Array.length srcs - 1 do
+      m := link linked buf !m writer.(Reg.encode ~nregs_per_class srcs.(s)) i
+    done;
+    (match u.Uop.opcode with
+    | Opcode.Load -> m := link linked buf !m last_store.(u.Uop.stream - lo_stream) i
+    | Opcode.Store ->
+        m := link linked buf !m last_store.(u.Uop.stream - lo_stream) i;
+        last_store.(u.Uop.stream - lo_stream) <- i
+    | _ -> ());
+    match u.Uop.dst with
+    | Some d -> writer.(Reg.encode ~nregs_per_class d) <- i
+    | None -> ()
+  done;
+  pred_off.(n) <- !m;
+  let pred = Array.sub buf 0 !m in
+  (* Successor rows by counting sort over the predecessor rows: visiting
+     destinations in ascending order appends each source's successors
+     in insertion order. [linked] becomes the per-row fill cursor. *)
+  let succ_off = Array.make (n + 1) 0 in
+  Array.iter (fun src -> succ_off.(src + 1) <- succ_off.(src + 1) + 1) pred;
+  for i = 0 to n - 1 do
+    succ_off.(i + 1) <- succ_off.(i + 1) + succ_off.(i);
+    linked.(i) <- succ_off.(i)
+  done;
+  let succ = Array.make !m 0 in
+  for dst = 0 to n - 1 do
+    for k = pred_off.(dst) to pred_off.(dst + 1) - 1 do
+      let src = pred.(k) in
+      succ.(linked.(src)) <- dst;
+      linked.(src) <- linked.(src) + 1
+    done
+  done;
+  { uops; latency = Array.map static_latency uops; succ_off; succ; pred_off; pred }
 
-let of_region (r : Region.t) = build r.Region.uops
+let of_region ?scratch (r : Region.t) = build ?scratch r.Region.uops
+
+let iter_succs t i f =
+  for k = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+    f t.succ.(k)
+  done
+
+let iter_preds t i f =
+  for k = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+    f t.pred.(k)
+  done
+
+let succ_count t i = t.succ_off.(i + 1) - t.succ_off.(i)
+let pred_count t i = t.pred_off.(i + 1) - t.pred_off.(i)
 
 let iter_edges t f =
-  Array.iter (fun es -> List.iter f es) t.succs
+  for src = 0 to node_count t - 1 do
+    iter_succs t src (fun dst -> f src dst)
+  done
 
-let roots t =
+let nodes_where t p =
   let acc = ref [] in
   for i = node_count t - 1 downto 0 do
-    if t.preds.(i) = [] then acc := i :: !acc
+    if p i then acc := i :: !acc
   done;
   !acc
 
-let leaves t =
-  let acc = ref [] in
-  for i = node_count t - 1 downto 0 do
-    if t.succs.(i) = [] then acc := i :: !acc
-  done;
-  !acc
+let roots t = nodes_where t (fun i -> pred_count t i = 0)
+let leaves t = nodes_where t (fun i -> succ_count t i = 0)
 
 let is_acyclic t =
-  (* Edges produced by [build] always satisfy src < dst. *)
-  Array.for_all (List.for_all (fun e -> e.src < e.dst)) t.succs
-
-let topological_order t = Array.init (node_count t) Fun.id
+  let ok = ref true in
+  iter_edges t (fun src dst -> if src >= dst then ok := false);
+  !ok

@@ -2,47 +2,61 @@ open Clusteer_isa
 
 type t = { id : int; blocks : int array; uops : Uop.t array }
 
+(* The micro-ops of [blocks], concatenated. *)
+let flatten (all : Block.t array) blocks count =
+  if count = 0 then [||]
+  else begin
+    let first = ref 0 in
+    while Array.length all.(blocks.(!first)).Block.uops = 0 do
+      incr first
+    done;
+    let uops = Array.make count all.(blocks.(!first)).Block.uops.(0) in
+    let at = ref 0 in
+    Array.iter
+      (fun b ->
+        let u = all.(b).Block.uops in
+        Array.blit u 0 uops !at (Array.length u);
+        at := !at + Array.length u)
+      blocks;
+    uops
+  end
+
 let build ~program ~likely ~max_uops =
   if max_uops <= 0 then invalid_arg "Region.build: max_uops must be positive";
-  let nblocks = Array.length program.Program.blocks in
+  let all = program.Program.blocks in
+  let nblocks = Array.length all in
   let placed = Array.make nblocks false in
+  (* The blocks of the region being grown, in order. *)
+  let path = Array.make nblocks 0 in
   let regions = ref [] in
-  let next_id = ref 0 in
   let grow seed =
-    let blocks = ref [ seed ] in
-    let count = ref (Array.length program.Program.blocks.(seed).Block.uops) in
+    let len = ref 1 and count = ref (Array.length all.(seed).Block.uops) in
+    path.(0) <- seed;
     placed.(seed) <- true;
-    let rec extend current =
-      let blk = program.Program.blocks.(current) in
-      let succs = blk.Block.succs in
+    let current = ref seed and growing = ref true in
+    while !growing do
+      let succs = all.(!current).Block.succs in
       let choice =
         match Array.length succs with
-        | 0 -> None
-        | 1 -> Some succs.(0)
+        | 0 -> -1
+        | 1 -> succs.(0)
         | _ -> (
-            match likely current with
-            | Some i when i >= 0 && i < Array.length succs -> Some succs.(i)
-            | Some _ | None -> None)
+            match likely !current with
+            | Some i when i >= 0 && i < Array.length succs -> succs.(i)
+            | Some _ | None -> -1)
       in
-      match choice with
-      | Some nxt when (not placed.(nxt)) && !count < max_uops ->
-          let sz = Array.length program.Program.blocks.(nxt).Block.uops in
-          placed.(nxt) <- true;
-          blocks := nxt :: !blocks;
-          count := !count + sz;
-          extend nxt
-      | Some _ | None -> ()
-    in
-    extend seed;
-    let block_arr = Array.of_list (List.rev !blocks) in
-    let uops =
-      Array.concat
-        (Array.to_list
-           (Array.map (fun b -> program.Program.blocks.(b).Block.uops) block_arr))
-    in
-    let r = { id = !next_id; blocks = block_arr; uops } in
-    incr next_id;
-    regions := r :: !regions
+      if choice >= 0 && (not placed.(choice)) && !count < max_uops then begin
+        placed.(choice) <- true;
+        path.(!len) <- choice;
+        incr len;
+        count := !count + Array.length all.(choice).Block.uops;
+        current := choice
+      end
+      else growing := false
+    done;
+    let blocks = Array.sub path 0 !len in
+    let id = match !regions with [] -> 0 | r :: _ -> r.id + 1 in
+    regions := { id; blocks; uops = flatten all blocks !count } :: !regions
   in
   (* Seed from the entry first so the hot path gets the longest region,
      then sweep remaining blocks in id order. *)

@@ -11,8 +11,18 @@ type level = {
   map : int array;  (** fine node -> coarse node *)
 }
 
-val step : ?seed:int -> ?max_node_weight:float -> Wgraph.t -> level
-(** One round of heavy-edge matching. When no edge can be matched the
+type scratch
+(** Matching and edge buffers {!step} reuses from call to call, grown on
+    demand. One per compile or partitioning call, never shared between
+    domains. *)
+
+val scratch : unit -> scratch
+
+val step :
+  ?scratch:scratch -> ?seed:int -> ?max_node_weight:float -> Wgraph.t -> level
+(** One round of heavy-edge matching: in a seeded random visit order,
+    each unmatched node takes the first heaviest eligible neighbour of
+    its row ({!Wgraph}'s neighbour order decides ties). When no edge can be matched the
     coarse graph equals the input (identity map). [seed] randomises the
     visit order (default 1). [max_node_weight] (default unlimited)
     refuses matches whose merged weight would exceed it, keeping

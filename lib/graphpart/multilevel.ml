@@ -1,23 +1,23 @@
-let initial_partition g ~k =
-  let n = Wgraph.node_count g in
+(* Nodes by descending weight, each to the currently lightest part. *)
+let initial_partition (g : Wgraph.t) ~k =
+  let n = g.Wgraph.nv and vwgt = g.Wgraph.vwgt in
   let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b -> compare (Wgraph.node_weight g b) (Wgraph.node_weight g a))
-    order;
+  Array.sort (fun a b -> Float.compare vwgt.(b) vwgt.(a)) order;
   let weights = Array.make k 0.0 in
   let part = Array.make n 0 in
-  Array.iter
-    (fun v ->
-      let lightest = ref 0 in
-      for p = 1 to k - 1 do
-        if weights.(p) < weights.(!lightest) then lightest := p
-      done;
-      part.(v) <- !lightest;
-      weights.(!lightest) <- weights.(!lightest) +. Wgraph.node_weight g v)
-    order;
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    let lightest = ref 0 in
+    for p = 1 to k - 1 do
+      if weights.(p) < weights.(!lightest) then lightest := p
+    done;
+    part.(v) <- !lightest;
+    weights.(!lightest) <- weights.(!lightest) +. vwgt.(v)
+  done;
   part
 
-let partition ?(seed = 1) ?(max_imbalance = 1.25) ?(refine_passes = 4) g ~k =
+let partition ?scratch ?(seed = 1) ?(max_imbalance = 1.25) ?(refine_passes = 4)
+    g ~k =
   if k <= 0 then invalid_arg "Multilevel.partition: k must be positive";
   if k = 1 then Array.make (Wgraph.node_count g) 0
   else begin
@@ -26,34 +26,47 @@ let partition ?(seed = 1) ?(max_imbalance = 1.25) ?(refine_passes = 4) g ~k =
     let max_node_weight =
       Wgraph.total_weight g /. float_of_int k *. 0.75
     in
+    let scratch =
+      match scratch with Some s -> s | None -> Coarsen.scratch ()
+    in
     let rec coarsen levels g depth =
       if Wgraph.node_count g <= k || depth > 40 then (levels, g)
       else begin
-        let level = Coarsen.step ~seed:(seed + depth) ~max_node_weight g in
+        let level =
+          Coarsen.step ~scratch ~seed:(seed + depth) ~max_node_weight g
+        in
         if Wgraph.node_count level.Coarsen.graph >= Wgraph.node_count g then
           (levels, g)
         else coarsen (level :: levels) level.Coarsen.graph (depth + 1)
       end
     in
     let levels, coarsest = coarsen [] g 0 in
-    let part = ref (initial_partition coarsest ~k) in
-    Refine.run coarsest !part ~k ~max_imbalance ~passes:refine_passes;
+    (* One array holds every level's partition: coarse ids are handed
+       out in ascending order of their first fine node, so
+       [map.(v) <= v], and projecting in place from the last node down
+       reads only entries not yet overwritten. *)
+    let part = Array.make (Wgraph.node_count g) 0 in
+    let initial = initial_partition coarsest ~k in
+    Array.blit initial 0 part 0 (Array.length initial);
+    Refine.run coarsest part ~k ~max_imbalance ~passes:refine_passes;
     (* Uncoarsening phase: project and refine at every level. [levels]
        holds the coarsest level first; each level's fine graph is the
        next element's coarse graph, bottoming out at the input [g]. *)
-    let rec unwind levels part =
-      match levels with
-      | [] -> part
+    let rec unwind = function
+      | [] -> ()
       | (level : Coarsen.level) :: finer ->
           let fine_graph =
             match finer with
             | [] -> g
             | next :: _ -> next.Coarsen.graph
           in
-          let projected = Coarsen.project level part in
-          Refine.run fine_graph projected ~k ~max_imbalance
-            ~passes:refine_passes;
-          unwind finer projected
+          let map = level.Coarsen.map in
+          for v = Array.length map - 1 downto 0 do
+            part.(v) <- part.(map.(v))
+          done;
+          Refine.run fine_graph part ~k ~max_imbalance ~passes:refine_passes;
+          unwind finer
     in
-    unwind levels !part
+    unwind levels;
+    part
   end

@@ -4,6 +4,7 @@
     refinement at each step. *)
 
 val partition :
+  ?scratch:Coarsen.scratch ->
   ?seed:int ->
   ?max_imbalance:float ->
   ?refine_passes:int ->
@@ -14,7 +15,9 @@ val partition :
     each part's weight relative to the ideal; [refine_passes] (default
     4) bounds refinement rounds per level. Coarsening stops when the
     graph has at most [k] nodes — "the number of coarse nodes equals
-    the number of clusters" — or stops shrinking. *)
+    the number of clusters" — or stops shrinking. [scratch] (default a
+    fresh one) holds the coarsening buffers, so a compile can reuse one
+    across its regions. *)
 
 val initial_partition : Wgraph.t -> k:int -> Partition.t
 (** Greedy balanced split of a (small) graph: nodes in descending

@@ -2,15 +2,20 @@ type t = int array
 
 let parts t = Array.fold_left (fun acc p -> max acc (p + 1)) 0 t
 
-let edge_cut g t =
-  Wgraph.fold_edges
-    (fun a b w acc -> if t.(a) <> t.(b) then acc +. w else acc)
-    g 0.0
+let edge_cut (g : Wgraph.t) t =
+  let cut = ref 0.0 in
+  for a = 0 to g.Wgraph.nv - 1 do
+    for k = g.Wgraph.off.(a) to g.Wgraph.off.(a + 1) - 1 do
+      let b = g.Wgraph.adj.(k) in
+      if a < b && t.(a) <> t.(b) then cut := !cut +. g.Wgraph.wgt.(k)
+    done
+  done;
+  !cut
 
-let part_weights g t ~k =
+let part_weights (g : Wgraph.t) t ~k =
   let weights = Array.make k 0.0 in
   Array.iteri
-    (fun node part -> weights.(part) <- weights.(part) +. Wgraph.node_weight g node)
+    (fun node part -> weights.(part) <- weights.(part) +. g.Wgraph.vwgt.(node))
     t;
   weights
 

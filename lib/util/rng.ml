@@ -70,8 +70,9 @@ let pick_weighted t a =
   in
   loop 0 0.0
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
+let shuffle ?len t a =
+  let len = match len with Some n -> n | None -> Array.length a in
+  for i = len - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);

@@ -49,8 +49,9 @@ val pick_weighted : t -> ('a * float) array -> 'a
 (** Element drawn with probability proportional to its weight. Weights
     must be non-negative and not all zero. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
+val shuffle : ?len:int -> t -> 'a array -> unit
+(** In-place Fisher-Yates shuffle of the first [len] entries (default
+    all). *)
 
 val gaussian : t -> mean:float -> stddev:float -> float
 (** Normal deviate via Box-Muller. *)

@@ -60,23 +60,18 @@ let commit_avail st pred ~cluster =
   end
 
 let estimate_start st node ~cluster =
-  let ready =
-    List.fold_left
-      (fun acc (e : Ddg.edge) ->
-        max acc (estimate_avail st e.Ddg.src ~cluster))
-      0
-      st.g.Ddg.preds.(node)
-  in
+  let ready = ref 0 in
+  Ddg.iter_preds st.g node (fun src ->
+      ready := max !ready (estimate_avail st src ~cluster));
+  let ready = !ready in
   let cls = Machine.slot_class_of st.g.Ddg.uops.(node).Clusteer_isa.Uop.opcode in
   Schedule.earliest_free st.res ~cluster ~cls ~from:ready
 
 let commit st node ~cluster =
-  let ready =
-    List.fold_left
-      (fun acc (e : Ddg.edge) -> max acc (commit_avail st e.Ddg.src ~cluster))
-      0
-      st.g.Ddg.preds.(node)
-  in
+  let ready = ref 0 in
+  Ddg.iter_preds st.g node (fun src ->
+      ready := max !ready (commit_avail st src ~cluster));
+  let ready = !ready in
   let cls = Machine.slot_class_of st.g.Ddg.uops.(node).Clusteer_isa.Uop.opcode in
   let cycle = Schedule.earliest_free st.res ~cluster ~cls ~from:ready in
   Schedule.reserve st.res ~cluster ~cls ~cycle;
@@ -89,7 +84,7 @@ let commit st node ~cluster =
 let priority_order g =
   let crit = Critical.analyze g in
   let n = Ddg.node_count g in
-  let remaining_preds = Array.map List.length g.Ddg.preds in
+  let remaining_preds = Array.init n (Ddg.pred_count g) in
   let scheduled = Array.make n false in
   let order = ref [] in
   for _ = 1 to n do
@@ -103,10 +98,8 @@ let priority_order g =
     done;
     if !best < 0 then invalid_arg "Vliw.List_sched: cyclic DDG";
     scheduled.(!best) <- true;
-    List.iter
-      (fun (e : Ddg.edge) ->
-        remaining_preds.(e.Ddg.dst) <- remaining_preds.(e.Ddg.dst) - 1)
-      g.Ddg.succs.(!best);
+    Ddg.iter_succs g !best (fun dst ->
+        remaining_preds.(dst) <- remaining_preds.(dst) - 1);
     order := !best :: !order
   done;
   List.rev !order

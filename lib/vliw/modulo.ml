@@ -9,12 +9,11 @@ type loop_ddg = { uops : Uop.t array; edges : edge list }
 let loop_ddg_of_body uops =
   let n = Array.length uops in
   let acyclic = Ddg.build uops in
-  let intra =
-    List.concat_map
-      (List.map (fun (e : Ddg.edge) ->
-           { src = e.Ddg.src; dst = e.Ddg.dst; latency = e.Ddg.latency; distance = 0 }))
-      (Array.to_list acyclic.Ddg.succs)
-  in
+  let intra = ref [] in
+  Ddg.iter_edges acyclic (fun src dst ->
+      intra :=
+        { src; dst; latency = acyclic.Ddg.latency.(src); distance = 0 } :: !intra);
+  let intra = List.rev !intra in
   (* Loop-carried register dependences: a use with no earlier
      definition in the body reads the previous iteration's (last)
      definition. *)

@@ -55,9 +55,8 @@ let validate t (g : Ddg.t) machine =
       let own_latency = Ddg.static_latency g.Ddg.uops.(node) in
       if e.finish < e.cycle + own_latency then
         invalid_arg "Vliw.Schedule.validate: finish before latency";
-      List.iter
-        (fun (edge : Ddg.edge) ->
-          let p = t.entries.(edge.Ddg.src) in
+      Ddg.iter_preds g node (fun src ->
+          let p = t.entries.(src) in
           let comm =
             if p.cluster = e.cluster then 0 else machine.Machine.comm_latency
           in
@@ -66,6 +65,5 @@ let validate t (g : Ddg.t) machine =
               (Printf.sprintf
                  "Vliw.Schedule.validate: node %d issues at %d before \
                   operand from %d ready at %d(+%d comm)"
-                 node e.cycle edge.Ddg.src p.finish comm))
-        g.Ddg.preds.(node))
+                 node e.cycle src p.finish comm)))
     t.entries

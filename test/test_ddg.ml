@@ -14,6 +14,17 @@ let alu b ~dst ~srcs =
 
 (* ---- DDG construction ------------------------------------------------- *)
 
+(* A node's successor (destination) and predecessor (source) rows. *)
+let succs_of g i =
+  let acc = ref [] in
+  Ddg.iter_succs g i (fun d -> acc := d :: !acc);
+  List.rev !acc
+
+let preds_of g i =
+  let acc = ref [] in
+  Ddg.iter_preds g i (fun s -> acc := s :: !acc);
+  List.rev !acc
+
 (* r0 = const; r1 = r0; r2 = r0; r3 = r1 + r2  (diamond) *)
 let diamond_uops () =
   let b = Program.Builder.create ~name:"d" ~nregs_per_class:8 () in
@@ -25,7 +36,7 @@ let diamond_uops () =
 
 let test_ddg_diamond_edges () =
   let g = Ddg.build (diamond_uops ()) in
-  let succs i = List.map (fun (e : Ddg.edge) -> e.Ddg.dst) g.Ddg.succs.(i) in
+  let succs i = succs_of g i in
   Alcotest.(check (list int)) "u0 feeds u1 u2" [ 1; 2 ] (succs 0);
   Alcotest.(check (list int)) "u1 feeds u3" [ 3 ] (succs 1);
   Alcotest.(check (list int)) "u2 feeds u3" [ 3 ] (succs 2);
@@ -38,8 +49,8 @@ let test_ddg_redefinition_kills () =
   let u1 = alu b ~dst:0 ~srcs:[] in
   let u2 = alu b ~dst:1 ~srcs:[ 0 ] in
   let g = Ddg.build [| u0; u1; u2 |] in
-  check_int "u0 has no consumers" 0 (List.length g.Ddg.succs.(0));
-  check_int "u1 feeds u2" 1 (List.length g.Ddg.succs.(1))
+  check_int "u0 has no consumers" 0 (List.length (succs_of g 0));
+  check_int "u1 feeds u2" 1 (List.length (succs_of g 1))
 
 let test_ddg_memory_dependences () =
   let b = Program.Builder.create ~name:"mem" ~nregs_per_class:8 () in
@@ -62,7 +73,7 @@ let test_ddg_memory_dependences () =
       ~stream:s0 ()
   in
   let g = Ddg.build [| st0; ld_same; ld_other; st_same |] in
-  let has_edge a b = List.exists (fun (e : Ddg.edge) -> e.Ddg.dst = b) g.Ddg.succs.(a) in
+  let has_edge a b = List.mem b (succs_of g a) in
   check_bool "store -> load same stream" true (has_edge 0 1);
   check_bool "no edge to other stream" false (has_edge 0 2);
   check_bool "store -> store same stream" true (has_edge 0 3)
@@ -70,9 +81,7 @@ let test_ddg_memory_dependences () =
 let test_ddg_acyclic_and_forward () =
   let g = Ddg.build (diamond_uops ()) in
   check_bool "acyclic" true (Ddg.is_acyclic g);
-  Array.iter
-    (List.iter (fun (e : Ddg.edge) -> check_bool "forward" true (e.Ddg.src < e.Ddg.dst)))
-    g.Ddg.succs
+  Ddg.iter_edges g (fun src dst -> check_bool "forward" true (src < dst))
 
 let test_ddg_roots_leaves () =
   let g = Ddg.build (diamond_uops ()) in
@@ -251,18 +260,8 @@ let prop_ddg_pred_succ_symmetric =
     (fun uops ->
       let g = Ddg.build uops in
       let ok = ref true in
-      Array.iteri
-        (fun i succs ->
-          List.iter
-            (fun (e : Ddg.edge) ->
-              if
-                not
-                  (List.exists
-                     (fun (e' : Ddg.edge) -> e'.Ddg.src = i)
-                     g.Ddg.preds.(e.Ddg.dst))
-              then ok := false)
-            succs)
-        g.Ddg.succs;
+      Ddg.iter_edges g (fun src dst ->
+          if not (List.mem src (preds_of g dst)) then ok := false);
       !ok)
 
 let prop_criticality_bounds =
