@@ -66,8 +66,11 @@ bench:
 # allocation study only, at reduced trace length. Fails if its JSON
 # document is not produced, a steering policy started allocating on the
 # decision path, the full simulation path (engine + trace generator)
-# allocates more than 16 minor words per committed micro-op, or a bad
-# -n or study name is not rejected with exit 2 and a one-line
+# allocates more than 1 minor word per committed micro-op, a software
+# scheme's compile (Configuration.prepare of ob, rhop, vc2) allocates
+# more minor words per static micro-op than its budget in
+# bin/experiment.ml, the document lacks those compile figures, or a
+# bad -n or study name is not rejected with exit 2 and a one-line
 # diagnostic.
 # The throughput study enforces the scaling floor (>=1.5x at 2
 # domains, >=3x at 4; exits 1 with a one-line diagnostic per miss)
@@ -80,6 +83,8 @@ bench-smoke: build
 	  --ledger _build/bench-runs --json > _build/bench.json
 	@grep -q '"suite_throughput"' _build/bench.json
 	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"crit":0.0,"vc2":0.0,"one-cluster":0.0,"ob":0.0,"rhop":0.0}' \
+	  _build/bench.json
+	@grep -q '"compile_words_per_static_uop":{"ob":[0-9.]*,"rhop":[0-9.]*,"vc2":[0-9.]*}' \
 	  _build/bench.json
 	@grep -q '"kind":"bench"' _build/bench-runs/index.jsonl
 	@c=_build/default/bin/csteer.exe; \

@@ -772,6 +772,14 @@ let iqr xs = percentile xs 75.0 -. percentile xs 25.0
    the host, so the budget is always enforced. *)
 let max_engine_words_per_uop = 1.0
 
+(* Minor-heap words per static micro-op [Configuration.prepare] may
+   allocate for each software scheme on the probed workload (gzip-1).
+   The compiler builds each region's graphs into flat arrays and reuses
+   its working tables across regions; a budget missed means something
+   on the compile path allocates per edge or per node again. Like the
+   full-path budget it does not depend on the host. *)
+let compile_words_budget = [ ("ob", 20.0); ("rhop", 60.0); ("vc2", 30.0) ]
+
 (* 1. Suite throughput vs domain count. Each measurement replays the
    identical work (the harness is deterministic), so uops/sec is
    directly comparable across domain counts. On a single-core host the
@@ -993,7 +1001,41 @@ let allocation ctx =
       []
     end
   in
-  (per_decide, engine_words, failures)
+  let static_uops =
+    float_of_int workload.Synth.program.Clusteer_isa.Program.uop_count
+  in
+  Printf.fprintf ctx.out "\n%-12s %22s\n" "compile" "minor words/static uop";
+  let compile_words =
+    List.map
+      (fun (name, budget) ->
+        let config = Result.get_ok (Configuration.of_name name) in
+        let before = Gc.minor_words () in
+        ignore (prepare config);
+        let words = (Gc.minor_words () -. before) /. static_uops in
+        Printf.fprintf ctx.out "%-12s %22.1f  (budget %.1f)\n" name words budget;
+        (name, words, budget))
+      compile_words_budget
+  in
+  let compile_failures =
+    List.filter_map
+      (fun (name, words, budget) ->
+        if words > budget then
+          Some
+            (Printf.sprintf
+               "throughput: FAIL %s compile allocation %.1f minor words/static \
+                uop > budget %.1f"
+               name words budget)
+        else None)
+      compile_words
+  in
+  if compile_failures = [] then
+    Printf.fprintf ctx.out
+      "throughput: OK compile allocation within budget for %s\n"
+      (String.concat ", " (List.map fst compile_words_budget));
+  ( per_decide,
+    engine_words,
+    List.map (fun (name, words, _) -> (name, Json.Float words)) compile_words,
+    failures @ compile_failures )
 
 let throughput ctx =
   heading ctx "Throughput study: parallel harness + zero-allocation steering";
@@ -1001,7 +1043,9 @@ let throughput ctx =
   let (rows, scaling_failures), m =
     measure (fun () -> suite_throughput ctx ~host_domains)
   in
-  let per_decide, engine_words, alloc_failures = allocation ctx in
+  let per_decide, engine_words, compile_words, alloc_failures =
+    allocation ctx
+  in
   let failures = scaling_failures @ alloc_failures in
   (* The speedup table goes to the run ledger, the same durable trail
      the sweeps leave, so scaling regressions show up in `csteer runs
@@ -1026,6 +1070,7 @@ let throughput ctx =
           ] );
       ("steering_alloc_words_per_decide", Json.Obj per_decide);
       ("engine_minor_words_per_uop", Json.Float engine_words);
+      ("compile_words_per_static_uop", Json.Obj compile_words);
     ],
     failures )
 

@@ -8,7 +8,8 @@ type t = {
   wgt : float array;
 }
 
-(* OCaml's generic structural hash, as [Hashtbl.hash] calls it. *)
+(* OCaml's generic structural hash; the standard library's hash tables
+   call it as [seeded_hash_param 10 100 0]. *)
 external seeded_hash_param : int -> int -> int -> 'a -> int = "caml_hash"
 [@@noalloc]
 

@@ -20,7 +20,8 @@
     results were defined with:
     - rows list neighbours by {e descending} bucket, the bucket of an
       edge being OCaml's generic hash of its pair ([caml_hash] with the
-      parameters of [Hashtbl.hash]) [land (nb - 1)], where [nb] is the
+      standard hash tables' parameters 10, 100 and seed 0)
+      [land (nb - 1)], where [nb] is the
       smallest power of two at least [max 16 m] and [m] the number of
       input edges, parallel ones included;
     - within one bucket, by ascending first occurrence in the input;

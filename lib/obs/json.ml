@@ -25,8 +25,10 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no literal for nan or the infinities: they encode as null. *)
 let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     (* Keep a decimal point so the value parses back as a float. *)
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.12g" f
@@ -167,7 +169,8 @@ let parse_number st =
   in
   if is_float then
     match float_of_string_opt text with
-    | Some f -> Float f
+    | Some f when Float.is_finite f -> Float f
+    | Some _ -> error st "number out of range"
     | None -> error st "bad number"
   else
     match int_of_string_opt text with

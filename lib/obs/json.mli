@@ -15,7 +15,8 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (single-line) encoding. *)
+(** Compact (single-line) encoding. A non-finite [Float] (nan, ±inf),
+    which JSON cannot express, is written as [null]. *)
 
 val to_buffer : Buffer.t -> t -> unit
 
@@ -24,7 +25,9 @@ val output : out_channel -> t -> unit
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; trailing garbage is an error.
     Numbers with a fraction or exponent parse as [Float], others as
-    [Int]. *)
+    [Int]. A number too large for a float (e.g. [1e999]) is refused
+    with the diagnostic ["number out of range at offset N"], so a
+    parsed [Float] is always finite. *)
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] elsewhere or when absent. *)

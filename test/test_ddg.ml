@@ -264,6 +264,142 @@ let prop_ddg_pred_succ_symmetric =
           if not (List.mem src (preds_of g dst)) then ok := false);
       !ok)
 
+(* ---- CSR order = the list-based builder ------------------------------------ *)
+
+(* The list-of-records builder the CSR replaced, kept verbatim as the
+   reference for row order and dedupe. *)
+module Reference = struct
+  type edge = { src : int; dst : int; latency : int }
+
+  let build uops =
+    let n = Array.length uops in
+    let succs = Array.make n [] in
+    let preds = Array.make n [] in
+    let add_edge src dst =
+      if src <> dst then begin
+        let latency = Ddg.static_latency uops.(src) in
+        let e = { src; dst; latency } in
+        (* Avoid duplicate edges between the same pair. *)
+        if not (List.exists (fun e' -> e'.dst = dst) succs.(src)) then begin
+          succs.(src) <- e :: succs.(src);
+          preds.(dst) <- e :: preds.(dst)
+        end
+      end
+    in
+    (* Register true dependences: last writer of each register feeds
+       subsequent readers until the next write. *)
+    let last_writer : (Reg.t * int) list ref = ref [] in
+    let writer_of r =
+      Option.map snd (List.find_opt (fun (reg, _) -> Reg.equal reg r) !last_writer)
+    in
+    let set_writer r i =
+      last_writer :=
+        (r, i) :: List.filter (fun (reg, _) -> not (Reg.equal reg r)) !last_writer
+    in
+    (* Memory dependences: per stream, remember the last store and all
+       loads since it. *)
+    let last_store = Hashtbl.create 7 in
+    for i = 0 to n - 1 do
+      let u = uops.(i) in
+      Array.iter
+        (fun src -> match writer_of src with Some w -> add_edge w i | None -> ())
+        u.Uop.srcs;
+      if Uop.is_mem u then begin
+        let stream = u.Uop.stream in
+        (match u.Uop.opcode with
+        | Opcode.Load -> (
+            match Hashtbl.find_opt last_store stream with
+            | Some s -> add_edge s i
+            | None -> ())
+        | Opcode.Store ->
+            (match Hashtbl.find_opt last_store stream with
+            | Some s -> add_edge s i
+            | None -> ());
+            Hashtbl.replace last_store stream i
+        | _ -> ())
+      end;
+      Option.iter (fun d -> set_writer d i) u.Uop.dst
+    done;
+    Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
+    Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
+    (succs, preds)
+end
+
+(* Rows, latencies and edge count equal the reference's, in order. *)
+let same_as_reference uops =
+  let g = Ddg.build uops in
+  let succs, preds = Reference.build uops in
+  let n = Array.length uops in
+  let edges = Array.fold_left (fun acc l -> acc + List.length l) 0 succs in
+  Ddg.edge_count g = edges
+  && List.for_all
+       (fun i ->
+         succs_of g i = List.map (fun e -> e.Reference.dst) succs.(i)
+         && preds_of g i = List.map (fun e -> e.Reference.src) preds.(i)
+         && List.for_all
+              (fun e -> g.Ddg.latency.(e.Reference.src) = e.Reference.latency)
+              succs.(i))
+       (List.init n Fun.id)
+
+(* Random sequences over both register classes and three memory
+   streams, with repeated source operands. *)
+let gen_mixed_uops =
+  QCheck.Gen.(
+    sized (fun size st ->
+        let n = max 1 (min size 60) in
+        Array.init n (fun id ->
+            let reg () =
+              if int_bound 3 st = 0 then Reg.fp (int_bound 3 st)
+              else Reg.int (int_bound 5 st)
+            in
+            let srcs () =
+              match int_bound 3 st with
+              | 0 -> [||]
+              | 1 -> [| reg () |]
+              | 2 -> let r = reg () in [| r; r |]
+              | _ -> [| reg (); reg () |]
+            in
+            match int_bound 5 st with
+            | 0 ->
+                Uop.make ~id ~opcode:Opcode.Load ~dst:(Reg.int (int_bound 5 st))
+                  ~srcs:(srcs ()) ~stream:(int_bound 2 st) ()
+            | 1 ->
+                Uop.make ~id ~opcode:Opcode.Store ~srcs:(srcs ())
+                  ~stream:(int_bound 2 st) ()
+            | 2 ->
+                Uop.make ~id ~opcode:Opcode.Fp_mul ~dst:(Reg.fp (int_bound 3 st))
+                  ~srcs:(srcs ()) ()
+            | _ ->
+                Uop.make ~id ~opcode:Opcode.Int_alu
+                  ~dst:(Reg.int (int_bound 5 st)) ~srcs:(srcs ()) ())))
+
+let prop_csr_matches_reference =
+  QCheck.Test.make ~name:"csr rows = list reference (order, dedupe)" ~count:500
+    (QCheck.make gen_mixed_uops) same_as_reference
+
+let test_csr_reference_cases () =
+  let b = Program.Builder.create ~name:"ref" ~nregs_per_class:8 () in
+  let s0 = Program.Builder.stream b in
+  let w = alu b ~dst:0 ~srcs:[] in
+  (* One writer read twice: a single edge. *)
+  let twice = alu b ~dst:1 ~srcs:[ 0; 0 ] in
+  let st =
+    Program.Builder.uop b Opcode.Store ~srcs:[| Reg.int 1; Reg.int 0 |]
+      ~stream:s0 ()
+  in
+  (* A load of the stored stream that also reads the store's operand
+     writer: register edge first, then the memory edge. *)
+  let ld =
+    Program.Builder.uop b Opcode.Load ~dst:(Reg.int 2) ~srcs:[| Reg.int 1 |]
+      ~stream:s0 ()
+  in
+  let uops = [| w; twice; st; ld |] in
+  check_bool "reference" true (same_as_reference uops);
+  let g = Ddg.build uops in
+  Alcotest.(check (list int)) "read twice, linked once" [ 0 ] (preds_of g 1);
+  Alcotest.(check (list int)) "load: register, then memory" [ 1; 2 ] (preds_of g 3);
+  Alcotest.(check (list int)) "store -> load" [ 3 ] (succs_of g 2)
+
 let prop_criticality_bounds =
   QCheck.Test.make ~name:"criticality bounded by path length" ~count:200
     arb_uops (fun uops ->
@@ -296,6 +432,8 @@ let () =
           Alcotest.test_case "static latency" `Quick test_ddg_static_latency_load;
           qc prop_ddg_forward_edges;
           qc prop_ddg_pred_succ_symmetric;
+          Alcotest.test_case "csr = reference cases" `Quick test_csr_reference_cases;
+          qc prop_csr_matches_reference;
         ] );
       ( "critical",
         [

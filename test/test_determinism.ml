@@ -585,6 +585,51 @@ let test_full_path_allocation_contract () =
     (Clusteer.Configuration.table3 ~clusters:2
     @ Clusteer.Configuration.[ Dep; Op_parallel; Crit ])
 
+(* ---- compile allocation contract --------------------------------- *)
+
+(* [Configuration.prepare] of the software schemes: minor words per
+   static micro-op over three SPEC workloads. The compiler builds its
+   graphs into flat arrays and keeps its working tables in per-compile
+   scratch, so the figure counts the regions, the annotation and each
+   region's graphs, with nothing per edge. The bounds sit a few percent
+   above the figures of that design (16.6 / 50.8 / 24.9 / 25.1), so
+   one allocation per DDG edge, let alone a boxed adjacency list,
+   breaks them. *)
+let compile_words_bounds =
+  Clusteer.Configuration.
+    [
+      (Ob, 2, 17.5);
+      (Rhop, 2, 52.0);
+      (Vc { virtual_clusters = 2 }, 2, 26.0);
+      (Vc { virtual_clusters = 4 }, 4, 26.5);
+    ]
+
+let compile_words_per_static_uop config ~clusters workloads =
+  let words = ref 0.0 and static = ref 0 in
+  List.iter
+    (fun (w : Synth.t) ->
+      let before = Gc.minor_words () in
+      ignore
+        (Clusteer.Configuration.prepare config ~program:w.Synth.program
+           ~likely:w.Synth.likely ~clusters ());
+      words := !words +. (Gc.minor_words () -. before);
+      static := !static + w.Synth.program.Program.uop_count)
+    workloads;
+  !words /. float_of_int !static
+
+let test_compile_allocation_contract () =
+  let workloads =
+    List.map (fun name -> Synth.build (Spec2000.find name)) [ "gzip-1"; "mcf"; "galgel" ]
+  in
+  List.iter
+    (fun (config, clusters, bound) ->
+      let words = compile_words_per_static_uop config ~clusters workloads in
+      if words > bound then
+        Alcotest.failf "%s: %.2f minor words per static micro-op > %.1f"
+          (Clusteer.Configuration.name config)
+          words bound)
+    compile_words_bounds
+
 let () =
   Alcotest.run "clusteer_determinism"
     [
@@ -614,5 +659,7 @@ let () =
             test_engine_allocation_contract;
           Alcotest.test_case "full-path allocation contract" `Slow
             test_full_path_allocation_contract;
+          Alcotest.test_case "compile allocation contract" `Quick
+            test_compile_allocation_contract;
         ] );
     ]

@@ -201,6 +201,136 @@ let prop_refine_never_worsens_cut_much =
       ignore (Refine.pass g part ~k:2 ~max_imbalance:4.0);
       Partition.edge_cut g part <= before +. 1e-6)
 
+(* ---- Row order = the hash-table builder ------------------------------------ *)
+
+(* The hash-table builder the CSR rows replaced, kept verbatim as the
+   reference: its neighbour order decides RHOP's tie-breaks. *)
+module Reference = struct
+  type t = { nv : int; vwgt : float array; adj : (int * float) list array }
+
+  let create ~nv ~vwgt ~edges =
+    if Array.length vwgt <> nv then invalid_arg "Wgraph.create: vwgt arity";
+    let merged = Hashtbl.create (List.length edges) in
+    List.iter
+      (fun (a, b, w) ->
+        if a = b then invalid_arg "Wgraph.create: self loop";
+        if a < 0 || a >= nv || b < 0 || b >= nv then
+          invalid_arg "Wgraph.create: endpoint out of range";
+        if w < 0.0 then invalid_arg "Wgraph.create: negative edge weight";
+        let key = if a < b then (a, b) else (b, a) in
+        let prev = Option.value ~default:0.0 (Hashtbl.find_opt merged key) in
+        Hashtbl.replace merged key (prev +. w))
+      edges;
+    let adj = Array.make nv [] in
+    Hashtbl.iter
+      (fun (a, b) w ->
+        adj.(a) <- (b, w) :: adj.(a);
+        adj.(b) <- (a, w) :: adj.(b))
+      merged;
+    { nv; vwgt; adj }
+
+  let fold_edges f t init =
+    let acc = ref init in
+    for a = 0 to t.nv - 1 do
+      List.iter (fun (b, w) -> if a < b then acc := f a b w !acc) t.adj.(a)
+    done;
+    !acc
+end
+
+let row (g : Wgraph.t) v =
+  List.init (Wgraph.degree g v) (fun i ->
+      (g.Wgraph.adj.(g.Wgraph.off.(v) + i), g.Wgraph.wgt.(g.Wgraph.off.(v) + i)))
+
+let edge_list fold g = List.rev (fold (fun a b w acc -> (a, b, w) :: acc) g [])
+
+(* Exact equality, floats included: same neighbours in the same order
+   with weights summed in the same order. *)
+let rows_match ~nv edges =
+  let vwgt = Array.make nv 1.0 in
+  let g = Wgraph.create ~nv ~vwgt ~edges in
+  let r = Reference.create ~nv ~vwgt ~edges in
+  List.for_all (fun v -> row g v = r.Reference.adj.(v)) (List.init nv Fun.id)
+  && edge_list Wgraph.fold_edges g = edge_list Reference.fold_edges r
+
+(* Few nodes and many edges, so pairs repeat (in both orientations);
+   weights from a small set whose sums depend on the order of
+   addition; edge counts across several bucket-count doublings. *)
+let gen_multigraph =
+  QCheck.Gen.(
+    sized (fun size st ->
+        let nv = 2 + int_bound (min 12 (1 + (size / 4))) st in
+        let m = int_bound (min 150 (2 * size)) st in
+        let weights = [| 0.1; 0.2; 0.3; 1.0; 1.0; 2.5; 1e-3; 0.0 |] in
+        let edges =
+          List.init m (fun _ ->
+              let a = int_bound (nv - 1) st in
+              let b = (a + 1 + int_bound (nv - 2) st) mod nv in
+              (a, b, weights.(int_bound (Array.length weights - 1) st)))
+        in
+        (nv, edges)))
+
+let prop_rows_match_reference =
+  QCheck.Test.make ~name:"csr rows and fold_edges = hash-table reference"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (nv, edges) ->
+         Printf.sprintf "nv=%d edges=[%s]" nv
+           (String.concat "; "
+              (List.map (fun (a, b, w) -> Printf.sprintf "(%d,%d,%g)" a b w) edges)))
+       gen_multigraph)
+    (fun (nv, edges) -> rows_match ~nv edges)
+
+let same_rows (g : Wgraph.t) (r : Reference.t) =
+  Wgraph.node_count g = r.Reference.nv
+  && List.for_all
+       (fun v -> row g v = r.Reference.adj.(v))
+       (List.init r.Reference.nv Fun.id)
+
+let test_rows_match_coarse_levels () =
+  (* RHOP's input graph of every region of a real program, from the
+     DDG's edges in order, and every coarse level the partitioner
+     derives from it, from the reversed, mapped fine edges (the list
+     the coarsening step used to build), keep the reference rows. *)
+  let module Ddg = Clusteer_ddg.Ddg in
+  let module W = Clusteer_workloads in
+  let w = W.Synth.build (W.Spec2000.find "gcc-1") in
+  let regions =
+    Clusteer_ddg.Region.build ~program:w.W.Synth.program
+      ~likely:w.W.Synth.likely ~max_uops:512
+  in
+  List.iter
+    (fun region ->
+      let ddg = Ddg.of_region region in
+      let slack = (Clusteer_ddg.Critical.analyze ddg).Clusteer_ddg.Critical.slack in
+      let edges = ref [] in
+      Ddg.iter_edges ddg (fun a b ->
+          let w = 1.0 +. (4.0 /. (1.0 +. float_of_int (min slack.(a) slack.(b)))) in
+          edges := (a, b, w) :: !edges);
+      let nv = Ddg.node_count ddg in
+      let g = Clusteer_compiler.Rhop.weights_of_ddg ddg in
+      check_bool "input rows" true
+        (same_rows g
+           (Reference.create ~nv ~vwgt:(Array.make nv 1.0) ~edges:(List.rev !edges)));
+      let rec down g depth =
+        let level = Coarsen.step ~seed:(1 + depth) g in
+        let map = level.Coarsen.map in
+        let edges =
+          Wgraph.fold_edges
+            (fun a b w acc ->
+              if map.(a) <> map.(b) then (map.(a), map.(b), w) :: acc else acc)
+            g []
+        in
+        let coarse = level.Coarsen.graph in
+        check_bool "coarse rows" true
+          (same_rows coarse
+             (Reference.create ~nv:(Wgraph.node_count coarse)
+                ~vwgt:coarse.Wgraph.vwgt ~edges));
+        if Wgraph.node_count coarse < Wgraph.node_count g then
+          down coarse (depth + 1)
+      in
+      down g 0)
+    regions
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "clusteer_graphpart"
@@ -211,6 +341,9 @@ let () =
           Alcotest.test_case "rejects self loop" `Quick test_wgraph_rejects_self_loop;
           Alcotest.test_case "fold edges once" `Quick test_wgraph_fold_edges_once;
           Alcotest.test_case "total weight" `Quick test_wgraph_total_weight;
+          Alcotest.test_case "rows = reference on coarse levels" `Quick
+            test_rows_match_coarse_levels;
+          QCheck_alcotest.to_alcotest prop_rows_match_reference;
         ] );
       ( "partition",
         [

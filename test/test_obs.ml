@@ -57,6 +57,39 @@ let test_json_parse_errors () =
   check_bool "missing value" true (bad "{\"k\":}");
   check_bool "empty input" true (bad "")
 
+let test_json_non_finite () =
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | Error e ->
+          check_bool (text ^ ": " ^ e) true
+            (String.starts_with ~prefix:"number out of range" e)
+      | Ok _ -> Alcotest.failf "%s parsed" text)
+    [ "1e999"; "-1e999"; "[1.5e400]" ];
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite is null" "null"
+        (Json.to_string (Json.Float f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let prop_json_float_round_trip =
+  QCheck.Test.make ~name:"of_string (to_string (Float f)) is finite" ~count:2000
+    QCheck.(
+      oneof
+        [
+          float;
+          oneofl
+            [
+              Float.nan; Float.infinity; Float.neg_infinity; Float.max_float;
+              -.Float.max_float; Float.min_float; 5e-324; -0.0; 1e15; 1e300;
+            ];
+        ])
+    (fun f ->
+      match Json.of_string (Json.to_string (Json.Float f)) with
+      | Ok (Json.Float g) -> Float.is_finite f && Float.is_finite g
+      | Ok Json.Null -> not (Float.is_finite f)
+      | Ok _ | Error _ -> false)
+
 let test_json_accessors () =
   let doc = Json.Obj [ ("a", Json.Int 3); ("b", Json.Float 0.5) ] in
   check_bool "member hit" true (Json.member "a" doc = Some (Json.Int 3));
@@ -660,6 +693,8 @@ let () =
           Alcotest.test_case "numbers" `Quick test_json_parse_numbers;
           Alcotest.test_case "errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
+          QCheck_alcotest.to_alcotest prop_json_float_round_trip;
         ] );
       ( "counters",
         [
