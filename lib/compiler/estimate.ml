@@ -4,7 +4,7 @@ type t = {
   g : Ddg.t;
   parts : int;
   issue_width : float;
-  contention : float array;  (* per node: scale of the queueing delay; [||] = 1.0 *)
+  contention : float array;  (* per node: queueing-delay scale; [||] = all 1 *)
   part_of : int array;
   completion : float array;
   busy : float array;  (* per part: estimated next free issue slot *)

@@ -34,7 +34,7 @@ let weights s g =
   let src = s.src and weight = s.weight in
   for v = 0 to n - 1 do
     for k = g.Ddg.succ_off.(v) to g.Ddg.succ_off.(v + 1) - 1 do
-      let edge_slack = min slack.(v) slack.(g.Ddg.succ.(k)) in
+      let edge_slack = Int.min slack.(v) slack.(g.Ddg.succ.(k)) in
       src.(k) <- v;
       weight.(k) <- 1.0 +. (4.0 /. (1.0 +. float_of_int edge_slack))
     done

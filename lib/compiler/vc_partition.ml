@@ -9,10 +9,8 @@ open Clusteer_ddg
    producers; at 1 criticality is ignored and every instruction is
    priced purely on completion time (§4.2's behaviour disabled). *)
 let contention_of_slack ~min_scale crit =
-  let max_slack =
-    Array.fold_left max 1 crit.Critical.slack |> float_of_int
-  in
   let slack = crit.Critical.slack in
+  let max_slack = float_of_int (Array.fold_left Int.max 1 slack) in
   let scale = Array.make (Array.length slack) 0.0 in
   for node = 0 to Array.length slack - 1 do
     let ratio = float_of_int slack.(node) /. max_slack in
@@ -20,14 +18,6 @@ let contention_of_slack ~min_scale crit =
   done;
   scale
 
-(* Step 1 of Fig. 2 applied literally: nodes are partitioned "according
-   to different critical paths" — one seed path per virtual cluster.
-   Each seed is a maximal chain grown through the most critical
-   unclaimed node, following the highest-criticality unclaimed
-   neighbour in both directions. With as many VCs as truly independent
-   paths this is harmless; with more VCs than the DDG has independent
-   critical paths, overlapping paths are torn apart — the very
-   behaviour §5.4 blames for VC(4→4)'s extra copies. *)
 (* The first most critical unclaimed node among [row]'s entries
    [lo .. hi - 1], or -1. *)
 let most_critical (criticality : int array) (forced : int array)
@@ -51,6 +41,14 @@ let rec extend_path criticality forced (row : int array) (off : int array) vc
     extend_path criticality forced row off vc next
   end
 
+(* Step 1 of Fig. 2 applied literally: nodes are partitioned "according
+   to different critical paths" — one seed path per virtual cluster.
+   Each seed is a maximal chain grown through the most critical
+   unclaimed node, following the highest-criticality unclaimed
+   neighbour in both directions. With as many VCs as truly independent
+   paths this is harmless; with more VCs than the DDG has independent
+   critical paths, overlapping paths are torn apart — the very
+   behaviour §5.4 blames for VC(4→4)'s extra copies. *)
 let seed_critical_paths g crit ~virtual_clusters =
   let n = Ddg.node_count g in
   let criticality = crit.Critical.criticality in

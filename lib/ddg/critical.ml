@@ -18,7 +18,7 @@ let analyze (g : Ddg.t) =
     let reach = depth.(i) + lat.(i) in
     for k = off.(i) to off.(i + 1) - 1 do
       let d = succ.(k) in
-      depth.(d) <- max depth.(d) reach
+      depth.(d) <- Int.max depth.(d) reach
     done
   done;
   (* Backward pass for heights (inclusive of own latency). *)
@@ -26,12 +26,12 @@ let analyze (g : Ddg.t) =
     let own = lat.(i) in
     let h = ref own in
     for k = off.(i) to off.(i + 1) - 1 do
-      h := max !h (own + height.(succ.(k)))
+      h := Int.max !h (own + height.(succ.(k)))
     done;
     height.(i) <- !h
   done;
   let criticality = Array.init n (fun i -> depth.(i) + height.(i)) in
-  let length = Array.fold_left max 0 criticality in
+  let length = Array.fold_left Int.max 0 criticality in
   let slack = Array.map (fun c -> length - c) criticality in
   { depth; height; criticality; slack; length }
 

@@ -34,7 +34,7 @@ let scratch () = { writer = [||]; last_store = [||]; linked = [||]; buf = [||] }
 
 (* Record the edge [src -> i] (none when [src < 0]) as the [m]-th
    predecessor entry unless it is already there; the new entry count. *)
-let link linked buf m src i =
+let link (linked : int array) (buf : int array) m src (i : int) =
   if src >= 0 && linked.(src) <> i then begin
     linked.(src) <- i;
     buf.(m) <- src;
@@ -54,25 +54,27 @@ let build ?scratch:s uops =
   for i = 0 to n - 1 do
     let u = uops.(i) in
     let srcs = u.Uop.srcs in
-    for s = 0 to Array.length srcs - 1 do
-      max_idx := max !max_idx srcs.(s).Reg.idx
+    for j = 0 to Array.length srcs - 1 do
+      max_idx := Int.max !max_idx srcs.(j).Reg.idx
     done;
-    (match u.Uop.dst with Some d -> max_idx := max !max_idx d.Reg.idx | None -> ());
+    (match u.Uop.dst with
+    | Some d -> max_idx := Int.max !max_idx d.Reg.idx
+    | None -> ());
     if Uop.is_mem u then begin
-      lo_stream := min !lo_stream u.Uop.stream;
-      hi_stream := max !hi_stream u.Uop.stream
+      lo_stream := Int.min !lo_stream u.Uop.stream;
+      hi_stream := Int.max !hi_stream u.Uop.stream
     end;
     bound := !bound + Array.length srcs + 1
   done;
   let nregs_per_class = !max_idx + 1 in
-  let lo_stream = !lo_stream in
+  let lo = !lo_stream in
   (* Register true dependences: the last writer of each register feeds
      subsequent readers until the next write. Memory dependences: per
      stream, the last store feeds later loads and the next store. *)
   s.writer <- Scratch.reset s.writer (2 * nregs_per_class) (-1);
   s.last_store <-
     Scratch.reset s.last_store
-      (if !hi_stream < lo_stream then 0 else !hi_stream - lo_stream + 1)
+      (if !hi_stream < lo then 0 else !hi_stream - lo + 1)
       (-1);
   (* [linked.(src) = i] once the edge src -> i is recorded; edges into
      [i] are only added while node [i] is visited, so this dedupes
@@ -87,14 +89,14 @@ let build ?scratch:s uops =
     let u = uops.(i) in
     pred_off.(i) <- !m;
     let srcs = u.Uop.srcs in
-    for s = 0 to Array.length srcs - 1 do
-      m := link linked buf !m writer.(Reg.encode ~nregs_per_class srcs.(s)) i
+    for j = 0 to Array.length srcs - 1 do
+      m := link linked buf !m writer.(Reg.encode ~nregs_per_class srcs.(j)) i
     done;
     (match u.Uop.opcode with
-    | Opcode.Load -> m := link linked buf !m last_store.(u.Uop.stream - lo_stream) i
+    | Opcode.Load -> m := link linked buf !m last_store.(u.Uop.stream - lo) i
     | Opcode.Store ->
-        m := link linked buf !m last_store.(u.Uop.stream - lo_stream) i;
-        last_store.(u.Uop.stream - lo_stream) <- i
+        m := link linked buf !m last_store.(u.Uop.stream - lo) i;
+        last_store.(u.Uop.stream - lo) <- i
     | _ -> ());
     match u.Uop.dst with
     | Some d -> writer.(Reg.encode ~nregs_per_class d) <- i
@@ -119,7 +121,8 @@ let build ?scratch:s uops =
       linked.(src) <- linked.(src) + 1
     done
   done;
-  { uops; latency = Array.map static_latency uops; succ_off; succ; pred_off; pred }
+  let latency = Array.map static_latency uops in
+  { uops; latency; succ_off; succ; pred_off; pred }
 
 let of_region ?scratch (r : Region.t) = build ?scratch r.Region.uops
 

@@ -32,7 +32,8 @@ open Clusteer_isa
 
 type t = private {
   uops : Uop.t array;  (** node [i] is [uops.(i)] *)
-  latency : int array;  (** node -> {!static_latency}, the latency of each of its out-edges *)
+  latency : int array;
+      (** node -> {!static_latency}: the latency of each of its out-edges *)
   succ_off : int array;  (** length [node_count + 1] *)
   succ : int array;  (** successor (dst) of each out-edge *)
   pred_off : int array;  (** length [node_count + 1] *)
@@ -55,7 +56,8 @@ val scratch : unit -> scratch
 
 val build : ?scratch:scratch -> Uop.t array -> t
 (** Build the DDG of a program-order micro-op sequence, in one pass
-    over it: the last writer of each register is looked up in a dense
+    over it (after a scan that sizes the tables): the last writer of
+    each register is looked up in a dense
     table indexed by {!Reg.encode}, the last store of each memory
     stream in one indexed by stream, and a repeated pair is dropped by
     remembering, per source, the last destination it was linked to.

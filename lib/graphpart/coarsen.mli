@@ -22,10 +22,12 @@ val step :
   ?scratch:scratch -> ?seed:int -> ?max_node_weight:float -> Wgraph.t -> level
 (** One round of heavy-edge matching: in a seeded random visit order,
     each unmatched node takes the first heaviest eligible neighbour of
-    its row ({!Wgraph}'s neighbour order decides ties). When no edge can be matched the
-    coarse graph equals the input (identity map). [seed] randomises the
-    visit order (default 1). [max_node_weight] (default unlimited)
-    refuses matches whose merged weight would exceed it, keeping
+    its row ({!Wgraph}'s neighbour order decides ties). The coarse
+    graph's input edges are the fine edges in reverse
+    {!Wgraph.fold_edges} order, less those inside a pair. When no edge
+    can be matched the coarse graph equals the input (identity map).
+    [seed] randomises the visit order (default 1). [max_node_weight]
+    (default unlimited) refuses matches whose merged weight would exceed it, keeping
     coarse nodes small enough for a balanced initial partition. *)
 
 val project : level -> Partition.t -> Partition.t

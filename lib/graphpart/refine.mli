@@ -4,7 +4,12 @@
     are moved to the part that most reduces the edge cut, subject to a
     balance constraint — the paper's "improvement to the initial
     partition based on metrics such as the workload per cluster and the
-    total system workload". *)
+    total system workload".
+
+    Each function reads and writes the first [node_count] entries of
+    the partition array, which may be longer (the multilevel driver
+    keeps every level's partition in one array). Connectivity to each
+    part is summed in {!Wgraph} row order. *)
 
 val pass :
   Wgraph.t -> Partition.t -> k:int -> max_imbalance:float -> bool
@@ -23,4 +28,5 @@ val rebalance :
 val run :
   Wgraph.t -> Partition.t -> k:int -> max_imbalance:float -> passes:int -> unit
 (** Iterate {!pass} until a fixed point or [passes] rounds, then
-    {!rebalance} and one final gain pass. *)
+    {!rebalance} and one final gain pass; the per-part link and weight
+    arrays are allocated once for the whole run. *)

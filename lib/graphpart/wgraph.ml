@@ -30,7 +30,14 @@ type scratch = {
 }
 
 let scratch () =
-  { head = [||]; next = [||]; first = [||]; sum = [||]; fill = [||]; key = [| 0; 0 |] }
+  {
+    head = [||];
+    next = [||];
+    first = [||];
+    sum = [||];
+    fill = [||];
+    key = [| 0; 0 |];
+  }
 
 (* Endpoints of merged edge [e], whose first input edge is [first.(e)].
    Top-level, so building a graph allocates no closures. *)
@@ -53,7 +60,9 @@ let put (fill : int array) (adj : int array) (wgt : float array)
 
 let of_edges s ~nv ~vwgt ~len:m ~src ~dst ~weight =
   if Array.length vwgt <> nv then invalid_arg "Wgraph.create: vwgt arity";
-  if m < 0 || Array.length src < m || Array.length dst < m || Array.length weight < m
+  if
+    m < 0 || Array.length src < m || Array.length dst < m
+    || Array.length weight < m
   then invalid_arg "Wgraph.create: edge arrays shorter than len";
   (* Merge parallel edges, summing in input order, in a flat chained
      table: [head] per bucket, [next] per merged edge, newest first. *)

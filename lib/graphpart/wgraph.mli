@@ -21,9 +21,9 @@
     - rows list neighbours by {e descending} bucket, the bucket of an
       edge being OCaml's generic hash of its pair ([caml_hash] with the
       standard hash tables' parameters 10, 100 and seed 0)
-      [land (nb - 1)], where [nb] is the
-      smallest power of two at least [max 16 m] and [m] the number of
-      input edges, parallel ones included;
+      [land (nb - 1)], where [nb] is the smallest power of two at least
+      [max 16 m] and [m] the number of input edges, parallel ones
+      included;
     - within one bucket, by ascending first occurrence in the input;
     - a merged weight is the sum of its parallel edges' weights in
       input order, starting from [0.0].
@@ -61,10 +61,10 @@ val of_edges :
 (** Edge [i < len] joins [src.(i)] and [dst.(i)] with weight
     [weight.(i)]; entries from [len] on are ignored, so the edge arrays
     can be scratch too. [vwgt] must have length [nv]; edge endpoints
-    must be distinct and in range; edge weights non-negative. Allocates
-    only the graph's own arrays (plus scratch growth), nothing per
-    edge. The graph does not keep [vwgt]'s caller from reading it but
-    does keep the array: do not mutate it afterwards. *)
+    must be distinct and in range; edge weights non-negative; a
+    violation raises [Invalid_argument] with the message {!create}
+    gives. Allocates only the graph's own arrays (plus scratch growth),
+    nothing per edge. The graph keeps [vwgt] itself, not a copy. *)
 
 val create : nv:int -> vwgt:float array -> edges:(int * int * float) list -> t
 (** {!of_edges} over a list of [(src, dst, weight)]. *)

@@ -11,8 +11,8 @@ let loop_ddg_of_body uops =
   let acyclic = Ddg.build uops in
   let intra = ref [] in
   Ddg.iter_edges acyclic (fun src dst ->
-      intra :=
-        { src; dst; latency = acyclic.Ddg.latency.(src); distance = 0 } :: !intra);
+      let latency = acyclic.Ddg.latency.(src) in
+      intra := { src; dst; latency; distance = 0 } :: !intra);
   let intra = List.rev !intra in
   (* Loop-carried register dependences: a use with no earlier
      definition in the body reads the previous iteration's (last)
