@@ -2,21 +2,20 @@ type t = int array
 
 let parts t = Array.fold_left (fun acc p -> max acc (p + 1)) 0 t
 
-let edge_cut (g : Wgraph.t) t =
-  let cut = ref 0.0 in
-  for a = 0 to g.Wgraph.nv - 1 do
-    for k = g.Wgraph.off.(a) to g.Wgraph.off.(a + 1) - 1 do
-      let b = g.Wgraph.adj.(k) in
-      if a < b && t.(a) <> t.(b) then cut := !cut +. g.Wgraph.wgt.(k)
-    done
-  done;
-  !cut
+let edge_cut g t =
+  Wgraph.fold_edges
+    (fun a b w acc -> if t.(a) <> t.(b) then acc +. w else acc)
+    g 0.0
 
-let part_weights (g : Wgraph.t) t ~k =
+let weigh_into (g : Wgraph.t) t weights =
+  Array.fill weights 0 (Array.length weights) 0.0;
+  for node = 0 to g.Wgraph.nv - 1 do
+    weights.(t.(node)) <- weights.(t.(node)) +. g.Wgraph.vwgt.(node)
+  done
+
+let part_weights g t ~k =
   let weights = Array.make k 0.0 in
-  Array.iteri
-    (fun node part -> weights.(part) <- weights.(part) +. g.Wgraph.vwgt.(node))
-    t;
+  weigh_into g t weights;
   weights
 
 let imbalance g t ~k =

@@ -11,7 +11,12 @@ val edge_cut : Wgraph.t -> t -> float
     communication cost proxy. *)
 
 val part_weights : Wgraph.t -> t -> k:int -> float array
-(** Summed node weight per part. *)
+(** Summed node weight per part, nodes ascending. *)
+
+val weigh_into : Wgraph.t -> t -> float array -> unit
+(** {!part_weights} into the given array (of length [k]), which is
+    zeroed first. Reads the first [node_count] entries of the
+    partition, so it may be longer. *)
 
 val imbalance : Wgraph.t -> t -> k:int -> float
 (** [max part weight / ideal part weight]; 1.0 is perfect balance.

@@ -1,11 +1,3 @@
-(* Summed node weight per part into [weights], nodes ascending (the
-   order of [Partition.part_weights]). *)
-let weigh (g : Wgraph.t) part weights =
-  Array.fill weights 0 (Array.length weights) 0.0;
-  for v = 0 to g.Wgraph.nv - 1 do
-    weights.(part.(v)) <- weights.(part.(v)) +. g.Wgraph.vwgt.(v)
-  done
-
 let[@inline] cap_of weights ~k ~max_imbalance =
   let total = ref 0.0 in
   for p = 0 to k - 1 do
@@ -18,7 +10,7 @@ let[@inline] cap_of weights ~k ~max_imbalance =
    [k] each), so a refinement run allocates them once. *)
 let gain_pass (g : Wgraph.t) part ~k ~max_imbalance ~link ~weights =
   let off = g.Wgraph.off and adj = g.Wgraph.adj and wgt = g.Wgraph.wgt in
-  weigh g part weights;
+  Partition.weigh_into g part weights;
   let cap = cap_of weights ~k ~max_imbalance in
   let moved = ref false in
   for v = 0 to g.Wgraph.nv - 1 do
@@ -73,7 +65,7 @@ let pass g part ~k ~max_imbalance =
 let rebalance_with (g : Wgraph.t) part ~k ~max_imbalance ~weights =
   let n = g.Wgraph.nv in
   let off = g.Wgraph.off and adj = g.Wgraph.adj and wgt = g.Wgraph.wgt in
-  weigh g part weights;
+  Partition.weigh_into g part weights;
   let cap = cap_of weights ~k ~max_imbalance in
   let heaviest () =
     let h = ref 0 in
