@@ -69,21 +69,20 @@ let[@inline] start_time t ~node ~part =
     ready +. ((busy -. ready) *. scale)
 
 let[@inline] latency t node = float_of_int t.g.Ddg.latency.(node)
+let[@inline] cost t ~node ~part = start_time t ~node ~part +. latency t node
 
 let estimate t ~node ~part =
   if part < 0 || part >= t.parts then invalid_arg "Estimate.estimate: part";
-  start_time t ~node ~part +. latency t node
+  cost t ~node ~part
 
 let cheapest t ~node =
   let best = ref 0 and best_cost = ref infinity in
   for part = 0 to t.parts - 1 do
-    let cost = start_time t ~node ~part +. latency t node in
-    if
-      cost < !best_cost
-      || (cost = !best_cost && t.work.(part) < t.work.(!best))
+    let c = cost t ~node ~part in
+    if c < !best_cost || (c = !best_cost && t.work.(part) < t.work.(!best))
     then begin
       best := part;
-      best_cost := cost
+      best_cost := c
     end
   done;
   !best
@@ -100,7 +99,7 @@ let place t ~node ~part =
   t.work.(part) <- t.work.(part) +. latency t node
 
 let part_of t node = t.part_of.(node)
-let parts t = t.part_of
+let assignment t = t.part_of
 let completion t node = t.completion.(node)
 let load t part = t.work.(part)
 

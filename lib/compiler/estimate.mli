@@ -54,9 +54,10 @@ val place : t -> node:int -> part:int -> unit
 val part_of : t -> int -> int
 (** Committed part of a node, [-1] when unplaced. *)
 
-val parts : t -> int array
-(** Every node's {!part_of}: the estimator's own array, not a copy, so
-    once every node is placed it is the assignment. *)
+val assignment : t -> int array
+(** Every node's {!part_of}. This is the estimator's live array, not a
+    copy: a later {!place} writes into it. Once every node is placed it
+    is the finished assignment. *)
 
 val completion : t -> int -> float
 (** Committed completion time; 0 when unplaced. *)

@@ -7,7 +7,7 @@ let assign_region g ~clusters ~issue_width =
   for node = 0 to Ddg.node_count g - 1 do
     Estimate.place est ~node ~part:(Estimate.cheapest est ~node)
   done;
-  Estimate.parts est
+  Estimate.assignment est
 
 let compile ~program ~likely ~clusters ~region_uops =
   let annot =

@@ -96,5 +96,10 @@ let step ?scratch:s ?(seed = 1) ?(max_node_weight = infinity) (g : Wgraph.t) =
   let graph = Wgraph.of_edges s.merge ~nv:nc ~vwgt:cvwgt ~len ~src ~dst ~weight in
   { graph; map }
 
-let project level coarse_part =
-  Array.map (fun coarse -> coarse_part.(coarse)) level.map
+let project level part =
+  let map = level.map in
+  if Array.length part < Array.length map then
+    invalid_arg "Coarsen.project: partition shorter than the fine graph";
+  for v = Array.length map - 1 downto 0 do
+    part.(v) <- part.(map.(v))
+  done

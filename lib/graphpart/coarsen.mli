@@ -8,7 +8,10 @@
 
 type level = {
   graph : Wgraph.t;  (** the coarse graph *)
-  map : int array;  (** fine node -> coarse node *)
+  map : int array;
+      (** fine node -> coarse node. Coarse ids are handed out in
+          ascending order of their first fine node, so
+          [map.(v) <= v] for every [v]; {!project} relies on it. *)
 }
 
 type scratch
@@ -30,5 +33,12 @@ val step :
     (default unlimited) refuses matches whose merged weight would exceed it, keeping
     coarse nodes small enough for a balanced initial partition. *)
 
-val project : level -> Partition.t -> Partition.t
-(** Pull a partition of the coarse graph back to the finer graph. *)
+val project : level -> Partition.t -> unit
+(** [project level part] pulls a partition of the coarse graph back to
+    the finer graph in place: on entry [part]'s first
+    [node_count level.graph] entries hold the coarse partition, on
+    return its first [Array.length level.map] entries hold the fine
+    one. Because [map.(v) <= v], the pass from the last fine node down
+    reads only entries it has not yet overwritten, so one array serves
+    every level of {!Multilevel.partition}. Raises [Invalid_argument]
+    when [part] is shorter than the fine graph. *)

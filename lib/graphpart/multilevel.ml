@@ -41,10 +41,8 @@ let partition ?scratch ?(seed = 1) ?(max_imbalance = 1.25) ?(refine_passes = 4)
       end
     in
     let levels, coarsest = coarsen [] g 0 in
-    (* One array holds every level's partition: coarse ids are handed
-       out in ascending order of their first fine node, so
-       [map.(v) <= v], and projecting in place from the last node down
-       reads only entries not yet overwritten. *)
+    (* One array holds every level's partition ([Coarsen.project]
+       works in place). *)
     let part = Array.make (Wgraph.node_count g) 0 in
     let initial = initial_partition coarsest ~k in
     Array.blit initial 0 part 0 (Array.length initial);
@@ -60,10 +58,7 @@ let partition ?scratch ?(seed = 1) ?(max_imbalance = 1.25) ?(refine_passes = 4)
             | [] -> g
             | next :: _ -> next.Coarsen.graph
           in
-          let map = level.Coarsen.map in
-          for v = Array.length map - 1 downto 0 do
-            part.(v) <- part.(map.(v))
-          done;
+          Coarsen.project level part;
           Refine.run fine_graph part ~k ~max_imbalance ~passes:refine_passes;
           unwind finer
     in

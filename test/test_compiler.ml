@@ -368,9 +368,9 @@ let test_prepare_all_validate () =
    PinPoints point of every SPEC workload and every kernel and
    adversarial scenario, the MD5 of Annot_io.to_string under ob, rhop
    and vc2 (2 clusters) and vc4 (4 clusters), and of the crit hints'
-   bit vector, all at the default knobs. Setting ANNOT_DIGESTS_OUT to
-   a path writes the recomputed document there instead of comparing
-   (to regenerate it after an intended change of the compiler). *)
+   bit vector, all at the default knobs. After an intended change of
+   the compiler's output, the failing check prints the recomputed
+   document verbatim; it replaces the file. *)
 
 module W = Clusteer_workloads
 module Json = Clusteer_obs.Json
@@ -435,17 +435,12 @@ let golden_path name =
   Filename.concat dir name
 
 let test_annot_digests_pinned () =
-  let doc = annot_digest_document () in
-  match Sys.getenv_opt "ANNOT_DIGESTS_OUT" with
-  | Some out ->
-      let oc = open_out_bin out in
-      output_string oc doc;
-      close_out oc
-  | None ->
-      let ic = open_in_bin (golden_path "annot_digests.json") in
-      let golden = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check string) "annot_digests.json" golden doc
+  let ic = open_in_bin (golden_path "annot_digests.json") in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (* Printed verbatim, not escaped, so a failure shows the new file. *)
+  let document = Alcotest.testable Fmt.string String.equal in
+  Alcotest.check document "annot_digests.json" golden (annot_digest_document ())
 
 (* Independent of the golden file: every SPEC point's annotation,
    concatenated in Spec2000.all and phase order, at 2 clusters. *)

@@ -100,7 +100,9 @@ let test_coarsen_project () =
   let level = Coarsen.step g in
   let coarse_part = Array.make (Wgraph.node_count level.Coarsen.graph) 0 in
   coarse_part.(0) <- 1;
-  let fine = Coarsen.project level coarse_part in
+  let fine = Array.make (Wgraph.node_count g) 0 in
+  Array.blit coarse_part 0 fine 0 (Array.length coarse_part);
+  Coarsen.project level fine;
   Array.iteri
     (fun v p -> check_int "projected" coarse_part.(level.Coarsen.map.(v)) p)
     fine
@@ -191,6 +193,21 @@ let prop_coarsen_weight_conserved =
       let level = Coarsen.step g in
       abs_float (Wgraph.total_weight g -. Wgraph.total_weight level.Coarsen.graph)
       < 1e-6)
+
+(* [Coarsen.project] works in place and so depends on [map.(v) <= v];
+   the out-of-place lookup is the reference. *)
+let prop_coarsen_project_in_place =
+  QCheck.Test.make ~name:"map.(v) <= v and in-place project = lookup"
+    ~count:150 arb_graph (fun g ->
+      let level = Coarsen.step ~seed:(Wgraph.node_count g) g in
+      let map = level.Coarsen.map in
+      let nc = Wgraph.node_count level.Coarsen.graph in
+      let coarse_part = Array.init nc (fun c -> (c * 7) mod 3) in
+      let part = Array.make (Array.length map) (-1) in
+      Array.blit coarse_part 0 part 0 nc;
+      Coarsen.project level part;
+      Array.for_all Fun.id (Array.mapi (fun v c -> c <= v) map)
+      && part = Array.map (fun c -> coarse_part.(c)) map)
 
 let prop_refine_never_worsens_cut_much =
   QCheck.Test.make ~name:"gain pass never increases the cut" ~count:150
@@ -372,6 +389,7 @@ let () =
           Alcotest.test_case "initial partition" `Quick test_initial_partition_balances;
           qc prop_multilevel_valid;
           qc prop_coarsen_weight_conserved;
+          qc prop_coarsen_project_in_place;
           qc prop_refine_never_worsens_cut_much;
         ] );
     ]
