@@ -137,8 +137,9 @@ val prepare :
 
     [annot] supplies a previously compiled annotation and skips the
     compiler pass. The pass is deterministic in (configuration,
-    program, likely, clusters, params), so the harness caches the
-    annotation per (profile, configuration) within a domain and passes
-    it back here; the returned policy is always fresh (policies are
-    stateful). Must only be given an annotation produced by {!prepare}
+    program, likely, clusters, params) and reads only the compile knobs
+    of [params] ([region_uops], [max_chain], [crit_min_scale]), so the
+    harness caches the annotation per (program, configuration) under
+    one set of compile knobs within a domain and passes it back here;
+    the returned policy is always fresh (policies are stateful). Must only be given an annotation produced by {!prepare}
     on the same configuration and inputs. *)

@@ -41,40 +41,158 @@ let salted_trace_seed ~salt (point : Pinpoints.point) =
 let default_warmup uops =
   min (min 10_000 (max 2_000 (uops / 2))) (max 0 (uops - 1))
 
-(* ---- per-worker reuse context ------------------------------------ *)
+(* ---- per-domain reuse context ------------------------------------ *)
 
-(* Shared-nothing worker state: everything a worker can profitably keep
-   alive across the points it runs. Workloads and compiled annotations
-   are deterministic per (profile, configuration), so caching them
+(* Shared-nothing domain state: everything a domain can profitably
+   keep alive across the points, and the calls, it runs. Workloads and
+   compiled annotations are deterministic in their key, so caching them
    changes nothing; engines are returned to their post-create state
    with {!Engine.reset} instead of being re-allocated. Together these
-   remove the bulk of the per-point allocation — and with it the
+   remove the bulk of the per-point allocation, and with it the
    stop-the-world minor collections that made the parallel sweep
    anti-scale.
 
-   [r_trace] is the shared trace buffer. Every configuration of a point
-   replays the identical dynamic stream (same seed), so the stream,
-   warmup micro-ops included, is generated once per point into int
-   columns, and each configuration's engine reads it through a cursor
-   of its own. The buffer is rewound at each point and keeps its
-   columns, so once it holds the longest point it allocates nothing.
-   This hoists generation from once per (point x config) to once per
-   point without touching the engines' own warmup phase (which must
-   stay per run for results to be independent of sharding). *)
-type reuse = {
-  r_workloads : (Profile.t, Synth.t) Hashtbl.t;
-  r_annots : (Profile.t * string, Clusteer_isa.Annot.t) Hashtbl.t;
-  r_engines : (string, Engine.t) Hashtbl.t;  (* config name -> engine *)
-  r_trace : Clusteer_trace.Columns.t;
+   Each domain owns one context for its whole life, in [Domain.DLS]:
+   the calling domain's serves every direct call, and each long-lived
+   helper of {!Parallel.map} has its own. [busy] marks a context in use;
+   a call that finds its domain's context busy (a call made from inside
+   another, e.g. from a sink callback) runs on a fresh one instead.
+
+   - [workloads]: one {!Synth.t} per profile, at most [max_workloads]
+     (the table is emptied when a new profile would exceed it).
+   - [annots]: per program (physically: the program the annotation
+     was compiled from), the annotation of each configuration, all
+     under the compile knobs [knobs]; a call with other compile knobs
+     empties it first. The table holds its programs weakly, so the
+     annotations of a hand-built workload go when the workload does.
+     The runtime knobs and the topology do not reach the compile
+     ({!Clusteer.Configuration.prepare}) and stay out of the key.
+   - [engines]: by position in the call's configuration list, for the
+     machine [machine]; a call on another machine drops them.
+   - [trace]: the shared trace buffer. Every configuration of a point
+     replays the identical dynamic stream (same seed), so the stream,
+     warmup micro-ops included, is generated once per point into int
+     columns, and each configuration's engine reads it through a
+     cursor of its own. The buffer is rewound at each point and keeps
+     its columns, so once it holds the longest point it allocates
+     nothing; one longer than [max_kept_positions] is dropped after
+     its call. *)
+
+type knobs = {
+  k_clusters : int;
+  k_region_uops : int;
+  k_max_chain : int;
+  k_crit_min_scale : float;
 }
 
-let fresh_reuse () =
+module Annots = Ephemeron.K1.Make (struct
+  type t = Clusteer_isa.Program.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+type context = {
+  workloads : (Profile.t, Synth.t) Hashtbl.t;
+  annots :
+    (Clusteer.Configuration.t * Clusteer_isa.Annot.t) list Annots.t;
+  mutable knobs : knobs option;
+  mutable machine : Config.t option;
+  mutable engines : Engine.t array;
+  mutable trace : Clusteer_trace.Columns.t;
+  mutable busy : bool;
+}
+
+let max_workloads = 64
+let max_kept_positions = 1 lsl 20
+
+let fresh_context () =
   {
-    r_workloads = Hashtbl.create 16;
-    r_annots = Hashtbl.create 64;
-    r_engines = Hashtbl.create 16;
-    r_trace = Clusteer_trace.Columns.create ();
+    workloads = Hashtbl.create 16;
+    annots = Annots.create 16;
+    knobs = None;
+    machine = None;
+    engines = [||];
+    trace = Clusteer_trace.Columns.create ();
+    busy = false;
   }
+
+let context_key = Domain.DLS.new_key fresh_context
+
+type engine_tally = { created : int; reset : int }
+
+let tally_key = Domain.DLS.new_key (fun () -> ref { created = 0; reset = 0 })
+let engine_tally () = !(Domain.DLS.get tally_key)
+
+(* Run [f] on the calling domain's context, or on a fresh one if that
+   is in use. A call that raises drops the engines it may have left
+   mid-run. *)
+let with_context f =
+  let own = Domain.DLS.get context_key in
+  let ctx = if own.busy then fresh_context () else own in
+  ctx.busy <- true;
+  match f ctx with
+  | result ->
+      ctx.busy <- false;
+      if Array.length ctx.trace.Clusteer_trace.Columns.sid > max_kept_positions
+      then ctx.trace <- Clusteer_trace.Columns.create ();
+      result
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ctx.busy <- false;
+      ctx.engines <- [||];
+      Printexc.raise_with_backtrace e bt
+
+let workload_of ctx profile =
+  match Hashtbl.find_opt ctx.workloads profile with
+  | Some w -> w
+  | None ->
+      if Hashtbl.length ctx.workloads >= max_workloads then
+        Hashtbl.reset ctx.workloads;
+      let w = Synth.build profile in
+      Hashtbl.replace ctx.workloads profile w;
+      w
+
+(* The cached annotation of [config] on [program], after emptying the
+   table if the compile knobs changed. *)
+let cached_annot ctx ~knobs ~program config =
+  if ctx.knobs <> Some knobs then begin
+    Annots.reset ctx.annots;
+    ctx.knobs <- Some knobs
+  end;
+  Option.bind (Annots.find_opt ctx.annots program) (List.assoc_opt config)
+
+let remember_annot ctx ~program config annot =
+  let known = Option.value ~default:[] (Annots.find_opt ctx.annots program) in
+  Annots.replace ctx.annots program ((config, annot) :: known)
+
+(* The engine at [position] for [machine], reset onto [annot]/[policy],
+   or a new one. *)
+let engine_at ctx ~position ~machine ~prewarm ~warm_from ?obs ?registry
+    ?profile ~annot ~policy () =
+  if ctx.machine <> Some machine then begin
+    ctx.engines <- [||];
+    ctx.machine <- Some machine
+  end;
+  let tally = Domain.DLS.get tally_key in
+  if position < Array.length ctx.engines then begin
+    let e = ctx.engines.(position) in
+    (match warm_from with
+    | None -> Engine.reset ~prewarm ?obs ?registry ?profile e ~annot ~policy
+    | Some src ->
+        Engine.reset ~warm_from:src ?obs ?registry ?profile e ~annot ~policy);
+    tally := { !tally with reset = !tally.reset + 1 };
+    e
+  end
+  else begin
+    let e =
+      Engine.create ~config:machine ~annot ~policy ~prewarm ?obs ?registry
+        ?profile ()
+    in
+    ctx.engines <- Array.append ctx.engines [| e |];
+    tally := { !tally with created = !tally.created + 1 };
+    e
+  end
 
 (* Per-worker minor heap: 1M words (8 MB on 64-bit). Minor collections
    are global stop-the-world rendezvous in OCaml 5; giving each worker
@@ -82,14 +200,12 @@ let fresh_reuse () =
    parallel. *)
 let worker_minor_heap_words = 1 lsl 20
 
-(* The one run path. Simulate [configs] on [workload] against [reuse]
-   (a sweep worker's context, or a fresh one for a single call): a
-   cached annotation is handed back to [prepare], and an engine built
-   for the configuration on an earlier point is reset in place rather
-   than re-created. Every engine is reset before any runs, so the
-   cache prewarm is computed once, by the first engine, and copied
-   into the others. *)
-let run_with reuse ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
+(* The one run path. Simulate [configs] on [workload] against [ctx]: a
+   cached annotation is handed back to [prepare], and the engine at a
+   configuration's position is reset in place rather than re-created.
+   Every engine is reset before any runs, so the cache prewarm is
+   computed once, by the first engine, and copied into the others. *)
+let run_with ctx ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
     ?profile ?params ~machine ~configs ~uops workload =
   let warmup = Option.value ~default:(default_warmup uops) warmup in
   let committed = Counters.counter ?registry "harness.uops_committed" in
@@ -105,55 +221,43 @@ let run_with reuse ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
     in
     { p with Clusteer.Configuration.topology = Some machine.Config.topology }
   in
+  let knobs =
+    {
+      k_clusters = machine.Config.clusters;
+      k_region_uops = params.Clusteer.Configuration.region_uops;
+      k_max_chain = params.Clusteer.Configuration.max_chain;
+      k_crit_min_scale = params.Clusteer.Configuration.crit_min_scale;
+    }
+  in
+  let program = workload.Synth.program in
   let prewarm =
     Array.to_list
       (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
   in
-  let warm = ref None and prepared = Hashtbl.create 8 in
+  let warm = ref None in
   let engines =
-    List.map
-      (fun config ->
+    List.mapi
+      (fun position config ->
         let name = Clusteer.Configuration.name config in
-        let key = (workload.Synth.profile, name) in
-        let cached = Hashtbl.find_opt reuse.r_annots key in
+        let cached = cached_annot ctx ~knobs ~program config in
         let annot, policy =
-          Clusteer.Configuration.prepare config ~program:workload.Synth.program
+          Clusteer.Configuration.prepare config ~program
             ~likely:workload.Synth.likely ~clusters:machine.Config.clusters
             ~params ?annot:cached ?registry ()
         in
-        if Option.is_none cached then Hashtbl.replace reuse.r_annots key annot;
-        (* A configuration listed twice gets an engine of its own. *)
-        let reusable =
-          if Hashtbl.mem prepared name then None
-          else Hashtbl.find_opt reuse.r_engines name
-        in
-        Hashtbl.replace prepared name ();
+        if Option.is_none cached then remember_annot ctx ~program config annot;
         let engine =
-          match (reusable, !warm) with
-          | Some e, None ->
-              Engine.reset ~prewarm ?obs:(obs name) e ~annot ~policy;
-              e
-          | Some e, Some src ->
-              Engine.reset ~warm_from:src ?obs:(obs name) e ~annot ~policy;
-              e
-          | None, _ ->
-              let e =
-                Engine.create ~config:machine ~annot ~policy ~prewarm
-                  ?obs:(obs name) ?registry ?profile ()
-              in
-              Hashtbl.replace reuse.r_engines name e;
-              e
+          engine_at ctx ~position ~machine ~prewarm ~warm_from:!warm
+            ?obs:(obs name) ?registry ?profile ~annot ~policy ()
         in
         if Option.is_none !warm then warm := Some engine;
         (name, engine))
       configs
   in
-  Clusteer_trace.Columns.rewind reuse.r_trace (Synth.trace workload ~seed);
+  Clusteer_trace.Columns.rewind ctx.trace (Synth.trace workload ~seed);
   List.map
     (fun (name, engine) ->
-      let stats =
-        Engine.run_columns ~warmup engine ~trace:reuse.r_trace ~uops
-      in
+      let stats = Engine.run_columns ~warmup engine ~trace:ctx.trace ~uops in
       (* The engine resets its stats in place on its next point: hand
          the caller an independent copy. *)
       let stats = Stats.copy stats in
@@ -166,33 +270,26 @@ let run_with reuse ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
 
 let run_workload ?warmup ?seed ?obs ?registry ?profile ?params ~machine
     ~configs ~uops workload =
-  run_with (fresh_reuse ()) ?warmup ?seed ?obs ?registry ?profile ?params
-    ~machine ~configs ~uops workload
+  with_context (fun ctx ->
+      run_with ctx ?warmup ?seed ?obs ?registry ?profile ?params ~machine
+        ~configs ~uops workload)
 
-let run_point_with reuse ?warmup ?obs ?registry ?profile ?params
-    ?(trace_salt = 0) ~machine ~configs ~uops point =
-  let workload =
-    let key = point.Pinpoints.profile in
-    match Hashtbl.find_opt reuse.r_workloads key with
-    | Some w -> w
-    | None ->
-        let w = Synth.build key in
-        Hashtbl.replace reuse.r_workloads key w;
-        w
-  in
-  (* Every configuration replays the identical dynamic stream: the
-     generator is reseeded per point with the same seed. *)
-  let runs =
-    run_with reuse ?warmup
-      ~seed:(salted_trace_seed ~salt:trace_salt point)
-      ?obs ?registry ?profile ?params ~machine ~configs ~uops workload
-  in
-  { point; runs }
-
-let run_point ?warmup ?obs ?registry ?profile ?params ?trace_salt ~machine
-    ~configs ~uops point =
-  run_point_with (fresh_reuse ()) ?warmup ?obs ?registry ?profile ?params
-    ?trace_salt ~machine ~configs ~uops point
+let run_point ?warmup ?seed ?obs ?registry ?profile ?params ?(trace_salt = 0)
+    ~machine ~configs ~uops point =
+  with_context (fun ctx ->
+      let workload = workload_of ctx point.Pinpoints.profile in
+      (* Every configuration replays the identical dynamic stream: the
+         generator is reseeded per point with the same seed. *)
+      let seed =
+        match seed with
+        | Some s -> s
+        | None -> salted_trace_seed ~salt:trace_salt point
+      in
+      let runs =
+        run_with ctx ?warmup ~seed ?obs ?registry ?profile ?params ~machine
+          ~configs ~uops workload
+      in
+      { point; runs })
 
 (* Registry-isolated parallel map: every item is its own group, so
    workers claim items one at a time off the shared cursor, and each
@@ -220,11 +317,11 @@ let map_isolated ?domains ?(into = Counters.default) f items =
    function of the trace seed and the machine), so [map_isolated]'s
    guarantee applies.
 
-   Each worker additionally keeps a {!reuse} context — cached
-   workloads, compiled annotations and reset-in-place engines — plus
-   one self-profiler when [profiled]; all of it private to the worker,
-   merged (registry) or dropped (reuse) at the end. A benchmark's
-   points all run on the worker that claimed it, so the caches hit.
+   Each point runs on its worker domain's {!context} (cached workloads,
+   compiled annotations and reset-in-place engines, kept across calls);
+   each worker also has a private registry, merged at the end, and one
+   self-profiler when [profiled]. A benchmark's points all run on the
+   worker that claimed it, so the caches hit.
 
    [profiled] attaches a pipeline self-profiler per worker, over the
    worker's private registry — concurrent engines never share a span,
@@ -237,20 +334,20 @@ let map_isolated ?domains ?(into = Counters.default) f items =
    compares those). *)
 let run_grouped ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
     ?params ?trace_salt ~machine ~configs ~uops profiles =
-  let run_one (registry, prof, reuse) point =
+  let run_one (registry, prof) point =
     if point.Pinpoints.index = 0 then
       progress point.Pinpoints.profile.Profile.name;
     match prof with
     | None ->
-        run_point_with reuse ?warmup ~registry ?params ?trace_salt ~machine
-          ~configs ~uops point
+        run_point ?warmup ~registry ?params ?trace_salt ~machine ~configs
+          ~uops point
     | Some p ->
         let span = Clusteer_obs.Profile.span p "harness.point" in
         let gc0 = Gc.quick_stat () in
         let result =
           Clusteer_obs.Profile.time span (fun () ->
-              run_point_with reuse ?warmup ~registry ~profile:p ?params
-                ?trace_salt ~machine ~configs ~uops point)
+              run_point ?warmup ~registry ~profile:p ?params ?trace_salt
+                ~machine ~configs ~uops point)
         in
         let gc1 = Gc.quick_stat () in
         let add name v = Counters.add (Counters.counter ~registry name) v in
@@ -270,12 +367,12 @@ let run_grouped ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
           if profiled then Some (Clusteer_obs.Profile.create ~registry ())
           else None
         in
-        (registry, prof, fresh_reuse ()))
+        (registry, prof))
       ~f:run_one
       (List.map Pinpoints.points profiles)
   in
   List.iter
-    (fun (registry, _, _) -> Counters.merge ~into:Counters.default registry)
+    (fun (registry, _) -> Counters.merge ~into:Counters.default registry)
     workers;
   List.combine profiles results
 

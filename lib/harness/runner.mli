@@ -11,15 +11,13 @@
     claims the next benchmark off one shared cursor and runs all of
     its simulation points. Each worker simulates against {b private}
     state — a counter registry passed down to the policies and the
-    engine, an optional self-profiler, and a reuse context of cached
-    workloads, compiled annotations, reset-in-place engines and one
-    trace buffer ({!Clusteer_trace.Columns}) — so
-    concurrent workers never share mutable state, and a benchmark's
-    points hit its worker's caches (OCaml 5 minor collections are
-    stop-the-world across all domains; the allocation-heavy per-item
-    rebuild is what made the earlier harness anti-scale). Worker
-    registries are merged into {!Clusteer_obs.Counters.default} once
-    all workers complete.
+    engine, an optional self-profiler, and its domain's reuse context
+    (below) — so concurrent workers never share mutable state, and a
+    benchmark's points hit its worker's caches (OCaml 5 minor
+    collections are stop-the-world across all domains; the
+    allocation-heavy per-item rebuild is what made the earlier harness
+    anti-scale). Worker registries are merged into
+    {!Clusteer_obs.Counters.default} once all workers complete.
 
     Since each point's simulation is a pure function of its trace seed
     and the machine, and since {!Clusteer_obs.Counters.merge} only adds
@@ -27,6 +25,40 @@
     totals do not depend on which worker ran which benchmark: every
     domain count produces results and merged counter totals
     bit-identical to a sequential [domains:1] run.
+
+    {2 Reuse contexts}
+
+    Every domain that simulates owns one reuse context for its whole
+    life: the calling domain's serves direct calls ({!run_point},
+    {!run_workload}) and worker 0 of a parallel call; each long-lived
+    helper domain of {!Clusteer_util.Parallel.map} has its own. A
+    context holds
+    - cached workloads, one {!Clusteer_workloads.Synth.t} per profile,
+      at most 64 (the table is emptied when a new profile would pass
+      that);
+    - compiled annotations, keyed on the program they compile (by
+      identity) and the configuration, under one set of compile knobs:
+      the machine's cluster count and the [region_uops], [max_chain]
+      and [crit_min_scale] of [params]. A call with other compile knobs
+      empties the annotations first, so they stay at one knob set's
+      worth. The runtime knobs ([remap_threshold], [stall_threshold],
+      [imbalance_limit]) and the topology do not change a compile and
+      stay out of the key: calls that vary only them reuse it. The
+      table holds its programs weakly: a hand-built workload's
+      annotations go with the workload;
+    - engines, by position in the [configs] list, for one machine: a
+      call reuses the engine at each position through
+      {!Clusteer_uarch.Engine.reset} (which rebinds the call's sink,
+      registry and profiler) and drops them all when its machine
+      ({!Clusteer_uarch.Config.t}) differs;
+    - one trace buffer, grown to the longest stream run and kept;
+      a buffer past 1M positions is dropped after its call.
+
+    A call made while its domain's context is in use (a call from
+    inside another on the same domain, e.g. from a sink callback) runs
+    on a fresh context, dropped afterwards. A call that raises drops
+    its context's engines. None of this is visible in the results:
+    each equals a run on fresh workloads, compiles and engines.
 
     {2 One stream per point}
 
@@ -70,6 +102,7 @@ val default_warmup : int -> int
 
 val run_point :
   ?warmup:int ->
+  ?seed:int ->
   ?obs:(string -> Clusteer_obs.Sink.t option) ->
   ?registry:Clusteer_obs.Counters.registry ->
   ?profile:Clusteer_obs.Profile.t ->
@@ -80,8 +113,8 @@ val run_point :
   uops:int ->
   Pinpoints.point ->
   point_result
-(** Build the point's workload, compile each configuration's
-    annotation, and simulate [uops] committed micro-ops per
+(** Build (or find in the domain's context) the point's workload,
+    compile (or find) each configuration's annotation, and simulate [uops] committed micro-ops per
     configuration on the point's one stream, after a cache/predictor
     warmup phase (default: {!default_warmup}).
 
@@ -93,11 +126,11 @@ val run_point :
     self-profiler to every engine created for the point.
 
     [params] tunes every steering/compiler knob at once (default
-    {!Clusteer.Configuration.default_params}); it applies uniformly to
-    every configuration of the call, which keeps the per-domain
-    annotation caches (keyed by configuration name) sound.
-    [trace_salt] (default 0 = the canonical stream) replays the point
-    on the {!salted_trace_seed} stream instead.
+    {!Clusteer.Configuration.default_params}) for every configuration
+    of the call. [trace_salt] (default 0 = the canonical stream)
+    replays the point on the {!salted_trace_seed} stream instead;
+    [seed], when given, is the trace seed itself and [trace_salt] is
+    ignored (the service layer passes a request's explicit seed).
 
     Each engine run also adds its committed micro-ops to the
     [harness.uops_committed] counter of [registry] — the figure the
@@ -119,6 +152,15 @@ val run_workload :
     hand-built {!Clusteer_workloads.Kernels} kernel) under each
     configuration on the identical trace. [obs] and [registry] as in
     {!run_point}. *)
+
+type engine_tally = { created : int; reset : int }
+
+val engine_tally : unit -> engine_tally
+(** Engines the calling domain's {!run_point} and {!run_workload}
+    calls have created and reset in place so far, fresh contexts
+    included. A caller that runs on one domain reads it before and
+    after a call to learn whether the call found warm engines (the
+    service layer's [serve.engines.*] counters). *)
 
 val map_isolated :
   ?domains:int ->

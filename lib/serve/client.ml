@@ -1,8 +1,13 @@
-let call_lines ~socket lines =
+let call_lines ?timeout_s ~socket lines =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      Option.iter
+        (fun t ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO t;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO t)
+        timeout_s;
       Unix.connect fd (Unix.ADDR_UNIX socket);
       let oc = Unix.out_channel_of_descr fd in
       List.iter
@@ -19,12 +24,16 @@ let call_lines ~socket lines =
         match input_line ic with
         | line -> go (line :: acc)
         | exception End_of_file -> List.rev acc
+        | exception Sys_error _ when Option.is_some timeout_s ->
+            failwith
+              (Printf.sprintf "no reply from %s within %g s" socket
+                 (Option.get timeout_s))
       in
       go [])
 
-let call ~socket commands =
+let call ?timeout_s ~socket commands =
   let replies =
-    call_lines ~socket (List.map Protocol.encode_command commands)
+    call_lines ?timeout_s ~socket (List.map Protocol.encode_command commands)
   in
   let parsed = List.map Protocol.parse_response replies in
   let missing = List.length commands - List.length parsed in

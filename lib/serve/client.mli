@@ -3,11 +3,18 @@
     One call = one connection = one batch: write every command line,
     shut down the write side, read one response line per command. *)
 
-val call_lines : socket:string -> string list -> string list
+val call_lines : ?timeout_s:float -> socket:string -> string list -> string list
 (** Raw exchange. Raises [Unix.Unix_error] if the socket is absent or
-    refuses (e.g. no server running). *)
+    refuses (e.g. no server running). [timeout_s] bounds each send and
+    each wait for reply bytes: a server silent for that long raises
+    [Failure "no reply from SOCKET within T s"]. Without it the client
+    waits as long as the server takes. *)
 
-val call : socket:string -> Protocol.command list -> (Protocol.response, string) result list
+val call :
+  ?timeout_s:float ->
+  socket:string ->
+  Protocol.command list ->
+  (Protocol.response, string) result list
 (** {!call_lines} plus per-line response parsing; result order matches
     command order. *)
 

@@ -6,7 +6,6 @@ module Ledger = Clusteer_obs.Ledger
 module Profile = Clusteer_workloads.Profile
 module Spec2000 = Clusteer_workloads.Spec2000
 module Pinpoints = Clusteer_workloads.Pinpoints
-module Synth = Clusteer_workloads.Synth
 module Runner = Clusteer_harness.Runner
 module Energy = Clusteer_uarch.Energy
 
@@ -82,17 +81,19 @@ let resolve (req : Request.t) =
                 (Printf.sprintf "workload %s has only %d phases"
                    req.Request.workload (List.length points))))
 
-(* Run one admitted request against a private registry. The result
-   document is a pure function of the canonical request (PR 2's
-   determinism guarantee), which is what makes the cached bytes
-   replayable verbatim. *)
+(* Run one admitted request against a private registry, on the
+   worker domain's reuse context: a repeated shape finds its workload,
+   annotation and engine there. The result document is a pure function
+   of the canonical request (PR 2's determinism guarantee), which is
+   what makes the cached bytes replayable verbatim. The job counts in
+   [serve.engines.reset] when its engine was reset in place, and in
+   [serve.engines.created] when it had to be built. *)
 let execute ~registry ?(profiled = false) (req : Request.t)
     (point : Pinpoints.point) =
   let machine =
     Clusteer_uarch.Config.default ~clusters:req.Request.clusters
   in
   let profile = if profiled then Some (Prof.create ~registry ()) else None in
-  let workload = Synth.build point.Pinpoints.profile in
   let seed =
     match req.Request.seed with
     | Some s -> s
@@ -103,10 +104,16 @@ let execute ~registry ?(profiled = false) (req : Request.t)
     | Some w -> w
     | None -> Runner.default_warmup req.Request.uops
   in
-  let runs =
-    Runner.run_workload ~warmup ~seed ~registry ?profile ~machine
-      ~configs:[ req.Request.policy ] ~uops:req.Request.uops workload
+  let created = (Runner.engine_tally ()).Runner.created in
+  let { Runner.runs; _ } =
+    Runner.run_point ~warmup ~seed ~registry ?profile ~machine
+      ~configs:[ req.Request.policy ] ~uops:req.Request.uops point
   in
+  Counters.incr
+    (Counters.counter ~registry
+       (if (Runner.engine_tally ()).Runner.created > created then
+          "serve.engines.created"
+        else "serve.engines.reset"));
   let name, stats = List.hd runs in
   Json.Obj
     [
@@ -373,6 +380,8 @@ let serve ?(registry = Counters.default) cfg =
   (* Pre-intern the counters the worker pool merges back, so a stats
      snapshot taken before the first simulation already lists them. *)
   ignore (Counters.counter ~registry "serve.simulations");
+  ignore (Counters.counter ~registry "serve.engines.created");
+  ignore (Counters.counter ~registry "serve.engines.reset");
   Validate.install ();
   if Sys.file_exists cfg.socket_path then Sys.remove cfg.socket_path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -97,8 +97,8 @@ let max_srcs = 2
 let waiter_buckets = 1024
 let store_buckets = 256
 
-(* Self-profiler spans, interned once at creation so the per-cycle
-   instrumented path touches no hashtable. *)
+(* Self-profiler spans, interned at creation and at each reset so the
+   per-cycle instrumented path touches no hashtable. *)
 type prof_spans = {
   p_fetch : Obs_profile.span;
   p_dispatch : Obs_profile.span;
@@ -200,10 +200,10 @@ type t = {
      match and constructs nothing — the simulated behaviour and the
      final statistics are bit-identical to an uninstrumented engine *)
   mutable obs : Obs_sink.t option;
-  copyq_depth_hist : Obs_counters.histogram;
+  mutable copyq_depth_hist : Obs_counters.histogram;
   (* self-profiler: like [obs], [None] means every step is one pattern
      match away from the uninstrumented path *)
-  prof : prof_spans option;
+  mutable prof : prof_spans option;
   (* quiescence gate (see [step]): did anything happen this cycle, the
      first cycle the back-end stages may act again, and the earliest
      cycle a ready entry the issue stage left blocked may start *)
@@ -315,6 +315,20 @@ let[@inline] uop t sid = t.trace.Columns.uops.(sid)
 (* An empty stream: the buffer a fresh or reset engine points at. *)
 let no_trace = Columns.create ()
 
+(* The instruments [create] and [reset] bind: the copy-queue depth
+   histogram of [registry] and the five stage spans of [profile]. *)
+let copyq_depth_of registry =
+  Obs_counters.histogram ?registry "engine.copyq_depth"
+
+let spans_of p =
+  {
+    p_fetch = Obs_profile.span p "engine.fetch";
+    p_dispatch = Obs_profile.span p "engine.dispatch";
+    p_issue = Obs_profile.span p "engine.issue";
+    p_writeback = Obs_profile.span p "engine.writeback";
+    p_commit = Obs_profile.span p "engine.commit";
+  }
+
 let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   Config.validate config;
   let clusters = config.Config.clusters in
@@ -389,19 +403,8 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       per_cluster = Array.make clusters 0;
       blocked = Array.make 16 0;
       obs;
-      copyq_depth_hist = Obs_counters.histogram ?registry "engine.copyq_depth";
-      prof =
-        (match profile with
-        | None -> None
-        | Some p ->
-            Some
-              {
-                p_fetch = Obs_profile.span p "engine.fetch";
-                p_dispatch = Obs_profile.span p "engine.dispatch";
-                p_issue = Obs_profile.span p "engine.issue";
-                p_writeback = Obs_profile.span p "engine.writeback";
-                p_commit = Obs_profile.span p "engine.commit";
-              });
+      copyq_depth_hist = copyq_depth_of registry;
+      prof = Option.map spans_of profile;
       busy = false;
       wake = 0;
       retry = never;
@@ -426,7 +429,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   t.view <- make_view t;
   t
 
-let reset ?(prewarm = []) ?warm_from ?obs t ~annot ~policy =
+let reset ?(prewarm = []) ?warm_from ?obs ?registry ?profile t ~annot ~policy =
   (match warm_from with
   | None -> Memsys.reset ~prewarm t.memsys
   | Some src ->
@@ -479,6 +482,8 @@ let reset ?(prewarm = []) ?warm_from ?obs t ~annot ~policy =
   t.steps <- 0;
   t.ran <- false;
   t.obs <- obs;
+  t.copyq_depth_hist <- copyq_depth_of registry;
+  t.prof <- Option.map spans_of profile;
   t.view <- make_view t
 
 let stats t = t.stats

@@ -94,6 +94,8 @@ val reset :
   ?prewarm:(int * int) list ->
   ?warm_from:t ->
   ?obs:Clusteer_obs.Sink.t ->
+  ?registry:Clusteer_obs.Counters.registry ->
+  ?profile:Clusteer_obs.Profile.t ->
   t ->
   annot:Annot.t ->
   policy:Policy.t ->
@@ -105,10 +107,16 @@ val reset :
     tags, queues, scoreboards, statistics — is re-initialised in
     place, so a run after [reset] is bit-identical to a run on a
     freshly created engine, without re-allocating the (large) machine
-    structures. This is what lets the parallel harness keep one engine
-    per (domain × configuration) alive across simulation points. The
-    counter registry and self-profiler bindings made at {!create} time
-    are retained.
+    structures. This is what lets the harness keep one engine per
+    (domain × configuration position) alive across simulation points
+    and across calls.
+
+    [obs], [registry] and [profile] are bound afresh, as {!create}
+    binds them: the [engine.copyq_depth] histogram is registered in
+    [registry] (default {!Clusteer_obs.Counters.default}) and the five
+    stage spans in [profile] (none when absent). An engine created
+    profiled and reset without [profile] records no spans, and the
+    reverse records them.
 
     [warm_from] copies the cache hierarchy's lines from [src] instead
     of computing [prewarm] ({!Memsys.reset_from}): [src] must be another

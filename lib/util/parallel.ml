@@ -9,32 +9,114 @@ let default_domains () = min default_domain_cap (Domain.recommended_domain_count
 
 (* OCaml 5 minor collections are stop-the-world across *all* domains:
    every domain must reach a safepoint before any of them can collect.
-   Allocation-heavy shards with the default (small) minor heap
+   Allocation-heavy workers with the default (small) minor heap
    therefore spend most of their time rendezvousing instead of
-   simulating — the measured root cause of the PR 2 anti-scaling.
-   Enlarging the minor heap for the duration of a parallel region
-   divides the rendezvous frequency by the same factor. The parent's
-   setting is enlarged before spawning (so helpers inherit it) and
-   restored after the join; helpers additionally apply it themselves
-   in case the runtime snapshots parameters at spawn time. *)
+   simulating — the measured root cause of the PR 2 anti-scaling. A
+   larger minor heap divides the rendezvous frequency by the same
+   factor. Each domain sizes its own heap once: a helper when it is
+   spawned, the caller the first time it runs as worker 0. Later calls
+   only grow it if they ask for more; nothing is restored, so no call
+   pays for a resize (a minor collection each way). *)
 let grow_minor_heap words =
   let g = Gc.get () in
   if g.Gc.minor_heap_size < words then
     Gc.set { g with Gc.minor_heap_size = words }
 
-let with_minor_heap words f =
-  match words with
-  | None -> f ()
-  | Some w ->
-      let saved = (Gc.get ()).Gc.minor_heap_size in
-      if saved >= w then f ()
-      else begin
-        grow_minor_heap w;
-        Fun.protect
-          ~finally:(fun () ->
-            Gc.set { (Gc.get ()) with Gc.minor_heap_size = saved })
-          f
-      end
+(* ---- the pool ----------------------------------------------------- *)
+
+(* Long-lived helper domains, spawned the first time a call needs them
+   and parked on [work] between calls. One call owns the pool at a
+   time ([owned]); it posts its job as a new [generation], and helpers
+   [1 .. wanted] run it while the others stay parked. A helper that
+   wakes late reads the current generation, never a finished one: a
+   new job is posted only after [running] has dropped to 0. *)
+type pool = {
+  lock : Mutex.t;
+  work : Condition.t;  (* helpers wait here for a new generation *)
+  idle : Condition.t;  (* the owner waits here for [running = 0] *)
+  mutable spawned : int;
+  mutable generation : int;
+  mutable job : int -> unit;
+  mutable wanted : int;
+  mutable running : int;
+  mutable words : int;  (* the current job's minor-heap request, or 0 *)
+}
+
+let pool =
+  {
+    lock = Mutex.create ();
+    work = Condition.create ();
+    idle = Condition.create ();
+    spawned = 0;
+    generation = 0;
+    job = ignore;
+    wanted = 0;
+    running = 0;
+    words = 0;
+  }
+
+let owned = Atomic.make false
+
+(* Set in every helper: a [map] made from inside a job runs inline
+   rather than waiting on the pool it is part of. *)
+let in_helper = Domain.DLS.new_key (fun () -> false)
+
+let helpers () =
+  Mutex.lock pool.lock;
+  let n = pool.spawned in
+  Mutex.unlock pool.lock;
+  n
+
+let helper id ~seen ~words =
+  Domain.DLS.set in_helper true;
+  if words > 0 then grow_minor_heap words;
+  let sized = ref words and seen = ref seen in
+  Mutex.lock pool.lock;
+  while true do
+    while pool.generation = !seen do
+      Condition.wait pool.work pool.lock
+    done;
+    seen := pool.generation;
+    if id <= pool.wanted then begin
+      let job = pool.job and words = pool.words in
+      Mutex.unlock pool.lock;
+      if words > !sized then begin
+        grow_minor_heap words;
+        sized := words
+      end;
+      (* A job records its own failures; nothing may end the loop. *)
+      (try job id with _ -> ());
+      Mutex.lock pool.lock;
+      pool.running <- pool.running - 1;
+      if pool.running = 0 then Condition.signal pool.idle
+    end
+  done
+
+(* Run [job 0] here and [job 1 .. job helpers] on the pool, which the
+   caller owns; returns once every helper is done. *)
+let dispatch ~helpers ~words job =
+  while pool.spawned < helpers do
+    let id = pool.spawned + 1 and seen = pool.generation in
+    ignore (Domain.spawn (fun () -> helper id ~seen ~words));
+    Mutex.lock pool.lock;
+    pool.spawned <- id;
+    Mutex.unlock pool.lock
+  done;
+  Mutex.lock pool.lock;
+  pool.job <- job;
+  pool.wanted <- helpers;
+  pool.running <- helpers;
+  pool.words <- words;
+  pool.generation <- pool.generation + 1;
+  Condition.broadcast pool.work;
+  Mutex.unlock pool.lock;
+  job 0;
+  Mutex.lock pool.lock;
+  while pool.running > 0 do
+    Condition.wait pool.idle pool.lock
+  done;
+  pool.job <- ignore;
+  Mutex.unlock pool.lock
 
 exception Poisoned
 
@@ -51,11 +133,15 @@ let map ?domains ?minor_heap_words ~init ~f groups =
   let input = Array.of_list groups in
   let n = Array.length input in
   let workers = min domains n in
+  let words = Option.value minor_heap_words ~default:0 in
+  let inline () =
+    if words > 0 then grow_minor_heap words;
+    let state = init 0 in
+    (List.map (List.map (f state)) groups, [ state ])
+  in
   if n = 0 then ([], [])
-  else if workers = 1 then
-    with_minor_heap minor_heap_words (fun () ->
-        let state = init 0 in
-        (List.map (List.map (f state)) groups, [ state ]))
+  else if workers = 1 || Domain.DLS.get in_helper then inline ()
+  else if not (Atomic.compare_and_set owned false true) then inline ()
   else begin
     let results = Array.make n [] in
     let states = Array.make workers None in
@@ -85,15 +171,10 @@ let map ?domains ?minor_heap_words ~init ~f groups =
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set failure None (Some (e, bt)))
     in
-    with_minor_heap minor_heap_words (fun () ->
-        let helpers =
-          List.init (workers - 1) (fun k ->
-              Domain.spawn (fun () ->
-                  Option.iter grow_minor_heap minor_heap_words;
-                  run (k + 1)))
-        in
-        run 0;
-        List.iter Domain.join helpers);
+    if words > 0 then grow_minor_heap words;
+    Fun.protect
+      ~finally:(fun () -> Atomic.set owned false)
+      (fun () -> dispatch ~helpers:(workers - 1) ~words run);
     match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None ->

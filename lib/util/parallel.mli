@@ -11,11 +11,36 @@
     (the harness: one group per benchmark, whose points reuse one
     workload) and independent work in singleton groups.
 
-    Because OCaml 5 minor collections are stop-the-world across all
-    domains, allocation-heavy parallel regions should also pass
-    [~minor_heap_words] to enlarge each domain's minor heap for the
-    duration of the region — fewer global rendezvous, the measured
-    root cause of the harness's former anti-scaling. *)
+    {2 Long-lived workers}
+
+    Worker 0 is always the calling domain. Workers [1 .. domains - 1]
+    are helper domains of one process-wide pool: a helper is spawned
+    the first time a call needs it, runs that call's share, and then
+    parks on a condition variable until a later call needs it again.
+    Helpers are never joined; they end with the process. A process
+    therefore spawns at most [d - 1] helpers in its life, [d] being the
+    largest [domains] any call used ({!helpers} counts them), and a
+    helper's domain-local state ({!Domain.DLS}) outlives the call that
+    made it: that is how the harness keeps one reuse context per
+    domain.
+
+    One call owns the pool at a time. A call made while another owns
+    it (from another domain), or from inside a helper's share of a
+    call, does not wait: it runs inline, every group on the calling
+    domain with one state ([init 0]). Its results are the same.
+
+    {2 Minor heap}
+
+    OCaml 5 minor collections are stop-the-world across all domains,
+    so allocation-heavy parallel regions pass [~minor_heap_words] to
+    enlarge each worker's minor heap (fewer global rendezvous, the
+    measured root cause of the harness's former anti-scaling). The
+    setting lasts: a helper sets its heap when it is spawned, the
+    caller sets its own the first time it runs as worker 0 with the
+    argument, and neither is restored after the call (a later call
+    only grows it, never shrinks it). A process that calls [map] with
+    [~minor_heap_words:w] keeps a minor heap of at least [w] words on
+    the calling domain from then on. *)
 
 val map :
   ?domains:int ->
@@ -34,20 +59,24 @@ val map :
     come back in worker order (worker 0, the caller's domain, first).
     Which worker ran which group depends on timing, so anything
     merged from the states must not depend on that split. With one
-    worker no domain is spawned and one state serves every group; an
-    empty input returns [([], [])] without calling [init].
+    worker, and on the inline path (see above), no helper is used and
+    one state serves every group; an empty input returns [([], [])]
+    without calling [init].
 
-    [minor_heap_words], when given, enlarges every participating
-    domain's minor heap to at least that many words for the duration
-    of the call (the caller's setting is restored afterwards; it is
-    never shrunk).
+    [minor_heap_words], when given, makes every participating domain's
+    minor heap at least that many words, for good (see above).
 
     [f] must be safe to run concurrently with itself on distinct
     elements. The first exception raised by [init] or [f] poisons the
     run: every worker checks the failure flag before each element,
     also in the middle of a group, and stops. The exception is
     re-raised in the caller with the worker's backtrace
-    ({!Printexc.raise_with_backtrace}). *)
+    ({!Printexc.raise_with_backtrace}); the helpers park again, and
+    the next call uses them as before. *)
+
+val helpers : unit -> int
+(** Helper domains spawned so far by this process (all of them parked
+    between calls). *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], capped at

@@ -169,12 +169,10 @@ let hier2x4 =
    a fresh engine, fed one [Dynuop.t] at a time through [Engine.run
    ~source] from a generator of its own, counting into [registry]
    exactly what the harness counts. *)
-let adapter_runs ~registry ~machine ~configs ~warmup ~uops ~seed workload =
+let adapter_runs ?(params = Clusteer.Configuration.default_params) ~registry
+    ~machine ~configs ~warmup ~uops ~seed workload =
   let params =
-    {
-      Clusteer.Configuration.default_params with
-      Clusteer.Configuration.topology = Some machine.Config.topology;
-    }
+    { params with Clusteer.Configuration.topology = Some machine.Config.topology }
   in
   let prewarm =
     Array.to_list
@@ -299,6 +297,205 @@ let test_runner_config_listed_twice () =
       check_bool "same statistics" true (Stats.equal a b);
       check_bool "a full run" true (a.Stats.committed >= 1000)
   | _ -> Alcotest.fail "three runs expected"
+
+(* ---- Reuse contexts ------------------------------------------------- *)
+
+(* The calling domain's reuse context outlives each call: every test
+   below runs calls back to back on it and checks each against
+   [adapter_runs], which compiles and creates everything afresh. *)
+
+module Configuration = Clusteer.Configuration
+
+let vc2 = Configuration.Vc { virtual_clusters = 2 }
+
+let fresh_runs ?params ~machine ~configs ~uops ~seed workload =
+  adapter_runs ?params ~registry:(Counters.create ()) ~machine ~configs
+    ~warmup:(Harness.Runner.default_warmup uops) ~uops ~seed workload
+
+let test_context_keys_on_program () =
+  (* Two hand-built workloads under one profile record: the second
+     must be compiled for its own program, not handed the first's
+     annotation (a key on the profile would do that). *)
+  let a = Kernels.daxpy () in
+  let b = { (Kernels.matmul_inner ()) with Synth.profile = a.Synth.profile } in
+  let configs = [ Configuration.Ob; vc2; Configuration.Rhop ] in
+  let machine = Config.default_2c and uops = 1500 in
+  List.iter
+    (fun (label, w) ->
+      same_runs label
+        (fresh_runs ~machine ~configs ~uops ~seed:3 w)
+        (Harness.Runner.run_workload ~seed:3 ~machine ~configs ~uops w))
+    [ ("daxpy", a); ("matmul under daxpy's profile", b); ("daxpy again", a) ];
+  check_bool "the two programs steer differently" false
+    (Stats.equal
+       (List.assoc "vc2" (fresh_runs ~machine ~configs ~uops ~seed:3 a))
+       (List.assoc "vc2" (fresh_runs ~machine ~configs ~uops ~seed:3 b)))
+
+let test_context_keys_on_compile_knobs () =
+  (* Calls that differ only in a compile knob, back to back on one
+     context, each equal a fresh compile; so do calls that differ in a
+     runtime knob, which reuse the compile. *)
+  let point = List.hd (Pinpoints.points (Spec2000.find "gcc-1")) in
+  let w = Synth.build point.Pinpoints.profile in
+  let d = Configuration.default_params in
+  let variants =
+    [
+      ("defaults", d, Config.default_2c);
+      ("region_uops 8", { d with Configuration.region_uops = 8 }, Config.default_2c);
+      ("max_chain 3", { d with Configuration.max_chain = 3 }, Config.default_2c);
+      ( "crit_min_scale 1",
+        { d with Configuration.crit_min_scale = 1.0 },
+        Config.default_2c );
+      ("4 clusters", d, Config.default ~clusters:4);
+      ("remap_threshold 0", { d with Configuration.remap_threshold = 0 }, Config.default_2c);
+      ("defaults again", d, Config.default_2c);
+    ]
+  in
+  let configs = [ vc2; Configuration.Rhop ] and uops = 1500 in
+  let seed = Harness.Runner.trace_seed point in
+  let references =
+    List.map
+      (fun (label, params, machine) ->
+        let reference = fresh_runs ~params ~machine ~configs ~uops ~seed w in
+        same_runs label reference
+          (Harness.Runner.run_point ~params ~machine ~configs ~uops point)
+            .Harness.Runner.runs;
+        (label, List.assoc "vc2" reference))
+      variants
+  in
+  (* Each variant must move the result, or the equalities prove
+     nothing. *)
+  let base = List.assoc "defaults" references in
+  List.iter
+    (fun (label, stats) ->
+      if label <> "defaults" && label <> "defaults again" then
+        check_bool (label ^ " changes vc2") false (Stats.equal base stats))
+    references
+
+let test_context_engines_by_position () =
+  (* Engines are kept by position and dropped with the machine: lists
+     that reorder, repeat and shrink, on two machines, all equal fresh
+     engines. *)
+  let w = Synth.build { (Spec2000.find "mcf") with Profile.phases = 1 } in
+  let op = Configuration.Op and uops = 1200 in
+  List.iter
+    (fun (label, machine, configs) ->
+      same_runs label
+        (fresh_runs ~machine ~configs ~uops ~seed:7 w)
+        (Harness.Runner.run_workload ~seed:7 ~machine ~configs ~uops w))
+    [
+      ("op, vc2", Config.default_2c, [ op; vc2 ]);
+      ("vc2, op", Config.default_2c, [ vc2; op ]);
+      ("vc2, vc2, ob", Config.default_2c, [ vc2; vc2; Configuration.Ob ]);
+      ("hier2x4", hier2x4, [ vc2; op ]);
+      ("op alone", Config.default_2c, [ op ]);
+      ("vc2, op again", Config.default_2c, [ vc2; op ]);
+    ]
+
+let test_context_engine_tally () =
+  (* A call on a machine the context does not hold creates its engine;
+     the same call again resets it. *)
+  let point = List.hd (Pinpoints.points tiny_profile) in
+  let run machine =
+    let before = Harness.Runner.engine_tally () in
+    ignore
+      (Harness.Runner.run_point ~machine ~configs:[ vc2 ] ~uops:500 point);
+    let after = Harness.Runner.engine_tally () in
+    ( after.Harness.Runner.created - before.Harness.Runner.created,
+      after.Harness.Runner.reset - before.Harness.Runner.reset )
+  in
+  ignore (run Config.default_2c);
+  Alcotest.(check (pair int int)) "new machine: created" (1, 0) (run hier2x4);
+  Alcotest.(check (pair int int)) "same machine: reset" (0, 1) (run hier2x4)
+
+(* A sink whose [emit] calls [f] on the first event it sees. *)
+let sink_calling f =
+  let fired = ref false in
+  {
+    Clusteer_obs.Sink.null with
+    Clusteer_obs.Sink.emit =
+      (fun _ ->
+        if not !fired then begin
+          fired := true;
+          f ()
+        end);
+  }
+
+let test_context_reentrant_call () =
+  (* A call made from inside another on the same domain (here, from a
+     sink callback) runs on a fresh context: both equal fresh runs, so
+     neither reused the other's live engine. *)
+  let outer = Synth.build { (Spec2000.find "gzip-1") with Profile.phases = 1 } in
+  let inner = Kernels.stencil3 () in
+  let machine = Config.default_2c and configs = [ vc2; Configuration.Op ] in
+  let uops = 1000 in
+  let nested = ref [] in
+  let obs name =
+    if name = "vc2" then
+      Some
+        (sink_calling (fun () ->
+             nested :=
+               Harness.Runner.run_workload ~seed:2 ~machine ~configs ~uops inner))
+    else None
+  in
+  let runs = Harness.Runner.run_workload ~seed:4 ~obs ~machine ~configs ~uops outer in
+  same_runs "outer" (fresh_runs ~machine ~configs ~uops ~seed:4 outer) runs;
+  same_runs "inner" (fresh_runs ~machine ~configs ~uops ~seed:2 inner) !nested;
+  same_runs "outer again" (fresh_runs ~machine ~configs ~uops ~seed:4 outer)
+    (Harness.Runner.run_workload ~seed:4 ~machine ~configs ~uops outer)
+
+let test_context_after_failure () =
+  (* A call that raises mid-run leaves its domain's context usable:
+     the next call equals a fresh run. *)
+  let w = Synth.build { (Spec2000.find "gzip-1") with Profile.phases = 1 } in
+  let machine = Config.default_2c and configs = [ Configuration.Op; vc2 ] in
+  let obs name =
+    if name = "vc2" then Some (sink_calling (fun () -> failwith "sink boom"))
+    else None
+  in
+  Alcotest.check_raises "the failure reaches the caller" (Failure "sink boom")
+    (fun () ->
+      ignore (Harness.Runner.run_workload ~seed:6 ~obs ~machine ~configs ~uops:800 w));
+  same_runs "after the failure"
+    (fresh_runs ~machine ~configs ~uops:800 ~seed:6 w)
+    (Harness.Runner.run_workload ~seed:6 ~machine ~configs ~uops:800 w)
+
+let span_count registry =
+  Counters.hist_count (Counters.histogram ~registry "profile.engine.commit.ns")
+
+let test_context_rebinds_profiler () =
+  (* The engines a domain keeps are rebound to each call's registry
+     and profiler: a profiled call after an unprofiled one records its
+     engine spans, an unprofiled call after a profiled one records
+     none, and a cold call (engine created) and a warm one (engine
+     reset) fill their registries identically. *)
+  let point = List.hd (Pinpoints.points tiny_profile) in
+  let machine = Config.default ~clusters:3 in
+  let call ?profile registry =
+    ignore
+      (Harness.Runner.run_point ~registry ?profile ~machine
+         ~configs:[ vc2; Configuration.Op ] ~uops:600 point)
+  in
+  let cold = Counters.create () in
+  let before = Harness.Runner.engine_tally () in
+  call cold;
+  check_bool "the first call creates its engines" true
+    ((Harness.Runner.engine_tally ()).Harness.Runner.created
+    > before.Harness.Runner.created);
+  let warm = Counters.create () in
+  call warm;
+  Alcotest.(check string) "cold = warm registry (json)" (registry_json cold)
+    (registry_json warm);
+  Alcotest.(check string) "cold = warm registry (exposition)"
+    (Clusteer_obs.Expo.render cold) (Clusteer_obs.Expo.render warm);
+  let profiled = Counters.create () in
+  let profile = Clusteer_obs.Profile.create ~registry:profiled () in
+  call ~profile profiled;
+  check_int "profiled after unprofiled: one span per engine" 2
+    (span_count profiled);
+  call (Counters.create ());
+  check_int "unprofiled after profiled: no new span" 2 (span_count profiled);
+  check_int "the unprofiled registry has no spans" 0 (span_count warm)
 
 let test_runner_default_warmup_clamps () =
   (* Half the measured length within [2k, 10k], but always strictly
@@ -536,6 +733,20 @@ let () =
             test_trace_seed_no_collisions;
           Alcotest.test_case "trace seed deterministic" `Quick
             test_trace_seed_deterministic;
+        ] );
+      ( "context",
+        [
+          Alcotest.test_case "annotations keyed on the program" `Quick
+            test_context_keys_on_program;
+          Alcotest.test_case "compile knobs in the key" `Slow
+            test_context_keys_on_compile_knobs;
+          Alcotest.test_case "engines by position" `Quick
+            test_context_engines_by_position;
+          Alcotest.test_case "engine tally" `Quick test_context_engine_tally;
+          Alcotest.test_case "re-entrant call" `Quick test_context_reentrant_call;
+          Alcotest.test_case "after a failure" `Quick test_context_after_failure;
+          Alcotest.test_case "rebinds registry and profiler" `Quick
+            test_context_rebinds_profiler;
         ] );
       ( "experiments",
         [

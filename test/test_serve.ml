@@ -308,6 +308,41 @@ let test_validate_hook () =
   | Error "stubbed" -> ()
   | _ -> Alcotest.fail "stubbed hook was not consulted"
 
+(* Every exchange with a server child is bounded: a starved or wedged
+   child fails the test with a message instead of hanging the suite.
+   The bounds are generous next to the sub-second exchanges here. *)
+let reply_timeout_s = 60.0
+let exit_timeout_s = 30.0
+
+let call ~socket commands =
+  Serve.Client.call ~timeout_s:reply_timeout_s ~socket commands
+
+let one ~socket command =
+  match call ~socket [ command ] with
+  | [ r ] -> r
+  | _ -> Error "expected exactly one response"
+
+let submit ~socket ?deadline_ms request =
+  one ~socket (Protocol.Simulate { id = 0; deadline_ms; request })
+
+let stats ~socket =
+  match one ~socket Protocol.Stats with
+  | Ok (Protocol.Stats_reply s) -> Ok s
+  | Ok _ -> Error "unexpected response to stats"
+  | Error e -> Error e
+
+let metrics ~socket =
+  match one ~socket Protocol.Metrics with
+  | Ok (Protocol.Metrics_reply text) -> Ok text
+  | Ok _ -> Error "unexpected response to metrics"
+  | Error e -> Error e
+
+let shutdown ~socket =
+  match one ~socket Protocol.Shutdown with
+  | Ok Protocol.Bye -> Ok ()
+  | Ok _ -> Error "unexpected response to shutdown"
+  | Error e -> Error e
+
 let exe =
   let candidates =
     [ "../bin/csteer.exe"; "_build/default/bin/csteer.exe"; "bin/csteer.exe" ]
@@ -338,10 +373,34 @@ let start_server args =
   wait 200;
   (sock, pid)
 
+(* Wait for the child to exit, polling against a deadline; past it the
+   child is killed and the test fails. Returns the exit status and the
+   seconds waited. *)
+let wait_exit pid =
+  let t0 = Unix.gettimeofday () in
+  let rec poll () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () -. t0 > exit_timeout_s then begin
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid);
+          Alcotest.failf "server %d did not exit within %g s; killed" pid
+            exit_timeout_s
+        end
+        else begin
+          Unix.sleepf 0.01;
+          poll ()
+        end
+    | _, status -> (status, Unix.gettimeofday () -. t0)
+  in
+  poll ()
+
 let stop_server (sock, pid) =
-  (try ignore (Serve.Client.shutdown ~socket:sock) with _ -> ());
-  ignore (Unix.waitpid [] pid);
-  if Sys.file_exists sock then Sys.remove sock
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists sock then Sys.remove sock)
+    (fun () ->
+      (try ignore (shutdown ~socket:sock) with _ -> ());
+      ignore (wait_exit pid))
 
 let test_e2e_cache_hit_and_deadlines () =
   let server = start_server [ "--queue-depth"; "2" ] in
@@ -350,7 +409,7 @@ let test_e2e_cache_hit_and_deadlines () =
   let req = Request.make ~workload:"gzip-1" ~uops:2000 () in
   (* First submit simulates... *)
   let first =
-    match Serve.Client.submit ~socket:sock req with
+    match submit ~socket:sock req with
     | Ok (Protocol.Result { cached; hash; result; _ }) ->
         check_bool "first is a miss" false cached;
         check_string "hash echoes" (Request.hash req) hash;
@@ -360,7 +419,7 @@ let test_e2e_cache_hit_and_deadlines () =
   in
   (* ...the second identical submit is a cache hit with a bit-identical
      result document. *)
-  (match Serve.Client.submit ~socket:sock req with
+  (match submit ~socket:sock req with
   | Ok (Protocol.Result { cached; result; _ }) ->
       check_bool "second is cached" true cached;
       check_string "bit-identical result" (Json.to_string first)
@@ -369,13 +428,13 @@ let test_e2e_cache_hit_and_deadlines () =
   | Error e -> Alcotest.fail e);
   (* An already-expired deadline is rejected, not simulated. *)
   let uncached = Request.make ~workload:"gzip-1" ~uops:2100 () in
-  (match Serve.Client.submit ~socket:sock ~deadline_ms:0. uncached with
+  (match submit ~socket:sock ~deadline_ms:0. uncached with
   | Ok (Protocol.Rejected { reason = Protocol.Timeout; _ }) -> ()
   | Ok _ -> Alcotest.fail "expected a timeout rejection"
   | Error e -> Alcotest.fail e);
   (* An ill-formed request is turned away by the admission checker
      before it reaches a worker. *)
-  (match Serve.Client.submit ~socket:sock (oversized_vc_request ()) with
+  (match submit ~socket:sock (oversized_vc_request ()) with
   | Ok (Protocol.Rejected { reason = Protocol.Check_failed m; _ }) ->
       check_bool "rejection message names VC010" true (contains m "VC010")
   | Ok _ -> Alcotest.fail "expected a check_failed rejection"
@@ -392,7 +451,7 @@ let test_e2e_cache_hit_and_deadlines () =
           })
       [ 1500; 1600; 1700; 1800 ]
   in
-  let replies = Serve.Client.call ~socket:sock cmds in
+  let replies = call ~socket:sock cmds in
   let full, oks =
     List.fold_left
       (fun (full, oks) r ->
@@ -408,7 +467,7 @@ let test_e2e_cache_hit_and_deadlines () =
   (* Duplicate requests inside one batch simulate once, answer twice. *)
   let dup = Request.make ~workload:"gzip-1" ~uops:2200 () in
   let two =
-    Serve.Client.call ~socket:sock
+    call ~socket:sock
       [
         Protocol.Simulate { id = 1; deadline_ms = None; request = dup };
         Protocol.Simulate { id = 2; deadline_ms = None; request = dup };
@@ -423,7 +482,7 @@ let test_e2e_cache_hit_and_deadlines () =
         (Json.to_string rb)
   | _ -> Alcotest.fail "expected two ok responses");
   (* Counters: hits/misses/simulations are visible over the wire. *)
-  match Serve.Client.stats ~socket:sock with
+  match stats ~socket:sock with
   | Error e -> Alcotest.fail e
   | Ok doc ->
       let counter name =
@@ -444,7 +503,7 @@ let test_e2e_metrics_scrape () =
   let sock, _ = server in
   Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
   let scrape () =
-    match Serve.Client.metrics ~socket:sock with
+    match metrics ~socket:sock with
     | Ok text -> text
     | Error e -> Alcotest.fail e
   in
@@ -465,7 +524,7 @@ let test_e2e_metrics_scrape () =
   let r0 = metric_value before "serve_requests" in
   check_bool "request counter present" true (r0 >= 0);
   (match
-     Serve.Client.submit ~socket:sock
+     submit ~socket:sock
        (Request.make ~workload:"gzip-1" ~uops:1000 ())
    with
   | Ok (Protocol.Result _) -> ()
@@ -481,6 +540,56 @@ let test_e2e_metrics_scrape () =
     (contains after "profile_engine_commit_ns_count 1");
   check_bool "quantiles exposed" true
     (contains after "profile_serve_admission_ns_quantile{q=\"0.99\"}")
+
+let test_e2e_shutdown_with_parked_helpers () =
+  (* Two workers: a batch of three misses runs on the server's domain
+     and one pool helper, which then parks. A shutdown must still end
+     the server promptly, with status 0 and its socket removed. The
+     jobs either find a warm engine or count the one they created. *)
+  let sock, pid = start_server [ "--domains"; "2" ] in
+  Fun.protect ~finally:(fun () ->
+      if Sys.file_exists sock then Sys.remove sock)
+  @@ fun () ->
+  let batch uops =
+    List.map
+      (fun (id, workload, uops) ->
+        Protocol.Simulate
+          { id; deadline_ms = None; request = Request.make ~workload ~uops () })
+      [
+        (1, "gzip-1", uops); (2, "mcf", uops); (3, "gzip-1", uops);
+        (4, "gzip-1", uops + 1);
+      ]
+  in
+  let ok replies =
+    List.length
+      (List.filter (function Ok (Protocol.Result _) -> true | _ -> false) replies)
+  in
+  check_int "first batch answered" 4 (ok (call ~socket:sock (batch 1000)));
+  check_int "second batch answered" 4 (ok (call ~socket:sock (batch 1100)));
+  (match stats ~socket:sock with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+      let counter name =
+        Option.bind (Json.member "counters" doc) (Json.member name)
+        |> Option.map Json.to_int |> Option.join
+        |> Option.value ~default:(-1)
+      in
+      let sims = counter "serve.simulations" in
+      let created = counter "serve.engines.created" in
+      let reset = counter "serve.engines.reset" in
+      check_int "six simulations (one deduplicated per batch)" 6 sims;
+      check_int "each simulation counted once" sims (created + reset);
+      check_bool
+        (Printf.sprintf "at most one engine created per worker (%d)" created)
+        true (created <= 2));
+  (match shutdown ~socket:sock with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let status, waited = wait_exit pid in
+  check_bool "exit status 0" true (status = Unix.WEXITED 0);
+  check_bool (Printf.sprintf "exited promptly (%.2f s)" waited) true
+    (waited < 5.0);
+  check_bool "socket removed" false (Sys.file_exists sock)
 
 let () =
   Alcotest.run "clusteer_serve"
@@ -520,5 +629,7 @@ let () =
           Alcotest.test_case "validate hook" `Quick test_validate_hook;
           Alcotest.test_case "end to end" `Slow test_e2e_cache_hit_and_deadlines;
           Alcotest.test_case "metrics scrape" `Slow test_e2e_metrics_scrape;
+          Alcotest.test_case "shutdown with parked helpers" `Slow
+            test_e2e_shutdown_with_parked_helpers;
         ] );
     ]

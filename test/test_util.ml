@@ -896,6 +896,120 @@ let test_parallel_failure_stops_per_element () =
     true
     (Atomic.get evaluated < 50)
 
+let test_parallel_helpers_outlive_calls () =
+  (* Helpers are spawned once and parked between calls: 100 calls at 3
+     domains add at most 2 helpers to the pool, whatever earlier calls
+     spawned, and every call still returns its own results. *)
+  let before = Parallel.helpers () in
+  for i = 1 to 100 do
+    let groups = List.init 6 (fun g -> [ g; i ]) in
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "call %d" i)
+      (List.map (List.map (fun x -> x * i)) groups)
+      (pmap ~domains:3 (fun x -> x * i) groups)
+  done;
+  let after = Parallel.helpers () in
+  check_bool
+    (Printf.sprintf "at most 2 new helpers (%d -> %d)" before after)
+    true
+    (after - before <= 2 && after <= max before 2)
+
+let test_parallel_helper_state_persists () =
+  (* A helper's domain-local state survives between calls. Each call
+     has two groups, and the first waits (bounded) until the second is
+     done, so each call's two groups run on two different workers: the
+     caller and the one helper. Each bumps a domain-local counter, so
+     the second call reads 2 on both only if its helper is the first
+     call's. *)
+  let key = Domain.DLS.new_key (fun () -> ref 0) in
+  let call () =
+    let fast_done = Atomic.make false in
+    let bump () =
+      let r = Domain.DLS.get key in
+      incr r;
+      !r
+    in
+    let f = function
+      | `Slow ->
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while (not (Atomic.get fast_done)) && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done;
+          bump ()
+      | `Fast ->
+          let v = bump () in
+          Atomic.set fast_done true;
+          v
+    in
+    fst (Parallel.map ~domains:2 ~init:ignore ~f:(fun () x -> f x) [ [ `Slow ]; [ `Fast ] ])
+  in
+  Alcotest.(check (list (list int))) "first call" [ [ 1 ]; [ 1 ] ] (call ());
+  Alcotest.(check (list (list int))) "second call, same domains" [ [ 2 ]; [ 2 ] ]
+    (call ())
+
+let test_parallel_nested_runs_inline () =
+  (* A map from inside a helper's share of a map (or from worker 0,
+     which then finds the pool owned) runs inline and returns the same
+     results instead of waiting on the pool it is part of. *)
+  let inner x = pmap ~domains:2 (fun y -> (10 * x) + y) [ [ 1 ]; [ 2 ]; [ 3 ] ] in
+  Alcotest.(check (list (list (list (list int)))))
+    "nested results"
+    (List.map (fun g -> List.map (fun x -> [ [ (10 * x) + 1 ]; [ (10 * x) + 2 ]; [ (10 * x) + 3 ] ]) g)
+       [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ])
+    (pmap ~domains:2 inner [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ])
+
+let test_parallel_busy_pool_runs_inline () =
+  (* A map from another domain while the pool is owned does not wait
+     for it: the owner's first group blocks until the other call has
+     returned (bounded, so a deadlock fails instead of hanging). *)
+  let started = Atomic.make false and other_done = Atomic.make false in
+  let wait_for flag =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get flag
+  in
+  let other =
+    Domain.spawn (fun () ->
+        ignore (wait_for started);
+        let r = pmap ~domains:2 (fun x -> x + 1) [ [ 1 ]; [ 2 ]; [ 3 ] ] in
+        Atomic.set other_done true;
+        r)
+  in
+  let results =
+    pmap ~domains:2
+      (fun x ->
+        if x = 0 then begin
+          Atomic.set started true;
+          wait_for other_done
+        end
+        else true)
+      [ [ 0 ]; [ 1 ] ]
+  in
+  Alcotest.(check (list (list int))) "the other call's results"
+    [ [ 2 ]; [ 3 ]; [ 4 ] ] (Domain.join other);
+  Alcotest.(check (list (list bool))) "it returned while the pool was owned"
+    [ [ true ]; [ true ] ] results
+
+let test_parallel_usable_after_failure () =
+  (* A worker's failure reaches the caller; the helpers park again and
+     the next call on the pool returns correct results. *)
+  for round = 1 to 3 do
+    Alcotest.check_raises
+      (Printf.sprintf "round %d fails" round)
+      (Failure "helper boom")
+      (fun () ->
+        ignore
+          (pmap ~domains:3
+             (fun x -> if x = 4 then failwith "helper boom" else x)
+             (List.init 8 (fun x -> [ x ]))));
+    Alcotest.(check (list (list int)))
+      (Printf.sprintf "round %d, next call" round)
+      (List.init 8 (fun x -> [ x * x ]))
+      (pmap ~domains:3 (fun x -> x * x) (List.init 8 (fun x -> [ x ])))
+  done
+
 (* ---- Table / Csv ---------------------------------------------------- *)
 
 let test_table_render () =
@@ -1084,6 +1198,16 @@ let () =
             test_parallel_exception_keeps_backtrace;
           Alcotest.test_case "failure stops per element" `Quick
             test_parallel_failure_stops_per_element;
+          Alcotest.test_case "helpers outlive calls" `Quick
+            test_parallel_helpers_outlive_calls;
+          Alcotest.test_case "helper state persists" `Quick
+            test_parallel_helper_state_persists;
+          Alcotest.test_case "nested map runs inline" `Quick
+            test_parallel_nested_runs_inline;
+          Alcotest.test_case "busy pool runs inline" `Quick
+            test_parallel_busy_pool_runs_inline;
+          Alcotest.test_case "usable after a failure" `Quick
+            test_parallel_usable_after_failure;
         ] );
       ( "lru",
         [
