@@ -141,5 +141,6 @@ val prepare :
     of [params] ([region_uops], [max_chain], [crit_min_scale]), so the
     harness caches the annotation per (program, configuration) under
     one set of compile knobs within a domain and passes it back here;
-    the returned policy is always fresh (policies are stateful). Must only be given an annotation produced by {!prepare}
-    on the same configuration and inputs. *)
+    the returned policy is always fresh (policies are stateful). Must
+    only be given an annotation produced by {!prepare} on the same
+    configuration and inputs. *)

@@ -114,9 +114,10 @@ val run_point :
   Pinpoints.point ->
   point_result
 (** Build (or find in the domain's context) the point's workload,
-    compile (or find) each configuration's annotation, and simulate [uops] committed micro-ops per
-    configuration on the point's one stream, after a cache/predictor
-    warmup phase (default: {!default_warmup}).
+    compile (or find) each configuration's annotation, and simulate
+    [uops] committed micro-ops per configuration on the point's one
+    stream, after a cache/predictor warmup phase (default:
+    {!default_warmup}).
 
     [obs] maps a configuration name to the observability sink to
     install in that configuration's engine ([None] = uninstrumented,

@@ -172,7 +172,10 @@ let hier2x4 =
 let adapter_runs ?(params = Clusteer.Configuration.default_params) ~registry
     ~machine ~configs ~warmup ~uops ~seed workload =
   let params =
-    { params with Clusteer.Configuration.topology = Some machine.Config.topology }
+    {
+      params with
+      Clusteer.Configuration.topology = Some machine.Config.topology;
+    }
   in
   let prewarm =
     Array.to_list
@@ -341,13 +344,17 @@ let test_context_keys_on_compile_knobs () =
   let variants =
     [
       ("defaults", d, Config.default_2c);
-      ("region_uops 8", { d with Configuration.region_uops = 8 }, Config.default_2c);
+      ( "region_uops 8",
+        { d with Configuration.region_uops = 8 },
+        Config.default_2c );
       ("max_chain 3", { d with Configuration.max_chain = 3 }, Config.default_2c);
       ( "crit_min_scale 1",
         { d with Configuration.crit_min_scale = 1.0 },
         Config.default_2c );
       ("4 clusters", d, Config.default ~clusters:4);
-      ("remap_threshold 0", { d with Configuration.remap_threshold = 0 }, Config.default_2c);
+      ( "remap_threshold 0",
+        { d with Configuration.remap_threshold = 0 },
+        Config.default_2c );
       ("defaults again", d, Config.default_2c);
     ]
   in
@@ -435,10 +442,13 @@ let test_context_reentrant_call () =
       Some
         (sink_calling (fun () ->
              nested :=
-               Harness.Runner.run_workload ~seed:2 ~machine ~configs ~uops inner))
+               Harness.Runner.run_workload ~seed:2 ~machine ~configs ~uops
+                 inner))
     else None
   in
-  let runs = Harness.Runner.run_workload ~seed:4 ~obs ~machine ~configs ~uops outer in
+  let runs =
+    Harness.Runner.run_workload ~seed:4 ~obs ~machine ~configs ~uops outer
+  in
   same_runs "outer" (fresh_runs ~machine ~configs ~uops ~seed:4 outer) runs;
   same_runs "inner" (fresh_runs ~machine ~configs ~uops ~seed:2 inner) !nested;
   same_runs "outer again" (fresh_runs ~machine ~configs ~uops ~seed:4 outer)
@@ -455,7 +465,9 @@ let test_context_after_failure () =
   in
   Alcotest.check_raises "the failure reaches the caller" (Failure "sink boom")
     (fun () ->
-      ignore (Harness.Runner.run_workload ~seed:6 ~obs ~machine ~configs ~uops:800 w));
+      ignore
+        (Harness.Runner.run_workload ~seed:6 ~obs ~machine ~configs ~uops:800
+           w));
   same_runs "after the failure"
     (fresh_runs ~machine ~configs ~uops:800 ~seed:6 w)
     (Harness.Runner.run_workload ~seed:6 ~machine ~configs ~uops:800 w)
@@ -743,7 +755,8 @@ let () =
           Alcotest.test_case "engines by position" `Quick
             test_context_engines_by_position;
           Alcotest.test_case "engine tally" `Quick test_context_engine_tally;
-          Alcotest.test_case "re-entrant call" `Quick test_context_reentrant_call;
+          Alcotest.test_case "re-entrant call" `Quick
+            test_context_reentrant_call;
           Alcotest.test_case "after a failure" `Quick test_context_after_failure;
           Alcotest.test_case "rebinds registry and profiler" `Quick
             test_context_rebinds_profiler;

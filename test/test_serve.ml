@@ -562,7 +562,9 @@ let test_e2e_shutdown_with_parked_helpers () =
   in
   let ok replies =
     List.length
-      (List.filter (function Ok (Protocol.Result _) -> true | _ -> false) replies)
+      (List.filter
+         (function Ok (Protocol.Result _) -> true | _ -> false)
+         replies)
   in
   check_int "first batch answered" 4 (ok (call ~socket:sock (batch 1000)));
   check_int "second batch answered" 4 (ok (call ~socket:sock (batch 1100)));

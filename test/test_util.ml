@@ -932,7 +932,9 @@ let test_parallel_helper_state_persists () =
     let f = function
       | `Slow ->
           let deadline = Unix.gettimeofday () +. 5.0 in
-          while (not (Atomic.get fast_done)) && Unix.gettimeofday () < deadline do
+          while
+            (not (Atomic.get fast_done)) && Unix.gettimeofday () < deadline
+          do
             Domain.cpu_relax ()
           done;
           bump ()
@@ -941,7 +943,10 @@ let test_parallel_helper_state_persists () =
           Atomic.set fast_done true;
           v
     in
-    fst (Parallel.map ~domains:2 ~init:ignore ~f:(fun () x -> f x) [ [ `Slow ]; [ `Fast ] ])
+    fst
+      (Parallel.map ~domains:2 ~init:ignore
+         ~f:(fun () x -> f x)
+         [ [ `Slow ]; [ `Fast ] ])
   in
   Alcotest.(check (list (list int))) "first call" [ [ 1 ]; [ 1 ] ] (call ());
   Alcotest.(check (list (list int))) "second call, same domains" [ [ 2 ]; [ 2 ] ]
@@ -951,12 +956,16 @@ let test_parallel_nested_runs_inline () =
   (* A map from inside a helper's share of a map (or from worker 0,
      which then finds the pool owned) runs inline and returns the same
      results instead of waiting on the pool it is part of. *)
-  let inner x = pmap ~domains:2 (fun y -> (10 * x) + y) [ [ 1 ]; [ 2 ]; [ 3 ] ] in
+  let inner_groups = [ [ 1 ]; [ 2 ]; [ 3 ] ] in
+  let inner x = pmap ~domains:2 (fun y -> (10 * x) + y) inner_groups in
+  let outer_groups = [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ] in
   Alcotest.(check (list (list (list (list int)))))
     "nested results"
-    (List.map (fun g -> List.map (fun x -> [ [ (10 * x) + 1 ]; [ (10 * x) + 2 ]; [ (10 * x) + 3 ] ]) g)
-       [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ])
-    (pmap ~domains:2 inner [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ])
+    (List.map
+       (List.map (fun x ->
+            List.map (List.map (fun y -> (10 * x) + y)) inner_groups))
+       outer_groups)
+    (pmap ~domains:2 inner outer_groups)
 
 let test_parallel_busy_pool_runs_inline () =
   (* A map from another domain while the pool is owned does not wait
