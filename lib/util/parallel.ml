@@ -14,9 +14,9 @@ let default_domains () = min default_domain_cap (Domain.recommended_domain_count
    simulating — the measured root cause of the PR 2 anti-scaling. A
    larger minor heap divides the rendezvous frequency by the same
    factor. Each domain sizes its own heap once: a helper when it is
-   spawned, the caller the first time it runs as worker 0. Later calls
-   only grow it if they ask for more; nothing is restored, so no call
-   pays for a resize (a minor collection each way). *)
+   spawned, the caller the first time it runs as worker 0. Nothing is
+   restored, so no call pays for a resize (a minor collection each
+   way). *)
 let grow_minor_heap words =
   let g = Gc.get () in
   if g.Gc.minor_heap_size < words then
@@ -39,7 +39,6 @@ type pool = {
   mutable job : int -> unit;
   mutable wanted : int;
   mutable running : int;
-  mutable words : int;  (* the current job's minor-heap request, or 0 *)
 }
 
 let pool =
@@ -52,7 +51,6 @@ let pool =
     job = ignore;
     wanted = 0;
     running = 0;
-    words = 0;
   }
 
 let owned = Atomic.make false
@@ -70,7 +68,7 @@ let helpers () =
 let helper id ~seen ~words =
   Domain.DLS.set in_helper true;
   if words > 0 then grow_minor_heap words;
-  let sized = ref words and seen = ref seen in
+  let seen = ref seen in
   Mutex.lock pool.lock;
   while true do
     while pool.generation = !seen do
@@ -78,12 +76,8 @@ let helper id ~seen ~words =
     done;
     seen := pool.generation;
     if id <= pool.wanted then begin
-      let job = pool.job and words = pool.words in
+      let job = pool.job in
       Mutex.unlock pool.lock;
-      if words > !sized then begin
-        grow_minor_heap words;
-        sized := words
-      end;
       (* A job records its own failures; nothing may end the loop. *)
       (try job id with _ -> ());
       Mutex.lock pool.lock;
@@ -106,7 +100,6 @@ let dispatch ~helpers ~words job =
   pool.job <- job;
   pool.wanted <- helpers;
   pool.running <- helpers;
-  pool.words <- words;
   pool.generation <- pool.generation + 1;
   Condition.broadcast pool.work;
   Mutex.unlock pool.lock;
@@ -134,14 +127,15 @@ let map ?domains ?minor_heap_words ~init ~f groups =
   let n = Array.length input in
   let workers = min domains n in
   let words = Option.value minor_heap_words ~default:0 in
-  let inline () =
-    if words > 0 then grow_minor_heap words;
+  if n > 0 && words > 0 then grow_minor_heap words;
+  if n = 0 then ([], [])
+  else if
+    workers = 1
+    || Domain.DLS.get in_helper
+    || not (Atomic.compare_and_set owned false true)
+  then
     let state = init 0 in
     (List.map (List.map (f state)) groups, [ state ])
-  in
-  if n = 0 then ([], [])
-  else if workers = 1 || Domain.DLS.get in_helper then inline ()
-  else if not (Atomic.compare_and_set owned false true) then inline ()
   else begin
     let results = Array.make n [] in
     let states = Array.make workers None in
@@ -171,7 +165,6 @@ let map ?domains ?minor_heap_words ~init ~f groups =
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set failure None (Some (e, bt)))
     in
-    if words > 0 then grow_minor_heap words;
     Fun.protect
       ~finally:(fun () -> Atomic.set owned false)
       (fun () -> dispatch ~helpers:(workers - 1) ~words run);

@@ -35,10 +35,10 @@
     so allocation-heavy parallel regions pass [~minor_heap_words] to
     enlarge each worker's minor heap (fewer global rendezvous, the
     measured root cause of the harness's former anti-scaling). The
-    setting lasts: a helper sets its heap when it is spawned, the
-    caller sets its own the first time it runs as worker 0 with the
-    argument, and neither is restored after the call (a later call
-    only grows it, never shrinks it). A process that calls [map] with
+    setting lasts: a helper sets its heap once, when it is spawned, to
+    the spawning call's request; the caller grows its own the first
+    time it runs as worker 0 with the argument; neither is restored
+    after the call. A process that calls [map] with
     [~minor_heap_words:w] keeps a minor heap of at least [w] words on
     the calling domain from then on. *)
 
@@ -63,8 +63,8 @@ val map :
     one state serves every group; an empty input returns [([], [])]
     without calling [init].
 
-    [minor_heap_words], when given, makes every participating domain's
-    minor heap at least that many words, for good (see above).
+    [minor_heap_words], when given, sizes the minor heap of the
+    caller and of the helpers this call spawns, for good (see above).
 
     [f] must be safe to run concurrently with itself on distinct
     elements. The first exception raised by [init] or [f] poisons the
