@@ -63,7 +63,7 @@
     {2 One stream per point}
 
     The configurations of a point share its dynamic stream: it is
-    generated once, into the worker's int-column buffer, which is
+    generated once, into the domain's int-column buffer, which is
     rewound at every point, and each configuration's engine replays it
     through its own cursor ({!Clusteer_uarch.Engine.run_columns}).
     Every engine is reset before any of them runs, so the cache prewarm
