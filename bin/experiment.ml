@@ -710,7 +710,7 @@ let alloc_probe_view ~clusters ~annot =
   {
     Clusteer_uarch.Policy.clusters;
     cycle = (fun () -> 0);
-    inflight = (fun c -> inflight.(c));
+    inflight;
     queue_free = (fun c _ -> free.(c));
     src_locations_into =
       (fun u buf ->
@@ -758,7 +758,7 @@ type throughput_sample = {
   ups : float;  (* committed micro-ops per second *)
   sweeps : int;  (* repetitions of the sweep in the sample *)
   identical : bool;  (* every repetition matched the sequential run *)
-  minor_words : float;  (* per sweep *)
+  minor_words : float;  (* per sweep, summed over its workers *)
   minor_gcs : float;  (* minor collections per sweep *)
 }
 
@@ -802,6 +802,19 @@ let suite_throughput ctx ~host_domains =
       ~uops:per_point_uops suite
   in
   let baseline = sweep 1 in
+  (* Minor words of one sweep, summed over its workers: a profiled
+     sweep counts each point's words on the domain that ran it
+     ([harness.gc.minor_words]), where [Gc] figures read here would see
+     this domain's alone. It runs apart from the timed sweeps, as the
+     profiler slows the engine. *)
+  let sweep_words domains =
+    let words = Obs.Counters.counter "harness.gc.minor_words" in
+    let before = Obs.Counters.value words in
+    ignore
+      (Runner.run_suite ~profiled:true ~domains ~machine:Config.default_2c
+         ~configs ~uops:per_point_uops suite);
+    float_of_int (Obs.Counters.value words - before)
+  in
   (* One sample: the sweep repeated until at least [min_sample_s] of
      wall time has passed, so timer resolution and start-up noise are
      small against it. Every repetition must be bit-identical to the
@@ -829,7 +842,7 @@ let suite_throughput ctx ~host_domains =
           ups = float_of_int (sweeps * total_uops) /. dt;
           sweeps;
           identical;
-          minor_words = per_sweep (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+          minor_words = sweep_words domains;
           minor_gcs =
             per_sweep
               (float_of_int

@@ -326,7 +326,7 @@ let section21_example () =
       {
         Policy.clusters = 2;
         cycle = (fun () -> 0);
-        inflight = (fun c -> inflight.(c));
+        inflight;
         queue_free = (fun _ _ -> 48);
         src_locations_into =
           (fun u buf ->

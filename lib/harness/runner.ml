@@ -343,16 +343,19 @@ let run_grouped ?(progress = fun _ -> ()) ?warmup ?domains ?(profiled = false)
           ~uops point
     | Some p ->
         let span = Clusteer_obs.Profile.span p "harness.point" in
+        (* [Gc.minor_words ()] is this domain's own count, exact at
+           any moment; [quick_stat]'s advances only at a collection. *)
         let gc0 = Gc.quick_stat () in
+        let words0 = Gc.minor_words () in
         let result =
           Clusteer_obs.Profile.time span (fun () ->
               run_point ?warmup ~registry ~profile:p ?params ?trace_salt
                 ~machine ~configs ~uops point)
         in
+        let words1 = Gc.minor_words () in
         let gc1 = Gc.quick_stat () in
         let add name v = Counters.add (Counters.counter ~registry name) v in
-        add "harness.gc.minor_words"
-          (int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words));
+        add "harness.gc.minor_words" (int_of_float (words1 -. words0));
         add "harness.gc.minor_collections"
           (gc1.Gc.minor_collections - gc0.Gc.minor_collections);
         add "harness.gc.major_collections"

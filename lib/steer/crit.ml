@@ -4,7 +4,7 @@ open Clusteer_uarch
 let least_loaded view =
   let best = ref 0 in
   for c = 1 to view.Policy.clusters - 1 do
-    if view.Policy.inflight c < view.Policy.inflight !best then best := c
+    if view.Policy.inflight.(c) < view.Policy.inflight.(!best) then best := c
   done;
   !best
 

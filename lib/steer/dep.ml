@@ -46,7 +46,7 @@ let vote s view u =
   for c = clusters - 1 downto 0 do
     if
       votes.(c) = !best_votes
-      && (!best = -1 || view.Policy.inflight c < view.Policy.inflight !best)
+      && (!best = -1 || view.Policy.inflight.(c) < view.Policy.inflight.(!best))
     then best := c
   done;
   !best

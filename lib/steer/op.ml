@@ -96,30 +96,30 @@ let make ~stall_threshold ~imbalance_limit ?registry ?topology () =
         incr ncand;
         if
           !preferred = -1
-          || view.Policy.inflight c < view.Policy.inflight !preferred
+          || view.Policy.inflight.(c) < view.Policy.inflight.(!preferred)
           || topo_aware
-             && view.Policy.inflight c = view.Policy.inflight !preferred
+             && view.Policy.inflight.(c) = view.Policy.inflight.(!preferred)
              && copy_cost !src_buf n c < copy_cost !src_buf n !preferred
         then preferred := c
       end
     done;
     min_load := max_int;
     for c = 0 to clusters - 1 do
-      let l = view.Policy.inflight c in
+      let l = view.Policy.inflight.(c) in
       if l < !min_load then min_load := l
     done;
     (* Balance override: a severely overloaded preferred cluster loses
        its dependence advantage. *)
-    if view.Policy.inflight !preferred - !min_load > imbalance_limit then begin
+    if view.Policy.inflight.(!preferred) - !min_load > imbalance_limit then begin
       flags := 1;
       preferred := -1;
       for k = 0 to clusters - 1 do
         let c = (rot + k) mod clusters in
         if
           !preferred = -1
-          || view.Policy.inflight c < view.Policy.inflight !preferred
+          || view.Policy.inflight.(c) < view.Policy.inflight.(!preferred)
           || topo_aware
-             && view.Policy.inflight c = view.Policy.inflight !preferred
+             && view.Policy.inflight.(c) = view.Policy.inflight.(!preferred)
              && copy_cost !src_buf n c < copy_cost !src_buf n !preferred
         then preferred := c
       done
@@ -136,9 +136,9 @@ let make ~stall_threshold ~imbalance_limit ?registry ?topology () =
           c <> !preferred
           && view.Policy.queue_free c queue >= stall_threshold
           && (!best_alt = -1
-             || view.Policy.inflight c < view.Policy.inflight !best_alt
+             || view.Policy.inflight.(c) < view.Policy.inflight.(!best_alt)
              || topo_aware
-                && view.Policy.inflight c = view.Policy.inflight !best_alt
+                && view.Policy.inflight.(c) = view.Policy.inflight.(!best_alt)
                 && copy_cost !src_buf n c < copy_cost !src_buf n !best_alt)
         then best_alt := c
       done;

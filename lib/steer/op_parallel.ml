@@ -71,20 +71,20 @@ let make ~stall_threshold ~imbalance_limit =
       if
         votes.(c) = !best_votes
         && (!preferred = -1
-           || view.Policy.inflight c < view.Policy.inflight !preferred)
+           || view.Policy.inflight.(c) < view.Policy.inflight.(!preferred))
       then preferred := c
     done;
     min_load := max_int;
     for c = 0 to clusters - 1 do
-      let l = view.Policy.inflight c in
+      let l = view.Policy.inflight.(c) in
       if l < !min_load then min_load := l
     done;
-    if view.Policy.inflight !preferred - !min_load > imbalance_limit then begin
+    if view.Policy.inflight.(!preferred) - !min_load > imbalance_limit then begin
       preferred := -1;
       for c = 0 to clusters - 1 do
         if
           !preferred = -1
-          || view.Policy.inflight c < view.Policy.inflight !preferred
+          || view.Policy.inflight.(c) < view.Policy.inflight.(!preferred)
         then preferred := c
       done
     end;
@@ -98,7 +98,7 @@ let make ~stall_threshold ~imbalance_limit =
             c <> !preferred
             && view.Policy.queue_free c queue >= stall_threshold
             && (!best_alt = -1
-               || view.Policy.inflight c < view.Policy.inflight !best_alt)
+               || view.Policy.inflight.(c) < view.Policy.inflight.(!best_alt))
           then best_alt := c
         done;
         if !best_alt = -1 then Policy.Stall else Policy.dispatch_to !best_alt

@@ -6,7 +6,7 @@ module Topology = Clusteer_topo.Topology
 let least_loaded view =
   let best = ref 0 in
   for c = 1 to view.Policy.clusters - 1 do
-    if view.Policy.inflight c < view.Policy.inflight !best then best := c
+    if view.Policy.inflight.(c) < view.Policy.inflight.(!best) then best := c
   done;
   !best
 
@@ -63,7 +63,7 @@ let make ~remap_threshold ?registry ?topology ~annot ~clusters () =
         let best = least_loaded view in
         let cur = table.(vc) in
         if
-          view.Policy.inflight cur - view.Policy.inflight best
+          view.Policy.inflight.(cur) - view.Policy.inflight.(best)
           > remap_threshold
         then begin
           Counters.incr remaps;
@@ -74,11 +74,11 @@ let make ~remap_threshold ?registry ?topology ~annot ~clusters () =
                  minimum load; ties by lowest index. [best] is the
                  lowest-index minimum, so the scan below computes the
                  lexicographic (distance, index) minimum. *)
-              let min_load = view.Policy.inflight best in
+              let min_load = view.Policy.inflight.(best) in
               let t = ref best in
               for c = 0 to view.Policy.clusters - 1 do
                 if
-                  view.Policy.inflight c = min_load
+                  view.Policy.inflight.(c) = min_load
                   && dist.(cur).(c) < dist.(cur).(!t)
                 then t := c
               done;
@@ -114,7 +114,7 @@ let make ~remap_threshold ?registry ?topology ~annot ~clusters () =
       true
     end
     else if
-      view.Policy.inflight table.(vc) - view.Policy.inflight (least_loaded view)
+      view.Policy.inflight.(table.(vc)) - view.Policy.inflight.(least_loaded view)
       <= remap_threshold
     then begin
       Counters.add decisions k;

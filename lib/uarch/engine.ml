@@ -2,7 +2,6 @@ open Clusteer_isa
 open Clusteer_trace
 module Bitset = Clusteer_util.Bitset
 module Pqueue = Clusteer_util.Pqueue
-module Vec = Clusteer_util.Vec
 module Wheel = Clusteer_util.Wheel
 module Obs_event = Clusteer_obs.Event
 module Obs_sink = Clusteer_obs.Sink
@@ -24,14 +23,20 @@ module Obs_profile = Clusteer_obs.Profile
    commits or a younger store to its address replaces it), so no table
    can name a slot after it has been recycled. A slot names its
    micro-op by static id too (resolved through the trace's [uops]
-   table), so filling one stores no pointer. *)
+   table) and carries the id's decode word, so filling one stores no
+   pointer. *)
 type inst = {
   id : int;
   mutable iseq : int;  (* global age, used as select priority *)
   mutable cluster : int;  (* where it is queued / executes *)
   mutable qidx : int;  (* issue queue: 0 int, 1 fp, 2 copy *)
+  mutable dec : int;  (* ops: decode word of the micro-op (see [decode]) *)
   mutable dst_tag : int;  (* -1 = none *)
+  mutable old_tag : int;  (* ops: the tag [dst_tag] displaced, freed at commit *)
+  mutable src0 : int;  (* ops: source value tags, -1 = none *)
+  mutable src1 : int;
   mutable waiting : int;  (* outstanding operands *)
+  mutable issued : bool;
   mutable completed : bool;
   mutable took_mshr : bool;  (* load in flight past the L1 *)
   mutable mispredicted : bool;
@@ -52,8 +57,13 @@ let fresh_inst id =
     iseq = 0;
     cluster = 0;
     qidx = 0;
+    dec = 0;
     dst_tag = -1;
+    old_tag = -1;
+    src0 = -1;
+    src1 = -1;
     waiting = 0;
+    issued = false;
     completed = false;
     took_mshr = false;
     mispredicted = false;
@@ -155,12 +165,19 @@ type t = {
   mutable fq_len : int;
   mutable fetch_resume : int;  (* no fetch before this cycle; [never] while
                                    a mispredicted branch is unresolved *)
+  (* static id -> decode word (see [decode_uop]), filled at run start
+     for the trace's table, or per id as the [source] adapter records
+     it *)
+  mutable decode : int array;
   (* rename: architectural register code -> value tag *)
   rename : int array;
-  (* per-tag state *)
-  tag_loc : Vec.t;  (* cluster mask: where the value is or will be *)
-  tag_ready : Vec.t;  (* cluster mask: where the value has been produced *)
-  tag_origin : Vec.t;  (* producing cluster *)
+  (* the tag pool (see [tag_pool_size]): per-tag state, one fixed size
+     for the engine's life, and a stack of free tags *)
+  tag_loc : int array;  (* cluster mask: where the value is or will be *)
+  tag_ready : int array;  (* cluster mask: where the value has been produced *)
+  tag_origin : int array;  (* producing cluster *)
+  tag_free : int array;
+  mutable tag_free_len : int;
   (* in-flight slots: ROB-owned ops, then the copy pool *)
   mutable slots : inst array;
   rob_size : int;
@@ -175,6 +192,9 @@ type t = {
   (* 8-byte-aligned address -> youngest uncommitted store, chained *)
   store_heads : int array;
   (* back-end *)
+  queue_cap : int array;  (* queue index -> entries per cluster *)
+  issue_width : int array;  (* queue index -> issues per cluster per cycle *)
+  reg_cap : int array;  (* class -> registers per cluster *)
   occupancy : int array array;  (* cluster -> queue index -> used slots *)
   inflight : int array;  (* cluster -> dispatched, not yet completed *)
   ready_q : Pqueue.t array array;  (* cluster -> queue index -> ready entries *)
@@ -192,7 +212,7 @@ type t = {
      allocate nothing: tags needing copies (deduped), per-source-cluster
      pending-copy counts for the copy-queue capacity check, per-cluster
      dispatches this cycle, and ready slots a structural hazard blocked *)
-  mutable copy_tags : int array;
+  copy_tags : int array;
   copy_extra : int array;
   per_cluster : int array;
   mutable blocked : int array;
@@ -226,20 +246,7 @@ let queue_index = function
   | Opcode.Fp_queue -> 1
   | Opcode.Copy_queue -> 2
 
-let queue_name = function
-  | Opcode.Int_queue -> "int"
-  | Opcode.Fp_queue -> "fp"
-  | Opcode.Copy_queue -> "copy"
-
-let queue_size cfg = function
-  | Opcode.Int_queue -> cfg.Config.int_iq_size
-  | Opcode.Fp_queue -> cfg.Config.fp_iq_size
-  | Opcode.Copy_queue -> cfg.Config.copy_q_size
-
-let queue_width cfg = function
-  | Opcode.Int_queue -> cfg.Config.int_issue_width
-  | Opcode.Fp_queue -> cfg.Config.fp_issue_width
-  | Opcode.Copy_queue -> cfg.Config.copy_issue_width
+let queue_name = function 0 -> "int" | 1 -> "fp" | _ -> "copy"
 
 let fu_index = function
   | Opcode.Fu_alu -> 0
@@ -250,47 +257,123 @@ let fu_index = function
 let reg_class (r : Reg.t) =
   match r.Reg.cls with Reg.Int_class -> 0 | Reg.Fp_class -> 1
 
-let reg_code cfg_nregs (r : Reg.t) = Reg.encode ~nregs_per_class:cfg_nregs r
-
 (* The engine supports any register budget; the rename table is sized
    for the largest budget the workloads use. *)
 let max_nregs_per_class = 64
 
+let reg_code (r : Reg.t) = Reg.encode ~nregs_per_class:max_nregs_per_class r
+
+(* ---- decode words ------------------------------------------------ *)
+
+(* Everything the pipeline stages read about a static micro-op, packed
+   into one int per static id when a run starts (see [decode_table]),
+   so no stage follows the boxed [Uop.t], [Opcode.t] and [Reg.t]
+   records. Register codes are [reg_code]s (7 bits hold the 128 of
+   two classes of [max_nregs_per_class]); latencies are at most 20.
+   Bits, from the lowest:
+     0-1    issue queue index (0 int, 1 fp; also the "3+3" commit class)
+     2-3    functional-unit index
+     4-8    execution latency
+     9      pipelined unit
+     10-12  load, store, branch
+     13     has a destination
+     14     destination class (0 int, 1 fp)
+     15-21  destination register code
+     22-23  source count
+     24-30  first source register code
+     31-37  second source register code *)
+let d_pipelined = 1 lsl 9
+let d_load = 1 lsl 10
+let d_store = 1 lsl 11
+let d_branch = 1 lsl 12
+let d_mem = d_load lor d_store
+let d_dst = 1 lsl 13
+let[@inline] d_qidx d = d land 3
+let[@inline] d_fu d = (d lsr 2) land 3
+let[@inline] d_latency d = (d lsr 4) land 31
+let[@inline] d_dst_class d = (d lsr 14) land 1
+let[@inline] d_dst_code d = (d lsr 15) land 127
+let[@inline] d_nsrcs d = (d lsr 22) land 3
+let[@inline] d_src0 d = (d lsr 24) land 127
+let[@inline] d_src1 d = (d lsr 31) land 127
+
+let decode_uop (u : Uop.t) =
+  let srcs = u.Uop.srcs in
+  let nsrcs = Array.length srcs in
+  if nsrcs > max_srcs then
+    invalid_arg
+      (Printf.sprintf "Engine: micro-op %d has more than %d sources" u.Uop.id
+         max_srcs);
+  let op = u.Uop.opcode in
+  let d =
+    queue_index (Opcode.queue op)
+    lor (fu_index (Opcode.fu op) lsl 2)
+    lor (Opcode.latency op lsl 4)
+    lor (if Opcode.pipelined op then d_pipelined else 0)
+    lor (match op with
+        | Opcode.Load -> d_load
+        | Opcode.Store -> d_store
+        | Opcode.Branch -> d_branch
+        | _ -> 0)
+    lor (nsrcs lsl 22)
+    lor (if nsrcs > 0 then reg_code srcs.(0) lsl 24 else 0)
+    lor if nsrcs > 1 then reg_code srcs.(1) lsl 31 else 0
+  in
+  match u.Uop.dst with
+  | None -> d
+  | Some r -> d lor d_dst lor (reg_class r lsl 14) lor (reg_code r lsl 15)
+
+(* ---- value tags -------------------------------------------------- *)
+
+(* Value tags come from a fixed pool. The architectural registers hold
+   one tag each, and every in-flight writer holds one more: the tag it
+   displaced from [rename], which stays live until the writer commits
+   (every reader of it renamed before the writer, so has committed by
+   then). So at most [2 * max_nregs_per_class + rob_size] are live. *)
+let tag_pool_size cfg = (2 * max_nregs_per_class) + cfg.Config.rob_size
+
 (* Initial architectural values live in every cluster: machine state
-   that predates the trace is assumed resident everywhere. *)
-let seed_rename ~rename ~tag_loc ~tag_ready ~tag_origin ~all_mask =
-  Array.iteri
-    (fun code _ ->
-      let tag = Vec.push tag_loc all_mask in
-      ignore (Vec.push tag_ready all_mask);
-      ignore (Vec.push tag_origin 0);
-      rename.(code) <- tag)
-    rename
+   that predates the trace is assumed resident everywhere. Register
+   code [c] holds tag [c]; the rest of the pool is free, lowest tag on
+   top. *)
+let seed_tags ~rename ~tag_loc ~tag_ready ~tag_origin ~tag_free ~all_mask =
+  let nregs = Array.length rename in
+  for code = 0 to nregs - 1 do
+    rename.(code) <- code;
+    tag_loc.(code) <- all_mask;
+    tag_ready.(code) <- all_mask;
+    tag_origin.(code) <- 0
+  done;
+  let pool = Array.length tag_loc in
+  for i = 0 to pool - nregs - 1 do
+    tag_free.(i) <- pool - 1 - i
+  done;
+  pool - nregs
 
 (* The policy's read-only window into the machine. Rebuilt on
    {!reset} because it carries the (new) annotation; the closures
-   always read through [t], so the rebuild is about the [annot] field
-   only. *)
+   always read through [t], and [inflight] is the engine's own array,
+   so the rebuild is about the [annot] field only. *)
 let make_view t =
   {
     Policy.clusters = t.cfg.Config.clusters;
     cycle = (fun () -> t.cycle);
-    inflight = (fun c -> t.inflight.(c));
+    inflight = t.inflight;
     queue_free =
-      (fun c q -> queue_size t.cfg q - t.occupancy.(c).(queue_index q));
+      (fun c q ->
+        let i = queue_index q in
+        t.queue_cap.(i) - t.occupancy.(c).(i));
     src_locations_into =
       (fun u buf ->
         let srcs = u.Uop.srcs in
         let n = Array.length srcs in
         for i = 0 to n - 1 do
-          let tag = t.rename.(reg_code max_nregs_per_class srcs.(i)) in
-          buf.(i) <- Bitset.of_mask (Vec.get t.tag_loc tag)
+          let tag = t.rename.(reg_code srcs.(i)) in
+          buf.(i) <- Bitset.of_mask t.tag_loc.(tag)
         done;
         n);
     reg_location =
-      (fun r ->
-        let tag = t.rename.(reg_code max_nregs_per_class r) in
-        Bitset.of_mask (Vec.get t.tag_loc tag));
+      (fun r -> Bitset.of_mask t.tag_loc.(t.rename.(reg_code r)));
     annot = t.annot;
   }
 
@@ -333,12 +416,16 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   Config.validate config;
   let clusters = config.Config.clusters in
   let stats = Stats.create ~clusters in
-  let tag_loc = Vec.create ~default:0 () in
-  let tag_ready = Vec.create ~default:0 () in
-  let tag_origin = Vec.create ~default:0 () in
+  let pool = tag_pool_size config in
+  let tag_loc = Array.make pool 0 in
+  let tag_ready = Array.make pool 0 in
+  let tag_origin = Array.make pool 0 in
+  let tag_free = Array.make pool 0 in
   let rename = Array.make (2 * max_nregs_per_class) (-1) in
   let all_mask = (Bitset.full clusters :> int) in
-  seed_rename ~rename ~tag_loc ~tag_ready ~tag_origin ~all_mask;
+  let tag_free_len =
+    seed_tags ~rename ~tag_loc ~tag_ready ~tag_origin ~tag_free ~all_mask
+  in
   let rob_size = config.Config.rob_size in
   (* Room for every copy queue full, and as many again in transit; the
      pool grows if a fabric keeps more in flight. *)
@@ -372,10 +459,13 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       fq_head = 0;
       fq_len = 0;
       fetch_resume = 0;
+      decode = [||];
       rename;
       tag_loc;
       tag_ready;
       tag_origin;
+      tag_free;
+      tag_free_len;
       slots = Array.init nslots fresh_inst;
       rob_size;
       rob_head = 0;
@@ -386,6 +476,16 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       node_key = Array.make (max_srcs * nslots) (-1);
       node_next = Array.make (max_srcs * nslots) (-1);
       store_heads = Array.make store_buckets (-1);
+      queue_cap =
+        Config.[| config.int_iq_size; config.fp_iq_size; config.copy_q_size |];
+      issue_width =
+        Config.
+          [|
+            config.int_issue_width;
+            config.fp_issue_width;
+            config.copy_issue_width;
+          |];
+      reg_cap = Config.[| config.int_regfile; config.fp_regfile |];
       occupancy = Array.init clusters (fun _ -> Array.make 3 0);
       inflight = Array.make clusters 0;
       ready_q =
@@ -398,7 +498,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       events = Wheel.create ();
       loads_this_cycle = 0;
       stores_this_cycle = 0;
-      copy_tags = Array.make 8 (-1);
+      copy_tags = Array.make max_srcs (-1);
       copy_extra = Array.make clusters 0;
       per_cluster = Array.make clusters 0;
       blocked = Array.make 16 0;
@@ -417,7 +517,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
         {
           Policy.clusters;
           cycle = (fun () -> 0);
-          inflight = (fun _ -> 0);
+          inflight = [||];
           queue_free = (fun _ _ -> 0);
           src_locations_into = (fun _ _ -> 0);
           reg_location = (fun _ -> Bitset.of_mask 0);
@@ -453,12 +553,10 @@ let reset ?(prewarm = []) ?warm_from ?obs ?registry ?profile t ~annot ~policy =
   t.fq_head <- 0;
   t.fq_len <- 0;
   t.fetch_resume <- 0;
-  Vec.clear t.tag_loc;
-  Vec.clear t.tag_ready;
-  Vec.clear t.tag_origin;
-  let all_mask = (Bitset.full t.cfg.Config.clusters :> int) in
-  seed_rename ~rename:t.rename ~tag_loc:t.tag_loc ~tag_ready:t.tag_ready
-    ~tag_origin:t.tag_origin ~all_mask;
+  t.tag_free_len <-
+    seed_tags ~rename:t.rename ~tag_loc:t.tag_loc ~tag_ready:t.tag_ready
+      ~tag_origin:t.tag_origin ~tag_free:t.tag_free
+      ~all_mask:(Bitset.full t.cfg.Config.clusters :> int);
   t.rob_head <- 0;
   t.rob_len <- 0;
   free_all_copies t;
@@ -561,7 +659,7 @@ let wake t inst =
 (* Mark [tag] produced in [cluster] and wake everything waiting for it
    there: unlink the key's nodes from its bucket chain. *)
 let broadcast t tag cluster =
-  Vec.set t.tag_ready tag (Vec.get t.tag_ready tag lor (1 lsl cluster));
+  t.tag_ready.(tag) <- t.tag_ready.(tag) lor (1 lsl cluster);
   let key = waiter_key t tag cluster in
   let b = key land (waiter_buckets - 1) in
   let prev = ref (-1) and node = ref t.waiter_heads.(b) in
@@ -577,14 +675,23 @@ let broadcast t tag cluster =
     node := next
   done
 
-let tag_ready_in t tag cluster = Vec.get t.tag_ready tag land (1 lsl cluster) <> 0
-let tag_located_in t tag cluster = Vec.get t.tag_loc tag land (1 lsl cluster) <> 0
+let tag_ready_in t tag cluster = t.tag_ready.(tag) land (1 lsl cluster) <> 0
+let tag_located_in t tag cluster = t.tag_loc.(tag) land (1 lsl cluster) <> 0
 
+(* A tag off the free stack for a value produced in [cluster]. The pool
+   cannot run dry (see [tag_pool_size]). *)
 let new_tag t ~cluster =
-  let tag = Vec.push t.tag_loc (1 lsl cluster) in
-  ignore (Vec.push t.tag_ready 0);
-  ignore (Vec.push t.tag_origin cluster);
+  let n = t.tag_free_len - 1 in
+  t.tag_free_len <- n;
+  let tag = t.tag_free.(n) in
+  t.tag_loc.(tag) <- 1 lsl cluster;
+  t.tag_ready.(tag) <- 0;
+  t.tag_origin.(tag) <- cluster;
   tag
+
+let free_tag t tag =
+  t.tag_free.(t.tag_free_len) <- tag;
+  t.tag_free_len <- t.tag_free_len + 1
 
 (* ---- pending-store table ----------------------------------------- *)
 
@@ -635,28 +742,25 @@ let on_complete t inst =
   t.inflight.(inst.cluster) <- t.inflight.(inst.cluster) - 1;
   if inst.dst_tag >= 0 then broadcast t inst.dst_tag inst.cluster;
   if is_copy t inst then release_copy_event t inst
-  else
-    match (uop t inst.sid).Uop.opcode with
-    | Opcode.Store ->
-        let l = ref inst.store_waiters in
-        inst.store_waiters <- -1;
-        while !l >= 0 do
-          let load = t.slots.(!l) in
-          l := load.next_store_waiter;
-          wake t load
-        done
-    | Opcode.Branch ->
-        if inst.mispredicted then begin
-          t.fetch_resume <- t.cycle + t.cfg.Config.redirect_penalty;
-          match t.obs with
-          | None -> ()
-          | Some s ->
-              let cycle = now t in
-              s.Obs_sink.emit
-                (Obs_event.Redirect
-                   { cycle; resume = cycle + t.cfg.Config.redirect_penalty })
-        end
-    | _ -> ()
+  else if inst.dec land d_store <> 0 then begin
+    let l = ref inst.store_waiters in
+    inst.store_waiters <- -1;
+    while !l >= 0 do
+      let load = t.slots.(!l) in
+      l := load.next_store_waiter;
+      wake t load
+    done
+  end
+  else if inst.dec land d_branch <> 0 && inst.mispredicted then begin
+    t.fetch_resume <- t.cycle + t.cfg.Config.redirect_penalty;
+    match t.obs with
+    | None -> ()
+    | Some s ->
+        let cycle = now t in
+        s.Obs_sink.emit
+          (Obs_event.Redirect
+             { cycle; resume = cycle + t.cfg.Config.redirect_penalty })
+  end
 
 let on_copy_arrive t inst =
   t.stats.Stats.copies_executed <- t.stats.Stats.copies_executed + 1;
@@ -674,13 +778,6 @@ let process_events t =
 
 (* ---- commit ------------------------------------------------------ *)
 
-(* Micro-op class for the "3+3" dispatch/commit width split: the FP
-   pipe handles FP-queue micro-ops, the INT pipe everything else. *)
-let is_fp_class (u : Uop.t) =
-  match Opcode.queue u.Uop.opcode with
-  | Opcode.Fp_queue -> true
-  | Opcode.Int_queue | Opcode.Copy_queue -> false
-
 let commit t =
   let budget = ref t.cfg.Config.commit_width in
   let int_budget = ref t.cfg.Config.commit_class_width in
@@ -690,11 +787,11 @@ let commit t =
     let inst = t.slots.(t.rob_head) in
     if not inst.completed then continue_ := false
     else begin
-      let u = uop t inst.sid in
-      let fp = is_fp_class u in
-      let is_store =
-        match u.Uop.opcode with Opcode.Store -> true | _ -> false
-      in
+      let d = inst.dec in
+      (* "3+3": the FP pipe commits FP-queue micro-ops, the INT pipe
+         everything else *)
+      let fp = d_qidx d = 1 in
+      let is_store = d land d_store <> 0 in
       if (if fp then !fp_budget else !int_budget) <= 0 then continue_ := false
       else if is_store && t.stores_this_cycle >= t.cfg.Config.l1_write_ports
       then continue_ := false
@@ -708,12 +805,12 @@ let commit t =
           Memsys.store t.memsys ~addr:inst.addr;
           unlink_store t (inst.addr land lnot 7) ~only:inst.id
         end;
-        if Uop.is_mem u then t.lsq_used <- t.lsq_used - 1;
-        (match u.Uop.dst with
-        | Some dst ->
-            let k = reg_class dst in
-            t.regs_used.(inst.cluster).(k) <- t.regs_used.(inst.cluster).(k) - 1
-        | None -> ());
+        if d land d_mem <> 0 then t.lsq_used <- t.lsq_used - 1;
+        if d land d_dst <> 0 then begin
+          let k = d_dst_class d in
+          t.regs_used.(inst.cluster).(k) <- t.regs_used.(inst.cluster).(k) - 1;
+          free_tag t inst.old_tag
+        end;
         t.stats.Stats.committed <- t.stats.Stats.committed + 1;
         t.busy <- true;
         (match t.obs with
@@ -758,6 +855,7 @@ let try_start_copy t inst =
           (Obs_event.Link_transfer
              { cycle = now t; from_cluster = from; to_cluster; latency }));
     inst.events_left <- 2;
+    inst.issued <- true;
     Wheel.add t.events ~due:(t.cycle + latency) (ev_copy_arrive inst.id);
     (* The copy has left the copy queue; completion frees the
        in-flight counter. *)
@@ -766,8 +864,8 @@ let try_start_copy t inst =
   end
 
 let try_start_op t inst =
-  let op = (uop t inst.sid).Uop.opcode in
-  let is_load = match op with Opcode.Load -> true | _ -> false in
+  let d = inst.dec in
+  let is_load = d land d_load <> 0 in
   if is_load && t.loads_this_cycle >= t.cfg.Config.l1_read_ports then begin
     retry_at t (t.cycle + 1);
     false
@@ -781,9 +879,9 @@ let try_start_op t inst =
     in
     if needs_mshr && t.misses_outstanding >= t.cfg.Config.mshrs then false
     else
-      let fu = fu_index (Opcode.fu op) in
-      if (not (Opcode.pipelined op)) && t.unit_free.(inst.cluster).(fu) > t.cycle
-      then begin
+      let fu = d_fu d in
+      let pipelined = d land d_pipelined <> 0 in
+      if (not pipelined) && t.unit_free.(inst.cluster).(fu) > t.cycle then begin
         retry_at t t.unit_free.(inst.cluster).(fu);
         false
       end
@@ -795,13 +893,12 @@ let try_start_op t inst =
         end;
         let lat =
           if is_load then
-            Opcode.latency Opcode.Load
-            + Memsys.load_latency t.memsys ~addr:inst.addr
-          else Opcode.latency op
+            d_latency d + Memsys.load_latency t.memsys ~addr:inst.addr
+          else d_latency d
         in
-        if not (Opcode.pipelined op) then
-          t.unit_free.(inst.cluster).(fu) <- t.cycle + lat;
+        if not pipelined then t.unit_free.(inst.cluster).(fu) <- t.cycle + lat;
         Wheel.add t.events ~due:(t.cycle + lat) (ev_complete inst.id);
+        inst.issued <- true;
         true
       end
   end
@@ -813,8 +910,8 @@ let try_start t inst =
 
 (* Age-ordered select: start up to [width] of the oldest ready
    entries; the ones a hazard blocked go back for the next cycle. *)
-let issue_queue t cluster qidx queue =
-  let width = queue_width t.cfg queue in
+let issue_queue t cluster qidx =
+  let width = t.issue_width.(qidx) in
   let q = t.ready_q.(cluster).(qidx) in
   let nblocked = ref 0 in
   let started = ref 0 in
@@ -842,9 +939,9 @@ let issue_queue t cluster qidx queue =
 
 let issue t =
   for c = 0 to t.cfg.Config.clusters - 1 do
-    issue_queue t c 2 Opcode.Copy_queue;
-    issue_queue t c 0 Opcode.Int_queue;
-    issue_queue t c 1 Opcode.Fp_queue
+    issue_queue t c 2;
+    issue_queue t c 0;
+    issue_queue t c 1
   done
 
 (* ---- dispatch ---------------------------------------------------- *)
@@ -854,42 +951,40 @@ let fresh_iseq t =
   t.next_iseq <- s + 1;
   s
 
-let src_tag t (r : Reg.t) = t.rename.(reg_code max_nregs_per_class r)
-
-(* Copies needed to bring every source of [u] to [cluster]: fills
-   [t.copy_tags] with the deduplicated tags whose location mask misses
-   the target cluster and returns their count. Scratch-based (no list,
-   no allocation): micro-ops have at most a handful of sources, so the
-   quadratic dedup scan is cheaper than any set structure. *)
-let copies_needed t (u : Uop.t) cluster =
-  let srcs = u.Uop.srcs in
-  let nsrcs = Array.length srcs in
-  if nsrcs > Array.length t.copy_tags then
-    t.copy_tags <- Array.make nsrcs (-1);
+(* Copies needed to bring every source of the micro-op decoded as [d]
+   to [cluster]: fills [t.copy_tags] with the deduplicated tags whose
+   location mask misses the target cluster and returns their count. *)
+let copies_needed t d cluster =
+  let nsrcs = d_nsrcs d in
   let n = ref 0 in
-  for i = 0 to nsrcs - 1 do
-    let tag = src_tag t srcs.(i) in
-    if not (tag_located_in t tag cluster) then begin
-      let dup = ref false in
-      for j = 0 to !n - 1 do
-        if t.copy_tags.(j) = tag then dup := true
-      done;
-      if not !dup then begin
-        t.copy_tags.(!n) <- tag;
+  if nsrcs > 0 then begin
+    let tag0 = t.rename.(d_src0 d) in
+    if not (tag_located_in t tag0 cluster) then begin
+      t.copy_tags.(0) <- tag0;
+      n := 1
+    end;
+    if nsrcs > 1 then begin
+      let tag1 = t.rename.(d_src1 d) in
+      if
+        (not (tag_located_in t tag1 cluster))
+        && not (!n = 1 && t.copy_tags.(0) = tag1)
+      then begin
+        t.copy_tags.(!n) <- tag1;
         incr n
       end
     end
-  done;
+  end;
   !n
 
 let insert_copy t tag ~to_cluster =
-  let from = Vec.get t.tag_origin tag in
+  let from = t.tag_origin.(tag) in
   let inst = alloc_copy t in
   inst.iseq <- fresh_iseq t;
   inst.cluster <- from;
-  inst.qidx <- queue_index Opcode.Copy_queue;
+  inst.qidx <- 2;
   inst.dst_tag <- -1;
   inst.waiting <- 0;
+  inst.issued <- false;
   inst.completed <- false;
   inst.took_mshr <- false;
   inst.copy_to <- to_cluster;
@@ -897,7 +992,7 @@ let insert_copy t tag ~to_cluster =
   inst.events_left <- 0;
   t.occupancy.(from).(2) <- t.occupancy.(from).(2) + 1;
   t.inflight.(from) <- t.inflight.(from) + 1;
-  Vec.set t.tag_loc tag (Vec.get t.tag_loc tag lor (1 lsl to_cluster));
+  t.tag_loc.(tag) <- t.tag_loc.(tag) lor (1 lsl to_cluster);
   t.stats.Stats.copies_generated <- t.stats.Stats.copies_generated + 1;
   (match t.obs with
   | None -> ()
@@ -916,38 +1011,45 @@ let insert_copy t tag ~to_cluster =
   if tag_ready_in t tag from then enqueue_ready t inst
   else add_waiter t inst ~node:(max_srcs * inst.id) tag from
 
-(* Fill the next ROB slot with [u] at [addr], dispatched to [cluster]. *)
-let dispatch_into_rob t u ~addr ~cluster ~misp =
-  let srcs = u.Uop.srcs in
-  let nsrcs = Array.length srcs in
-  (* Rename sources before the destination: a micro-op may read the
-     register it writes. *)
-  let tag0 = if nsrcs > 0 then src_tag t srcs.(0) else -1 in
-  let tag1 = if nsrcs > 1 then src_tag t srcs.(1) else -1 in
-  let dst_tag =
-    match u.Uop.dst with
-    | Some dst ->
-        let tag = new_tag t ~cluster in
-        t.rename.(reg_code max_nregs_per_class dst) <- tag;
-        let k = reg_class dst in
-        t.regs_used.(cluster).(k) <- t.regs_used.(cluster).(k) + 1;
-        tag
-    | None -> -1
-  in
+(* Fill the next ROB slot with micro-op [sid] (decode word [d]) at
+   [addr], dispatched to [cluster]. A writer takes a fresh tag and
+   keeps the one it displaces from [rename] until it commits. *)
+let dispatch_into_rob t d sid ~addr ~cluster ~misp =
+  let nsrcs = d_nsrcs d in
   let pos = t.rob_head + t.rob_len in
   let inst =
     t.slots.(if pos >= t.rob_size then pos - t.rob_size else pos)
   in
   t.rob_len <- t.rob_len + 1;
+  (* Rename sources before the destination: a micro-op may read the
+     register it writes. *)
+  let tag0 = if nsrcs > 0 then t.rename.(d_src0 d) else -1 in
+  let tag1 = if nsrcs > 1 then t.rename.(d_src1 d) else -1 in
+  if d land d_dst <> 0 then begin
+    let code = d_dst_code d in
+    let tag = new_tag t ~cluster in
+    inst.old_tag <- t.rename.(code);
+    inst.dst_tag <- tag;
+    t.rename.(code) <- tag;
+    let k = d_dst_class d in
+    t.regs_used.(cluster).(k) <- t.regs_used.(cluster).(k) + 1
+  end
+  else begin
+    inst.old_tag <- -1;
+    inst.dst_tag <- -1
+  end;
   inst.iseq <- fresh_iseq t;
   inst.cluster <- cluster;
-  inst.qidx <- queue_index (Opcode.queue u.Uop.opcode);
-  inst.dst_tag <- dst_tag;
+  inst.qidx <- d_qidx d;
+  inst.dec <- d;
+  inst.src0 <- tag0;
+  inst.src1 <- tag1;
   inst.waiting <- 0;
+  inst.issued <- false;
   inst.completed <- false;
   inst.took_mshr <- false;
   inst.mispredicted <- misp;
-  inst.sid <- u.Uop.id;
+  inst.sid <- sid;
   inst.addr <- addr;
   inst.store_waiters <- -1;
   (* Wait for each source's readiness in [cluster]. *)
@@ -959,19 +1061,20 @@ let dispatch_into_rob t u ~addr ~cluster ~misp =
 
 let dispatch_one t =
   let head = t.fq_head in
-  let u = uop t t.fq_sid.(head) in
+  let sid = t.fq_sid.(head) in
+  let d = t.decode.(sid) in
   (* Structural preconditions outside the clusters. *)
   if t.rob_len = t.rob_size then Blk_rob
-  else if Uop.is_mem u && t.lsq_used >= t.cfg.Config.lsq_size then Blk_lsq
+  else if d land d_mem <> 0 && t.lsq_used >= t.cfg.Config.lsq_size then Blk_lsq
   else
-    match t.policy.Policy.decide t.view u with
+    match t.policy.Policy.decide t.view (uop t sid) with
     | Policy.Stall -> Blk_policy
     | Policy.Dispatch_to cluster ->
         if cluster < 0 || cluster >= t.cfg.Config.clusters then
           invalid_arg
             (Printf.sprintf
                "Engine: policy %s steered micro-op %d to invalid cluster %d"
-               t.policy.Policy.name u.Uop.id cluster);
+               t.policy.Policy.name sid cluster);
         (* The steering decision is observable even when a structural
            hazard then blocks the dispatch: the hardware consults the
            policy again next cycle, and each consult is an event. *)
@@ -982,40 +1085,33 @@ let dispatch_one t =
               (Obs_event.Steer
                  {
                    cycle = now t;
-                   static_id = u.Uop.id;
+                   static_id = sid;
                    cluster;
                    inflight = Array.copy t.inflight;
                  }));
         if t.per_cluster.(cluster) >= t.cfg.Config.dispatch_per_cluster then
           Blk_width
         else
-          let queue = Opcode.queue u.Uop.opcode in
-          let qidx = queue_index queue in
-          let regfile_full =
-            match u.Uop.dst with
-            | Some dst ->
-                let k = reg_class dst in
-                let cap =
-                  if k = 0 then t.cfg.Config.int_regfile
-                  else t.cfg.Config.fp_regfile
-                in
-                t.regs_used.(cluster).(k) >= cap
-            | None -> false
-          in
-          if t.occupancy.(cluster).(qidx) >= queue_size t.cfg queue then Blk_iq
-          else if regfile_full then Blk_reg
+          let qidx = d_qidx d in
+          if t.occupancy.(cluster).(qidx) >= t.queue_cap.(qidx) then Blk_iq
+          else if
+            d land d_dst <> 0
+            &&
+            let k = d_dst_class d in
+            t.regs_used.(cluster).(k) >= t.reg_cap.(k)
+          then Blk_reg
           else begin
-            let needed = copies_needed t u cluster in
+            let needed = copies_needed t d cluster in
             (* Copy queue capacity check in every source cluster, using
                the per-cluster scratch counters instead of a fresh
                hashtable per dispatch attempt; only the source clusters'
                counters are read, so only those are zeroed. *)
             for i = 0 to needed - 1 do
-              t.copy_extra.(Vec.get t.tag_origin t.copy_tags.(i)) <- 0
+              t.copy_extra.(t.tag_origin.(t.copy_tags.(i))) <- 0
             done;
             let fits = ref true in
             for i = 0 to needed - 1 do
-              let from = Vec.get t.tag_origin t.copy_tags.(i) in
+              let from = t.tag_origin.(t.copy_tags.(i)) in
               if t.occupancy.(from).(2) + t.copy_extra.(from)
                  >= t.cfg.Config.copy_q_size
               then fits := false;
@@ -1027,29 +1123,29 @@ let dispatch_one t =
                 insert_copy t t.copy_tags.(i) ~to_cluster:cluster
               done;
               let inst =
-                dispatch_into_rob t u ~addr:t.fq_addr.(head) ~cluster
+                dispatch_into_rob t d sid ~addr:t.fq_addr.(head) ~cluster
                   ~misp:(t.fq_meta.(head) land 1 = 1)
               in
               (* Memory bookkeeping: LSQ slot, store table, store-to-load
                  dependences through the unified LSQ (exact 8-byte
                  disambiguation; forwarding needs no inter-cluster copy). *)
-              if Uop.is_mem u then begin
+              if d land d_mem <> 0 then begin
                 t.lsq_used <- t.lsq_used + 1;
                 let key = t.fq_addr.(head) land lnot 7 in
-                match u.Uop.opcode with
-                | Opcode.Store ->
-                    record_store t inst key;
-                    t.stats.Stats.stores <- t.stats.Stats.stores + 1
-                | Opcode.Load ->
-                    t.stats.Stats.loads <- t.stats.Stats.loads + 1;
-                    let s = find_store t key in
-                    if s >= 0 && not t.slots.(s).completed then begin
-                      let store = t.slots.(s) in
-                      inst.waiting <- inst.waiting + 1;
-                      inst.next_store_waiter <- store.store_waiters;
-                      store.store_waiters <- inst.id
-                    end
-                | _ -> ()
+                if d land d_store <> 0 then begin
+                  record_store t inst key;
+                  t.stats.Stats.stores <- t.stats.Stats.stores + 1
+                end
+                else begin
+                  t.stats.Stats.loads <- t.stats.Stats.loads + 1;
+                  let s = find_store t key in
+                  if s >= 0 && not t.slots.(s).completed then begin
+                    let store = t.slots.(s) in
+                    inst.waiting <- inst.waiting + 1;
+                    inst.next_store_waiter <- store.store_waiters;
+                    store.store_waiters <- inst.id
+                  end
+                end
               end;
               t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) + 1;
               t.inflight.(cluster) <- t.inflight.(cluster) + 1;
@@ -1065,9 +1161,9 @@ let dispatch_one t =
                        {
                          cycle = now t;
                          iseq = inst.iseq;
-                         static_id = u.Uop.id;
+                         static_id = sid;
                          cluster;
-                         queue = queue_name queue;
+                         queue = queue_name qidx;
                        }));
               if inst.waiting = 0 then enqueue_ready t inst;
               Blk_none
@@ -1139,12 +1235,6 @@ let dispatch t =
 
 (* ---- fetch ------------------------------------------------------- *)
 
-let check_sources (u : Uop.t) =
-  if Array.length u.Uop.srcs > max_srcs then
-    invalid_arg
-      (Printf.sprintf "Engine: micro-op %d has more than %d sources" u.Uop.id
-         max_srcs)
-
 (* Fetch reads the stream at the cursor, one column entry per micro-op,
    extending the buffer when the cursor reaches its end. *)
 let fetch t =
@@ -1160,7 +1250,7 @@ let fetch t =
       t.tpos <- p + 1;
       t.busy <- true;
       let misp =
-        if Uop.is_branch tr.Columns.uops.(sid) then begin
+        if t.decode.(sid) land d_branch <> 0 then begin
           let taken = tr.Columns.taken.(i) = 1 in
           let predicted = Bpred.predict t.bpred ~pc:sid in
           Bpred.update t.bpred ~pc:sid ~taken;
@@ -1322,9 +1412,11 @@ let skip_quiet t ~bound =
 (* The ROB head's age, -1 when the ROB is empty. *)
 let head_iseq t = if t.rob_len = 0 then -1 else t.slots.(t.rob_head).iseq
 
-(* Occupancy within bounds, [inflight] equal to the live slots, and
-   commit in program order, after a step that began with the ROB head
-   at [head0] (age [iseq0]) and [committed0] micro-ops committed. *)
+(* Occupancy within bounds, [inflight] equal to the live slots, commit
+   in program order, after a step that began with the ROB head at
+   [head0] (age [iseq0]) and [committed0] micro-ops committed; the tag
+   pool conserved, and every issued slot's sources ready in its
+   cluster. *)
 let check_invariants t ~head0 ~iseq0 ~committed0 =
   let fail fmt =
     Printf.ksprintf
@@ -1377,7 +1469,59 @@ let check_invariants t ~head0 ~iseq0 ~committed0 =
   let iseq = head_iseq t in
   if iseq >= 0 && iseq0 >= 0 then
     if (committed > 0 && iseq <= iseq0) || (committed = 0 && iseq <> iseq0)
-    then fail "ROB head age went from %d to %d" iseq0 iseq
+    then fail "ROB head age went from %d to %d" iseq0 iseq;
+  (* Live tags: named by [rename], by a ROB entry (its destination and
+     the tag it displaced) or by a live copy. None is free, and live
+     plus free tags make up the pool. *)
+  let pool = Array.length t.tag_loc in
+  (* byte marks: '\000' unseen, 'l' live, 'f' free *)
+  let mark = Bytes.make pool '\000' in
+  let nlive = ref 0 in
+  let live what tag =
+    if tag < 0 || tag >= pool then
+      fail "%s tag %d outside the pool of %d" what tag pool;
+    if Bytes.get mark tag = '\000' then begin
+      Bytes.set mark tag 'l';
+      incr nlive
+    end
+  in
+  let ready_for inst tag =
+    if tag >= 0 && not (tag_ready_in t tag inst.cluster) then
+      fail "slot %d issued before tag %d was ready in cluster %d" inst.id tag
+        inst.cluster
+  in
+  Array.iter (live "rename") t.rename;
+  for i = 0 to t.rob_len - 1 do
+    let inst = t.slots.((t.rob_head + i) mod t.rob_size) in
+    if inst.dst_tag >= 0 then begin
+      live "destination" inst.dst_tag;
+      live "displaced" inst.old_tag
+    end;
+    if inst.issued then begin
+      ready_for inst inst.src0;
+      ready_for inst inst.src1
+    end
+  done;
+  let free_copy = Bytes.make (Array.length t.slots) '\000' in
+  for i = 0 to t.copy_free_len - 1 do
+    Bytes.set free_copy t.copy_free.(i) 'f'
+  done;
+  for id = t.rob_size to Array.length t.slots - 1 do
+    let inst = t.slots.(id) in
+    if Bytes.get free_copy id = '\000' then begin
+      live "copy" inst.copy_tag;
+      if inst.issued then ready_for inst inst.copy_tag
+    end
+  done;
+  for i = 0 to t.tag_free_len - 1 do
+    let tag = t.tag_free.(i) in
+    match Bytes.get mark tag with
+    | 'l' -> fail "tag %d is live and free" tag
+    | 'f' -> fail "tag %d is free twice" tag
+    | _ -> Bytes.set mark tag 'f'
+  done;
+  if !nlive + t.tag_free_len <> pool then
+    fail "%d live and %d free tags in a pool of %d" !nlive t.tag_free_len pool
 
 (* ---- runs -------------------------------------------------------- *)
 
@@ -1403,14 +1547,28 @@ let advance t ~mode ~bound =
       skip_quiet t ~bound;
       check_invariants t ~head0 ~iseq0 ~committed0
 
+(* Room in the decode table for static ids below [n]. *)
+let reserve_decode t n =
+  if Array.length t.decode < n then begin
+    let d = Array.make n 0 in
+    Array.blit t.decode 0 d 0 (Array.length t.decode);
+    t.decode <- d
+  end
+
+(* Decode every micro-op of a run's static-id table; raises
+   [Invalid_argument] for one with more than [max_srcs] sources. *)
+let decode_table t uops =
+  reserve_decode t (Array.length uops);
+  Array.iteri
+    (fun sid u -> if u != Columns.no_uop then t.decode.(sid) <- decode_uop u)
+    uops
+
 let run_loop ~mode ?(warmup = 0) t trace ~uops =
   if t.ran then
     invalid_arg "Engine.run: engine already ran; call Engine.reset first";
   if uops <= 0 then invalid_arg "Engine.run: uops must be positive";
   if warmup < 0 then invalid_arg "Engine.run: negative warmup";
-  Array.iter
-    (fun u -> if u != Columns.no_uop then check_sources u)
-    trace.Columns.uops;
+  decode_table t trace.Columns.uops;
   t.ran <- true;
   t.trace <- trace;
   t.tpos <- 0;
@@ -1462,11 +1620,11 @@ let run_columns ?warmup t ~trace ~uops =
 
 (* [source] is read through the engine's one-entry window: each pull
    puts the next micro-op at the cursor's position, after recording it
-   in the window's static-id table. Each id is resolved once per run: a
-   later micro-op under a known id must be that same micro-op, or the
-   table would hand stale opcodes and operands to every stage that
-   reads it. *)
-let pull source (w : Columns.t) p =
+   in the window's static-id table and decoding it. Each id is resolved
+   once per run: a later micro-op under a known id must be that same
+   micro-op, or the decode table would hand stale opcodes and operands
+   to every stage that reads it. *)
+let pull t source (w : Columns.t) p =
   let d : Dynuop.t = source () in
   let u = d.Dynuop.suop in
   let id = u.Uop.id in
@@ -1479,7 +1637,8 @@ let pull source (w : Columns.t) p =
   let known = w.uops.(id) in
   if known != u then
     if known == Columns.no_uop then begin
-      check_sources u;
+      reserve_decode t (Array.length w.uops);
+      t.decode.(id) <- decode_uop u;
       w.uops.(id) <- u
     end
     else if known <> u then
@@ -1502,7 +1661,7 @@ let adapt t source =
   else w.uops <- Array.make n Columns.no_uop;
   w.base <- 0;
   w.len <- 0;
-  w.refill <- pull source;
+  w.refill <- pull t source;
   w
 
 let run ?warmup t ~source ~uops =

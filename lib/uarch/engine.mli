@@ -27,7 +27,20 @@
     in-flight micro-ops live in preallocated, recycled slots that name
     their micro-op by static id, so the per-micro-op path stores no
     pointer either (see ARCHITECTURE.md, "In-flight state: flat
-    memory").
+    memory"). Each static id is decoded once per run into one int
+    (queue, unit, latency, memory and branch bits, destination and
+    source register codes) that every stage reads instead of the
+    micro-op record; only the policy receives the {!Clusteer_isa.Uop.t}.
+    Value tags come from a pool of fixed size, [2 * 64 + rob_size]
+    (one per architectural register of the two classes, plus one per
+    ROB entry): a writer keeps the tag it displaces from the rename
+    table until it commits, and commit frees it. So an engine does not
+    grow with the length of its runs.
+
+    The policy's view ({!Policy.view}) reads the machine live: its
+    [inflight] field is the engine's own per-cluster in-flight counter
+    array, updated in place as micro-ops dispatch and complete. A
+    policy reads it and never writes it.
 
     Events, commit and issue are skipped on cycles where they cannot
     act (after a cycle in which nothing happened, until the next event
@@ -141,12 +154,13 @@ val run_columns :
 
     Fetch reads [trace] from stream position 0 through the engine's own
     cursor, extending the buffer as it goes ({!Columns.ensure}); the
-    static micro-op behind each id is [trace.uops]. Another engine may
-    replay the same buffer afterwards and reads the identical stream:
-    the harness runs every configuration of a point this way. Raises
-    [Invalid_argument] if a micro-op of [trace.uops] has more than two
-    register sources, and [Failure] if the machine stops making
-    progress (an engine bug, surfaced for the tests).
+    static micro-op behind each id is [trace.uops], decoded when the
+    run starts. Another engine may replay the same buffer afterwards
+    and reads the identical stream: the harness runs every
+    configuration of a point this way. Raises [Invalid_argument] if a
+    micro-op of [trace.uops] has more than two register sources or a
+    register index of 64 or more, and [Failure] if the machine stops
+    making progress (an engine bug, surfaced for the tests).
 
     One run per {!create} or {!reset}: the stopping rule and the cycle
     bound count from a fresh machine, so a second run without a
@@ -157,8 +171,9 @@ val run_columns :
 val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
 (** {!run_columns} over a [unit -> Dynuop.t] source, read through a
     one-entry window of the engine's: the same fetch, one [source] call
-    per micro-op fetched. The window records the static micro-op per
-    id as it is fetched, so one static id must name one micro-op for
+    per micro-op fetched. The window records (and decodes) the static
+    micro-op per id as it is first fetched, so one static id must name
+    one micro-op for
     the run: [Invalid_argument] naming the id if [source] returns a
     different one under an id already seen. Kept for callers that
     build their stream as records; the simulator's own paths fill
@@ -181,9 +196,14 @@ module For_testing : sig
       queue's occupancy, the register files, the LSQ and the ROB stay
       within their sizes; each cluster's in-flight count is never
       negative and equals its live slots; the ROB holds micro-ops in
-      program order and commit takes them from its head. Raises
-      [Failure "Engine invariant, cycle N: ..."] on the first
-      violation. *)
+      program order and commit takes them from its head. The tag pool
+      is conserved: no tag named by the rename table or by an
+      in-flight slot (a micro-op's destination or the tag it
+      displaced, a live copy's tag) is on the free stack, no tag is
+      free twice, and live plus free tags make up the pool. A
+      micro-op or copy that has issued has each source tag ready in
+      its cluster. Raises [Failure "Engine invariant, cycle N: ..."]
+      on the first violation. *)
 
   val steps : t -> int
   (** Cycles stepped one by one since {!create} or {!reset}; the rest

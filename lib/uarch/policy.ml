@@ -9,7 +9,7 @@ let dispatch_to c = if c >= 0 && c < max_clusters then memo.(c) else Dispatch_to
 type view = {
   clusters : int;
   cycle : unit -> int;
-  inflight : int -> int;
+  inflight : int array;
   queue_free : int -> Opcode.queue -> int;
   src_locations_into : Uop.t -> Clusteer_util.Bitset.t array -> int;
   reg_location : Reg.t -> Clusteer_util.Bitset.t;

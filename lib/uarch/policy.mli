@@ -44,8 +44,11 @@ val dispatch_to : int -> decision
 type view = {
   clusters : int;
   cycle : unit -> int;
-  inflight : int -> int;
-      (** per-cluster in-flight count (dispatched, not yet completed) *)
+  inflight : int array;
+      (** per-cluster in-flight count (dispatched, not yet completed),
+          indexed by cluster. The engine's own counters, live: the
+          array is read in place, so it always holds the current counts
+          and never needs copying, and a policy must only read it. *)
   queue_free : int -> Opcode.queue -> int;
       (** free slots of a queue in a cluster *)
   src_locations_into : Uop.t -> Clusteer_util.Bitset.t array -> int;

@@ -1,9 +1,6 @@
-(** Growable integer arrays.
-
-    The simulator allocates a fresh value tag per dispatched micro-op
-    and keeps per-tag side information (location masks, origin
-    cluster); a dense auto-growing int vector is the cheapest store
-    for that. *)
+(** Growable integer arrays: a dense int vector that grows on demand,
+    for tables indexed by a count with no fixed bound (the VLIW
+    scheduler's per-cycle unit reservations). *)
 
 type t
 

@@ -575,6 +575,28 @@ let test_runner_measured_and_profiled () =
   check_bool "words/uop within the hot-path budget era" true
     (Obs.Ledger.minor_words_per_uop gc ~uops:committed >= 0.0)
 
+let test_profiled_minor_words () =
+  (* A profiled call counts each point's minor words with the worker
+     domain's own [Gc.minor_words]; the figure must be live (not the
+     collection-time [quick_stat] one, which reads 0 on a run with no
+     minor collection) and within the words the whole call allocated. *)
+  let module Obs = Clusteer_obs in
+  let counted () =
+    Obs.Counters.value (Obs.Counters.counter "harness.gc.minor_words")
+  in
+  let counted0 = counted () in
+  let w0 = Gc.minor_words () in
+  ignore
+    (Harness.Runner.run_grouped ~domains:1 ~profiled:true
+       ~machine:Config.default_2c ~configs:[ Clusteer.Configuration.Op ]
+       ~uops:1000 [ tiny_profile ]);
+  let w1 = Gc.minor_words () in
+  let words = counted () - counted0 in
+  check_bool "words counted" true (words > 0);
+  if float_of_int words > w1 -. w0 then
+    Alcotest.failf "counted %d minor words, the call allocated %.0f" words
+      (w1 -. w0)
+
 let test_trace_seed_no_collisions () =
   (* The old affine formula (seed*31 + index + 101) collided across
      nearby benchmarks — e.g. (seed 1, phase 31) and (seed 2, phase 0)
@@ -741,6 +763,8 @@ let () =
           Alcotest.test_case "tiny run completes" `Quick test_runner_tiny_run_completes;
           Alcotest.test_case "measured and profiled" `Quick
             test_runner_measured_and_profiled;
+          Alcotest.test_case "profiled minor words" `Quick
+            test_profiled_minor_words;
           Alcotest.test_case "trace seed collision-free" `Quick
             test_trace_seed_no_collisions;
           Alcotest.test_case "trace seed deterministic" `Quick

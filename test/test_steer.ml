@@ -33,7 +33,7 @@ let fake_view ?(annot = Annot.none ~uop_count:64) f =
   {
     Policy.clusters = Array.length f.inflight;
     cycle = (fun () -> f.now);
-    inflight = (fun c -> f.inflight.(c));
+    inflight = f.inflight;
     queue_free = (fun c _ -> f.free.(c));
     src_locations_into =
       (fun u buf ->

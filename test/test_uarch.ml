@@ -1033,6 +1033,29 @@ let test_engine_copy_pool_grows () =
   let again = Engine.run e ~source:(source_of p 1) ~uops:3000 in
   check_bool "reused engine repeats the run" true (Stats.equal first again)
 
+(* Value tags come from a fixed pool that commit recycles, so a long
+   run leaves the engine no larger than a short one: after a reset, the
+   words reachable from it are the same after 200k micro-ops as after
+   20k. *)
+let test_engine_tag_pool_bounded () =
+  let w = Synth.build (Spec2000.find "gzip-1") in
+  let prewarm = prewarm_of w in
+  let annot, policy =
+    Configuration.prepare Configuration.Op ~program:w.Synth.program
+      ~likely:w.Synth.likely ~clusters:2 ()
+  in
+  let e = Engine.create ~config:Config.default_2c ~annot ~policy ~prewarm () in
+  let words_after uops =
+    Engine.reset ~prewarm e ~annot ~policy;
+    let trace = Columns.of_generator (Synth.trace w ~seed:3) in
+    ignore (Engine.run_columns ~warmup:0 e ~trace ~uops);
+    Engine.reset ~prewarm e ~annot ~policy;
+    Obj.reachable_words (Obj.repr e)
+  in
+  let short = words_after 20_000 in
+  check_int "words reachable after 200k uops = after 20k" short
+    (words_after 200_000)
+
 let test_engine_tracecache_stress () =
   (* A static footprint far beyond the trace cache forces steady-state
      misses; shrinking the cache must cost cycles. *)
@@ -1592,6 +1615,8 @@ let () =
           Alcotest.test_case "reset from a prewarmed twin" `Quick
             test_engine_reset_from_twin;
           Alcotest.test_case "copy pool grows" `Quick test_engine_copy_pool_grows;
+          Alcotest.test_case "tag pool bounded" `Quick
+            test_engine_tag_pool_bounded;
         ] );
       ( "quiescence",
         [
