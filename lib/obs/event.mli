@@ -45,7 +45,9 @@ type t =
     }
   | Copy_insert of {
       cycle : int;
-      tag : int;  (** value tag being replicated *)
+      tag : int;
+          (** value tag being replicated: an entry of the engine's fixed
+              tag pool, which reuses a tag once its value is dead *)
       from_cluster : int;
       to_cluster : int;
       copyq_depth : int;  (** producer's copy-queue depth after insertion *)
